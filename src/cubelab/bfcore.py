@@ -100,10 +100,11 @@ def from_text(text: str, max_n: int | None = None) -> BooleanFunction:
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
-    """g(x) = 1 - f(-x); negating x flips every index bit."""
-    mask = (1 << f.n) - 1
-    flipped = f.table[np.arange(1 << f.n) ^ mask]
-    return BooleanFunction(f.n, 1 - flipped)
+    """g(x) = 1 - f(-x); negating x flips every index bit.
+
+    m ^ (2^n - 1) = 2^n - 1 - m, so f(-x) is the table read backwards.
+    """
+    return BooleanFunction(f.n, 1 - f.table[::-1])
 
 
 def is_monotone(f: BooleanFunction) -> bool:

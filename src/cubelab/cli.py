@@ -172,13 +172,6 @@ def cmd_verify(args) -> int:
     return report.exit_code
 
 
-def cmd_bench(args) -> int:
-    from . import bench
-
-    bench.main(args.repeat)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubelab",
@@ -237,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write the flat CSV export here")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the numba kernels against numpy")
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

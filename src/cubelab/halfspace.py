@@ -217,7 +217,7 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
             )
         dense = kernels.signed_sum_counts(weights)
         nz = np.nonzero(dense)[0]
-        return TailDistribution(nz - total, dense[nz], scale, n)
+        return TailDistribution(2 * nz - total, dense[nz], scale, n)
     if backend == "mitm" or n <= MITM_MAX_N:
         # alternate large/small weights between halves to balance the sums
         lv, lc = _enumerate_half(weights[0::2])

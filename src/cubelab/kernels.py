@@ -1,34 +1,16 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels on plain integer numpy arrays.
 
-Everything here works on plain integer numpy arrays so that both backends
-produce bit-identical results.  The numba backend JIT-compiles the inner
-loops; the numpy backend expresses the same recurrences with vectorized
-slicing.  Select with the CUBELAB_BACKEND environment variable ("numba",
-the default when numba imports, or "numpy").  ``cubelab.bench`` times one
-against the other.
+Point m of the cube has x_i = +1 where bit i of m is set and x_i = -1
+where it is clear.  Each kernel is one vectorized numpy algorithm; its
+independent slow route is in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
 
-_requested = os.environ.get("CUBELAB_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise ValueError(f"CUBELAB_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-USING_NUMBA = _requested == "numba" and njit is not None
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-def fwht_numpy(a: np.ndarray) -> np.ndarray:
+def fwht(a: np.ndarray) -> np.ndarray:
     """In-place signed Walsh transform of an int64 vector of length 2**n.
 
     Output index is a subset mask S; entry S becomes sum_m a[m] * sign(S, m)
@@ -45,208 +27,69 @@ def fwht_numpy(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def signed_sum_counts_numpy(weights: np.ndarray) -> np.ndarray:
+def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
     """Counts of sum(w_i * x_i) over sign vectors x, as a dense array.
 
-    Entry j holds the number of sign vectors whose sum equals j - T with
-    T = sum(weights).  Weights must be nonnegative int64.
+    Entry s holds the number of sign vectors whose sum equals 2s - T with
+    T = sum(weights): the x_i = +1 coordinates form a subset of sum s, and
+    a.x = 2s - T.  Weights must be nonnegative.
     """
+    weights = np.ascontiguousarray(weights, dtype=np.int64)
     total = int(weights.sum())
-    cur = np.zeros(2 * total + 1, dtype=np.int64)
-    cur[total] = 1
+    cur = np.zeros(total + 1, dtype=np.int64)
+    nxt = np.zeros(total + 1, dtype=np.int64)
+    cur[0] = 1
+    top = 0  # largest subset sum reached; both buffers are zero above it
     for w in weights:
         w = int(w)
-        if w == 0:
-            cur *= 2
-            continue
-        nxt = np.zeros_like(cur)
-        nxt[w:] += cur[:-w]
-        nxt[:-w] += cur[w:]
-        cur = nxt
+        # nxt[s] = cur[s] + cur[s - w] on the live prefix 0..top + w
+        np.copyto(nxt[:w], cur[:w])
+        np.add(cur[w : top + w + 1], cur[: top + 1], out=nxt[w : top + w + 1])
+        top += w
+        cur, nxt = nxt, cur
     return cur
 
 
-def dot_values_numpy(weights: np.ndarray) -> np.ndarray:
-    """sum(w_i * x_i) for every point m of the cube; bit i of m set means x_i = +1."""
+def dot_values(weights: np.ndarray) -> np.ndarray:
+    """sum(w_i * x_i) for every point m of the cube."""
+    weights = np.ascontiguousarray(weights, dtype=np.int64)
     out = np.zeros(1, dtype=np.int64)
     for w in weights:
         out = np.concatenate([out - int(w), out + int(w)])
     return out
 
 
-def influence_counts_numpy(table: np.ndarray, n: int) -> np.ndarray:
-    """Per-coordinate count of points m with table[m] != table[m ^ e_i]."""
-    out = np.zeros(n, dtype=np.int64)
+def _halves(table: np.ndarray, n: int):
+    """For each coordinate i, the views of table at x_i = -1 and x_i = +1.
+
+    Entry j of the first view and entry j of the second are neighbours
+    across coordinate i.
+    """
     for i in range(n):
         view = table.reshape(-1, 2, 1 << i)
-        out[i] = 2 * int(np.count_nonzero(view[:, 0, :] != view[:, 1, :]))
-    return out
-
-
-def boundary_counts_numpy(table: np.ndarray, n: int) -> tuple[int, int]:
-    """Counts of 0-side and 1-side vertex-boundary points of the truth table."""
-    idx = np.arange(table.shape[0])
-    diff = np.zeros(table.shape[0], dtype=bool)
-    for i in range(n):
-        diff |= table != table[idx ^ (1 << i)]
-    ones = table.astype(bool)
-    c1 = int(np.count_nonzero(diff & ones))
-    c0 = int(np.count_nonzero(diff & ~ones))
-    return c0, c1
-
-
-def monotone_violations_numpy(table: np.ndarray, n: int) -> int:
-    """Number of directed edges with f = 1 below and f = 0 above."""
-    bad = 0
-    for i in range(n):
-        view = table.reshape(-1, 2, 1 << i)
-        bad += int(np.count_nonzero(view[:, 0, :] > view[:, 1, :]))
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _fwht_nb(a):  # pragma: no cover - exercised via dispatcher
-        size = a.shape[0]
-        h = 1
-        while h < size:
-            step = 2 * h
-            for start in range(0, size, step):
-                for j in range(start, start + h):
-                    u = a[j]
-                    v = a[j + h]
-                    a[j] = u + v
-                    a[j + h] = v - u
-            h = step
-        return a
-
-    @njit(cache=True)
-    def _signed_sum_counts_nb(weights):  # pragma: no cover
-        total = 0
-        for i in range(weights.shape[0]):
-            total += weights[i]
-        cur = np.zeros(2 * total + 1, dtype=np.int64)
-        nxt = np.zeros(2 * total + 1, dtype=np.int64)
-        cur[total] = 1
-        lo = total
-        hi = total
-        for i in range(weights.shape[0]):
-            w = weights[i]
-            for j in range(lo - w, hi + w + 1):
-                nxt[j] = 0
-            for j in range(lo, hi + 1):
-                c = cur[j]
-                if c != 0:
-                    nxt[j - w] += c
-                    nxt[j + w] += c
-            lo -= w
-            hi += w
-            cur, nxt = nxt, cur
-        return cur
-
-    @njit(cache=True)
-    def _dot_values_nb(weights):  # pragma: no cover
-        n = weights.shape[0]
-        out = np.empty(1 << n, dtype=np.int64)
-        out[0] = 0
-        size = 1
-        for i in range(n):
-            w = weights[i]
-            for m in range(size):
-                v = out[m]
-                out[m] = v - w
-                out[m + size] = v + w
-            size <<= 1
-        return out
-
-    @njit(cache=True)
-    def _influence_counts_nb(table, n):  # pragma: no cover
-        out = np.zeros(n, dtype=np.int64)
-        size = table.shape[0]
-        for i in range(n):
-            step = 1 << i
-            hits = 0
-            base = 0
-            while base < size:
-                for j in range(base, base + step):
-                    if table[j] != table[j + step]:
-                        hits += 1
-                base += step << 1
-            out[i] = 2 * hits
-        return out
-
-    @njit(cache=True)
-    def _boundary_counts_nb(table, n):  # pragma: no cover
-        c0 = 0
-        c1 = 0
-        for m in range(table.shape[0]):
-            t = table[m]
-            for i in range(n):
-                if table[m ^ (1 << i)] != t:
-                    if t:
-                        c1 += 1
-                    else:
-                        c0 += 1
-                    break
-        return c0, c1
-
-    @njit(cache=True)
-    def _monotone_violations_nb(table, n):  # pragma: no cover
-        bad = 0
-        size = table.shape[0]
-        for i in range(n):
-            step = 1 << i
-            base = 0
-            while base < size:
-                for j in range(base, base + step):
-                    if table[j] > table[j + step]:
-                        bad += 1
-                base += step << 1
-        return bad
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-
-def fwht(a: np.ndarray) -> np.ndarray:
-    if USING_NUMBA:
-        return _fwht_nb(a)
-    return fwht_numpy(a)
-
-
-def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
-    weights = np.ascontiguousarray(weights, dtype=np.int64)
-    if USING_NUMBA:
-        return _signed_sum_counts_nb(weights)
-    return signed_sum_counts_numpy(weights)
-
-
-def dot_values(weights: np.ndarray) -> np.ndarray:
-    weights = np.ascontiguousarray(weights, dtype=np.int64)
-    if USING_NUMBA:
-        return _dot_values_nb(weights)
-    return dot_values_numpy(weights)
+        yield view[:, 0, :], view[:, 1, :]
 
 
 def influence_counts(table: np.ndarray, n: int) -> np.ndarray:
-    # numpy's SIMD byte compares beat the scalar jit loop here; see bench
-    return influence_counts_numpy(table, n)
+    """Per-coordinate count of points m with table[m] != table[m ^ e_i]."""
+    return np.array([2 * int(np.count_nonzero(lo != hi)) for lo, hi in _halves(table, n)],
+                    dtype=np.int64)
 
 
 def boundary_counts(table: np.ndarray, n: int) -> tuple[int, int]:
-    if USING_NUMBA:
-        c0, c1 = _boundary_counts_nb(table, n)
-        return int(c0), int(c1)
-    return boundary_counts_numpy(table, n)
+    """Counts of 0-side and 1-side vertex-boundary points of the truth table."""
+    on_boundary = np.zeros(table.shape[0], dtype=bool)
+    for (lo, hi), (b_lo, b_hi) in zip(_halves(table, n), _halves(on_boundary, n)):
+        cut = lo != hi
+        b_lo |= cut
+        b_hi |= cut
+    c1 = int(np.count_nonzero(table[on_boundary]))
+    return int(np.count_nonzero(on_boundary)) - c1, c1
 
 
 def monotone_violations(table: np.ndarray, n: int) -> int:
-    # numpy wins here as well; the jit variant exists for the benchmark
-    return monotone_violations_numpy(table, n)
+    """Number of directed edges with f = 1 below and f = 0 above."""
+    return sum(int(np.count_nonzero(lo > hi)) for lo, hi in _halves(table, n))
 
 
 def popcounts(n: int) -> np.ndarray:

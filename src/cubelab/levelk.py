@@ -205,10 +205,6 @@ def signed_poly_expectation(coeffs, a, s):
 # ---------------------------------------------------------------------------
 # degree-k smoothed coefficients
 
-def _dot_value_array(h: Halfspace) -> np.ndarray:
-    return kernels.dot_values(h.scaled)
-
-
 def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     """Average of the degree-k coefficient of 1{a.x > t + s} when s is drawn
     from delta times the k-fold uniform sum.
@@ -226,7 +222,7 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     t = h.threshold if t is None else as_fraction(t)
     if h.n > 24:
         raise ValueError("needs the full cube; arity capped at 24")
-    vals = _dot_value_array(h)
+    vals = kernels.dot_values(h.scaled)
     mask = 0
     for j in subset:
         mask |= 1 << j
@@ -357,7 +353,7 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
 
     esym = elementary_symmetric_pointwise(h, k).astype(np.float64)
     esym /= float(h.scale) ** k * norm**k
-    vals = _dot_value_array(h)
+    vals = kernels.dot_values(h.scaled)
     uniq, inverse = np.unique(vals, return_inverse=True)
     if delta > 0:
         t_scaled = float(t * h.scale)
@@ -399,7 +395,7 @@ def ltf_internal_table(h: Halfspace, t=None):
     t = h.threshold if t is None else as_fraction(t)
     if h.n > 24:
         raise ValueError("internal table capped at 24 coordinates")
-    vals = _dot_value_array(h)
+    vals = kernels.dot_values(h.scaled)
     return BooleanFunction(h.n, (vals > math.floor(t * h.scale)).astype(np.uint8))
 
 

@@ -114,6 +114,17 @@ def test_dual_involution_and_mean():
         assert bfcore.dual(g) == f
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dual_pointwise(n):
+    """g(m) = 1 - f(m ^ mask) at every point, mask = 2^n - 1."""
+    rng = np.random.default_rng(100 + n)
+    f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
+    g = bfcore.dual(f)
+    mask = (1 << n) - 1
+    for m in range(1 << n):
+        assert g.value_at(m) == 1 - f.value_at(m ^ mask)
+
+
 def test_is_monotone_examples():
     assert bfcore.is_monotone(bfcore.majority(3))
     parity = bfcore.from_truth_table([0, 1, 1, 0], 2)

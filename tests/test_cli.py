@@ -87,3 +87,10 @@ def test_verify_exit_code_reflects_failures(capsys, tmp_path):
                     "--corpus", "builtin")
     assert code == 1
     assert "EX54" in out
+
+
+def test_bench_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -1,30 +1,37 @@
-"""Both kernel backends must agree bit-for-bit."""
+"""Each kernel against an independent slow route.
+
+The ``*_backends_agree`` tests compare a kernel with ``oracles.py``, the
+defining Walsh sum or a per-point loop; none of the slow routes calls the
+kernel it checks.
+"""
 
 import numpy as np
 import pytest
 
 from cubelab import kernels
+from cubelab.bfcore import BooleanFunction
+from cubelab.spectral import spectrum_by_definition
+
+import oracles
 
 
 def random_table(rng, n):
     return rng.integers(0, 2, size=1 << n).astype(np.uint8)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
 def test_fwht_backends_agree(n):
-    rng = np.random.default_rng(n)
-    a = rng.integers(-5, 6, size=1 << n).astype(np.int64)
-    out_np = kernels.fwht_numpy(a.copy())
-    if kernels.njit is not None:
-        out_nb = kernels._fwht_nb(a.copy())
-        assert np.array_equal(out_np, out_nb)
+    """The butterfly equals the O(4^n) transform from the defining sum."""
+    f = BooleanFunction(n, random_table(np.random.default_rng(n), n))
+    got = kernels.fwht(f.table.astype(np.int64))
+    assert np.array_equal(got, spectrum_by_definition(f).numerators)
 
 
 def test_fwht_matches_direct_sum():
     rng = np.random.default_rng(7)
     n = 6
     table = random_table(rng, n).astype(np.int64)
-    got = kernels.fwht_numpy(table.copy())
+    got = kernels.fwht(table.copy())
     for mask in range(1 << n):
         total = 0
         for m in range(1 << n):
@@ -36,48 +43,72 @@ def test_fwht_matches_direct_sum():
         assert got[mask] == total
 
 
+def sum_counts_by_value(weights):
+    """The kernel's counts keyed by a.x = 2s - T, zero counts dropped."""
+    counts = kernels.signed_sum_counts(weights)
+    total = int(np.sum(weights))
+    assert counts.shape == (total + 1,)
+    return {2 * s - total: int(c) for s, c in enumerate(counts) if c}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_signed_sum_counts_backends_agree(seed):
+    """Random weights with 1-3 zeros against sign-pattern enumeration."""
     rng = np.random.default_rng(seed)
     w = rng.integers(1, 30, size=10).astype(np.int64)
-    dense_np = kernels.signed_sum_counts_numpy(w)
-    assert dense_np.sum() == 1 << 10
-    if kernels.njit is not None:
-        dense_nb = kernels._signed_sum_counts_nb(w)
-        assert np.array_equal(dense_np, dense_nb)
+    w[rng.permutation(10)[: seed + 1]] = 0
+    assert sum_counts_by_value(w) == oracles.brute_sum_counts(w)
+
+
+@pytest.mark.parametrize("weights", [[], [0], [0, 0, 0], [0, 3, 0, 1], [5, 0], [2, 2, 0, 7]])
+def test_signed_sum_counts_zero_weights(weights):
+    w = np.array(weights, dtype=np.int64)
+    assert sum_counts_by_value(w) == oracles.brute_sum_counts(weights)
 
 
 def test_signed_sum_counts_binomial():
-    counts = kernels.signed_sum_counts(np.ones(4, dtype=np.int64))
-    nz = np.nonzero(counts)[0]
-    assert list(nz - 4) == [-4, -2, 0, 2, 4]
-    assert list(counts[nz]) == [1, 4, 6, 4, 1]
+    ones = np.ones(4, dtype=np.int64)
+    assert list(kernels.signed_sum_counts(ones)) == [1, 4, 6, 4, 1]
+    assert sum_counts_by_value(ones) == {-4: 1, -2: 4, 0: 6, 2: 4, 4: 1}
 
 
 def test_dot_values_backends_agree():
+    """Every point's value against a per-point sum; bit i set means +w[i]."""
     rng = np.random.default_rng(3)
-    w = rng.integers(0, 20, size=11).astype(np.int64)
-    got = kernels.dot_values_numpy(w)
-    assert got.shape == (1 << 11,)
-    # spot-check the convention: bit i set means +w[i]
-    assert got[0] == -w.sum()
-    assert got[(1 << 11) - 1] == w.sum()
-    assert got[1] == -w.sum() + 2 * w[0]
-    if kernels.njit is not None:
-        assert np.array_equal(got, kernels._dot_values_nb(w))
+    n = 11
+    w = rng.integers(0, 20, size=n).astype(np.int64)
+    got = kernels.dot_values(w)
+    assert got.shape == (1 << n,)
+    for m in range(1 << n):
+        assert got[m] == sum(int(w[i]) if m >> i & 1 else -int(w[i]) for i in range(n))
 
 
-@pytest.mark.parametrize("n", [3, 8])
+def direct_monotone_violations(f):
+    return sum(int(f.table[m]) > int(f.table[m | 1 << i])
+               for m in range(1 << f.n) for i in range(f.n) if not m >> i & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_table_kernels_backends_agree(n):
+    """Influence, boundary and monotonicity scans against brute force.
+
+    Covers a random table, both constant tables and a monotone threshold.
+    """
+    size = 1 << n
     rng = np.random.default_rng(n)
-    table = random_table(rng, n)
-    inf_np = kernels.influence_counts_numpy(table, n)
-    bnd_np = kernels.boundary_counts_numpy(table, n)
-    mono_np = kernels.monotone_violations_numpy(table, n)
-    if kernels.njit is not None:
-        assert np.array_equal(inf_np, kernels._influence_counts_nb(table, n))
-        assert tuple(bnd_np) == tuple(int(c) for c in kernels._boundary_counts_nb(table, n))
-        assert mono_np == int(kernels._monotone_violations_nb(table, n))
+    weight = np.array([bin(m).count("1") for m in range(size)])
+    tables = [random_table(rng, n), np.zeros(size, np.uint8), np.ones(size, np.uint8),
+              (2 * weight >= n).astype(np.uint8)]
+    for table in tables:
+        f = BooleanFunction(n, table)
+        influence = kernels.influence_counts(f.table, n)
+        assert list(influence) == [oracles.brute_influence(f, i) * size for i in range(n)]
+        c0, c1 = kernels.boundary_counts(f.table, n)
+        assert (c0, c1) == (oracles.brute_boundary(f, 0) * size,
+                            oracles.brute_boundary(f, 1) * size)
+        bad = kernels.monotone_violations(f.table, n)
+        assert bad == direct_monotone_violations(f)
+        assert (bad == 0) == oracles.brute_is_monotone(f)
 
 
 def test_popcounts():
