@@ -130,8 +130,7 @@ def majority(n: int, max_n: int | None = None) -> BooleanFunction:
 def dictator(n: int, max_n: int | None = None) -> BooleanFunction:
     """1 exactly when the first coordinate is +1."""
     _check_arity(n, max_n)
-    idx = np.arange(1 << n)
-    return BooleanFunction(n, ((idx & 1) == 1).astype(np.uint8))
+    return BooleanFunction(n, kernels.all_plus(n, [0]).astype(np.uint8))
 
 
 def subcube(k: int, n: int, max_n: int | None = None) -> BooleanFunction:
@@ -139,9 +138,7 @@ def subcube(k: int, n: int, max_n: int | None = None) -> BooleanFunction:
     _check_arity(n, max_n)
     if not 1 <= k <= n:
         raise ValueError(f"subcube size {k} outside 1..{n}")
-    idx = np.arange(1 << n)
-    mask = (1 << k) - 1
-    return BooleanFunction(n, ((idx & mask) == mask).astype(np.uint8))
+    return BooleanFunction(n, kernels.all_plus(n, range(k)).astype(np.uint8))
 
 
 def hamming_ball(n: int, t, max_n: int | None = None) -> BooleanFunction:
@@ -159,11 +156,9 @@ def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
         raise ValueError("tribes needs positive tribe count and width")
     n = a * b
     _check_arity(n, max_n)
-    idx = np.arange(1 << n)
     table = np.zeros(1 << n, dtype=bool)
     for j in range(a):
-        mask = ((1 << b) - 1) << (j * b)
-        table |= (idx & mask) == mask
+        table |= kernels.all_plus(n, range(j * b, (j + 1) * b))
     return BooleanFunction(n, table.astype(np.uint8))
 
 
@@ -188,14 +183,9 @@ def talagrand_or(n: int, seed: int, max_n: int | None = None) -> BooleanFunction
         b += 1
     a = -(-(1 << b) // b)
     rng = np.random.default_rng(seed)
-    idx = np.arange(1 << n)
-    table = (2 * kernels.popcounts(n) - n >= 0)
+    table = kernels.popcounts(n) >= (n + 1) // 2
     for _ in range(a):
-        coords = rng.choice(n, size=b, replace=False)
-        mask = 0
-        for c in coords:
-            mask |= 1 << int(c)
-        table |= (idx & mask) == mask
+        table |= kernels.all_plus(n, rng.choice(n, size=b, replace=False))
     return BooleanFunction(n, table.astype(np.uint8))
 
 

@@ -888,14 +888,22 @@ for _d in [
     CheckDef("EX54", "global", lambda c: _global_heavy_light_family()),
     CheckDef("EX74", "global", lambda c: _global_or_blowup_example()),
     CheckDef("LEM32-WITNESS", "global", lambda c: _global_interval_decay_witness()),
-    CheckDef("LEM111", "member", lambda ctx, c: _check_log_concavity_member(ctx)),
-    CheckDef("LEM32", "member", lambda ctx, c: _check_interval_decay_member(ctx)),
-    CheckDef("LEM42", "member", lambda ctx, c: _check_log_concave_exp_member(ctx)),
-    CheckDef("COR36", "member", lambda ctx, c: _check_influence_decay_member(ctx)),
-    CheckDef("LEM51", "member", lambda ctx, c: _check_big_coordinate_influence(ctx)),
-    CheckDef("LEM52", "member", lambda ctx, c: _check_smoothed_influence_bound(ctx)),
-    CheckDef("LEM62", "member", lambda ctx, c: _check_relative_influence_member(ctx)),
-    CheckDef("PROP5", "member", lambda ctx, c: _check_threshold_monotone_member(ctx)),
+    CheckDef("LEM111", "member", lambda ctx, c: _check_log_concavity_member(ctx),
+             _is_halfspace),
+    CheckDef("LEM32", "member", lambda ctx, c: _check_interval_decay_member(ctx),
+             _is_halfspace),
+    CheckDef("LEM42", "member", lambda ctx, c: _check_log_concave_exp_member(ctx),
+             _is_halfspace),
+    CheckDef("COR36", "member", lambda ctx, c: _check_influence_decay_member(ctx),
+             _is_halfspace),
+    CheckDef("LEM51", "member", lambda ctx, c: _check_big_coordinate_influence(ctx),
+             _is_halfspace),
+    CheckDef("LEM52", "member", lambda ctx, c: _check_smoothed_influence_bound(ctx),
+             _is_halfspace),
+    CheckDef("LEM62", "member", lambda ctx, c: _check_relative_influence_member(ctx),
+             _is_halfspace),
+    CheckDef("PROP5", "member", lambda ctx, c: _check_threshold_monotone_member(ctx),
+             _is_halfspace),
     CheckDef("THM18", "member", _check_strong_chernoff, _biased_halfspace),
     CheckDef("THM19", "member", _check_partitioned_chernoff, _biased_halfspace),
     CheckDef("THM110", "member", _check_weak_chernoff, _biased_halfspace),
@@ -915,7 +923,7 @@ for _d in [
              _biased_halfspace),
     CheckDef("IH-DERIV", "global", lambda c: _global_derivative_law()),
     CheckDef("FDERIV", "global", lambda c: _global_poly_bracket()),
-    CheckDef("NG", "member", lambda ctx, c: _check_newton_girard(ctx)),
+    CheckDef("NG", "member", lambda ctx, c: _check_newton_girard(ctx), _is_halfspace),
     CheckDef("SIGN-COND", "member", lambda ctx, c: _check_sign_condition(ctx),
              lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= TABLE_CAP),
     CheckDef("WK-PIPELINE", "member", lambda ctx, c: _check_wk_pipeline(ctx),

@@ -67,24 +67,20 @@ class CorrelationResult:
 
 
 def _cut_covariances(f: BooleanFunction, values: np.ndarray):
-    """Covariance of f with 1{values > v} for every distinct cut v.
+    """Covariance of f with 1{values > v} at every distinct value v.
 
-    Yields (v_scaled, both_count, cut_count, cov_numerator); the covariance
-    denominator is 4^n throughout.
+    Returns three arrays over the distinct values in ascending order: v,
+    the count of points above v, and the covariance numerator; the
+    covariance denominator is 4^n throughout.
     """
     size = 1 << f.n
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    sorted_f = f.table[order].astype(np.int64)
-    # suffix sums: entries strictly beyond position i
-    suffix_ones = np.concatenate([np.cumsum(sorted_f[::-1])[::-1], [0]])
-    ones = f.ones
-    distinct_end = np.flatnonzero(np.diff(sorted_vals, append=sorted_vals[-1] + 1) != 0)
-    for pos in distinct_end:
-        v = int(sorted_vals[pos])
-        count = size - (pos + 1)
-        both = int(suffix_ones[pos + 1])
-        yield v, both, count, both * size - ones * count
+    sorted_vals = np.sort(values)
+    last = np.flatnonzero(np.diff(sorted_vals, append=sorted_vals[-1] + 1))
+    v = sorted_vals[last]
+    count = size - 1 - last
+    # ones of f above v: all ones minus those at or below v
+    both = f.ones - np.searchsorted(np.sort(values[f.table != 0]), v, side="right")
+    return v, count, both * size - f.ones * count
 
 
 def best_halfspace_over_form(f: BooleanFunction, form: LinearForm | None = None,
@@ -101,20 +97,14 @@ def best_halfspace_over_form(f: BooleanFunction, form: LinearForm | None = None,
                                  notes="first level vanishes")
     values, scale = form.scaled_values()
     size = 1 << f.n
-    best_num = 0
-    best_v: int | None = None
-    for v, _both, count, cov_num in _cut_covariances(f, values):
-        if count == 0:
-            continue
-        if cov_num > best_num or (cov_num == best_num and
-                                  (best_v is None or v < best_v)):
-            best_num = cov_num
-            best_v = v
-    cov = Fraction(best_num, size * size)
-    if best_v is None:
-        return CorrelationResult(cov, None, "", degenerate=True,
+    v, count, cov_num = _cut_covariances(f, values)
+    # the top value cuts off nothing; argmax takes the lowest of tied cuts
+    best = int(np.argmax(cov_num[count > 0]))
+    if cov_num[best] < 0:
+        return CorrelationResult(Fraction(0), None, "", degenerate=True,
                                  notes="constant cut is optimal")
-    threshold = Fraction(best_v, scale)
+    cov = Fraction(int(cov_num[best]), size * size)
+    threshold = Fraction(int(v[best]), scale)
     bound = None
     if pinned is not None:
         w1 = form.sq_norm
@@ -134,12 +124,10 @@ def threshold_integral_identity(f: BooleanFunction,
     if form.is_zero():
         return Fraction(0)
     values, scale = form.scaled_values()
-    size = 1 << f.n
-    cuts = list(_cut_covariances(f, values))
-    acc = Fraction(0)
-    for (v, _, _, cov_num), (v_next, _, _, _) in zip(cuts, cuts[1:]):
-        acc += Fraction(cov_num, size * size) * Fraction(v_next - v, scale)
-    return acc
+    v, _count, cov_num = _cut_covariances(f, values)
+    # products and their sum can pass int64 from n = 23: use Python ints
+    acc = np.dot(cov_num[:-1].astype(object), np.diff(v).astype(object))
+    return Fraction(acc, (1 << (2 * f.n)) * scale)
 
 
 def unbiased_correlator(f: BooleanFunction, full_scan: bool = False,

@@ -15,6 +15,7 @@ import numpy as np
 from .chernoff import FAIL, PASS, REPORT, CheckRecord
 from .checks import PIN_KINDS, REGISTRY, SUITES, MemberContext
 from .halfspace import distribution_from_scaled
+from .kernels import all_plus
 from .rational import format_fraction
 
 F = Fraction
@@ -138,16 +139,11 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
         rng = np.random.default_rng(seed)
         entries = []
         for _ in range(count):
-            idx = np.arange(1 << n)
             table = np.zeros(1 << n, dtype=bool)
             terms = int(rng.integers(1, n + 1))
             for _t in range(terms):
                 width = int(rng.integers(1, n + 1))
-                coords = rng.choice(n, size=width, replace=False)
-                mask = 0
-                for cc in coords:
-                    mask |= 1 << int(cc)
-                table |= (idx & mask) == mask
+                table |= all_plus(n, rng.choice(n, size=width, replace=False))
             packed = np.packbits(table.astype(np.uint8), bitorder="little").tobytes()
             value = int.from_bytes(packed, "little")
             digits = max(1, (1 << n) // 4)

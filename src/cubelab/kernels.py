@@ -92,6 +92,14 @@ def monotone_violations(table: np.ndarray, n: int) -> int:
     return sum(int(np.count_nonzero(lo > hi)) for lo, hi in _halves(table, n))
 
 
+def all_plus(n: int, coords) -> np.ndarray:
+    """Bool table of the points with x_i = +1 for every i in coords."""
+    table = np.ones(1 << n, dtype=bool)
+    for i in coords:
+        table.reshape(-1, 2, 1 << int(i))[:, 0, :] = False
+    return table
+
+
 def popcounts(n: int) -> np.ndarray:
     """popcount of every index below 2**n, as int64."""
     m = np.arange(1 << n, dtype=np.uint32)

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
+from .bfcore import BooleanFunction
 from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
 from .halfspace import Halfspace
 from .rational import as_fraction
@@ -231,12 +232,20 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     uniq, inverse = np.unique(vals, return_inverse=True)
     signed_counts = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(signed_counts, inverse, signs)
+    weights = _cdf_weights(h, k, uniq, t, delta)
+    return float(np.dot(signed_counts, weights)) / (1 << h.n)
+
+
+def _cdf_weights(h: Halfspace, k: int, uniq: np.ndarray, t: Fraction,
+                 delta: Fraction) -> np.ndarray:
+    """The k-fold CDF at (v - t)/delta for each distinct scaled value v.
+
+    One scalar call per value: a vectorised power can differ in the last
+    ulp, and these weights reach the report.
+    """
     t_scaled = float(t * h.scale)
     d_scaled = float(delta * h.scale)
-    weights = np.array(
-        [irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq]
-    )
-    return float(np.dot(signed_counts, weights)) / (1 << h.n)
+    return np.array([irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq])
 
 
 def smoothed_fourier_lower_bound(h: Halfspace, subset, delta, t=None):
@@ -264,15 +273,12 @@ def elementary_symmetric_pointwise(h: Halfspace, k: int) -> np.ndarray:
     biggest = int(max(h.scaled)) if n else 0
     if k >= 1 and math.comb(max(n, 1), k) * biggest**k > 2**62:
         raise OverflowError("elementary symmetric values would overflow int64")
-    size = 1 << n
-    idx = np.arange(size)
-    layers = [np.ones(size, dtype=np.int64)] + [
-        np.zeros(size, dtype=np.int64) for _ in range(k)
-    ]
-    for j in range(n):
-        x_j = np.where((idx >> j) & 1 == 1, np.int64(h.scaled[j]), np.int64(-h.scaled[j]))
-        for d in range(min(j + 1, k), 0, -1):
-            layers[d] += x_j * layers[d - 1]
+    # layers[d] holds e_d of the coordinates seen so far, doubling with each
+    # new one as in kernels.dot_values: e_d + x e_{d-1} at x = -w, then +w
+    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * k
+    for w in h.scaled.tolist():
+        steps = [0] + [w * e for e in layers[:-1]]
+        layers = [np.concatenate([e - s, e + s]) for e, s in zip(layers, steps)]
     return layers[k]
 
 
@@ -333,7 +339,12 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
     norm = h.l2_norm()
     sq_norm = h.sq_norm()
 
-    spec = fwht_spectrum(ltf_internal_table(h, t))
+    if h.n > 24:
+        raise ValueError("internal table capped at 24 coordinates")
+    vals = kernels.dot_values(h.scaled)
+    accepts = vals > math.floor(t * h.scale)
+    # the truth table over the internally reordered (descending) coordinates
+    spec = fwht_spectrum(BooleanFunction(h.n, accepts.astype(np.uint8)))
     wk = spec.level_weights().level(k)
 
     log_inv = math.log(1 / float(eps))
@@ -351,22 +362,16 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
     normalized_sq = [w * w / sq_norm for w in h.weights]
     coeff_sq_sum = symmetric_stats(normalized_sq, k).elementary[k]
 
-    esym = elementary_symmetric_pointwise(h, k).astype(np.float64)
-    esym /= float(h.scale) ** k * norm**k
-    vals = kernels.dot_values(h.scaled)
-    uniq, inverse = np.unique(vals, return_inverse=True)
+    esym_scaled = elementary_symmetric_pointwise(h, k)
+    esym = esym_scaled / (float(h.scale) ** k * norm**k)
     if delta > 0:
-        t_scaled = float(t * h.scale)
-        d_scaled = float(delta * h.scale)
-        cdf = np.array(
-            [irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq]
-        )
-        point_weights = cdf[inverse]
+        uniq, inverse = np.unique(vals, return_inverse=True)
+        point_weights = _cdf_weights(h, k, uniq, t, delta)[inverse]
     else:
-        point_weights = (vals > math.floor(t * h.scale)).astype(np.float64)
+        point_weights = accepts.astype(np.float64)
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)
 
-    sign_ok = sign_condition_holds(h, k, t)
+    sign_ok = not bool(np.any(accepts & (esym_scaled < 0)))
     small_top_ok = 2 * k * h.weights[0] < beta
     tall_threshold_ok = float(t) / norm >= 4 * math.sqrt(k)
     eta_ok = float(h.weights[0]) / norm <= 1 / (16 * math.sqrt(k))
@@ -386,17 +391,6 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
         top_mass, coeff_sq_sum, smoothed_total, sign_ok, small_top_ok,
         tall_threshold_ok, eta_ok, surrogate_ok, lower_ok, upper_ok,
     )
-
-
-def ltf_internal_table(h: Halfspace, t=None):
-    """Truth table over the internally reordered (descending) coordinates."""
-    from .bfcore import BooleanFunction
-
-    t = h.threshold if t is None else as_fraction(t)
-    if h.n > 24:
-        raise ValueError("internal table capped at 24 coordinates")
-    vals = kernels.dot_values(h.scaled)
-    return BooleanFunction(h.n, (vals > math.floor(t * h.scale)).astype(np.uint8))
 
 
 def pipeline_record(report: PipelineReport, instance: str = "") -> CheckRecord:

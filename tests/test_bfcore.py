@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,35 @@ def test_tribes_structure():
     for m in range(16):
         expect = int((m & 0b0011) == 0b0011 or (m & 0b1100) == 0b1100)
         assert f.value_at(m) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_indicator_builtins_pointwise(n):
+    """dictator, subcube and tribes against their definitions at every point."""
+    dictator = bfcore.dictator(n)
+    subcubes = {k: bfcore.subcube(k, n) for k in range(1, n + 1)}
+    tribes = {b: bfcore.tribes(n // b, b) for b in range(1, n + 1) if n % b == 0}
+    for m in range(1 << n):
+        x = oracles.point_signs(m, n)
+        assert dictator.value_at(m) == int(x[0] == 1)
+        for k, f in subcubes.items():
+            assert f.value_at(m) == int(all(v == 1 for v in x[:k]))
+        for b, f in tribes.items():
+            want = any(all(v == 1 for v in x[j:j + b]) for j in range(0, n, b))
+            assert f.value_at(m) == int(want)
+
+
+@pytest.mark.parametrize("n", [9, 16])
+def test_talagrand_or_pointwise(n):
+    """Majority (ties count as 1) OR the seeded AND terms, drawn again here."""
+    f = bfcore.talagrand_or(n, 42)
+    b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    rng = np.random.default_rng(42)
+    terms = [rng.choice(n, size=b, replace=False).tolist() for _ in range(-(-(1 << b) // b))]
+    for m in range(1 << n):
+        x = oracles.point_signs(m, n)
+        want = sum(x) >= 0 or any(all(x[i] == 1 for i in term) for term in terms)
+        assert f.value_at(m) == int(want)
 
 
 def test_talagrand_or_reproducible():

@@ -89,6 +89,15 @@ def test_verify_exit_code_reflects_failures(capsys, tmp_path):
     assert "EX54" in out
 
 
+@pytest.mark.parametrize("suite, records", [("tail-lemmas", 112), ("levelk", 72)])
+def test_verify_halfspace_suites_on_builtin(capsys, suite, records):
+    # the builtin corpus mixes halfspaces with truth-table-only members
+    # (tribes, paper5, talagrand); halfspace checks must pass those by
+    code, out = run(capsys, "verify", "--suite", suite, "--corpus", "builtin")
+    assert code == 0
+    assert f"total: {records} records, 0 failures" in out
+
+
 def test_bench_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench"])

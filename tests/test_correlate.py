@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cubelab import bfcore, correlate, spectral
+from cubelab.halfspace import make_halfspace
 
 F = Fraction
 
@@ -41,21 +42,51 @@ def test_best_halfspace_constant_zero():
 
 
 def test_best_halfspace_brute_agreement():
+    """Covariance and threshold against brute force at n = 2..10.
+
+    Tied cuts: on sum(x_0..x_3), f is 1 on levels 3-4 and on half of level 2,
+    so level 2 has the mean of f and the cuts just below and above it tie.
+    paper5 ties too, and zero-coefficient coordinates keep both ties.  The
+    negated form of a dictator anti-correlates at every cut: degenerate.
+    """
+    tied4 = [int(bin(m).count("1") >= 3 or m in (3, 5, 6)) for m in range(16)]
+    cases = []
+    for n in range(4, 11):
+        pad = 1 << (n - 4)
+        cases.append((bfcore.from_truth_table(np.tile(tied4, pad), n),
+                      correlate.LinearForm((F(1),) * 4 + (F(0),) * (n - 4))))
+        if n >= 5:
+            cases.append((bfcore.from_truth_table(np.tile(bfcore.paper5().table, pad // 2), n),
+                          None))
+    dictator = bfcore.dictator(3)
+    negated = correlate.LinearForm(tuple(-c for c in correlate.first_level_form(dictator).coeffs))
+    cases.append((dictator, negated))
     rng = np.random.default_rng(7)
-    for trial in range(12):
-        n = int(rng.integers(2, 7))
-        f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
-        form = correlate.first_level_form(f)
+    for n in range(2, 11):
+        for _ in range(3):
+            cases.append((bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n), None))
+    ties = degenerate = 0
+    for f, form in cases:
+        form = form or correlate.first_level_form(f)
         if form.is_zero():
             continue
         res = correlate.best_halfspace_over_form(f, form)
-        # brute force: evaluate every cut by building the table
         values, scale = form.scaled_values()
-        best = F(0)
-        for v in sorted(set(values.tolist())):
-            g = bfcore.BooleanFunction(n, (values > v).astype(np.uint8))
-            best = max(best, spectral.covariance(f, g))
+        # brute force: every cut that keeps some point, as a table
+        cuts = []
+        for v in sorted(set(values.tolist()))[:-1]:
+            g = bfcore.BooleanFunction(f.n, (values > v).astype(np.uint8))
+            cuts.append((spectral.covariance(f, g), v))
+        best = max(cov for cov, _ in cuts)
+        if best < 0:
+            degenerate += 1
+            assert res.degenerate and res.covariance == 0 and res.threshold is None
+            continue
+        lowest = min(v for cov, v in cuts if cov == best)
+        ties += sum(cov == best for cov, _ in cuts) > 1
         assert res.covariance == best
+        assert res.threshold == F(lowest, scale)
+    assert ties >= 13 and degenerate == 1
 
 
 def test_threshold_integral_identity():
@@ -67,10 +98,33 @@ def test_threshold_integral_identity():
 
 def test_threshold_integral_identity_random():
     rng = np.random.default_rng(3)
-    for trial in range(10):
-        f = bfcore.from_truth_table(rng.integers(0, 2, size=64), 6)
+    for n in [6] * 10 + [14, 15, 16]:
+        f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
         w1 = spectral.fwht_spectrum(f).level_weights().level(1)
         assert correlate.threshold_integral_identity(f) == w1
+
+
+def test_threshold_integral_identity_past_int64():
+    """At n = 23 the step sum no longer fits int64; the identity stays exact.
+
+    W^1 is counted here without the Walsh transform: f-hat({i}) is the
+    difference between the ones of f at x_i = +1 and at x_i = -1, over 2^n.
+    """
+    n = 23
+    rng = np.random.default_rng(0)
+    weights = [int(w) for w in rng.integers(1, 65, size=n)]
+    f = make_halfspace(weights, sum(weights) // 4).truth_table(max_n=24)
+    halves = [f.table.reshape(-1, 2, 1 << i) for i in range(n)]
+    nums = [int(np.count_nonzero(h[:, 1, :])) - int(np.count_nonzero(h[:, 0, :]))
+            for h in halves]
+    w1 = F(sum(c * c for c in nums), 1 << (2 * n))
+    form = correlate.first_level_form(f)
+    assert form.sq_norm == w1
+    values, scale = form.scaled_values()
+    v, _count, cov_num = correlate._cut_covariances(f, values)
+    wide = np.dot(cov_num[:-1].astype(object), np.diff(v).astype(object))
+    assert int(np.dot(cov_num[:-1], np.diff(v))) != wide  # int64 wraps here
+    assert correlate.threshold_integral_identity(f, form) == w1
 
 
 def test_unbiased_correlator_paper5():
@@ -79,7 +133,6 @@ def test_unbiased_correlator_paper5():
     assert res.covariance == F(1, 8)
     assert "flips" in res.notes
     # the majority cut itself anti-correlates
-    base = correlate.best_halfspace_over_form  # noqa: F841 (context only)
     maj = bfcore.majority(5)
     assert spectral.covariance(f, maj) == F(-1, 16)
 

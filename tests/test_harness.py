@@ -5,6 +5,7 @@ import pytest
 
 from cubelab import harness
 from cubelab.bfcore import FunctionSpec
+from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import parse_halfspace
 
 F = Fraction
@@ -65,6 +66,13 @@ def test_monotone_random_is_monotone():
         assert is_monotone(FunctionSpec.parse(entry).build())
 
 
+def test_monotone_random_digest_is_stable():
+    # recorded when the tables were still built from 2^n index arrays
+    assert harness.corpus_gen("monotone-random", seed=0).digest == "0f57e9ade83a60df"
+    corpus = harness.corpus_gen("monotone-random", {"n": 10, "count": 20}, seed=5)
+    assert corpus.digest == "fefbf1dac7b7328e"
+
+
 def test_corpus_save_load(tmp_path):
     corpus = small_corpus()
     path = tmp_path / "corpus.json"
@@ -83,6 +91,20 @@ def test_exact_identities_on_builtins():
     assert report.failures == 0
     assert report.exit_code == 0
     assert any(r.check_id == "PARSEVAL" for r in report.records)
+
+
+def test_member_checks_run_on_builtin_members():
+    """Every member check runs on each builtin member its filter admits."""
+    constants = harness.PinnedConstants()
+    ran = set()
+    for idx, entry in enumerate(harness.BUILTIN_ALL):
+        ctx = MemberContext(f"builtin#{idx}", entry)
+        for cid, defn in REGISTRY.items():
+            if defn.scope == "member" and defn.applies(ctx):
+                assert defn.fn(ctx, constants)
+                ran.add(cid)
+    member_checks = {cid for cid, d in REGISTRY.items() if d.scope == "member"}
+    assert ran == member_checks
 
 
 def test_pin_then_assert_roundtrip(tmp_path):

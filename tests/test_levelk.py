@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cubelab import levelk
+from cubelab import levelk, spectral
 from cubelab.halfspace import make_halfspace
 
 import oracles
@@ -206,12 +206,27 @@ def brute_esym(signed, k):
 
 
 def test_elementary_symmetric_pointwise_matches_brute():
-    h = make_halfspace([F(3), F(2), F(1)], 0)
-    for k in (1, 2, 3):
-        table = levelk.elementary_symmetric_pointwise(h, k)
-        for m in range(8):
-            signed = [int(h.scaled[j]) * (1 if m >> j & 1 else -1) for j in range(3)]
-            assert table[m] == brute_esym(signed, k)
+    rng = np.random.default_rng(9)
+    halfspaces = [make_halfspace([F(3), F(2), F(1)], 0)]
+    for n in range(1, 9):
+        nums, dens = rng.integers(1, 40, size=n), rng.integers(1, 4, size=n)
+        halfspaces.append(make_halfspace([F(int(a), int(b)) for a, b in zip(nums, dens)], 0))
+    for h in halfspaces:
+        for k in (1, 2, 3, 4):
+            table = levelk.elementary_symmetric_pointwise(h, k)
+            assert table.shape == (1 << h.n,) and table.dtype == np.int64
+            for m in range(1 << h.n):
+                signed = [int(h.scaled[j]) * x for j, x in enumerate(oracles.point_signs(m, h.n))]
+                assert table[m] == brute_esym(signed, k)
+
+
+def test_elementary_symmetric_overflow_guard_boundary():
+    # C(2, 2) * w^2 <= 2^62 admits w = 2^31 exactly, where e_2 = +-2^62
+    h = make_halfspace([2**31, 2**31], 0)
+    e2 = levelk.elementary_symmetric_pointwise(h, 2)
+    assert e2.tolist() == [2**62, -(2**62), -(2**62), 2**62]
+    with pytest.raises(OverflowError):
+        levelk.elementary_symmetric_pointwise(make_halfspace([2**31 + 1, 2**31], 0), 2)
 
 
 def test_sign_condition_majority():
@@ -253,6 +268,22 @@ def test_pipeline_vacuous_when_no_side_applies():
     assert report.lower_ok is None and report.upper_ok is None
     rec = levelk.pipeline_record(report)
     assert rec.status == "hypothesis-not-met"
+
+
+def test_pipeline_matches_separate_routes():
+    """W^k, the sign condition and the arity cap of the pipeline's own table."""
+    rng = np.random.default_rng(4)
+    for n in (6, 9, 12):
+        weights = [int(w) for w in rng.integers(1, 9, size=n)]
+        h = make_halfspace(weights, sum(weights) // 3)
+        levels = spectral.fwht_spectrum(h.truth_table()).level_weights()
+        for k in (1, 2, 3):
+            report = levelk.level_k_pipeline(h, k)
+            assert report.wk == levels.level(k)
+            assert report.sign_ok == levelk.sign_condition_holds(h, k)
+    wide = make_halfspace([1] * 25, 11)
+    with pytest.raises(ValueError, match="capped at 24"):
+        levelk.level_k_pipeline(wide, 2)
 
 
 def test_pipeline_rejects_unbiased():
