@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .rational import as_fraction, format_fraction
+from .rational import as_fraction
 
 DEFAULT_MAX_N = 24
 
@@ -306,8 +306,3 @@ class FunctionSpec:
             n = int(self.params[0])
             return make_halfspace([Fraction(1)] * n, as_fraction(self.params[1]))
         return None
-
-    @staticmethod
-    def for_halfspace(weights, threshold) -> "FunctionSpec":
-        wtxt = ",".join(format_fraction(as_fraction(w)) for w in weights)
-        return FunctionSpec("ltf", (wtxt, format_fraction(as_fraction(threshold))))

@@ -5,6 +5,10 @@ a.x = t is decided exactly and the strict ">" rule never needs the
 "perturb slightly" escape hatch.  The distribution of a.x is kept either
 densely (one counter per achievable sum) or as two enumerated halves
 merged on demand, selected by budget.
+
+A dense halfspace runs one subset-sum DP: every influence is a window of
+the full count array with one weight divided out, and both vertex
+boundaries come from one sweep that adds the weights smallest first.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .rational import as_fraction, common_scale, format_fraction
 
 DENSE_BUDGET = 10_000_000  # max sum of scaled weights for the dense backend
 MITM_MAX_N = 40
+MAX_SUMMANDS = 62  # 2^62 outcome counts fit int64; 2^63 does not
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
 
 
@@ -196,9 +201,15 @@ class MeetInMiddleDistribution(_TailBase):
         return values, counts
 
 
-def _enumerate_half(weights: np.ndarray):
-    sums = kernels.dot_values(weights)
-    return np.unique(sums, return_counts=True)
+def _enumerated(weights: np.ndarray):
+    """Distinct values of sum(w_i x_i) and their counts, point by point."""
+    values, counts = np.unique(kernels.dot_values(weights), return_counts=True)
+    return values, counts.astype(np.int64, copy=False)
+
+
+def _dense(total: int, backend: str | None) -> bool:
+    """Whether a sum of scaled weights `total` takes the dense backend."""
+    return backend == "dense" or (backend is None and total <= DENSE_BUDGET)
 
 
 def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | None = None):
@@ -208,23 +219,26 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
     total = int(weights.sum())
     if backend not in (None, "dense", "mitm"):
         raise ValueError(f"unknown backend {backend!r}")
-    if n > 62:
-        raise BudgetError(f"outcome counts overflow int64 beyond 62 summands (n={n})")
-    if backend == "dense" or (backend is None and total <= DENSE_BUDGET):
+    if n > MAX_SUMMANDS:
+        raise BudgetError(
+            f"outcome counts overflow int64 beyond {MAX_SUMMANDS} summands (n={n})"
+        )
+    if _dense(total, backend):
         if n == 0:
             return TailDistribution(
                 np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), scale, 0
             )
+        if backend is None and (1 << n) <= total + 1:
+            # the cube has no more points than the DP would have cells
+            return TailDistribution(*_enumerated(weights), scale, n)
         dense = kernels.signed_sum_counts(weights)
         nz = np.nonzero(dense)[0]
         return TailDistribution(2 * nz - total, dense[nz], scale, n)
     if backend == "mitm" or n <= MITM_MAX_N:
         # alternate large/small weights between halves to balance the sums
-        lv, lc = _enumerate_half(weights[0::2])
-        rv, rc = _enumerate_half(weights[1::2])
-        counts = lc.astype(np.int64) if lc.dtype != np.int64 else lc
-        rcounts = rc.astype(np.int64) if rc.dtype != np.int64 else rc
-        return MeetInMiddleDistribution(lv, counts, rv, rcounts, scale, n)
+        lv, lc = _enumerated(weights[0::2])
+        rv, rc = _enumerated(weights[1::2])
+        return MeetInMiddleDistribution(lv, lc, rv, rc, scale, n)
     raise BudgetError(
         f"scaled weight sum {total} exceeds the dense budget and n={n} > {MITM_MAX_N}"
     )
@@ -261,10 +275,13 @@ class Halfspace:
         self.arity = len(original_weights)
         self.scale = common_scale(weights)
         self.scaled = np.array([int(w * self.scale) for w in weights], dtype=np.int64)
+        self._total = int(self.scaled.sum())  # T: a.x = 2s - T, s the sum of the +1 weights
         self._dist = None
         self._reduced: dict[int, _TailBase] = {}
         self._suffix: dict[int, _TailBase] = {}
         self._backend = None
+        self._influences: dict[Fraction, list[Fraction]] = {}  # by threshold
+        self._boundaries: dict[Fraction, tuple[int, int]] = {}  # by threshold
 
     # -- construction helpers ------------------------------------------------
 
@@ -330,7 +347,19 @@ class Halfspace:
     def l2_norm(self) -> float:
         return math.sqrt(float(self.sq_norm()))
 
+    def _one_dp(self, summands: int) -> bool:
+        """Whether statistics whose counts have this many summands come from
+        the halfspace's one dense DP: dense backend, and counts in int64."""
+        return summands <= MAX_SUMMANDS and _dense(self._total, self._backend)
+
+    def _pivot_top(self, t: Fraction) -> int:
+        """b such that a weight w decides 1{a.x > t} exactly when the other
+        coordinates at +1 sum to b - w + 1..b."""
+        return (_floor_scaled(t, self.scale) + self._total) // 2
+
     def influence_internal(self, j: int, t=None) -> Fraction:
+        if self._one_dp(self.n):
+            return self.influences(t)[self.order[j]]
         t = self.threshold if t is None else as_fraction(t)
         w = self.weights[j]
         count = self.reduced_distribution(j).count_interval(t - w, t + w)
@@ -346,10 +375,32 @@ class Halfspace:
         return Fraction(0)
 
     def influences(self, t=None) -> list[Fraction]:
-        out = [Fraction(0)] * self.arity
-        for j, orig in enumerate(self.order):
-            out[orig] = self.influence_internal(j, t)
-        return out
+        """Influence of every original coordinate, computed once per threshold.
+
+        On the dense route the full distribution's counts are divided by
+        (1 + z^w) for each distinct weight w; past MAX_SUMMANDS (those counts
+        overflow) or above the dense budget, each coordinate has its own
+        reduced distribution.
+        """
+        t = self.threshold if t is None else as_fraction(t)
+        if t not in self._influences:
+            if self._one_dp(self.n):
+                dist = self.distribution()
+                # cum[s + 1] counts the points whose +1 weights sum to at most s
+                cum = np.zeros(self._total + 2, dtype=np.int64)
+                cum[(dist.values + self._total) // 2 + 1] = dist.counts
+                np.cumsum(cum, out=cum)
+                b = self._pivot_top(t)
+                weights = self.scaled.tolist()
+                counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
+                internal = [Fraction(counts[w], 1 << (self.n - 1)) for w in weights]
+            else:
+                internal = [self.influence_internal(j, t) for j in range(self.n)]
+            out = [Fraction(0)] * self.arity
+            for orig, value in zip(self.order, internal):
+                out[orig] = value
+            self._influences[t] = out
+        return list(self._influences[t])
 
     def max_influence(self, t=None) -> tuple[Fraction, int]:
         """(value, original index); lowest original index wins ties."""
@@ -363,23 +414,43 @@ class Halfspace:
         A point is on the 1-side boundary iff flipping its first +1
         coordinate (in descending weight order) crosses the threshold, which
         turns the measure into a sum of interval probabilities of suffix
-        distributions; likewise on the 0 side with signs reversed.
+        distributions; likewise on the 0 side with signs reversed.  Both
+        sides are counted together, once per threshold.
         """
         if lam not in (0, 1):
             raise ValueError("boundary side must be 0 or 1")
         t = self.threshold if t is None else as_fraction(t)
-        acc = Fraction(0)
+        if t not in self._boundaries:
+            self._boundaries[t] = self._boundary_counts(t)
+        return Fraction(self._boundaries[t][lam], 1 << self.n)
+
+    def _boundary_counts(self, t: Fraction) -> tuple[int, int]:
+        """0-side and 1-side boundary counts at t.
+
+        Suffix k (the weights after k) has at most n - 1 summands.  On the
+        dense route one DP sweep adds the weights smallest first and reads
+        suffix k just before weight k would join it; otherwise each suffix
+        has its own distribution.
+        """
+        c0 = c1 = 0
+        if self._one_dp(self.n - 1):
+            b = self._pivot_top(t)
+            weights = self.scaled.tolist()
+            prefix = self._total
+            sweep = kernels.subset_sum_prefixes(self.scaled[::-1])
+            for k, counts in zip(range(self.n - 1, -1, -1), sweep):
+                w = weights[k]
+                prefix -= w  # now the sum of weights[:k]
+                c1 += _window_sum(counts, b - w + 1, b)
+                c0 += _window_sum(counts, b - prefix - w + 1, b - prefix)
+            return c0, c1
         prefix = Fraction(0)
-        for k in range(self.n):
-            w = self.weights[k]
-            if lam == 1:
-                lo, hi = t + prefix - w, t + prefix + w
-            else:
-                lo, hi = t - prefix - w, t - prefix + w
-            count = self.suffix_distribution(k).count_interval(lo, hi)
-            acc += Fraction(count, 1 << self.n)
+        for k, w in enumerate(self.weights):
+            dist = self.suffix_distribution(k)
+            c1 += dist.count_interval(t + prefix - w, t + prefix + w)
+            c0 += dist.count_interval(t - prefix - w, t - prefix + w)
             prefix += w
-        return acc
+        return c0, c1
 
     # -- truth table -----------------------------------------------------------
 
@@ -456,6 +527,13 @@ class Halfspace:
             if overlap > 0:
                 acc += int(cnt) * overlap
         return acc / (delta * (1 << (self.n - 1)))
+
+
+def _window_sum(counts: np.ndarray, lo: int, hi: int) -> int:
+    """counts[lo] + ... + counts[hi], with cells outside the array zero."""
+    if hi < 0:
+        return 0
+    return int(counts[max(lo, 0) : hi + 1].sum())
 
 
 def make_halfspace(weights, threshold) -> Halfspace:

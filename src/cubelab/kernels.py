@@ -34,12 +34,27 @@ def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
     T = sum(weights): the x_i = +1 coordinates form a subset of sum s, and
     a.x = 2s - T.  Weights must be nonnegative.
     """
+    for counts in subset_sum_prefixes(weights):
+        pass
+    return counts
+
+
+def subset_sum_prefixes(weights: np.ndarray):
+    """Yield the subset-sum counts of weights[:k] for k = 0, 1, ..., n.
+
+    Each yielded array has sum(weights) + 1 cells, entry s counting the
+    subsets of weights[:k] that sum to s; cells past that prefix's sum are
+    zero.  The DP adds one weight per step on its live prefix, with two
+    buffers allocated once and swapped, so a yielded array is overwritten
+    two steps later; only the last one is the caller's to keep.
+    """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
     total = int(weights.sum())
     cur = np.zeros(total + 1, dtype=np.int64)
     nxt = np.zeros(total + 1, dtype=np.int64)
     cur[0] = 1
     top = 0  # largest subset sum reached; both buffers are zero above it
+    yield cur
     for w in weights:
         w = int(w)
         # nxt[s] = cur[s] + cur[s - w] on the live prefix 0..top + w
@@ -47,7 +62,25 @@ def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
         np.add(cur[w : top + w + 1], cur[: top + 1], out=nxt[w : top + w + 1])
         top += w
         cur, nxt = nxt, cur
-    return cur
+        yield cur
+
+
+def leave_one_out_window(cum: np.ndarray, w: int, b: int) -> int:
+    """Subsets of the other weights with sum in b - w + 1..b, weight w removed.
+
+    cum[s + 1] = P[0] + ... + P[s] for the subset-sum counts P of all the
+    weights, w > 0 among them, and cum[0] = 0.  P(z) = Q(z) * (1 + z^w)
+    gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window of Q is
+    the alternating sum of P's windows (b - (i+1)w, b - iw] for i >= 0.
+    Those windows are disjoint, so every term and every partial sum counts
+    at most 2^n <= 2^62 subsets and int64 is exact.
+    """
+    if not 0 <= b < len(cum) - 1:
+        return 0  # Q has no mass below 0 or above sum(P) - w
+    edges = np.arange(b + 1, -w, -w)  # cum indices b + 1, b + 1 - w, ... down past 0
+    ends = cum[np.maximum(edges, 0)]
+    terms = ends[:-1] - ends[1:]
+    return int(terms[0::2].sum()) - int(terms[1::2].sum())
 
 
 def dot_values(weights: np.ndarray) -> np.ndarray:

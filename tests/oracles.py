@@ -151,3 +151,24 @@ def ones_interval_mass(n: int, lo, hi) -> Fraction:
     lo, hi = Fraction(lo), Fraction(hi)
     hits = sum(comb(n, k) for k in range(n + 1) if lo < 2 * k - n <= hi)
     return Fraction(hits, 1 << n)
+
+
+def equal_weight_influence(n: int, t) -> Fraction:
+    """Influence of each coordinate of 1{x_1 + ... + x_n > t}: coordinate i
+    decides the value iff the other n - 1 signs sum into (t - 1, t + 1]."""
+    t = Fraction(t)
+    hits = sum(comb(n - 1, k) for k in range(n) if t - 1 < 2 * k - (n - 1) <= t + 1)
+    return Fraction(hits, 1 << (n - 1))
+
+
+def equal_weight_boundary(n: int, t, lam: int) -> Fraction:
+    """lam-side vertex boundary of 1{x_1 + ... + x_n > t}, counted by the
+    number k of +1 signs: on the 1 side the sum 2k - n exceeds t and falls
+    to t or below when a +1 flips; on the 0 side it is at most t and
+    exceeds t when a -1 flips."""
+    t = Fraction(t)
+    if lam == 1:
+        ks = [k for k in range(1, n + 1) if 2 * k - n - 2 <= t < 2 * k - n]
+    else:
+        ks = [k for k in range(n) if 2 * k - n <= t < 2 * k - n + 2]
+    return Fraction(sum(comb(n, k) for k in ks), 1 << n)

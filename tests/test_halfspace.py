@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubelab import bfcore, influence
+from cubelab import bfcore, influence, kernels
 from cubelab.halfspace import (
     BudgetError,
     Halfspace,
     distribution_from_scaled,
+    ltf_truth_table,
     make_halfspace,
     parse_halfspace,
 )
@@ -315,3 +316,152 @@ def test_rescaled_copies():
     assert g.influences() == h.influences()
     with pytest.raises(ValueError):
         h.rescaled(0)
+
+
+# -- one DP per halfspace ------------------------------------------------------------
+#
+# Dense halfspaces count influences from the full distribution (one weight
+# divided out) and both boundaries from one DP sweep.  The per-coordinate
+# reduced distributions, the per-suffix distributions and the truth table
+# are the slow routes they are checked against.
+
+def per_coordinate_influences(h, t) -> list[F]:
+    out = [F(0)] * h.arity
+    for j, orig in enumerate(h.order):
+        w = h.weights[j]
+        out[orig] = F(h.reduced_distribution(j).count_interval(t - w, t + w), 1 << (h.n - 1))
+    return out
+
+
+def per_suffix_boundary(h, lam, t) -> F:
+    count, prefix = 0, F(0)
+    for k, w in enumerate(h.weights):
+        shift = prefix if lam == 1 else -prefix
+        count += h.suffix_distribution(k).count_interval(t + shift - w, t + shift + w)
+        prefix += w
+    return F(count, 1 << h.n)
+
+
+@st.composite
+def rational_halfspace_and_thresholds(draw):
+    """Weights from a small pool (zeros and repeats are common) and two to
+    four thresholds, each a support value (a tie) or just off one."""
+    pool = draw(st.lists(st.fractions(0, 6, max_denominator=4), min_size=1, max_size=4))
+    n = draw(st.integers(1, 12))
+    weights = [draw(st.sampled_from(pool)) for _ in range(n)]
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = F(1)
+    scale = make_halfspace(weights, 0).scale
+    thresholds = []
+    for _ in range(draw(st.integers(2, 4))):
+        signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+        t = sum((w * x for w, x in zip(weights, signs)), F(0))
+        thresholds.append(t if draw(st.booleans()) else t + F(1, 2 * scale))
+    return weights, thresholds
+
+
+@given(rational_halfspace_and_thresholds())
+@settings(max_examples=60, deadline=None)
+def test_one_dp_routes_match_slow_routes(case):
+    weights, thresholds = case
+    h = make_halfspace(weights, thresholds[0])
+    slow = make_halfspace(weights, thresholds[0])
+    mitm = make_halfspace(weights, thresholds[0])
+    mitm.distribution(backend="mitm")  # every statistic from per-coordinate/suffix halves
+    for t in thresholds:
+        table = ltf_truth_table(weights, t)
+        infl = per_coordinate_influences(slow, t)
+        assert infl == [oracles.brute_influence(table, i) for i in range(len(weights))]
+        assert h.influences(t) == mitm.influences(t) == infl
+        best = max(infl)
+        assert h.max_influence(t) == (best, infl.index(best))
+        for lam in (0, 1):
+            vb = per_suffix_boundary(slow, lam, t)
+            assert vb == oracles.brute_boundary(table, lam)
+            assert h.vertex_boundary(lam, t) == mitm.vertex_boundary(lam, t) == vb
+        assert h.influence_internal(0, t) == infl[h.order[0]]
+
+
+@pytest.mark.parametrize("weight", [F(1), F(7, 3)])
+def test_counts_at_62_summands_fill_int64(weight):
+    """n = 62 equal weights: the full count array reaches 2^62 and every
+    influence and boundary equals its binomial count."""
+    n = 62
+    for t_units in (0, 1, F(1, 2), -61, 59, 60, 62):
+        h = make_halfspace([weight] * n, t_units * weight)
+        assert int(h.distribution().counts.sum()) == 1 << 62
+        assert h.influences() == [oracles.equal_weight_influence(n, t_units)] * n
+        for lam in (0, 1):
+            assert h.vertex_boundary(lam) == oracles.equal_weight_boundary(n, t_units, lam)
+
+
+def test_summand_limit_refused_before_any_dp(monkeypatch):
+    """At n = 63 the full distribution is refused; the influences (62
+    summands each) and the boundaries (suffixes of at most 62) are still
+    counted.  At n = 64 those are refused too.  No refusal starts a DP."""
+    h63 = make_halfspace([1] * 63, 1)
+    assert h63.influences() == [oracles.equal_weight_influence(63, 1)] * 63
+    assert h63.vertex_boundary(0) == oracles.equal_weight_boundary(63, 1, 0)
+    assert h63.vertex_boundary(1) == oracles.equal_weight_boundary(63, 1, 1)
+
+    def no_dp(*args):
+        raise AssertionError("a DP started")
+
+    for name in ("signed_sum_counts", "subset_sum_prefixes", "dot_values"):
+        monkeypatch.setattr(kernels, name, no_dp)
+    with pytest.raises(BudgetError):
+        make_halfspace([1] * 63, 1).tail()
+    with pytest.raises(BudgetError):
+        distribution_from_scaled(np.ones(63, dtype=np.int64), 1)
+    h64 = make_halfspace([1] * 64, 0)
+    with pytest.raises(BudgetError):
+        h64.influences()
+    with pytest.raises(BudgetError):
+        h64.vertex_boundary(1)
+
+
+def test_small_cube_enumerated_not_dp(monkeypatch):
+    """Below the budget, a sum with 2^n <= T + 1 is enumerated point by point
+    and equals the DP; one cell fewer, and the DP runs.  An explicit dense
+    backend always runs the DP."""
+    cases = ([1, 2], [3, 5, 9, 17], [40, 1, 1, 7, 20])  # 2^n <= T + 1, the first with equality
+    dense = {tuple(w): distribution_from_scaled(np.array(w), 1, backend="dense") for w in cases}
+
+    def no_dp(*args):
+        raise AssertionError("the DP ran")
+
+    monkeypatch.setattr(kernels, "signed_sum_counts", no_dp)
+    for w in cases:
+        got = distribution_from_scaled(np.array(w), 1)
+        assert type(got).__name__ == "TailDistribution"
+        assert np.array_equal(got.values, dense[tuple(w)].values)
+        assert np.array_equal(got.counts, dense[tuple(w)].counts)
+        h = make_halfspace(w, 1)
+        assert h.influences() == list(influence.influences(h.truth_table()).per_coordinate)
+    with pytest.raises(AssertionError, match="the DP ran"):
+        distribution_from_scaled(np.array([1, 1]), 1)  # 2^2 > 2 + 1
+    with pytest.raises(AssertionError, match="the DP ran"):
+        distribution_from_scaled(np.array([3, 5, 9, 17]), 1, backend="dense")
+
+
+def test_influences_counted_once_per_threshold(monkeypatch):
+    """analyze asks for the influences three times; they are counted once per
+    threshold, and a caller that edits the returned list changes nothing."""
+    calls = []
+    window = kernels.leave_one_out_window
+
+    def counted(cum, w, b):
+        calls.append((w, b))
+        return window(cum, w, b)
+
+    monkeypatch.setattr(kernels, "leave_one_out_window", counted)
+    h = make_halfspace([5, 3, 3, 1], 2)
+    first = h.influences()
+    expect = list(first)
+    h.max_influence()
+    sum(h.influences(), F(0))
+    assert len(calls) == 3  # one per distinct weight
+    first[0] = F(99)
+    assert h.influences() == expect
+    assert h.influences(4) == per_coordinate_influences(make_halfspace([5, 3, 3, 1], 2), 4)
+    assert len(calls) == 6 and h.influences(4) != expect

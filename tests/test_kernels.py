@@ -72,6 +72,39 @@ def test_signed_sum_counts_binomial():
     assert sum_counts_by_value(ones) == {-4: 1, -2: 4, 0: 6, 2: 4, 4: 1}
 
 
+def subset_counts(weights) -> dict[int, int]:
+    """Number of subsets per subset sum, from sign-pattern enumeration."""
+    total = sum(weights)
+    return {int((v + total) / 2): c for v, c in oracles.brute_sum_counts(weights).items()}
+
+
+@pytest.mark.parametrize("weights", [[], [0, 2], [3, 1, 4, 1, 5], [2, 2, 0, 7]])
+def test_subset_sum_prefixes_backends_agree(weights):
+    """Every prefix's counts against enumeration of that prefix."""
+    steps = [c.copy() for c in kernels.subset_sum_prefixes(np.array(weights, dtype=np.int64))]
+    assert len(steps) == len(weights) + 1
+    for k, counts in enumerate(steps):
+        assert counts.shape == (sum(weights) + 1,)
+        assert {s: int(c) for s, c in enumerate(counts) if c} == subset_counts(weights[:k])
+    assert np.array_equal(steps[-1], kernels.signed_sum_counts(np.array(weights, dtype=np.int64)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leave_one_out_window_backends_agree(seed):
+    """Each weight divided out of the full counts, at every window top b,
+    against counting the subsets of the other weights directly."""
+    rng = np.random.default_rng(seed)
+    w = [int(x) for x in rng.integers(1, 9, size=7)]
+    total = sum(w)
+    full = subset_counts(w)
+    cum = np.cumsum([0] + [full.get(s, 0) for s in range(total + 1)]).astype(np.int64)
+    for j, wj in enumerate(w):
+        others = subset_counts(w[:j] + w[j + 1 :])
+        for b in range(-wj - 2, total + 3):
+            expect = sum(c for s, c in others.items() if b - wj + 1 <= s <= b)
+            assert kernels.leave_one_out_window(cum, wj, b) == expect
+
+
 def test_dot_values_backends_agree():
     """Every point's value against a per-point sum; bit i set means +w[i]."""
     rng = np.random.default_rng(3)
