@@ -11,20 +11,70 @@ import numpy as np
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
-    """In-place signed Walsh transform of an int64 vector of length 2**n.
+    """Signed Walsh transform of an int64 vector of length 2**n, as a new array.
 
     Output index is a subset mask S; entry S becomes sum_m a[m] * sign(S, m)
     where sign(S, m) = prod over i in S of (+1 if bit i of m else -1).
+
+    The transform is the n-th Kronecker power of [[1, 1], [-1, 1]] (rows S,
+    columns m), applied four coordinates at a time as float64 matrix
+    products.  Every product, partial sum and intermediate entry is an
+    integer of magnitude at most max|a| * 2**n, so the result is exact when
+    max|a| * 2**n < 2**53; a larger input is refused before any work.
     """
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        view = a.reshape(-1, 2, h)
-        low = view[:, 0, :].copy()
-        view[:, 0, :] = low + view[:, 1, :]
-        view[:, 1, :] -= low
-        h *= 2
-    return a
+    n = a.shape[0].bit_length() - 1
+    peak = max(int(a.max()), -int(a.min())) << n
+    if peak >= 1 << 53:
+        raise OverflowError(f"max|a| * 2^n = {peak} is not below 2^53; "
+                            "the float64 Walsh transform would not be exact")
+    x = a.astype(np.float64)
+    y = np.empty_like(x)
+    done = 0  # coordinates 0..done-1 are transformed
+    while done < n:
+        c = min(4, n - done)
+        sign = _sign_matrix(c)
+        if done == 0:
+            # one (2^(n-c) x 2^c) product; a stack of 2^c x 1 columns is slow
+            np.matmul(x.reshape(-1, 1 << c), sign.T, out=y.reshape(-1, 1 << c))
+        else:
+            np.matmul(sign, x.reshape(-1, 1 << c, 1 << done), out=y.reshape(-1, 1 << c, 1 << done))
+        x, y = y, x
+        done += c
+    out = y.view(np.int64)  # the int64 result reuses the spare buffer's memory
+    np.copyto(out, x, casting="unsafe")
+    return out
+
+
+def _sign_matrix(c: int) -> np.ndarray:
+    """The 2^c x 2^c Walsh sign matrix of c coordinates, rows S, columns m."""
+    sign = np.ones((1, 1))
+    for _ in range(c):
+        sign = np.kron(sign, [[1.0, 1.0], [-1.0, 1.0]])
+    return sign
+
+
+def level_sums(values: np.ndarray, n: int) -> list[int]:
+    """Sum of values[S] over the masks S of each popcount k = 0..n, as ints.
+
+    The high ceil(n/2) and low floor(n/2) bits of S are binned by one-hot
+    popcount matrices, P = Hi^T (values as 2^hi x 2^lo) Lo, and level k sums
+    P[a, c] over a + c = k.  values hold integers and are summed in float64,
+    which is exact while sum |values| < 2^53: that sum bounds every partial
+    sum.  For the callers' values, the squared or signed Walsh numerators of
+    a 0/1 table, it is at most 4^n, so n > 26 is refused.
+    """
+    if n > 26:
+        raise ValueError(f"level sums are exact in float64 only for n <= 26, got n = {n}")
+    lo = n // 2
+    hi = n - lo
+    hi_hot = np.eye(hi + 1)[popcounts(hi)]
+    lo_hot = np.eye(lo + 1)[popcounts(lo)]
+    binned = hi_hot.T @ (np.asarray(values, dtype=np.float64).reshape(1 << hi, 1 << lo) @ lo_hot)
+    out = [0] * (n + 1)
+    for a in range(hi + 1):
+        for c in range(lo + 1):
+            out[a + c] += int(binned[a, c])
+    return out
 
 
 def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
@@ -135,8 +185,9 @@ def all_plus(n: int, coords) -> np.ndarray:
 
 def popcounts(n: int) -> np.ndarray:
     """popcount of every index below 2**n, as int64."""
-    m = np.arange(1 << n, dtype=np.uint32)
-    m = m - ((m >> 1) & 0x55555555)
-    m = (m & 0x33333333) + ((m >> 2) & 0x33333333)
-    m = (m + (m >> 4)) & 0x0F0F0F0F
-    return ((m * 0x01010101) >> 24).astype(np.int64)
+    pc = np.zeros(1 << n, dtype=np.int64)
+    h = 1
+    while h < pc.shape[0]:
+        np.add(pc[:h], 1, out=pc[h : 2 * h])  # index m + h has one bit more than m
+        h *= 2
+    return pc

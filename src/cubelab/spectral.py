@@ -18,12 +18,11 @@ from .bfcore import BooleanFunction
 class FourierSpectrum:
     """All 2^n coefficients of a Boolean function, subset-mask indexed."""
 
-    __slots__ = ("n", "numerators", "_popcounts")
+    __slots__ = ("n", "numerators")
 
     def __init__(self, n: int, numerators: np.ndarray):
         self.n = n
         self.numerators = numerators
-        self._popcounts = None
 
     def coefficient(self, mask: int) -> Fraction:
         return Fraction(int(self.numerators[mask]), 1 << self.n)
@@ -32,16 +31,9 @@ class FourierSpectrum:
         """f-hat of each singleton, by coordinate."""
         return [self.coefficient(1 << i) for i in range(self.n)]
 
-    @property
-    def popcounts(self) -> np.ndarray:
-        if self._popcounts is None:
-            self._popcounts = kernels.popcounts(self.n)
-        return self._popcounts
-
     def level_weights(self) -> "LevelWeights":
-        sq = self.numerators.astype(np.int64) ** 2
-        per_level = [int(sq[self.popcounts == k].sum()) for k in range(self.n + 1)]
-        return LevelWeights(self.n, per_level)
+        sq = np.square(self.numerators, dtype=np.float64)  # each at most 4^n: exact
+        return LevelWeights(self.n, kernels.level_sums(sq, self.n))
 
     def export_rows(self):
         """(mask, numerator, denominator-log2) triples for CSV export."""
@@ -75,10 +67,8 @@ class LevelWeights:
 
 
 def fwht_spectrum(f: BooleanFunction) -> FourierSpectrum:
-    """Butterfly transform, O(n 2^n); agrees with the defining sum exactly."""
-    work = f.table.astype(np.int64)
-    kernels.fwht(work)
-    return FourierSpectrum(f.n, work)
+    """Fast Walsh transform, O(n 2^n); agrees with the defining sum exactly."""
+    return FourierSpectrum(f.n, kernels.fwht(f.table.astype(np.int64)))
 
 
 def spectrum_by_definition(f: BooleanFunction) -> FourierSpectrum:
@@ -151,14 +141,12 @@ def noise_operator_at(f: BooleanFunction, rho, m: int, spec: FourierSpectrum | N
     spec = spec or fwht_spectrum(f)
     n = f.n
     size = 1 << n
-    pc = spec.popcounts
     signs = 1 - 2 * (kernels.popcounts(n)[np.arange(size) & ~np.uint32(m) & (size - 1)] & 1)
-    signed = spec.numerators * signs
+    level_sums = kernels.level_sums(spec.numerators * signs, n)
     exact = isinstance(rho, (int, Fraction))
     rho_f = Fraction(rho) if exact else float(rho)
     acc = Fraction(0) if exact else 0.0
-    for k in range(n + 1):
-        level_sum = int(signed[pc == k].sum())
+    for k, level_sum in enumerate(level_sums):
         if exact:
             acc += rho_f**k * Fraction(level_sum, size)
         else:

@@ -2,12 +2,16 @@
 
 Everything here is deliberately naive: plain Python loops over all points,
 subsets or sign patterns, so the fast paths in the package are checked
-against a second route that shares no code with them.
+against a second route that shares no code with them.  The two numpy routes
+(``butterfly_walsh`` and ``masked_level_sums``) are the package's former
+int64 kernels, kept as the slow routes of their float64 replacements.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+
+import numpy as np
 
 
 def point_signs(m: int, n: int):
@@ -172,3 +176,25 @@ def equal_weight_boundary(n: int, t, lam: int) -> Fraction:
     else:
         ks = [k for k in range(n) if 2 * k - n <= t < 2 * k - n + 2]
     return Fraction(sum(comb(n, k) for k in ks), 1 << n)
+
+
+def butterfly_walsh(a) -> np.ndarray:
+    """Signed Walsh transform by n int64 butterfly passes: entry S is
+    sum_m a[m] * prod_{i in S} (+1 if bit i of m else -1)."""
+    a = np.array(a, dtype=np.int64)
+    h = 1
+    while h < a.shape[0]:
+        view = a.reshape(-1, 2, h)
+        low = view[:, 0, :].copy()
+        view[:, 0, :] = low + view[:, 1, :]
+        view[:, 1, :] -= low
+        h *= 2
+    return a
+
+
+def masked_level_sums(values, n: int) -> list[int]:
+    """Sum of values[S] over the masks S of each popcount, one masked int64
+    pass per level."""
+    values = np.asarray(values, dtype=np.int64)
+    pc = np.array([bin(m).count("1") for m in range(1 << n)])
+    return [int(values[pc == k].sum()) for k in range(n + 1)]

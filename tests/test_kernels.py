@@ -27,6 +27,48 @@ def test_fwht_backends_agree(n):
     assert np.array_equal(got, spectrum_by_definition(f).numerators)
 
 
+@pytest.mark.parametrize("n", range(15))
+def test_fwht_matches_butterfly(n):
+    """Signed integer vectors against the int64 butterfly."""
+    a = np.random.default_rng(n).integers(-1000, 1001, size=1 << n)
+    got = kernels.fwht(a)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, oracles.butterfly_walsh(a))
+
+
+def test_fwht_matches_butterfly_table_n20():
+    a = random_table(np.random.default_rng(20), 20).astype(np.int64)
+    assert np.array_equal(kernels.fwht(a), oracles.butterfly_walsh(a))
+
+
+@pytest.mark.parametrize("n", [0, 5, 13])
+def test_fwht_exactness_guard_edge(n, monkeypatch):
+    """max|a| * 2^n = 2^53 - 2^n is transformed exactly; 2^53 is refused
+    before any matrix product runs."""
+    top = (1 << (53 - n)) - 1
+    signs = np.random.default_rng(n).choice([-1, 1], size=1 << n)
+    assert kernels.fwht(np.full(1 << n, top, dtype=np.int64))[0] == (1 << 53) - (1 << n)
+    for a in (np.full(1 << n, -top), signs * top):
+        assert np.array_equal(kernels.fwht(a.astype(np.int64)), oracles.butterfly_walsh(a))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("matmul ran before the refusal")
+
+    monkeypatch.setattr(np, "matmul", no_work)
+    for edge in (top + 1, -(top + 1)):
+        a = np.zeros(1 << n, dtype=np.int64)
+        a[-1] = edge
+        with pytest.raises(OverflowError, match="2\\^53"):
+            kernels.fwht(a)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_level_sums_backends_agree(n):
+    """Signed integer values binned by popcount against one masked pass per level."""
+    values = np.random.default_rng(n).integers(-(1 << n), (1 << n) + 1, size=1 << n)
+    assert kernels.level_sums(values, n) == oracles.masked_level_sums(values, n)
+
+
 def test_fwht_matches_direct_sum():
     rng = np.random.default_rng(7)
     n = 6
@@ -145,7 +187,7 @@ def test_table_kernels_backends_agree(n):
 
 
 def test_popcounts():
-    pc = kernels.popcounts(10)
-    assert pc[0] == 0
-    assert pc[(1 << 10) - 1] == 10
-    assert pc[0b1011] == 3
+    for n in range(17):
+        pc = kernels.popcounts(n)
+        assert pc.dtype == np.int64
+        assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]

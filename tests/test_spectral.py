@@ -72,6 +72,24 @@ def test_level_weights_trivial():
         spectral.level_weight(spec, 5)
 
 
+@pytest.mark.parametrize("n", [*range(1, 13), 20])
+def test_level_weights_match_masked_oracle(n):
+    """The binned product against one masked int64 pass per level; odd and
+    even n split the mask bits unevenly and evenly."""
+    f = bfcore.from_truth_table(np.random.default_rng(n).integers(0, 2, size=1 << n), n)
+    spec = spectral.fwht_spectrum(f)
+    expect = oracles.masked_level_sums(spec.numerators.astype(np.int64) ** 2, n)
+    weights = spec.level_weights()
+    assert [weights.level(k) for k in range(n + 1)] == [Fraction(w, 1 << 2 * n) for w in expect]
+
+
+def test_level_weights_refuse_past_26():
+    """Float64 level sums are exact only to n = 26; a one-entry stand-in
+    spectrum shows the refusal needs no 2^n array."""
+    with pytest.raises(ValueError, match="n <= 26"):
+        spectral.FourierSpectrum(27, np.zeros(1, dtype=np.int64)).level_weights()
+
+
 def test_cumulative_weight_excludes_level0_by_default():
     spec = spectral.fwht_spectrum(bfcore.dictator(2))
     assert spectral.cumulative_weight(spec, 1) == Fraction(1, 4)
@@ -119,6 +137,25 @@ def test_noise_operator_at_one_recovers_function():
     f = bfcore.paper5()
     for m in (0, 5, 21, 31):
         assert spectral.noise_operator_at(f, 1, m) == f.value_at(m)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_noise_operator_at_matches_defining_sum(n):
+    """T_rho f(m) = sum_S rho^|S| f-hat(S) x^S from the brute spectrum."""
+    rng = np.random.default_rng(100 + n)
+    f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
+    rho = Fraction(1, 3)
+    coefficients = oracles.brute_spectrum(f)
+    for m in {0, (1 << n) - 1, *rng.integers(0, 1 << n, size=3).tolist()}:
+        x = oracles.point_signs(m, n)
+        expect = Fraction(0)
+        for mask, coefficient in coefficients.items():
+            chi = 1
+            for i in range(n):
+                if mask >> i & 1:
+                    chi *= x[i]
+            expect += rho ** bin(mask).count("1") * coefficient * chi
+        assert spectral.noise_operator_at(f, rho, m) == expect
 
 
 def test_noise_operator_float_close_to_exact():
