@@ -116,8 +116,8 @@ def is_monotone(f: BooleanFunction) -> bool:
 # builtin families
 
 def _majority_table(n: int) -> np.ndarray:
-    pc = kernels.popcounts(n)
-    return (2 * pc - n > 0).astype(np.uint8)
+    # sum(x_i) = 2*popcount - n > 0  <=>  popcount > n // 2
+    return (kernels.popcounts(n) > n // 2).astype(np.uint8)
 
 
 def majority(n: int, max_n: int | None = None) -> BooleanFunction:
@@ -145,9 +145,9 @@ def hamming_ball(n: int, t, max_n: int | None = None) -> BooleanFunction:
     """1 exactly when sum(x_i) > t, for a rational threshold t."""
     _check_arity(n, max_n)
     t = as_fraction(t)
-    pc = kernels.popcounts(n)
-    # sum(x_i) = 2*popcount - n > t  <=>  popcount > (t + n)/2
-    return BooleanFunction(n, (2 * pc - n > t).astype(np.uint8))
+    # sum(x_i) = 2*popcount - n > t  <=>  popcount > floor((t + n)/2), an integer cut
+    cut = math.floor((t + n) / 2)
+    return BooleanFunction(n, (kernels.popcounts(n) > cut).astype(np.uint8))
 
 
 def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
@@ -165,8 +165,8 @@ def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
 def paper5(max_n: int | None = None) -> BooleanFunction:
     """The 5-variable function that is 1 exactly when sum(x_i) is -1, 3 or 5."""
     _check_arity(5, max_n)
-    pc = kernels.popcounts(5)
-    table = np.isin(2 * pc - 5, (-1, 3, 5))
+    # sum(x_i) = 2*popcount - 5 is -1, 3 or 5  <=>  popcount is 2, 4 or 5
+    table = np.isin(kernels.popcounts(5), (2, 4, 5))
     return BooleanFunction(5, table.astype(np.uint8))
 
 

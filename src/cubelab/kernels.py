@@ -1,7 +1,11 @@
 """Hot numeric kernels on plain integer numpy arrays.
 
 Point m of the cube has x_i = +1 where bit i of m is set and x_i = -1
-where it is clear.  Each kernel is one vectorized numpy algorithm; its
+where it is clear.  The truth-table scans (influence, boundary,
+monotonicity) run on the table packed one bit per point into little-endian
+uint64 words: bit b of word q is point 64q + b, so coordinates 0..5 index
+bits inside a word and coordinate i >= 6 pairs word q with word
+q + 2^(i - 6).  Each kernel is one vectorized numpy algorithm; its
 independent slow route is in the tests (``tests/oracles.py``).
 """
 
@@ -142,37 +146,79 @@ def dot_values(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _halves(table: np.ndarray, n: int):
-    """For each coordinate i, the views of table at x_i = -1 and x_i = +1.
+# M_i: the bits of a word whose point has x_i = -1, for the in-word coordinates i < 6
+_IN_WORD_MASKS = tuple(np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))
 
-    Entry j of the first view and entry j of the second are neighbours
-    across coordinate i.
+
+def _packed(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The 0/1 table as little-endian uint64 words, and the pad shift.
+
+    Bit b of word q is point 64q + b.  A table of fewer than 64 points is
+    tiled to 64 first, which adds 6 - n dummy coordinates above the real
+    ones: every count over the tiled table is 2^(6 - n) times the true one,
+    so callers shift it right by the returned pad.
+    """
+    pad = max(0, 6 - n)
+    if pad:
+        table = np.tile(table, 1 << pad)
+    return np.packbits(table, bitorder="little").view("<u8"), pad
+
+
+def _word_halves(words: np.ndarray, n: int):
+    """For each coordinate i, the packed points at x_i = -1 and at x_i = +1.
+
+    Bit j of the first array and bit j of the second are neighbours across
+    coordinate i.  For i >= 6 whole words pair up (reshape views); for i < 6
+    the pairs sit inside a word, and both arrays keep the x_i = -1 bit
+    positions of M_i, the second shifted down by 2^i.
     """
     for i in range(n):
-        view = table.reshape(-1, 2, 1 << i)
-        yield view[:, 0, :], view[:, 1, :]
+        if i < 6:
+            mask = _IN_WORD_MASKS[i]
+            yield words & mask, (words >> np.uint64(1 << i)) & mask
+        else:
+            view = words.reshape(-1, 2, 1 << (i - 6))
+            yield view[:, 0, :], view[:, 1, :]
+
+
+def _ones(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
 def influence_counts(table: np.ndarray, n: int) -> np.ndarray:
     """Per-coordinate count of points m with table[m] != table[m ^ e_i]."""
-    return np.array([2 * int(np.count_nonzero(lo != hi)) for lo, hi in _halves(table, n)],
+    words, pad = _packed(table, n)
+    return np.array([2 * _ones(lo ^ hi) >> pad for lo, hi in _word_halves(words, n)],
                     dtype=np.int64)
 
 
 def boundary_counts(table: np.ndarray, n: int) -> tuple[int, int]:
-    """Counts of 0-side and 1-side vertex-boundary points of the truth table."""
-    on_boundary = np.zeros(table.shape[0], dtype=bool)
-    for (lo, hi), (b_lo, b_hi) in zip(_halves(table, n), _halves(on_boundary, n)):
-        cut = lo != hi
-        b_lo |= cut
-        b_hi |= cut
-    c1 = int(np.count_nonzero(table[on_boundary]))
-    return int(np.count_nonzero(on_boundary)) - c1, c1
+    """Counts of 0-side and 1-side vertex-boundary points of the truth table.
+
+    A point is on the boundary when some coordinate's cut (its pair differs)
+    reaches it from either side, so each cut is ORed into the packed
+    "on boundary" words at both the x_i = -1 and the x_i = +1 bits.
+    """
+    words, pad = _packed(table, n)
+    on = np.zeros_like(words)
+    for i, (lo, hi) in enumerate(_word_halves(words, n)):
+        cut = lo ^ hi
+        if i < 6:
+            on |= cut | (cut << np.uint64(1 << i))
+        else:
+            view = on.reshape(-1, 2, 1 << (i - 6))
+            view[:, 0, :] |= cut
+            view[:, 1, :] |= cut
+    c1 = _ones(on & words)
+    return (_ones(on) - c1) >> pad, c1 >> pad
 
 
 def monotone_violations(table: np.ndarray, n: int) -> int:
     """Number of directed edges with f = 1 below and f = 0 above."""
-    return sum(int(np.count_nonzero(lo > hi)) for lo, hi in _halves(table, n))
+    words, pad = _packed(table, n)
+    return sum(_ones(lo & ~hi) for lo, hi in _word_halves(words, n)) >> pad
 
 
 def all_plus(n: int, coords) -> np.ndarray:
@@ -183,9 +229,27 @@ def all_plus(n: int, coords) -> np.ndarray:
     return table
 
 
+def sign_products(factors) -> np.ndarray:
+    """prod over i of (b_i if bit i of m is set else a_i), for every m below 2**n.
+
+    factors[i] = (a_i, b_i), each +1 or -1.  Built by the doubling step,
+    signs = concat(a_i * signs, b_i * signs) per coordinate, in int8: one
+    byte per entry, and a product with an int64 array is int64.  No index
+    array and no gather.
+    """
+    signs = np.ones(1, dtype=np.int8)
+    for a, b in factors:
+        signs = np.concatenate([a * signs, b * signs])
+    return signs
+
+
 def popcounts(n: int) -> np.ndarray:
-    """popcount of every index below 2**n, as int64."""
-    pc = np.zeros(1 << n, dtype=np.int64)
+    """popcount of every index below 2**n, as uint8 (a popcount is at most 64).
+
+    Callers compare it against an integer cut or cast it before signed
+    arithmetic: 2 * pc - n would wrap in uint8.
+    """
+    pc = np.zeros(1 << n, dtype=np.uint8)
     h = 1
     while h < pc.shape[0]:
         np.add(pc[:h], 1, out=pc[h : 2 * h])  # index m + h has one bit more than m

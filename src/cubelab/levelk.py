@@ -227,11 +227,11 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     mask = 0
     for j in subset:
         mask |= 1 << j
-    pc = kernels.popcounts(h.n)
-    signs = 1 - 2 * (pc[(~np.arange(1 << h.n) & mask) & ((1 << h.n) - 1)] & 1)
+    # x^S at every point: x_i for i in S, 1 elsewhere
+    signs = kernels.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(h.n))
     uniq, inverse = np.unique(vals, return_inverse=True)
     signed_counts = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(signed_counts, inverse, signs)
+    np.add.at(signed_counts, inverse, signs.astype(np.int64))  # mixed dtypes take a slow path
     weights = _cdf_weights(h, k, uniq, t, delta)
     return float(np.dot(signed_counts, weights)) / (1 << h.n)
 

@@ -81,7 +81,7 @@ def spectrum_by_definition(f: BooleanFunction) -> FourierSpectrum:
     size = 1 << n
     masks = np.arange(size, dtype=np.uint32)
     # sign(S, m) = (-1)^popcount(S & ~m)
-    pc_table = kernels.popcounts(n)
+    pc_table = kernels.popcounts(n).astype(np.int64)  # uint8 would wrap in 1 - 2 * pc
     numerators = np.empty(size, dtype=np.int64)
     tbl = f.table.astype(np.int64)
     for mask in range(size):
@@ -141,7 +141,8 @@ def noise_operator_at(f: BooleanFunction, rho, m: int, spec: FourierSpectrum | N
     spec = spec or fwht_spectrum(f)
     n = f.n
     size = 1 << n
-    signs = 1 - 2 * (kernels.popcounts(n)[np.arange(size) & ~np.uint32(m) & (size - 1)] & 1)
+    # x^S at point m for every S: factor x_i(m) when i is in S, 1 when not
+    signs = kernels.sign_products((1, 1 if m >> i & 1 else -1) for i in range(n))
     level_sums = kernels.level_sums(spec.numerators * signs, n)
     exact = isinstance(rho, (int, Fraction))
     rho_f = Fraction(rho) if exact else float(rho)

@@ -2,9 +2,12 @@
 
 Everything here is deliberately naive: plain Python loops over all points,
 subsets or sign patterns, so the fast paths in the package are checked
-against a second route that shares no code with them.  The two numpy routes
-(``butterfly_walsh`` and ``masked_level_sums``) are the package's former
-int64 kernels, kept as the slow routes of their float64 replacements.
+against a second route that shares no code with them.  The numpy routes
+are the package's former kernels, kept as the slow routes of their
+replacements: ``butterfly_walsh`` and ``masked_level_sums`` (int64) of the
+float64 Walsh and level-sum kernels, the ``halves_*`` scans (one uint8 byte
+per point) of the bit-packed table scans, and the ``gather_*`` characters
+(a popcount table indexed by 2^n masks) of the doubling ``sign_products``.
 """
 
 from fractions import Fraction
@@ -198,3 +201,49 @@ def masked_level_sums(values, n: int) -> list[int]:
     values = np.asarray(values, dtype=np.int64)
     pc = np.array([bin(m).count("1") for m in range(1 << n)])
     return [int(values[pc == k].sum()) for k in range(n + 1)]
+
+
+def _halves(table, n: int):
+    """For each coordinate i, the uint8 views of table at x_i = -1 and x_i = +1."""
+    for i in range(n):
+        view = np.asarray(table).reshape(-1, 2, 1 << i)
+        yield view[:, 0, :], view[:, 1, :]
+
+
+def halves_influence_counts(table, n: int) -> list[int]:
+    """Per-coordinate count of points whose neighbour across i differs."""
+    return [2 * int(np.count_nonzero(lo != hi)) for lo, hi in _halves(table, n)]
+
+
+def halves_boundary_counts(table, n: int) -> tuple[int, int]:
+    """Counts of 0-side and 1-side vertex-boundary points, one bool per point."""
+    table = np.asarray(table)
+    on_boundary = np.zeros(table.shape[0], dtype=bool)
+    for (lo, hi), (b_lo, b_hi) in zip(_halves(table, n), _halves(on_boundary, n)):
+        cut = lo != hi
+        b_lo |= cut
+        b_hi |= cut
+    c1 = int(np.count_nonzero(table[on_boundary]))
+    return int(np.count_nonzero(on_boundary)) - c1, c1
+
+
+def halves_monotone_violations(table, n: int) -> int:
+    """Number of directed edges with f = 1 below and f = 0 above."""
+    return sum(int(np.count_nonzero(lo > hi)) for lo, hi in _halves(table, n))
+
+
+def _parity_table(n: int) -> np.ndarray:
+    """popcount(k) & 1 for every k below 2^n, as int64, by string counts."""
+    return np.array([bin(k).count("1") & 1 for k in range(1 << n)], dtype=np.int64)
+
+
+def gather_point_character(n: int, mask: int) -> np.ndarray:
+    """x^S at every point m for S = mask: (-1)^popcount(S & ~m), gathered."""
+    size = 1 << n
+    return 1 - 2 * _parity_table(n)[(~np.arange(size) & mask) & (size - 1)]
+
+
+def gather_subset_character(n: int, m: int) -> np.ndarray:
+    """x^S at point m for every mask S: (-1)^popcount(S & ~m), gathered."""
+    size = 1 << n
+    return 1 - 2 * _parity_table(n)[np.arange(size) & ~m & (size - 1)]

@@ -54,6 +54,27 @@ def test_builtin_paper5():
     assert not bfcore.is_monotone(f)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_majority_table_pointwise(n):
+    """2 * popcount - n > 0 at every point, also for even n (ties are 0)."""
+    table = bfcore._majority_table(n)
+    assert table.tolist() == [int(2 * bin(m).count("1") - n > 0) for m in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hamming_ball_pointwise(n):
+    """sum(x_i) > t at every point, for thresholds below, at and above the
+    support, negative, zero and fractional."""
+    for t in (-n - 1, -n, -3, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(5, 2), n):
+        f = bfcore.hamming_ball(n, t)
+        assert f.table.tolist() == [int(2 * bin(m).count("1") - n > t) for m in range(1 << n)]
+
+
+def test_paper5_pointwise():
+    f = bfcore.paper5()
+    assert f.table.tolist() == [int(2 * bin(m).count("1") - 5 in (-1, 3, 5)) for m in range(32)]
+
+
 def test_builtin_dictator_influences():
     f = bfcore.dictator(4)
     assert f.mean == Fraction(1, 2)

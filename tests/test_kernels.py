@@ -186,8 +186,44 @@ def test_table_kernels_backends_agree(n):
         assert (bad == 0) == oracles.brute_is_monotone(f)
 
 
+def scan_tables(n):
+    """Random (dense and sparse), constant, monotone-threshold and one
+    dictator per coordinate: the dictator in coordinate i has every pair
+    across i cut and no other, so each in-word shift (i < 6) and each word
+    stride (i >= 6) meets a nonzero cut on its own."""
+    size = 1 << n
+    rng = np.random.default_rng(100 + n)
+    points = np.arange(size)
+    weight = np.bitwise_count(points)
+    tables = [random_table(rng, n), (rng.random(size) < 0.97).astype(np.uint8),
+              np.zeros(size, np.uint8), np.ones(size, np.uint8),
+              (2 * weight.astype(np.int64) >= n).astype(np.uint8)]
+    return tables + [(points >> i & 1).astype(np.uint8) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 20])
+def test_packed_scans_match_uint8_oracle(n):
+    """The bit-packed scans against the one-byte-per-point scans."""
+    for table in scan_tables(n):
+        assert kernels.influence_counts(table, n).tolist() == oracles.halves_influence_counts(table, n)
+        assert kernels.boundary_counts(table, n) == oracles.halves_boundary_counts(table, n)
+        assert kernels.monotone_violations(table, n) == oracles.halves_monotone_violations(table, n)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sign_products_match_gather(n):
+    """Both characters the callers build, x^S over the points for a fixed S
+    and over the masks S at a fixed point, against the popcount gather."""
+    rng = np.random.default_rng(n)
+    for mask in sorted({0, (1 << n) - 1, *rng.integers(0, 1 << n, size=6).tolist()}):
+        got = kernels.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(n))
+        assert np.array_equal(got, oracles.gather_point_character(n, mask))
+        got = kernels.sign_products((1, 1 if mask >> i & 1 else -1) for i in range(n))
+        assert np.array_equal(got, oracles.gather_subset_character(n, mask))
+
+
 def test_popcounts():
     for n in range(17):
         pc = kernels.popcounts(n)
-        assert pc.dtype == np.int64
+        assert pc.dtype == np.uint8
         assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cubelab import levelk, spectral
+from cubelab import kernels, levelk, spectral
 from cubelab.halfspace import make_halfspace
 
 import oracles
@@ -161,6 +161,24 @@ def test_smoothed_fourier_k1_matches_smoothed_influence():
         via_influence = h.smoothed_influence(h.order[j], 2) / 2
         via_fourier = levelk.smoothed_fourier(h, (j,), 2)
         assert via_fourier == pytest.approx(float(via_influence), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_smoothed_fourier_matches_gather_route(n):
+    """Bit for bit against the popcount-gather character the doubling step
+    replaced, for every subset of up to three coordinates."""
+    rng = np.random.default_rng(300 + n)
+    h = make_halfspace([F(int(w)) for w in rng.integers(1, 6, size=n)], F(1, 2))
+    vals = kernels.dot_values(h.scaled)
+    uniq, inverse = np.unique(vals, return_inverse=True)
+    for k in range(1, min(n, 3) + 1):
+        for subset in combinations(range(n), k):
+            mask = sum(1 << j for j in subset)
+            signed_counts = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(signed_counts, inverse, oracles.gather_point_character(n, mask))
+            weights = levelk._cdf_weights(h, k, uniq, h.threshold, F(3))
+            expect = float(np.dot(signed_counts, weights)) / (1 << n)
+            assert levelk.smoothed_fourier(h, subset, 3) == expect
 
 
 def test_smoothed_fourier_empty_tail_is_zero():

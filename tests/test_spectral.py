@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubelab import bfcore, spectral
+from cubelab import bfcore, kernels, spectral
 
 import oracles
 
@@ -156,6 +156,32 @@ def test_noise_operator_at_matches_defining_sum(n):
                     chi *= x[i]
             expect += rho ** bin(mask).count("1") * coefficient * chi
         assert spectral.noise_operator_at(f, rho, m) == expect
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectrum_by_definition_pointwise(n):
+    """Every numerator against sum_m f(m) * (-1)^popcount(S & ~m)."""
+    f = bfcore.from_truth_table(np.random.default_rng(n).integers(0, 2, size=1 << n), n)
+    got = spectral.spectrum_by_definition(f).numerators
+    ones = [m for m in range(1 << n) if f.table[m]]
+    for mask in range(1 << n):
+        assert got[mask] == sum(1 - 2 * (bin(mask & ~m).count("1") & 1) for m in ones)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 12])
+def test_noise_operator_at_matches_gather_route(n):
+    """Float and exact rho, bit for bit against the popcount-gather
+    character the doubling step replaced."""
+    rng = np.random.default_rng(200 + n)
+    f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
+    spec = spectral.fwht_spectrum(f)
+    for m in {0, (1 << n) - 1, *rng.integers(0, 1 << n, size=3).tolist()}:
+        sums = kernels.level_sums(spec.numerators * oracles.gather_subset_character(n, m), n)
+        for rho in (0.3, Fraction(2, 7)):
+            exact = isinstance(rho, Fraction)
+            expect = sum(rho**k * (Fraction(s, 1 << n) if exact else s / (1 << n))
+                         for k, s in enumerate(sums))
+            assert spectral.noise_operator_at(f, rho, m, spec) == expect
 
 
 def test_noise_operator_float_close_to_exact():
