@@ -726,7 +726,7 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
         if k > m_max:
             continue
         hyp, chain, ek, bound = levelk.elementary_chain_check(stats, k)
-        surrogate = h.mean() < F(1, 2 ** (9 * k))
+        surrogate = h.mean() < F(1, 2 ** (levelk.BIAS_CUT_EXPONENT * k))
         if hyp and surrogate:
             ok = chain and ek >= bound
             recs.append(CheckRecord("NG", f"{ctx.label} chain k={k}", ek, bound,
@@ -748,7 +748,7 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
         eps = h.mean()
         norm = h.l2_norm()
         hyp = (
-            eps < F(1, 2 ** (9 * k))
+            eps < F(1, 2 ** (levelk.BIAS_CUT_EXPONENT * k))
             and float(h.weights[0]) / norm <= 1 / (16 * math.sqrt(k))
             and 2 * k * h.weights[0] < h.decay_thresholds(k=k).beta
             and float(h.threshold) / norm >= 4 * math.sqrt(k)
@@ -765,10 +765,12 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
 
 def _check_wk_pipeline(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
+    levels = ctx.level_weights
     recs = []
     for k in (2, 3):
         try:
-            report = levelk.level_k_pipeline(h, k)
+            wk = levels.level(k) if k <= levels.n else F(0)  # W^k = 0 above the arity
+            report = levelk.level_k_pipeline(h, k, wk)
         except (ValueError, OverflowError) as exc:
             recs.append(CheckRecord.skipped("WK-PIPELINE", f"{ctx.label} k={k}", str(exc)))
             continue
@@ -927,7 +929,7 @@ for _d in [
     CheckDef("SIGN-COND", "member", lambda ctx, c: _check_sign_condition(ctx),
              lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= TABLE_CAP),
     CheckDef("WK-PIPELINE", "member", lambda ctx, c: _check_wk_pipeline(ctx),
-             lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= 20),
+             lambda ctx: _is_halfspace(ctx) and _has_table(ctx) and ctx.halfspace.n <= 20),
     CheckDef("THM17", "member", _check_best_correlator, _has_table),
     CheckDef("PROP92", "member", lambda ctx, c: _check_unbiased_correlator(ctx),
              _has_table),

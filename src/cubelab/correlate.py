@@ -143,40 +143,35 @@ def unbiased_correlator(f: BooleanFunction, full_scan: bool = False,
     if form.is_zero():
         return CorrelationResult(Fraction(0), None, "", degenerate=True,
                                  notes="first level vanishes")
-    values, scale = form.scaled_values()
+    values, _ = form.scaled_values()
     size = 1 << f.n
-    idx = np.arange(size)
     ones = f.ones
+    on = f.table != 0
+    # negating c_i reads l at x with x_i negated, so a flipped cut is the base
+    # cut with coordinate i's halves swapped: same size, only the ones of f
+    # under it are recounted
+    cut = values > 0
+    count = int(np.count_nonzero(cut))
 
-    def cov_num_for(vals) -> int:
-        hit = vals > 0
-        count = int(np.count_nonzero(hit))
-        both = int(np.count_nonzero(hit & (f.table != 0)))
+    def cov_num_for(hit) -> int:
+        both = int(np.count_nonzero(hit.reshape(-1) & on))
         return both * size - ones * count
 
-    candidates: list[tuple[int, tuple[int, ...]]] = [(cov_num_for(values), ())]
-    coord_signs = {}
+    candidates: list[tuple[int, tuple[int, ...]]] = [(cov_num_for(cut), ())]
     for i in range(f.n):
-        c_scaled = int(form.coeffs[i] * scale)
-        signs = np.where((idx >> i) & 1 == 1, np.int64(c_scaled), np.int64(-c_scaled))
-        coord_signs[i] = signs
-        candidates.append((cov_num_for(values - 2 * signs), (i,)))
+        candidates.append((cov_num_for(cut.reshape(-1, 2, 1 << i)[:, ::-1]), (i,)))
 
     if full_scan:
         if f.n > 16:
             raise ValueError("full sign-pattern scan capped at 16 coordinates")
         # gray-code walk: one coordinate flips per step
-        vals = values.copy()
+        hit = cut
         pattern: set[int] = set()
         for g in range(1, 1 << f.n):
             i = (g & -g).bit_length() - 1
-            if i in pattern:
-                pattern.remove(i)
-                vals = vals + 2 * coord_signs[i]
-            else:
-                pattern.add(i)
-                vals = vals - 2 * coord_signs[i]
-            candidates.append((cov_num_for(vals), tuple(sorted(pattern))))
+            pattern ^= {i}
+            hit = hit.reshape(-1, 2, 1 << i)[:, ::-1].reshape(-1)
+            candidates.append((cov_num_for(hit), tuple(sorted(pattern))))
 
     best_num, best_flips = candidates[0]
     for num, flips in candidates[1:]:

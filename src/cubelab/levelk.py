@@ -16,11 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .bfcore import BooleanFunction
 from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
 from .halfspace import Halfspace
 from .rational import as_fraction
-from .spectral import fwht_spectrum
+
+# the desk-scale bias cut eps < 2^(-BIAS_CUT_EXPONENT * k) of the degree-k checks
+BIAS_CUT_EXPONENT = 9
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +319,9 @@ class PipelineReport:
     upper_ok: bool | None
 
 
-def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
-                     rel_tol: float = 1e-9) -> PipelineReport:
-    """Evaluate the degree-k weight scaffolding on one halfspace.
+def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
+    """Evaluate the degree-k weight scaffolding on one halfspace of level-k
+    Fourier weight wk, which permuting or adding dummy coordinates keeps.
 
     The two bracketing inequalities around the smoothed total M are asserted
     whenever their own preconditions hold: the lower one needs the top-k
@@ -330,7 +331,7 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    t = h.threshold if t is None else as_fraction(t)
+    t = h.threshold
     eps = h.tail(t)
     if eps == 0:
         raise ValueError("empty halfspace")
@@ -340,12 +341,11 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
     sq_norm = h.sq_norm()
 
     if h.n > 24:
-        raise ValueError("internal table capped at 24 coordinates")
+        raise ValueError("cube scan capped at 24 coordinates")
+    if k > h.n:
+        raise ValueError(f"level {k} outside 0..{h.n}")
     vals = kernels.dot_values(h.scaled)
     accepts = vals > math.floor(t * h.scale)
-    # the truth table over the internally reordered (descending) coordinates
-    spec = fwht_spectrum(BooleanFunction(h.n, accepts.astype(np.uint8)))
-    wk = spec.level_weights().level(k)
 
     log_inv = math.log(1 / float(eps))
     ratio_stat = (
@@ -375,16 +375,16 @@ def level_k_pipeline(h: Halfspace, k: int, t=None, surrogate_exponent: int = 9,
     small_top_ok = 2 * k * h.weights[0] < beta
     tall_threshold_ok = float(t) / norm >= 4 * math.sqrt(k)
     eta_ok = float(h.weights[0]) / norm <= 1 / (16 * math.sqrt(k))
-    surrogate_ok = eps < Fraction(1, 2 ** (surrogate_exponent * k))
+    surrogate_ok = eps < Fraction(1, 2 ** (BIAS_CUT_EXPONENT * k))
 
     lower_ok = None
     if 2 * top_mass < beta and delta > 0:
         lower_bound = float(eps) / (9 * (float(delta) / norm) ** k) * float(coeff_sq_sum)
-        lower_ok = smoothed_total >= lower_bound * (1 - rel_tol)
+        lower_ok = smoothed_total >= lower_bound * (1 - 1e-9)
     upper_ok = None
     if sign_ok:
         upper_bound = math.sqrt(float(wk) * float(coeff_sq_sum))
-        upper_ok = smoothed_total <= upper_bound * (1 + rel_tol)
+        upper_ok = smoothed_total <= upper_bound * (1 + 1e-9)
 
     return PipelineReport(
         k, eps, wk, ratio_stat, influence_stat, beta, gamma, delta,

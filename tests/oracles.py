@@ -7,14 +7,22 @@ are the package's former kernels, kept as the slow routes of their
 replacements: ``butterfly_walsh`` and ``masked_level_sums`` (int64) of the
 float64 Walsh and level-sum kernels, the ``halves_*`` scans (one uint8 byte
 per point) of the bit-packed table scans, and the ``gather_*`` characters
-(a popcount table indexed by 2^n masks) of the doubling ``sign_products``.
+(a popcount table indexed by 2^n masks) of the doubling ``sign_products``,
+``index_unbiased_correlator`` (one int64 sign array per coordinate) of the
+swapped-halves sign-flip scan, and ``table_level_weight`` (a truth table of
+the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, floor
 
 import numpy as np
+
+from cubelab import kernels
+from cubelab.bfcore import BooleanFunction
+from cubelab.correlate import CorrelationResult, first_level_form
+from cubelab.spectral import fwht_spectrum
 
 
 def point_signs(m: int, n: int):
@@ -247,3 +255,58 @@ def gather_subset_character(n: int, m: int) -> np.ndarray:
     """x^S at point m for every mask S: (-1)^popcount(S & ~m), gathered."""
     size = 1 << n
     return 1 - 2 * _parity_table(n)[np.arange(size) & ~m & (size - 1)]
+
+
+def index_unbiased_correlator(f, full_scan: bool = False) -> CorrelationResult:
+    """``correlate.unbiased_correlator`` by value arithmetic: each flipped
+    form is l - 2 c_i x_i, rebuilt from an index array and int64 signs."""
+    form = first_level_form(f)
+    if form.is_zero():
+        return CorrelationResult(Fraction(0), None, "", degenerate=True,
+                                 notes="first level vanishes")
+    values, scale = form.scaled_values()
+    size = 1 << f.n
+    idx = np.arange(size)
+
+    def cov_num_for(vals) -> int:
+        hit = vals > 0
+        count = int(np.count_nonzero(hit))
+        both = int(np.count_nonzero(hit & (f.table != 0)))
+        return both * size - f.ones * count
+
+    candidates = [(cov_num_for(values), ())]
+    coord_signs = {}
+    for i in range(f.n):
+        c_scaled = int(form.coeffs[i] * scale)
+        signs = np.where((idx >> i) & 1 == 1, np.int64(c_scaled), np.int64(-c_scaled))
+        coord_signs[i] = signs
+        candidates.append((cov_num_for(values - 2 * signs), (i,)))
+    if full_scan:
+        if f.n > 16:
+            raise ValueError("full sign-pattern scan capped at 16 coordinates")
+        vals = values.copy()
+        pattern: set[int] = set()
+        for g in range(1, 1 << f.n):
+            i = (g & -g).bit_length() - 1
+            if i in pattern:
+                pattern.remove(i)
+                vals = vals + 2 * coord_signs[i]
+            else:
+                pattern.add(i)
+                vals = vals - 2 * coord_signs[i]
+            candidates.append((cov_num_for(vals), tuple(sorted(pattern))))
+    best_num, best_flips = candidates[0]
+    for num, flips in candidates[1:]:
+        if num > best_num:
+            best_num, best_flips = num, flips
+    note = "base" if not best_flips else f"flips={best_flips}"
+    return CorrelationResult(Fraction(best_num, size * size), Fraction(0),
+                             form.halfspace_text(Fraction(0), best_flips), notes=note)
+
+
+def table_level_weight(h, k: int) -> Fraction:
+    """W^k of 1{a.x > t} tabulated over the halfspace's nonzero weights in
+    descending order, not over its original coordinates."""
+    accepts = kernels.dot_values(h.scaled) > floor(h.threshold * h.scale)
+    table = BooleanFunction(h.n, accepts.astype(np.uint8))
+    return fwht_spectrum(table).level_weights().level(k)

@@ -7,6 +7,8 @@ import pytest
 from cubelab import bfcore, correlate, spectral
 from cubelab.halfspace import make_halfspace
 
+import oracles
+
 F = Fraction
 
 
@@ -160,6 +162,41 @@ def test_unbiased_correlator_full_scan_consistent():
         fast = correlate.unbiased_correlator(g)
         full = correlate.unbiased_correlator(g, full_scan=True)
         assert full.covariance >= fast.covariance
+
+
+def _unbiased_cases(n: int):
+    """Random, constant and dictator tables, a parity (first level zero), a
+    table with dummy coordinates (some coefficients zero), and majority and
+    paper5, whose single flips tie."""
+    rng = np.random.default_rng(920 + n)
+    yield from (bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n) for _ in range(3))
+    yield bfcore.from_truth_table(np.zeros(1 << n, dtype=np.uint8), n)
+    yield bfcore.from_truth_table(np.ones(1 << n, dtype=np.uint8), n)
+    yield bfcore.dictator(n)
+    yield bfcore.from_truth_table([bin(m).count("1") & 1 for m in range(1 << n)], n)
+    m = min(n, n // 2 + 1)
+    yield bfcore.from_truth_table(np.tile(rng.integers(0, 2, size=1 << m), 1 << (n - m)), n)
+    maj = bfcore.majority(n - 1 + n % 2)
+    yield bfcore.from_truth_table(np.tile(maj.table, 2 - n % 2), n)
+    if n == 5:
+        yield bfcore.paper5()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_unbiased_correlator_matches_index_route(n):
+    """Swapped cube halves against the index-array flips: whole result,
+    single flips and the full Gray-code walk."""
+    for f in _unbiased_cases(n):
+        for full in (False, True):
+            fast = correlate.unbiased_correlator(f, full_scan=full)
+            assert fast == oracles.index_unbiased_correlator(f, full_scan=full)
+
+
+def test_unbiased_correlator_full_scan_cap():
+    f = bfcore.majority(17)
+    assert correlate.unbiased_correlator(f).notes == "base"
+    with pytest.raises(ValueError, match="capped at 16"):
+        correlate.unbiased_correlator(f, full_scan=True)
 
 
 def test_biased_correlator_degenerate_regime():

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cubelab import harness
+from cubelab import harness, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import parse_halfspace
+
+import oracles
 
 F = Fraction
 
@@ -105,6 +107,34 @@ def test_member_checks_run_on_builtin_members():
                 ran.add(cid)
     member_checks = {cid for cid, d in REGISTRY.items() if d.scope == "member"}
     assert ran == member_checks
+
+
+def test_member_checks_run_on_wide_sparse_halfspace():
+    """Past the table cap with few nonzero weights: no truth table, and every
+    member check its filter admits runs (the level-weight ones are not
+    admitted)."""
+    constants = harness.PinnedConstants()
+    ctx = MemberContext("wide-sparse", "ltf:" + ",".join(["3", "2", "1"] + ["0"] * 27) + ";1")
+    assert ctx.halfspace.n == 3 and ctx.arity == 30 and ctx.function is None
+    admitted = {cid for cid, d in REGISTRY.items() if d.scope == "member" and d.applies(ctx)}
+    for cid in admitted:
+        assert REGISTRY[cid].fn(ctx, constants)
+    assert {"NG", "SIGN-COND", "THM18", "LEM32"} <= admitted
+    assert not admitted & {"WK-PIPELINE", "GL-halfplane", "THM12-lower", "LVLK-upper",
+                           "NSREMARK", "PROP92"}
+
+
+def test_wk_pipeline_check_matches_internal_table_route():
+    """WK-PIPELINE records with W^k from the member's spectrum equal those of
+    the pipeline fed by a table of the halfspace's own (descending) weights."""
+    entries = ("maj:13", "ball:12,3", "ltf:6,5,4,3,2,1;3/2", *small_corpus().entries)
+    for entry in entries:
+        ctx = MemberContext("m", entry)
+        h = ctx.halfspace
+        expect = [levelk.pipeline_record(
+            levelk.level_k_pipeline(h, k, oracles.table_level_weight(h, k)), f"m k={k}")
+            for k in (2, 3)]
+        assert REGISTRY["WK-PIPELINE"].fn(ctx, harness.PinnedConstants()) == expect
 
 
 def test_pin_then_assert_roundtrip(tmp_path):

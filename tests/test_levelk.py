@@ -259,9 +259,34 @@ def test_sign_condition_fails_with_heavy_weight():
 
 # -- the pipeline -------------------------------------------------------------------
 
+def _member_wk(h, k):
+    """W^k of the halfspace's truth table over its original coordinates."""
+    return spectral.fwht_spectrum(h.truth_table()).level_weights().level(k)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_wk_identity_member_table_matches_pipeline_table(n):
+    """Level weights of the member's table equal those of the halfspace's own
+    table over its nonzero weights sorted descending, at every level."""
+    rng = np.random.default_rng(300 + n)
+    for trial in range(4):
+        # zero, repeated and rational weights
+        nums = rng.integers(0, 4, size=n)
+        dens = rng.integers(1, 4, size=n) if trial % 2 else np.ones(n, dtype=np.int64)
+        weights = [F(int(a), int(b)) for a, b in zip(nums, dens)]
+        if not any(weights):
+            weights[-1] = F(1)
+        total = sum(weights)
+        h = make_halfspace(weights, total * F(int(rng.integers(-3, 4)), 4))
+        levels = spectral.fwht_spectrum(h.truth_table()).level_weights()
+        for k in range(n + 1):
+            expect = oracles.table_level_weight(h, k) if k <= h.n else F(0)
+            assert levels.level(k) == expect
+
+
 def test_pipeline_majority15():
     h = make_halfspace([1] * 15, 9)
-    report = levelk.level_k_pipeline(h, 2)
+    report = levelk.level_k_pipeline(h, 2, _member_wk(h, 2))
     assert report.eps == F(121, 32768)
     assert report.beta == 2 and report.gamma == 4 and report.delta == 6
     assert report.sign_ok
@@ -274,14 +299,14 @@ def test_pipeline_majority15():
 
 def test_pipeline_k1_dictator():
     h = make_halfspace([1], 0)
-    report = levelk.level_k_pipeline(h, 1)
+    report = levelk.level_k_pipeline(h, 1, _member_wk(h, 1))
     assert report.upper_ok is True  # sign condition is the threshold rule itself
     assert report.ratio_stat > 0
 
 
 def test_pipeline_vacuous_when_no_side_applies():
     h = make_halfspace([F(3), F(1), F(1)], 1)
-    report = levelk.level_k_pipeline(h, 2)
+    report = levelk.level_k_pipeline(h, 2, _member_wk(h, 2))
     assert not report.sign_ok
     assert report.lower_ok is None and report.upper_ok is None
     rec = levelk.pipeline_record(report)
@@ -289,22 +314,24 @@ def test_pipeline_vacuous_when_no_side_applies():
 
 
 def test_pipeline_matches_separate_routes():
-    """W^k, the sign condition and the arity cap of the pipeline's own table."""
+    """The sign condition, the arity cap of the cube scan, and the refusal of
+    a degree above the count of nonzero weights."""
     rng = np.random.default_rng(4)
     for n in (6, 9, 12):
         weights = [int(w) for w in rng.integers(1, 9, size=n)]
         h = make_halfspace(weights, sum(weights) // 3)
-        levels = spectral.fwht_spectrum(h.truth_table()).level_weights()
         for k in (1, 2, 3):
-            report = levelk.level_k_pipeline(h, k)
-            assert report.wk == levels.level(k)
+            report = levelk.level_k_pipeline(h, k, _member_wk(h, k))
             assert report.sign_ok == levelk.sign_condition_holds(h, k)
     wide = make_halfspace([1] * 25, 11)
     with pytest.raises(ValueError, match="capped at 24"):
-        levelk.level_k_pipeline(wide, 2)
+        levelk.level_k_pipeline(wide, 2, F(0))
+    sparse = make_halfspace([1, 0, 0, 0], 0)
+    with pytest.raises(ValueError, match=r"level 2 outside 0\.\.1"):
+        levelk.level_k_pipeline(sparse, 2, _member_wk(sparse, 2))
 
 
 def test_pipeline_rejects_unbiased():
     h = make_halfspace([1, 1, 1], -2)
     with pytest.raises(ValueError):
-        levelk.level_k_pipeline(h, 2)
+        levelk.level_k_pipeline(h, 2, _member_wk(h, 2))
