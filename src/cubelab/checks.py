@@ -2,8 +2,8 @@
 
 Member checks receive one corpus member context; global checks run once per
 suite on fixed instances.  Checks whose statement is exact assert with
-rational equality; shape-only statistics report their value and are
-asserted against pinned constants by the runner.
+rational equality; shape-only statistics report their value, and the runner
+alone asserts them against pinned constants.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 from . import bfcore, correlate, levelk, spectral
 from .bfcore import FunctionSpec
 from .chernoff import (
+    EATON_BOUND,
+    EATON_SLACK,
     FAIL,
     PASS,
     REPORT,
@@ -39,18 +41,6 @@ F = Fraction
 
 TABLE_CAP = 24          # members above this arity run halfspace-only checks
 XCHECK_CAP = 16         # truth-table cross-checks stay cheap below this
-
-# how each pinned statistic is asserted once a constant exists
-PIN_KINDS = {
-    "THM18": "upper",
-    "THM19": "upper",
-    "THM110": "upper",
-    "THM12-lower": "lower",
-    "THM17": "lower",
-    "THM14-band": "band",
-    "THM15-band": "band",
-    "THM64": "band",
-}
 
 
 class MemberContext:
@@ -108,6 +98,8 @@ class MemberContext:
 class CheckDef:
     check_id: str
     scope: str                      # "member" or "global"
+    # called as fn(ctx, constants), or fn(constants) for a global check; no
+    # check reads the constants, the runner alone asserts pinned statistics
     fn: Callable
     applies: Callable[[MemberContext], bool] = lambda ctx: True
 
@@ -504,29 +496,27 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # local Chernoff statistics, boundary bands, Gaussian comparison
 
-def _check_strong_chernoff(ctx, constants) -> list[CheckRecord]:
-    return [check_local_chernoff(ctx.halfspace, None, "strong",
-                                 pinned=constants.get("THM18"), instance=ctx.label)]
+def _check_strong_chernoff(ctx) -> list[CheckRecord]:
+    return [check_local_chernoff(ctx.halfspace, None, "strong", instance=ctx.label)]
 
 
-def _check_partitioned_chernoff(ctx, constants) -> list[CheckRecord]:
+def _check_partitioned_chernoff(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     beta = h.decay_thresholds().beta
     part = weight_split(h, beta)
     return [check_local_chernoff(h, None, "partitioned", partition=part,
-                                 pinned=constants.get("THM19"), instance=ctx.label)]
+                                 instance=ctx.label)]
 
 
-def _check_weak_chernoff(ctx, constants) -> list[CheckRecord]:
+def _check_weak_chernoff(ctx) -> list[CheckRecord]:
     return [
         check_local_chernoff(ctx.halfspace, None, "weak", c=c,
-                             pinned=constants.get("THM110"),
                              instance=f"{ctx.label} c={c}")
         for c in (F(1, 2), F(1, 6))
     ]
 
 
-def _check_segment_band(ctx, constants) -> list[CheckRecord]:
+def _check_segment_band(ctx) -> list[CheckRecord]:
     """Pr[a.x in (t, t+2m]] against eps * min(1, m sqrt(log(1/eps)))."""
     h = ctx.halfspace
     t = h.threshold
@@ -539,17 +529,7 @@ def _check_segment_band(ctx, constants) -> list[CheckRecord]:
     m_norm = float(m) / norm
     denom = float(eps) * min(1.0, m_norm * math.sqrt(math.log(1 / float(eps))))
     stat = float(seg) / denom
-    return [_banded_record("THM64", ctx.label, stat, constants)]
-
-
-def _banded_record(check_id: str, label: str, stat: float, constants) -> CheckRecord:
-    band = constants.get(check_id)
-    if band is None:
-        return CheckRecord.report(check_id, label, stat)
-    lo, hi = band
-    ok = lo <= stat <= hi
-    return CheckRecord(check_id, label, stat, (lo, hi), None, ok,
-                       PASS if ok else FAIL)
+    return [CheckRecord.report("THM64", ctx.label, stat)]
 
 
 def _check_gauss_member(ctx) -> list[CheckRecord]:
@@ -568,9 +548,9 @@ def _check_gauss_member(ctx) -> list[CheckRecord]:
             z = float(v) / (dist.scale * norm)
             gauss = 0.5 * math.erfc(z / math.sqrt(2))
             worst = max(worst, float(F(int(c), dist.total)) / gauss)
-    bound = 3.178 * (1 + 1e-9)
+    bound = EATON_BOUND * EATON_SLACK
     ok = worst <= bound
-    return [CheckRecord("GAUSS-EATON", ctx.label, worst, bound, worst / 3.178,
+    return [CheckRecord("GAUSS-EATON", ctx.label, worst, bound, worst / EATON_BOUND,
                         ok, PASS if ok else FAIL,
                         f"{2 * len(values)} grid evaluations")]
 
@@ -600,19 +580,14 @@ def _check_level1_upper(ctx) -> list[CheckRecord]:
                         PASS if ok else FAIL)]
 
 
-def _check_level1_lower(ctx, constants) -> list[CheckRecord]:
+def _check_level1_lower(ctx) -> list[CheckRecord]:
     f = ctx.function
     mu = f.mean
     if not 0 < mu <= F(1, 2):
         return [CheckRecord.skipped("THM12-lower", ctx.label, "mean outside (0, 1/2]")]
     w1 = ctx.level_weights.level(1)
     stat = float(w1) / (float(mu) ** 2 * math.log(1 / float(mu)))
-    pinned = constants.get("THM12-lower")
-    if pinned is None:
-        return [CheckRecord.report("THM12-lower", ctx.label, stat)]
-    ok = stat >= pinned
-    return [CheckRecord("THM12-lower", ctx.label, stat, pinned, None, ok,
-                        PASS if ok else FAIL)]
+    return [CheckRecord.report("THM12-lower", ctx.label, stat)]
 
 
 def _check_levelk_upper(ctx) -> list[CheckRecord]:
@@ -632,7 +607,7 @@ def _check_levelk_upper(ctx) -> list[CheckRecord]:
     return recs
 
 
-def _check_influence_band(ctx, constants) -> list[CheckRecord]:
+def _check_influence_band(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     eps = h.mean()
     if not 0 < eps <= F(1, 2):
@@ -640,10 +615,10 @@ def _check_influence_band(ctx, constants) -> list[CheckRecord]:
     best, _ = h.max_influence()
     a1 = float(h.weights[0]) / h.l2_norm()
     denom = float(eps) * min(1.0, a1 * math.sqrt(math.log(1 / float(eps))))
-    return [_banded_record("THM14-band", ctx.label, float(best) / denom, constants)]
+    return [CheckRecord.report("THM14-band", ctx.label, float(best) / denom)]
 
 
-def _check_boundary_band(ctx, constants) -> list[CheckRecord]:
+def _check_boundary_band(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     eps = h.mean()
     if not 0 < eps <= F(1, 2):
@@ -651,7 +626,7 @@ def _check_boundary_band(ctx, constants) -> list[CheckRecord]:
     total = h.vertex_boundary(0) + h.vertex_boundary(1)
     a1 = float(h.weights[0]) / h.l2_norm()
     denom = float(eps) * min(1.0, a1 * math.sqrt(math.log(1 / float(eps))))
-    return [_banded_record("THM15-band", ctx.label, float(total) / denom, constants)]
+    return [CheckRecord.report("THM15-band", ctx.label, float(total) / denom)]
 
 
 def _check_boundary_two_sided(ctx) -> list[CheckRecord]:
@@ -781,7 +756,7 @@ def _check_wk_pipeline(ctx) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # correlation checks
 
-def _check_best_correlator(ctx, constants) -> list[CheckRecord]:
+def _check_best_correlator(ctx) -> list[CheckRecord]:
     f = ctx.function
     w1 = ctx.level_weights.level(1)
     if w1 == 0:
@@ -791,17 +766,10 @@ def _check_best_correlator(ctx, constants) -> list[CheckRecord]:
     stat = float(res.covariance) / denom
     ident = correlate.threshold_integral_identity(f, correlate.first_level_form(f, ctx.spectrum))
     ok_ident = ident == w1
-    recs = [CheckRecord("THM17", f"{ctx.label} identity", ident, w1, None,
+    return [CheckRecord("THM17", f"{ctx.label} identity", ident, w1, None,
                         ok_ident, PASS if ok_ident else FAIL,
-                        "step integral of the covariance profile")]
-    pinned = constants.get("THM17")
-    if pinned is None:
-        recs.append(CheckRecord.report("THM17", ctx.label, stat))
-    else:
-        ok = stat >= pinned
-        recs.append(CheckRecord("THM17", ctx.label, stat, pinned, None, ok,
-                                PASS if ok else FAIL))
-    return recs
+                        "step integral of the covariance profile"),
+            CheckRecord.report("THM17", ctx.label, stat)]
 
 
 def _check_unbiased_correlator(ctx) -> list[CheckRecord]:
@@ -906,21 +874,27 @@ for _d in [
              _is_halfspace),
     CheckDef("PROP5", "member", lambda ctx, c: _check_threshold_monotone_member(ctx),
              _is_halfspace),
-    CheckDef("THM18", "member", _check_strong_chernoff, _biased_halfspace),
-    CheckDef("THM19", "member", _check_partitioned_chernoff, _biased_halfspace),
-    CheckDef("THM110", "member", _check_weak_chernoff, _biased_halfspace),
-    CheckDef("THM64", "member", _check_segment_band, _biased_halfspace),
+    CheckDef("THM18", "member", lambda ctx, c: _check_strong_chernoff(ctx),
+             _biased_halfspace),
+    CheckDef("THM19", "member", lambda ctx, c: _check_partitioned_chernoff(ctx),
+             _biased_halfspace),
+    CheckDef("THM110", "member", lambda ctx, c: _check_weak_chernoff(ctx),
+             _biased_halfspace),
+    CheckDef("THM64", "member", lambda ctx, c: _check_segment_band(ctx),
+             _biased_halfspace),
     CheckDef("GAUSS-EATON", "member", lambda ctx, c: _check_gauss_member(ctx),
              _biased_halfspace),
     CheckDef("GL-halfplane", "member", lambda ctx, c: _check_sign_level1_mass(ctx),
              lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
     CheckDef("LVL1-upper", "member", lambda ctx, c: _check_level1_upper(ctx), _has_table),
-    CheckDef("THM12-lower", "member", _check_level1_lower,
+    CheckDef("THM12-lower", "member", lambda ctx, c: _check_level1_lower(ctx),
              lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
     CheckDef("LVLK-upper", "member", lambda ctx, c: _check_levelk_upper(ctx),
              lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
-    CheckDef("THM14-band", "member", _check_influence_band, _biased_halfspace),
-    CheckDef("THM15-band", "member", _check_boundary_band, _biased_halfspace),
+    CheckDef("THM14-band", "member", lambda ctx, c: _check_influence_band(ctx),
+             _biased_halfspace),
+    CheckDef("THM15-band", "member", lambda ctx, c: _check_boundary_band(ctx),
+             _biased_halfspace),
     CheckDef("PROP71", "member", lambda ctx, c: _check_boundary_two_sided(ctx),
              _biased_halfspace),
     CheckDef("IH-DERIV", "global", lambda c: _global_derivative_law()),
@@ -930,7 +904,7 @@ for _d in [
              lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= TABLE_CAP),
     CheckDef("WK-PIPELINE", "member", lambda ctx, c: _check_wk_pipeline(ctx),
              lambda ctx: _is_halfspace(ctx) and _has_table(ctx) and ctx.halfspace.n <= 20),
-    CheckDef("THM17", "member", _check_best_correlator, _has_table),
+    CheckDef("THM17", "member", lambda ctx, c: _check_best_correlator(ctx), _has_table),
     CheckDef("PROP92", "member", lambda ctx, c: _check_unbiased_correlator(ctx),
              _has_table),
     CheckDef("PROP93", "member", lambda ctx, c: _check_biased_correlator(ctx),

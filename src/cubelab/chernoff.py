@@ -17,12 +17,22 @@ from .halfspace import Halfspace, _TailBase
 from .rational import as_fraction
 
 EATON_BOUND = 3.178  # Gaussian-domination constant for Rademacher sums
-_EATON_SLACK = 1 + 1e-9
+EATON_SLACK = 1 + 1e-9
 
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "hypothesis-not-met"
 REPORT = "report"
+
+
+def bound_ratio(lhs, rhs) -> float | None:
+    """lhs / rhs, exact where both sides convert to Fraction; None when rhs is 0."""
+    if rhs == 0:
+        return None
+    try:
+        return float(Fraction(lhs) / Fraction(rhs))
+    except (TypeError, ValueError):
+        return float(lhs) / float(rhs)
 
 
 @dataclass
@@ -42,13 +52,7 @@ class CheckRecord:
     def inequality(check_id: str, instance: str, lhs, rhs, notes: str = "") -> "CheckRecord":
         """lhs <= rhs decides pass; ratio reported when rhs is nonzero."""
         ok = bool(lhs <= rhs)
-        ratio = None
-        if rhs != 0:
-            try:
-                ratio = float(Fraction(lhs) / Fraction(rhs))
-            except (TypeError, ValueError):
-                ratio = float(lhs) / float(rhs)
-        return CheckRecord(check_id, instance, lhs, rhs, ratio,
+        return CheckRecord(check_id, instance, lhs, rhs, bound_ratio(lhs, rhs),
                            ok, PASS if ok else FAIL, notes)
 
     @staticmethod
@@ -131,7 +135,7 @@ def _log_inv(eps: Fraction) -> float:
 
 def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
                          partition: Partition | None = None, c=None,
-                         pinned: float | None = None, instance: str = "") -> CheckRecord:
+                         instance: str = "") -> CheckRecord:
     """Scale-free decay statistic for the halfspace's tail at t.
 
     strong: D = delta_half * sqrt(log(1/eps)) in l2-normalized units.
@@ -139,8 +143,9 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
         unless the big class already has at least log(1/eps)/2 members.
     weak: ((delta_c - m) clamped at 0) * sqrt(log(1/eps)) / log(2/c).
 
-    Passes when the statistic is at most the pinned constant; reports when
-    no constant is supplied.
+    The statistic is reported; the harness asserts it against the pinned
+    constant.  The big-class branch of the partitioned variant holds outright
+    and passes without a statistic.
     """
     t = h.threshold if t is None else as_fraction(t)
     eps = h.tail(t)
@@ -161,7 +166,7 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
             raise ValueError("partitioned variant needs a Partition")
         partition.validate(h.n)
         if len(partition.big) >= 0.5 * log_inv:
-            return CheckRecord(check_id, instance, None, pinned, None, True, PASS,
+            return CheckRecord(check_id, instance, None, None, None, True, PASS,
                                "big-class branch holds")
         small_sq = sum((h.weights[j] ** 2 for j in partition.small), Fraction(0))
         if small_sq == 0:
@@ -183,11 +188,7 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    if pinned is None:
-        rec = CheckRecord.report(check_id, instance, stat, notes)
-    else:
-        rec = CheckRecord.inequality(check_id, instance, stat, pinned, notes)
-    return rec
+    return CheckRecord.report(check_id, instance, stat, notes)
 
 
 def gaussian_tail_ratio(h: Halfspace, t, weak_inequality: bool = False,
@@ -209,6 +210,6 @@ def gaussian_tail_ratio(h: Halfspace, t, weak_inequality: bool = False,
     gauss = 0.5 * math.erfc(z / math.sqrt(2))
     ratio = float(prob) / gauss
     rec = CheckRecord.inequality("GAUSS-EATON", instance, ratio,
-                                 EATON_BOUND * _EATON_SLACK)
+                                 EATON_BOUND * EATON_SLACK)
     rec.ratio = ratio
     return rec

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import correlate as corr
 from . import harness, spectral
 from .bfcore import FunctionSpec, max_arity
-from .chernoff import check_local_chernoff, gaussian_tail_ratio
+from .chernoff import EATON_BOUND, check_local_chernoff, gaussian_tail_ratio
 from .halfspace import parse_halfspace
 from .influence import boundary_measures, influences
 from .rational import as_fraction, format_fraction
@@ -102,7 +102,7 @@ def cmd_chernoff(args) -> int:
     if t >= 0:
         gauss = gaussian_tail_ratio(h, t)
         print(f"gaussian tail ratio: {gauss.ratio:.6g} "
-              f"({'<=' if gauss.passed else 'EXCEEDS'} 3.178)")
+              f"({'<=' if gauss.passed else 'EXCEEDS'} {EATON_BOUND})")
     return 0
 
 

@@ -62,7 +62,6 @@ class CorrelationResult:
     threshold: Fraction | None
     halfspace_text: str
     degenerate: bool = False
-    lower_bound: float | None = None
     notes: str = ""
 
 
@@ -84,7 +83,6 @@ def _cut_covariances(f: BooleanFunction, values: np.ndarray):
 
 
 def best_halfspace_over_form(f: BooleanFunction, form: LinearForm | None = None,
-                             pinned: float | None = None,
                              spec: FourierSpectrum | None = None) -> CorrelationResult:
     """Exhaustive exact scan of Cov(f, 1{l(x) > t}) over all distinct cuts.
 
@@ -105,12 +103,7 @@ def best_halfspace_over_form(f: BooleanFunction, form: LinearForm | None = None,
                                  notes="constant cut is optimal")
     cov = Fraction(int(cov_num[best]), size * size)
     threshold = Fraction(int(v[best]), scale)
-    bound = None
-    if pinned is not None:
-        w1 = form.sq_norm
-        bound = pinned * math.sqrt(float(w1) / math.log(math.e / float(w1)))
-    return CorrelationResult(cov, threshold, form.halfspace_text(threshold),
-                             lower_bound=bound)
+    return CorrelationResult(cov, threshold, form.halfspace_text(threshold))
 
 
 def threshold_integral_identity(f: BooleanFunction,

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chernoff import FAIL, PASS, REPORT, CheckRecord
-from .checks import PIN_KINDS, REGISTRY, SUITES, MemberContext
+from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
+from .checks import REGISTRY, SUITES, MemberContext
 from .halfspace import distribution_from_scaled
 from .kernels import all_plus
 from .rational import format_fraction
@@ -54,25 +54,6 @@ class Corpus:
         return Corpus(data["name"], tuple(data["entries"]))
 
 
-def _pick_threshold(values: np.ndarray, counts: np.ndarray, total: int,
-                    eps_lo: F, eps_hi: F) -> int | None:
-    """Support value whose strict tail probability lands inside the band."""
-    suffix = np.concatenate([np.cumsum(counts[::-1])[::-1], [0]])
-    # tail beyond values[i] is suffix[i + 1]; it decreases with i
-    lo, hi = 0, len(values) - 1
-    # first index whose tail drops to at most eps_hi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if F(int(suffix[mid + 1]), total) <= eps_hi:
-            hi = mid
-        else:
-            lo = mid + 1
-    tail = F(int(suffix[lo + 1]), total)
-    if eps_lo <= tail <= eps_hi:
-        return int(values[lo])
-    return None
-
-
 def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
                               count, denominators=(1,)) -> list[str]:
     entries = []
@@ -87,8 +68,9 @@ def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
             scale = math.lcm(*[w.denominator for w in weights])
             scaled = np.array([int(w * scale) for w in weights], dtype=np.int64)
             dist = distribution_from_scaled(scaled, scale)
-            v = _pick_threshold(dist.values, dist.counts, dist.total, eps_lo, eps_hi)
-            if v is None:
+            # the least threshold whose strict tail is at most eps_hi
+            v = dist.first_value_tail_le(eps_hi.numerator * dist.total, eps_hi.denominator)
+            if not eps_lo <= F(dist.count_gt_scaled(v), dist.total) <= eps_hi:
                 continue
             t = F(v, scale)
             wtxt = ",".join(format_fraction(w) for w in weights)
@@ -172,6 +154,19 @@ def tail_lemma_corpus() -> Corpus:
 
 # ---------------------------------------------------------------------------
 # pinned constants
+
+# how each pinned statistic is asserted once a constant exists
+PIN_KINDS = {
+    "THM18": "upper",
+    "THM19": "upper",
+    "THM110": "upper",
+    "THM12-lower": "lower",
+    "THM17": "lower",
+    "THM14-band": "band",
+    "THM15-band": "band",
+    "THM64": "band",
+}
+
 
 class PinError(ValueError):
     """Constants were pinned against a different corpus."""
@@ -323,51 +318,48 @@ def run_suite(suite_id: str, corpus: Corpus,
               pin: bool = False) -> tuple[Report, PinnedConstants | None]:
     """Run every registered check of the suite over the corpus.
 
-    Hypothesis-not-met is recorded, never fatal.  With pin=True the pinned
-    statistics are collected and turned into fresh constants, which the
-    returned report is already asserted against.  Without pin, existing
-    constants only apply when their corpus digest matches; a mismatch is a
-    refusal, not a silent report-only run.
+    Hypothesis-not-met is recorded, never fatal.  Checks only report their
+    pinned statistics; the runner asserts them once: with pin=True against
+    the fresh constants recorded from this run (returned as the second
+    value), otherwise against the given constants when their corpus digest
+    matches (a mismatch is a refusal, not a silent report-only run),
+    otherwise against none.  So a pin=True report is byte-identical to that
+    of a later run asserting the constants it recorded.
     """
     if suite_id not in SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; have {sorted(SUITES)}")
     check_ids = SUITES[suite_id]
     pinned_ids = [cid for cid in check_ids if cid in PIN_KINDS]
     constants = constants or PinnedConstants()
-    if pin:
-        effective = PinnedConstants(corpus.digest)
-    else:
-        if pinned_ids and constants.values:
-            if constants.corpus_digest != corpus.digest:
-                raise PinError(
-                    "constants were pinned on corpus "
-                    f"{constants.corpus_digest}, not {corpus.digest}; "
-                    "re-run with --pin to record constants for this corpus")
-            effective = constants
-        else:
-            effective = PinnedConstants(corpus.digest)
+    asserted = not pin and bool(pinned_ids and constants.values)
+    if asserted and constants.corpus_digest != corpus.digest:
+        raise PinError(
+            "constants were pinned on corpus "
+            f"{constants.corpus_digest}, not {corpus.digest}; "
+            "re-run with --pin to record constants for this corpus")
 
     records: list[CheckRecord] = []
     for cid in check_ids:
         defn = REGISTRY[cid]
         if defn.scope == "global":
-            records.extend(defn.fn(effective))
+            records.extend(defn.fn(constants))
     for idx, entry in enumerate(corpus.entries):
         ctx = MemberContext(f"{corpus.name}#{idx}", entry)
         for cid in check_ids:
             defn = REGISTRY[cid]
             if defn.scope != "member" or not defn.applies(ctx):
                 continue
-            records.extend(defn.fn(ctx, effective))
+            records.extend(defn.fn(ctx, constants))
 
     new_constants = None
+    judge = constants if asserted else PinnedConstants()
     if pin:
         stats: dict[str, list[float]] = {cid: [] for cid in pinned_ids}
         for rec in records:
             if rec.check_id in stats and isinstance(rec.lhs, float):
                 stats[rec.check_id].append(rec.lhs)
-        new_constants = pin_from_statistics(stats, corpus.digest)
-        _assert_pinned(records, new_constants)
+        judge = new_constants = pin_from_statistics(stats, corpus.digest)
+    _assert_pinned(records, judge)
 
     digest = ""
     source = new_constants if pin else (constants if constants.values else None)
@@ -380,14 +372,25 @@ def run_suite(suite_id: str, corpus: Corpus,
 
 
 def _assert_pinned(records: list[CheckRecord], constants: PinnedConstants) -> None:
-    """Rewrite freshly pinned report records into asserted pass/fail."""
+    """Rewrite reported pinned statistics into pass/fail against the constants.
+
+    The bound becomes the record's rhs; an upper bound also gets the ratio
+    that CheckRecord.inequality reports.  A passing record of a pinned check
+    that carries no statistic (a branch that holds outright) shows the bound.
+    """
     for rec in records:
-        bound = constants.get(rec.check_id)
-        if bound is None or rec.status != REPORT or not isinstance(rec.lhs, float):
+        bound = constants.get(rec.check_id) if rec.check_id in PIN_KINDS else None
+        if bound is None:
+            continue
+        if rec.status == PASS and rec.lhs is None:
+            rec.rhs = bound
+            continue
+        if rec.status != REPORT or not isinstance(rec.lhs, float):
             continue
         kind = PIN_KINDS[rec.check_id]
         if kind == "upper":
             ok = rec.lhs <= bound
+            rec.ratio = bound_ratio(rec.lhs, bound)
         elif kind == "lower":
             ok = rec.lhs >= bound
         else:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubelab import chernoff
+from cubelab import chernoff, harness
 from cubelab.chernoff import CheckRecord, Partition, weight_split
 from cubelab.halfspace import make_halfspace
 
@@ -138,11 +138,21 @@ def test_local_chernoff_strong_reports():
 
 
 def test_local_chernoff_strong_asserts_against_pin():
-    h = make_halfspace([1] * 25, 0)
-    rec = chernoff.check_local_chernoff(h, F(11), "strong", pinned=10.0)
-    assert rec.passed
-    rec = chernoff.check_local_chernoff(h, F(11), "strong", pinned=rec.lhs / 2)
-    assert rec.status == "fail"
+    """The check reports the statistic; the runner asserts the THM18 constant."""
+    corpus = harness.corpus_gen(
+        "random-halfspace",
+        {"n_lo": 8, "n_hi": 10, "count": 4, "eps_band": (F(1, 128), F(1, 8))}, seed=77)
+    reported, _ = harness.run_suite("chernoff", corpus)
+    stats = [r.lhs for r in reported.records if r.check_id == "THM18"]
+    assert stats and all(r.status == "report" for r in reported.records
+                         if r.check_id == "THM18")
+    for bound, status in ((1.01 * max(stats), "pass"), (0.99 * min(stats), "fail")):
+        pin = harness.PinnedConstants(corpus.digest, {"THM18": bound})
+        report, _ = harness.run_suite("chernoff", corpus, constants=pin)
+        thm18 = [r for r in report.records if r.check_id == "THM18"]
+        assert [r.lhs for r in thm18] == stats
+        assert all(r.status == status and r.rhs == bound for r in thm18)
+        assert report.failures == (len(stats) if status == "fail" else 0)
 
 
 def test_local_chernoff_scale_invariant():

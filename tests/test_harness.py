@@ -6,7 +6,7 @@ import pytest
 from cubelab import harness, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
-from cubelab.halfspace import parse_halfspace
+from cubelab.halfspace import MeetInMiddleDistribution, parse_halfspace
 
 import oracles
 
@@ -37,6 +37,23 @@ def test_corpus_entries_land_in_band():
         assert 8 <= h.arity <= 10
         assert F(1, 128) <= h.mean() <= F(1, 8)
         assert h.weights == tuple(sorted(h.weights, reverse=True))
+
+
+def test_random_halfspace_on_wide_weights():
+    """24-bit weights at n = 26..30 take the meet-in-the-middle backend; each
+    picked threshold's tail, recounted from a fresh distribution, is in the band."""
+    band = (F(1, 256), F(1, 16))
+    corpus = harness.corpus_gen(
+        "random-halfspace",
+        {"n_lo": 26, "n_hi": 30, "weight_bits": 24, "count": 3, "eps_band": band}, seed=1)
+    assert len(corpus.entries) == 3
+    for entry in corpus.entries:
+        h = parse_halfspace(entry)
+        assert 26 <= h.arity <= 30
+        assert isinstance(h.distribution(), MeetInMiddleDistribution)
+        assert band[0] <= h.mean() <= band[1]
+    assert harness.standard_corpus().digest == "ed31d44d13dc1308"
+    assert harness.tail_lemma_corpus().digest == "cdf812dc74cd81f3"
 
 
 def test_standard_corpus_shape():
@@ -150,6 +167,65 @@ def test_pin_then_assert_roundtrip(tmp_path):
     assert report2.failures == 0
     asserted = [r for r in report2.records if r.check_id == "THM18"]
     assert asserted and all(r.status == "pass" for r in asserted)
+
+
+def big_class_corpus():
+    """Members with THM19 big-class records and a nonzero THM110 constant."""
+    return harness.corpus_gen(
+        "random-halfspace",
+        {"n_lo": 8, "n_hi": 12, "count": 6, "eps_band": (F(1, 256), F(1, 16))},
+        seed=22,
+    )
+
+
+def _pin_and_reload(corpus, tmp_path):
+    report, fresh = harness.run_suite("pinned", corpus, pin=True)
+    path = tmp_path / "constants.json"
+    fresh.save(path)
+    return report, harness.PinnedConstants.load(path)
+
+
+def test_pin_report_equals_report_asserting_its_constants(tmp_path):
+    corpus = big_class_corpus()
+    pinned, loaded = _pin_and_reload(corpus, tmp_path)
+    assert loaded.get("THM110") > 0
+    assert any(r.check_id == "THM19" and r.lhs is None for r in pinned.records)
+    asserted, _ = harness.run_suite("pinned", corpus, constants=loaded)
+    assert pinned.to_json() == asserted.to_json()
+    assert pinned.to_csv() == asserted.to_csv()
+
+
+def test_asserted_pinned_record_fields(tmp_path):
+    corpus = big_class_corpus()
+    pinned, loaded = _pin_and_reload(corpus, tmp_path)
+    asserted, _ = harness.run_suite("pinned", corpus, constants=loaded)
+    for report in (pinned, asserted):
+        by_id: dict[str, list] = {}
+        for rec in report.records:
+            if rec.status != "hypothesis-not-met":
+                by_id.setdefault(rec.check_id, []).append(rec)
+        for cid in ("THM18", "THM110"):
+            assert by_id[cid] and all(r.status in ("pass", "fail") for r in by_id[cid])
+            for r in by_id[cid]:
+                assert r.rhs == loaded.get(cid)
+                assert r.ratio == float(F(r.lhs) / F(r.rhs))
+        big = [r for r in by_id["THM19"] if r.lhs is None]
+        assert big and all(r.status == "pass" and r.rhs == loaded.get("THM19") for r in big)
+        for r in by_id["THM19"]:
+            if r.lhs is not None:
+                assert r.ratio == float(F(r.lhs) / F(r.rhs))
+        for cid in ("THM14-band", "THM15-band", "THM64"):
+            assert by_id[cid]
+            for r in by_id[cid]:
+                assert isinstance(r.rhs, tuple) and len(r.rhs) == 2 and r.ratio is None
+        for cid in ("THM12-lower", "THM17"):
+            stats = [r for r in by_id[cid] if isinstance(r.lhs, float)]
+            assert stats and all(r.rhs == loaded.get(cid) and r.ratio is None for r in stats)
+    # a zero upper bound (THM110 can pin 0) is asserted without a ratio
+    zero = harness.PinnedConstants(corpus.digest, {"THM110": 0.0})
+    report, _ = harness.run_suite("chernoff", corpus, constants=zero)
+    weak = [r for r in report.records if r.check_id == "THM110"]
+    assert weak and all(r.rhs == 0.0 and r.ratio is None for r in weak)
 
 
 def test_assert_refuses_foreign_constants():
