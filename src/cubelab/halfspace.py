@@ -4,7 +4,7 @@ Weights and thresholds are rescaled to integers internally, so a tie
 a.x = t is decided exactly and the strict ">" rule never needs the
 "perturb slightly" escape hatch.  The distribution of a.x is kept either
 densely (one counter per achievable sum) or as two enumerated halves
-merged on demand, selected by budget.
+combined per query, selected by budget.
 
 A dense halfspace runs one subset-sum DP: every influence is a window of
 the full count array with one weight divided out, and both vertex
@@ -27,6 +27,7 @@ DENSE_BUDGET = 10_000_000  # max sum of scaled weights for the dense backend
 MITM_MAX_N = 40
 MAX_SUMMANDS = 62  # 2^62 outcome counts fit int64; 2^63 does not
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
+_QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
 
 
 class BudgetError(ValueError):
@@ -91,10 +92,7 @@ class TailDistribution(_TailBase):
         self.counts = counts
         self.scale = scale
         self.n_summands = n_summands
-        # suffix[i] = number of outcomes with value >= values[i]
-        self._suffix = np.concatenate(
-            [np.cumsum(counts[::-1])[::-1], np.zeros(1, dtype=np.int64)]
-        )
+        self._suffix = _suffix_counts(counts)
         self.min_scaled = int(values[0])
         self.max_scaled = int(values[-1])
 
@@ -137,26 +135,54 @@ class TailDistribution(_TailBase):
 
 
 class MeetInMiddleDistribution(_TailBase):
-    """Two enumerated halves; tail counts answered by a merge sweep."""
+    """Two enumerated halves: a.x = u + r, u from the left half, r from the right.
 
-    def __init__(self, left_values, left_counts, right_values, right_counts,
-                 scale: int, n_summands: int):
-        self._lv = left_values
-        self._lc = left_counts
-        self._rv = right_values
-        self._rsuffix = np.concatenate(
-            [np.cumsum(right_counts[::-1])[::-1], np.zeros(1, dtype=np.int64)]
-        )
-        self._rc = right_counts
+    The outcomes with value >= v number the sum over left values u of
+    count(u) times the right outcomes with r >= v - u: one ``searchsorted``
+    of the keys v - u into the right values, then one dot product with the
+    right half's suffix counts.  The left half is stored descending, so the
+    keys ascend, the order in which ``searchsorted`` narrows each search
+    from the one before it.
+    """
+
+    def __init__(self, left, right, scale: int, n_summands: int):
+        """left: values descending and their counts; right: values ascending,
+        their counts and suffix counts (see ``_half``)."""
+        self._lv, self._lc = left
+        self._rv, self._rc, self._rsuffix = right
         self.scale = scale
         self.n_summands = n_summands
-        self.min_scaled = int(left_values[0] + right_values[0])
-        self.max_scaled = int(left_values[-1] + right_values[-1])
+        self.min_scaled = int(self._lv[-1] + self._rv[0])
+        self.max_scaled = int(self._lv[0] + self._rv[-1])
+
+    @classmethod
+    def from_weights(cls, weights: np.ndarray, scale: int) -> "MeetInMiddleDistribution":
+        # alternate large/small weights between halves to balance the sums
+        return cls(_half(0, weights[0::2]), _half(1, weights[1::2]), scale, len(weights))
+
+    def without(self, weights: np.ndarray, j: int) -> "MeetInMiddleDistribution":
+        """Distribution of `weights` with weight j deleted, self being that of
+        `weights`: j's half is enumerated again, the other half is shared."""
+        side = j % 2
+        halves = [(self._lv, self._lc), (self._rv, self._rc, self._rsuffix)]
+        halves[side] = _half(side, np.delete(weights[side::2], j // 2))
+        return MeetInMiddleDistribution(*halves, self.scale, self.n_summands - 1)
 
     def _count_from(self, v: int) -> int:
         """Number of outcomes with value >= v (scaled)."""
         idx = np.searchsorted(self._rv, v - self._lv, side="left")
         return int(np.dot(self._lc, self._rsuffix[idx]))
+
+    def _counts_from(self, v: np.ndarray) -> np.ndarray:
+        """_count_from at every entry of v, a block of rows at a time."""
+        flat = v.ravel()
+        out = np.empty(len(flat), dtype=np.int64)
+        rows = max(1, _QUERY_KEYS // len(self._lv))
+        for s in range(0, len(flat), rows):
+            keys = flat[s : s + rows, None] - self._lv
+            idx = np.searchsorted(self._rv, keys.ravel(), side="left")
+            out[s : s + rows] = self._rsuffix[idx].reshape(keys.shape) @ self._lc
+        return out.reshape(v.shape)
 
     def count_gt_scaled(self, v: int) -> int:
         return self._count_from(v + 1)
@@ -165,10 +191,10 @@ class MeetInMiddleDistribution(_TailBase):
         return self._count_from(v)
 
     def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
-        return np.array([self.count_gt_scaled(int(x)) for x in v], dtype=np.int64)
+        return self._counts_from(np.asarray(v, dtype=np.int64) + 1)
 
     def counts_ge_scaled(self, v: np.ndarray) -> np.ndarray:
-        return np.array([self.count_ge_scaled(int(x)) for x in v], dtype=np.int64)
+        return self._counts_from(np.asarray(v, dtype=np.int64))
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         lo, hi = self.min_scaled, self.max_scaled
@@ -182,23 +208,40 @@ class MeetInMiddleDistribution(_TailBase):
 
     def support_window(self, lo_scaled: int, hi_scaled: int,
                        include_lo: bool = False, include_hi: bool = False):
+        """Support values in the window and their counts, from the pairs
+        (u, r) with u + r inside it: each left value's span of right indices,
+        repeated into one array of pairs, then summed per distinct value."""
         lo_eff = lo_scaled if include_lo else lo_scaled + 1
         hi_eff = hi_scaled if include_hi else hi_scaled - 1
-        acc: dict[int, int] = {}
-        assembled = 0
-        for lv, lc in zip(self._lv, self._lc):
-            lv = int(lv)
-            a = int(np.searchsorted(self._rv, lo_eff - lv, side="left"))
-            b = int(np.searchsorted(self._rv, hi_eff - lv, side="right"))
-            assembled += b - a
-            if assembled > _WINDOW_GUARD:
-                raise BudgetError("support window too dense to assemble")
-            for rv, rc in zip(self._rv[a:b], self._rc[a:b]):
-                key = lv + int(rv)
-                acc[key] = acc.get(key, 0) + int(lc) * int(rc)
-        values = np.array(sorted(acc), dtype=np.int64)
-        counts = np.array([acc[int(v)] for v in values], dtype=np.int64)
+        first = np.searchsorted(self._rv, lo_eff - self._lv, side="left")
+        stop = np.searchsorted(self._rv, hi_eff - self._lv, side="right")
+        spans = np.maximum(stop - first, 0)
+        assembled = int(spans.sum())
+        if assembled > _WINDOW_GUARD:
+            raise BudgetError("support window too dense to assemble")
+        rows = np.repeat(np.arange(len(spans)), spans)
+        # right index of each pair: its row's first index plus its place in the row
+        cols = np.arange(assembled) + np.repeat(first - (np.cumsum(spans) - spans), spans)
+        sums = self._lv[rows] + self._rv[cols]
+        values, inverse = np.unique(sums, return_inverse=True)
+        counts = np.zeros(len(values), dtype=np.int64)
+        np.add.at(counts, inverse, self._lc[rows] * self._rc[cols])
         return values, counts
+
+
+def _suffix_counts(counts: np.ndarray) -> np.ndarray:
+    """suffix[i] = counts[i] + ... + counts[-1], and a final zero."""
+    return np.concatenate([np.cumsum(counts[::-1])[::-1], np.zeros(1, dtype=np.int64)])
+
+
+def _half(side: int, weights: np.ndarray):
+    """A meet-in-the-middle half as stored: the left (side 0) as distinct
+    values descending and their counts, the right (side 1) as values
+    ascending, their counts and suffix counts."""
+    values, counts = _enumerated(weights)
+    if side == 0:
+        return values[::-1], counts[::-1]
+    return values, counts, _suffix_counts(counts)
 
 
 def _enumerated(weights: np.ndarray):
@@ -210,6 +253,12 @@ def _enumerated(weights: np.ndarray):
 def _dense(total: int, backend: str | None) -> bool:
     """Whether a sum of scaled weights `total` takes the dense backend."""
     return backend == "dense" or (backend is None and total <= DENSE_BUDGET)
+
+
+def _mitm(n: int, total: int, backend: str | None) -> bool:
+    """Whether n weights summing to `total` take the meet-in-the-middle backend."""
+    return (n <= MAX_SUMMANDS and not _dense(total, backend)
+            and (backend == "mitm" or n <= MITM_MAX_N))
 
 
 def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | None = None):
@@ -234,11 +283,8 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
         dense = kernels.signed_sum_counts(weights)
         nz = np.nonzero(dense)[0]
         return TailDistribution(2 * nz - total, dense[nz], scale, n)
-    if backend == "mitm" or n <= MITM_MAX_N:
-        # alternate large/small weights between halves to balance the sums
-        lv, lc = _enumerated(weights[0::2])
-        rv, rc = _enumerated(weights[1::2])
-        return MeetInMiddleDistribution(lv, lc, rv, rc, scale, n)
+    if _mitm(n, total, backend):
+        return MeetInMiddleDistribution.from_weights(weights, scale)
     raise BudgetError(
         f"scaled weight sum {total} exceeds the dense budget and n={n} > {MITM_MAX_N}"
     )
@@ -276,12 +322,17 @@ class Halfspace:
         self.scale = common_scale(weights)
         self.scaled = np.array([int(w * self.scale) for w in weights], dtype=np.int64)
         self._total = int(self.scaled.sum())  # T: a.x = 2s - T, s the sum of the +1 weights
+        self._backend = None
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every distribution and statistic counted so far."""
         self._dist = None
         self._reduced: dict[int, _TailBase] = {}
         self._suffix: dict[int, _TailBase] = {}
-        self._backend = None
         self._influences: dict[Fraction, list[Fraction]] = {}  # by threshold
         self._boundaries: dict[Fraction, tuple[int, int]] = {}  # by threshold
+        self._deltas: dict[tuple[Fraction, Fraction], Fraction] = {}  # by (c, t)
 
     # -- construction helpers ------------------------------------------------
 
@@ -311,16 +362,29 @@ class Halfspace:
     # -- distributions ---------------------------------------------------------
 
     def distribution(self, backend: str | None = None) -> _TailBase:
-        if self._dist is None or (backend is not None and backend != self._backend):
-            self._dist = distribution_from_scaled(self.scaled, self.scale, backend)
+        """The distribution of a.x.  Naming a backend other than the current
+        one drops every cached statistic, which came from the old route."""
+        if backend is not None and backend != self._backend:
+            self._forget()
             self._backend = backend
+        if self._dist is None:
+            self._dist = distribution_from_scaled(self.scaled, self.scale, self._backend)
         return self._dist
 
     def reduced_distribution(self, j: int) -> _TailBase:
-        """Distribution of a.x - a_j x_j (internal index j)."""
+        """Distribution of a.x - a_j x_j (internal index j).
+
+        When it and the full distribution both take the meet-in-the-middle
+        backend, it shares the full distribution's half without j.
+        """
         if j not in self._reduced:
-            rest = np.delete(self.scaled, j)
-            self._reduced[j] = distribution_from_scaled(rest, self.scale, self._backend)
+            rest_total = self._total - int(self.scaled[j])
+            if (_mitm(self.n, self._total, self._backend)
+                    and _mitm(self.n - 1, rest_total, self._backend)):
+                self._reduced[j] = self.distribution().without(self.scaled, j)
+            else:
+                rest = np.delete(self.scaled, j)
+                self._reduced[j] = distribution_from_scaled(rest, self.scale, self._backend)
         return self._reduced[j]
 
     def suffix_distribution(self, k: int) -> _TailBase:
@@ -380,7 +444,8 @@ class Halfspace:
         On the dense route the full distribution's counts are divided by
         (1 + z^w) for each distinct weight w; past MAX_SUMMANDS (those counts
         overflow) or above the dense budget, each coordinate has its own
-        reduced distribution.
+        reduced distribution, which above the budget enumerates only the
+        coordinate's own half.
         """
         t = self.threshold if t is None else as_fraction(t)
         if t not in self._influences:
@@ -460,13 +525,19 @@ class Halfspace:
     # -- decay machinery ---------------------------------------------------------
 
     def delta_query(self, c, t=None) -> Fraction:
-        """Minimal delta >= 0 with F(t + delta) <= c * F(t); exact.
+        """Minimal delta >= 0 with F(t + delta) <= c * F(t); exact, and
+        searched once per (c, t).
 
         F is a right-continuous step function, so the infimum is attained at
         a support value.
         """
         c = as_fraction(c)
         t = self.threshold if t is None else as_fraction(t)
+        if (c, t) not in self._deltas:
+            self._deltas[c, t] = self._delta(c, t)
+        return self._deltas[c, t]
+
+    def _delta(self, c: Fraction, t: Fraction) -> Fraction:
         dist = self.distribution()
         base = dist.count_gt(t)
         if base == 0:
@@ -519,14 +590,15 @@ class Halfspace:
         lo = _floor_scaled(t - w, self.scale)
         hi = _ceil_scaled(t + delta + w, self.scale)
         values, counts = dist.support_window(lo, hi, include_lo=True, include_hi=True)
-        acc = Fraction(0)
-        for v, cnt in zip(values, counts):
-            a = Fraction(int(v), self.scale) - t - w
-            b = a + 2 * w
-            overlap = min(delta, b) - max(Fraction(0), a)
-            if overlap > 0:
-                acc += int(cnt) * overlap
-        return acc / (delta * (1 << (self.n - 1)))
+        # in Python ints, in units of 1/(scale * q): the overlap is
+        # min(delta, a + 2w) - max(0, a) with a = v - t - w
+        ts, ds = t * self.scale, delta * self.scale
+        q = math.lcm(ts.denominator, ds.denominator)
+        w_q = int(self.scaled[j]) * q
+        a = values.astype(object) * q - int(ts * q) - w_q
+        overlap = np.minimum(int(ds * q), a + 2 * w_q) - np.maximum(a, 0)
+        acc = int(np.dot(counts.astype(object), np.maximum(overlap, 0)))
+        return Fraction(acc, self.scale * q) / (delta * (1 << (self.n - 1)))
 
 
 def _window_sum(counts: np.ndarray, lo: int, hi: int) -> int:

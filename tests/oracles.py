@@ -9,8 +9,10 @@ float64 Walsh and level-sum kernels, the ``halves_*`` scans (one uint8 byte
 per point) of the bit-packed table scans, and the ``gather_*`` characters
 (a popcount table indexed by 2^n masks) of the doubling ``sign_products``,
 ``index_unbiased_correlator`` (one int64 sign array per coordinate) of the
-swapped-halves sign-flip scan, and ``table_level_weight`` (a truth table of
-the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k.
+swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
+the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
+``pairwise_support_window`` (a dict filled pair by pair) of the
+meet-in-the-middle support window.
 """
 
 from fractions import Fraction
@@ -310,3 +312,24 @@ def table_level_weight(h, k: int) -> Fraction:
     accepts = kernels.dot_values(h.scaled) > floor(h.threshold * h.scale)
     table = BooleanFunction(h.n, accepts.astype(np.uint8))
     return fwht_spectrum(table).level_weights().level(k)
+
+
+def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int,
+                            include_lo: bool = False, include_hi: bool = False):
+    """Support values of u + r inside the window and their counts, for two
+    halves given as (distinct values ascending, counts): for each left value,
+    the span of right values in the window, summed into a dict pair by pair."""
+    (lvs, lcs), (rvs, rcs) = left, right
+    lo_eff = lo_scaled if include_lo else lo_scaled + 1
+    hi_eff = hi_scaled if include_hi else hi_scaled - 1
+    acc: dict[int, int] = {}
+    for lv, lc in zip(lvs, lcs):
+        lv = int(lv)
+        a = int(np.searchsorted(rvs, lo_eff - lv, side="left"))
+        b = int(np.searchsorted(rvs, hi_eff - lv, side="right"))
+        for rv, rc in zip(rvs[a:b], rcs[a:b]):
+            key = lv + int(rv)
+            acc[key] = acc.get(key, 0) + int(lc) * int(rc)
+    values = np.array(sorted(acc), dtype=np.int64)
+    counts = np.array([acc[int(v)] for v in values], dtype=np.int64)
+    return values, counts

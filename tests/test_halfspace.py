@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubelab import bfcore, influence, kernels
+from cubelab import bfcore, chernoff, influence, kernels
+from cubelab import halfspace as hs
 from cubelab.halfspace import (
     BudgetError,
     Halfspace,
+    MeetInMiddleDistribution,
+    TailDistribution,
     distribution_from_scaled,
     ltf_truth_table,
     make_halfspace,
@@ -465,3 +468,184 @@ def test_influences_counted_once_per_threshold(monkeypatch):
     assert h.influences() == expect
     assert h.influences(4) == per_coordinate_influences(make_halfspace([5, 3, 3, 1], 2), 4)
     assert len(calls) == 6 and h.influences(4) != expect
+
+
+# -- meet-in-the-middle queries -------------------------------------------------------
+#
+# Vectorised counts against the scalar count at every value, the support
+# window against the pair-by-pair dict route, and reduced distributions that
+# share the full distribution's other half against distributions built from
+# the reduced weights.
+
+def assert_same_distribution(a, b):
+    """Equal totals, ranges, tail counts at every value and supports."""
+    assert (a.total, a.min_scaled, a.max_scaled) == (b.total, b.min_scaled, b.max_scaled)
+    v = np.arange(a.min_scaled - 2, a.max_scaled + 3)
+    assert np.array_equal(a.counts_gt_scaled(v), b.counts_gt_scaled(v))
+    assert np.array_equal(a.counts_ge_scaled(v), b.counts_ge_scaled(v))
+    for x, y in zip(a.support_window(v[0], v[-1]), b.support_window(v[0], v[-1])):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("keys", [1, 5, 1 << 20])
+def test_mitm_vector_counts_match_scalar_counts(monkeypatch, keys):
+    """At every value from below min_scaled to above max_scaled, in blocks of
+    one row, of part of a row and of every row at once."""
+    monkeypatch.setattr(hs, "_QUERY_KEYS", keys)
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 5, 8):
+        weights = np.sort(rng.integers(1, 12, size=n))[::-1].astype(np.int64)
+        mitm = distribution_from_scaled(weights, 1, backend="mitm")
+        dense = distribution_from_scaled(weights, 1, backend="dense")
+        v = np.arange(mitm.min_scaled - 3, mitm.max_scaled + 4)
+        gt = mitm.counts_gt_scaled(v)
+        ge = mitm.counts_ge_scaled(v)
+        assert gt.tolist() == [mitm.count_gt_scaled(int(x)) for x in v]
+        assert ge.tolist() == [mitm.count_ge_scaled(int(x)) for x in v]
+        assert np.array_equal(gt, dense.counts_gt_scaled(v))
+        assert np.array_equal(ge, dense.counts_ge_scaled(v))
+        assert gt[0] == ge[0] == 1 << n and gt[-1] == ge[-1] == 0
+        grid = v[: len(v) // 2 * 2].reshape(2, -1)
+        assert np.array_equal(mitm.counts_gt_scaled(grid), gt[: grid.size].reshape(grid.shape))
+
+
+def test_mitm_support_window_matches_pairwise_and_dense():
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 6, 9):
+        weights = np.sort(rng.integers(1, 9, size=n))[::-1].astype(np.int64)
+        mitm = distribution_from_scaled(weights, 1, backend="mitm")
+        dense = distribution_from_scaled(weights, 1, backend="dense")
+        k = n // 2
+        left = distribution_from_scaled(weights[:k], 1, backend="dense").support()
+        right = distribution_from_scaled(weights[k:], 1, backend="dense").support()
+        edges = sorted(set(rng.integers(mitm.min_scaled - 3, mitm.max_scaled + 4, size=5).tolist()))
+        for lo in edges:
+            for hi in edges:
+                for include_lo in (False, True):
+                    for include_hi in (False, True):
+                        args = (lo, hi, include_lo, include_hi)
+                        got = mitm.support_window(*args)
+                        assert got[0].dtype == got[1].dtype == np.int64
+                        for x, y, z in zip(got, oracles.pairwise_support_window(left, right, *args),
+                                           dense.support_window(*args)):
+                            assert np.array_equal(x, y) and np.array_equal(x, z)
+
+
+def test_mitm_support_window_guard_boundary(monkeypatch):
+    """Powers of two make every pair sum distinct: the sums are the odd
+    numbers -15..15, and a window assembles one pair per value in it."""
+    mitm = distribution_from_scaled(np.array([8, 4, 2, 1]), 1, backend="mitm")
+    monkeypatch.setattr(hs, "_WINDOW_GUARD", 15)
+    values, counts = mitm.support_window(-15, 13, include_lo=True, include_hi=True)
+    assert values.tolist() == list(range(-15, 14, 2)) and counts.tolist() == [1] * 15
+    with pytest.raises(BudgetError):
+        mitm.support_window(-15, 15, include_lo=True, include_hi=True)
+
+
+@pytest.mark.parametrize("weights", [
+    [5], [5, 3], [9, 7, 4, 4, 1], [8, 8, 8, 3, 3, 1], [2] * 7, [F(7, 2), 3, F(5, 2), 1, 1],
+])
+def test_reduced_distributions_share_the_other_half(weights):
+    """Deleting weight j re-enumerates only j's half (j even: the left, j
+    odd: the right) and shares the other; the result equals the
+    distributions built from the reduced weights on either backend."""
+    h = make_halfspace(weights, 0)
+    full = h.distribution(backend="mitm")
+    for j in range(h.n):
+        red = h.reduced_distribution(j)
+        assert isinstance(red, MeetInMiddleDistribution) and red.n_summands == h.n - 1
+        kept, renewed = ("_rv", "_lv") if j % 2 == 0 else ("_lv", "_rv")
+        assert getattr(red, kept) is getattr(full, kept)
+        assert getattr(red, renewed) is not getattr(full, renewed)
+        rest = np.delete(h.scaled, j)
+        for backend in ("mitm", "dense"):
+            assert_same_distribution(red, distribution_from_scaled(rest, h.scale, backend=backend))
+
+
+def test_reduced_distributions_keep_their_backend_above_the_budget(monkeypatch):
+    """Above the budget only a reduced sum that is itself past the budget
+    shares a half; one that drops under it stays dense, as it was built before."""
+    monkeypatch.setattr(hs, "DENSE_BUDGET", 10)
+    h = make_halfspace([7, 5, 3, 2], 1)
+    assert isinstance(h.distribution(), MeetInMiddleDistribution)
+    assert isinstance(h.reduced_distribution(0), TailDistribution)  # 5 + 3 + 2 <= 10
+    shared = h.reduced_distribution(3)  # 7 + 5 + 3 > 10
+    assert isinstance(shared, MeetInMiddleDistribution)
+    assert shared._lv is h.distribution()._lv
+    assert_same_distribution(shared, distribution_from_scaled(np.array([7, 5, 3]), 1, "dense"))
+    assert h.influences() == list(influence.influences(h.truth_table()).per_coordinate)
+
+
+def test_smoothed_influence_from_shared_halves_matches_brute():
+    rng = np.random.default_rng(33)
+    for trial in range(8):
+        n = int(rng.integers(2, 8))
+        base = random_halfspace(rng, n, wmax=6)
+        h = base.with_threshold(base.threshold + F(int(rng.integers(0, 3)), 3))
+        h.distribution(backend="mitm")
+        delta = F(int(rng.integers(1, 8)), int(rng.integers(1, 4)))
+        for j in {0, n // 2, n - 1}:
+            want = oracles.brute_smoothed_influence(list(h.weights), h.threshold, j, delta)
+            assert h.smoothed_influence(h.order[j], delta) == want
+
+
+def test_backend_switch_recounts_every_statistic(monkeypatch):
+    """A dense/meet-in-the-middle cross-check on one object: after the
+    switch every statistic is counted again on the new route, and agrees."""
+    h = make_halfspace([5, 3, 3, 1, 1], 2)
+    h.distribution(backend="dense")
+    dense = (h.influences(), h.vertex_boundary(0), h.decay_thresholds(),
+             h.delta_query(F(1, 2)))
+    vb1 = h.vertex_boundary(1)
+    assert isinstance(h.reduced_distribution(0), TailDistribution)
+    assert isinstance(h.suffix_distribution(0), TailDistribution)
+    counted = []
+    count_from = MeetInMiddleDistribution._count_from
+
+    def spy(self, v):
+        counted.append(v)
+        return count_from(self, v)
+
+    monkeypatch.setattr(MeetInMiddleDistribution, "_count_from", spy)
+    assert isinstance(h.distribution(backend="mitm"), MeetInMiddleDistribution)
+    for i, stat in enumerate((h.influences, lambda: h.vertex_boundary(0),
+                              h.decay_thresholds, lambda: h.delta_query(F(1, 2)))):
+        before = len(counted)
+        assert stat() == dense[i]
+        assert len(counted) > before
+    assert h.vertex_boundary(1) == vb1  # counted with side 0
+    assert isinstance(h.reduced_distribution(0), MeetInMiddleDistribution)
+    assert isinstance(h.suffix_distribution(0), MeetInMiddleDistribution)
+
+
+def test_delta_searched_once_per_c_and_t(monkeypatch):
+    """The delta query of chernoff, of both decay thresholds and of the
+    strong and weak statistics search once per (c, t); copies start empty."""
+    calls = []
+    search = TailDistribution.first_value_tail_le
+
+    def counted(self, num, den):
+        calls.append((num, den))
+        return search(self, num, den)
+
+    monkeypatch.setattr(TailDistribution, "first_value_tail_le", counted)
+    h = make_halfspace([5, 3, 3, 1, 1], 1)
+    half = h.delta_query(F(1, 2))
+    assert h.delta_query(F(1, 2), h.threshold) == half and len(calls) == 1
+    thr = h.decay_thresholds()
+    h.decay_thresholds()
+    chernoff.check_local_chernoff(h, None, "strong")
+    chernoff.check_local_chernoff(h, None, "weak", c=F(1, 2))
+    assert len(calls) == 3  # c = 1/2, 1/3, 1/6 at one t
+    assert h.delta_query(F(1, 3)) == thr.beta and h.delta_query(F(1, 6)) == thr.gamma
+    assert len(calls) == 3
+    h.delta_query(F(1, 2), -1)
+    h.delta_query(F(1, 4))
+    assert len(calls) == 5
+    fresh = make_halfspace([5, 3, 3, 1, 1], 1)
+    for copy, want in ((h.with_threshold(h.threshold), half),
+                       (h.rescaled(3), 3 * half),
+                       (h.dual(), fresh.dual().delta_query(F(1, 2)))):
+        before = len(calls)
+        assert copy.delta_query(F(1, 2)) == want
+        assert len(calls) == before + 1
