@@ -117,7 +117,7 @@ def is_monotone(f: BooleanFunction) -> bool:
 
 def _majority_table(n: int) -> np.ndarray:
     # sum(x_i) = 2*popcount - n > 0  <=>  popcount > n // 2
-    return (kernels.popcounts(n) > n // 2).astype(np.uint8)
+    return (kernels.popcounts(n) > n // 2).view(np.uint8)
 
 
 def majority(n: int, max_n: int | None = None) -> BooleanFunction:
@@ -129,8 +129,7 @@ def majority(n: int, max_n: int | None = None) -> BooleanFunction:
 
 def dictator(n: int, max_n: int | None = None) -> BooleanFunction:
     """1 exactly when the first coordinate is +1."""
-    _check_arity(n, max_n)
-    return BooleanFunction(n, kernels.all_plus(n, [0]).astype(np.uint8))
+    return subcube(1, n, max_n=max_n)
 
 
 def subcube(k: int, n: int, max_n: int | None = None) -> BooleanFunction:
@@ -138,7 +137,9 @@ def subcube(k: int, n: int, max_n: int | None = None) -> BooleanFunction:
     _check_arity(n, max_n)
     if not 1 <= k <= n:
         raise ValueError(f"subcube size {k} outside 1..{n}")
-    return BooleanFunction(n, kernels.all_plus(n, range(k)).astype(np.uint8))
+    table = np.zeros(1 << n, dtype=np.uint8)
+    kernels.set_subcube(table, n, range(k))
+    return BooleanFunction(n, table)
 
 
 def hamming_ball(n: int, t, max_n: int | None = None) -> BooleanFunction:
@@ -147,7 +148,7 @@ def hamming_ball(n: int, t, max_n: int | None = None) -> BooleanFunction:
     t = as_fraction(t)
     # sum(x_i) = 2*popcount - n > t  <=>  popcount > floor((t + n)/2), an integer cut
     cut = math.floor((t + n) / 2)
-    return BooleanFunction(n, (kernels.popcounts(n) > cut).astype(np.uint8))
+    return BooleanFunction(n, (kernels.popcounts(n) > cut).view(np.uint8))
 
 
 def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
@@ -156,10 +157,10 @@ def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
         raise ValueError("tribes needs positive tribe count and width")
     n = a * b
     _check_arity(n, max_n)
-    table = np.zeros(1 << n, dtype=bool)
+    table = np.zeros(1 << n, dtype=np.uint8)
     for j in range(a):
-        table |= kernels.all_plus(n, range(j * b, (j + 1) * b))
-    return BooleanFunction(n, table.astype(np.uint8))
+        kernels.set_subcube(table, n, range(j * b, (j + 1) * b))
+    return BooleanFunction(n, table)
 
 
 def paper5(max_n: int | None = None) -> BooleanFunction:
@@ -167,7 +168,7 @@ def paper5(max_n: int | None = None) -> BooleanFunction:
     _check_arity(5, max_n)
     # sum(x_i) = 2*popcount - 5 is -1, 3 or 5  <=>  popcount is 2, 4 or 5
     table = np.isin(kernels.popcounts(5), (2, 4, 5))
-    return BooleanFunction(5, table.astype(np.uint8))
+    return BooleanFunction(5, table.view(np.uint8))
 
 
 def talagrand_or(n: int, seed: int, max_n: int | None = None) -> BooleanFunction:
@@ -183,39 +184,27 @@ def talagrand_or(n: int, seed: int, max_n: int | None = None) -> BooleanFunction
         b += 1
     a = -(-(1 << b) // b)
     rng = np.random.default_rng(seed)
-    table = kernels.popcounts(n) >= (n + 1) // 2
+    table = (kernels.popcounts(n) >= (n + 1) // 2).view(np.uint8)
     for _ in range(a):
-        table |= kernels.all_plus(n, rng.choice(n, size=b, replace=False))
-    return BooleanFunction(n, table.astype(np.uint8))
+        kernels.set_subcube(table, n, rng.choice(n, size=b, replace=False))
+    return BooleanFunction(n, table)
 
 
-_BUILTIN_NAMES = (
-    "majority",
-    "dictator",
-    "subcube",
-    "hamming-ball",
-    "tribes",
-    "paper5",
-    "talagrand-or",
-)
+_BUILTINS = {
+    "majority": majority,
+    "dictator": dictator,
+    "subcube": subcube,
+    "hamming-ball": hamming_ball,
+    "tribes": tribes,
+    "paper5": paper5,
+    "talagrand-or": talagrand_or,
+}
 
 
 def builtin(name: str, *params, max_n: int | None = None) -> BooleanFunction:
-    if name == "majority":
-        return majority(*params, max_n=max_n)
-    if name == "dictator":
-        return dictator(*params, max_n=max_n)
-    if name == "subcube":
-        return subcube(*params, max_n=max_n)
-    if name == "hamming-ball":
-        return hamming_ball(*params, max_n=max_n)
-    if name == "tribes":
-        return tribes(*params, max_n=max_n)
-    if name == "paper5":
-        return paper5(max_n=max_n)
-    if name == "talagrand-or":
-        return talagrand_or(*params, max_n=max_n)
-    raise ValueError(f"unknown builtin {name!r}; have {_BUILTIN_NAMES}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; have {tuple(_BUILTINS)}")
+    return _BUILTINS[name](*params, max_n=max_n)
 
 
 # ---------------------------------------------------------------------------

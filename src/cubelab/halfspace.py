@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .bfcore import BooleanFunction, max_arity
+from .bfcore import BooleanFunction, _check_arity
 from .rational import as_fraction, common_scale, format_fraction
 
 DENSE_BUDGET = 10_000_000  # max sum of scaled weights for the dense backend
@@ -628,14 +628,12 @@ def ltf_truth_table(weights, threshold, max_n: int | None = None) -> BooleanFunc
     ws = [as_fraction(w) for w in weights]
     threshold = as_fraction(threshold)
     n = len(ws)
-    cap = max_n if max_n is not None else max_arity()
-    if not 1 <= n <= cap:
-        raise ValueError(f"arity {n} outside supported range 1..{cap}")
+    _check_arity(n, max_n)
     scale = common_scale(ws)
     scaled = np.array([int(w * scale) for w in ws], dtype=np.int64)
     vals = kernels.dot_values(scaled)
     cut = _floor_scaled(threshold, scale)
-    return BooleanFunction(n, (vals > cut).astype(np.uint8))
+    return BooleanFunction(n, (vals > cut).view(np.uint8))
 
 
 def parse_halfspace(text: str) -> Halfspace:

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .bfcore import BooleanFunction
 from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
 from .checks import REGISTRY, SUITES, MemberContext
 from .halfspace import distribution_from_scaled
-from .kernels import all_plus
+from .kernels import set_subcube
 from .rational import format_fraction
 
 F = Fraction
@@ -110,10 +111,7 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
         entries = []
         for _ in range(count):
             bits = rng.integers(0, 2, size=1 << n)
-            packed = np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
-            value = int.from_bytes(packed, "little")
-            digits = max(1, (1 << n) // 4)
-            entries.append(f"tt:{n}:{value:0{digits}x}")
+            entries.append(BooleanFunction(n, bits).to_text())
         return Corpus(f"random-function(n={n},seed={seed})", tuple(entries))
     if kind == "monotone-random":
         n = params.get("n", 8)
@@ -121,15 +119,12 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
         rng = np.random.default_rng(seed)
         entries = []
         for _ in range(count):
-            table = np.zeros(1 << n, dtype=bool)
+            table = np.zeros(1 << n, dtype=np.uint8)
             terms = int(rng.integers(1, n + 1))
             for _t in range(terms):
                 width = int(rng.integers(1, n + 1))
-                table |= all_plus(n, rng.choice(n, size=width, replace=False))
-            packed = np.packbits(table.astype(np.uint8), bitorder="little").tobytes()
-            value = int.from_bytes(packed, "little")
-            digits = max(1, (1 << n) // 4)
-            entries.append(f"tt:{n}:{value:0{digits}x}")
+                set_subcube(table, n, rng.choice(n, size=width, replace=False))
+            entries.append(BooleanFunction(n, table).to_text())
         return Corpus(f"monotone-random(n={n},seed={seed})", tuple(entries))
     raise ValueError(f"unknown corpus kind {kind!r}")
 

@@ -5,8 +5,12 @@ where it is clear.  The truth-table scans (influence, boundary,
 monotonicity) run on the table packed one bit per point into little-endian
 uint64 words: bit b of word q is point 64q + b, so coordinates 0..5 index
 bits inside a word and coordinate i >= 6 pairs word q with word
-q + 2^(i - 6).  Each kernel is one vectorized numpy algorithm; its
-independent slow route is in the tests (``tests/oracles.py``).
+q + 2^(i - 6).  Seen as ``table.reshape((2,) * n)``, a table has axis
+n - 1 - i for coordinate i (bit i of a point index), so a subcube that
+fixes x_i = +1 for i in a set of coordinates is the slice taking index 1
+on those axes and every index on the others.  Each kernel is one
+vectorized numpy algorithm; its independent slow route is in the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -221,12 +225,23 @@ def monotone_violations(table: np.ndarray, n: int) -> int:
     return sum(_ones(lo & ~hi) for lo, hi in _word_halves(words, n)) >> pad
 
 
-def all_plus(n: int, coords) -> np.ndarray:
-    """Bool table of the points with x_i = +1 for every i in coords."""
-    table = np.ones(1 << n, dtype=bool)
+def set_subcube(table: np.ndarray, n: int, coords) -> None:
+    """Set table[m] = 1, in place, at the points with x_i = +1 for all i in coords.
+
+    One slice assignment on the (2,)*n view writes the subcube's
+    2^(n - |coords|) entries, so repeated calls OR subcubes together.  A
+    coordinate outside 0..n-1, or a table whose reshape would be a copy, is
+    refused before any write.
+    """
+    coords = [int(i) for i in coords]
+    if not all(0 <= i < n for i in coords):
+        raise ValueError(f"subcube coordinates {coords} outside 0..{n - 1}")
+    if not table.flags.c_contiguous:
+        raise ValueError("set_subcube writes through a reshape view; the table must be C-contiguous")
+    index = [slice(None)] * n
     for i in coords:
-        table.reshape(-1, 2, 1 << int(i))[:, 0, :] = False
-    return table
+        index[n - 1 - i] = 1
+    table.reshape((2,) * n)[tuple(index)] = 1
 
 
 def sign_products(factors) -> np.ndarray:

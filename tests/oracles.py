@@ -12,7 +12,8 @@ per point) of the bit-packed table scans, and the ``gather_*`` characters
 swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
-meet-in-the-middle support window.
+meet-in-the-middle support window, and ``all_plus`` (a new table cleared
+one strided sweep per coordinate) of the in-place subcube write.
 """
 
 from fractions import Fraction
@@ -240,6 +241,14 @@ def halves_boundary_counts(table, n: int) -> tuple[int, int]:
 def halves_monotone_violations(table, n: int) -> int:
     """Number of directed edges with f = 1 below and f = 0 above."""
     return sum(int(np.count_nonzero(lo > hi)) for lo, hi in _halves(table, n))
+
+
+def all_plus(n: int, coords) -> np.ndarray:
+    """Bool table of the points with x_i = +1 for every i in coords."""
+    table = np.ones(1 << n, dtype=bool)
+    for i in coords:
+        table.reshape(-1, 2, 1 << int(i))[:, 0, :] = False
+    return table
 
 
 def _parity_table(n: int) -> np.ndarray:

@@ -1,5 +1,9 @@
+import hashlib
+import importlib.util
 import math
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,55 @@ def test_talagrand_or_pointwise(n):
         x = oracles.point_signs(m, n)
         want = sum(x) >= 0 or any(all(x[i] == 1 for i in term) for term in terms)
         assert f.value_at(m) == int(want)
+
+
+def _table_n22_tribes_shapes():
+    """The (a, b) tribes shapes the table-n22 benchmark workload builds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [shape for shapes in workloads.TRIBES.values() for shape in shapes]
+
+
+def test_tribes_workload_shapes_match_oracle():
+    shapes = _table_n22_tribes_shapes()
+    assert len(shapes) == 8
+    for a, b in shapes:
+        n = a * b
+        want = np.zeros(1 << n, dtype=bool)
+        for j in range(a):
+            want |= oracles.all_plus(n, range(j * b, (j + 1) * b))
+        assert np.array_equal(bfcore.tribes(a, b).table, want), (a, b)
+
+
+# SHA-256 of the table bytes, recorded before the in-place subcube writes;
+# these are the two instances the EX74 check builds
+TALAGRAND_SHA256 = {
+    16: "d8002b898afa60733ea55b9f7ffb6c1710b50b41c77f3008093fb7019bd0c666",
+    25: "3b70c14e02f9683fbbfa2f256f9fc768d7cca618f40589c2f7b7b2445c0e44b2",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TALAGRAND_SHA256))
+def test_talagrand_or_table_digest(n):
+    f = bfcore.talagrand_or(n, 42, max_n=25)
+    assert hashlib.sha256(f.table.tobytes()).hexdigest() == TALAGRAND_SHA256[n]
+
+
+@pytest.mark.parametrize("build", [lambda: bfcore.subcube(3, 20), lambda: bfcore.tribes(4, 5)])
+def test_indicator_builders_allocate_one_table(build):
+    """One byte per point at the peak: the table is written in place, with
+    no full-size term table, OR pass or dtype copy beside it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.n == 20
+    assert peak < 1.25 * (1 << 20), peak
 
 
 def test_talagrand_or_reproducible():

@@ -227,3 +227,41 @@ def test_popcounts():
         pc = kernels.popcounts(n)
         assert pc.dtype == np.uint8
         assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_set_subcube_matches_all_plus(n):
+    """Random, empty and full coordinate sets, on bool and uint8 tables, and
+    several subcubes written into one table (their OR)."""
+    rng = np.random.default_rng(n)
+    sets = [[], list(range(n)), list(range(n))[::-1]]
+    sets += [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(6)]
+    for dtype in (bool, np.uint8):
+        union = np.zeros(1 << n, dtype=bool)
+        table = np.zeros(1 << n, dtype=dtype)
+        for coords in sets[1:]:
+            alone = np.zeros(1 << n, dtype=dtype)
+            kernels.set_subcube(alone, n, coords)
+            assert np.array_equal(alone.astype(bool), oracles.all_plus(n, coords))
+            kernels.set_subcube(table, n, coords)
+            union |= oracles.all_plus(n, coords)
+            assert np.array_equal(table.astype(bool), union)
+        kernels.set_subcube(table, n, sets[0])
+        assert table.dtype == dtype and table.all()
+
+
+@pytest.mark.parametrize("coords", [[-1], [4], [0, 4], [2, -3]])
+def test_set_subcube_refuses_coordinate_outside_cube(coords):
+    table = random_table(np.random.default_rng(0), 4)
+    before = table.copy()
+    with pytest.raises(ValueError, match="outside"):
+        kernels.set_subcube(table, 4, coords)
+    assert np.array_equal(table, before)
+
+
+def test_set_subcube_refuses_non_contiguous_table():
+    base = random_table(np.random.default_rng(1), 5)
+    before = base.copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        kernels.set_subcube(base[::2], 4, [0])
+    assert np.array_equal(base, before)
