@@ -3,7 +3,7 @@ discrete cube: Fourier weights, influences, vertex boundaries, local tail
 decay, constructive flip injections, and a theorem-check harness.
 """
 
-from .bfcore import BooleanFunction, FunctionSpec, builtin, dual, from_truth_table, is_monotone
+from .bfcore import BooleanFunction, FunctionSpec, dual, from_truth_table, is_monotone
 from .chernoff import CheckRecord, Partition
 from .halfspace import Halfspace, TailDistribution, make_halfspace, parse_halfspace
 from .harness import Corpus, PinnedConstants, Report, corpus_gen, run_suite, standard_corpus
@@ -13,7 +13,7 @@ from .spectral import FourierSpectrum, LevelWeights, covariance, fwht_spectrum, 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BooleanFunction", "FunctionSpec", "builtin", "dual", "from_truth_table",
+    "BooleanFunction", "FunctionSpec", "dual", "from_truth_table",
     "is_monotone", "CheckRecord", "Partition", "Halfspace", "TailDistribution",
     "make_halfspace", "parse_halfspace", "Corpus", "PinnedConstants", "Report",
     "corpus_gen", "run_suite", "standard_corpus", "InfluenceProfile",

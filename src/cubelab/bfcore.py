@@ -1,4 +1,4 @@
-"""Truth-table Boolean functions, builtin families, and function algebra.
+"""Truth-table Boolean functions, builtin families, and function descriptors.
 
 A Boolean function f: {-1,1}^n -> {0,1} is stored as its full truth table.
 Point m of the cube (0 <= m < 2^n) is the sign vector with x_i = +1 exactly
@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +96,8 @@ def from_text(text: str, max_n: int | None = None) -> BooleanFunction:
     n = int(n_str)
     _check_arity(n, max_n)
     value = int(hex_str, 16)
+    if value < 0 or value.bit_length() > 1 << n:
+        raise ValueError(f"truth-table literal {text!r} does not fit its 2^{n} points")
     raw = value.to_bytes(((1 << n) + 7) // 8, "little")
     table = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return BooleanFunction(n, table[: 1 << n])
@@ -190,108 +194,97 @@ def talagrand_or(n: int, seed: int, max_n: int | None = None) -> BooleanFunction
     return BooleanFunction(n, table)
 
 
-_BUILTINS = {
-    "majority": majority,
-    "dictator": dictator,
-    "subcube": subcube,
-    "hamming-ball": hamming_ball,
-    "tribes": tribes,
-    "paper5": paper5,
-    "talagrand-or": talagrand_or,
+# ---------------------------------------------------------------------------
+# textual function descriptors
+
+
+class _Kind(NamedTuple):
+    """What a descriptor kind is: how its text splits, and what it builds."""
+
+    sep: str                          # between the parameters; '' for a kind with none
+    converters: tuple[Callable, ...]  # one per parameter, from its text to its value
+    table: Callable | None            # (*values, max_n) -> BooleanFunction; None: the halfspace's
+    halfspace: Callable | None        # (*values) -> (weights, threshold)
+
+
+def _weights(text: str) -> list[Fraction]:
+    return [as_fraction(w) for w in text.split(",")]
+
+
+# builders are named inside lambdas, so each call looks them up in the module
+# and sees any wrapper installed there since import (perfbench's tracer does)
+_KINDS: dict[str, _Kind] = {
+    "tt": _Kind(":", (int, str), lambda n, hexstr, max_n: from_text(f"tt:{n}:{hexstr}", max_n),
+                None),
+    "ltf": _Kind(";", (_weights, as_fraction), None, lambda weights, t: (weights, t)),
+    "maj": _Kind(",", (int,), lambda n, max_n: majority(n, max_n), lambda n: ([1] * n, 0)),
+    "dict": _Kind(",", (int,), lambda n, max_n: dictator(n, max_n),
+                  lambda n: ([1] + [0] * (n - 1), 0)),
+    "subcube": _Kind(",", (int, int), lambda k, n, max_n: subcube(k, n, max_n),
+                     lambda k, n: ([1] * k + [0] * (n - k), Fraction(2 * k - 1, 2))),
+    "ball": _Kind(",", (int, as_fraction), lambda n, t, max_n: hamming_ball(n, t, max_n),
+                  lambda n, t: ([1] * n, t)),
+    "tribes": _Kind(",", (int, int), lambda a, b, max_n: tribes(a, b, max_n), None),
+    "paper5": _Kind("", (), lambda max_n: paper5(max_n), None),
+    "talagrand": _Kind(":", (int, int), lambda n, seed, max_n: talagrand_or(n, seed, max_n),
+                       None),
 }
 
 
-def builtin(name: str, *params, max_n: int | None = None) -> BooleanFunction:
-    if name not in _BUILTINS:
-        raise ValueError(f"unknown builtin {name!r}; have {tuple(_BUILTINS)}")
-    return _BUILTINS[name](*params, max_n=max_n)
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise ValueError(f"unknown function kind {name!r}; have {tuple(_KINDS)}")
+    return _KINDS[name]
 
-
-# ---------------------------------------------------------------------------
-# textual function descriptors
 
 @dataclass(frozen=True)
 class FunctionSpec:
     """Parse target for CLI and corpus entries; round-trips through text.
 
-    kind is one of 'tt', 'ltf', 'maj', 'dict', 'subcube', 'ball', 'tribes',
-    'paper5', 'talagrand'.  params holds the textual parameters verbatim.
+    A descriptor is '<kind>:<params>', or the bare kind when it takes none.
+    Each kind of _KINDS states once how its parameters are separated, how
+    many there are, what builds its truth table and what halfspace it is:
+    'tt:<n>:<hex>', 'ltf:<w1>,...,<wn>;<t>', 'maj:<n>', 'dict:<n>',
+    'subcube:<k>,<n>', 'ball:<n>,<t>', 'tribes:<a>,<b>', 'paper5' and
+    'talagrand:<n>:<seed>'.  params holds the textual parameters verbatim;
+    an unknown kind or a wrong parameter count is a ValueError here, before
+    anything is built.
     """
 
     kind: str
     params: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        count = len(_kind(self.kind).converters)
+        if len(self.params) != count:
+            raise ValueError(f"{self.kind!r} takes {count} parameters, "
+                             f"got {len(self.params)}: {self.to_text()!r}")
+
     def to_text(self) -> str:
-        if self.kind == "paper5":
-            return "paper5"
-        if self.kind == "tt":
-            return f"tt:{self.params[0]}:{self.params[1]}"
-        if self.kind == "talagrand":
-            return f"talagrand:{self.params[0]}:{self.params[1]}"
-        if self.kind == "ltf":
-            return f"ltf:{self.params[0]};{self.params[1]}"
-        return f"{self.kind}:{','.join(self.params)}"
+        if not self.params:
+            return self.kind
+        return f"{self.kind}:{_KINDS[self.kind].sep.join(self.params)}"
 
     @staticmethod
     def parse(text: str) -> "FunctionSpec":
-        text = text.strip()
-        if text == "paper5":
-            return FunctionSpec("paper5")
-        head, _, rest = text.partition(":")
-        if head == "tt":
-            n, _, hexstr = rest.partition(":")
-            return FunctionSpec("tt", (n, hexstr))
-        if head == "talagrand":
-            n, _, seed = rest.partition(":")
-            return FunctionSpec("talagrand", (n, seed))
-        if head == "ltf":
-            weights, _, thr = rest.partition(";")
-            if not thr:
-                raise ValueError(f"halfspace literal needs ';threshold': {text!r}")
-            return FunctionSpec("ltf", (weights, thr))
-        if head in ("maj", "dict", "subcube", "ball", "tribes"):
-            return FunctionSpec(head, tuple(rest.split(",")))
-        raise ValueError(f"unrecognized function descriptor {text!r}")
+        head, colon, rest = text.strip().partition(":")
+        sep = _kind(head).sep
+        if not colon:
+            return FunctionSpec(head)
+        return FunctionSpec(head, tuple(rest.split(sep)) if sep else (rest,))
+
+    def _values(self) -> list:
+        return [convert(p) for convert, p in zip(_KINDS[self.kind].converters, self.params)]
 
     def build(self, max_n: int | None = None) -> BooleanFunction:
-        if self.kind == "tt":
-            return from_text(self.to_text(), max_n=max_n)
-        if self.kind == "maj":
-            return majority(int(self.params[0]), max_n=max_n)
-        if self.kind == "dict":
-            return dictator(int(self.params[0]), max_n=max_n)
-        if self.kind == "subcube":
-            return subcube(int(self.params[0]), int(self.params[1]), max_n=max_n)
-        if self.kind == "ball":
-            return hamming_ball(int(self.params[0]), as_fraction(self.params[1]), max_n=max_n)
-        if self.kind == "tribes":
-            return tribes(int(self.params[0]), int(self.params[1]), max_n=max_n)
-        if self.kind == "paper5":
-            return paper5(max_n=max_n)
-        if self.kind == "talagrand":
-            return talagrand_or(int(self.params[0]), int(self.params[1]), max_n=max_n)
-        if self.kind == "ltf":
+        make = _KINDS[self.kind].table
+        if make is None:
             return self.halfspace().truth_table(max_n=max_n)
-        raise ValueError(f"cannot build {self.kind!r}")
+        return make(*self._values(), max_n)
 
     def halfspace(self):
         """The exact halfspace behind this descriptor, or None."""
         from .halfspace import make_halfspace
 
-        if self.kind == "ltf":
-            weights = [as_fraction(w) for w in self.params[0].split(",")]
-            return make_halfspace(weights, as_fraction(self.params[1]))
-        if self.kind == "maj":
-            n = int(self.params[0])
-            return make_halfspace([Fraction(1)] * n, Fraction(0))
-        if self.kind == "dict":
-            n = int(self.params[0])
-            return make_halfspace([Fraction(1)] + [Fraction(0)] * (n - 1), Fraction(0))
-        if self.kind == "subcube":
-            k, n = int(self.params[0]), int(self.params[1])
-            weights = [Fraction(1)] * k + [Fraction(0)] * (n - k)
-            return make_halfspace(weights, Fraction(2 * k - 1, 2))
-        if self.kind == "ball":
-            n = int(self.params[0])
-            return make_halfspace([Fraction(1)] * n, as_fraction(self.params[1]))
-        return None
+        make = _KINDS[self.kind].halfspace
+        return None if make is None else make_halfspace(*make(*self._values()))

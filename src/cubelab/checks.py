@@ -516,6 +516,12 @@ def _check_weak_chernoff(ctx) -> list[CheckRecord]:
     ]
 
 
+def _imax_scale(h: Halfspace, eps: Fraction) -> float:
+    """The paper's I_max scale eps * min(1, a' sqrt(log(1/eps))), a' = a_1 / |a|."""
+    a1 = float(h.weights[0]) / h.l2_norm()
+    return float(eps) * min(1.0, a1 * math.sqrt(math.log(1 / float(eps))))
+
+
 def _check_segment_band(ctx) -> list[CheckRecord]:
     """Pr[a.x in (t, t+2m]] against eps * min(1, m sqrt(log(1/eps)))."""
     h = ctx.halfspace
@@ -524,12 +530,8 @@ def _check_segment_band(ctx) -> list[CheckRecord]:
     if eps == 0:
         return [CheckRecord.skipped("THM64", ctx.label, "empty tail")]
     m = h.weights[0]
-    norm = h.l2_norm()
     seg = h.distribution().prob_interval(t, t + 2 * m)
-    m_norm = float(m) / norm
-    denom = float(eps) * min(1.0, m_norm * math.sqrt(math.log(1 / float(eps))))
-    stat = float(seg) / denom
-    return [CheckRecord.report("THM64", ctx.label, stat)]
+    return [CheckRecord.report("THM64", ctx.label, float(seg) / _imax_scale(h, eps))]
 
 
 def _check_gauss_member(ctx) -> list[CheckRecord]:
@@ -613,9 +615,7 @@ def _check_influence_band(ctx) -> list[CheckRecord]:
     if not 0 < eps <= F(1, 2):
         return [CheckRecord.skipped("THM14-band", ctx.label, "mean outside (0, 1/2]")]
     best, _ = h.max_influence()
-    a1 = float(h.weights[0]) / h.l2_norm()
-    denom = float(eps) * min(1.0, a1 * math.sqrt(math.log(1 / float(eps))))
-    return [CheckRecord.report("THM14-band", ctx.label, float(best) / denom)]
+    return [CheckRecord.report("THM14-band", ctx.label, float(best) / _imax_scale(h, eps))]
 
 
 def _check_boundary_band(ctx) -> list[CheckRecord]:
@@ -624,9 +624,7 @@ def _check_boundary_band(ctx) -> list[CheckRecord]:
     if not 0 < eps <= F(1, 2):
         return [CheckRecord.skipped("THM15-band", ctx.label, "mean outside (0, 1/2]")]
     total = h.vertex_boundary(0) + h.vertex_boundary(1)
-    a1 = float(h.weights[0]) / h.l2_norm()
-    denom = float(eps) * min(1.0, a1 * math.sqrt(math.log(1 / float(eps))))
-    return [CheckRecord.report("THM15-band", ctx.label, float(total) / denom)]
+    return [CheckRecord.report("THM15-band", ctx.label, float(total) / _imax_scale(h, eps))]
 
 
 def _check_boundary_two_sided(ctx) -> list[CheckRecord]:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .bfcore import BooleanFunction, _check_arity
+from .bfcore import BooleanFunction, FunctionSpec, _check_arity
 from .rational import as_fraction, common_scale, format_fraction
 
 DENSE_BUDGET = 10_000_000  # max sum of scaled weights for the dense backend
@@ -273,10 +273,6 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
             f"outcome counts overflow int64 beyond {MAX_SUMMANDS} summands (n={n})"
         )
     if _dense(total, backend):
-        if n == 0:
-            return TailDistribution(
-                np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), scale, 0
-            )
         if backend is None and (1 << n) <= total + 1:
             # the cube has no more points than the DP would have cells
             return TailDistribution(*_enumerated(weights), scale, n)
@@ -429,14 +425,16 @@ class Halfspace:
         count = self.reduced_distribution(j).count_interval(t - w, t + w)
         return Fraction(count, 1 << (self.n - 1))
 
-    def influence(self, i: int, t=None) -> Fraction:
-        """Influence of original coordinate i; dropped zero weights have none."""
+    def _internal(self, i: int) -> int | None:
+        """Internal position of original coordinate i; None for a dropped zero weight."""
         if not 0 <= i < self.arity:
             raise IndexError(f"coordinate {i} outside 0..{self.arity - 1}")
-        for j, orig in enumerate(self.order):
-            if orig == i:
-                return self.influence_internal(j, t)
-        return Fraction(0)
+        return self.order.index(i) if i in self.order else None
+
+    def influence(self, i: int, t=None) -> Fraction:
+        """Influence of original coordinate i; dropped zero weights have none."""
+        j = self._internal(i)
+        return Fraction(0) if j is None else self.influence_internal(j, t)
 
     def influences(self, t=None) -> list[Fraction]:
         """Influence of every original coordinate, computed once per threshold.
@@ -578,11 +576,7 @@ class Halfspace:
         if delta <= 0:
             raise ValueError("smoothing width must be positive")
         t = self.threshold if t is None else as_fraction(t)
-        j = None
-        for jj, orig in enumerate(self.order):
-            if orig == i:
-                j = jj
-                break
+        j = self._internal(i)
         if j is None:
             return Fraction(0)
         w = self.weights[j]
@@ -638,10 +632,7 @@ def ltf_truth_table(weights, threshold, max_n: int | None = None) -> BooleanFunc
 
 def parse_halfspace(text: str) -> Halfspace:
     """Parse 'ltf:w1,w2,...;t' with rational entries."""
-    if not text.startswith("ltf:"):
+    spec = FunctionSpec.parse(text)
+    if spec.kind != "ltf":
         raise ValueError(f"not a halfspace literal: {text!r}")
-    body = text[4:]
-    wtxt, _, ttxt = body.partition(";")
-    if not ttxt:
-        raise ValueError(f"halfspace literal needs ';threshold': {text!r}")
-    return make_halfspace([as_fraction(w) for w in wtxt.split(",")], as_fraction(ttxt))
+    return spec.halfspace()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bfcore import BooleanFunction
+from .bfcore import BooleanFunction, FunctionSpec
 from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
 from .checks import REGISTRY, SUITES, MemberContext
 from .halfspace import distribution_from_scaled
@@ -51,7 +51,13 @@ class Corpus:
 
     @staticmethod
     def load(path) -> "Corpus":
+        """Read a corpus file; a malformed entry is refused before any check runs."""
         data = json.loads(Path(path).read_text())
+        for idx, entry in enumerate(data["entries"]):
+            try:
+                FunctionSpec.parse(entry)
+            except ValueError as exc:
+                raise ValueError(f"{path} entry {idx}: {exc}") from None
         return Corpus(data["name"], tuple(data["entries"]))
 
 

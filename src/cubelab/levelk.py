@@ -212,12 +212,15 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     from delta times the k-fold uniform sum.
 
     Equals E_x[x^S * G_k((a.x - t)/delta)] by Fubini, which is how it is
-    evaluated: one CDF weight per support value of a.x.
+    evaluated: one CDF weight per support value of a.x.  The subset holds
+    distinct internal (descending-weight) positions 0..h.n-1.
     """
     subset = tuple(sorted(subset))
     k = len(subset)
     if k < 1:
         raise ValueError("subset must be nonempty")
+    if len(set(subset)) < k or subset[0] < 0 or subset[-1] >= h.n:
+        raise ValueError(f"subset {subset} needs distinct positions in 0..{h.n - 1}")
     delta = as_fraction(delta)
     if delta <= 0:
         raise ValueError("smoothing width must be positive")

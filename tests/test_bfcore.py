@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubelab import bfcore
+from cubelab import bfcore, halfspace
 from cubelab.bfcore import FunctionSpec
 
 import oracles
@@ -93,7 +93,7 @@ def test_builtin_errors():
     with pytest.raises(ValueError):
         bfcore.tribes(5, 5)
     with pytest.raises(ValueError):
-        bfcore.builtin("mystery")
+        FunctionSpec.parse("mystery:3")
 
 
 def test_tribes_structure():
@@ -269,6 +269,78 @@ def test_max_arity_env(monkeypatch):
     with pytest.raises(ValueError):
         bfcore.majority(5)
     assert bfcore.majority(5, max_n=10).n == 5
+
+
+# one case per descriptor kind: its text and the builder it names, called directly
+KIND_CASES = [
+    ("tt:2:6", lambda: bfcore.from_truth_table([0, 1, 1, 0], 2)),
+    ("ltf:4/5,3/5;0", lambda: halfspace.ltf_truth_table([Fraction(4, 5), Fraction(3, 5)], 0)),
+    ("maj:5", lambda: bfcore.majority(5)),
+    ("dict:4", lambda: bfcore.dictator(4)),
+    ("subcube:3,5", lambda: bfcore.subcube(3, 5)),
+    ("ball:6,1/2", lambda: bfcore.hamming_ball(6, Fraction(1, 2))),
+    ("tribes:3,3", lambda: bfcore.tribes(3, 3)),
+    ("paper5", bfcore.paper5),
+    ("talagrand:9:42", lambda: bfcore.talagrand_or(9, 42)),
+]
+NOT_HALFSPACES = {"tt", "talagrand", "tribes", "paper5"}
+
+
+def test_kind_cases_cover_the_descriptor_table():
+    kinds = [FunctionSpec.parse(text).kind for text, _ in KIND_CASES]
+    assert sorted(kinds) == sorted(bfcore._KINDS)
+
+
+@pytest.mark.parametrize("text,direct", KIND_CASES, ids=[t for t, _ in KIND_CASES])
+def test_descriptor_kind(text, direct):
+    spec = FunctionSpec.parse(text)
+    assert spec.to_text() == text
+    assert FunctionSpec.parse(spec.to_text()) == spec
+    assert spec.build() == direct()
+    h = spec.halfspace()
+    assert (h is None) == (spec.kind in NOT_HALFSPACES)
+    if h is not None:
+        assert h.truth_table() == spec.build()
+
+
+@pytest.mark.parametrize("text", [t for t, _ in KIND_CASES])
+def test_descriptor_wrong_parameter_count(text):
+    """One parameter too many, and one too few, is refused by parse."""
+    spec = FunctionSpec.parse(text)
+    kind, params = spec.kind, spec.params
+    sep = bfcore._KINDS[kind].sep
+    bad = [f"{kind}:{sep.join(params + ('1',))}"]
+    if params:
+        bad.append(kind + (f":{sep.join(params[:-1])}" if len(params) > 1 else ""))
+    for literal in bad:
+        with pytest.raises(ValueError, match="takes"):
+            FunctionSpec.parse(literal)
+
+
+@pytest.mark.parametrize("text", ["paper5:", "paper5:1", "mystery:3", "mystery", "maj",
+                                  "maj:5,7", "subcube:3", "ltf:1,2", "tt:2:6:1"])
+def test_descriptor_refused(text):
+    with pytest.raises(ValueError):
+        FunctionSpec.parse(text)
+
+
+def test_function_spec_checks_its_parameter_count():
+    with pytest.raises(ValueError, match="'maj' takes 1 parameters, got 2"):
+        FunctionSpec("maj", ("5", "7"))
+    with pytest.raises(ValueError, match="unknown function kind"):
+        FunctionSpec("mystery", ("3",))
+
+
+@pytest.mark.parametrize("text", ["tt:2:ff", "tt:2:1ff", "tt:1:-1", "tt:3:100"])
+def test_from_text_refuses_bits_beyond_the_table(text):
+    with pytest.raises(ValueError, match="does not fit"):
+        bfcore.from_text(text)
+
+
+def test_from_text_accepts_every_table_of_its_width():
+    assert bfcore.from_text("tt:2:f") == bfcore.from_truth_table([1, 1, 1, 1], 2)
+    assert bfcore.from_text("tt:3:ff").ones == 8
+    assert bfcore.from_text("tt:2:0").ones == 0
 
 
 def test_builtin_tables_match_halfspace_route():

@@ -24,6 +24,22 @@ def test_analyze_truth_table(capsys):
     assert "mean: 1/2" in out
 
 
+@pytest.mark.parametrize("spec", ["subcube:3", "maj:5,7", "paper5:1", "tt:2:1ff", "mystery:3"])
+def test_analyze_refuses_malformed_descriptor(capsys, spec):
+    """A refusal is exit 2 with a message, not a traceback's exit 1."""
+    assert cli.main(["analyze", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_refuses_corpus_with_malformed_entry(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "entries": ["maj:3", "subcube:3"]}))
+    assert cli.main(["verify", "--suite", "exact-identities", "--corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "entry 1: 'subcube' takes 2 parameters" in captured.err
+    assert "total:" not in captured.out
+
+
 def test_spectrum_stdout_and_csv(capsys, tmp_path):
     code, out = run(capsys, "spectrum", "maj:3")
     assert code == 0

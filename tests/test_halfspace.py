@@ -115,6 +115,17 @@ def test_backends_agree():
     assert dense.first_value_tail_le(base, 3) == mitm.first_value_tail_le(base, 3)
 
 
+@pytest.mark.parametrize("backend", [None, "dense"])
+def test_empty_sum_distribution(backend):
+    """No summands: the sum is 0 on the one point of the empty cube."""
+    dist = distribution_from_scaled(np.zeros(0, dtype=np.int64), 3, backend=backend)
+    assert isinstance(dist, TailDistribution)
+    assert dist.values.tolist() == [0] and dist.counts.tolist() == [1]
+    assert dist.values.dtype == dist.counts.dtype == np.int64
+    assert dist.total == 1 and dist.scale == 3
+    assert dist.count_gt_scaled(-1) == 1 and dist.count_gt_scaled(0) == 0
+
+
 def test_mitm_used_above_budget(monkeypatch):
     import cubelab.halfspace as hs
 
@@ -248,6 +259,20 @@ def test_smoothed_influence_single_weight():
     h = make_halfspace([1], 0)
     assert h.smoothed_influence(0, 2) == F(1, 2)
     assert h.smoothed_influence(0, 1) == 1
+
+
+def test_coordinate_lookup_by_original_index():
+    """Both methods take original indices: outside 0..arity-1 is an IndexError,
+    a dropped zero-weight coordinate has influence 0."""
+    h = parse_halfspace("ltf:3,0,2,1;1")
+    for i in (-1, h.arity, 99):
+        with pytest.raises(IndexError):
+            h.influence(i)
+        with pytest.raises(IndexError):
+            h.smoothed_influence(i, 1)
+    assert h.influence(1) == 0 and h.smoothed_influence(1, 1) == 0
+    assert h.influence(3) == oracles.brute_influence(h.truth_table(), 3)
+    assert h.smoothed_influence(3, 1) == oracles.brute_smoothed_influence([3, 0, 2, 1], 1, 3, 1)
 
 
 def test_smoothed_influence_majority3():

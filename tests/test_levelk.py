@@ -217,6 +217,15 @@ def test_smoothed_fourier_validates():
         levelk.smoothed_fourier(h, (0,), 0)
 
 
+@pytest.mark.parametrize("subset", [(0, 5), (0, 0), (-1, 0), (3,), (1, 1, 2)])
+def test_smoothed_fourier_refuses_repeated_or_outside_positions(subset):
+    """k counts the subset's entries, so a repeated or out-of-range index would
+    pair the k-fold CDF with the character of a smaller set."""
+    h = make_halfspace([3, 2, 1], 1)
+    with pytest.raises(ValueError, match="distinct positions"):
+        levelk.smoothed_fourier(h, subset, 1)
+
+
 # -- pointwise symmetric values and sign condition ------------------------------------
 
 def brute_esym(signed, k):
