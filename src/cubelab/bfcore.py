@@ -124,9 +124,18 @@ def _majority_table(n: int) -> np.ndarray:
     return (kernels.popcounts(n) > n // 2).view(np.uint8)
 
 
+def _check_positive(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"arity {n} is not positive")
+
+
+def _check_majority(n: int) -> None:
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"majority needs a positive odd arity, got {n}")
+
+
 def majority(n: int, max_n: int | None = None) -> BooleanFunction:
-    if n % 2 == 0:
-        raise ValueError("majority needs odd arity")
+    _check_majority(n)
     _check_arity(n, max_n)
     return BooleanFunction(n, _majority_table(n))
 
@@ -136,11 +145,15 @@ def dictator(n: int, max_n: int | None = None) -> BooleanFunction:
     return subcube(1, n, max_n=max_n)
 
 
+def _check_subcube(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"subcube size {k} outside 1..{n}")
+
+
 def subcube(k: int, n: int, max_n: int | None = None) -> BooleanFunction:
     """1 exactly when the first k coordinates are all +1."""
     _check_arity(n, max_n)
-    if not 1 <= k <= n:
-        raise ValueError(f"subcube size {k} outside 1..{n}")
+    _check_subcube(k, n)
     table = np.zeros(1 << n, dtype=np.uint8)
     kernels.set_subcube(table, n, range(k))
     return BooleanFunction(n, table)
@@ -155,10 +168,14 @@ def hamming_ball(n: int, t, max_n: int | None = None) -> BooleanFunction:
     return BooleanFunction(n, (kernels.popcounts(n) > cut).view(np.uint8))
 
 
-def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
-    """OR of a disjoint ANDs of width b, on n = a*b coordinates."""
+def _check_tribes(a: int, b: int) -> None:
     if a < 1 or b < 1:
         raise ValueError("tribes needs positive tribe count and width")
+
+
+def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
+    """OR of a disjoint ANDs of width b, on n = a*b coordinates."""
+    _check_tribes(a, b)
     n = a * b
     _check_arity(n, max_n)
     table = np.zeros(1 << n, dtype=np.uint8)
@@ -205,6 +222,9 @@ class _Kind(NamedTuple):
     converters: tuple[Callable, ...]  # one per parameter, from its text to its value
     table: Callable | None            # (*values, max_n) -> BooleanFunction; None: the halfspace's
     halfspace: Callable | None        # (*values) -> (weights, threshold)
+    # (*values) -> None: refuses, at parse, the values its builders refuse
+    # whatever the arity cap
+    check: Callable | None = None
 
 
 def _weights(text: str) -> list[Fraction]:
@@ -217,14 +237,17 @@ _KINDS: dict[str, _Kind] = {
     "tt": _Kind(":", (int, str), lambda n, hexstr, max_n: from_text(f"tt:{n}:{hexstr}", max_n),
                 None),
     "ltf": _Kind(";", (_weights, as_fraction), None, lambda weights, t: (weights, t)),
-    "maj": _Kind(",", (int,), lambda n, max_n: majority(n, max_n), lambda n: ([1] * n, 0)),
+    "maj": _Kind(",", (int,), lambda n, max_n: majority(n, max_n), lambda n: ([1] * n, 0),
+                 _check_majority),
     "dict": _Kind(",", (int,), lambda n, max_n: dictator(n, max_n),
-                  lambda n: ([1] + [0] * (n - 1), 0)),
+                  lambda n: ([1] + [0] * (n - 1), 0), _check_positive),
     "subcube": _Kind(",", (int, int), lambda k, n, max_n: subcube(k, n, max_n),
-                     lambda k, n: ([1] * k + [0] * (n - k), Fraction(2 * k - 1, 2))),
+                     lambda k, n: ([1] * k + [0] * (n - k), Fraction(2 * k - 1, 2)),
+                     _check_subcube),
     "ball": _Kind(",", (int, as_fraction), lambda n, t, max_n: hamming_ball(n, t, max_n),
-                  lambda n, t: ([1] * n, t)),
-    "tribes": _Kind(",", (int, int), lambda a, b, max_n: tribes(a, b, max_n), None),
+                  lambda n, t: ([1] * n, t), lambda n, t: _check_positive(n)),
+    "tribes": _Kind(",", (int, int), lambda a, b, max_n: tribes(a, b, max_n), None,
+                    _check_tribes),
     "paper5": _Kind("", (), lambda max_n: paper5(max_n), None),
     "talagrand": _Kind(":", (int, int), lambda n, seed, max_n: talagrand_or(n, seed, max_n),
                        None),
@@ -247,8 +270,9 @@ class FunctionSpec:
     'tt:<n>:<hex>', 'ltf:<w1>,...,<wn>;<t>', 'maj:<n>', 'dict:<n>',
     'subcube:<k>,<n>', 'ball:<n>,<t>', 'tribes:<a>,<b>', 'paper5' and
     'talagrand:<n>:<seed>'.  params holds the textual parameters verbatim;
-    an unknown kind or a wrong parameter count is a ValueError here, before
-    anything is built.
+    an unknown kind, a wrong parameter count or a value the kind's builders
+    refuse below any arity cap is a ValueError here, before anything is
+    built.
     """
 
     kind: str
@@ -259,6 +283,9 @@ class FunctionSpec:
         if len(self.params) != count:
             raise ValueError(f"{self.kind!r} takes {count} parameters, "
                              f"got {len(self.params)}: {self.to_text()!r}")
+        check = _KINDS[self.kind].check
+        if check is not None:
+            check(*self._values())
 
     def to_text(self) -> str:
         if not self.params:

@@ -14,16 +14,6 @@ class DomainError(ValueError):
     """Input is outside the partial map's domain."""
 
 
-def _sums_of_difference(u, v):
-    """Running sums of u_i - v_i, with a leading 0 entry."""
-    sums = [0]
-    acc = 0
-    for ui, vi in zip(u, v):
-        acc = acc + (ui - vi)
-        sums.append(acc)
-    return sums
-
-
 def suffix_flip(u, v, r, strict: bool = False):
     """Swap the tails of (u, v) after the first index whose running
     difference-sum reaches r (exceeds r with strict=True).
@@ -34,7 +24,7 @@ def suffix_flip(u, v, r, strict: bool = False):
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError("vectors must have equal length")
-    sums = _sums_of_difference(u, v)
+    sums = running_sums(ui - vi for ui, vi in zip(u, v))
     cut = None
     for i, s in enumerate(sums):
         if (s > r) if strict else (s >= r):

@@ -45,18 +45,48 @@ def _ceil_scaled(q: Fraction, scale: int) -> int:
 class _TailBase:
     """Query interface shared by both distribution backends.
 
-    All probabilities are exact with denominator 2^n_summands; thresholds
-    are rationals in original (unscaled) units unless suffixed _scaled.
+    A backend supplies ``counts_ge_scaled`` (the outcomes with value >= v,
+    at a Python int or at every entry of an int64 array of any shape),
+    ``support_window``, ``min_scaled`` and ``max_scaled``; every other query
+    is written once, here.  All probabilities are exact with denominator
+    2^n_summands; thresholds are rationals in original (unscaled) units
+    unless suffixed _scaled.
     """
 
     scale: int
     n_summands: int
+    min_scaled: int
+    max_scaled: int
 
     @property
     def total(self) -> int:
         return 1 << self.n_summands
 
-    # backends implement count_gt_scaled / count_ge_scaled and the rest
+    def count_ge_scaled(self, v: int) -> int:
+        return int(self.counts_ge_scaled(v))
+
+    def count_gt_scaled(self, v: int) -> int:
+        return int(self.counts_ge_scaled(v + 1))
+
+    def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
+        return self.counts_ge_scaled(np.asarray(v, dtype=np.int64) + 1)
+
+    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
+        """Least scaled v in [min_scaled, max_scaled] with
+        count_gt_scaled(v) * limit_den <= limit_num, bisecting the integers.
+
+        The tail count is constant from one support value up to the next,
+        so the least such v is a support value on either backend; for
+        limit_num >= 0, max_scaled qualifies.
+        """
+        lo, hi = self.min_scaled, self.max_scaled
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.count_gt_scaled(mid) * limit_den <= limit_num:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def count_gt(self, q) -> int:
         return self.count_gt_scaled(_floor_scaled(as_fraction(q), self.scale))
@@ -85,7 +115,9 @@ class _TailBase:
 
 
 class TailDistribution(_TailBase):
-    """Dense exact distribution: sorted distinct scaled sums with counts."""
+    """Dense exact distribution: the distinct scaled sums ascending and their
+    counts.  With the suffix counts beside them, a tail count is one
+    ``searchsorted`` of the values."""
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, scale: int, n_summands: int):
         self.values = values
@@ -96,33 +128,8 @@ class TailDistribution(_TailBase):
         self.min_scaled = int(values[0])
         self.max_scaled = int(values[-1])
 
-    def count_gt_scaled(self, v: int) -> int:
-        idx = int(np.searchsorted(self.values, v + 1, side="left"))
-        return int(self._suffix[idx])
-
-    def count_ge_scaled(self, v: int) -> int:
-        idx = int(np.searchsorted(self.values, v, side="left"))
-        return int(self._suffix[idx])
-
-    def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.values, v + 1, side="left")
-        return self._suffix[idx]
-
-    def counts_ge_scaled(self, v: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.values, v, side="left")
-        return self._suffix[idx]
-
-    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
-        """Minimal support value v (scaled) with count_gt(v) * den <= num."""
-        # suffix[i + 1] is the tail count strictly beyond values[i]
-        lo, hi = 0, len(self.values) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if int(self._suffix[mid + 1]) * limit_den <= limit_num:
-                hi = mid
-            else:
-                lo = mid + 1
-        return int(self.values[lo])
+    def counts_ge_scaled(self, v):
+        return self._suffix[np.searchsorted(self.values, v, side="left")]
 
     def support_window(self, lo_scaled: int, hi_scaled: int,
                        include_lo: bool = False, include_hi: bool = False):
@@ -130,18 +137,16 @@ class TailDistribution(_TailBase):
         right = int(np.searchsorted(self.values, hi_scaled, "right" if include_hi else "left"))
         return self.values[left:right], self.counts[left:right]
 
-    def support(self):
-        return self.values, self.counts
-
 
 class MeetInMiddleDistribution(_TailBase):
     """Two enumerated halves: a.x = u + r, u from the left half, r from the right.
 
     The outcomes with value >= v number the sum over left values u of
-    count(u) times the right outcomes with r >= v - u: one ``searchsorted``
-    of the keys v - u into the right values, then one dot product with the
-    right half's suffix counts.  The left half is stored descending, so the
-    keys ascend, the order in which ``searchsorted`` narrows each search
+    count(u) times the right outcomes with r >= v - u.  For a block of
+    queries that is one ``searchsorted`` of the keys v - u into the right
+    values, then one matrix product of the right half's suffix counts with
+    the left counts.  The left half is stored descending, so each row of
+    keys ascends, the order in which ``searchsorted`` narrows each search
     from the one before it.
     """
 
@@ -168,13 +173,10 @@ class MeetInMiddleDistribution(_TailBase):
         halves[side] = _half(side, np.delete(weights[side::2], j // 2))
         return MeetInMiddleDistribution(*halves, self.scale, self.n_summands - 1)
 
-    def _count_from(self, v: int) -> int:
-        """Number of outcomes with value >= v (scaled)."""
-        idx = np.searchsorted(self._rv, v - self._lv, side="left")
-        return int(np.dot(self._lc, self._rsuffix[idx]))
-
-    def _counts_from(self, v: np.ndarray) -> np.ndarray:
-        """_count_from at every entry of v, a block of rows at a time."""
+    def counts_ge_scaled(self, v):
+        """Outcomes with value >= v at every entry of v, a block of rows of
+        keys at a time; a Python int or 0-d v is a block of one row."""
+        v = np.asarray(v, dtype=np.int64)
         flat = v.ravel()
         out = np.empty(len(flat), dtype=np.int64)
         rows = max(1, _QUERY_KEYS // len(self._lv))
@@ -183,28 +185,6 @@ class MeetInMiddleDistribution(_TailBase):
             idx = np.searchsorted(self._rv, keys.ravel(), side="left")
             out[s : s + rows] = self._rsuffix[idx].reshape(keys.shape) @ self._lc
         return out.reshape(v.shape)
-
-    def count_gt_scaled(self, v: int) -> int:
-        return self._count_from(v + 1)
-
-    def count_ge_scaled(self, v: int) -> int:
-        return self._count_from(v)
-
-    def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
-        return self._counts_from(np.asarray(v, dtype=np.int64) + 1)
-
-    def counts_ge_scaled(self, v: np.ndarray) -> np.ndarray:
-        return self._counts_from(np.asarray(v, dtype=np.int64))
-
-    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
-        lo, hi = self.min_scaled, self.max_scaled
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.count_gt_scaled(mid) * limit_den <= limit_num:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
     def support_window(self, lo_scaled: int, hi_scaled: int,
                        include_lo: bool = False, include_hi: bool = False):
@@ -325,7 +305,6 @@ class Halfspace:
         """Drop every distribution and statistic counted so far."""
         self._dist = None
         self._reduced: dict[int, _TailBase] = {}
-        self._suffix: dict[int, _TailBase] = {}
         self._influences: dict[Fraction, list[Fraction]] = {}  # by threshold
         self._boundaries: dict[Fraction, tuple[int, int]] = {}  # by threshold
         self._deltas: dict[tuple[Fraction, Fraction], Fraction] = {}  # by (c, t)
@@ -384,12 +363,9 @@ class Halfspace:
         return self._reduced[j]
 
     def suffix_distribution(self, k: int) -> _TailBase:
-        """Distribution of the weights strictly after internal index k."""
-        if k not in self._suffix:
-            self._suffix[k] = distribution_from_scaled(
-                self.scaled[k + 1 :], self.scale, self._backend
-            )
-        return self._suffix[k]
+        """Distribution of the weights strictly after internal index k, built
+        on each call; the boundary counts that read it are kept per threshold."""
+        return distribution_from_scaled(self.scaled[k + 1 :], self.scale, self._backend)
 
     # -- basic statistics ------------------------------------------------------
 

@@ -12,8 +12,10 @@ per point) of the bit-packed table scans, and the ``gather_*`` characters
 swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
-meet-in-the-middle support window, and ``all_plus`` (a new table cleared
-one strided sweep per coordinate) of the in-place subcube write.
+meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
+dot product per value) of its blocked tail counts, and ``all_plus`` (a
+new table cleared one strided sweep per coordinate) of the in-place
+subcube write.
 """
 
 from fractions import Fraction
@@ -342,3 +344,12 @@ def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int,
     values = np.array(sorted(acc), dtype=np.int64)
     counts = np.array([acc[int(v)] for v in values], dtype=np.int64)
     return values, counts
+
+
+def mitm_count_ge(dist, v: int) -> int:
+    """Outcomes of a meet-in-the-middle distribution with value >= v, one
+    value at a time: one ``searchsorted`` of the keys v - u into the right
+    values, then one dot product of the left counts with the right suffix
+    counts."""
+    idx = np.searchsorted(dist._rv, v - dist._lv, side="left")
+    return int(np.dot(dist._lc, dist._rsuffix[idx]))

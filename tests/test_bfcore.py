@@ -324,6 +324,18 @@ def test_descriptor_refused(text):
         FunctionSpec.parse(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("subcube:5,3", "subcube size 5 outside 1..3"), ("subcube:0,3", "subcube size 0"),
+    ("dict:0", "arity 0 is not positive"), ("dict:-1", "arity -1 is not positive"),
+    ("maj:4", "positive odd arity, got 4"), ("maj:-1", "positive odd arity, got -1"),
+    ("ball:0,1", "arity 0 is not positive"), ("tribes:0,3", "positive tribe count"),
+])
+def test_descriptor_refuses_what_its_builders_refuse(text, message):
+    """Refused at parse, so a halfspace is never made from the values."""
+    with pytest.raises(ValueError, match=message):
+        FunctionSpec.parse(text)
+
+
 def test_function_spec_checks_its_parameter_count():
     with pytest.raises(ValueError, match="'maj' takes 1 parameters, got 2"):
         FunctionSpec("maj", ("5", "7"))

@@ -24,7 +24,8 @@ def test_analyze_truth_table(capsys):
     assert "mean: 1/2" in out
 
 
-@pytest.mark.parametrize("spec", ["subcube:3", "maj:5,7", "paper5:1", "tt:2:1ff", "mystery:3"])
+@pytest.mark.parametrize("spec", ["subcube:3", "maj:5,7", "paper5:1", "tt:2:1ff", "mystery:3",
+                                  "subcube:5,3"])
 def test_analyze_refuses_malformed_descriptor(capsys, spec):
     """A refusal is exit 2 with a message, not a traceback's exit 1."""
     assert cli.main(["analyze", spec]) == 2
@@ -37,6 +38,16 @@ def test_verify_refuses_corpus_with_malformed_entry(capsys, tmp_path):
     assert cli.main(["verify", "--suite", "exact-identities", "--corpus", str(path)]) == 2
     captured = capsys.readouterr()
     assert "entry 1: 'subcube' takes 2 parameters" in captured.err
+    assert "total:" not in captured.out
+
+
+def test_verify_refuses_corpus_with_out_of_range_halfspace(capsys, tmp_path):
+    """subcube:5,3 has a halfspace but no build; the corpus is refused at load."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "entries": ["subcube:5,3"]}))
+    assert cli.main(["verify", "--suite", "tail-lemmas", "--corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "entry 0: subcube size 5 outside 1..3" in captured.err
     assert "total:" not in captured.out
 
 

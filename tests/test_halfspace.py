@@ -497,10 +497,10 @@ def test_influences_counted_once_per_threshold(monkeypatch):
 
 # -- meet-in-the-middle queries -------------------------------------------------------
 #
-# Vectorised counts against the scalar count at every value, the support
-# window against the pair-by-pair dict route, and reduced distributions that
-# share the full distribution's other half against distributions built from
-# the reduced weights.
+# Blocked counts against a one-value-at-a-time count at every value, the
+# support window against the pair-by-pair dict route, and reduced
+# distributions that share the full distribution's other half against
+# distributions built from the reduced weights.
 
 def assert_same_distribution(a, b):
     """Equal totals, ranges, tail counts at every value and supports."""
@@ -515,7 +515,8 @@ def assert_same_distribution(a, b):
 @pytest.mark.parametrize("keys", [1, 5, 1 << 20])
 def test_mitm_vector_counts_match_scalar_counts(monkeypatch, keys):
     """At every value from below min_scaled to above max_scaled, in blocks of
-    one row, of part of a row and of every row at once."""
+    one row, of part of a row and of every row at once, against one search
+    and one dot product per value."""
     monkeypatch.setattr(hs, "_QUERY_KEYS", keys)
     rng = np.random.default_rng(31)
     for n in (1, 2, 5, 8):
@@ -525,13 +526,49 @@ def test_mitm_vector_counts_match_scalar_counts(monkeypatch, keys):
         v = np.arange(mitm.min_scaled - 3, mitm.max_scaled + 4)
         gt = mitm.counts_gt_scaled(v)
         ge = mitm.counts_ge_scaled(v)
-        assert gt.tolist() == [mitm.count_gt_scaled(int(x)) for x in v]
-        assert ge.tolist() == [mitm.count_ge_scaled(int(x)) for x in v]
+        assert gt.tolist() == [oracles.mitm_count_ge(mitm, int(x) + 1) for x in v]
+        assert ge.tolist() == [oracles.mitm_count_ge(mitm, int(x)) for x in v]
         assert np.array_equal(gt, dense.counts_gt_scaled(v))
         assert np.array_equal(ge, dense.counts_ge_scaled(v))
         assert gt[0] == ge[0] == 1 << n and gt[-1] == ge[-1] == 0
         grid = v[: len(v) // 2 * 2].reshape(2, -1)
         assert np.array_equal(mitm.counts_gt_scaled(grid), gt[: grid.size].reshape(grid.shape))
+
+
+@pytest.mark.parametrize("backend", ["dense", "mitm"])
+def test_tail_queries_match_a_scan(backend):
+    """For n = 1..9 with ties and rational weights, at every integer from
+    min_scaled - 2 to max_scaled + 2: the tail counts at a Python int, a 0-d
+    and a 2-D array against enumerated sums, and the one delta search
+    against the least scanned value (at least min_scaled) within the limit."""
+    rng = np.random.default_rng(41)
+    for n in range(1, 10):
+        weights = [F(int(a), int(b)) for a, b in zip(rng.integers(1, 5, size=n),
+                                                     rng.choice([1, 2, 3], size=n))]
+        h = make_halfspace(weights, 0)
+        dist = distribution_from_scaled(h.scaled, h.scale, backend=backend)
+        sums = {int(v * h.scale): c for v, c in oracles.brute_sum_counts(weights).items()}
+        assert (dist.min_scaled, dist.max_scaled) == (min(sums), max(sums))
+        scan = range(dist.min_scaled - 2, dist.max_scaled + 3)
+        tail = {v: sum(c for s, c in sums.items() if s > v)
+                for v in range(scan[0] - 1, scan[-1] + 1)}
+        v = np.array(scan, dtype=np.int64)
+        grid = np.stack([v, v[::-1]])
+        gt, ge = dist.counts_gt_scaled(grid), dist.counts_ge_scaled(grid)
+        assert gt.shape == ge.shape == grid.shape
+        for i, x in enumerate(scan):
+            assert np.shape(dist.counts_ge_scaled(np.array(x))) == ()
+            for count, grid_counts, want in ((dist.count_gt_scaled, gt, tail[x]),
+                                             (dist.count_ge_scaled, ge, tail[x - 1])):
+                assert count(x) == count(np.array(x)) == want
+                assert type(count(x)) is int
+                assert grid_counts[0, i] == grid_counts[1, -1 - i] == want
+        base = tail[0]
+        for den in (1, 3):
+            for num in (0, 1, base - 1, base, dist.total * den):
+                first = next(x for x in scan if tail[x] * den <= num)
+                got = dist.first_value_tail_le(num, den)
+                assert got == max(first, dist.min_scaled) and got in sums
 
 
 def test_mitm_support_window_matches_pairwise_and_dense():
@@ -541,8 +578,9 @@ def test_mitm_support_window_matches_pairwise_and_dense():
         mitm = distribution_from_scaled(weights, 1, backend="mitm")
         dense = distribution_from_scaled(weights, 1, backend="dense")
         k = n // 2
-        left = distribution_from_scaled(weights[:k], 1, backend="dense").support()
-        right = distribution_from_scaled(weights[k:], 1, backend="dense").support()
+        halves = [distribution_from_scaled(part, 1, backend="dense")
+                  for part in (weights[:k], weights[k:])]
+        left, right = ((d.values, d.counts) for d in halves)
         edges = sorted(set(rng.integers(mitm.min_scaled - 3, mitm.max_scaled + 4, size=5).tolist()))
         for lo in edges:
             for hi in edges:
@@ -625,13 +663,13 @@ def test_backend_switch_recounts_every_statistic(monkeypatch):
     assert isinstance(h.reduced_distribution(0), TailDistribution)
     assert isinstance(h.suffix_distribution(0), TailDistribution)
     counted = []
-    count_from = MeetInMiddleDistribution._count_from
+    counts_ge = MeetInMiddleDistribution.counts_ge_scaled
 
     def spy(self, v):
         counted.append(v)
-        return count_from(self, v)
+        return counts_ge(self, v)
 
-    monkeypatch.setattr(MeetInMiddleDistribution, "_count_from", spy)
+    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled", spy)
     assert isinstance(h.distribution(backend="mitm"), MeetInMiddleDistribution)
     for i, stat in enumerate((h.influences, lambda: h.vertex_boundary(0),
                               h.decay_thresholds, lambda: h.delta_query(F(1, 2)))):
@@ -647,13 +685,13 @@ def test_delta_searched_once_per_c_and_t(monkeypatch):
     """The delta query of chernoff, of both decay thresholds and of the
     strong and weak statistics search once per (c, t); copies start empty."""
     calls = []
-    search = TailDistribution.first_value_tail_le
+    search = hs._TailBase.first_value_tail_le
 
     def counted(self, num, den):
         calls.append((num, den))
         return search(self, num, den)
 
-    monkeypatch.setattr(TailDistribution, "first_value_tail_le", counted)
+    monkeypatch.setattr(hs._TailBase, "first_value_tail_le", counted)
     h = make_halfspace([5, 3, 3, 1, 1], 1)
     half = h.delta_query(F(1, 2))
     assert h.delta_query(F(1, 2), h.threshold) == half and len(calls) == 1
