@@ -8,7 +8,6 @@ when bit i of m is set, so tables serialize deterministically.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,16 +18,11 @@ import numpy as np
 from . import kernels
 from .rational import as_fraction
 
-DEFAULT_MAX_N = 24
-
-
-def max_arity() -> int:
-    """Arity cap for truth tables; CUBE_MAX_N overrides at the user's risk."""
-    return int(os.environ.get("CUBE_MAX_N", DEFAULT_MAX_N))
+MAX_N = 24  # arity cap for truth tables: 2^24 one-byte entries
 
 
 def _check_arity(n: int, max_n: int | None) -> None:
-    cap = max_n if max_n is not None else max_arity()
+    cap = MAX_N if max_n is None else max_n
     if not 1 <= n <= cap:
         raise ValueError(f"arity {n} outside supported range 1..{cap}")
 
@@ -53,9 +47,6 @@ class BooleanFunction:
     @property
     def mean(self) -> Fraction:
         return Fraction(self._ones, 1 << self.n)
-
-    def value_at(self, m: int) -> int:
-        return int(self.table[m])
 
     def __eq__(self, other) -> bool:
         return (

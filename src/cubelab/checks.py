@@ -12,6 +12,7 @@ import math
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -35,11 +36,10 @@ from .chernoff import (
 )
 from .halfspace import Halfspace, TailDistribution, make_halfspace
 from .influence import boundary_measures, influences
-from .rational import as_fraction
 
 F = Fraction
 
-TABLE_CAP = 24          # members above this arity run halfspace-only checks
+TABLE_CAP = bfcore.MAX_N  # members above this arity run halfspace-only checks
 XCHECK_CAP = 16         # truth-table cross-checks stay cheap below this
 
 
@@ -50,19 +50,13 @@ class MemberContext:
         self.label = label
         self.entry = entry
         self.spec = FunctionSpec.parse(entry)
-        self._halfspace = False
-        self._function = False
-        self._spectrum = None
-        self._weights = None
 
-    @property
+    @cached_property
     def halfspace(self) -> Halfspace | None:
-        if self._halfspace is False:
-            try:
-                self._halfspace = self.spec.halfspace()
-            except ValueError:
-                self._halfspace = None
-        return self._halfspace
+        try:
+            return self.spec.halfspace()
+        except ValueError:
+            return None
 
     @property
     def arity(self) -> int:
@@ -71,27 +65,20 @@ class MemberContext:
             return h.arity
         return int(self.function.n)
 
-    @property
+    @cached_property
     def function(self) -> bfcore.BooleanFunction | None:
-        if self._function is False:
-            h = self.halfspace
-            if h is not None and h.arity > TABLE_CAP:
-                self._function = None
-            else:
-                self._function = self.spec.build(max_n=TABLE_CAP + 1)
-        return self._function
+        h = self.halfspace
+        if h is not None and h.arity > TABLE_CAP:
+            return None
+        return self.spec.build(max_n=TABLE_CAP + 1)
 
-    @property
+    @cached_property
     def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = spectral.fwht_spectrum(self.function)
-        return self._spectrum
+        return spectral.fwht_spectrum(self.function)
 
-    @property
+    @cached_property
     def level_weights(self):
-        if self._weights is None:
-            self._weights = self.spectrum.level_weights()
-        return self._weights
+        return self.spectrum.level_weights()
 
 
 @dataclass(frozen=True)
@@ -349,6 +336,19 @@ def _step_pieces(breaks: np.ndarray):
     return lows, highs
 
 
+def _decay_violations(kappa: np.ndarray, highs: np.ndarray, piece_vals: np.ndarray) -> int:
+    """t-pieces meeting [0, inf) whose value exceeds 5 times the least value
+    of the s-pieces with kappa below the t-piece's upper end: one prefix
+    minimum in kappa order, read at each upper end.  The piece holding 0
+    has kappa 0, below every such end, so each t-piece meets one s-piece."""
+    order = np.argsort(kappa, kind="stable")
+    prefix_min = np.minimum.accumulate(piece_vals[order])
+    t_idx = np.flatnonzero(highs > 0)
+    reach = np.searchsorted(kappa[order], highs[t_idx], side="left")
+    # 5 * min < I_t as min <= (I_t - 1) // 5, which cannot overflow int64
+    return int(np.count_nonzero(prefix_min[reach - 1] <= (piece_vals[t_idx] - 1) // 5))
+
+
 def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """5 I_1(f_s) >= I_1(f_t) for every real |s| <= t, via piece sweep."""
     h = ctx.halfspace
@@ -365,20 +365,7 @@ def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     lows, highs = _step_pieces(breaks)
     # s-pieces keyed by the infimum of |s| over the piece
     kappa = np.where(lows >= 0, lows, np.where(highs <= 0, -highs, 0.0))
-    order = np.argsort(kappa, kind="stable")
-    # t-pieces intersecting [0, inf), swept by their upper end
-    t_idx = np.flatnonzero(highs > 0)
-    violations = 0
-    ptr = 0
-    running_min = None
-    for ti in t_idx:
-        hi_t = highs[ti]
-        while ptr < len(order) and kappa[order[ptr]] < hi_t:
-            v = int(piece_vals[order[ptr]])
-            running_min = v if running_min is None else min(running_min, v)
-            ptr += 1
-        if running_min is not None and 5 * running_min < int(piece_vals[ti]):
-            violations += 1
+    violations = _decay_violations(kappa, highs, piece_vals)
     ok = violations == 0
     return [CheckRecord("COR36", ctx.label, violations, 0, None, ok,
                         PASS if ok else FAIL, f"{len(breaks)} breakpoints swept")]

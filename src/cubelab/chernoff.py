@@ -191,21 +191,14 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
     return CheckRecord.report(check_id, instance, stat, notes)
 
 
-def gaussian_tail_ratio(h: Halfspace, t, weak_inequality: bool = False,
-                        instance: str = "") -> CheckRecord:
-    """F(t) divided by the standard normal upper tail at t (l2-normalized).
-
-    weak_inequality compares Pr[a.x >= t] instead, the left limit of F just
-    below t, which is where the worst ratio lives on a lattice.
-    """
+def gaussian_tail_ratio(h: Halfspace, t, instance: str = "") -> CheckRecord:
+    """F(t) divided by the standard normal upper tail at t (l2-normalized)."""
     t = as_fraction(t)
     if t < 0:
         raise ValueError("need t >= 0")
     norm = h.l2_norm()
     dist = h.distribution()
-    prob = Fraction(
-        dist.count_ge(t) if weak_inequality else dist.count_gt(t), dist.total
-    )
+    prob = Fraction(dist.count_gt(t), dist.total)
     z = float(t) / norm
     gauss = 0.5 * math.erfc(z / math.sqrt(2))
     ratio = float(prob) / gauss

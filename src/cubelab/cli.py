@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
 
 from . import correlate as corr
 from . import harness, spectral
-from .bfcore import FunctionSpec, max_arity
+from .bfcore import MAX_N, FunctionSpec
 from .chernoff import EATON_BOUND, check_local_chernoff, gaussian_tail_ratio
 from .halfspace import parse_halfspace
 from .influence import boundary_measures, influences
@@ -44,7 +43,7 @@ def cmd_analyze(args) -> int:
         out["total_influence"] = _fr(sum(h.influences(), Fraction(0)))
         out["vertex_boundary"] = {"vb0": _fr(h.vertex_boundary(0)),
                                   "vb1": _fr(h.vertex_boundary(1))}
-        if h.arity <= max_arity():
+        if h.arity <= MAX_N:
             f = spec.build()
             weights = spectral.fwht_spectrum(f).level_weights()
             out["level_weights"] = [_fr(weights.level(k)) for k in range(f.n + 1)]

@@ -191,8 +191,7 @@ class BiasedCorrelation:
     notes: str = ""
 
 
-def biased_correlator(f: BooleanFunction, alpha: float | None = None,
-                      spec: FourierSpectrum | None = None) -> BiasedCorrelation:
+def biased_correlator(f: BooleanFunction, spec: FourierSpectrum | None = None) -> BiasedCorrelation:
     """Cut the normalized first level at s = sqrt(alpha log(1/eps))/2.
 
     With the first-level weight written as alpha eps^2 log(1/eps), the cut
@@ -208,8 +207,7 @@ def biased_correlator(f: BooleanFunction, alpha: float | None = None,
         raise ValueError("first level vanishes")
     w1 = form.sq_norm
     log_inv = math.log(1 / float(eps))
-    if alpha is None:
-        alpha = float(w1) / (float(eps) ** 2 * log_inv) if log_inv > 0 else math.inf
+    alpha = float(w1) / (float(eps) ** 2 * log_inv) if log_inv > 0 else math.inf
     s = 0.5 * math.sqrt(max(0.0, alpha) * log_inv) if log_inv > 0 else 0.0
 
     values, scale = form.scaled_values()

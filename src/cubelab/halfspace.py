@@ -47,7 +47,8 @@ class _TailBase:
 
     A backend supplies ``counts_ge_scaled`` (the outcomes with value >= v,
     at a Python int or at every entry of an int64 array of any shape),
-    ``support_window``, ``min_scaled`` and ``max_scaled``; every other query
+    ``support_window`` (the support values in a closed window, and their
+    counts), ``min_scaled`` and ``max_scaled``; every other query
     is written once, here.  All probabilities are exact with denominator
     2^n_summands; thresholds are rationals in original (unscaled) units
     unless suffixed _scaled.
@@ -131,10 +132,9 @@ class TailDistribution(_TailBase):
     def counts_ge_scaled(self, v):
         return self._suffix[np.searchsorted(self.values, v, side="left")]
 
-    def support_window(self, lo_scaled: int, hi_scaled: int,
-                       include_lo: bool = False, include_hi: bool = False):
-        left = int(np.searchsorted(self.values, lo_scaled, "left" if include_lo else "right"))
-        right = int(np.searchsorted(self.values, hi_scaled, "right" if include_hi else "left"))
+    def support_window(self, lo_scaled: int, hi_scaled: int):
+        left = int(np.searchsorted(self.values, lo_scaled, "left"))
+        right = int(np.searchsorted(self.values, hi_scaled, "right"))
         return self.values[left:right], self.counts[left:right]
 
 
@@ -186,15 +186,12 @@ class MeetInMiddleDistribution(_TailBase):
             out[s : s + rows] = self._rsuffix[idx].reshape(keys.shape) @ self._lc
         return out.reshape(v.shape)
 
-    def support_window(self, lo_scaled: int, hi_scaled: int,
-                       include_lo: bool = False, include_hi: bool = False):
+    def support_window(self, lo_scaled: int, hi_scaled: int):
         """Support values in the window and their counts, from the pairs
         (u, r) with u + r inside it: each left value's span of right indices,
         repeated into one array of pairs, then summed per distinct value."""
-        lo_eff = lo_scaled if include_lo else lo_scaled + 1
-        hi_eff = hi_scaled if include_hi else hi_scaled - 1
-        first = np.searchsorted(self._rv, lo_eff - self._lv, side="left")
-        stop = np.searchsorted(self._rv, hi_eff - self._lv, side="right")
+        first = np.searchsorted(self._rv, lo_scaled - self._lv, side="left")
+        stop = np.searchsorted(self._rv, hi_scaled - self._lv, side="right")
         spans = np.maximum(stop - first, 0)
         assembled = int(spans.sum())
         if assembled > _WINDOW_GUARD:
@@ -311,20 +308,6 @@ class Halfspace:
 
     # -- construction helpers ------------------------------------------------
 
-    def with_threshold(self, t) -> "Halfspace":
-        return Halfspace(self.weights, as_fraction(t), self.original_weights, self.order)
-
-    def rescaled(self, factor) -> "Halfspace":
-        """Same function with weights and threshold multiplied by a positive
-        rational; every statistic is invariant under this."""
-        factor = as_fraction(factor)
-        if factor <= 0:
-            raise ValueError("scaling factor must be positive")
-        return Halfspace(tuple(w * factor for w in self.weights),
-                         self.threshold * factor,
-                         tuple(w * factor for w in self.original_weights),
-                         self.order)
-
     def dual(self) -> "Halfspace":
         """g(x) = 1 - f(-x) = 1{a.x >= -t}, encoded strictly via a half-step."""
         t = -self.threshold - Fraction(1, 2 * self.scale)
@@ -361,11 +344,6 @@ class Halfspace:
                 rest = np.delete(self.scaled, j)
                 self._reduced[j] = distribution_from_scaled(rest, self.scale, self._backend)
         return self._reduced[j]
-
-    def suffix_distribution(self, k: int) -> _TailBase:
-        """Distribution of the weights strictly after internal index k, built
-        on each call; the boundary counts that read it are kept per threshold."""
-        return distribution_from_scaled(self.scaled[k + 1 :], self.scale, self._backend)
 
     # -- basic statistics ------------------------------------------------------
 
@@ -469,7 +447,7 @@ class Halfspace:
         Suffix k (the weights after k) has at most n - 1 summands.  On the
         dense route one DP sweep adds the weights smallest first and reads
         suffix k just before weight k would join it; otherwise each suffix
-        has its own distribution.
+        has its own distribution, built here and dropped after its two counts.
         """
         c0 = c1 = 0
         if self._one_dp(self.n - 1):
@@ -485,7 +463,7 @@ class Halfspace:
             return c0, c1
         prefix = Fraction(0)
         for k, w in enumerate(self.weights):
-            dist = self.suffix_distribution(k)
+            dist = distribution_from_scaled(self.scaled[k + 1 :], self.scale, self._backend)
             c1 += dist.count_interval(t + prefix - w, t + prefix + w)
             c0 += dist.count_interval(t - prefix - w, t - prefix + w)
             prefix += w
@@ -559,7 +537,7 @@ class Halfspace:
         dist = self.reduced_distribution(j)
         lo = _floor_scaled(t - w, self.scale)
         hi = _ceil_scaled(t + delta + w, self.scale)
-        values, counts = dist.support_window(lo, hi, include_lo=True, include_hi=True)
+        values, counts = dist.support_window(lo, hi)
         # in Python ints, in units of 1/(scale * q): the overlap is
         # min(delta, a + 2w) - max(0, a) with a = v - t - w
         ts, ds = t * self.scale, delta * self.scale

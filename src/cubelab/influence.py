@@ -30,13 +30,6 @@ class InfluenceProfile:
         best = self.max_value
         return next(i for i, v in enumerate(self.per_coordinate) if v == best)
 
-    def bichromatic_edges(self) -> int:
-        """Count of cube edges whose endpoints disagree; equals I(f) * 2^(n-1)."""
-        total = self.total
-        value = total * (1 << (self.n - 1))
-        assert value.denominator == 1
-        return int(value)
-
 
 @dataclass(frozen=True)
 class BoundaryMeasures:
@@ -50,17 +43,6 @@ def influences(f: BooleanFunction) -> InfluenceProfile:
     counts = kernels.influence_counts(f.table, f.n)
     size = 1 << f.n
     return InfluenceProfile(f.n, tuple(Fraction(int(c), size) for c in counts))
-
-
-def vertex_boundary(f: BooleanFunction, lam: int) -> Fraction:
-    """Measure of points with f = lam having a neighbor where f != lam.
-
-    Evaluated by the same scan for every f, monotone or not.
-    """
-    if lam not in (0, 1):
-        raise ValueError("boundary side must be 0 or 1")
-    c0, c1 = kernels.boundary_counts(f.table, f.n)
-    return Fraction(c1 if lam else c0, 1 << f.n)
 
 
 def boundary_measures(f: BooleanFunction) -> BoundaryMeasures:

@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
+from .bfcore import MAX_N
 from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
 from .halfspace import Halfspace
 from .rational import as_fraction
@@ -225,8 +226,8 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     if delta <= 0:
         raise ValueError("smoothing width must be positive")
     t = h.threshold if t is None else as_fraction(t)
-    if h.n > 24:
-        raise ValueError("needs the full cube; arity capped at 24")
+    if h.n > MAX_N:
+        raise ValueError(f"needs the full cube; arity capped at {MAX_N}")
     vals = kernels.dot_values(h.scaled)
     mask = 0
     for j in subset:
@@ -306,7 +307,6 @@ class PipelineReport:
     eps: Fraction
     wk: Fraction
     ratio_stat: float           # W^k k! log(2k)^k / (eps^2 log(1/eps)^k)
-    influence_stat: float       # I_1 / (eps / k)
     beta: Fraction
     gamma: Fraction
     delta: Fraction
@@ -343,8 +343,8 @@ def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
     norm = h.l2_norm()
     sq_norm = h.sq_norm()
 
-    if h.n > 24:
-        raise ValueError("cube scan capped at 24 coordinates")
+    if h.n > MAX_N:
+        raise ValueError(f"cube scan capped at {MAX_N} coordinates")
     if k > h.n:
         raise ValueError(f"level {k} outside 0..{h.n}")
     vals = kernels.dot_values(h.scaled)
@@ -355,8 +355,6 @@ def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
         float(wk) * math.factorial(k) * math.log(2 * k) ** k
         / (float(eps) ** 2 * log_inv**k)
     )
-    i1 = h.influence_internal(0, t)
-    influence_stat = float(i1) / (float(eps) / k)
 
     thresholds = h.decay_thresholds(t, k=k)
     beta, gamma, delta = thresholds.beta, thresholds.gamma, thresholds.delta
@@ -390,7 +388,7 @@ def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
         upper_ok = smoothed_total <= upper_bound * (1 + 1e-9)
 
     return PipelineReport(
-        k, eps, wk, ratio_stat, influence_stat, beta, gamma, delta,
+        k, eps, wk, ratio_stat, beta, gamma, delta,
         top_mass, coeff_sq_sum, smoothed_total, sign_ok, small_top_ok,
         tall_threshold_ok, eta_ok, surrogate_ok, lower_ok, upper_ok,
     )

@@ -5,9 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-RatLike = Fraction | int | str
-
-
 def as_fraction(value) -> Fraction:
     """Coerce ints, Fractions and strings like '3/5', '-2' or '0.25'."""
     if isinstance(value, Fraction):

@@ -55,12 +55,11 @@ class LevelWeights:
             raise ValueError(f"level {k} outside 0..{self.n}")
         return Fraction(self._ints[k], 1 << (2 * self.n))
 
-    def cumulative(self, k: int, include_level0: bool = False) -> Fraction:
-        """W at levels 1..k (0..k with the flag set)."""
+    def cumulative(self, k: int) -> Fraction:
+        """W at levels 1..k."""
         if not 0 <= k <= self.n:
             raise ValueError(f"level {k} outside 0..{self.n}")
-        start = 0 if include_level0 else 1
-        return Fraction(sum(self._ints[start : k + 1]), 1 << (2 * self.n))
+        return Fraction(sum(self._ints[1 : k + 1]), 1 << (2 * self.n))
 
     def total(self) -> Fraction:
         return Fraction(sum(self._ints), 1 << (2 * self.n))
@@ -97,14 +96,6 @@ def parseval_holds(f: BooleanFunction, spec: FourierSpectrum | None = None) -> b
     return total == f.ones << f.n
 
 
-def level_weight(spec: FourierSpectrum, k: int) -> Fraction:
-    return spec.level_weights().level(k)
-
-
-def cumulative_weight(spec: FourierSpectrum, k: int, include_level0: bool = False) -> Fraction:
-    return spec.level_weights().cumulative(k, include_level0)
-
-
 def covariance(f: BooleanFunction, g: BooleanFunction) -> Fraction:
     """E[fg] - E[f]E[g], exact."""
     if f.n != g.n:
@@ -133,26 +124,6 @@ def noise_sensitivity(f: BooleanFunction, eta: float, spec: FourierSpectrum | No
     stab = noise_stability(f, rho, spec)
     mu = float(f.mean)
     return 2.0 * (mu * (1.0 - mu) - float(stab))
-
-
-def noise_operator_at(f: BooleanFunction, rho, m: int, spec: FourierSpectrum | None = None):
-    """Smoothed value sum_S rho^|S| f-hat(S) x^S at cube point m."""
-    _check_rho(rho)
-    spec = spec or fwht_spectrum(f)
-    n = f.n
-    size = 1 << n
-    # x^S at point m for every S: factor x_i(m) when i is in S, 1 when not
-    signs = kernels.sign_products((1, 1 if m >> i & 1 else -1) for i in range(n))
-    level_sums = kernels.level_sums(spec.numerators * signs, n)
-    exact = isinstance(rho, (int, Fraction))
-    rho_f = Fraction(rho) if exact else float(rho)
-    acc = Fraction(0) if exact else 0.0
-    for k, level_sum in enumerate(level_sums):
-        if exact:
-            acc += rho_f**k * Fraction(level_sum, size)
-        else:
-            acc += rho_f**k * (level_sum / size)
-    return acc
 
 
 def _check_rho(rho) -> None:

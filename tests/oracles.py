@@ -13,9 +13,10 @@ swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
 meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
-dot product per value) of its blocked tail counts, and ``all_plus`` (a
+dot product per value) of its blocked tail counts, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
-subcube write.
+subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
+ints) of COR36's prefix-minimum count.
 """
 
 from fractions import Fraction
@@ -325,19 +326,17 @@ def table_level_weight(h, k: int) -> Fraction:
     return fwht_spectrum(table).level_weights().level(k)
 
 
-def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int,
-                            include_lo: bool = False, include_hi: bool = False):
-    """Support values of u + r inside the window and their counts, for two
-    halves given as (distinct values ascending, counts): for each left value,
-    the span of right values in the window, summed into a dict pair by pair."""
+def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int):
+    """Support values of u + r inside the closed window and their counts, for
+    two halves given as (distinct values ascending, counts): for each left
+    value, the span of right values in the window, summed into a dict pair by
+    pair."""
     (lvs, lcs), (rvs, rcs) = left, right
-    lo_eff = lo_scaled if include_lo else lo_scaled + 1
-    hi_eff = hi_scaled if include_hi else hi_scaled - 1
     acc: dict[int, int] = {}
     for lv, lc in zip(lvs, lcs):
         lv = int(lv)
-        a = int(np.searchsorted(rvs, lo_eff - lv, side="left"))
-        b = int(np.searchsorted(rvs, hi_eff - lv, side="right"))
+        a = int(np.searchsorted(rvs, lo_scaled - lv, side="left"))
+        b = int(np.searchsorted(rvs, hi_scaled - lv, side="right"))
         for rv, rc in zip(rvs[a:b], rcs[a:b]):
             key = lv + int(rv)
             acc[key] = acc.get(key, 0) + int(lc) * int(rc)
@@ -353,3 +352,20 @@ def mitm_count_ge(dist, v: int) -> int:
     counts."""
     idx = np.searchsorted(dist._rv, v - dist._lv, side="left")
     return int(np.dot(dist._lc, dist._rsuffix[idx]))
+
+
+def swept_decay_violations(kappa, highs, piece_vals) -> int:
+    """COR36's violation count by a pointer sweep in Python ints: the
+    s-pieces join in kappa order while their kappa is below the current
+    t-piece's upper end, and each t-piece meeting [0, inf) is compared with
+    5 times the least value joined so far."""
+    order = np.argsort(kappa, kind="stable")
+    violations, ptr, running_min = 0, 0, None
+    for ti in np.flatnonzero(highs > 0):
+        while ptr < len(order) and kappa[order[ptr]] < highs[ti]:
+            v = int(piece_vals[order[ptr]])
+            running_min = v if running_min is None else min(running_min, v)
+            ptr += 1
+        if running_min is not None and 5 * running_min < int(piece_vals[ti]):
+            violations += 1
+    return violations

@@ -93,7 +93,7 @@ def test_criterion_1_exact_identities():
         assert h.influences() == list(prof.per_coordinate)
         assert h.mean() == table.mean
         for shift in (F(0), h.threshold, h.threshold + 1, -h.threshold):
-            want = h.with_threshold(shift).truth_table().mean
+            want = make_halfspace(h.original_weights, shift).truth_table().mean
             assert h.tail(shift) == want
     announce(1, True, "Parseval, transform vs definition, and the two "
                       "influence/mean/tail routes agree exactly")

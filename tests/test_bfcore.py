@@ -17,7 +17,7 @@ import oracles
 def test_from_truth_table_dictator():
     f = bfcore.from_truth_table([0, 1], 1)
     assert f.mean == Fraction(1, 2)
-    assert f.value_at(0) == 0 and f.value_at(1) == 1
+    assert int(f.table[0]) == 0 and int(f.table[1]) == 1
 
 
 def test_from_truth_table_constant_zero():
@@ -101,7 +101,7 @@ def test_tribes_structure():
     # 1 iff coords {0,1} both +1 or coords {2,3} both +1
     for m in range(16):
         expect = int((m & 0b0011) == 0b0011 or (m & 0b1100) == 0b1100)
-        assert f.value_at(m) == expect
+        assert int(f.table[m]) == expect
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -112,12 +112,12 @@ def test_indicator_builtins_pointwise(n):
     tribes = {b: bfcore.tribes(n // b, b) for b in range(1, n + 1) if n % b == 0}
     for m in range(1 << n):
         x = oracles.point_signs(m, n)
-        assert dictator.value_at(m) == int(x[0] == 1)
+        assert int(dictator.table[m]) == int(x[0] == 1)
         for k, f in subcubes.items():
-            assert f.value_at(m) == int(all(v == 1 for v in x[:k]))
+            assert int(f.table[m]) == int(all(v == 1 for v in x[:k]))
         for b, f in tribes.items():
             want = any(all(v == 1 for v in x[j:j + b]) for j in range(0, n, b))
-            assert f.value_at(m) == int(want)
+            assert int(f.table[m]) == int(want)
 
 
 @pytest.mark.parametrize("n", [9, 16])
@@ -130,7 +130,7 @@ def test_talagrand_or_pointwise(n):
     for m in range(1 << n):
         x = oracles.point_signs(m, n)
         want = sum(x) >= 0 or any(all(x[i] == 1 for i in term) for term in terms)
-        assert f.value_at(m) == int(want)
+        assert int(f.table[m]) == int(want)
 
 
 def _table_n22_tribes_shapes():
@@ -226,7 +226,7 @@ def test_dual_pointwise(n):
     g = bfcore.dual(f)
     mask = (1 << n) - 1
     for m in range(1 << n):
-        assert g.value_at(m) == 1 - f.value_at(m ^ mask)
+        assert int(g.table[m]) == 1 - int(f.table[m ^ mask])
 
 
 def test_is_monotone_examples():
@@ -264,10 +264,12 @@ def test_function_spec_builds_match_builtins():
     assert FunctionSpec.parse("paper5").build() == bfcore.paper5()
 
 
-def test_max_arity_env(monkeypatch):
-    monkeypatch.setenv("CUBE_MAX_N", "4")
+def test_arity_cap():
+    """MAX_N caps every table builder before it allocates; max_n moves the cap."""
+    with pytest.raises(ValueError, match=f"1..{bfcore.MAX_N}"):
+        bfcore.majority(bfcore.MAX_N + 1)
     with pytest.raises(ValueError):
-        bfcore.majority(5)
+        bfcore.majority(5, max_n=4)
     assert bfcore.majority(5, max_n=10).n == 5
 
 

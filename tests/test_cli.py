@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 from cubelab import cli
+from cubelab.bfcore import MAX_N, FunctionSpec
 
 
 def run(capsys, *argv):
@@ -22,6 +25,25 @@ def test_analyze_truth_table(capsys):
     code, out = run(capsys, "analyze", "paper5")
     assert code == 0
     assert "mean: 1/2" in out
+
+
+def test_analyze_halfspace_past_the_table_cap(capsys, monkeypatch):
+    """25 coordinates, one past bfcore.MAX_N: influences and vertex boundaries
+    come from the halfspace, and no 2^25 table is built for level weights."""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a truth table was built past the cap")
+
+    monkeypatch.setattr(FunctionSpec, "build", no_table)
+    n = MAX_N + 1
+    code, out = run(capsys, "analyze", "ltf:" + ",".join(["1"] * n) + ";0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert "level_weights" not in data
+    assert data["mean"] == "1/2"
+    assert data["influences"] == [str(Fraction(comb(n - 1, n // 2), 1 << (n - 1)))] * n
+    side = str(Fraction(comb(n, n // 2), 1 << n))  # a.x = +-1: one flip crosses
+    assert data["vertex_boundary"] == {"vb0": side, "vb1": side}
 
 
 @pytest.mark.parametrize("spec", ["subcube:3", "maj:5,7", "paper5:1", "tt:2:1ff", "mystery:3",

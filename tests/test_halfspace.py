@@ -174,8 +174,9 @@ def test_boundaries_match_truth_table():
         n = int(rng.integers(2, 11))
         h = random_halfspace(rng, n)
         table = h.truth_table()
-        assert h.vertex_boundary(1) == influence.vertex_boundary(table, 1)
-        assert h.vertex_boundary(0) == influence.vertex_boundary(table, 0)
+        veils = influence.boundary_measures(table)
+        assert h.vertex_boundary(1) == veils.vb1
+        assert h.vertex_boundary(0) == veils.vb0
 
 
 def test_subcube_boundaries_via_halfspace():
@@ -337,13 +338,13 @@ def test_scale_invariance(n, scale, seed):
 
 def test_rescaled_copies():
     h = make_halfspace([F(3), F(2)], 1)
-    g = h.rescaled(F(5, 2))
+    g = make_halfspace([F(15, 2), F(5)], F(5, 2))  # h with everything times 5/2
     assert g.weights == (F(15, 2), F(5))
     assert g.sq_norm() == h.sq_norm() * F(25, 4)
     assert g.mean() == h.mean()
     assert g.influences() == h.influences()
     with pytest.raises(ValueError):
-        h.rescaled(0)
+        make_halfspace([0 * w for w in h.weights], 0)  # times 0: no positive weight
 
 
 # -- one DP per halfspace ------------------------------------------------------------
@@ -365,7 +366,8 @@ def per_suffix_boundary(h, lam, t) -> F:
     count, prefix = 0, F(0)
     for k, w in enumerate(h.weights):
         shift = prefix if lam == 1 else -prefix
-        count += h.suffix_distribution(k).count_interval(t + shift - w, t + shift + w)
+        suffix = distribution_from_scaled(h.scaled[k + 1 :], h.scale)
+        count += suffix.count_interval(t + shift - w, t + shift + w)
         prefix += w
     return F(count, 1 << h.n)
 
@@ -584,14 +586,11 @@ def test_mitm_support_window_matches_pairwise_and_dense():
         edges = sorted(set(rng.integers(mitm.min_scaled - 3, mitm.max_scaled + 4, size=5).tolist()))
         for lo in edges:
             for hi in edges:
-                for include_lo in (False, True):
-                    for include_hi in (False, True):
-                        args = (lo, hi, include_lo, include_hi)
-                        got = mitm.support_window(*args)
-                        assert got[0].dtype == got[1].dtype == np.int64
-                        for x, y, z in zip(got, oracles.pairwise_support_window(left, right, *args),
-                                           dense.support_window(*args)):
-                            assert np.array_equal(x, y) and np.array_equal(x, z)
+                got = mitm.support_window(lo, hi)
+                assert got[0].dtype == got[1].dtype == np.int64
+                for x, y, z in zip(got, oracles.pairwise_support_window(left, right, lo, hi),
+                                   dense.support_window(lo, hi)):
+                    assert np.array_equal(x, y) and np.array_equal(x, z)
 
 
 def test_mitm_support_window_guard_boundary(monkeypatch):
@@ -599,10 +598,10 @@ def test_mitm_support_window_guard_boundary(monkeypatch):
     numbers -15..15, and a window assembles one pair per value in it."""
     mitm = distribution_from_scaled(np.array([8, 4, 2, 1]), 1, backend="mitm")
     monkeypatch.setattr(hs, "_WINDOW_GUARD", 15)
-    values, counts = mitm.support_window(-15, 13, include_lo=True, include_hi=True)
+    values, counts = mitm.support_window(-15, 13)
     assert values.tolist() == list(range(-15, 14, 2)) and counts.tolist() == [1] * 15
     with pytest.raises(BudgetError):
-        mitm.support_window(-15, 15, include_lo=True, include_hi=True)
+        mitm.support_window(-15, 15)
 
 
 @pytest.mark.parametrize("weights", [
@@ -644,7 +643,7 @@ def test_smoothed_influence_from_shared_halves_matches_brute():
     for trial in range(8):
         n = int(rng.integers(2, 8))
         base = random_halfspace(rng, n, wmax=6)
-        h = base.with_threshold(base.threshold + F(int(rng.integers(0, 3)), 3))
+        h = make_halfspace(base.original_weights, base.threshold + F(int(rng.integers(0, 3)), 3))
         h.distribution(backend="mitm")
         delta = F(int(rng.integers(1, 8)), int(rng.integers(1, 4)))
         for j in {0, n // 2, n - 1}:
@@ -661,7 +660,7 @@ def test_backend_switch_recounts_every_statistic(monkeypatch):
              h.delta_query(F(1, 2)))
     vb1 = h.vertex_boundary(1)
     assert isinstance(h.reduced_distribution(0), TailDistribution)
-    assert isinstance(h.suffix_distribution(0), TailDistribution)
+    assert isinstance(distribution_from_scaled(h.scaled[1:], h.scale, "dense"), TailDistribution)
     counted = []
     counts_ge = MeetInMiddleDistribution.counts_ge_scaled
 
@@ -678,7 +677,8 @@ def test_backend_switch_recounts_every_statistic(monkeypatch):
         assert len(counted) > before
     assert h.vertex_boundary(1) == vb1  # counted with side 0
     assert isinstance(h.reduced_distribution(0), MeetInMiddleDistribution)
-    assert isinstance(h.suffix_distribution(0), MeetInMiddleDistribution)
+    assert isinstance(distribution_from_scaled(h.scaled[1:], h.scale, "mitm"),
+                      MeetInMiddleDistribution)
 
 
 def test_delta_searched_once_per_c_and_t(monkeypatch):
@@ -706,8 +706,9 @@ def test_delta_searched_once_per_c_and_t(monkeypatch):
     h.delta_query(F(1, 4))
     assert len(calls) == 5
     fresh = make_halfspace([5, 3, 3, 1, 1], 1)
-    for copy, want in ((h.with_threshold(h.threshold), half),
-                       (h.rescaled(3), 3 * half),
+    for copy, want in ((make_halfspace(h.original_weights, h.threshold), half),
+                       (make_halfspace([3 * w for w in h.original_weights], 3 * h.threshold),
+                        3 * half),
                        (h.dual(), fresh.dual().delta_query(F(1, 2)))):
         before = len(calls)
         assert copy.delta_query(F(1, 2)) == want

@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cubelab import harness, levelk
+from cubelab import checks, harness, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import MeetInMiddleDistribution, parse_halfspace
@@ -152,6 +153,22 @@ def test_wk_pipeline_check_matches_internal_table_route():
             levelk.level_k_pipeline(h, k, oracles.table_level_weight(h, k)), f"m k={k}")
             for k in (2, 3)]
         assert REGISTRY["WK-PIPELINE"].fn(ctx, harness.PinnedConstants()) == expect
+
+
+@pytest.mark.parametrize("top", [20, 1 << 61], ids=["small", "2^61"])
+def test_decay_violations_match_the_pointer_sweep(top):
+    """COR36's prefix-minimum count against the sweep, on pieces with tied
+    keys and values up to 2^61, where 5 * min would overflow int64."""
+    rng = np.random.default_rng(36)
+    for size in (1, 2, 7, 40):
+        for _ in range(25):
+            breaks = np.unique(rng.integers(-6, 7, size=size)).astype(np.float64)
+            lows = np.concatenate([[-np.inf], breaks])
+            highs = np.concatenate([breaks, [np.inf]])
+            kappa = np.where(lows >= 0, lows, np.where(highs <= 0, -highs, 0.0))
+            vals = rng.integers(0, top, size=len(kappa), endpoint=True)
+            want = oracles.swept_decay_violations(kappa, highs, vals)
+            assert checks._decay_violations(kappa, highs, vals) == want
 
 
 def test_pin_then_assert_roundtrip(tmp_path):

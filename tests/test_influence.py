@@ -48,23 +48,23 @@ def test_edge_boundary_identity():
             for i in range(6):
                 if m >> i & 1 and f.table[m] != f.table[m ^ (1 << i)]:
                     edges += 1
-        assert prof.bichromatic_edges() == edges
+        assert prof.total * (1 << 5) == edges  # I(f) * 2^(n-1)
 
 
 def test_subcube_boundaries():
-    f = bfcore.subcube(3, 5)
-    assert influence.vertex_boundary(f, 1) == Fraction(1, 8)
-    assert influence.vertex_boundary(f, 0) == Fraction(3, 8)
+    veils = influence.boundary_measures(bfcore.subcube(3, 5))
+    assert veils.vb1 == Fraction(1, 8)
+    assert veils.vb0 == Fraction(3, 8)
 
 
 def test_dictator_boundary_tightness():
     f = bfcore.dictator(4)
     prof = influence.influences(f)
-    assert influence.vertex_boundary(f, 1) == prof.per_coordinate[0] / 2
+    assert influence.boundary_measures(f).vb1 == prof.per_coordinate[0] / 2
 
 
 def test_majority3_boundary():
-    assert influence.vertex_boundary(bfcore.majority(3), 1) == Fraction(3, 8)
+    assert influence.boundary_measures(bfcore.majority(3)).vb1 == Fraction(3, 8)
 
 
 def test_boundaries_against_brute():
@@ -79,5 +79,6 @@ def test_boundaries_against_brute():
 
 
 def test_vertex_boundary_validates_side():
+    """The table scan gives both sides at once; the halfspace route takes one."""
     with pytest.raises(ValueError):
-        influence.vertex_boundary(bfcore.dictator(2), 2)
+        bfcore.FunctionSpec.parse("dict:2").halfspace().vertex_boundary(2)

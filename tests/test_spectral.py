@@ -25,8 +25,8 @@ def test_majority3_spectrum():
         assert spec.coefficient(mask) == value
     assert spec.coefficient(0b001) == Fraction(1, 4)
     assert spec.coefficient(0b111) == Fraction(-1, 4)
-    assert spectral.level_weight(spec, 1) == Fraction(3, 16)
-    assert spectral.level_weight(spec, 3) == Fraction(1, 16)
+    assert spec.level_weights().level(1) == Fraction(3, 16)
+    assert spec.level_weights().level(3) == Fraction(1, 16)
 
 
 def test_paper5_first_level():
@@ -63,13 +63,13 @@ def test_parseval_random():
 
 def test_level_weights_trivial():
     spec = spectral.fwht_spectrum(bfcore.dictator(4))
-    assert spectral.level_weight(spec, 1) == Fraction(1, 4)
+    assert spec.level_weights().level(1) == Fraction(1, 4)
     zero = bfcore.from_truth_table([0] * 16, 4)
     zspec = spectral.fwht_spectrum(zero)
     for k in range(1, 5):
-        assert spectral.level_weight(zspec, k) == 0
+        assert zspec.level_weights().level(k) == 0
     with pytest.raises(ValueError):
-        spectral.level_weight(spec, 5)
+        spec.level_weights().level(5)
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 20])
@@ -91,9 +91,9 @@ def test_level_weights_refuse_past_26():
 
 
 def test_cumulative_weight_excludes_level0_by_default():
-    spec = spectral.fwht_spectrum(bfcore.dictator(2))
-    assert spectral.cumulative_weight(spec, 1) == Fraction(1, 4)
-    assert spectral.cumulative_weight(spec, 1, include_level0=True) == Fraction(1, 2)
+    weights = spectral.fwht_spectrum(bfcore.dictator(2)).level_weights()
+    assert weights.level(0) == Fraction(1, 4)
+    assert weights.cumulative(1) == Fraction(1, 4)
 
 
 def test_covariance_examples():
@@ -127,16 +127,29 @@ def test_noise_stability_examples():
         spectral.noise_stability(f, 1.5)
 
 
+def noise_operator_at(f, rho, m, spec=None):
+    """T_rho f at cube point m, sum_S rho^|S| f-hat(S) x^S, from the doubling
+    character of kernels.sign_products and the binned kernels.level_sums on
+    signed numerators; exact for rational rho."""
+    spec = spec or spectral.fwht_spectrum(f)
+    n = f.n
+    signs = kernels.sign_products((1, 1 if m >> i & 1 else -1) for i in range(n))
+    sums = kernels.level_sums(spec.numerators * signs, n)
+    if isinstance(rho, (int, Fraction)):
+        return sum(Fraction(rho) ** k * Fraction(s, 1 << n) for k, s in enumerate(sums))
+    return sum(rho**k * (s / (1 << n)) for k, s in enumerate(sums))
+
+
 def test_noise_operator_at_zero_rho_is_mean():
     f = bfcore.majority(5)
     for m in (0, 7, 31):
-        assert spectral.noise_operator_at(f, 0, m) == f.mean
+        assert noise_operator_at(f, 0, m) == f.mean
 
 
 def test_noise_operator_at_one_recovers_function():
     f = bfcore.paper5()
     for m in (0, 5, 21, 31):
-        assert spectral.noise_operator_at(f, 1, m) == f.value_at(m)
+        assert noise_operator_at(f, 1, m) == int(f.table[m])
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
@@ -155,7 +168,7 @@ def test_noise_operator_at_matches_defining_sum(n):
                 if mask >> i & 1:
                     chi *= x[i]
             expect += rho ** bin(mask).count("1") * coefficient * chi
-        assert spectral.noise_operator_at(f, rho, m) == expect
+        assert noise_operator_at(f, rho, m) == expect
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -181,13 +194,13 @@ def test_noise_operator_at_matches_gather_route(n):
             exact = isinstance(rho, Fraction)
             expect = sum(rho**k * (Fraction(s, 1 << n) if exact else s / (1 << n))
                          for k, s in enumerate(sums))
-            assert spectral.noise_operator_at(f, rho, m, spec) == expect
+            assert noise_operator_at(f, rho, m, spec) == expect
 
 
 def test_noise_operator_float_close_to_exact():
     f = bfcore.majority(3)
-    exact = spectral.noise_operator_at(f, Fraction(1, 3), 5)
-    approx = spectral.noise_operator_at(f, 1 / 3, 5)
+    exact = noise_operator_at(f, Fraction(1, 3), 5)
+    approx = noise_operator_at(f, 1 / 3, 5)
     assert math.isclose(float(exact), approx, abs_tol=1e-12)
 
 
