@@ -41,6 +41,7 @@ F = Fraction
 
 TABLE_CAP = bfcore.MAX_N  # members above this arity run halfspace-only checks
 XCHECK_CAP = 16         # truth-table cross-checks stay cheap below this
+LEVELS = (2, 3)         # the degrees k of the level-k checks
 
 
 class MemberContext:
@@ -76,9 +77,17 @@ class MemberContext:
     def spectrum(self):
         return spectral.fwht_spectrum(self.function)
 
-    @cached_property
+    @property
     def level_weights(self):
         return self.spectrum.level_weights()
+
+    @cached_property
+    def cube(self) -> levelk.CubeScan:
+        return levelk.CubeScan(self.halfspace, max(LEVELS))
+
+    @cached_property
+    def first_level(self) -> correlate.FirstLevel:
+        return correlate.FirstLevel(self.function, self.spectrum)
 
 
 @dataclass(frozen=True)
@@ -177,7 +186,7 @@ def _global_paper5() -> list[CheckRecord]:
                             cov_maj == F(-1, 16),
                             PASS if cov_maj == F(-1, 16) else FAIL,
                             "covariance with the plain majority cut"))
-    best = correlate.unbiased_correlator(f)
+    best = correlate.unbiased_correlator(correlate.FirstLevel(f, spec))
     ok = best.covariance == F(1, 8)
     recs.append(CheckRecord("PAPER5", "paper5", best.covariance, F(1, 8), None,
                             ok, PASS if ok else FAIL, "one sign flip recovers 1/8"))
@@ -536,7 +545,8 @@ def _check_gauss_member(ctx) -> list[CheckRecord]:
         for v, c in zip(values, counts):
             z = float(v) / (dist.scale * norm)
             gauss = 0.5 * math.erfc(z / math.sqrt(2))
-            worst = max(worst, float(F(int(c), dist.total)) / gauss)
+            # int / int is correctly rounded, so this is float(F(c, total))
+            worst = max(worst, int(c) / dist.total / gauss)
     bound = EATON_BOUND * EATON_SLACK
     ok = worst <= bound
     return [CheckRecord("GAUSS-EATON", ctx.label, worst, bound, worst / EATON_BOUND,
@@ -673,8 +683,9 @@ def _global_poly_bracket() -> list[CheckRecord]:
 
 def _check_newton_girard(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
-    sq = h.sq_norm()
-    values = [w * w / sq for w in h.weights]
+    squares = [s * s for s in h.scaled.tolist()]
+    total = sum(squares)
+    values = [F(q, total) for q in squares]  # a_j^2 / |a|^2
     m_max = min(len(values), 8)
     stats = levelk.symmetric_stats(values, m_max)
     residuals = [stats.newton_girard_residual(m) for m in range(1, m_max + 1)]
@@ -698,9 +709,9 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
 def _check_sign_condition(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     recs = []
-    for k in (2, 3):
+    for k in LEVELS:
         try:
-            holds = levelk.sign_condition_holds(h, k)
+            holds = levelk.sign_condition_holds(ctx.cube, k)
         except OverflowError:
             recs.append(CheckRecord.skipped("SIGN-COND", f"{ctx.label} k={k}",
                                             "weights too large for exact scan"))
@@ -724,13 +735,12 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
 
 
 def _check_wk_pipeline(ctx) -> list[CheckRecord]:
-    h = ctx.halfspace
     levels = ctx.level_weights
     recs = []
-    for k in (2, 3):
+    for k in LEVELS:
         try:
             wk = levels.level(k) if k <= levels.n else F(0)  # W^k = 0 above the arity
-            report = levelk.level_k_pipeline(h, k, wk)
+            report = levelk.level_k_pipeline(ctx.cube, k, wk)
         except (ValueError, OverflowError) as exc:
             recs.append(CheckRecord.skipped("WK-PIPELINE", f"{ctx.label} k={k}", str(exc)))
             continue
@@ -742,14 +752,13 @@ def _check_wk_pipeline(ctx) -> list[CheckRecord]:
 # correlation checks
 
 def _check_best_correlator(ctx) -> list[CheckRecord]:
-    f = ctx.function
     w1 = ctx.level_weights.level(1)
     if w1 == 0:
         return [CheckRecord.skipped("THM17", ctx.label, "first level vanishes")]
-    res = correlate.best_halfspace_over_form(f, spec=ctx.spectrum)
+    res = correlate.best_halfspace_over_form(ctx.first_level)
     denom = math.sqrt(float(w1) / math.log(math.e / float(w1)))
     stat = float(res.covariance) / denom
-    ident = correlate.threshold_integral_identity(f, correlate.first_level_form(f, ctx.spectrum))
+    ident = correlate.threshold_integral_identity(ctx.first_level)
     ok_ident = ident == w1
     return [CheckRecord("THM17", f"{ctx.label} identity", ident, w1, None,
                         ok_ident, PASS if ok_ident else FAIL,
@@ -759,9 +768,9 @@ def _check_best_correlator(ctx) -> list[CheckRecord]:
 
 def _check_unbiased_correlator(ctx) -> list[CheckRecord]:
     f = ctx.function
-    if correlate.first_level_form(f, ctx.spectrum).is_zero():
+    if ctx.first_level.form.is_zero():
         return [CheckRecord.skipped("PROP92", ctx.label, "first level vanishes")]
-    res = correlate.unbiased_correlator(f, spec=ctx.spectrum)
+    res = correlate.unbiased_correlator(ctx.first_level)
     ratio = float(res.covariance) / float(f.mean)
     return [CheckRecord("PROP92", ctx.label, ratio, None, None, None, REPORT,
                         f"best zero-cut covariance / mean ({res.notes})")]
@@ -770,7 +779,7 @@ def _check_unbiased_correlator(ctx) -> list[CheckRecord]:
 def _check_biased_correlator(ctx) -> list[CheckRecord]:
     f = ctx.function
     try:
-        rec = correlate.biased_correlator(f, spec=ctx.spectrum)
+        rec = correlate.biased_correlator(ctx.first_level)
     except ValueError as exc:
         return [CheckRecord.skipped("PROP93", ctx.label, str(exc))]
     if not rec.hypothesis_met:
@@ -786,7 +795,7 @@ def _check_noise_resistance(ctx) -> list[CheckRecord]:
     f = ctx.function
     if not 0 < f.mean < 1:
         return [CheckRecord.skipped("PROP16", ctx.label, "constant function")]
-    rep = correlate.noise_resistance_class(f, spec=ctx.spectrum)
+    rep = correlate.noise_resistance_class(ctx.first_level)
     notes = (
         f"fourier_stat={rep.fourier_stat:.4g} prob_stat={rep.prob_stat:.4g} "
         f"monotone={rep.monotone}"

@@ -107,14 +107,14 @@ def cmd_chernoff(args) -> int:
 
 def cmd_correlate(args) -> int:
     f = FunctionSpec.parse(args.spec).build()
-    spec = spectral.fwht_spectrum(f)
-    best = corr.best_halfspace_over_form(f, spec=spec)
+    first = corr.FirstLevel(f)
+    best = corr.best_halfspace_over_form(first)
     print(f"best threshold cut: cov={_fr(best.covariance)} "
           f"at t={_fr(best.threshold) if best.threshold is not None else 'n/a'}")
-    unb = corr.unbiased_correlator(f, full_scan=args.full_scan, spec=spec)
+    unb = corr.unbiased_correlator(first, full_scan=args.full_scan)
     print(f"best zero cut: cov={_fr(unb.covariance)} ({unb.notes})")
     if 0 < f.mean < 1:
-        rep = corr.noise_resistance_class(f, c0=args.c0, c=args.c, spec=spec)
+        rep = corr.noise_resistance_class(first, c0=args.c0, c=args.c)
         print(f"fourier statistic: {rep.fourier_stat:.6g} "
               f"(resistant at c0={args.c0}: {rep.fourier_resistant})")
         print(f"stability at rho={rep.rho:.6g}: {rep.stability:.6g} "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +55,28 @@ def first_level_form(f: BooleanFunction, spec: FourierSpectrum | None = None) ->
     return LinearForm(tuple(spec.coefficients_level1()))
 
 
+class FirstLevel:
+    """A function with its spectrum and a linear form l, by default the
+    first-level form, and the arrays the correlators read: l at every cube
+    point over a common integer scale, and the cut profile of f along l.
+    Each array is built on first use and then kept, so the correlators of
+    one member share one copy."""
+
+    def __init__(self, f: BooleanFunction, spec: FourierSpectrum | None = None,
+                 form: LinearForm | None = None):
+        self.f = f
+        self.spec = spec or fwht_spectrum(f)
+        self.form = form or first_level_form(f, self.spec)
+
+    @cached_property
+    def scaled_values(self) -> tuple[np.ndarray, int]:
+        return self.form.scaled_values()
+
+    @cached_property
+    def cut_profile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _cut_covariances(self.f, self.scaled_values[0])
+
+
 @dataclass
 class CorrelationResult:
     """Best covariance found in a threshold (or sign-pattern) family."""
@@ -82,20 +105,19 @@ def _cut_covariances(f: BooleanFunction, values: np.ndarray):
     return v, count, both * size - f.ones * count
 
 
-def best_halfspace_over_form(f: BooleanFunction, form: LinearForm | None = None,
-                             spec: FourierSpectrum | None = None) -> CorrelationResult:
+def best_halfspace_over_form(first: FirstLevel) -> CorrelationResult:
     """Exhaustive exact scan of Cov(f, 1{l(x) > t}) over all distinct cuts.
 
     Ties go to the lowest threshold.  The constant-function cuts are included
     (they contribute covariance zero), so the result is never negative.
     """
-    form = form or first_level_form(f, spec)
+    form = first.form
     if form.is_zero():
         return CorrelationResult(Fraction(0), None, "", degenerate=True,
                                  notes="first level vanishes")
-    values, scale = form.scaled_values()
-    size = 1 << f.n
-    v, count, cov_num = _cut_covariances(f, values)
+    scale = first.scaled_values[1]
+    size = 1 << first.f.n
+    v, count, cov_num = first.cut_profile
     # the top value cuts off nothing; argmax takes the lowest of tied cuts
     best = int(np.argmax(cov_num[count > 0]))
     if cov_num[best] < 0:
@@ -106,25 +128,22 @@ def best_halfspace_over_form(f: BooleanFunction, form: LinearForm | None = None,
     return CorrelationResult(cov, threshold, form.halfspace_text(threshold))
 
 
-def threshold_integral_identity(f: BooleanFunction,
-                                form: LinearForm | None = None) -> Fraction:
+def threshold_integral_identity(first: FirstLevel) -> Fraction:
     """Sum over support steps of Cov(f, cut) times the step width.
 
     Equals the squared 2-norm of the form exactly: the first-level weight
     when the form comes from f itself.
     """
-    form = form or first_level_form(f)
-    if form.is_zero():
+    if first.form.is_zero():
         return Fraction(0)
-    values, scale = form.scaled_values()
-    v, _count, cov_num = _cut_covariances(f, values)
+    scale = first.scaled_values[1]
+    v, _count, cov_num = first.cut_profile
     # products and their sum can pass int64 from n = 23: use Python ints
     acc = np.dot(cov_num[:-1].astype(object), np.diff(v).astype(object))
-    return Fraction(acc, (1 << (2 * f.n)) * scale)
+    return Fraction(acc, (1 << (2 * first.f.n)) * scale)
 
 
-def unbiased_correlator(f: BooleanFunction, full_scan: bool = False,
-                        spec: FourierSpectrum | None = None) -> CorrelationResult:
+def unbiased_correlator(first: FirstLevel, full_scan: bool = False) -> CorrelationResult:
     """Best covariance with a zero-threshold cut of the first level, over the
     base sign pattern and all single-coordinate sign flips.
 
@@ -132,11 +151,11 @@ def unbiased_correlator(f: BooleanFunction, full_scan: bool = False,
     existence guarantee for noise-resistant functions lives in that family,
     though one flip suffices in the known hard cases.
     """
-    form = first_level_form(f, spec)
+    f, form = first.f, first.form
     if form.is_zero():
         return CorrelationResult(Fraction(0), None, "", degenerate=True,
                                  notes="first level vanishes")
-    values, _ = form.scaled_values()
+    values = first.scaled_values[0]
     size = 1 << f.n
     ones = f.ones
     on = f.table != 0
@@ -191,15 +210,14 @@ class BiasedCorrelation:
     notes: str = ""
 
 
-def biased_correlator(f: BooleanFunction, spec: FourierSpectrum | None = None) -> BiasedCorrelation:
+def biased_correlator(first: FirstLevel) -> BiasedCorrelation:
     """Cut the normalized first level at s = sqrt(alpha log(1/eps))/2.
 
     With the first-level weight written as alpha eps^2 log(1/eps), the cut
     is strongly biased yet keeps expectation sqrt(alpha) eps / 8 against f
     whenever alpha is not degenerate.
     """
-    spec = spec or fwht_spectrum(f)
-    form = first_level_form(f, spec)
+    f, form = first.f, first.form
     eps = f.mean
     if not 0 < eps < 1:
         raise ValueError("mean must be strictly inside (0, 1)")
@@ -210,7 +228,7 @@ def biased_correlator(f: BooleanFunction, spec: FourierSpectrum | None = None) -
     alpha = float(w1) / (float(eps) ** 2 * log_inv) if log_inv > 0 else math.inf
     s = 0.5 * math.sqrt(max(0.0, alpha) * log_inv) if log_inv > 0 else 0.0
 
-    values, scale = form.scaled_values()
+    values, scale = first.scaled_values
     size = 1 << f.n
     # l(x)/||l|| > s  <=>  l(x) > 0 and l(x)^2 > s^2 W1; squares stay exact
     tau_sq = s * s * float(w1) * scale * scale
@@ -247,12 +265,12 @@ class NoiseResistanceReport:
     notes: str = ""
 
 
-def noise_resistance_class(f: BooleanFunction, c0: float = 1.0, c: float = 0.05,
-                           spec: FourierSpectrum | None = None) -> NoiseResistanceReport:
+def noise_resistance_class(first: FirstLevel, c0: float = 1.0,
+                           c: float = 0.05) -> NoiseResistanceReport:
+    f, spec = first.f, first.spec
     mu = f.mean
     if not 0 < mu < 1:
         raise ValueError("mean must be strictly inside (0, 1)")
-    spec = spec or fwht_spectrum(f)
     w1 = spec.level_weights().level(1)
     log_inv = math.log(1 / float(mu))
     fourier_stat = float(w1) / (float(mu) ** 2 * log_inv) if log_inv > 0 else math.inf
@@ -266,7 +284,7 @@ def noise_resistance_class(f: BooleanFunction, c0: float = 1.0, c: float = 0.05,
     mono = is_monotone(f)
     best_ratio = None
     if mono:
-        best = best_halfspace_over_form(f, spec=spec)
+        best = best_halfspace_over_form(first)
         best_ratio = float(best.covariance) / float(mu)
     return NoiseResistanceReport(mu, w1, fourier_stat, fourier_stat >= c0,
                                  rho, stability, prob_stat, mono, best_ratio, notes)

@@ -356,7 +356,8 @@ class Halfspace:
         return self.tail()
 
     def sq_norm(self) -> Fraction:
-        return sum((w * w for w in self.weights), Fraction(0))
+        """|a|^2 = sum of s_j^2 over scale^2, summed in Python ints."""
+        return Fraction(sum(s * s for s in self.scaled.tolist()), self.scale**2)
 
     def l2_norm(self) -> float:
         return math.sqrt(float(self.sq_norm()))

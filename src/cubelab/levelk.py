@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import kernels
 from .bfcore import MAX_N
 from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
 from .halfspace import Halfspace
-from .rational import as_fraction
+from .rational import as_fraction, common_scale
 
 # the desk-scale bias cut eps < 2^(-BIAS_CUT_EXPONENT * k) of the degree-k checks
 BIAS_CUT_EXPONENT = 9
@@ -121,22 +122,35 @@ class SymmetricStats:
         return m * self.elementary[m] - acc
 
 
+def _elementary_ints(ints, m_max: int) -> list[int]:
+    """e_0 .. e_m_max of nonnegative Python ints, by the one-value-at-a-time DP."""
+    elem = [1] + [0] * m_max
+    for v in ints:
+        for m in range(m_max, 0, -1):
+            elem[m] += v * elem[m - 1]
+    return elem
+
+
 def symmetric_stats(values, m_max: int) -> SymmetricStats:
+    """Elementary and power sums up to degree m_max, exactly.
+
+    The values are written over one common denominator D, so both kinds of
+    sum run over Python ints and degree m is divided by D^m once.
+    """
     vals = tuple(as_fraction(v) for v in values)
     if any(v < 0 for v in vals):
         raise ValueError("values must be nonnegative")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     # m_max beyond len(vals) is fine: those elementary sums are zero
-    elem = [Fraction(0)] * (m_max + 1)
-    elem[0] = Fraction(1)
-    for v in vals:
-        for m in range(m_max, 0, -1):
-            elem[m] += v * elem[m - 1]
-    power = [Fraction(len(vals))]
-    for m in range(1, m_max + 1):
-        power.append(sum((v**m for v in vals), Fraction(0)))
-    return SymmetricStats(vals, tuple(elem), tuple(power))
+    den = common_scale(vals)
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    power = [sum(p**m for p in ints) for m in range(m_max + 1)]  # p^0 = 1 counts the values
+
+    def over_den(sums) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, den**m) for m, x in enumerate(sums))
+
+    return SymmetricStats(vals, over_den(_elementary_ints(ints, m_max)), over_den(power))
 
 
 def elementary_chain_check(stats: SymmetricStats, k: int):
@@ -228,13 +242,12 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
     t = h.threshold if t is None else as_fraction(t)
     if h.n > MAX_N:
         raise ValueError(f"needs the full cube; arity capped at {MAX_N}")
-    vals = kernels.dot_values(h.scaled)
     mask = 0
     for j in subset:
         mask |= 1 << j
     # x^S at every point: x_i for i in S, 1 elsewhere
     signs = kernels.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(h.n))
-    uniq, inverse = np.unique(vals, return_inverse=True)
+    uniq, inverse = CubeScan(h, 0).classes
     signed_counts = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(signed_counts, inverse, signs.astype(np.int64))  # mixed dtypes take a slow path
     weights = _cdf_weights(h, k, uniq, t, delta)
@@ -272,28 +285,67 @@ def smoothed_fourier_lower_bound(h: Halfspace, subset, delta, t=None):
     return True, bound
 
 
-def elementary_symmetric_pointwise(h: Halfspace, k: int) -> np.ndarray:
-    """e_k of (a_j x_j) at every cube point, as scaled int64 (scale^k units)."""
-    n = h.n
-    biggest = int(max(h.scaled)) if n else 0
-    if k >= 1 and math.comb(max(n, 1), k) * biggest**k > 2**62:
-        raise OverflowError("elementary symmetric values would overflow int64")
+def elementary_symmetric_pointwise(h: Halfspace, k: int) -> list[np.ndarray]:
+    """e_0 .. e_k of (a_j x_j) at every cube point, as scaled int64 (e_d in
+    scale^d units), from one doubling pass.
+
+    Layer d never reads a layer above d, so the pass stops below the first
+    level whose values could overflow int64, and the list is shorter than
+    k + 1 by the levels refused; ``CubeScan.esym`` raises for them.
+    """
+    biggest = int(max(h.scaled)) if h.n else 0
+    top = 0
+    # |e_d| is at most C(n, d) max^d at every point
+    while top < k and math.comb(max(h.n, 1), top + 1) * biggest ** (top + 1) <= 2**62:
+        top += 1
     # layers[d] holds e_d of the coordinates seen so far, doubling with each
     # new one as in kernels.dot_values: e_d + x e_{d-1} at x = -w, then +w
-    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * k
+    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * top
     for w in h.scaled.tolist():
         steps = [0] + [w * e for e in layers[:-1]]
         layers = [np.concatenate([e - s, e + s]) for e, s in zip(layers, steps)]
-    return layers[k]
+    return layers
 
 
-def sign_condition_holds(h: Halfspace, k: int, t=None) -> bool:
+class CubeScan:
+    """A halfspace's arrays over the whole cube, each built on first use and
+    then kept, so every check of one member reads the same copy: the scaled
+    dot values a.x, their value classes (the distinct values ascending and
+    each point's index among them) and the elementary symmetric layers
+    e_0 .. e_top of (a_j x_j)."""
+
+    def __init__(self, h: Halfspace, top: int):
+        self.h = h
+        self.top = top
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return kernels.dot_values(self.h.scaled)
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.values, return_inverse=True)
+
+    @cached_property
+    def layers(self) -> list[np.ndarray]:
+        return elementary_symmetric_pointwise(self.h, self.top)
+
+    def esym(self, k: int) -> np.ndarray:
+        """e_k at every cube point; refused when its values could overflow int64."""
+        if k > self.top:
+            raise ValueError(f"level {k} above the scan's top level {self.top}")
+        if k >= len(self.layers):
+            raise OverflowError("elementary symmetric values would overflow int64")
+        return self.layers[k]
+
+
+def sign_condition_holds(cube: CubeScan, k: int, t=None) -> bool:
     """Exhaustively: the degree-k elementary symmetric form of the signed
     weights is nonnegative on every point the halfspace accepts."""
+    h = cube.h
     t = h.threshold if t is None else as_fraction(t)
-    table = (kernels.dot_values(h.scaled) > math.floor(t * h.scale))
-    esym = elementary_symmetric_pointwise(h, k)
-    return not bool(np.any(table & (esym < 0)))
+    esym = cube.esym(k)
+    return not bool(np.any((cube.values > math.floor(t * h.scale)) & (esym < 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +374,10 @@ class PipelineReport:
     upper_ok: bool | None
 
 
-def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
-    """Evaluate the degree-k weight scaffolding on one halfspace of level-k
-    Fourier weight wk, which permuting or adding dummy coordinates keeps.
+def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
+    """Evaluate the degree-k weight scaffolding on the cube scan's halfspace
+    of level-k Fourier weight wk, which permuting or adding dummy
+    coordinates keeps.
 
     The two bracketing inequalities around the smoothed total M are asserted
     whenever their own preconditions hold: the lower one needs the top-k
@@ -334,6 +387,7 @@ def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    h = cube.h
     t = h.threshold
     eps = h.tail(t)
     if eps == 0:
@@ -341,14 +395,12 @@ def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
     if eps > Fraction(1, 2):
         raise ValueError("needs mean at most 1/2")
     norm = h.l2_norm()
-    sq_norm = h.sq_norm()
 
     if h.n > MAX_N:
         raise ValueError(f"cube scan capped at {MAX_N} coordinates")
     if k > h.n:
         raise ValueError(f"level {k} outside 0..{h.n}")
-    vals = kernels.dot_values(h.scaled)
-    accepts = vals > math.floor(t * h.scale)
+    accepts = cube.values > math.floor(t * h.scale)
 
     log_inv = math.log(1 / float(eps))
     ratio_stat = (
@@ -360,13 +412,14 @@ def level_k_pipeline(h: Halfspace, k: int, wk: Fraction) -> PipelineReport:
     beta, gamma, delta = thresholds.beta, thresholds.gamma, thresholds.delta
     top_mass = sum(h.weights[:k], Fraction(0))
 
-    normalized_sq = [w * w / sq_norm for w in h.weights]
-    coeff_sq_sum = symmetric_stats(normalized_sq, k).elementary[k]
+    # e_k of the squared weights over |a|^2, each weight s_j / scale
+    squares = [s * s for s in h.scaled.tolist()]
+    coeff_sq_sum = Fraction(_elementary_ints(squares, k)[k], sum(squares) ** k)
 
-    esym_scaled = elementary_symmetric_pointwise(h, k)
+    esym_scaled = cube.esym(k)
     esym = esym_scaled / (float(h.scale) ** k * norm**k)
     if delta > 0:
-        uniq, inverse = np.unique(vals, return_inverse=True)
+        uniq, inverse = cube.classes
         point_weights = _cdf_weights(h, k, uniq, t, delta)[inverse]
     else:
         point_weights = accepts.astype(np.float64)

@@ -18,11 +18,12 @@ from .bfcore import BooleanFunction
 class FourierSpectrum:
     """All 2^n coefficients of a Boolean function, subset-mask indexed."""
 
-    __slots__ = ("n", "numerators")
+    __slots__ = ("n", "numerators", "_level_weights")
 
     def __init__(self, n: int, numerators: np.ndarray):
         self.n = n
         self.numerators = numerators
+        self._level_weights = None
 
     def coefficient(self, mask: int) -> Fraction:
         return Fraction(int(self.numerators[mask]), 1 << self.n)
@@ -32,8 +33,11 @@ class FourierSpectrum:
         return [self.coefficient(1 << i) for i in range(self.n)]
 
     def level_weights(self) -> "LevelWeights":
-        sq = np.square(self.numerators, dtype=np.float64)  # each at most 4^n: exact
-        return LevelWeights(self.n, kernels.level_sums(sq, self.n))
+        """W^k at every level, summed on the first call and kept."""
+        if self._level_weights is None:
+            sq = np.square(self.numerators, dtype=np.float64)  # each at most 4^n: exact
+            self._level_weights = LevelWeights(self.n, kernels.level_sums(sq, self.n))
+        return self._level_weights
 
     def export_rows(self):
         """(mask, numerator, denominator-log2) triples for CSV export."""

@@ -16,7 +16,10 @@ meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
 dot product per value) of its blocked tail counts, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
 subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
-ints) of COR36's prefix-minimum count.
+ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
+(one doubling pass per level) of the shared e_k layers, and
+``fraction_symmetric_stats`` (Fraction sums term by term) of the sums over
+one common denominator.
 """
 
 from fractions import Fraction
@@ -28,6 +31,7 @@ import numpy as np
 from cubelab import kernels
 from cubelab.bfcore import BooleanFunction
 from cubelab.correlate import CorrelationResult, first_level_form
+from cubelab.levelk import SymmetricStats
 from cubelab.spectral import fwht_spectrum
 
 
@@ -369,3 +373,33 @@ def swept_decay_violations(kappa, highs, piece_vals) -> int:
         if running_min is not None and 5 * running_min < int(piece_vals[ti]):
             violations += 1
     return violations
+
+
+def per_k_elementary_symmetric(h, k: int) -> np.ndarray:
+    """e_k of (a_j x_j) at every cube point by its own doubling pass, layers
+    0..k only, refused when C(n, k) max^k passes 2^62: the per-level route
+    that the one shared pass of ``levelk.elementary_symmetric_pointwise``
+    replaces."""
+    biggest = int(max(h.scaled)) if h.n else 0
+    if k >= 1 and comb(max(h.n, 1), k) * biggest**k > 2**62:
+        raise OverflowError("elementary symmetric values would overflow int64")
+    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * k
+    for w in h.scaled.tolist():
+        steps = [0] + [w * e for e in layers[:-1]]
+        layers = [np.concatenate([e - s, e + s]) for e, s in zip(layers, steps)]
+    return layers[k]
+
+
+def fraction_symmetric_stats(values, m_max: int):
+    """``levelk.symmetric_stats`` summed term by term in Fractions, with no
+    common denominator."""
+    vals = tuple(Fraction(v) for v in values)
+    elem = [Fraction(0)] * (m_max + 1)
+    elem[0] = Fraction(1)
+    for v in vals:
+        for m in range(m_max, 0, -1):
+            elem[m] += v * elem[m - 1]
+    power = [Fraction(len(vals))]
+    for m in range(1, m_max + 1):
+        power.append(sum((v**m for v in vals), Fraction(0)))
+    return SymmetricStats(vals, tuple(elem), tuple(power))

@@ -104,7 +104,7 @@ def test_criterion_2_paper_examples():
     spec = spectral.fwht_spectrum(f5)
     ok = all(spec.coefficient(1 << i) == F(1, 16) for i in range(5))
     ok &= spectral.covariance(f5, bfcore.majority(5)) == F(-1, 16)
-    ok &= correlate.unbiased_correlator(f5).covariance == F(1, 8)
+    ok &= correlate.unbiased_correlator(correlate.FirstLevel(f5)).covariance == F(1, 8)
     for k in range(1, 7):
         h = make_halfspace([F(1)] * k + [F(0)] * 2, F(2 * k - 1, 2))
         ok &= h.vertex_boundary(1) == F(1, 2**k)

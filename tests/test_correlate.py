@@ -24,14 +24,14 @@ def test_first_level_form_examples():
 
 def test_best_halfspace_paper5():
     f = bfcore.paper5()
-    res = correlate.best_halfspace_over_form(f)
+    res = correlate.best_halfspace_over_form(correlate.FirstLevel(f))
     assert res.covariance == F(3, 32)
     assert res.threshold == F(-3, 16)  # ties resolved to the lowest cut
 
 
 def test_best_halfspace_dictator():
     f = bfcore.dictator(2)
-    res = correlate.best_halfspace_over_form(f)
+    res = correlate.best_halfspace_over_form(correlate.FirstLevel(f))
     assert res.covariance == F(1, 4)
     # the winning cut keeps exactly the x1 = +1 half
     assert res.threshold < F(1, 2)
@@ -39,7 +39,7 @@ def test_best_halfspace_dictator():
 
 def test_best_halfspace_constant_zero():
     f = bfcore.from_truth_table([0] * 8, 3)
-    res = correlate.best_halfspace_over_form(f)
+    res = correlate.best_halfspace_over_form(correlate.FirstLevel(f))
     assert res.degenerate and res.covariance == 0
 
 
@@ -72,7 +72,7 @@ def test_best_halfspace_brute_agreement():
         form = form or correlate.first_level_form(f)
         if form.is_zero():
             continue
-        res = correlate.best_halfspace_over_form(f, form)
+        res = correlate.best_halfspace_over_form(correlate.FirstLevel(f, form=form))
         values, scale = form.scaled_values()
         # brute force: every cut that keeps some point, as a table
         cuts = []
@@ -91,11 +91,50 @@ def test_best_halfspace_brute_agreement():
     assert ties >= 13 and degenerate == 1
 
 
+def test_first_level_shares_fresh_arrays(monkeypatch):
+    """The form's scaled values and the cut profile of one FirstLevel equal
+    fresh scaled_values and _cut_covariances calls, and every correlator of
+    it reads the one copy: each is built once."""
+    rng = np.random.default_rng(11)
+    cases = [bfcore.paper5(), bfcore.tribes(2, 3), bfcore.majority(7)]
+    cases += [bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n) for n in (4, 9)]
+    for f in cases:
+        form = correlate.first_level_form(f)
+        values, scale = form.scaled_values()
+        fresh = correlate._cut_covariances(f, values)
+        builds = {"values": 0, "cuts": 0}
+        scaled_values = correlate.LinearForm.scaled_values
+        cut_covariances = correlate._cut_covariances
+
+        def counted_values(self):
+            builds["values"] += 1
+            return scaled_values(self)
+
+        def counted_cuts(g, vals):
+            builds["cuts"] += 1
+            return cut_covariances(g, vals)
+
+        monkeypatch.setattr(correlate.LinearForm, "scaled_values", counted_values)
+        monkeypatch.setattr(correlate, "_cut_covariances", counted_cuts)
+        first = correlate.FirstLevel(f)
+        correlate.best_halfspace_over_form(first)
+        correlate.threshold_integral_identity(first)
+        correlate.unbiased_correlator(first)
+        if 0 < f.mean < 1:
+            correlate.biased_correlator(first)
+            correlate.noise_resistance_class(first)
+        monkeypatch.undo()
+        assert builds == {"values": 1, "cuts": 1}
+        assert np.array_equal(first.scaled_values[0], values) and first.scaled_values[1] == scale
+        for shared, alone in zip(first.cut_profile, fresh):
+            assert np.array_equal(shared, alone)
+
+
 def test_threshold_integral_identity():
     for f in (bfcore.paper5(), bfcore.majority(5), bfcore.dictator(3),
               bfcore.tribes(2, 3)):
         w1 = spectral.fwht_spectrum(f).level_weights().level(1)
-        assert correlate.threshold_integral_identity(f) == w1
+        assert correlate.threshold_integral_identity(correlate.FirstLevel(f)) == w1
 
 
 def test_threshold_integral_identity_random():
@@ -103,7 +142,7 @@ def test_threshold_integral_identity_random():
     for n in [6] * 10 + [14, 15, 16]:
         f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
         w1 = spectral.fwht_spectrum(f).level_weights().level(1)
-        assert correlate.threshold_integral_identity(f) == w1
+        assert correlate.threshold_integral_identity(correlate.FirstLevel(f)) == w1
 
 
 def test_threshold_integral_identity_past_int64():
@@ -126,12 +165,12 @@ def test_threshold_integral_identity_past_int64():
     v, _count, cov_num = correlate._cut_covariances(f, values)
     wide = np.dot(cov_num[:-1].astype(object), np.diff(v).astype(object))
     assert int(np.dot(cov_num[:-1], np.diff(v))) != wide  # int64 wraps here
-    assert correlate.threshold_integral_identity(f, form) == w1
+    assert correlate.threshold_integral_identity(correlate.FirstLevel(f, form=form)) == w1
 
 
 def test_unbiased_correlator_paper5():
     f = bfcore.paper5()
-    res = correlate.unbiased_correlator(f)
+    res = correlate.unbiased_correlator(correlate.FirstLevel(f))
     assert res.covariance == F(1, 8)
     assert "flips" in res.notes
     # the majority cut itself anti-correlates
@@ -141,26 +180,26 @@ def test_unbiased_correlator_paper5():
 
 def test_unbiased_correlator_dictator_and_majority():
     d = bfcore.dictator(4)
-    res = correlate.unbiased_correlator(d)
+    res = correlate.unbiased_correlator(correlate.FirstLevel(d))
     assert res.covariance == F(1, 4)
     assert res.notes == "base"
     maj = bfcore.majority(3)
-    res = correlate.unbiased_correlator(maj)
+    res = correlate.unbiased_correlator(correlate.FirstLevel(maj))
     assert res.covariance == maj.mean * (1 - maj.mean)
 
 
 def test_unbiased_correlator_full_scan_consistent():
     f = bfcore.paper5()
-    fast = correlate.unbiased_correlator(f)
-    full = correlate.unbiased_correlator(f, full_scan=True)
+    fast = correlate.unbiased_correlator(correlate.FirstLevel(f))
+    full = correlate.unbiased_correlator(correlate.FirstLevel(f), full_scan=True)
     assert full.covariance >= fast.covariance
     rng = np.random.default_rng(5)
     for trial in range(5):
         g = bfcore.from_truth_table(rng.integers(0, 2, size=32), 5)
         if correlate.first_level_form(g).is_zero():
             continue
-        fast = correlate.unbiased_correlator(g)
-        full = correlate.unbiased_correlator(g, full_scan=True)
+        fast = correlate.unbiased_correlator(correlate.FirstLevel(g))
+        full = correlate.unbiased_correlator(correlate.FirstLevel(g), full_scan=True)
         assert full.covariance >= fast.covariance
 
 
@@ -188,20 +227,20 @@ def test_unbiased_correlator_matches_index_route(n):
     single flips and the full Gray-code walk."""
     for f in _unbiased_cases(n):
         for full in (False, True):
-            fast = correlate.unbiased_correlator(f, full_scan=full)
+            fast = correlate.unbiased_correlator(correlate.FirstLevel(f), full_scan=full)
             assert fast == oracles.index_unbiased_correlator(f, full_scan=full)
 
 
 def test_unbiased_correlator_full_scan_cap():
     f = bfcore.majority(17)
-    assert correlate.unbiased_correlator(f).notes == "base"
+    assert correlate.unbiased_correlator(correlate.FirstLevel(f)).notes == "base"
     with pytest.raises(ValueError, match="capped at 16"):
-        correlate.unbiased_correlator(f, full_scan=True)
+        correlate.unbiased_correlator(correlate.FirstLevel(f), full_scan=True)
 
 
 def test_biased_correlator_degenerate_regime():
     f = bfcore.majority(3)  # eps = 1/2: hypothesis cannot hold
-    rec = correlate.biased_correlator(f)
+    rec = correlate.biased_correlator(correlate.FirstLevel(f))
     assert not rec.hypothesis_met
     assert rec.notes == "hypothesis-not-met"
 
@@ -212,7 +251,7 @@ def test_biased_correlator_biased_instance():
 
     h = make_halfspace([1] * 15, 9)
     f = h.truth_table(max_n=24)
-    rec = correlate.biased_correlator(f)
+    rec = correlate.biased_correlator(correlate.FirstLevel(f))
     assert rec.hypothesis_met
     assert rec.small_mean_ok and rec.expectation_ok
     assert float(rec.mean_g) <= float(f.mean) ** (rec.alpha / 8)
@@ -222,14 +261,14 @@ def test_biased_correlator_biased_instance():
 def test_biased_correlator_validates():
     zero = bfcore.from_truth_table([0] * 4, 2)
     with pytest.raises(ValueError):
-        correlate.biased_correlator(zero)
+        correlate.biased_correlator(correlate.FirstLevel(zero))
     parity = bfcore.from_truth_table([0, 1, 1, 0], 2)
     with pytest.raises(ValueError):
-        correlate.biased_correlator(parity)  # first level vanishes
+        correlate.biased_correlator(correlate.FirstLevel(parity))  # first level vanishes
 
 
 def test_noise_resistance_dictator():
-    rep = correlate.noise_resistance_class(bfcore.dictator(3))
+    rep = correlate.noise_resistance_class(correlate.FirstLevel(bfcore.dictator(3)))
     assert math.isclose(rep.fourier_stat, 1 / math.log(2), rel_tol=1e-12)
     assert rep.fourier_resistant
     assert rep.monotone
@@ -237,7 +276,7 @@ def test_noise_resistance_dictator():
 
 
 def test_noise_resistance_tribes_reported():
-    rep = correlate.noise_resistance_class(bfcore.tribes(4, 4))
+    rep = correlate.noise_resistance_class(correlate.FirstLevel(bfcore.tribes(4, 4)))
     assert 0 < rep.fourier_stat
     assert 0 <= rep.stability <= float(rep.mean)
     assert rep.monotone
@@ -245,7 +284,7 @@ def test_noise_resistance_tribes_reported():
 
 def test_noise_resistance_validates():
     with pytest.raises(ValueError):
-        correlate.noise_resistance_class(bfcore.from_truth_table([1, 1], 1))
+        correlate.noise_resistance_class(correlate.FirstLevel(bfcore.from_truth_table([1, 1], 1)))
 
 
 def test_tribes_or_small_halfspace_tightness():
@@ -261,7 +300,7 @@ def test_tribes_or_small_halfspace_tightness():
     glued = bfcore.from_truth_table(tribes.table | rare.table, n)
     form = correlate.first_level_form(glued)
     values, scale = form.scaled_values()
-    best = correlate.best_halfspace_over_form(glued, form)
+    best = correlate.best_halfspace_over_form(correlate.FirstLevel(glued, form=form))
     cut = bfcore.BooleanFunction(
         n, (values > best.threshold * scale).astype("uint8"))
     assert spectral.covariance(glued, cut) == best.covariance

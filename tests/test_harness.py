@@ -1,10 +1,12 @@
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubelab import checks, harness, levelk
+from cubelab import checks, correlate, harness, kernels, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import MeetInMiddleDistribution, parse_halfspace
@@ -150,9 +152,49 @@ def test_wk_pipeline_check_matches_internal_table_route():
         ctx = MemberContext("m", entry)
         h = ctx.halfspace
         expect = [levelk.pipeline_record(
-            levelk.level_k_pipeline(h, k, oracles.table_level_weight(h, k)), f"m k={k}")
+            levelk.level_k_pipeline(levelk.CubeScan(h, k), k, oracles.table_level_weight(h, k)), f"m k={k}")
             for k in (2, 3)]
         assert REGISTRY["WK-PIPELINE"].fn(ctx, harness.PinnedConstants()) == expect
+
+
+def test_each_member_does_its_cube_work_once(monkeypatch):
+    """run_suite("all") on two members: each makes one halfspace dot-value
+    fill, one value-class sort, one e_k layer pass, one build of the first-
+    level form's values, one cut profile and one level-sum pass, however
+    many checks read them.  The global checks' own calls are measured on an
+    empty corpus and taken off."""
+    counts = Counter()
+
+    def counting(owner, name, key=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key(args, kwargs) if key else name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # a dot-value fill is told apart by its caller: halfspace builds truth
+    # tables, correlate the form's values, levelk the member's cube scan
+    counting(kernels, "dot_values",
+             lambda a, kw: "dot_values from " + sys._getframe(2).f_globals["__name__"])
+    counting(np, "unique", lambda a, kw: "class sort" if kw.get("return_inverse") else "unique")
+    counting(levelk, "elementary_symmetric_pointwise")
+    counting(correlate.LinearForm, "scaled_values")
+    counting(correlate, "_cut_covariances")
+    counting(kernels, "level_sums")
+    harness.run_suite("all", harness.Corpus("empty", ()))
+    globals_only = Counter(counts)
+    counts.clear()
+    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 10, "n_hi": 12, "count": 2}, seed=7)
+    report, _ = harness.run_suite("all", corpus)
+    assert {r.check_id for r in report.records} >= {"SIGN-COND", "WK-PIPELINE", "THM17",
+                                                    "PROP92", "PROP93", "PROP16", "NSREMARK"}
+    per_members = counts - globals_only
+    for key in ("dot_values from cubelab.levelk", "class sort",
+                "elementary_symmetric_pointwise", "scaled_values", "_cut_covariances",
+                "level_sums"):
+        assert per_members[key] == 2, key
 
 
 @pytest.mark.parametrize("top", [20, 1 << 61], ids=["small", "2^61"])

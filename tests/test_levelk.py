@@ -5,8 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cubelab import kernels, levelk, spectral
-from cubelab.halfspace import make_halfspace
+from cubelab import harness, kernels, levelk, spectral
+from cubelab.halfspace import make_halfspace, parse_halfspace
 
 import oracles
 
@@ -239,8 +239,9 @@ def test_elementary_symmetric_pointwise_matches_brute():
         nums, dens = rng.integers(1, 40, size=n), rng.integers(1, 4, size=n)
         halfspaces.append(make_halfspace([F(int(a), int(b)) for a, b in zip(nums, dens)], 0))
     for h in halfspaces:
-        for k in (1, 2, 3, 4):
-            table = levelk.elementary_symmetric_pointwise(h, k)
+        layers = levelk.elementary_symmetric_pointwise(h, 4)
+        assert len(layers) == 5
+        for k, table in enumerate(layers):
             assert table.shape == (1 << h.n,) and table.dtype == np.int64
             for m in range(1 << h.n):
                 signed = [int(h.scaled[j]) * x for j, x in enumerate(oracles.point_signs(m, h.n))]
@@ -250,20 +251,118 @@ def test_elementary_symmetric_pointwise_matches_brute():
 def test_elementary_symmetric_overflow_guard_boundary():
     # C(2, 2) * w^2 <= 2^62 admits w = 2^31 exactly, where e_2 = +-2^62
     h = make_halfspace([2**31, 2**31], 0)
-    e2 = levelk.elementary_symmetric_pointwise(h, 2)
+    e2 = levelk.CubeScan(h, 2).esym(2)
     assert e2.tolist() == [2**62, -(2**62), -(2**62), 2**62]
+    past = make_halfspace([2**31 + 1, 2**31], 0)
+    assert len(levelk.elementary_symmetric_pointwise(past, 2)) == 2  # stops below e_2
     with pytest.raises(OverflowError):
-        levelk.elementary_symmetric_pointwise(make_halfspace([2**31 + 1, 2**31], 0), 2)
+        levelk.CubeScan(past, 2).esym(2)
+
+
+def test_one_pass_layers_equal_per_level_passes():
+    """Every layer of one pass to k = 4 equals its own per-level pass, and a
+    level the guard refuses is refused by both routes while the levels below
+    it are still served."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n in (1, 3, 7, 10):
+        nums, dens = rng.integers(1, 1 << 12, size=n), rng.integers(1, 8, size=n)
+        cases.append(make_halfspace([F(int(a), int(b)) for a, b in zip(nums, dens)], 0))
+    # 16 weights near 2^20: C(16, 2) 2^40 fits int64's guard, C(16, 3) 2^60 does not
+    cases.append(make_halfspace([(1 << 20) - j for j in range(16)], 0))
+    for h in cases:
+        cube = levelk.CubeScan(h, 4)
+        for k in range(5):
+            try:
+                expect = oracles.per_k_elementary_symmetric(h, k)
+            except OverflowError:
+                with pytest.raises(OverflowError, match="would overflow int64"):
+                    cube.esym(k)
+                continue
+            assert np.array_equal(cube.esym(k), expect)
+    wide = levelk.CubeScan(cases[-1], 3)
+    assert wide.esym(2).shape == (1 << 16,)
+    with pytest.raises(OverflowError):
+        wide.esym(3)
+    with pytest.raises(ValueError, match="above the scan's top level 3"):
+        wide.esym(4)
+
+
+def test_cube_scan_shares_fresh_arrays():
+    """The scan's dot values and value classes equal fresh kernel and
+    np.unique calls, and each is built once however often it is read."""
+    rng = np.random.default_rng(5)
+    for n in (1, 6, 11):
+        h = make_halfspace([F(int(a), int(b)) for a, b in
+                            zip(rng.integers(1, 30, size=n), rng.integers(1, 5, size=n))], 1)
+        cube = levelk.CubeScan(h, 3)
+        vals = kernels.dot_values(h.scaled)
+        assert np.array_equal(cube.values, vals)
+        uniq, inverse = np.unique(vals, return_inverse=True)
+        assert np.array_equal(cube.classes[0], uniq)
+        assert np.array_equal(cube.classes[1], inverse)
+        assert cube.values is cube.values and cube.classes is cube.classes
+        assert cube.layers is cube.layers and cube.esym(3) is cube.layers[3]
+
+
+def _random_rational_weights(rng, n):
+    return [F(int(a), int(b)) for a, b in
+            zip(rng.integers(1, 200, size=n), rng.integers(2, 8, size=n))]
+
+
+def test_integer_norms_equal_fraction_sums():
+    """|a|^2 in Python ints, the pipeline's sum of (a^S)^2 over |S| = k as
+    e_k of the squared integer weights, and the symmetric sums over one
+    common denominator all equal their Fraction sums, on rational weights
+    with denominators 2-7."""
+    rng = np.random.default_rng(2027)
+    for trial in range(12):
+        n = int(rng.integers(1, 11))
+        weights = _random_rational_weights(rng, n)
+        h = make_halfspace(weights, 0)
+        sq = sum((w * w for w in weights), F(0))
+        assert h.sq_norm() == sq
+        for k in range(1, min(n, 3) + 1):
+            report = levelk.level_k_pipeline(levelk.CubeScan(h, k), k, F(0))
+            expect = oracles.fraction_symmetric_stats([w * w / sq for w in h.weights], k)
+            assert report.coeff_sq_sum == expect.elementary[k]
+        m_max = int(rng.integers(0, 10))
+        values = _random_rational_weights(rng, n)
+        assert levelk.symmetric_stats(values, m_max) == \
+            oracles.fraction_symmetric_stats(values, m_max)
+
+
+def test_levelk_suite_guards_each_level_with_shared_layers():
+    """A 16-coordinate member with 20-bit weights: e_2 fits int64 and e_3
+    does not, so from one shared pass SIGN-COND and WK-PIPELINE run k = 2
+    and skip k = 3, with the statuses and notes of separate per-level passes."""
+    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 14, "n_hi": 16, "weight_bits": 20,
+                                                     "count": 1}, seed=0)
+    assert parse_halfspace(corpus.entries[0]).n == 16
+    report, _ = harness.run_suite("levelk", corpus)
+    got = {(r.check_id, r.instance.rsplit(" ", 1)[-1]): (r.status, r.passed, r.notes)
+           for r in report.records if r.check_id in ("SIGN-COND", "WK-PIPELINE")}
+    assert got == {
+        ("SIGN-COND", "k=2"): ("hypothesis-not-met", None,
+                               "hypotheses not met; holds=True (reported)"),
+        ("SIGN-COND", "k=3"): ("hypothesis-not-met", None, "weights too large for exact scan"),
+        ("WK-PIPELINE", "k=2"): ("pass", True, "k=2 R=2.332 sign=True 2ka1<beta=False "
+                                 "tall_t=False eta=False surrogate=False"),
+        ("WK-PIPELINE", "k=3"): ("hypothesis-not-met", None,
+                                 "elementary symmetric values would overflow int64"),
+    }
+    holds = [r.lhs for r in report.records if r.check_id == "SIGN-COND"]
+    assert holds == [True, None]
 
 
 def test_sign_condition_majority():
     h = make_halfspace([1] * 9, 4)
-    assert levelk.sign_condition_holds(h, 2)
+    assert levelk.sign_condition_holds(levelk.CubeScan(h, 2), 2)
 
 
 def test_sign_condition_fails_with_heavy_weight():
     h = make_halfspace([F(3), F(1), F(1)], 1)
-    assert not levelk.sign_condition_holds(h, 2)
+    assert not levelk.sign_condition_holds(levelk.CubeScan(h, 2), 2)
 
 
 # -- the pipeline -------------------------------------------------------------------
@@ -295,7 +394,7 @@ def test_wk_identity_member_table_matches_pipeline_table(n):
 
 def test_pipeline_majority15():
     h = make_halfspace([1] * 15, 9)
-    report = levelk.level_k_pipeline(h, 2, _member_wk(h, 2))
+    report = levelk.level_k_pipeline(levelk.CubeScan(h, 2), 2, _member_wk(h, 2))
     assert report.eps == F(121, 32768)
     assert report.beta == 2 and report.gamma == 4 and report.delta == 6
     assert report.sign_ok
@@ -308,14 +407,14 @@ def test_pipeline_majority15():
 
 def test_pipeline_k1_dictator():
     h = make_halfspace([1], 0)
-    report = levelk.level_k_pipeline(h, 1, _member_wk(h, 1))
+    report = levelk.level_k_pipeline(levelk.CubeScan(h, 1), 1, _member_wk(h, 1))
     assert report.upper_ok is True  # sign condition is the threshold rule itself
     assert report.ratio_stat > 0
 
 
 def test_pipeline_vacuous_when_no_side_applies():
     h = make_halfspace([F(3), F(1), F(1)], 1)
-    report = levelk.level_k_pipeline(h, 2, _member_wk(h, 2))
+    report = levelk.level_k_pipeline(levelk.CubeScan(h, 2), 2, _member_wk(h, 2))
     assert not report.sign_ok
     assert report.lower_ok is None and report.upper_ok is None
     rec = levelk.pipeline_record(report)
@@ -330,17 +429,17 @@ def test_pipeline_matches_separate_routes():
         weights = [int(w) for w in rng.integers(1, 9, size=n)]
         h = make_halfspace(weights, sum(weights) // 3)
         for k in (1, 2, 3):
-            report = levelk.level_k_pipeline(h, k, _member_wk(h, k))
-            assert report.sign_ok == levelk.sign_condition_holds(h, k)
+            report = levelk.level_k_pipeline(levelk.CubeScan(h, k), k, _member_wk(h, k))
+            assert report.sign_ok == levelk.sign_condition_holds(levelk.CubeScan(h, k), k)
     wide = make_halfspace([1] * 25, 11)
     with pytest.raises(ValueError, match="capped at 24"):
-        levelk.level_k_pipeline(wide, 2, F(0))
+        levelk.level_k_pipeline(levelk.CubeScan(wide, 2), 2, F(0))
     sparse = make_halfspace([1, 0, 0, 0], 0)
     with pytest.raises(ValueError, match=r"level 2 outside 0\.\.1"):
-        levelk.level_k_pipeline(sparse, 2, _member_wk(sparse, 2))
+        levelk.level_k_pipeline(levelk.CubeScan(sparse, 2), 2, _member_wk(sparse, 2))
 
 
 def test_pipeline_rejects_unbiased():
     h = make_halfspace([1, 1, 1], -2)
     with pytest.raises(ValueError):
-        levelk.level_k_pipeline(h, 2, _member_wk(h, 2))
+        levelk.level_k_pipeline(levelk.CubeScan(h, 2), 2, _member_wk(h, 2))

@@ -83,6 +83,31 @@ def test_level_weights_match_masked_oracle(n):
     assert [weights.level(k) for k in range(n + 1)] == [Fraction(w, 1 << 2 * n) for w in expect]
 
 
+def test_level_weights_memo_equals_fresh_level_sums(monkeypatch):
+    """The spectrum sums its level weights once, on the first call; every
+    later call returns that object, equal to a fresh kernels.level_sums."""
+    calls = []
+    level_sums = kernels.level_sums
+
+    def counting(values, n):
+        calls.append(n)
+        return level_sums(values, n)
+
+    for n in (1, 5, 10):
+        f = bfcore.from_truth_table(np.random.default_rng(40 + n).integers(0, 2, size=1 << n), n)
+        spec = spectral.fwht_spectrum(f)
+        fresh = kernels.level_sums(np.square(spec.numerators, dtype=np.float64), n)
+        monkeypatch.setattr(kernels, "level_sums", counting)
+        first = spec.level_weights()
+        assert spec.level_weights() is first
+        assert spectral.noise_stability(f, Fraction(1, 3), spec) == sum(
+            Fraction(1, 3) ** k * Fraction(fresh[k], 1 << 2 * n) for k in range(1, n + 1))
+        monkeypatch.undo()
+        assert [first.level(k) for k in range(n + 1)] == \
+            [Fraction(w, 1 << 2 * n) for w in fresh]
+    assert calls == [1, 5, 10]
+
+
 def test_level_weights_refuse_past_26():
     """Float64 level sums are exact only to n = 26; a one-entry stand-in
     spectrum shows the refusal needs no 2^n array."""
