@@ -41,7 +41,6 @@ F = Fraction
 
 TABLE_CAP = bfcore.MAX_N  # members above this arity run halfspace-only checks
 XCHECK_CAP = 16         # truth-table cross-checks stay cheap below this
-LEVELS = (2, 3)         # the degrees k of the level-k checks
 
 
 class MemberContext:
@@ -83,7 +82,7 @@ class MemberContext:
 
     @cached_property
     def cube(self) -> levelk.CubeScan:
-        return levelk.CubeScan(self.halfspace, max(LEVELS))
+        return levelk.CubeScan(self.halfspace)
 
     @cached_property
     def first_level(self) -> correlate.FirstLevel:
@@ -709,7 +708,7 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
 def _check_sign_condition(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     recs = []
-    for k in LEVELS:
+    for k in levelk.LEVELS:
         try:
             holds = levelk.sign_condition_holds(ctx.cube, k)
         except OverflowError:
@@ -737,7 +736,7 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
 def _check_wk_pipeline(ctx) -> list[CheckRecord]:
     levels = ctx.level_weights
     recs = []
-    for k in LEVELS:
+    for k in levelk.LEVELS:
         try:
             wk = levels.level(k) if k <= levels.n else F(0)  # W^k = 0 above the arity
             report = levelk.level_k_pipeline(ctx.cube, k, wk)

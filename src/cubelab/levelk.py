@@ -22,6 +22,8 @@ from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
 from .halfspace import Halfspace
 from .rational import as_fraction, common_scale
 
+LEVELS = (2, 3)  # the degrees k of the level-k checks
+
 # the desk-scale bias cut eps < 2^(-BIAS_CUT_EXPONENT * k) of the degree-k checks
 BIAS_CUT_EXPONENT = 9
 
@@ -247,7 +249,7 @@ def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
         mask |= 1 << j
     # x^S at every point: x_i for i in S, 1 elsewhere
     signs = kernels.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(h.n))
-    uniq, inverse = CubeScan(h, 0).classes
+    uniq, inverse = CubeScan(h).classes
     signed_counts = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(signed_counts, inverse, signs.astype(np.int64))  # mixed dtypes take a slow path
     weights = _cdf_weights(h, k, uniq, t, delta)
@@ -289,34 +291,35 @@ def elementary_symmetric_pointwise(h: Halfspace, k: int) -> list[np.ndarray]:
     """e_0 .. e_k of (a_j x_j) at every cube point, as scaled int64 (e_d in
     scale^d units), from one doubling pass.
 
-    Layer d never reads a layer above d, so the pass stops below the first
-    level whose values could overflow int64, and the list is shorter than
-    k + 1 by the levels refused; ``CubeScan.esym`` raises for them.
+    int64 arithmetic wraps modulo 2^64 and the pass only adds, subtracts and
+    multiplies, so a layer whose values fit int64 is exact even where a layer
+    below it wrapped; ``e_k_fits`` tells which layers fit.
     """
-    biggest = int(max(h.scaled)) if h.n else 0
-    top = 0
-    # |e_d| is at most C(n, d) max^d at every point
-    while top < k and math.comb(max(h.n, 1), top + 1) * biggest ** (top + 1) <= 2**62:
-        top += 1
     # layers[d] holds e_d of the coordinates seen so far, doubling with each
     # new one as in kernels.dot_values: e_d + x e_{d-1} at x = -w, then +w
-    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * top
+    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * k
     for w in h.scaled.tolist():
         steps = [0] + [w * e for e in layers[:-1]]
         layers = [np.concatenate([e - s, e + s]) for e, s in zip(layers, steps)]
     return layers
 
 
+def e_k_fits(h: Halfspace, k: int) -> bool:
+    """Whether e_k of (a_j x_j) fits int64 at every cube point: |e_k| is at
+    most C(n, k) max^k there, which is 0 above the arity."""
+    biggest = int(max(h.scaled)) if h.n else 0
+    return k < 1 or math.comb(max(h.n, 1), k) * biggest**k <= 2**62
+
+
 class CubeScan:
     """A halfspace's arrays over the whole cube, each built on first use and
     then kept, so every check of one member reads the same copy: the scaled
     dot values a.x, their value classes (the distinct values ascending and
-    each point's index among them) and the elementary symmetric layers
-    e_0 .. e_top of (a_j x_j)."""
+    each point's index among them) and the elementary symmetric layers e_k
+    of (a_j x_j) for k in 1..max(LEVELS)."""
 
-    def __init__(self, h: Halfspace, top: int):
+    def __init__(self, h: Halfspace):
         self.h = h
-        self.top = top
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -327,14 +330,15 @@ class CubeScan:
         return np.unique(self.values, return_inverse=True)
 
     @cached_property
-    def layers(self) -> list[np.ndarray]:
-        return elementary_symmetric_pointwise(self.h, self.top)
+    def layers(self) -> dict[int, np.ndarray]:
+        """e_1 .. e_top from one pass, top the highest level up to
+        max(LEVELS) whose values fit int64; e_0 is not kept."""
+        top = max(k for k in range(max(LEVELS) + 1) if e_k_fits(self.h, k))
+        return dict(enumerate(elementary_symmetric_pointwise(self.h, top)[1:], 1))
 
     def esym(self, k: int) -> np.ndarray:
         """e_k at every cube point; refused when its values could overflow int64."""
-        if k > self.top:
-            raise ValueError(f"level {k} above the scan's top level {self.top}")
-        if k >= len(self.layers):
+        if not e_k_fits(self.h, k):
             raise OverflowError("elementary symmetric values would overflow int64")
         return self.layers[k]
 

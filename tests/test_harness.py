@@ -152,7 +152,7 @@ def test_wk_pipeline_check_matches_internal_table_route():
         ctx = MemberContext("m", entry)
         h = ctx.halfspace
         expect = [levelk.pipeline_record(
-            levelk.level_k_pipeline(levelk.CubeScan(h, k), k, oracles.table_level_weight(h, k)), f"m k={k}")
+            levelk.level_k_pipeline(levelk.CubeScan(h), k, oracles.table_level_weight(h, k)), f"m k={k}")
             for k in (2, 3)]
         assert REGISTRY["WK-PIPELINE"].fn(ctx, harness.PinnedConstants()) == expect
 

@@ -251,18 +251,20 @@ def test_elementary_symmetric_pointwise_matches_brute():
 def test_elementary_symmetric_overflow_guard_boundary():
     # C(2, 2) * w^2 <= 2^62 admits w = 2^31 exactly, where e_2 = +-2^62
     h = make_halfspace([2**31, 2**31], 0)
-    e2 = levelk.CubeScan(h, 2).esym(2)
+    assert levelk.e_k_fits(h, 2)
+    e2 = levelk.CubeScan(h).esym(2)
     assert e2.tolist() == [2**62, -(2**62), -(2**62), 2**62]
     past = make_halfspace([2**31 + 1, 2**31], 0)
-    assert len(levelk.elementary_symmetric_pointwise(past, 2)) == 2  # stops below e_2
+    assert not levelk.e_k_fits(past, 2)
     with pytest.raises(OverflowError):
-        levelk.CubeScan(past, 2).esym(2)
+        levelk.CubeScan(past).esym(2)
 
 
 def test_one_pass_layers_equal_per_level_passes():
-    """Every layer of one pass to k = 4 equals its own per-level pass, and a
-    level the guard refuses is refused by both routes while the levels below
-    it are still served."""
+    """Every layer of one pass to k = 4 that fits int64 equals its own
+    per-level pass, and the scan refuses exactly the levels the per-level
+    guard refuses while serving the levels around them: a level above the
+    arity is 0 even where a layer below it wrapped."""
     rng = np.random.default_rng(17)
     cases = []
     for n in (1, 3, 7, 10):
@@ -270,22 +272,32 @@ def test_one_pass_layers_equal_per_level_passes():
         cases.append(make_halfspace([F(int(a), int(b)) for a, b in zip(nums, dens)], 0))
     # 16 weights near 2^20: C(16, 2) 2^40 fits int64's guard, C(16, 3) 2^60 does not
     cases.append(make_halfspace([(1 << 20) - j for j in range(16)], 0))
+    # 2^32 and 1: e_2 reaches 2^64 and is refused, e_3 is 0 at every point
+    cases.append(make_halfspace([2**32, 1], 0))
     for h in cases:
-        cube = levelk.CubeScan(h, 4)
+        layers = levelk.elementary_symmetric_pointwise(h, 4)
+        cube = levelk.CubeScan(h)
         for k in range(5):
             try:
                 expect = oracles.per_k_elementary_symmetric(h, k)
             except OverflowError:
-                with pytest.raises(OverflowError, match="would overflow int64"):
-                    cube.esym(k)
+                assert not levelk.e_k_fits(h, k)
+                if k <= max(levelk.LEVELS):
+                    with pytest.raises(OverflowError, match="would overflow int64"):
+                        cube.esym(k)
                 continue
-            assert np.array_equal(cube.esym(k), expect)
-    wide = levelk.CubeScan(cases[-1], 3)
+            assert levelk.e_k_fits(h, k)
+            assert np.array_equal(layers[k], expect)
+            if 1 <= k <= max(levelk.LEVELS):
+                assert np.array_equal(cube.esym(k), expect)
+    wide = levelk.CubeScan(cases[-2])
     assert wide.esym(2).shape == (1 << 16,)
     with pytest.raises(OverflowError):
         wide.esym(3)
-    with pytest.raises(ValueError, match="above the scan's top level 3"):
-        wide.esym(4)
+    pair = levelk.CubeScan(cases[-1])
+    with pytest.raises(OverflowError):
+        pair.esym(2)
+    assert pair.esym(3).tolist() == [0] * 4
 
 
 def test_cube_scan_shares_fresh_arrays():
@@ -295,7 +307,7 @@ def test_cube_scan_shares_fresh_arrays():
     for n in (1, 6, 11):
         h = make_halfspace([F(int(a), int(b)) for a, b in
                             zip(rng.integers(1, 30, size=n), rng.integers(1, 5, size=n))], 1)
-        cube = levelk.CubeScan(h, 3)
+        cube = levelk.CubeScan(h)
         vals = kernels.dot_values(h.scaled)
         assert np.array_equal(cube.values, vals)
         uniq, inverse = np.unique(vals, return_inverse=True)
@@ -323,7 +335,7 @@ def test_integer_norms_equal_fraction_sums():
         sq = sum((w * w for w in weights), F(0))
         assert h.sq_norm() == sq
         for k in range(1, min(n, 3) + 1):
-            report = levelk.level_k_pipeline(levelk.CubeScan(h, k), k, F(0))
+            report = levelk.level_k_pipeline(levelk.CubeScan(h), k, F(0))
             expect = oracles.fraction_symmetric_stats([w * w / sq for w in h.weights], k)
             assert report.coeff_sq_sum == expect.elementary[k]
         m_max = int(rng.integers(0, 10))
@@ -355,14 +367,31 @@ def test_levelk_suite_guards_each_level_with_shared_layers():
     assert holds == [True, None]
 
 
+def test_levelk_suite_serves_levels_above_the_arity_past_a_refused_one():
+    """Two coordinates with a weight of 2^32: e_2 could overflow int64 and is
+    refused, while e_3 is 0 at every point and SIGN-COND k=3 still reports,
+    as with separate per-level passes."""
+    report, _ = harness.run_suite("levelk", harness.Corpus("pair", ("ltf:4294967296,1;0",)))
+    got = {(r.check_id, r.instance.rsplit(" ", 1)[-1]): (r.status, r.lhs, r.notes)
+           for r in report.records if r.check_id in ("SIGN-COND", "WK-PIPELINE")}
+    assert got == {
+        ("SIGN-COND", "k=2"): ("hypothesis-not-met", None, "weights too large for exact scan"),
+        ("SIGN-COND", "k=3"): ("hypothesis-not-met", True,
+                               "hypotheses not met; holds=True (reported)"),
+        ("WK-PIPELINE", "k=2"): ("hypothesis-not-met", None,
+                                 "elementary symmetric values would overflow int64"),
+        ("WK-PIPELINE", "k=3"): ("hypothesis-not-met", None, "level 3 outside 0..2"),
+    }
+
+
 def test_sign_condition_majority():
     h = make_halfspace([1] * 9, 4)
-    assert levelk.sign_condition_holds(levelk.CubeScan(h, 2), 2)
+    assert levelk.sign_condition_holds(levelk.CubeScan(h), 2)
 
 
 def test_sign_condition_fails_with_heavy_weight():
     h = make_halfspace([F(3), F(1), F(1)], 1)
-    assert not levelk.sign_condition_holds(levelk.CubeScan(h, 2), 2)
+    assert not levelk.sign_condition_holds(levelk.CubeScan(h), 2)
 
 
 # -- the pipeline -------------------------------------------------------------------
@@ -394,7 +423,7 @@ def test_wk_identity_member_table_matches_pipeline_table(n):
 
 def test_pipeline_majority15():
     h = make_halfspace([1] * 15, 9)
-    report = levelk.level_k_pipeline(levelk.CubeScan(h, 2), 2, _member_wk(h, 2))
+    report = levelk.level_k_pipeline(levelk.CubeScan(h), 2, _member_wk(h, 2))
     assert report.eps == F(121, 32768)
     assert report.beta == 2 and report.gamma == 4 and report.delta == 6
     assert report.sign_ok
@@ -407,14 +436,14 @@ def test_pipeline_majority15():
 
 def test_pipeline_k1_dictator():
     h = make_halfspace([1], 0)
-    report = levelk.level_k_pipeline(levelk.CubeScan(h, 1), 1, _member_wk(h, 1))
+    report = levelk.level_k_pipeline(levelk.CubeScan(h), 1, _member_wk(h, 1))
     assert report.upper_ok is True  # sign condition is the threshold rule itself
     assert report.ratio_stat > 0
 
 
 def test_pipeline_vacuous_when_no_side_applies():
     h = make_halfspace([F(3), F(1), F(1)], 1)
-    report = levelk.level_k_pipeline(levelk.CubeScan(h, 2), 2, _member_wk(h, 2))
+    report = levelk.level_k_pipeline(levelk.CubeScan(h), 2, _member_wk(h, 2))
     assert not report.sign_ok
     assert report.lower_ok is None and report.upper_ok is None
     rec = levelk.pipeline_record(report)
@@ -429,17 +458,17 @@ def test_pipeline_matches_separate_routes():
         weights = [int(w) for w in rng.integers(1, 9, size=n)]
         h = make_halfspace(weights, sum(weights) // 3)
         for k in (1, 2, 3):
-            report = levelk.level_k_pipeline(levelk.CubeScan(h, k), k, _member_wk(h, k))
-            assert report.sign_ok == levelk.sign_condition_holds(levelk.CubeScan(h, k), k)
+            report = levelk.level_k_pipeline(levelk.CubeScan(h), k, _member_wk(h, k))
+            assert report.sign_ok == levelk.sign_condition_holds(levelk.CubeScan(h), k)
     wide = make_halfspace([1] * 25, 11)
     with pytest.raises(ValueError, match="capped at 24"):
-        levelk.level_k_pipeline(levelk.CubeScan(wide, 2), 2, F(0))
+        levelk.level_k_pipeline(levelk.CubeScan(wide), 2, F(0))
     sparse = make_halfspace([1, 0, 0, 0], 0)
     with pytest.raises(ValueError, match=r"level 2 outside 0\.\.1"):
-        levelk.level_k_pipeline(levelk.CubeScan(sparse, 2), 2, _member_wk(sparse, 2))
+        levelk.level_k_pipeline(levelk.CubeScan(sparse), 2, _member_wk(sparse, 2))
 
 
 def test_pipeline_rejects_unbiased():
     h = make_halfspace([1, 1, 1], -2)
     with pytest.raises(ValueError):
-        levelk.level_k_pipeline(levelk.CubeScan(h, 2), 2, _member_wk(h, 2))
+        levelk.level_k_pipeline(levelk.CubeScan(h), 2, _member_wk(h, 2))
