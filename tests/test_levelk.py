@@ -345,43 +345,35 @@ def test_integer_norms_equal_fraction_sums():
 
 
 def test_levelk_suite_guards_each_level_with_shared_layers():
-    """A 16-coordinate member with 20-bit weights: e_2 fits int64 and e_3
-    does not, so from one shared pass SIGN-COND and WK-PIPELINE run k = 2
-    and skip k = 3, with the statuses and notes of separate per-level passes."""
-    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 14, "n_hi": 16, "weight_bits": 20,
-                                                     "count": 1}, seed=0)
-    assert parse_halfspace(corpus.entries[0]).n == 16
+    """Each level is guarded by itself, with the statuses and notes of
+    separate per-level passes.  A 16-coordinate member with 20-bit weights:
+    e_2 fits int64 and e_3 does not, so SIGN-COND and WK-PIPELINE run k = 2
+    and skip k = 3.  Two coordinates with a weight of 2^32: e_2 is refused,
+    while e_3 is 0 at every point and SIGN-COND k = 3 still reports."""
+    wide = harness.corpus_gen("random-halfspace", {"n_lo": 14, "n_hi": 16, "weight_bits": 20,
+                                                   "count": 1}, seed=0)
+    assert parse_halfspace(wide.entries[0]).n == 16
+    corpus = harness.Corpus("guard", (wide.entries[0], "ltf:4294967296,1;0"))
     report, _ = harness.run_suite("levelk", corpus)
-    got = {(r.check_id, r.instance.rsplit(" ", 1)[-1]): (r.status, r.passed, r.notes)
+    got = {(r.check_id, r.instance.split("#", 1)[1]): (r.status, r.passed, r.notes)
            for r in report.records if r.check_id in ("SIGN-COND", "WK-PIPELINE")}
     assert got == {
-        ("SIGN-COND", "k=2"): ("hypothesis-not-met", None,
-                               "hypotheses not met; holds=True (reported)"),
-        ("SIGN-COND", "k=3"): ("hypothesis-not-met", None, "weights too large for exact scan"),
-        ("WK-PIPELINE", "k=2"): ("pass", True, "k=2 R=2.332 sign=True 2ka1<beta=False "
-                                 "tall_t=False eta=False surrogate=False"),
-        ("WK-PIPELINE", "k=3"): ("hypothesis-not-met", None,
-                                 "elementary symmetric values would overflow int64"),
+        ("SIGN-COND", "0 k=2"): ("hypothesis-not-met", None,
+                                 "hypotheses not met; holds=True (reported)"),
+        ("SIGN-COND", "0 k=3"): ("hypothesis-not-met", None, "weights too large for exact scan"),
+        ("WK-PIPELINE", "0 k=2"): ("pass", True, "k=2 R=2.332 sign=True 2ka1<beta=False "
+                                   "tall_t=False eta=False surrogate=False"),
+        ("WK-PIPELINE", "0 k=3"): ("hypothesis-not-met", None,
+                                   "elementary symmetric values would overflow int64"),
+        ("SIGN-COND", "1 k=2"): ("hypothesis-not-met", None, "weights too large for exact scan"),
+        ("SIGN-COND", "1 k=3"): ("hypothesis-not-met", None,
+                                 "hypotheses not met; holds=True (reported)"),
+        ("WK-PIPELINE", "1 k=2"): ("hypothesis-not-met", None,
+                                   "elementary symmetric values would overflow int64"),
+        ("WK-PIPELINE", "1 k=3"): ("hypothesis-not-met", None, "level 3 outside 0..2"),
     }
     holds = [r.lhs for r in report.records if r.check_id == "SIGN-COND"]
-    assert holds == [True, None]
-
-
-def test_levelk_suite_serves_levels_above_the_arity_past_a_refused_one():
-    """Two coordinates with a weight of 2^32: e_2 could overflow int64 and is
-    refused, while e_3 is 0 at every point and SIGN-COND k=3 still reports,
-    as with separate per-level passes."""
-    report, _ = harness.run_suite("levelk", harness.Corpus("pair", ("ltf:4294967296,1;0",)))
-    got = {(r.check_id, r.instance.rsplit(" ", 1)[-1]): (r.status, r.lhs, r.notes)
-           for r in report.records if r.check_id in ("SIGN-COND", "WK-PIPELINE")}
-    assert got == {
-        ("SIGN-COND", "k=2"): ("hypothesis-not-met", None, "weights too large for exact scan"),
-        ("SIGN-COND", "k=3"): ("hypothesis-not-met", True,
-                               "hypotheses not met; holds=True (reported)"),
-        ("WK-PIPELINE", "k=2"): ("hypothesis-not-met", None,
-                                 "elementary symmetric values would overflow int64"),
-        ("WK-PIPELINE", "k=3"): ("hypothesis-not-met", None, "level 3 outside 0..2"),
-    }
+    assert holds == [True, None, None, True]
 
 
 def test_sign_condition_majority():
