@@ -41,6 +41,7 @@ F = Fraction
 
 TABLE_CAP = bfcore.MAX_N  # members above this arity run halfspace-only checks
 XCHECK_CAP = 16         # truth-table cross-checks stay cheap below this
+LOG_CONCAVITY_TRIPLES = 40  # LEM111's sampled threshold triples per member
 
 
 class MemberContext:
@@ -99,12 +100,36 @@ class CheckDef:
     applies: Callable[[MemberContext], bool] = lambda ctx: True
 
 
+REGISTRY: dict[str, CheckDef] = {}
+
+
+def _check(check_id: str, applies: Callable[[MemberContext], bool] | None = None):
+    """Register the decorated body as check_id: a member check body(ctx), run
+    on each member that applies admits, or without a filter a global check
+    body(), run once per suite.  An id is registered once."""
+    def register(body):
+        if check_id in REGISTRY:
+            raise ValueError(f"check {check_id} is already registered")
+
+        def fn(*args):  # drops the constants, always the last argument
+            return body(*args[:-1])
+
+        REGISTRY[check_id] = (CheckDef(check_id, "global", fn) if applies is None
+                              else CheckDef(check_id, "member", fn, applies))
+        return body
+    return register
+
+
 def _is_halfspace(ctx: MemberContext) -> bool:
     return ctx.halfspace is not None
 
 
 def _has_table(ctx: MemberContext) -> bool:
     return ctx.function is not None
+
+
+def _halfspace_table(ctx: MemberContext) -> bool:
+    return _is_halfspace(ctx) and _has_table(ctx)
 
 
 def _biased_halfspace(ctx: MemberContext) -> bool:
@@ -114,6 +139,7 @@ def _biased_halfspace(ctx: MemberContext) -> bool:
 # ---------------------------------------------------------------------------
 # exact identity checks
 
+@_check("PARSEVAL", _has_table)
 def _check_parseval(ctx: MemberContext) -> list[CheckRecord]:
     f = ctx.function
     total = ctx.level_weights.total()
@@ -122,6 +148,7 @@ def _check_parseval(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL)]
 
 
+@_check("FWHT-NAIVE", lambda ctx: _has_table(ctx) and ctx.function.n <= 8)
 def _check_fwht_naive(ctx: MemberContext) -> list[CheckRecord]:
     f = ctx.function
     slow = spectral.spectrum_by_definition(f)
@@ -130,6 +157,7 @@ def _check_fwht_naive(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL)]
 
 
+@_check("DUAL", _has_table)
 def _check_dual(ctx: MemberContext) -> list[CheckRecord]:
     f = ctx.function
     g = bfcore.dual(f)
@@ -142,6 +170,8 @@ def _check_dual(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL, notes)]
 
 
+@_check("INFLUENCE-XCHECK",
+        lambda ctx: _halfspace_table(ctx) and ctx.arity <= XCHECK_CAP)
 def _check_influence_xcheck(ctx: MemberContext) -> list[CheckRecord]:
     h = ctx.halfspace
     f = ctx.function
@@ -157,6 +187,7 @@ def _check_influence_xcheck(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL)]
 
 
+@_check("MONO-FOURIER", _has_table)
 def _check_monotone_fourier(ctx: MemberContext) -> list[CheckRecord]:
     f = ctx.function
     if not bfcore.is_monotone(f):
@@ -173,6 +204,7 @@ def _check_monotone_fourier(ctx: MemberContext) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # fixed paper-example checks (global)
 
+@_check("PAPER5")
 def _global_paper5() -> list[CheckRecord]:
     f = bfcore.paper5()
     spec = spectral.fwht_spectrum(f)
@@ -192,6 +224,7 @@ def _global_paper5() -> list[CheckRecord]:
     return recs
 
 
+@_check("SUBCUBE-VB")
 def _global_subcube_vb() -> list[CheckRecord]:
     recs = []
     for k in range(1, 7):
@@ -208,6 +241,7 @@ def _global_subcube_vb() -> list[CheckRecord]:
     return recs
 
 
+@_check("DICT-VB")
 def _global_dictator_vb() -> list[CheckRecord]:
     h = make_halfspace([F(1), F(0), F(0), F(0)], 0)
     vb1 = h.vertex_boundary(1)
@@ -221,6 +255,7 @@ def _heavy_light_family(n: int) -> Halfspace:
     return make_halfspace([F(5)] * 4 + [F(4)] * (n - 4), 1)
 
 
+@_check("EX54")
 def _global_heavy_light_family() -> list[CheckRecord]:
     recs = []
     final = None
@@ -236,6 +271,7 @@ def _global_heavy_light_family() -> list[CheckRecord]:
     return recs
 
 
+@_check("EX74")
 def _global_or_blowup_example() -> list[CheckRecord]:
     recs = []
     for n, seed in ((16, 42), (25, 42)):
@@ -252,6 +288,7 @@ def _global_or_blowup_example() -> list[CheckRecord]:
     return recs
 
 
+@_check("LEM32-WITNESS")
 def _global_interval_decay_witness() -> list[CheckRecord]:
     recs = []
     best = 0.0
@@ -276,7 +313,8 @@ def _dense_distribution(h: Halfspace) -> TailDistribution | None:
     return dist if isinstance(dist, TailDistribution) else None
 
 
-def _check_log_concavity_member(ctx: MemberContext, triples: int = 40) -> list[CheckRecord]:
+@_check("LEM111", _is_halfspace)
+def _check_log_concavity_member(ctx: MemberContext) -> list[CheckRecord]:
     h = ctx.halfspace
     dist = h.distribution()
     m = 2 * h.weights[0]
@@ -285,18 +323,20 @@ def _check_log_concavity_member(ctx: MemberContext, triples: int = 40) -> list[C
     hi = float(dist.max_value) + 1
     bad = 0
     worst = None
-    for _ in range(triples):
+    for _ in range(LOG_CONCAVITY_TRIPLES):
         picks = sorted(F(int(x), 4) for x in rng.integers(int(4 * lo), int(4 * hi) + 1, size=3))
         rec = check_log_concavity(dist, *picks, m, instance=ctx.label)
         if not rec.passed:
             bad += 1
             worst = picks
     ok = bad == 0
-    return [CheckRecord("LEM111", ctx.label, bad, 0, None, ok,
-                        PASS if ok else FAIL,
-                        f"{triples} sampled triples" + (f"; first violation {worst}" if worst else ""))]
+    notes = f"{LOG_CONCAVITY_TRIPLES} sampled triples"
+    if worst:
+        notes += f"; first violation {worst}"
+    return [CheckRecord("LEM111", ctx.label, bad, 0, None, ok, PASS if ok else FAIL, notes)]
 
 
+@_check("LEM32", _is_halfspace)
 def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """All support-aligned 0 <= s <= t pairs at once via a prefix minimum."""
     h = ctx.halfspace
@@ -304,9 +344,7 @@ def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     if dist is None:
         return [CheckRecord.skipped("LEM32", ctx.label, "support too wide")]
     m_scaled = int(h.scaled[0])
-    support = dist.values[dist.values >= 0]
-    if len(support) == 0:
-        return [CheckRecord.skipped("LEM32", ctx.label, "no nonnegative support")]
+    support = dist.values[dist.values >= 0]  # never empty: a.x is symmetric
     mass = (dist.counts_gt_scaled(support - m_scaled)
             - dist.counts_gt_scaled(support + m_scaled))
     # pair (s, t): mass[t] <= 5 * mass[s] for every s-index <= t-index
@@ -320,8 +358,11 @@ def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     return [rec]
 
 
+@_check("LEM42", _is_halfspace)
 def _check_log_concave_exp_member(ctx: MemberContext) -> list[CheckRecord]:
     h = ctx.halfspace
+    if h.mean() == 0:
+        return [CheckRecord.skipped("LEM42", ctx.label, "empty tail")]
     dist = h.distribution()
     thr = h.decay_thresholds()
     m = thr.m
@@ -357,6 +398,7 @@ def _decay_violations(kappa: np.ndarray, highs: np.ndarray, piece_vals: np.ndarr
     return int(np.count_nonzero(prefix_min[reach - 1] <= (piece_vals[t_idx] - 1) // 5))
 
 
+@_check("COR36", _is_halfspace)
 def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """5 I_1(f_s) >= I_1(f_t) for every real |s| <= t, via piece sweep."""
     h = ctx.halfspace
@@ -379,10 +421,13 @@ def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL, f"{len(breaks)} breakpoints swept")]
 
 
+@_check("LEM51", _is_halfspace)
 def _check_big_coordinate_influence(ctx: MemberContext) -> list[CheckRecord]:
     """Coordinates with weight above beta/2 carry influence >= 2 eps / 3."""
     h = ctx.halfspace
     eps = h.mean()
+    if eps == 0:
+        return [CheckRecord.skipped("LEM51", ctx.label, "empty tail")]
     beta = h.decay_thresholds().beta
     hits = 0
     for j, w in enumerate(h.weights):
@@ -398,8 +443,11 @@ def _check_big_coordinate_influence(ctx: MemberContext) -> list[CheckRecord]:
                         f"{hits} heavy coordinates checked")]
 
 
+@_check("LEM52", _is_halfspace)
 def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
     h = ctx.halfspace
+    if h.mean() == 0:
+        return [CheckRecord.skipped("LEM52", ctx.label, "empty tail")]
     t = h.threshold
     delta = h.decay_thresholds().delta
     if delta <= 0:
@@ -423,6 +471,7 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
                         f"{checked} coordinates checked at delta={delta}")]
 
 
+@_check("LEM62", _is_halfspace)
 def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     """I_1(f_s)/mu(f_s) <= 6 I_1(f_t)/mu(f_t) for all 0 <= s <= t, exact."""
     h = ctx.halfspace
@@ -433,9 +482,7 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     w0 = int(h.scaled[0])
     breaks = np.unique(np.concatenate(
         [red.values - w0, red.values + w0, dist.values, [0]]))
-    breaks = breaks[breaks >= 0]
-    if len(breaks) == 0:
-        return [CheckRecord.skipped("LEM62", ctx.label, "no nonnegative support")]
+    breaks = breaks[breaks >= 0]  # holds 0
     inf_counts = (red.counts_gt_scaled(breaks - w0)
                   - red.counts_gt_scaled(breaks + w0)).astype(object)
     mu_counts = dist.counts_gt_scaled(breaks).astype(object)
@@ -456,10 +503,13 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL, f"{len(breaks)} thresholds swept")]
 
 
+@_check("PROP5", _is_halfspace)
 def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     """The small-class weighted influence sum is maximal at the base threshold."""
     h = ctx.halfspace
     eps = h.mean()
+    if eps == 0:
+        return [CheckRecord.skipped("PROP5", ctx.label, "empty tail")]
     if eps >= F(1, 4):
         return [CheckRecord.skipped("PROP5", ctx.label, "eps >= 1/4")]
     beta = h.decay_thresholds().beta
@@ -491,10 +541,12 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # local Chernoff statistics, boundary bands, Gaussian comparison
 
+@_check("THM18", _biased_halfspace)
 def _check_strong_chernoff(ctx) -> list[CheckRecord]:
     return [check_local_chernoff(ctx.halfspace, None, "strong", instance=ctx.label)]
 
 
+@_check("THM19", _biased_halfspace)
 def _check_partitioned_chernoff(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     beta = h.decay_thresholds().beta
@@ -503,6 +555,7 @@ def _check_partitioned_chernoff(ctx) -> list[CheckRecord]:
                                  instance=ctx.label)]
 
 
+@_check("THM110", _biased_halfspace)
 def _check_weak_chernoff(ctx) -> list[CheckRecord]:
     return [
         check_local_chernoff(ctx.halfspace, None, "weak", c=c,
@@ -517,18 +570,18 @@ def _imax_scale(h: Halfspace, eps: Fraction) -> float:
     return float(eps) * min(1.0, a1 * math.sqrt(math.log(1 / float(eps))))
 
 
+@_check("THM64", _biased_halfspace)
 def _check_segment_band(ctx) -> list[CheckRecord]:
     """Pr[a.x in (t, t+2m]] against eps * min(1, m sqrt(log(1/eps)))."""
     h = ctx.halfspace
     t = h.threshold
-    eps = min(F(1, 2), h.tail(t))
-    if eps == 0:
-        return [CheckRecord.skipped("THM64", ctx.label, "empty tail")]
+    eps = h.mean()
     m = h.weights[0]
     seg = h.distribution().prob_interval(t, t + 2 * m)
     return [CheckRecord.report("THM64", ctx.label, float(seg) / _imax_scale(h, eps))]
 
 
+@_check("GAUSS-EATON", _biased_halfspace)
 def _check_gauss_member(ctx) -> list[CheckRecord]:
     """Worst Gaussian-domination ratio over the whole nonnegative grid."""
     h = ctx.halfspace
@@ -556,6 +609,7 @@ def _check_gauss_member(ctx) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # Fourier weight checks
 
+@_check("GL-halfplane", _halfspace_table)
 def _check_sign_level1_mass(ctx) -> list[CheckRecord]:
     """A sign-valued halfspace keeps at least half its mass on levels 0-1."""
     f = ctx.function
@@ -566,6 +620,7 @@ def _check_sign_level1_mass(ctx) -> list[CheckRecord]:
                         PASS if ok else FAIL, "level <=1 weight of the sign version")]
 
 
+@_check("LVL1-upper", _has_table)
 def _check_level1_upper(ctx) -> list[CheckRecord]:
     f = ctx.function
     mu = f.mean
@@ -578,6 +633,7 @@ def _check_level1_upper(ctx) -> list[CheckRecord]:
                         PASS if ok else FAIL)]
 
 
+@_check("THM12-lower", _halfspace_table)
 def _check_level1_lower(ctx) -> list[CheckRecord]:
     f = ctx.function
     mu = f.mean
@@ -588,11 +644,12 @@ def _check_level1_lower(ctx) -> list[CheckRecord]:
     return [CheckRecord.report("THM12-lower", ctx.label, stat)]
 
 
+@_check("LVLK-upper", _halfspace_table)
 def _check_levelk_upper(ctx) -> list[CheckRecord]:
     f = ctx.function
     mu = f.mean
     recs = []
-    for k in (2, 3):
+    for k in levelk.LEVELS:
         if not 0 < float(mu) < math.exp(-k / 2):
             recs.append(CheckRecord.skipped("LVLK-upper", f"{ctx.label} k={k}",
                                             "mean not below e^(-k/2)"))
@@ -605,28 +662,26 @@ def _check_levelk_upper(ctx) -> list[CheckRecord]:
     return recs
 
 
+@_check("THM14-band", _biased_halfspace)
 def _check_influence_band(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
-    eps = h.mean()
-    if not 0 < eps <= F(1, 2):
-        return [CheckRecord.skipped("THM14-band", ctx.label, "mean outside (0, 1/2]")]
     best, _ = h.max_influence()
-    return [CheckRecord.report("THM14-band", ctx.label, float(best) / _imax_scale(h, eps))]
+    stat = float(best) / _imax_scale(h, h.mean())
+    return [CheckRecord.report("THM14-band", ctx.label, stat)]
 
 
+@_check("THM15-band", _biased_halfspace)
 def _check_boundary_band(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
-    eps = h.mean()
-    if not 0 < eps <= F(1, 2):
-        return [CheckRecord.skipped("THM15-band", ctx.label, "mean outside (0, 1/2]")]
     total = h.vertex_boundary(0) + h.vertex_boundary(1)
-    return [CheckRecord.report("THM15-band", ctx.label, float(total) / _imax_scale(h, eps))]
+    stat = float(total) / _imax_scale(h, h.mean())
+    return [CheckRecord.report("THM15-band", ctx.label, stat)]
 
 
+@_check("PROP71", _biased_halfspace)
 def _check_boundary_two_sided(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
-    eps = h.mean()
-    if not (0 < eps <= F(1, 2)) or any(w == 0 for w in h.original_weights):
+    if any(w == 0 for w in h.original_weights):  # the filter gave 0 < mean <= 1/2
         return [CheckRecord.skipped("PROP71", ctx.label,
                                     "needs positive weights and mean <= 1/2")]
     i1 = h.influence_internal(0)
@@ -636,18 +691,20 @@ def _check_boundary_two_sided(ctx) -> list[CheckRecord]:
     recs = [CheckRecord("PROP71", ctx.label, vb1, (i1 / 2, F(7, 4) * i1), None,
                         ok, PASS if ok else FAIL)]
     ok0 = vb0 >= F(2, 7) * vb1
-    ratio = float(vb0 / vb1) if vb1 else math.inf
-    log_term = math.log(1 / float(eps)) if eps < 1 else math.inf
+    # the member is not constant, so vb1 > 0, and log(1/eps) >= log 2
+    ratio = float(vb0 / vb1)
+    log_term = math.log(1 / float(h.mean()))
     recs.append(CheckRecord("PROP72", ctx.label, vb0, F(2, 7) * vb1, ratio, ok0,
                             PASS if ok0 else FAIL,
                             f"vb0/vb1 = {ratio:.3f}; /log(1/eps) = "
-                            f"{ratio / log_term if log_term > 0 else math.inf:.3f} (reported)"))
+                            f"{ratio / log_term:.3f} (reported)"))
     return recs
 
 
 # ---------------------------------------------------------------------------
 # level-k checks
 
+@_check("IH-DERIV")
 def _global_derivative_law() -> list[CheckRecord]:
     rng = np.random.default_rng(8301)
     worst = 0.0
@@ -661,6 +718,7 @@ def _global_derivative_law() -> list[CheckRecord]:
                         None, ok, PASS if ok else FAIL)]
 
 
+@_check("FDERIV")
 def _global_poly_bracket() -> list[CheckRecord]:
     rng = np.random.default_rng(8401)
     bad = 0
@@ -680,6 +738,7 @@ def _global_poly_bracket() -> list[CheckRecord]:
                         ok, PASS if ok else FAIL)]
 
 
+@_check("NG", _is_halfspace)
 def _check_newton_girard(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     squares = [s * s for s in h.scaled.tolist()]
@@ -692,7 +751,7 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
     recs = [CheckRecord("NG", ctx.label, max(abs(r) for r in residuals), 0,
                         None, ok, PASS if ok else FAIL,
                         f"identities up to degree {m_max}")]
-    for k in (2, 3):
+    for k in levelk.LEVELS:
         if k > m_max:
             continue
         hyp, chain, ek, bound = levelk.elementary_chain_check(stats, k)
@@ -705,6 +764,7 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
     return recs
 
 
+@_check("SIGN-COND", lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= TABLE_CAP)
 def _check_sign_condition(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     recs = []
@@ -733,6 +793,7 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
     return recs
 
 
+@_check("WK-PIPELINE", lambda ctx: _halfspace_table(ctx) and ctx.halfspace.n <= 20)
 def _check_wk_pipeline(ctx) -> list[CheckRecord]:
     levels = ctx.level_weights
     recs = []
@@ -750,6 +811,7 @@ def _check_wk_pipeline(ctx) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # correlation checks
 
+@_check("THM17", _has_table)
 def _check_best_correlator(ctx) -> list[CheckRecord]:
     w1 = ctx.level_weights.level(1)
     if w1 == 0:
@@ -765,6 +827,7 @@ def _check_best_correlator(ctx) -> list[CheckRecord]:
             CheckRecord.report("THM17", ctx.label, stat)]
 
 
+@_check("PROP92", _has_table)
 def _check_unbiased_correlator(ctx) -> list[CheckRecord]:
     f = ctx.function
     if ctx.first_level.form.is_zero():
@@ -775,6 +838,7 @@ def _check_unbiased_correlator(ctx) -> list[CheckRecord]:
                         f"best zero-cut covariance / mean ({res.notes})")]
 
 
+@_check("PROP93", _has_table)
 def _check_biased_correlator(ctx) -> list[CheckRecord]:
     f = ctx.function
     try:
@@ -790,6 +854,7 @@ def _check_biased_correlator(ctx) -> list[CheckRecord]:
                         f"mean_g={float(rec.mean_g):.4g} <= eps^(alpha/8)={float(f.mean) ** (rec.alpha / 8):.4g}")]
 
 
+@_check("PROP16", _has_table)
 def _check_noise_resistance(ctx) -> list[CheckRecord]:
     f = ctx.function
     if not 0 < f.mean < 1:
@@ -804,6 +869,7 @@ def _check_noise_resistance(ctx) -> list[CheckRecord]:
                         None, REPORT, notes)]
 
 
+@_check("NSREMARK", _halfspace_table)
 def _check_noise_sensitivity_metric(ctx) -> list[CheckRecord]:
     f = ctx.function
     eps = f.mean
@@ -826,89 +892,7 @@ def _check_noise_sensitivity_metric(ctx) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
-# registry and suites
-
-REGISTRY: dict[str, CheckDef] = {}
-
-
-def _register(defn: CheckDef):
-    REGISTRY[defn.check_id] = defn
-
-
-for _d in [
-    CheckDef("PARSEVAL", "member", lambda ctx, c: _check_parseval(ctx), _has_table),
-    CheckDef("FWHT-NAIVE", "member", lambda ctx, c: _check_fwht_naive(ctx),
-             lambda ctx: _has_table(ctx) and ctx.function.n <= 8),
-    CheckDef("DUAL", "member", lambda ctx, c: _check_dual(ctx), _has_table),
-    CheckDef("INFLUENCE-XCHECK", "member", lambda ctx, c: _check_influence_xcheck(ctx),
-             lambda ctx: _is_halfspace(ctx) and _has_table(ctx)
-             and ctx.arity <= XCHECK_CAP),
-    CheckDef("MONO-FOURIER", "member", lambda ctx, c: _check_monotone_fourier(ctx),
-             _has_table),
-    CheckDef("PAPER5", "global", lambda c: _global_paper5()),
-    CheckDef("SUBCUBE-VB", "global", lambda c: _global_subcube_vb()),
-    CheckDef("DICT-VB", "global", lambda c: _global_dictator_vb()),
-    CheckDef("EX54", "global", lambda c: _global_heavy_light_family()),
-    CheckDef("EX74", "global", lambda c: _global_or_blowup_example()),
-    CheckDef("LEM32-WITNESS", "global", lambda c: _global_interval_decay_witness()),
-    CheckDef("LEM111", "member", lambda ctx, c: _check_log_concavity_member(ctx),
-             _is_halfspace),
-    CheckDef("LEM32", "member", lambda ctx, c: _check_interval_decay_member(ctx),
-             _is_halfspace),
-    CheckDef("LEM42", "member", lambda ctx, c: _check_log_concave_exp_member(ctx),
-             _is_halfspace),
-    CheckDef("COR36", "member", lambda ctx, c: _check_influence_decay_member(ctx),
-             _is_halfspace),
-    CheckDef("LEM51", "member", lambda ctx, c: _check_big_coordinate_influence(ctx),
-             _is_halfspace),
-    CheckDef("LEM52", "member", lambda ctx, c: _check_smoothed_influence_bound(ctx),
-             _is_halfspace),
-    CheckDef("LEM62", "member", lambda ctx, c: _check_relative_influence_member(ctx),
-             _is_halfspace),
-    CheckDef("PROP5", "member", lambda ctx, c: _check_threshold_monotone_member(ctx),
-             _is_halfspace),
-    CheckDef("THM18", "member", lambda ctx, c: _check_strong_chernoff(ctx),
-             _biased_halfspace),
-    CheckDef("THM19", "member", lambda ctx, c: _check_partitioned_chernoff(ctx),
-             _biased_halfspace),
-    CheckDef("THM110", "member", lambda ctx, c: _check_weak_chernoff(ctx),
-             _biased_halfspace),
-    CheckDef("THM64", "member", lambda ctx, c: _check_segment_band(ctx),
-             _biased_halfspace),
-    CheckDef("GAUSS-EATON", "member", lambda ctx, c: _check_gauss_member(ctx),
-             _biased_halfspace),
-    CheckDef("GL-halfplane", "member", lambda ctx, c: _check_sign_level1_mass(ctx),
-             lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
-    CheckDef("LVL1-upper", "member", lambda ctx, c: _check_level1_upper(ctx), _has_table),
-    CheckDef("THM12-lower", "member", lambda ctx, c: _check_level1_lower(ctx),
-             lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
-    CheckDef("LVLK-upper", "member", lambda ctx, c: _check_levelk_upper(ctx),
-             lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
-    CheckDef("THM14-band", "member", lambda ctx, c: _check_influence_band(ctx),
-             _biased_halfspace),
-    CheckDef("THM15-band", "member", lambda ctx, c: _check_boundary_band(ctx),
-             _biased_halfspace),
-    CheckDef("PROP71", "member", lambda ctx, c: _check_boundary_two_sided(ctx),
-             _biased_halfspace),
-    CheckDef("IH-DERIV", "global", lambda c: _global_derivative_law()),
-    CheckDef("FDERIV", "global", lambda c: _global_poly_bracket()),
-    CheckDef("NG", "member", lambda ctx, c: _check_newton_girard(ctx), _is_halfspace),
-    CheckDef("SIGN-COND", "member", lambda ctx, c: _check_sign_condition(ctx),
-             lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= TABLE_CAP),
-    CheckDef("WK-PIPELINE", "member", lambda ctx, c: _check_wk_pipeline(ctx),
-             lambda ctx: _is_halfspace(ctx) and _has_table(ctx) and ctx.halfspace.n <= 20),
-    CheckDef("THM17", "member", lambda ctx, c: _check_best_correlator(ctx), _has_table),
-    CheckDef("PROP92", "member", lambda ctx, c: _check_unbiased_correlator(ctx),
-             _has_table),
-    CheckDef("PROP93", "member", lambda ctx, c: _check_biased_correlator(ctx),
-             _has_table),
-    CheckDef("PROP16", "member", lambda ctx, c: _check_noise_resistance(ctx),
-             _has_table),
-    CheckDef("NSREMARK", "member", lambda ctx, c: _check_noise_sensitivity_metric(ctx),
-             lambda ctx: _is_halfspace(ctx) and _has_table(ctx)),
-]:
-    _register(_d)
-
+# suites: their order is the record order of every report
 
 SUITES: dict[str, tuple[str, ...]] = {
     "exact-identities": ("PARSEVAL", "FWHT-NAIVE", "DUAL", "INFLUENCE-XCHECK",

@@ -314,9 +314,9 @@ def e_k_fits(h: Halfspace, k: int) -> bool:
 class CubeScan:
     """A halfspace's arrays over the whole cube, each built on first use and
     then kept, so every check of one member reads the same copy: the scaled
-    dot values a.x, their value classes (the distinct values ascending and
-    each point's index among them) and the elementary symmetric layers e_k
-    of (a_j x_j) for k in 1..max(LEVELS)."""
+    dot values a.x, the points the halfspace accepts, the value classes (the
+    distinct values ascending and each point's index among them) and the
+    elementary symmetric layers e_k of (a_j x_j) for k in 1..max(LEVELS)."""
 
     def __init__(self, h: Halfspace):
         self.h = h
@@ -324,6 +324,10 @@ class CubeScan:
     @cached_property
     def values(self) -> np.ndarray:
         return kernels.dot_values(self.h.scaled)
+
+    @cached_property
+    def accepts(self) -> np.ndarray:
+        return self.values > math.floor(self.h.threshold * self.h.scale)
 
     @cached_property
     def classes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -343,13 +347,10 @@ class CubeScan:
         return self.layers[k]
 
 
-def sign_condition_holds(cube: CubeScan, k: int, t=None) -> bool:
+def sign_condition_holds(cube: CubeScan, k: int) -> bool:
     """Exhaustively: the degree-k elementary symmetric form of the signed
     weights is nonnegative on every point the halfspace accepts."""
-    h = cube.h
-    t = h.threshold if t is None else as_fraction(t)
-    esym = cube.esym(k)
-    return not bool(np.any((cube.values > math.floor(t * h.scale)) & (esym < 0)))
+    return not bool(np.any(cube.accepts & (cube.esym(k) < 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,6 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
         raise ValueError(f"cube scan capped at {MAX_N} coordinates")
     if k > h.n:
         raise ValueError(f"level {k} outside 0..{h.n}")
-    accepts = cube.values > math.floor(t * h.scale)
 
     log_inv = math.log(1 / float(eps))
     ratio_stat = (
@@ -420,16 +420,15 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     squares = [s * s for s in h.scaled.tolist()]
     coeff_sq_sum = Fraction(_elementary_ints(squares, k)[k], sum(squares) ** k)
 
-    esym_scaled = cube.esym(k)
-    esym = esym_scaled / (float(h.scale) ** k * norm**k)
+    esym = cube.esym(k) / (float(h.scale) ** k * norm**k)
     if delta > 0:
         uniq, inverse = cube.classes
         point_weights = _cdf_weights(h, k, uniq, t, delta)[inverse]
     else:
-        point_weights = accepts.astype(np.float64)
+        point_weights = cube.accepts.astype(np.float64)
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)
 
-    sign_ok = not bool(np.any(accepts & (esym_scaled < 0)))
+    sign_ok = sign_condition_holds(cube, k)
     small_top_ok = 2 * k * h.weights[0] < beta
     tall_threshold_ok = float(t) / norm >= 4 * math.sqrt(k)
     eta_ok = float(h.weights[0]) / norm <= 1 / (16 * math.sqrt(k))

@@ -108,6 +108,17 @@ def test_run_suite_unknown():
         harness.run_suite("mystery", small_corpus())
 
 
+def test_registry_declares_each_check_once():
+    """Every registered check sits in a suite, and an id is registered once."""
+    assert set(REGISTRY) == set(checks.SUITES["all"])
+    parseval = REGISTRY["PARSEVAL"]
+    with pytest.raises(ValueError, match="PARSEVAL"):
+        checks._check("PARSEVAL", lambda ctx: True)(lambda ctx: [])
+    with pytest.raises(ValueError, match="EX54"):
+        checks._check("EX54")(lambda: [])
+    assert REGISTRY["PARSEVAL"] is parseval
+
+
 def test_exact_identities_on_builtins():
     report, _ = harness.run_suite("exact-identities", harness.corpus_gen("builtin-all"))
     assert report.failures == 0
@@ -115,11 +126,16 @@ def test_exact_identities_on_builtins():
     assert any(r.check_id == "PARSEVAL" for r in report.records)
 
 
+# halfspaces with an empty tail (eps = 0) and a full one, and a constant table
+EDGE_MEMBERS = ("ltf:1,1;2", "ltf:3,2,1;6", "ltf:1,1;-3", "tt:2:0")
+
+
 def test_member_checks_run_on_builtin_members():
-    """Every member check runs on each builtin member its filter admits."""
+    """Every member check runs, without raising, on each builtin and edge
+    member its filter admits."""
     constants = harness.PinnedConstants()
     ran = set()
-    for idx, entry in enumerate(harness.BUILTIN_ALL):
+    for idx, entry in enumerate(harness.BUILTIN_ALL + EDGE_MEMBERS):
         ctx = MemberContext(f"builtin#{idx}", entry)
         for cid, defn in REGISTRY.items():
             if defn.scope == "member" and defn.applies(ctx):

@@ -443,15 +443,21 @@ def test_pipeline_vacuous_when_no_side_applies():
 
 
 def test_pipeline_matches_separate_routes():
-    """The sign condition, the arity cap of the cube scan, and the refusal of
-    a degree above the count of nonzero weights."""
+    """The sign condition against a brute-force check over per-level doubling
+    passes (e_1 is the dot value a.x), the arity cap of the cube scan, and the
+    refusal of a degree above the count of nonzero weights."""
     rng = np.random.default_rng(4)
+    seen = set()
     for n in (6, 9, 12):
         weights = [int(w) for w in rng.integers(1, 9, size=n)]
         h = make_halfspace(weights, sum(weights) // 3)
+        accepts = oracles.per_k_elementary_symmetric(h, 1) > math.floor(h.threshold * h.scale)
         for k in (1, 2, 3):
+            brute = not np.any(accepts & (oracles.per_k_elementary_symmetric(h, k) < 0))
             report = levelk.level_k_pipeline(levelk.CubeScan(h), k, _member_wk(h, k))
-            assert report.sign_ok == levelk.sign_condition_holds(levelk.CubeScan(h), k)
+            assert report.sign_ok == brute
+            seen.add(brute)
+    assert seen == {True, False}
     wide = make_halfspace([1] * 25, 11)
     with pytest.raises(ValueError, match="capped at 24"):
         levelk.level_k_pipeline(levelk.CubeScan(wide), 2, F(0))
