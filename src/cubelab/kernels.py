@@ -19,28 +19,31 @@ import numpy as np
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
-    """Signed Walsh transform of an int64 vector of length 2**n, as a new array.
+    """Signed Walsh transform of an integer vector of length 2**n, as a new int64 array.
 
-    Output index is a subset mask S; entry S becomes sum_m a[m] * sign(S, m)
-    where sign(S, m) = prod over i in S of (+1 if bit i of m else -1).
+    a may have any integer or bool dtype; it is not changed.  Output index is
+    a subset mask S; entry S becomes sum_m a[m] * sign(S, m) where
+    sign(S, m) = prod over i in S of (+1 if bit i of m else -1).
 
     The transform is the n-th Kronecker power of [[1, 1], [-1, 1]] (rows S,
-    columns m), applied four coordinates at a time as float64 matrix
-    products.  Every product, partial sum and intermediate entry is an
-    integer of magnitude at most max|a| * 2**n, so the result is exact when
-    max|a| * 2**n < 2**53; a larger input is refused before any work.
+    columns m), applied four coordinates at a time as matrix products.
+    Every product, partial sum and intermediate entry is an integer of
+    magnitude at most peak = max|a| * 2**n, so the stages run in float32
+    when peak <= 2**24 (every such integer is a float32) and in float64 when
+    peak < 2**53; a larger input is refused before any work.
     """
     n = a.shape[0].bit_length() - 1
     peak = max(int(a.max()), -int(a.min())) << n
     if peak >= 1 << 53:
         raise OverflowError(f"max|a| * 2^n = {peak} is not below 2^53; "
                             "the float64 Walsh transform would not be exact")
-    x = a.astype(np.float64)
+    dtype = np.float32 if peak <= 1 << 24 else np.float64
+    x = a.astype(dtype)
     y = np.empty_like(x)
     done = 0  # coordinates 0..done-1 are transformed
     while done < n:
         c = min(4, n - done)
-        sign = _sign_matrix(c)
+        sign = _sign_matrix(c).astype(dtype)
         if done == 0:
             # one (2^(n-c) x 2^c) product; a stack of 2^c x 1 columns is slow
             np.matmul(x.reshape(-1, 1 << c), sign.T, out=y.reshape(-1, 1 << c))
@@ -48,9 +51,7 @@ def fwht(a: np.ndarray) -> np.ndarray:
             np.matmul(sign, x.reshape(-1, 1 << c, 1 << done), out=y.reshape(-1, 1 << c, 1 << done))
         x, y = y, x
         done += c
-    out = y.view(np.int64)  # the int64 result reuses the spare buffer's memory
-    np.copyto(out, x, casting="unsafe")
-    return out
+    return x.astype(np.int64)
 
 
 def _sign_matrix(c: int) -> np.ndarray:
@@ -61,15 +62,20 @@ def _sign_matrix(c: int) -> np.ndarray:
     return sign
 
 
-def level_sums(values: np.ndarray, n: int) -> list[int]:
-    """Sum of values[S] over the masks S of each popcount k = 0..n, as ints.
+_SQUARE_BLOCK = 1 << 15  # entries squared at a time by squared_level_sums
+
+
+def squared_level_sums(numerators: np.ndarray, n: int) -> list[int]:
+    """Sum of numerators[S]**2 over the masks S of each popcount k = 0..n, as ints.
 
     The high ceil(n/2) and low floor(n/2) bits of S are binned by one-hot
-    popcount matrices, P = Hi^T (values as 2^hi x 2^lo) Lo, and level k sums
-    P[a, c] over a + c = k.  values hold integers and are summed in float64,
-    which is exact while sum |values| < 2^53: that sum bounds every partial
-    sum.  For the callers' values, the squared or signed Walsh numerators of
-    a 0/1 table, it is at most 4^n, so n > 26 is refused.
+    popcount matrices, P = Hi^T (squares as 2^hi x 2^lo) Lo, and level k
+    sums P[a, c] over a + c = k.  The squares are taken in float64 one block
+    of about 2^15 entries (whole rows) at a time and binned by Lo at once,
+    so no 2^n array of squares is made.  Each square and partial sum is an
+    integer no larger than sum numerators**2, so the result is exact while
+    that sum is below 2^53.  For Walsh numerators of a 0/1 table it is at
+    most 4^n (Parseval), so n > 26 is refused.
     """
     if n > 26:
         raise ValueError(f"level sums are exact in float64 only for n <= 26, got n = {n}")
@@ -77,7 +83,14 @@ def level_sums(values: np.ndarray, n: int) -> list[int]:
     hi = n - lo
     hi_hot = np.eye(hi + 1)[popcounts(hi)]
     lo_hot = np.eye(lo + 1)[popcounts(lo)]
-    binned = hi_hot.T @ (np.asarray(values, dtype=np.float64).reshape(1 << hi, 1 << lo) @ lo_hot)
+    rows = np.asarray(numerators).reshape(1 << hi, 1 << lo)
+    step = max(1, _SQUARE_BLOCK >> lo)
+    squares = np.empty((min(step, 1 << hi), 1 << lo))
+    by_row = np.empty((1 << hi, lo + 1))  # by_row[r, c]: squares of row r with low popcount c
+    for r in range(0, 1 << hi, step):
+        np.square(rows[r : r + step], out=squares, dtype=np.float64)
+        np.matmul(squares, lo_hot, out=by_row[r : r + step])
+    binned = hi_hot.T @ by_row
     out = [0] * (n + 1)
     for a in range(hi + 1):
         for c in range(lo + 1):

@@ -33,10 +33,14 @@ class FourierSpectrum:
         return [self.coefficient(1 << i) for i in range(self.n)]
 
     def level_weights(self) -> "LevelWeights":
-        """W^k at every level, summed on the first call and kept."""
+        """W^k at every level, summed on the first call and kept.
+
+        W^k is the sum of the squared numerators at level k over 4^n; the
+        kernel squares them a block at a time, so no array of squares is made.
+        """
         if self._level_weights is None:
-            sq = np.square(self.numerators, dtype=np.float64)  # each at most 4^n: exact
-            self._level_weights = LevelWeights(self.n, kernels.level_sums(sq, self.n))
+            sums = kernels.squared_level_sums(self.numerators, self.n)
+            self._level_weights = LevelWeights(self.n, sums)
         return self._level_weights
 
     def export_rows(self):
@@ -71,7 +75,7 @@ class LevelWeights:
 
 def fwht_spectrum(f: BooleanFunction) -> FourierSpectrum:
     """Fast Walsh transform, O(n 2^n); agrees with the defining sum exactly."""
-    return FourierSpectrum(f.n, kernels.fwht(f.table.astype(np.int64)))
+    return FourierSpectrum(f.n, kernels.fwht(f.table))
 
 
 def spectrum_by_definition(f: BooleanFunction) -> FourierSpectrum:

@@ -198,7 +198,7 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     counting(levelk, "elementary_symmetric_pointwise")
     counting(correlate.LinearForm, "scaled_values")
     counting(correlate, "_cut_covariances")
-    counting(kernels, "level_sums")
+    counting(kernels, "squared_level_sums")
     harness.run_suite("all", harness.Corpus("empty", ()))
     globals_only = Counter(counts)
     counts.clear()
@@ -209,7 +209,7 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     per_members = counts - globals_only
     for key in ("dot_values from cubelab.levelk", "class sort",
                 "elementary_symmetric_pointwise", "scaled_values", "_cut_covariances",
-                "level_sums"):
+                "squared_level_sums"):
         assert per_members[key] == 2, key
 
 

@@ -62,11 +62,41 @@ def test_fwht_exactness_guard_edge(n, monkeypatch):
             kernels.fwht(a)
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_fwht_float32_edge(n):
+    """max|a| * 2^n = 2^24 is transformed in float32 and one step past it in
+    float64.  Past it every entry is +-(top + 1) but one, which is +-top, so
+    sums such as 2^24 + 2^n - 1 are odd and above 2^24, where float32 rounds."""
+    top = 1 << (24 - n)
+    signs = np.random.default_rng(n).choice([-1, 1], size=1 << n)
+    for step in (0, 1):
+        magnitudes = np.full(1 << n, top + step)
+        magnitudes[0] = top
+        for a in (magnitudes, -magnitudes, signs * magnitudes):
+            got = kernels.fwht(a)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracles.butterfly_walsh(a))
+        assert kernels.fwht(magnitudes)[0] == ((top + step) << n) - step
+
+
+@pytest.mark.parametrize("n", [1, 4, 11])
+def test_fwht_integer_dtypes_agree(n):
+    """uint8, bool and int64 copies of one 0/1 vector give one int64 array."""
+    table = random_table(np.random.default_rng(300 + n), n)
+    expect = oracles.butterfly_walsh(table)
+    for a in (table, table.astype(bool), table.astype(np.int64)):
+        got = kernels.fwht(a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [*range(13), 17])
 def test_level_sums_backends_agree(n):
-    """Signed integer values binned by popcount against one masked pass per level."""
+    """Squares of signed integer values binned by popcount, one block of rows
+    at a time, against one masked pass per level; at n = 17 the 2^9 rows of
+    2^8 entries are squared in four blocks."""
     values = np.random.default_rng(n).integers(-(1 << n), (1 << n) + 1, size=1 << n)
-    assert kernels.level_sums(values, n) == oracles.masked_level_sums(values, n)
+    assert kernels.squared_level_sums(values, n) == oracles.masked_level_sums(values**2, n)
 
 
 def test_fwht_matches_direct_sum():

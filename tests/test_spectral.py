@@ -85,19 +85,19 @@ def test_level_weights_match_masked_oracle(n):
 
 def test_level_weights_memo_equals_fresh_level_sums(monkeypatch):
     """The spectrum sums its level weights once, on the first call; every
-    later call returns that object, equal to a fresh kernels.level_sums."""
+    later call returns that object, equal to a fresh kernels.squared_level_sums."""
     calls = []
-    level_sums = kernels.level_sums
+    squared_level_sums = kernels.squared_level_sums
 
-    def counting(values, n):
+    def counting(numerators, n):
         calls.append(n)
-        return level_sums(values, n)
+        return squared_level_sums(numerators, n)
 
     for n in (1, 5, 10):
         f = bfcore.from_truth_table(np.random.default_rng(40 + n).integers(0, 2, size=1 << n), n)
         spec = spectral.fwht_spectrum(f)
-        fresh = kernels.level_sums(np.square(spec.numerators, dtype=np.float64), n)
-        monkeypatch.setattr(kernels, "level_sums", counting)
+        fresh = kernels.squared_level_sums(spec.numerators, n)
+        monkeypatch.setattr(kernels, "squared_level_sums", counting)
         first = spec.level_weights()
         assert spec.level_weights() is first
         assert spectral.noise_stability(f, Fraction(1, 3), spec) == sum(
@@ -106,6 +106,22 @@ def test_level_weights_memo_equals_fresh_level_sums(monkeypatch):
         assert [first.level(k) for k in range(n + 1)] == \
             [Fraction(w, 1 << 2 * n) for w in fresh]
     assert calls == [1, 5, 10]
+
+
+def test_level_weights_at_the_table_cap():
+    """At n = 24 the all-ones table sits exactly on the float32 bound of the
+    transform, max|a| * 2^n = 2^24; its level weights and the dictator's are
+    closed forms."""
+    n = 24
+    ones = spectral.fwht_spectrum(bfcore.from_truth_table(np.ones(1 << n, dtype=np.uint8), n))
+    assert ones.numerators.dtype == np.int64
+    assert ones.numerators[0] == 1 << 24
+    weights = ones.level_weights()
+    assert weights.level(0) == 1
+    assert weights.total() == 1
+    del ones, weights
+    dictator = spectral.fwht_spectrum(bfcore.dictator(n)).level_weights()
+    assert [dictator.level(k) for k in range(n + 1)] == [Fraction(1, 4)] * 2 + [0] * (n - 1)
 
 
 def test_level_weights_refuse_past_26():
@@ -154,12 +170,12 @@ def test_noise_stability_examples():
 
 def noise_operator_at(f, rho, m, spec=None):
     """T_rho f at cube point m, sum_S rho^|S| f-hat(S) x^S, from the doubling
-    character of kernels.sign_products and the binned kernels.level_sums on
+    character of kernels.sign_products and one masked sum per level of the
     signed numerators; exact for rational rho."""
     spec = spec or spectral.fwht_spectrum(f)
     n = f.n
     signs = kernels.sign_products((1, 1 if m >> i & 1 else -1) for i in range(n))
-    sums = kernels.level_sums(spec.numerators * signs, n)
+    sums = oracles.masked_level_sums(spec.numerators * signs, n)
     if isinstance(rho, (int, Fraction)):
         return sum(Fraction(rho) ** k * Fraction(s, 1 << n) for k, s in enumerate(sums))
     return sum(rho**k * (s / (1 << n)) for k, s in enumerate(sums))
@@ -214,7 +230,7 @@ def test_noise_operator_at_matches_gather_route(n):
     f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
     spec = spectral.fwht_spectrum(f)
     for m in {0, (1 << n) - 1, *rng.integers(0, 1 << n, size=3).tolist()}:
-        sums = kernels.level_sums(spec.numerators * oracles.gather_subset_character(n, m), n)
+        sums = oracles.masked_level_sums(spec.numerators * oracles.gather_subset_character(n, m), n)
         for rho in (0.3, Fraction(2, 7)):
             exact = isinstance(rho, Fraction)
             expect = sum(rho**k * (Fraction(s, 1 << n) if exact else s / (1 << n))
