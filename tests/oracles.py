@@ -5,11 +5,11 @@ subsets or sign patterns, so the fast paths in the package are checked
 against a second route that shares no code with them.  The numpy routes
 are the package's former kernels, kept as the slow routes of their
 replacements: ``butterfly_walsh`` and ``masked_level_sums`` (int64) of the
-float32/float64 Walsh and blockwise squared level-sum kernels (the latter
-also sums the tests' signed noise-operator terms), the ``halves_*`` scans
-(one uint8 byte per point) of the bit-packed table scans, and the
-``gather_*`` characters (a popcount table indexed by 2^n masks) of the
-doubling ``sign_products``,
+float32/float64 Walsh and blockwise squared level-sum kernels
+(``masked_level_sums`` also sums the signed terms of the tests' noise
+operator), the ``halves_*`` scans (one uint8 byte per point) of the
+bit-packed table scans, and the ``gather_*`` characters (a popcount table
+indexed by 2^n masks) of the doubling ``sign_products``,
 ``index_unbiased_correlator`` (one int64 sign array per coordinate) of the
 swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
