@@ -34,7 +34,7 @@ from .chernoff import (
     gaussian_tail_ratio,
     weight_split,
 )
-from .halfspace import Halfspace, TailDistribution, make_halfspace
+from .halfspace import BudgetError, Halfspace, TailDistribution, make_halfspace
 from .influence import boundary_measures, influences
 
 F = Fraction
@@ -459,7 +459,10 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
         if delta < a:
             continue
         checked += 1
-        got = h.smoothed_influence(h.order[j], delta)
+        try:
+            got = h.smoothed_influence(h.order[j], delta)
+        except BudgetError:
+            return [CheckRecord.skipped("LEM52", ctx.label, "support too wide")]
         bound = (a / delta) * h.distribution().prob_interval(
             t + a, t + delta - a, include_lo=True, include_hi=True)
         if got < bound:
@@ -755,8 +758,7 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
         if k > m_max:
             continue
         hyp, chain, ek, bound = levelk.elementary_chain_check(stats, k)
-        surrogate = h.mean() < F(1, 2 ** (levelk.BIAS_CUT_EXPONENT * k))
-        if hyp and surrogate:
+        if hyp and levelk.Hypotheses(h, k).surrogate_ok:
             ok = chain and ek >= bound
             recs.append(CheckRecord("NG", f"{ctx.label} chain k={k}", ek, bound,
                                     None, ok, PASS if ok else FAIL,
@@ -775,15 +777,7 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
             recs.append(CheckRecord.skipped("SIGN-COND", f"{ctx.label} k={k}",
                                             "weights too large for exact scan"))
             continue
-        eps = h.mean()
-        norm = h.l2_norm()
-        hyp = (
-            eps < F(1, 2 ** (levelk.BIAS_CUT_EXPONENT * k))
-            and float(h.weights[0]) / norm <= 1 / (16 * math.sqrt(k))
-            and 2 * k * h.weights[0] < h.decay_thresholds(k=k).beta
-            and float(h.threshold) / norm >= 4 * math.sqrt(k)
-        )
-        if hyp:
+        if levelk.Hypotheses(h, k).all():
             recs.append(CheckRecord("SIGN-COND", f"{ctx.label} k={k}", holds,
                                     True, None, holds, PASS if holds else FAIL))
         else:

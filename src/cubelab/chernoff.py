@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfspace import Halfspace, _TailBase
+from .halfspace import BudgetError, Halfspace, _TailBase
 from .rational import as_fraction
 
 EATON_BOUND = 3.178  # Gaussian-domination constant for Rademacher sums
@@ -113,16 +113,51 @@ def check_interval_decay(dist: _TailBase, s, t, m, instance: str = "") -> CheckR
     return rec
 
 
+# LEM42's powers F^l are formed only while l * n, their size in bits, is at most this
+POWER_BITS = 1 << 16
+# bound on the relative error of the float sides l * log2(c): a few units in
+# the last place of each product and sum, far below this
+LOG_SLACK = 2.0**-40
+
+
+def log_concave_exp_holds(c0: int, c1: int, level: int, n: int) -> bool:
+    """Whether c1^level * 2^(n-1) <= c0^(level+1): LEM42's
+    F(t+delta+m)^l <= 2 F(t)^(l+1) times 2^(n(l+1)), for the tail counts
+    c0 above t and c1 <= c0 above t + delta + m out of 2^n.
+
+    Integers decide c1 = 0 and c1 = c0.  Otherwise base-2 logs decide
+    wherever the two sides differ by more than their error bound, and the
+    exact powers decide the rest if they fit POWER_BITS; past that the
+    instance is refused.
+    """
+    if c1 == 0:
+        return True
+    if c1 == c0:
+        return c0 >= 1 << (n - 1)
+    lhs, rhs = level * math.log2(c1) + (n - 1), (level + 1) * math.log2(c0)
+    if abs(rhs - lhs) > LOG_SLACK * (lhs + rhs):
+        return lhs < rhs
+    if level * n > POWER_BITS:
+        raise BudgetError(f"LEM42 sides at l={level} too close to tell in logs")
+    return c1**level << (n - 1) <= c0 ** (level + 1)
+
+
 def check_log_concave_exp(dist: _TailBase, t, delta, m, instance: str = "") -> CheckRecord:
-    """F(t+delta+m)^l <= 2 F(t)^(l+1) with l = 1 + floor(t/delta)."""
+    """F(t+delta+m)^l <= 2 F(t)^(l+1) with l = 1 + floor(t/delta), decided
+    from the two tail counts; the record holds both sides exactly while
+    their powers fit POWER_BITS."""
     t, delta, m = map(as_fraction, (t, delta, m))
     if t < 0 or delta <= 0:
         raise ValueError("need t >= 0 and delta > 0")
     level = 1 + int(t // delta)
-    lhs = dist.prob_gt(t + delta + m) ** level
-    rhs = 2 * dist.prob_gt(t) ** (level + 1)
-    rec = CheckRecord.inequality("LEM42", instance, lhs, rhs)
-    rec.notes = f"l={level}"
+    c0, c1 = dist.count_gt(t), dist.count_gt(t + delta + m)
+    ok = log_concave_exp_holds(c0, c1, level, dist.n_summands)
+    rec = CheckRecord("LEM42", instance, passed=ok, status=PASS if ok else FAIL,
+                      notes=f"l={level}")
+    if level * dist.n_summands <= POWER_BITS:
+        rec.lhs = Fraction(c1, dist.total) ** level
+        rec.rhs = 2 * Fraction(c0, dist.total) ** (level + 1)
+        rec.ratio = bound_ratio(rec.lhs, rec.rhs)
     return rec
 
 

@@ -21,41 +21,26 @@ def _fr(x) -> str:
     return format_fraction(x) if isinstance(x, Fraction) else str(x)
 
 
-def _load_corpus(name: str) -> harness.Corpus:
-    if name == "builtin":
-        return harness.corpus_gen("builtin-all")
-    if name == "standard":
-        return harness.standard_corpus()
-    if name == "tail":
-        return harness.tail_lemma_corpus()
-    return harness.Corpus.load(name)
-
-
 def cmd_analyze(args) -> int:
     spec = FunctionSpec.parse(args.spec)
     h = spec.halfspace()
-    out: dict = {"spec": spec.to_text()}
+    f = spec.build() if h is None or h.arity <= MAX_N else None
     if h is not None:
-        out["mean"] = _fr(h.mean())
-        out["influences"] = [_fr(v) for v in h.influences()]
+        infl = h.influences()
+        mean, total = h.mean(), sum(infl, Fraction(0))
         best, arg = h.max_influence()
-        out["max_influence"] = {"value": _fr(best), "coordinate": arg}
-        out["total_influence"] = _fr(sum(h.influences(), Fraction(0)))
-        out["vertex_boundary"] = {"vb0": _fr(h.vertex_boundary(0)),
-                                  "vb1": _fr(h.vertex_boundary(1))}
-        if h.arity <= MAX_N:
-            f = spec.build()
-            weights = spectral.fwht_spectrum(f).level_weights()
-            out["level_weights"] = [_fr(weights.level(k)) for k in range(f.n + 1)]
+        vb = (h.vertex_boundary(0), h.vertex_boundary(1))
     else:
-        f = spec.build()
-        out["mean"] = _fr(f.mean)
-        prof = influences(f)
-        out["influences"] = [_fr(v) for v in prof.per_coordinate]
-        out["max_influence"] = {"value": _fr(prof.max_value), "coordinate": prof.argmax}
-        out["total_influence"] = _fr(prof.total)
-        veils = boundary_measures(f)
-        out["vertex_boundary"] = {"vb0": _fr(veils.vb0), "vb1": _fr(veils.vb1)}
+        prof, veils = influences(f), boundary_measures(f)
+        mean, infl, total = f.mean, prof.per_coordinate, prof.total
+        best, arg = prof.max_value, prof.argmax
+        vb = (veils.vb0, veils.vb1)
+    out = {"spec": spec.to_text(), "mean": _fr(mean),
+           "influences": [_fr(v) for v in infl],
+           "max_influence": {"value": _fr(best), "coordinate": arg},
+           "total_influence": _fr(total),
+           "vertex_boundary": {"vb0": _fr(vb[0]), "vb1": _fr(vb[1])}}
+    if f is not None:
         weights = spectral.fwht_spectrum(f).level_weights()
         out["level_weights"] = [_fr(weights.level(k)) for k in range(f.n + 1)]
     if args.json:
@@ -123,20 +108,10 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    params = {}
-    if args.count is not None:
-        params["count"] = args.count
-    if args.n is not None:
-        params["n"] = args.n
-    if args.n_lo is not None:
-        params["n_lo"] = args.n_lo
-    if args.n_hi is not None:
-        params["n_hi"] = args.n_hi
-    if args.weight_bits is not None:
-        params["weight_bits"] = args.weight_bits
+    params = {key: value for key, value in vars(args).items()
+              if key in ("count", "n", "n_lo", "n_hi", "weight_bits") and value is not None}
     if args.eps_lo is not None or args.eps_hi is not None:
-        params["eps_band"] = (as_fraction(args.eps_lo or "1/256"),
-                              as_fraction(args.eps_hi or "1/16"))
+        params["eps_band"] = (args.eps_lo, args.eps_hi)
     corpus = harness.corpus_gen(args.kind, params, seed=args.seed)
     corpus.save(args.out)
     print(f"wrote {len(corpus.entries)} entries to {args.out} (digest {corpus.digest})")
@@ -144,7 +119,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    corpus = _load_corpus(args.corpus)
+    corpus = harness.load_corpus(args.corpus)
     constants = None
     if not args.pin:
         if args.constants:
@@ -204,16 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus", help="corpus file operations")
     csub = p.add_subparsers(dest="corpus_command", required=True)
     g = csub.add_parser("gen", help="generate a deterministic corpus")
-    g.add_argument("--kind", required=True,
-                   choices=["builtin-all", "random-halfspace",
-                            "random-rational-halfspace", "random-function",
-                            "monotone-random"])
+    g.add_argument("--kind", required=True, choices=list(harness.CORPUS_KINDS))
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--count", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--n-lo", type=int)
-    g.add_argument("--n-hi", type=int)
-    g.add_argument("--weight-bits", type=int)
+    for option in ("--count", "--n", "--n-lo", "--n-hi", "--weight-bits"):
+        g.add_argument(option, type=int)
     g.add_argument("--eps-lo")
     g.add_argument("--eps-hi")
     g.add_argument("--out", required=True)
@@ -221,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem-check suite")
     p.add_argument("--suite", required=True)
-    p.add_argument("--corpus", default="builtin",
-                   help="builtin | standard | tail | path to a corpus file")
+    p.add_argument("--corpus", default=harness.DEFAULT_CORPUS,
+                   help=" | ".join(harness.NAMED_CORPORA) + " | path to a corpus file")
     p.add_argument("--pin", action="store_true",
                    help="record pinned constants instead of asserting")
     p.add_argument("--constants", help="constants file (default: packaged)")

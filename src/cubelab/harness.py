@@ -9,15 +9,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .bfcore import BooleanFunction, FunctionSpec
+from .bfcore import MAX_N, BooleanFunction, FunctionSpec
 from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
 from .checks import REGISTRY, SUITES, MemberContext
 from .halfspace import distribution_from_scaled
 from .kernels import set_subcube
-from .rational import format_fraction
+from .rational import as_fraction, format_fraction
 
 F = Fraction
 
@@ -89,50 +90,68 @@ def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
     return entries
 
 
+def _monotone_table(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An OR of 1..n random subcubes, each of 1..n fixed coordinates."""
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for _term in range(int(rng.integers(1, n + 1))):
+        width = int(rng.integers(1, n + 1))
+        set_subcube(table, n, rng.choice(n, size=width, replace=False))
+    return table
+
+
+@dataclass(frozen=True)
+class CorpusKind:
+    """Every parameter a corpus kind takes, with its default; a halfspace
+    kind names its weights' denominators, a truth-table kind its table."""
+
+    params: dict
+    denominators: tuple[int, ...] = ()
+    table: Callable[[np.random.Generator, int], np.ndarray] | None = None
+
+
+CORPUS_KINDS = {
+    "builtin-all": CorpusKind({}),
+    "random-halfspace": CorpusKind(
+        {"count": 50, "n_lo": 12, "n_hi": 20, "weight_bits": 6,
+         "eps_band": (F(1, 256), F(1, 16))}, denominators=(1,)),
+    "random-rational-halfspace": CorpusKind(
+        {"count": 50, "n_lo": 8, "n_hi": 16, "weight_bits": 5,
+         "eps_band": (F(1, 1024), F(1, 4))}, denominators=(1, 2, 3, 4)),
+    "random-function": CorpusKind({"count": 20, "n": 10},
+                                  table=lambda rng, n: rng.integers(0, 2, size=1 << n)),
+    "monotone-random": CorpusKind({"count": 20, "n": 8}, table=_monotone_table),
+}
+
+
 def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
-    """Deterministic corpus builder; same (kind, params, seed) is byte-identical."""
+    """Deterministic corpus builder; same (kind, params, seed) is byte-identical.
+
+    A parameter the kind does not take is refused.  One not given takes the
+    kind's default, and so does a side of eps_band given as None.
+    """
+    if kind not in CORPUS_KINDS:
+        raise ValueError(f"unknown corpus kind {kind!r}; have {list(CORPUS_KINDS)}")
+    spec = CORPUS_KINDS[kind]
     params = dict(params or {})
-    if kind == "builtin-all":
-        return Corpus("builtin-all", BUILTIN_ALL)
-    if kind == "random-halfspace":
-        eps_lo, eps_hi = params.get("eps_band", (F(1, 256), F(1, 16)))
-        entries = _random_halfspace_entries(
-            seed, params.get("n_lo", 12), params.get("n_hi", 20),
-            params.get("weight_bits", 6), F(eps_lo), F(eps_hi),
-            params.get("count", 50))
-        name = f"random-halfspace(seed={seed},count={len(entries)})"
-        return Corpus(name, tuple(entries))
-    if kind == "random-rational-halfspace":
-        eps_lo, eps_hi = params.get("eps_band", (F(1, 1024), F(1, 4)))
-        entries = _random_halfspace_entries(
-            seed, params.get("n_lo", 8), params.get("n_hi", 16),
-            params.get("weight_bits", 5), F(eps_lo), F(eps_hi),
-            params.get("count", 50), denominators=(1, 2, 3, 4))
-        name = f"random-rational-halfspace(seed={seed},count={len(entries)})"
-        return Corpus(name, tuple(entries))
-    if kind == "random-function":
-        n = params.get("n", 10)
-        count = params.get("count", 20)
+    for name in params:
+        if name not in spec.params:
+            raise ValueError(f"corpus kind {kind!r} takes no parameter {name!r}; "
+                             f"it takes {list(spec.params) or 'none'}")
+    p = {**spec.params, **params}
+    if spec.denominators:
+        eps_lo, eps_hi = (as_fraction(default if given is None else given)
+                          for given, default in zip(p["eps_band"], spec.params["eps_band"]))
+        entries = _random_halfspace_entries(seed, p["n_lo"], p["n_hi"], p["weight_bits"],
+                                            eps_lo, eps_hi, p["count"], spec.denominators)
+        return Corpus(f"{kind}(seed={seed},count={len(entries)})", tuple(entries))
+    if spec.table is not None:
+        n = p["n"]
+        if not 1 <= n <= MAX_N:  # refused before a 2^n table is drawn
+            raise ValueError(f"arity {n} outside supported range 1..{MAX_N}")
         rng = np.random.default_rng(seed)
-        entries = []
-        for _ in range(count):
-            bits = rng.integers(0, 2, size=1 << n)
-            entries.append(BooleanFunction(n, bits).to_text())
-        return Corpus(f"random-function(n={n},seed={seed})", tuple(entries))
-    if kind == "monotone-random":
-        n = params.get("n", 8)
-        count = params.get("count", 20)
-        rng = np.random.default_rng(seed)
-        entries = []
-        for _ in range(count):
-            table = np.zeros(1 << n, dtype=np.uint8)
-            terms = int(rng.integers(1, n + 1))
-            for _t in range(terms):
-                width = int(rng.integers(1, n + 1))
-                set_subcube(table, n, rng.choice(n, size=width, replace=False))
-            entries.append(BooleanFunction(n, table).to_text())
-        return Corpus(f"monotone-random(n={n},seed={seed})", tuple(entries))
-    raise ValueError(f"unknown corpus kind {kind!r}")
+        entries = (BooleanFunction(n, spec.table(rng, n)).to_text() for _ in range(p["count"]))
+        return Corpus(f"{kind}(n={n},seed={seed})", tuple(entries))
+    return Corpus(kind, BUILTIN_ALL)
 
 
 STANDARD_SEED = 2024
@@ -151,6 +170,16 @@ def standard_corpus() -> Corpus:
 def tail_lemma_corpus() -> Corpus:
     """Rational-weight instances for the exhaustive tail-shape sweeps."""
     return corpus_gen("random-rational-halfspace", {"count": 50}, seed=505)
+
+
+# the corpora verify reads by name; any other name is a corpus file's path
+NAMED_CORPORA = {"builtin": lambda: corpus_gen("builtin-all"),
+                 "standard": standard_corpus, "tail": tail_lemma_corpus}
+DEFAULT_CORPUS = "builtin"
+
+
+def load_corpus(name: str) -> Corpus:
+    return NAMED_CORPORA[name]() if name in NAMED_CORPORA else Corpus.load(name)
 
 
 # ---------------------------------------------------------------------------

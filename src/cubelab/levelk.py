@@ -356,6 +356,40 @@ def sign_condition_holds(cube: CubeScan, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # the degree-k weight pipeline
 
+class Hypotheses:
+    """The four hypotheses under which SIGN-COND and the degree-k pipeline
+    assert, for one halfspace and level k.  Each is decided when read, and
+    all() reads them in order and stops at the first false one, so a member
+    whose bias misses the cut runs no delta search for beta."""
+
+    def __init__(self, h: Halfspace, k: int):
+        self.h, self.k = h, k
+
+    @property
+    def surrogate_ok(self) -> bool:
+        """eps below the desk-scale bias cut 2^(-BIAS_CUT_EXPONENT k)"""
+        return self.h.mean() < Fraction(1, 2 ** (BIAS_CUT_EXPONENT * self.k))
+
+    @property
+    def eta_ok(self) -> bool:
+        """a_1 <= 1/(16 sqrt(k)) after l2 normalization"""
+        return float(self.h.weights[0]) / self.h.l2_norm() <= 1 / (16 * math.sqrt(self.k))
+
+    @property
+    def small_top_ok(self) -> bool:
+        """2k a_1 < beta"""
+        return 2 * self.k * self.h.weights[0] < self.h.decay_thresholds(k=self.k).beta
+
+    @property
+    def tall_threshold_ok(self) -> bool:
+        """t >= 4 sqrt(k) after l2 normalization"""
+        return float(self.h.threshold) / self.h.l2_norm() >= 4 * math.sqrt(self.k)
+
+    def all(self) -> bool:
+        return (self.surrogate_ok and self.eta_ok and self.small_top_ok
+                and self.tall_threshold_ok)
+
+
 @dataclass
 class PipelineReport:
     """Everything the degree-k verification computes for one instance."""
@@ -371,10 +405,10 @@ class PipelineReport:
     coeff_sq_sum: Fraction      # sum over |S|=k of (a^S)^2, l2-normalized
     smoothed_total: float       # M = sum over |S|=k of a^S e_S^delta
     sign_ok: bool
-    small_top_ok: bool          # 2k a_1 < beta
-    tall_threshold_ok: bool     # t >= 4 sqrt(k) after l2 normalization
-    eta_ok: bool                # a_1 <= 1/(16 sqrt(k)) after normalization
-    surrogate_ok: bool          # eps below the desk-scale bias threshold
+    small_top_ok: bool          # the four Hypotheses
+    tall_threshold_ok: bool
+    eta_ok: bool
+    surrogate_ok: bool
     lower_ok: bool | None
     upper_ok: bool | None
 
@@ -429,10 +463,6 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)
 
     sign_ok = sign_condition_holds(cube, k)
-    small_top_ok = 2 * k * h.weights[0] < beta
-    tall_threshold_ok = float(t) / norm >= 4 * math.sqrt(k)
-    eta_ok = float(h.weights[0]) / norm <= 1 / (16 * math.sqrt(k))
-    surrogate_ok = eps < Fraction(1, 2 ** (BIAS_CUT_EXPONENT * k))
 
     lower_ok = None
     if 2 * top_mass < beta and delta > 0:
@@ -443,10 +473,11 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
         upper_bound = math.sqrt(float(wk) * float(coeff_sq_sum))
         upper_ok = smoothed_total <= upper_bound * (1 + 1e-9)
 
+    hyp = Hypotheses(h, k)
     return PipelineReport(
         k, eps, wk, ratio_stat, beta, gamma, delta,
-        top_mass, coeff_sq_sum, smoothed_total, sign_ok, small_top_ok,
-        tall_threshold_ok, eta_ok, surrogate_ok, lower_ok, upper_ok,
+        top_mass, coeff_sq_sum, smoothed_total, sign_ok, hyp.small_top_ok,
+        hyp.tall_threshold_ok, hyp.eta_ok, hyp.surrogate_ok, lower_ok, upper_ok,
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cubelab import chernoff, harness
 from cubelab.chernoff import CheckRecord, Partition, weight_split
-from cubelab.halfspace import make_halfspace
+from cubelab.halfspace import make_halfspace, parse_halfspace
 
 F = Fraction
 
@@ -127,6 +127,62 @@ def test_log_concave_exp_grid_random():
         for t in (0, 1, F(5, 2)):
             for delta in (F(1, 2), 1, 3):
                 assert chernoff.check_log_concave_exp(dist, t, delta, m).passed
+
+
+def _lem42_grid(h):
+    """LEM42's (t, delta) grid of one member, as the registry check reads it."""
+    thr = h.decay_thresholds()
+    deltas = [d for d in (thr.beta, thr.gamma, thr.m, F(1)) if d > 0]
+    return [(t, d) for t in (F(0), thr.beta, thr.gamma, 2 * thr.gamma) for d in deltas], thr.m
+
+
+@pytest.mark.parametrize("corpus", ["tail", "standard"])
+def test_log_concave_exp_decision_matches_fraction_powers(corpus):
+    """At every LEM42 grid point of the corpus, the decision from the two
+    tail counts equals the comparison of the exact Fraction powers."""
+    outcomes = set()
+    for entry in harness.load_corpus(corpus).entries:
+        h = parse_halfspace(entry)
+        dist = h.distribution()
+        grid, m = _lem42_grid(h)
+        for t, d in grid:
+            level = 1 + int(t // d)
+            c0, c1 = dist.count_gt(t), dist.count_gt(t + d + m)
+            exact = dist.prob_gt(t + d + m) ** level <= 2 * dist.prob_gt(t) ** (level + 1)
+            assert chernoff.log_concave_exp_holds(c0, c1, level, dist.n_summands) == exact
+            outcomes.add((exact, c1 == 0, c1 == c0))
+    assert (True, False, False) in outcomes and (True, True, False) in outcomes
+
+
+def test_log_concave_exp_decision_edges(monkeypatch):
+    # c1 = c0: the sides compare 2^(n-1) with c0
+    assert chernoff.log_concave_exp_holds(16, 16, 7, 5)
+    assert not chernoff.log_concave_exp_holds(15, 15, 7, 5)
+    # 2^2 * 2^4 = 4^3: the logs tie, and the exact powers decide
+    assert chernoff.log_concave_exp_holds(4, 2, 2, 5)
+    assert not chernoff.log_concave_exp_holds(4, 3, 2, 5)
+    # far past the size budget the logs still decide, against exact integers
+    for c0, c1, level, n in ((900_000, 899_999, 120_000, 20), (3, 2, 77_664_989, 26),
+                             (524_289, 524_288, 50_000, 20)):
+        assert level * n > chernoff.POWER_BITS
+        got = chernoff.log_concave_exp_holds(c0, c1, level, n)
+        if level < 10**6:
+            assert got == (c1**level << (n - 1) <= c0 ** (level + 1))
+    monkeypatch.setattr(chernoff, "POWER_BITS", 8)
+    with pytest.raises(chernoff.BudgetError, match="too close to tell"):
+        chernoff.log_concave_exp_holds(4, 2, 2, 5)
+
+
+def test_log_concave_exp_record_past_the_power_budget():
+    """l = 100001 on 20 unit weights: no power is formed, and the verdict
+    equals the exact integer comparison."""
+    h = make_halfspace([1] * 20, 0)
+    dist = h.distribution()
+    rec = chernoff.check_log_concave_exp(dist, 5, F(1, 20000), 2)
+    assert rec.notes == "l=100001" and rec.lhs is None and rec.rhs is None
+    c0, c1 = dist.count_gt(5), dist.count_gt(5 + F(1, 20000) + 2)
+    assert rec.passed == (c1**100001 << 19 <= c0**100002)
+    assert rec.status == ("pass" if rec.passed else "fail")
 
 
 def test_local_chernoff_strong_reports():

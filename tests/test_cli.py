@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from cubelab import cli
+from cubelab import cli, harness
 from cubelab.bfcore import MAX_N, FunctionSpec
 
 
@@ -111,6 +112,47 @@ def test_corpus_gen_and_verify(capsys, tmp_path):
     assert "failures" in out
     payload = json.loads(report_path.read_text())
     assert payload["suite"] == "exact-identities"
+
+
+# for each kind, an option of a parameter it does not take
+FOREIGN_OPTIONS = {"builtin-all": ("--count", "2"), "random-halfspace": ("--n", "5"),
+                   "random-rational-halfspace": ("--n", "5"),
+                   "random-function": ("--eps-lo", "1/8"), "monotone-random": ("--n-hi", "9")}
+
+
+def test_corpus_gen_refuses_an_option_the_kind_does_not_take(capsys, tmp_path):
+    assert set(FOREIGN_OPTIONS) == set(harness.CORPUS_KINDS)
+    for kind, option in FOREIGN_OPTIONS.items():
+        path = tmp_path / f"{kind}.json"
+        assert cli.main(["corpus", "gen", "--kind", kind, *option, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corpus kind '{kind}' takes no parameter")
+        assert not path.exists()
+
+
+def test_corpus_gen_band_on_one_side_takes_the_kinds_default(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    code, out = run(capsys, "corpus", "gen", "--kind", "random-rational-halfspace",
+                    "--count", "3", "--eps-lo", "1/2048", "--out", str(path))
+    want = harness.corpus_gen("random-rational-halfspace",
+                              {"count": 3, "eps_band": (Fraction(1, 2048), Fraction(1, 4))})
+    assert code == 0 and f"(digest {want.digest})" in out
+    assert harness.Corpus.load(path) == want
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("ltf:5,4,3,2,1;7/2", "e69131db88dc0575097e88f570b75d2d5749a2370e325f224047561d585dee20"),
+    ("ltf:4/5,3/5;0", "4290b2339335e06d521fa0875f4ac7433ee0091f2cdce54aadf8f532088e1e93"),
+    ("dict:4", "46726e32d391a7b13ad297324020e075ada7ead4f23d652bc4e5c2f2c377fea9"),
+    ("maj:9", "24c2aec1c5aa8cc4207fc95025d524e4af0ac7be5425b9f027f42517d4e7848a"),
+    ("tribes:3,3", "0336ff58f57351505340ffaf7c3290d2a33c8a67e3366e127dea8fc98a9b7293"),
+    ("paper5", "25e20e30d3163eb5d3cb40e7adec11d155d1c178b75437f1321035f5f511c3a4"),
+])
+def test_analyze_json_bytes_are_stable(capsys, spec, digest):
+    """Halfspaces and truth tables fill the same output keys."""
+    code, out = run(capsys, "analyze", spec, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_pin_flow(capsys, tmp_path):

@@ -59,6 +59,25 @@ def test_random_halfspace_on_wide_weights():
     assert harness.tail_lemma_corpus().digest == "cdf812dc74cd81f3"
 
 
+def test_tail_lemmas_record_skips_on_meet_in_the_middle_members():
+    """On the CI meet-in-the-middle corpus, LEM42 decides its l of tens of
+    millions from tail counts, and LEM52 records a skip where a reduced
+    sum's support window is too dense to assemble."""
+    corpus = harness.corpus_gen(
+        "random-halfspace", {"count": 3, "n_lo": 26, "n_hi": 30, "weight_bits": 24}, seed=5)
+    assert corpus.digest == "536fc76fff89625f"
+    got = []
+    for idx in (0, 1):
+        ctx = MemberContext(f"mitm#{idx}", corpus.entries[idx])
+        for cid in ("LEM42", "LEM52"):
+            [rec] = REGISTRY[cid].fn(ctx, harness.PinnedConstants())
+            got.append((cid, idx, rec.status, rec.notes.split(" at ")[0]))
+    assert got == [("LEM42", 0, "pass", "grid of 4x4 (t, delta) points"),
+                   ("LEM52", 0, "hypothesis-not-met", "support too wide"),
+                   ("LEM42", 1, "pass", "grid of 4x4 (t, delta) points"),
+                   ("LEM52", 1, "pass", "3 coordinates checked")]
+
+
 def test_standard_corpus_shape():
     corpus = harness.standard_corpus()
     assert len(corpus.entries) == 100
@@ -78,6 +97,56 @@ def test_corpus_kinds_build():
             FunctionSpec.parse(entry).build()
     with pytest.raises(ValueError):
         harness.corpus_gen("mystery")
+
+
+# a value for each parameter some kind takes, and for one that no kind takes
+OTHER_PARAMETERS = {"count": 3, "n": 6, "n_lo": 8, "weight_bits": 4,
+                    "eps_band": (F(1, 64), F(1, 8)), "colour": 1}
+
+
+@pytest.mark.parametrize("kind", list(harness.CORPUS_KINDS))
+def test_corpus_kind_refuses_a_parameter_it_does_not_take(kind):
+    foreign = [name for name in OTHER_PARAMETERS if name not in harness.CORPUS_KINDS[kind].params]
+    assert "colour" in foreign and len(foreign) >= 2
+    for name in foreign:
+        with pytest.raises(ValueError, match=f"corpus kind '{kind}' takes no parameter '{name}'"):
+            harness.corpus_gen(kind, {name: OTHER_PARAMETERS[name]})
+
+
+@pytest.mark.parametrize("kind", ["random-function", "monotone-random"])
+def test_table_kind_refuses_an_arity_past_the_cap(kind):
+    with pytest.raises(ValueError, match="arity 25 outside supported range 1..24"):
+        harness.corpus_gen(kind, {"n": 25, "count": 1})
+    with pytest.raises(ValueError, match="arity 0 outside"):
+        harness.corpus_gen(kind, {"n": 0, "count": 1})
+
+
+@pytest.mark.parametrize("kind, default", [("random-halfspace", (F(1, 256), F(1, 16))),
+                                           ("random-rational-halfspace", (F(1, 1024), F(1, 4)))])
+def test_band_given_on_one_side_takes_the_kinds_default(kind, default):
+    assert harness.CORPUS_KINDS[kind].params["eps_band"] == default
+    for given, full in (((F(1, 2048), None), (F(1, 2048), default[1])),
+                        ((None, F(1, 32)), (default[0], F(1, 32)))):
+        one_side = harness.corpus_gen(kind, {"count": 3, "eps_band": given}, seed=4)
+        both = harness.corpus_gen(kind, {"count": 3, "eps_band": full}, seed=4)
+        assert one_side == both
+
+
+def test_corpus_kind_digests_are_stable():
+    assert harness.corpus_gen("builtin-all").digest == "c563a0bd702feb69"
+    assert harness.corpus_gen("random-halfspace", {"count": 4}).digest == "09c7cde807ee89a7"
+    rational = harness.corpus_gen("random-rational-halfspace", {"count": 6}, seed=505)
+    assert rational.digest == "7baa3ad20e5297cd"
+    tables = harness.corpus_gen("random-function", {"n": 6, "count": 3}, seed=3)
+    assert tables.digest == "cddb32a7c072c27b"
+
+
+def test_named_corpora_load_by_name_or_path(tmp_path):
+    assert harness.load_corpus(harness.DEFAULT_CORPUS) == harness.corpus_gen("builtin-all")
+    assert harness.load_corpus("tail") == harness.tail_lemma_corpus()
+    assert harness.load_corpus("standard") == harness.standard_corpus()
+    small_corpus().save(tmp_path / "c.json")
+    assert harness.load_corpus(str(tmp_path / "c.json")) == small_corpus()
 
 
 def test_monotone_random_is_monotone():

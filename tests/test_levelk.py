@@ -466,6 +466,35 @@ def test_pipeline_matches_separate_routes():
         levelk.level_k_pipeline(levelk.CubeScan(sparse), 2, _member_wk(sparse, 2))
 
 
+def test_hypotheses_stop_at_the_first_false_one(monkeypatch):
+    """SIGN-COND, NG and the pipeline read the level-k hypotheses from one
+    helper.  A member whose bias misses the cut runs no delta search for
+    SIGN-COND or NG, and the pipeline reports the helper's four flags."""
+    from cubelab.checks import REGISTRY, MemberContext
+    from cubelab.halfspace import Halfspace
+
+    ctx = MemberContext("m", "ltf:1,1,1,1,1,1,1,1,1,1,1,1,1,1,1;9")
+    h = ctx.halfspace
+    hyps = {k: levelk.Hypotheses(h, k) for k in levelk.LEVELS}
+    flags = {k: (hyp.small_top_ok, hyp.tall_threshold_ok, hyp.eta_ok, hyp.surrogate_ok)
+             for k, hyp in hyps.items()}
+    for k in levelk.LEVELS:
+        report = levelk.level_k_pipeline(ctx.cube, k, _member_wk(h, k))
+        assert (report.small_top_ok, report.tall_threshold_ok, report.eta_ok,
+                report.surrogate_ok) == flags[k]
+        assert not hyps[k].surrogate_ok and not hyps[k].all()
+
+    def no_search(*args):
+        raise AssertionError("a delta search ran")
+
+    monkeypatch.setattr(Halfspace, "_delta", no_search)
+    fresh = MemberContext("m", ctx.entry)
+    for cid in ("SIGN-COND", "NG"):
+        assert REGISTRY[cid].fn(fresh, None)
+    steep = levelk.Hypotheses(make_halfspace([1] * 20, 18), 2)  # eps = 2^-20
+    assert steep.surrogate_ok and not steep.eta_ok and not steep.all()
+
+
 def test_pipeline_rejects_unbiased():
     h = make_halfspace([1, 1, 1], -2)
     with pytest.raises(ValueError):
