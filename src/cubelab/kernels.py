@@ -15,11 +15,16 @@ vectorized numpy algorithm; its independent slow route is in the tests
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
+_WALSH_BLOCK = 1 << 16  # entries per block and per piece of fwht's stages
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
-    """Signed Walsh transform of an integer vector of length 2**n, as a new int64 array.
+    """Signed Walsh transform of an integer vector of length 2**n, as a new array.
 
     a may have any integer or bool dtype; it is not changed.  Output index is
     a subset mask S; entry S becomes sum_m a[m] * sign(S, m) where
@@ -31,34 +36,63 @@ def fwht(a: np.ndarray) -> np.ndarray:
     magnitude at most peak = max|a| * 2**n, so the stages run in float32
     when peak <= 2**24 (every such integer is a float32) and in float64 when
     peak < 2**53; a larger input is refused before any work.
+
+    The work happens in one buffer of 2**n entries.  The low coordinates
+    are transformed one block of _WALSH_BLOCK entries at a time in a
+    block-sized scratch pair, and each block is written to the buffer once;
+    every later stage runs in place, one piece of at most _WALSH_BLOCK
+    entries at a time through the scratch.  The buffer is then cast in place
+    to the integer type of its width and returned: int32 after float32
+    stages (|entry| <= 2**24), int64 after float64 stages.
     """
     n = a.shape[0].bit_length() - 1
     peak = max(int(a.max()), -int(a.min())) << n
     if peak >= 1 << 53:
         raise OverflowError(f"max|a| * 2^n = {peak} is not below 2^53; "
                             "the float64 Walsh transform would not be exact")
-    dtype = np.float32 if peak <= 1 << 24 else np.float64
-    x = a.astype(dtype)
-    y = np.empty_like(x)
-    done = 0  # coordinates 0..done-1 are transformed
+    real, whole = (np.float32, np.int32) if peak <= 1 << 24 else (np.float64, np.int64)
+    out = np.empty(a.shape[0], dtype=real)
+    block = min(a.shape[0], _WALSH_BLOCK)
+    low = block.bit_length() - 1  # coordinates transformed inside a block
+    x, y = np.empty(block, dtype=real), np.empty(block, dtype=real)
+    for start in range(0, a.shape[0], block):
+        x[:] = a[start : start + block]
+        src, dst = x, y
+        for done in range(0, low, 4):
+            c = min(4, low - done)
+            sign = _sign_matrix(c, real)
+            if done == 0:
+                # one (block/2^c x 2^c) product; a stack of 2^c x 1 columns is slow
+                np.matmul(src.reshape(-1, 1 << c), sign.T, out=dst.reshape(-1, 1 << c))
+            else:
+                np.matmul(sign, src.reshape(-1, 1 << c, 1 << done),
+                          out=dst.reshape(-1, 1 << c, 1 << done))
+            src, dst = dst, src
+        out[start : start + block] = src
+    done = low
     while done < n:
-        c = min(4, n - done)
-        sign = _sign_matrix(c).astype(dtype)
-        if done == 0:
-            # one (2^(n-c) x 2^c) product; a stack of 2^c x 1 columns is slow
-            np.matmul(x.reshape(-1, 1 << c), sign.T, out=y.reshape(-1, 1 << c))
-        else:
-            np.matmul(sign, x.reshape(-1, 1 << c, 1 << done), out=y.reshape(-1, 1 << c, 1 << done))
-        x, y = y, x
+        c = min(4, n - done, low)
+        sign = _sign_matrix(c, real)
+        cols = block >> c  # a piece is 2^c rows of this many entries
+        piece = x.reshape(1 << c, cols)
+        for rows in out.reshape(-1, 1 << c, 1 << done):
+            for j in range(0, 1 << done, cols):
+                np.matmul(sign, rows[:, j : j + cols], out=piece)
+                rows[:, j : j + cols] = piece
         done += c
-    return x.astype(np.int64)
+    result = out.view(whole)
+    result[:] = out  # one forward pass over equal-width entries: no copy is made
+    return result
 
 
-def _sign_matrix(c: int) -> np.ndarray:
+@functools.cache
+def _sign_matrix(c: int, dtype) -> np.ndarray:
     """The 2^c x 2^c Walsh sign matrix of c coordinates, rows S, columns m."""
     sign = np.ones((1, 1))
     for _ in range(c):
         sign = np.kron(sign, [[1.0, 1.0], [-1.0, 1.0]])
+    sign = sign.astype(dtype)
+    sign.flags.writeable = False
     return sign
 
 
@@ -155,11 +189,19 @@ def leave_one_out_window(cum: np.ndarray, w: int, b: int) -> int:
 
 
 def dot_values(weights: np.ndarray) -> np.ndarray:
-    """sum(w_i * x_i) for every point m of the cube."""
+    """sum(w_i * x_i) for every point m of the cube, as int64.
+
+    One array is filled by doubling in place: after the first j weights its
+    first 2^j entries hold their sums, and weight j extends them to 2^(j+1)
+    as out[h:2h] = out[:h] + w, then out[:h] -= w.
+    """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
-    out = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        out = np.concatenate([out - int(w), out + int(w)])
+    out = np.zeros(1 << len(weights), dtype=np.int64)
+    h = 1
+    for w in weights.tolist():
+        np.add(out[:h], w, out=out[h : 2 * h])
+        out[:h] -= w
+        h *= 2
     return out
 
 

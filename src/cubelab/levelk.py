@@ -295,12 +295,21 @@ def elementary_symmetric_pointwise(h: Halfspace, k: int) -> list[np.ndarray]:
     multiplies, so a layer whose values fit int64 is exact even where a layer
     below it wrapped; ``e_k_fits`` tells which layers fit.
     """
-    # layers[d] holds e_d of the coordinates seen so far, doubling with each
-    # new one as in kernels.dot_values: e_d + x e_{d-1} at x = -w, then +w
-    layers = [np.ones(1, dtype=np.int64)] + [np.zeros(1, dtype=np.int64)] * k
+    # layers[d][:span] holds e_d of the coordinates seen so far; each new one
+    # doubles it in place as in kernels.dot_values, to e_d - w e_{d-1} on the
+    # low half and e_d + w e_{d-1} on the high half, top level first so that
+    # e_{d-1} is still the old layer when e_d reads it
+    size = 1 << h.n
+    layers = [np.ones(size, dtype=np.int64)] + [np.zeros(size, dtype=np.int64) for _ in range(k)]
+    step = np.empty(size >> 1, dtype=np.int64)
+    span = 1
     for w in h.scaled.tolist():
-        steps = [0] + [w * e for e in layers[:-1]]
-        layers = [np.concatenate([e - s, e + s]) for e, s in zip(layers, steps)]
+        for d in range(k, 0, -1):
+            e = layers[d]
+            below = w if d == 1 else np.multiply(layers[d - 1][:span], w, out=step[:span])
+            np.add(e[:span], below, out=e[span : 2 * span])
+            e[:span] -= below
+        span *= 2
     return layers
 
 

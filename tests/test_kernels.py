@@ -5,6 +5,8 @@ defining Walsh sum or a per-point loop; none of the slow routes calls the
 kernel it checks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,11 @@ def test_fwht_backends_agree(n):
 
 @pytest.mark.parametrize("n", range(15))
 def test_fwht_matches_butterfly(n):
-    """Signed integer vectors against the int64 butterfly."""
+    """Signed integer vectors against the int64 butterfly; max|a| * 2^n is at
+    most 1000 * 2^14 < 2^24, so the stages run in float32 and give int32."""
     a = np.random.default_rng(n).integers(-1000, 1001, size=1 << n)
     got = kernels.fwht(a)
-    assert got.dtype == np.int64
+    assert got.dtype == np.int32
     assert np.array_equal(got, oracles.butterfly_walsh(a))
 
 
@@ -74,20 +77,69 @@ def test_fwht_float32_edge(n):
         magnitudes[0] = top
         for a in (magnitudes, -magnitudes, signs * magnitudes):
             got = kernels.fwht(a)
-            assert got.dtype == np.int64
+            assert got.dtype == (np.int32 if step == 0 else np.int64)
             assert np.array_equal(got, oracles.butterfly_walsh(a))
         assert kernels.fwht(magnitudes)[0] == ((top + step) << n) - step
 
 
 @pytest.mark.parametrize("n", [1, 4, 11])
 def test_fwht_integer_dtypes_agree(n):
-    """uint8, bool and int64 copies of one 0/1 vector give one int64 array."""
+    """uint8, bool and int64 copies of one 0/1 vector give one int32 array."""
     table = random_table(np.random.default_rng(300 + n), n)
     expect = oracles.butterfly_walsh(table)
     for a in (table, table.astype(bool), table.astype(np.int64)):
         got = kernels.fwht(a)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int32
         assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("block", [1 << 2, 1 << 4, 1 << 6])
+def test_fwht_pieces_match_butterfly(block, monkeypatch):
+    """With blocks of 2^2, 2^4 or 2^6 entries, n = 0..12 runs the blockwise
+    low stages, the in-place pieces of every later stage and the in-place
+    cast, in float32 (0/1 tables, signed values, the 2^24 edge) and in
+    float64 (one step past that edge, and the 2^53 - 2^n edge)."""
+    monkeypatch.setattr(kernels, "_WALSH_BLOCK", block)
+    for n in range(13):
+        rng = np.random.default_rng(block + n)
+        signs = rng.choice([-1, 1], size=1 << n)
+        cases = [(random_table(rng, n), np.int32),
+                 (rng.integers(-(1 << (24 - n)), (1 << (24 - n)) + 1, size=1 << n), np.int32),
+                 (signs << (24 - n), np.int32),
+                 (signs * ((1 << (24 - n)) + 1), np.int64),
+                 (signs * ((1 << (53 - n)) - 1), np.int64)]
+        for a, dtype in cases:
+            got = kernels.fwht(a)
+            assert got.dtype == dtype
+            assert np.array_equal(got, oracles.butterfly_walsh(a)), (n, a[:4])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that numpy and Python allocate while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_fwht_allocates_one_buffer():
+    """A uint8 table at n = 20 is transformed in one float32 buffer that is
+    cast in place to the int32 result, beside two 2^16-entry scratch blocks:
+    no stage copy, ping-pong buffer or wider result."""
+    n = 20
+    table = random_table(np.random.default_rng(20), n)
+    assert traced_peak(kernels.fwht, table) < 1.25 * 4 * (1 << n)
+
+
+def test_dot_values_fill_one_array():
+    """The doubling writes into the int64 result: no concatenated halves."""
+    n = 20
+    w = np.random.default_rng(21).integers(1, 1 << 10, size=n)
+    assert traced_peak(kernels.dot_values, w) < 1.25 * 8 * (1 << n)
 
 
 @pytest.mark.parametrize("n", [*range(13), 17])

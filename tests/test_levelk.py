@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -246,6 +247,21 @@ def test_elementary_symmetric_pointwise_matches_brute():
             for m in range(1 << h.n):
                 signed = [int(h.scaled[j]) * x for j, x in enumerate(oracles.point_signs(m, h.n))]
                 assert table[m] == brute_esym(signed, k)
+
+
+def test_elementary_symmetric_layers_fill_in_place():
+    """e_0..e_3 at n = 20 take four cube arrays and one half-size step at
+    the peak: the layers are doubled in place, top level first."""
+    h = make_halfspace([F(int(w)) for w in np.random.default_rng(20).integers(1, 64, size=20)], 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        layers = levelk.elementary_symmetric_pointwise(h, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(layers) == 4
+    assert peak < 5 * 8 * (1 << 20), peak
 
 
 def test_elementary_symmetric_overflow_guard_boundary():

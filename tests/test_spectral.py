@@ -110,11 +110,11 @@ def test_level_weights_memo_equals_fresh_level_sums(monkeypatch):
 
 def test_level_weights_at_the_table_cap():
     """At n = 24 the all-ones table sits exactly on the float32 bound of the
-    transform, max|a| * 2^n = 2^24; its level weights and the dictator's are
-    closed forms."""
+    transform, max|a| * 2^n = 2^24, so its numerators are int32; its level
+    weights and the dictator's are closed forms."""
     n = 24
     ones = spectral.fwht_spectrum(bfcore.from_truth_table(np.ones(1 << n, dtype=np.uint8), n))
-    assert ones.numerators.dtype == np.int64
+    assert ones.numerators.dtype == np.int32
     assert ones.numerators[0] == 1 << 24
     weights = ones.level_weights()
     assert weights.level(0) == 1
