@@ -32,7 +32,6 @@ from .chernoff import (
     check_log_concave_exp,
     check_log_concavity,
     gaussian_tail_ratio,
-    weight_split,
 )
 from .halfspace import BudgetError, Halfspace, TailDistribution, make_halfspace
 from .influence import boundary_measures, influences
@@ -551,11 +550,7 @@ def _check_strong_chernoff(ctx) -> list[CheckRecord]:
 
 @_check("THM19", _biased_halfspace)
 def _check_partitioned_chernoff(ctx) -> list[CheckRecord]:
-    h = ctx.halfspace
-    beta = h.decay_thresholds().beta
-    part = weight_split(h, beta)
-    return [check_local_chernoff(h, None, "partitioned", partition=part,
-                                 instance=ctx.label)]
+    return [check_local_chernoff(ctx.halfspace, None, "partitioned", instance=ctx.label)]
 
 
 @_check("THM110", _biased_halfspace)

@@ -64,27 +64,6 @@ class CheckRecord:
         return CheckRecord(check_id, instance, lhs=lhs, status=REPORT, notes=notes)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint big/small index classes covering all coordinates."""
-
-    big: tuple[int, ...]
-    small: tuple[int, ...]
-
-    def validate(self, n: int) -> None:
-        seen = sorted(self.big + self.small)
-        if seen != list(range(n)):
-            raise ValueError("big and small classes must partition the coordinates")
-
-
-def weight_split(h: Halfspace, cutoff) -> Partition:
-    """Internal indices split at the cutoff: big strictly above, small at or below."""
-    cutoff = as_fraction(cutoff)
-    big = tuple(j for j, w in enumerate(h.weights) if w > cutoff)
-    small = tuple(j for j, w in enumerate(h.weights) if w <= cutoff)
-    return Partition(big, small)
-
-
 # ---------------------------------------------------------------------------
 # exact tail-shape checks
 
@@ -168,20 +147,26 @@ def _log_inv(eps: Fraction) -> float:
     return math.log(1 / float(eps))
 
 
-def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
-                         partition: Partition | None = None, c=None,
+_CHERNOFF_IDS = {"strong": "THM18", "partitioned": "THM19", "weak": "THM110"}
+
+
+def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong", c=None,
                          instance: str = "") -> CheckRecord:
     """Scale-free decay statistic for the halfspace's tail at t.
 
     strong: D = delta_half * sqrt(log(1/eps)) in l2-normalized units.
-    partitioned: same with delta_half measured against the small-class mass,
-        unless the big class already has at least log(1/eps)/2 members.
+    partitioned: the weights above beta = delta_{1/3} form the big class B;
+        D as for strong, with delta_half measured against the mass of the
+        rest, unless |B| >= log(1/eps)/2.
     weak: ((delta_c - m) clamped at 0) * sqrt(log(1/eps)) / log(2/c).
 
     The statistic is reported; the harness asserts it against the pinned
     constant.  The big-class branch of the partitioned variant holds outright
     and passes without a statistic.
     """
+    check_id = _CHERNOFF_IDS.get(variant)
+    if check_id is None:
+        raise ValueError(f"unknown variant {variant!r}")
     t = h.threshold if t is None else as_fraction(t)
     eps = h.tail(t)
     if eps == 0:
@@ -190,27 +175,25 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
         raise ValueError("tail probability must be below one")
     norm = h.l2_norm()
     log_inv = _log_inv(eps)
-    check_id = {"strong": "THM18", "partitioned": "THM19", "weak": "THM110"}[variant]
 
     if variant == "strong":
         delta = h.delta_query(Fraction(1, 2), t)
         stat = float(delta) / norm * math.sqrt(log_inv)
         notes = f"eps={float(eps):.3g}"
     elif variant == "partitioned":
-        if partition is None:
-            raise ValueError("partitioned variant needs a Partition")
-        partition.validate(h.n)
-        if len(partition.big) >= 0.5 * log_inv:
+        beta = h.decay_thresholds(t).beta
+        n_big = sum(1 for w in h.weights if w > beta)
+        # with every weight above beta, |B| = n >= log(1/eps)/2 as eps >= 2^-n,
+        # so the small-class mass below is never zero
+        if n_big >= 0.5 * log_inv:
             return CheckRecord(check_id, instance, None, None, None, True, PASS,
                                "big-class branch holds")
-        small_sq = sum((h.weights[j] ** 2 for j in partition.small), Fraction(0))
-        if small_sq == 0:
-            raise ValueError("small class is empty and big class is small")
+        small_sq = sum((w**2 for w in h.weights if w <= beta), Fraction(0))
         delta = h.delta_query(Fraction(1, 2), t)
         # the norm cancels: delta and the small-class mass rescale together
         stat = float(delta) * math.sqrt(log_inv / float(small_sq))
-        notes = f"|B|={len(partition.big)}"
-    elif variant == "weak":
+        notes = f"|B|={n_big}"
+    else:
         if c is None:
             raise ValueError("weak variant needs the decay factor c")
         c = as_fraction(c)
@@ -220,8 +203,6 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong",
         m = 2 * h.weights[0]
         stat = max(0.0, float(delta - m)) / norm * math.sqrt(log_inv) / math.log(2 / float(c))
         notes = f"c={c}"
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
 
     return CheckRecord.report(check_id, instance, stat, notes)
 

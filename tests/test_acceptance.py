@@ -14,6 +14,7 @@ import pytest
 from cubelab import bfcore, correlate, flips, harness, influence, spectral
 from cubelab.chernoff import check_interval_decay, check_log_concavity
 from cubelab.halfspace import make_halfspace, parse_halfspace
+from cubelab.rational import common_scale
 
 import oracles
 
@@ -188,72 +189,72 @@ def test_criterion_4_constructive_injections():
             F(int(a), int(b)) for a, b in
             zip(rng.integers(1, 9, size=n), rng.integers(1, 5, size=n))))
 
+    def signs(n):
+        return np.array(list(product((-1, 1), repeat=n)), dtype=np.int64)
+
+    def scaled(values, scale):
+        return np.array([int(v * scale) for v in values], dtype=np.int64)
+
+    def distinct_rows(x):
+        return len(np.unique(x, axis=0)) == len(x)
+
     # suffix flip involution: exhaustive over paired 7+7 sign coordinates
+    sign_space = signs(7)
+    ui, vi = np.divmod(np.arange(len(sign_space) ** 2), len(sign_space))
     for trial in range(3):
         w = weight_sets[trial][:7]
         r = F(int(rng.integers(-2, 8)), 2)
-        for ubits in product((-1, 1), repeat=7):
-            u = tuple(wi * s for wi, s in zip(w, ubits))
-            for vbits in product((-1, 1), repeat=7):
-                v = tuple(wi * s for wi, s in zip(w, vbits))
-                try:
-                    a, b = flips.suffix_flip(u, v, r)
-                except flips.DomainError:
-                    continue
-                assert flips.suffix_flip(a, b, r) == (u, v)
+        scale = common_scale(w + (r,))
+        vectors = sign_space * scaled(w, scale)
+        u, v, level = vectors[ui], vectors[vi], int(r * scale)
+        a, b, ok = flips.suffix_flip(u, v, level)
+        back_u, back_v, back_ok = flips.suffix_flip(a[ok], b[ok], level)
+        assert back_ok.all()
+        assert (back_u == u[ok]).all() and (back_v == v[ok]).all()
 
     # prefix flip: drop lands in [r, r + 2 max) and the map injects, n = 14
-    sign_space = list(product((-1, 1), repeat=14))
+    sign_space = signs(14)
     for w in weight_sets:
         r = F(int(rng.integers(0, 10)), 2)
-        biggest = max(w)
-        seen = {}
-        for bits in sign_space:
-            u = tuple(wi * s for wi, s in zip(w, bits))
-            try:
-                v = flips.prefix_flip(u, r)
-            except flips.DomainError:
-                continue
-            drop = sum(u) - sum(v)
-            assert r <= drop < r + 2 * biggest
-            assert v not in seen
-            seen[v] = u
+        scale = common_scale(w + (r,))
+        u, level = sign_space * scaled(w, scale), int(r * scale)
+        v, ok = flips.prefix_flip(u, level)
+        drop = u[ok].sum(axis=1) - v[ok].sum(axis=1)
+        assert (level <= drop).all() and (drop < level + 2 * int(max(w) * scale)).all()
+        assert distinct_rows(v[ok])
 
     # single-coordinate flip inverts exhaustively at n = 14
-    for bits in sign_space:
-        try:
-            y = flips.single_coord_flip(bits)
-        except flips.DomainError:
-            continue
-        assert flips.single_coord_unflip(y) == bits
+    y, ok = flips.single_coord_flip(sign_space)
+    back, _ = flips.single_coord_unflip(y[ok])
+    assert (back == sign_space[ok]).all()
 
     # weighted variant: 20 weight vectors over the full 14-cube
     for w in weight_sets:
-        for bits in sign_space:
-            if sum(wi * s for wi, s in zip(w, bits)) <= 0:
-                continue
-            y = flips.weighted_coord_flip(w, bits)
-            assert flips.weighted_coord_unflip(w, y) == bits
+        a = scaled(w, common_scale(w))
+        positive = sign_space[sign_space @ a > 0]
+        y, ok = flips.weighted_coord_flip(a, positive)
+        back, _ = flips.weighted_coord_unflip(a, y)
+        assert ok.all() and (back == positive).all()
 
     # the four-piece interval shift covers its domain injectively at n = 12
     hit = 0
+    sign_space = signs(12)
     for trial in range(6):
         n = 12
         w = tuple(F(int(a), int(b)) for a, b in
                   zip(rng.integers(1, 7, size=n), rng.integers(1, 4, size=n)))
         m = max(w) * F(int(rng.integers(2, 5)), 2)
         s = F(int(rng.integers(0, 5)), 2)
-        outputs = {1: set(), 2: set(), 3: set(), 4: set()}
-        for bits in product((-1, 1), repeat=n):
-            total = sum(wi * s_ for wi, s_ in zip(w, bits))
-            if not (s + m < total <= s + 3 * m):
-                continue
-            hit += 1
-            piece, out = flips.interval_shift_map(w, s, m, bits)
-            new_total = sum(wi * s_ for wi, s_ in zip(w, out))
-            assert s - m < new_total <= s + m
-            assert out not in outputs[piece]
-            outputs[piece].add(out)
+        scale = common_scale(w + (m, s))
+        a, s, m = scaled(w, scale), int(s * scale), int(m * scale)
+        total = sign_space @ a
+        piece, out, ok = flips.interval_shift_map(a, s, m, sign_space)
+        assert (ok == ((s + m < total) & (total <= s + 3 * m))).all()
+        hit += int(ok.sum())
+        new_total = out[ok] @ a
+        assert ((s - m < new_total) & (new_total <= s + m)).all()
+        for k in (1, 2, 3, 4):
+            assert distinct_rows(out[ok & (piece == k)])
     assert hit > 200
     announce(4, True, "flip transforms invert, land in range, and cover "
                       "their domains injectively (exhaustive)")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cubelab import chernoff, harness
-from cubelab.chernoff import CheckRecord, Partition, weight_split
+from cubelab.chernoff import CheckRecord
 from cubelab.halfspace import make_halfspace, parse_halfspace
 
 F = Fraction
@@ -222,26 +222,42 @@ def test_local_chernoff_scale_invariant():
 
 
 def test_local_chernoff_partitioned_branches():
-    h = make_halfspace([F(5), F(1), F(1), F(1), F(1), F(1)], 4)
-    big_first = Partition((0,), (1, 2, 3, 4, 5))
-    rec = chernoff.check_local_chernoff(h, None, "partitioned", partition=big_first)
-    assert rec.status in ("pass", "report")
-    # an all-big partition always satisfies the counting branch, because the
-    # tail probability can never drop below 2^-n
-    all_big = Partition(tuple(range(6)), ())
-    rec = chernoff.check_local_chernoff(
-        make_halfspace([1] * 6, 0), F(1), "partitioned", partition=all_big
-    )
+    # beta = 3 leaves the 9 alone above it, and |B| = 1 >= log(512/163)/2
+    h = make_halfspace([9] + [1] * 8, 8)
+    assert h.decay_thresholds().beta == 3
+    rec = chernoff.check_local_chernoff(h, None, "partitioned")
+    assert rec.status == "pass" and rec.notes == "big-class branch holds"
+    # every weight above beta = 1/2 makes the big class the whole cube, which
+    # always satisfies the counting branch: eps can never drop below 2^-n
+    h = make_halfspace([1] * 6, F(11, 2))
+    assert h.decay_thresholds().beta == F(1, 2)
+    rec = chernoff.check_local_chernoff(h, None, "partitioned")
     assert rec.notes == "big-class branch holds"
+    # beta = 1 and weights of 1: no big class, the statistic is the strong one
+    h = make_halfspace([1] * 6, 1)
+    rec = chernoff.check_local_chernoff(h, None, "partitioned")
+    strong = chernoff.check_local_chernoff(h, None, "strong")
+    assert rec.status == "report" and rec.notes == "|B|=0"
+    assert math.isclose(rec.lhs, strong.lhs, rel_tol=1e-12)
 
 
 def test_weight_split():
-    h = make_halfspace([F(5), F(3), F(1)], 0)
-    part = weight_split(h, 2)
-    assert part.big == (0, 1) and part.small == (2,)
-    part.validate(3)
-    with pytest.raises(ValueError):
-        Partition((0,), (0, 1)).validate(2)
+    # the partitioned variant splits at beta itself: the 4 equal to beta = 4 is
+    # small, only the 6 is big, and eps = 47/1024 keeps the small-class branch
+    h = make_halfspace([6, 4] + [2] * 10, 14)
+    eps = h.tail(h.threshold)
+    assert h.decay_thresholds().beta == 4 and eps == F(47, 1024)
+    rec = chernoff.check_local_chernoff(h, None, "partitioned")
+    assert rec.status == "report" and rec.notes == "|B|=1"
+    small_sq = 4**2 + 10 * 2**2
+    want = float(h.delta_query(F(1, 2))) * math.sqrt(math.log(1 / float(eps)) / small_sq)
+    assert rec.lhs == want
+
+
+def test_local_chernoff_unknown_variant():
+    h = make_halfspace([1] * 5, 0)
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        chernoff.check_local_chernoff(h, None, "bogus")
 
 
 def test_local_chernoff_weak_trivial_at_c1():
