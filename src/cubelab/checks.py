@@ -29,11 +29,11 @@ from .chernoff import (
     CheckRecord,
     check_interval_decay,
     check_local_chernoff,
-    check_log_concave_exp,
-    check_log_concavity,
     gaussian_tail_ratio,
+    log_concave_exp_holds,
 )
-from .halfspace import BudgetError, Halfspace, TailDistribution, make_halfspace
+from .halfspace import (BudgetError, Halfspace, TailDistribution, _suffix_counts,
+                        make_halfspace)
 from .influence import boundary_measures, influences
 
 F = Fraction
@@ -163,7 +163,7 @@ def _check_dual(ctx: MemberContext) -> list[CheckRecord]:
     ok = g.mean == 1 - f.mean and bfcore.dual(g) == f
     notes = ""
     if ctx.halfspace is not None:
-        ok = ok and ctx.halfspace.dual().truth_table(TABLE_CAP + 1) == g
+        ok = ok and ctx.halfspace.dual().truth_table() == g
         notes = "halfspace dual table compared"
     return [CheckRecord("DUAL", ctx.label, g.mean, 1 - f.mean, None, ok,
                         PASS if ok else FAIL, notes)]
@@ -312,27 +312,35 @@ def _dense_distribution(h: Halfspace) -> TailDistribution | None:
     return dist if isinstance(dist, TailDistribution) else None
 
 
+def _log_concavity_violations(dist, quarters: list[list[int]], m_scaled: int) -> list[bool]:
+    """Whether F(d)F(b) > F(c)F(b+d-c-m) at each row (4b, 4c, 4d), b <= c <= d,
+    with m_scaled = m * scale: one tail-count query per column, and the
+    count products in Python ints, since they pass int64 from 32 summands."""
+    s = dist.scale
+    cols = [[x * s // 4 for x in col] for col in zip(*quarters)]
+    cols.append([(b + d - c) * s // 4 - m_scaled for b, c, d in quarters])
+    fb, fc, fd, fe = (dist.counts_gt_scaled(col).tolist() for col in cols)
+    return [d * b > c * e for b, c, d, e in zip(fb, fc, fd, fe)]
+
+
 @_check("LEM111", _is_halfspace)
 def _check_log_concavity_member(ctx: MemberContext) -> list[CheckRecord]:
     h = ctx.halfspace
     dist = h.distribution()
-    m = 2 * h.weights[0]
     rng = np.random.default_rng([111, zlib.crc32(ctx.entry.encode())])
     lo = float(dist.min_value) - 1
     hi = float(dist.max_value) + 1
-    bad = 0
-    worst = None
-    for _ in range(LOG_CONCAVITY_TRIPLES):
-        picks = sorted(F(int(x), 4) for x in rng.integers(int(4 * lo), int(4 * hi) + 1, size=3))
-        rec = check_log_concavity(dist, *picks, m, instance=ctx.label)
-        if not rec.passed:
-            bad += 1
-            worst = picks
-    ok = bad == 0
+    # thresholds in quarters; one draw of three per triple, since one (40, 3)
+    # draw may consume the generator differently and so change the triples
+    quarters = [sorted(int(x) for x in rng.integers(int(4 * lo), int(4 * hi) + 1, size=3))
+                for _ in range(LOG_CONCAVITY_TRIPLES)]
+    bad = _log_concavity_violations(dist, quarters, 2 * int(h.scaled[0]))
+    ok = not any(bad)
     notes = f"{LOG_CONCAVITY_TRIPLES} sampled triples"
-    if worst:
-        notes += f"; first violation {worst}"
-    return [CheckRecord("LEM111", ctx.label, bad, 0, None, ok, PASS if ok else FAIL, notes)]
+    if not ok:
+        notes += f"; first violation {[F(x, 4) for x in quarters[bad.index(True)]]}"
+    return [CheckRecord("LEM111", ctx.label, sum(bad), 0, None, ok, PASS if ok else FAIL,
+                        notes)]
 
 
 @_check("LEM32", _is_halfspace)
@@ -367,11 +375,9 @@ def _check_log_concave_exp_member(ctx: MemberContext) -> list[CheckRecord]:
     m = thr.m
     grid_t = [F(0), thr.beta, thr.gamma, 2 * thr.gamma]
     grid_d = [d for d in (thr.beta, thr.gamma, m, F(1)) if d > 0]
-    bad = 0
-    for t in grid_t:
-        for d in grid_d:
-            if not check_log_concave_exp(dist, t, d, m, instance=ctx.label).passed:
-                bad += 1
+    bad = sum(not log_concave_exp_holds(dist.count_gt(t), dist.count_gt(t + d + m),
+                                        1 + int(t // d), dist.n_summands)
+              for t in grid_t for d in grid_d)
     ok = bad == 0
     return [CheckRecord("LEM42", ctx.label, bad, 0, None, ok, PASS if ok else FAIL,
                         f"grid of {len(grid_t)}x{len(grid_d)} (t, delta) points")]
@@ -505,6 +511,29 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL, f"{len(breaks)} thresholds swept")]
 
 
+def _small_class_sums(h: Halfspace, dist: TailDistribution, n_big: int,
+                      cuts: np.ndarray) -> np.ndarray:
+    """Sum over the coordinates j >= n_big of s_j times the points where j
+    decides 1{a.x > g}, at each scaled cut g; s_j are the scaled weights,
+    descending, so the first n_big are the big class.
+
+    Over every coordinate that sum is the sum of v * count(v) over the
+    support values v > g: with nonnegative weights f^({j}) = Inf_j / 2, so
+    sum_j a_j Inf_j = 2 E[1{a.x > g} a.x].  The big class's windows come
+    off, one reduced distribution each.  Every partial sum is at most
+    T * 2^n in size, so int64 below 2^63 and Python ints past it.
+    """
+    dtype = np.int64 if dist.max_scaled << dist.n_summands < 1 << 63 else object
+    moments = dist.values.astype(dtype) * dist.counts.astype(dtype)
+    sums = _suffix_counts(moments)[np.searchsorted(dist.values, cuts, side="right")]
+    for j in range(n_big):
+        red = h.reduced_distribution(j)
+        w = int(h.scaled[j])
+        sums = sums - w * (red.counts_gt_scaled(cuts - w)
+                           - red.counts_gt_scaled(cuts + w)).astype(dtype)
+    return sums
+
+
 @_check("PROP5", _is_halfspace)
 def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     """The small-class weighted influence sum is maximal at the base threshold."""
@@ -515,29 +544,20 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     if eps >= F(1, 4):
         return [CheckRecord.skipped("PROP5", ctx.label, "eps >= 1/4")]
     beta = h.decay_thresholds().beta
-    big = [j for j, w in enumerate(h.weights) if w > beta]
-    if len(big) > 0.5 * math.log2(1 / float(eps)):
+    n_big = sum(1 for w in h.weights if w > beta)
+    if n_big > 0.5 * math.log2(1 / float(eps)):
         return [CheckRecord.skipped("PROP5", ctx.label, "big class too large")]
-    small = [j for j, w in enumerate(h.weights) if w <= beta]
     dist = _dense_distribution(h)
     if dist is None:
         return [CheckRecord.skipped("PROP5", ctx.label, "support too wide")]
     t_scaled = math.floor(h.threshold * h.scale)
     grid = dist.values[dist.values > t_scaled]
-    base = 0
-    totals = np.zeros(len(grid), dtype=object)
-    for j in small:
-        red = h.reduced_distribution(j)
-        w = int(h.scaled[j])
-        base += w * int(red.count_gt(h.threshold - h.weights[j])
-                        - red.count_gt(h.threshold + h.weights[j]))
-        vals = red.counts_gt_scaled(grid - w) - red.counts_gt_scaled(grid + w)
-        totals = totals + w * vals.astype(object)
-    violations = int(sum(1 for v in totals if v > base))
+    sums = _small_class_sums(h, dist, n_big, np.append(t_scaled, grid))
+    violations = int(np.count_nonzero(sums[1:] > sums[0]))
     ok = violations == 0
     return [CheckRecord("PROP5", ctx.label, violations, 0, None, ok,
                         PASS if ok else FAIL,
-                        f"|B|={len(big)}, {len(grid)} raised thresholds")]
+                        f"|B|={n_big}, {len(grid)} raised thresholds")]
 
 
 # ---------------------------------------------------------------------------

@@ -67,16 +67,6 @@ class CheckRecord:
 # ---------------------------------------------------------------------------
 # exact tail-shape checks
 
-def check_log_concavity(dist: _TailBase, b, c, d, m, instance: str = "") -> CheckRecord:
-    """F(d)F(b) <= F(c)F(b+d-c-m) for b <= c <= d, m at least the step width."""
-    b, c, d, m = map(as_fraction, (b, c, d, m))
-    if not b <= c <= d:
-        raise ValueError("need b <= c <= d")
-    lhs = dist.prob_gt(d) * dist.prob_gt(b)
-    rhs = dist.prob_gt(c) * dist.prob_gt(b + d - c - m)
-    return CheckRecord.inequality("LEM111", instance, lhs, rhs)
-
-
 def check_interval_decay(dist: _TailBase, s, t, m, instance: str = "") -> CheckRecord:
     """Mass of (t-m, t+m] is at most 5x the mass of (s-m, s+m] for 0 <= s <= t."""
     s, t, m = map(as_fraction, (s, t, m))
@@ -92,7 +82,8 @@ def check_interval_decay(dist: _TailBase, s, t, m, instance: str = "") -> CheckR
     return rec
 
 
-# LEM42's powers F^l are formed only while l * n, their size in bits, is at most this
+# LEM42's exact count powers are formed only while l * n, their size in bits,
+# is at most this
 POWER_BITS = 1 << 16
 # bound on the relative error of the float sides l * log2(c): a few units in
 # the last place of each product and sum, far below this
@@ -119,25 +110,6 @@ def log_concave_exp_holds(c0: int, c1: int, level: int, n: int) -> bool:
     if level * n > POWER_BITS:
         raise BudgetError(f"LEM42 sides at l={level} too close to tell in logs")
     return c1**level << (n - 1) <= c0 ** (level + 1)
-
-
-def check_log_concave_exp(dist: _TailBase, t, delta, m, instance: str = "") -> CheckRecord:
-    """F(t+delta+m)^l <= 2 F(t)^(l+1) with l = 1 + floor(t/delta), decided
-    from the two tail counts; the record holds both sides exactly while
-    their powers fit POWER_BITS."""
-    t, delta, m = map(as_fraction, (t, delta, m))
-    if t < 0 or delta <= 0:
-        raise ValueError("need t >= 0 and delta > 0")
-    level = 1 + int(t // delta)
-    c0, c1 = dist.count_gt(t), dist.count_gt(t + delta + m)
-    ok = log_concave_exp_holds(c0, c1, level, dist.n_summands)
-    rec = CheckRecord("LEM42", instance, passed=ok, status=PASS if ok else FAIL,
-                      notes=f"l={level}")
-    if level * dist.n_summands <= POWER_BITS:
-        rec.lhs = Fraction(c1, dist.total) ** level
-        rec.rhs = 2 * Fraction(c0, dist.total) ** (level + 1)
-        rec.ratio = bound_ratio(rec.lhs, rec.rhs)
-    return rec
 
 
 # ---------------------------------------------------------------------------

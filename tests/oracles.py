@@ -21,7 +21,13 @@ subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
 ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
 (one doubling pass per level) of the shared e_k layers, and
 ``fraction_symmetric_stats`` (Fraction sums term by term) of the sums over
-one common denominator.  The scalar flip maps (``suffix_flip`` through
+one common denominator.  ``check_log_concavity`` and
+``check_log_concave_exp`` (LEM111's and LEM42's sides as Fractions of the
+tail probabilities, LEM42's raised to the power l) are the slow routes of
+those checks' comparisons of integer tail counts, and
+``per_coordinate_small_class_sums`` (one reduced distribution per small
+coordinate) of PROP5's sums by the identity sum_j a_j Inf_j =
+2 E[f a.x].  The scalar flip maps (``suffix_flip`` through
 ``interval_shift_map``, one tuple of Fractions at a time, raising
 ``DomainError`` outside their domains) are the slow route of the batched
 int64 maps in ``cubelab.flips``.
@@ -35,6 +41,7 @@ import numpy as np
 
 from cubelab import kernels
 from cubelab.bfcore import BooleanFunction
+from cubelab.chernoff import CheckRecord
 from cubelab.correlate import CorrelationResult, first_level_form
 from cubelab.levelk import SymmetricStats
 from cubelab.spectral import fwht_spectrum
@@ -408,6 +415,48 @@ def fraction_symmetric_stats(values, m_max: int):
     for m in range(1, m_max + 1):
         power.append(sum((v**m for v in vals), Fraction(0)))
     return SymmetricStats(vals, tuple(elem), tuple(power))
+
+
+def check_log_concavity(dist, b, c, d, m) -> CheckRecord:
+    """LEM111's F(d)F(b) <= F(c)F(b+d-c-m) for b <= c <= d, both sides as
+    products of Fraction tail probabilities."""
+    b, c, d, m = map(Fraction, (b, c, d, m))
+    if not b <= c <= d:
+        raise ValueError("need b <= c <= d")
+    lhs = dist.prob_gt(d) * dist.prob_gt(b)
+    rhs = dist.prob_gt(c) * dist.prob_gt(b + d - c - m)
+    return CheckRecord.inequality("LEM111", "", lhs, rhs)
+
+
+def check_log_concave_exp(dist, t, delta, m) -> CheckRecord:
+    """LEM42's F(t+delta+m)^l <= 2 F(t)^(l+1) with l = 1 + floor(t/delta),
+    both sides as exact Fraction powers, at any l (no ratio: dividing the
+    powers costs seconds past l = 10^5)."""
+    t, delta, m = map(Fraction, (t, delta, m))
+    if t < 0 or delta <= 0:
+        raise ValueError("need t >= 0 and delta > 0")
+    level = 1 + int(t // delta)
+    lhs = dist.prob_gt(t + delta + m) ** level
+    rhs = 2 * dist.prob_gt(t) ** (level + 1)
+    ok = lhs <= rhs
+    return CheckRecord("LEM42", "", lhs, rhs, None, ok, "pass" if ok else "fail",
+                       f"l={level}")
+
+
+def per_coordinate_small_class_sums(h, n_big: int, thresholds) -> list[int]:
+    """PROP5's sums by its former route: for each rational threshold t, the
+    sum over the small coordinates j >= n_big of the scaled weight times the
+    count of the reduced distribution of a.x - a_j x_j in (t - a_j, t + a_j],
+    one reduced distribution per coordinate."""
+    sums = []
+    for t in thresholds:
+        total = 0
+        for j in range(n_big, h.n):
+            red = h.reduced_distribution(j)
+            w = h.weights[j]
+            total += int(h.scaled[j]) * (red.count_gt(t - w) - red.count_gt(t + w))
+        sums.append(total)
+    return sums
 
 
 # The scalar flip maps, one vector of Fractions at a time: the slow route of

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cubelab import bfcore, correlate, flips, harness, influence, spectral
-from cubelab.chernoff import check_interval_decay, check_log_concavity
+from cubelab.chernoff import check_interval_decay
 from cubelab.halfspace import make_halfspace, parse_halfspace
 from cubelab.rational import common_scale
 

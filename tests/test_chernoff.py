@@ -4,35 +4,55 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cubelab import chernoff, harness
+from cubelab import checks, chernoff, harness
 from cubelab.chernoff import CheckRecord
-from cubelab.halfspace import make_halfspace, parse_halfspace
+from cubelab.halfspace import TailDistribution, make_halfspace, parse_halfspace
+
+import oracles
 
 F = Fraction
+
+
+def _log_concavity_by_counts(dist, b, c, d, m) -> bool:
+    """LEM111 at one triple as the registry check decides it: thresholds in
+    quarters, integer tail counts, products in Python ints."""
+    quarters = [[int(4 * F(x)) for x in (b, c, d)]]
+    return not checks._log_concavity_violations(dist, quarters, int(F(m) * dist.scale))[0]
+
+
+def _log_concave_exp_by_counts(dist, t, delta, m) -> bool:
+    """LEM42 at one (t, delta) as the registry check decides it, from the
+    tail counts above t and above t + delta + m."""
+    t, delta, m = F(t), F(delta), F(m)
+    return chernoff.log_concave_exp_holds(dist.count_gt(t), dist.count_gt(t + delta + m),
+                                          1 + int(t // delta), dist.n_summands)
 
 
 def test_log_concavity_hand_example():
     # four-point enumeration: F(1) = 1/4, F(-1) = 3/4, F(0) = 1/4, F(-2) = 3/4
     h = make_halfspace([1, 1], 0)
-    rec = chernoff.check_log_concavity(h.distribution(), -1, 0, 1, 2)
+    rec = oracles.check_log_concavity(h.distribution(), -1, 0, 1, 2)
     assert rec.lhs == F(1, 4) * F(3, 4)
     assert rec.rhs == F(1, 4) * F(3, 4)
     assert rec.passed
+    assert _log_concavity_by_counts(h.distribution(), -1, 0, 1, 2)
 
 
 def test_log_concavity_degenerate_triple():
     h = make_halfspace([2, 1, 1], 0)
     dist = h.distribution()
     for b in (-2, 0, F(3, 2)):
-        rec = chernoff.check_log_concavity(dist, b, b, b, 4)
+        rec = oracles.check_log_concavity(dist, b, b, b, 4)
         assert rec.passed  # F nonincreasing makes the right side dominate
+        assert _log_concavity_by_counts(dist, b, b, b, 4)
 
 
 def test_log_concavity_narrow_gap_trivial():
     # d - c <= m forces rhs >= lhs because b+d-c-m <= b
     h = make_halfspace([1, 1, 1], 0)
-    rec = chernoff.check_log_concavity(h.distribution(), 0, 1, 2, 2)
+    rec = oracles.check_log_concavity(h.distribution(), 0, 1, 2, 2)
     assert rec.passed
+    assert _log_concavity_by_counts(h.distribution(), 0, 1, 2, 2)
 
 
 def test_log_concavity_random_sweep():
@@ -43,14 +63,55 @@ def test_log_concavity_random_sweep():
         dist = h.distribution()
         m = 2 * h.weights[0]
         picks = sorted(F(int(x), 2) for x in rng.integers(-20, 20, size=3))
-        rec = chernoff.check_log_concavity(dist, *picks, m)
+        rec = oracles.check_log_concavity(dist, *picks, m)
         assert rec.passed, (h.to_text(), picks)
+        assert _log_concavity_by_counts(dist, *picks, m)
 
 
 def test_log_concavity_validates_order():
     h = make_halfspace([1, 1], 0)
     with pytest.raises(ValueError):
-        chernoff.check_log_concavity(h.distribution(), 1, 0, 2, 2)
+        oracles.check_log_concavity(h.distribution(), 1, 0, 2, 2)
+
+
+def _lem111_quarters(rng, dist, rows):
+    """Sorted triples in quarters from min - 1 to below max + 2, with every
+    other triple's first threshold below the support, where its tail count
+    is 2^n."""
+    lo, hi = 4 * (dist.min_scaled // dist.scale - 1), 4 * (dist.max_scaled // dist.scale + 2)
+    quarters = [sorted(int(x) for x in rng.integers(lo, hi, size=3)) for _ in range(rows)]
+    for row in quarters[::2]:
+        row[0] = lo
+    return quarters
+
+
+def test_log_concavity_counts_past_int64_match_fractions():
+    """LEM111's count comparison against the Fraction oracle at n = 31..34,
+    where the products of two tail counts pass 2^63: on dense halfspaces
+    (which never fail) and on hand-made distributions of 2^33 outcomes that
+    are not log-concave (which do)."""
+    rng = np.random.default_rng(111)
+    cases = []
+    for n in range(31, 35):
+        h = make_halfspace([int(w) for w in rng.integers(1, 9, size=n)], 0)
+        cases.append((h.distribution(), int(h.scaled[0])))
+    for gap in (3, 8):
+        # two heavy atoms at -2 gap and 2 gap with a light one between them:
+        # the tail is flat across each gap, which log-concavity forbids
+        counts = np.array([2**32 - 5, 5, 2**32], dtype=np.int64)
+        cases.append((TailDistribution(np.array([-2 * gap, 0, 2 * gap]), counts, 1, 33), 1))
+    outcomes, widest = set(), 0
+    for dist, w0 in cases:
+        assert isinstance(dist, TailDistribution) and dist.n_summands >= 31
+        quarters = _lem111_quarters(rng, dist, 60)
+        got = checks._log_concavity_violations(dist, quarters, 2 * w0)
+        for row, bad in zip(quarters, got):
+            b, c, d = (F(x, 4) for x in row)
+            rec = oracles.check_log_concavity(dist, b, c, d, F(2 * w0, dist.scale))
+            assert bad == (not rec.passed), row
+            widest = max(widest, dist.count_gt(d) * dist.count_gt(b))
+            outcomes.add(bad)
+    assert widest >= 2**63 and outcomes == {True, False}
 
 
 def test_interval_decay_equal_endpoints():
@@ -90,31 +151,35 @@ def test_interval_decay_validates():
 
 def test_log_concave_exp_small_cases():
     h = make_halfspace([1, 1, 1], 0)
-    rec = chernoff.check_log_concave_exp(h.distribution(), 0, 1, 2)
+    rec = oracles.check_log_concave_exp(h.distribution(), 0, 1, 2)
     assert rec.notes == "l=1"
     assert rec.lhs == h.tail(3) and rec.rhs == 2 * h.tail(0) ** 2
     assert rec.passed
+    assert _log_concave_exp_by_counts(h.distribution(), 0, 1, 2)
 
 
 def test_log_concave_exp_quarter_weights():
     h = make_halfspace([F(1, 2)] * 4, 0)
     # t + delta + m = 2 sits exactly at the top of the support, where the
     # strict tail is already empty
-    rec = chernoff.check_log_concave_exp(h.distribution(), F(1, 2), F(1, 2), 1)
+    rec = oracles.check_log_concave_exp(h.distribution(), F(1, 2), F(1, 2), 1)
     assert rec.notes == "l=2"
     assert rec.lhs == h.tail(2) ** 2 == 0
     assert rec.rhs == 2 * h.tail(F(1, 2)) ** 3 == 2 * F(5, 16) ** 3
     assert rec.passed
+    assert _log_concave_exp_by_counts(h.distribution(), F(1, 2), F(1, 2), 1)
     # half-step narrower: the tail catches the atom at 2
-    rec = chernoff.check_log_concave_exp(h.distribution(), F(1, 2), F(1, 2), F(1, 2))
+    rec = oracles.check_log_concave_exp(h.distribution(), F(1, 2), F(1, 2), F(1, 2))
     assert rec.lhs == h.tail(F(3, 2)) ** 2 == F(1, 256)
     assert rec.passed
+    assert _log_concave_exp_by_counts(h.distribution(), F(1, 2), F(1, 2), F(1, 2))
 
 
 def test_log_concave_exp_zero_tail():
     h = make_halfspace([1, 1], 0)
-    rec = chernoff.check_log_concave_exp(h.distribution(), 5, 1, 2)
+    rec = oracles.check_log_concave_exp(h.distribution(), 5, 1, 2)
     assert rec.lhs == 0 and rec.passed
+    assert _log_concave_exp_by_counts(h.distribution(), 5, 1, 2)
 
 
 def test_log_concave_exp_grid_random():
@@ -126,7 +191,8 @@ def test_log_concave_exp_grid_random():
         m = 2 * h.weights[0]
         for t in (0, 1, F(5, 2)):
             for delta in (F(1, 2), 1, 3):
-                assert chernoff.check_log_concave_exp(dist, t, delta, m).passed
+                assert oracles.check_log_concave_exp(dist, t, delta, m).passed
+                assert _log_concave_exp_by_counts(dist, t, delta, m)
 
 
 def _lem42_grid(h):
@@ -146,10 +212,9 @@ def test_log_concave_exp_decision_matches_fraction_powers(corpus):
         dist = h.distribution()
         grid, m = _lem42_grid(h)
         for t, d in grid:
-            level = 1 + int(t // d)
             c0, c1 = dist.count_gt(t), dist.count_gt(t + d + m)
-            exact = dist.prob_gt(t + d + m) ** level <= 2 * dist.prob_gt(t) ** (level + 1)
-            assert chernoff.log_concave_exp_holds(c0, c1, level, dist.n_summands) == exact
+            exact = oracles.check_log_concave_exp(dist, t, d, m).passed
+            assert _log_concave_exp_by_counts(dist, t, d, m) == exact
             outcomes.add((exact, c1 == 0, c1 == c0))
     assert (True, False, False) in outcomes and (True, True, False) in outcomes
 
@@ -173,16 +238,19 @@ def test_log_concave_exp_decision_edges(monkeypatch):
         chernoff.log_concave_exp_holds(4, 2, 2, 5)
 
 
-def test_log_concave_exp_record_past_the_power_budget():
-    """l = 100001 on 20 unit weights: no power is formed, and the verdict
-    equals the exact integer comparison."""
+def test_log_concave_exp_record_past_the_power_budget(monkeypatch):
+    """l = 100001 on 20 unit weights: the counts' logs decide without
+    forming a power (with no power budget at all, nothing is refused), and
+    the verdict equals the oracle's exact Fraction powers."""
     h = make_halfspace([1] * 20, 0)
     dist = h.distribution()
-    rec = chernoff.check_log_concave_exp(dist, 5, F(1, 20000), 2)
-    assert rec.notes == "l=100001" and rec.lhs is None and rec.rhs is None
+    rec = oracles.check_log_concave_exp(dist, 5, F(1, 20000), 2)
+    assert rec.notes == "l=100001"
     c0, c1 = dist.count_gt(5), dist.count_gt(5 + F(1, 20000) + 2)
     assert rec.passed == (c1**100001 << 19 <= c0**100002)
     assert rec.status == ("pass" if rec.passed else "fail")
+    monkeypatch.setattr(chernoff, "POWER_BITS", 0)
+    assert _log_concave_exp_by_counts(dist, 5, F(1, 20000), 2) == rec.passed
 
 
 def test_local_chernoff_strong_reports():

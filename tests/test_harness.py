@@ -1,15 +1,18 @@
 import json
+import math
 import sys
+import zlib
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubelab import checks, correlate, harness, kernels, levelk
+from cubelab import checks, correlate, halfspace, harness, kernels, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
-from cubelab.halfspace import MeetInMiddleDistribution, parse_halfspace
+from cubelab.halfspace import (Halfspace, MeetInMiddleDistribution, TailDistribution,
+                               make_halfspace, parse_halfspace)
 
 import oracles
 
@@ -280,6 +283,93 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
                 "elementary_symmetric_pointwise", "scaled_values", "_cut_covariances",
                 "squared_level_sums"):
         assert per_members[key] == 2, key
+
+
+def test_lem111_reports_the_first_violating_triple(monkeypatch):
+    """On a distribution that is not log-concave (four atoms, each heavy one
+    followed by a light one across a gap), LEM111 counts the violating
+    triples of its 40 draws as the Fraction oracle does and names the first
+    one drawn."""
+    entry = "ltf:1,1;0"
+    fake = TailDistribution(np.array([-12, -10, 10, 12]), np.array([3, 1, 3, 1]), 1, 3)
+    monkeypatch.setattr(Halfspace, "distribution", lambda self, backend=None: fake)
+    [rec] = REGISTRY["LEM111"].fn(MemberContext("fake", entry), harness.PinnedConstants())
+    # the same draws as the check: one call of three per triple
+    rng = np.random.default_rng([111, zlib.crc32(entry.encode())])
+    failing = []
+    for _ in range(checks.LOG_CONCAVITY_TRIPLES):
+        picks = sorted(F(int(x), 4) for x in rng.integers(4 * -13, 4 * 13 + 1, size=3))
+        if not oracles.check_log_concavity(fake, *picks, 2).passed:
+            failing.append(picks)
+    assert len(failing) >= 2 and failing[0] != failing[-1]
+    assert (rec.status, rec.passed, rec.lhs) == ("fail", False, len(failing))
+    assert rec.notes == f"40 sampled triples; first violation {failing[0]}"
+
+
+def _prop5_thresholds(h):
+    """Rational thresholds below the support of a.x, at each support value,
+    between it and the next scaled integer, and above the support."""
+    values = [F(int(v), h.scale) for v in h.distribution().values]
+    between = [v + F(1, 3 * h.scale) for v in values]
+    return [values[0] - 1] + values + between + [values[-1] + F(1, 2)]
+
+
+def test_prop5_sums_match_the_per_coordinate_route():
+    """PROP5's small-class sums by the identity against one reduced
+    distribution per coordinate, for every big-class size 0..n: tied
+    weights, rational weights and thresholds, and a member of 60 integer
+    weights whose sums pass int64."""
+    rng = np.random.default_rng(5)
+    members = [make_halfspace([3, 3, 2, 2, 2, 1, 1], 2),
+               make_halfspace([F(3, 2), F(3, 2), 1, F(2, 3), F(1, 2), F(1, 2)], F(1, 3)),
+               make_halfspace([1] * 5, 0), make_halfspace([5], 0)]
+    for _ in range(12):
+        n = int(rng.integers(1, 9))
+        den = int(rng.integers(1, 4))
+        members.append(make_halfspace(
+            [F(int(w), den) for w in rng.integers(1, 5, size=n)], F(int(rng.integers(-3, 4)), 2)))
+    for h in members:
+        dist = h.distribution()
+        thresholds = _prop5_thresholds(h)
+        cuts = np.array([math.floor(t * h.scale) for t in thresholds])
+        for n_big in range(h.n + 1):
+            got = checks._small_class_sums(h, dist, n_big, cuts)
+            assert got.tolist() == oracles.per_coordinate_small_class_sums(
+                h, n_big, thresholds), (h.to_text(), n_big)
+    wide = make_halfspace([int(w) for w in rng.integers(3, 6, size=60)], 0)
+    dist = wide.distribution()
+    assert dist.max_scaled << dist.n_summands >= 1 << 63
+    thresholds = [F(-200), F(-7, 2), F(0), F(1, 3), F(41), F(200)]
+    cuts = np.array([math.floor(t) for t in thresholds])
+    for n_big in (0, 1, 2, 30, 59, 60):
+        want = oracles.per_coordinate_small_class_sums(wide, n_big, thresholds)
+        assert checks._small_class_sums(wide, dist, n_big, cuts).tolist() == want
+    assert max(oracles.per_coordinate_small_class_sums(wide, 0, thresholds)) >= 1 << 63
+
+
+def test_prop5_builds_only_the_big_class_distributions(monkeypatch):
+    """PROP5 on each standard member that it runs on builds the member's own
+    distribution and one reduced distribution per big-class coordinate: on
+    a member with |B| = 0, none besides its own."""
+    built = []
+    original = halfspace.distribution_from_scaled
+
+    def counting(weights, scale, backend=None):
+        built.append(len(weights))
+        return original(weights, scale, backend)
+
+    monkeypatch.setattr(halfspace, "distribution_from_scaled", counting)
+    sizes = Counter()
+    for i, entry in enumerate(harness.standard_corpus().entries):
+        built.clear()
+        ctx = MemberContext(f"standard#{i}", entry)
+        [rec] = REGISTRY["PROP5"].fn(ctx, harness.PinnedConstants())
+        if rec.status == "pass":
+            n_big = int(rec.notes.split(",")[0].removeprefix("|B|="))
+            n = ctx.halfspace.n
+            assert built == [n] + [n - 1] * n_big, (entry, rec.notes)
+            sizes[n_big] += 1
+    assert sizes[0] > 0 and len(sizes) > 1
 
 
 @pytest.mark.parametrize("top", [20, 1 << 61], ids=["small", "2^61"])
