@@ -18,13 +18,13 @@ import numpy as np
 from . import kernels
 from .rational import as_fraction
 
-MAX_N = 24  # arity cap for truth tables: 2^24 one-byte entries
+MAX_N = 25  # arity cap for truth tables, 2^25 one-byte entries: EX74's OR table is the largest
+TABLE_CAP = 24  # a halfspace above this arity is analysed without a table or a cube
 
 
-def _check_arity(n: int, max_n: int | None) -> None:
-    cap = MAX_N if max_n is None else max_n
-    if not 1 <= n <= cap:
-        raise ValueError(f"arity {n} outside supported range 1..{cap}")
+def _check_arity(n: int) -> None:
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"arity {n} outside supported range 1..{MAX_N}")
 
 
 class BooleanFunction:
@@ -69,8 +69,8 @@ class BooleanFunction:
         return f"tt:{self.n}:{value:0{digits}x}"
 
 
-def from_truth_table(bits, n: int, max_n: int | None = None) -> BooleanFunction:
-    _check_arity(n, max_n)
+def from_truth_table(bits, n: int) -> BooleanFunction:
+    _check_arity(n)
     table = np.asarray(bits, dtype=np.uint8)
     if table.ndim != 1 or table.shape[0] != (1 << n):
         raise ValueError(f"expected 2^{n} = {1 << n} bits, got shape {table.shape}")
@@ -79,13 +79,13 @@ def from_truth_table(bits, n: int, max_n: int | None = None) -> BooleanFunction:
     return BooleanFunction(n, table)
 
 
-def from_text(text: str, max_n: int | None = None) -> BooleanFunction:
+def from_text(text: str) -> BooleanFunction:
     """Inverse of BooleanFunction.to_text."""
     kind, n_str, hex_str = text.split(":")
     if kind != "tt":
         raise ValueError(f"not a truth-table literal: {text!r}")
     n = int(n_str)
-    _check_arity(n, max_n)
+    _check_arity(n)
     value = int(hex_str, 16)
     if value < 0 or value.bit_length() > 1 << n:
         raise ValueError(f"truth-table literal {text!r} does not fit its 2^{n} points")
@@ -125,15 +125,15 @@ def _check_majority(n: int) -> None:
         raise ValueError(f"majority needs a positive odd arity, got {n}")
 
 
-def majority(n: int, max_n: int | None = None) -> BooleanFunction:
+def majority(n: int) -> BooleanFunction:
     _check_majority(n)
-    _check_arity(n, max_n)
+    _check_arity(n)
     return BooleanFunction(n, _majority_table(n))
 
 
-def dictator(n: int, max_n: int | None = None) -> BooleanFunction:
+def dictator(n: int) -> BooleanFunction:
     """1 exactly when the first coordinate is +1."""
-    return subcube(1, n, max_n=max_n)
+    return subcube(1, n)
 
 
 def _check_subcube(k: int, n: int) -> None:
@@ -141,18 +141,18 @@ def _check_subcube(k: int, n: int) -> None:
         raise ValueError(f"subcube size {k} outside 1..{n}")
 
 
-def subcube(k: int, n: int, max_n: int | None = None) -> BooleanFunction:
+def subcube(k: int, n: int) -> BooleanFunction:
     """1 exactly when the first k coordinates are all +1."""
-    _check_arity(n, max_n)
+    _check_arity(n)
     _check_subcube(k, n)
     table = np.zeros(1 << n, dtype=np.uint8)
     kernels.set_subcube(table, n, range(k))
     return BooleanFunction(n, table)
 
 
-def hamming_ball(n: int, t, max_n: int | None = None) -> BooleanFunction:
+def hamming_ball(n: int, t) -> BooleanFunction:
     """1 exactly when sum(x_i) > t, for a rational threshold t."""
-    _check_arity(n, max_n)
+    _check_arity(n)
     t = as_fraction(t)
     # sum(x_i) = 2*popcount - n > t  <=>  popcount > floor((t + n)/2), an integer cut
     cut = math.floor((t + n) / 2)
@@ -164,33 +164,33 @@ def _check_tribes(a: int, b: int) -> None:
         raise ValueError("tribes needs positive tribe count and width")
 
 
-def tribes(a: int, b: int, max_n: int | None = None) -> BooleanFunction:
+def tribes(a: int, b: int) -> BooleanFunction:
     """OR of a disjoint ANDs of width b, on n = a*b coordinates."""
     _check_tribes(a, b)
     n = a * b
-    _check_arity(n, max_n)
+    _check_arity(n)
     table = np.zeros(1 << n, dtype=np.uint8)
     for j in range(a):
         kernels.set_subcube(table, n, range(j * b, (j + 1) * b))
     return BooleanFunction(n, table)
 
 
-def paper5(max_n: int | None = None) -> BooleanFunction:
+def paper5() -> BooleanFunction:
     """The 5-variable function that is 1 exactly when sum(x_i) is -1, 3 or 5."""
-    _check_arity(5, max_n)
+    _check_arity(5)
     # sum(x_i) = 2*popcount - 5 is -1, 3 or 5  <=>  popcount is 2, 4 or 5
     table = np.isin(kernels.popcounts(5), (2, 4, 5))
     return BooleanFunction(5, table.view(np.uint8))
 
 
-def talagrand_or(n: int, seed: int, max_n: int | None = None) -> BooleanFunction:
+def talagrand_or(n: int, seed: int) -> BooleanFunction:
     """OR of roughly 2^sqrt(n)/sqrt(n) random AND terms, ORed with majority.
 
     Terms have width b = ceil(sqrt(n)); there are ceil(2^b / b) of them, with
     member sets drawn from the given seed so runs are reproducible.  For even
     arity the majority part counts ties as 1, keeping its mean at least 1/2.
     """
-    _check_arity(n, max_n)
+    _check_arity(n)
     b = math.isqrt(n)
     if b * b < n:
         b += 1
@@ -211,10 +211,10 @@ class _Kind(NamedTuple):
 
     sep: str                          # between the parameters; '' for a kind with none
     converters: tuple[Callable, ...]  # one per parameter, from its text to its value
-    table: Callable | None            # (*values, max_n) -> BooleanFunction; None: the halfspace's
+    table: Callable | None            # (*values) -> BooleanFunction; None: the halfspace's
     halfspace: Callable | None        # (*values) -> (weights, threshold)
     # (*values) -> None: refuses, at parse, the values its builders refuse
-    # whatever the arity cap
+    # at any arity
     check: Callable | None = None
 
 
@@ -225,23 +225,20 @@ def _weights(text: str) -> list[Fraction]:
 # builders are named inside lambdas, so each call looks them up in the module
 # and sees any wrapper installed there since import (perfbench's tracer does)
 _KINDS: dict[str, _Kind] = {
-    "tt": _Kind(":", (int, str), lambda n, hexstr, max_n: from_text(f"tt:{n}:{hexstr}", max_n),
-                None),
+    "tt": _Kind(":", (int, str), lambda n, hexstr: from_text(f"tt:{n}:{hexstr}"), None),
     "ltf": _Kind(";", (_weights, as_fraction), None, lambda weights, t: (weights, t)),
-    "maj": _Kind(",", (int,), lambda n, max_n: majority(n, max_n), lambda n: ([1] * n, 0),
+    "maj": _Kind(",", (int,), lambda n: majority(n), lambda n: ([1] * n, 0),
                  _check_majority),
-    "dict": _Kind(",", (int,), lambda n, max_n: dictator(n, max_n),
-                  lambda n: ([1] + [0] * (n - 1), 0), _check_positive),
-    "subcube": _Kind(",", (int, int), lambda k, n, max_n: subcube(k, n, max_n),
+    "dict": _Kind(",", (int,), lambda n: dictator(n), lambda n: ([1] + [0] * (n - 1), 0),
+                  _check_positive),
+    "subcube": _Kind(",", (int, int), lambda k, n: subcube(k, n),
                      lambda k, n: ([1] * k + [0] * (n - k), Fraction(2 * k - 1, 2)),
                      _check_subcube),
-    "ball": _Kind(",", (int, as_fraction), lambda n, t, max_n: hamming_ball(n, t, max_n),
+    "ball": _Kind(",", (int, as_fraction), lambda n, t: hamming_ball(n, t),
                   lambda n, t: ([1] * n, t), lambda n, t: _check_positive(n)),
-    "tribes": _Kind(",", (int, int), lambda a, b, max_n: tribes(a, b, max_n), None,
-                    _check_tribes),
-    "paper5": _Kind("", (), lambda max_n: paper5(max_n), None),
-    "talagrand": _Kind(":", (int, int), lambda n, seed, max_n: talagrand_or(n, seed, max_n),
-                       None),
+    "tribes": _Kind(",", (int, int), lambda a, b: tribes(a, b), None, _check_tribes),
+    "paper5": _Kind("", (), lambda: paper5(), None),
+    "talagrand": _Kind(":", (int, int), lambda n, seed: talagrand_or(n, seed), None),
 }
 
 
@@ -262,8 +259,7 @@ class FunctionSpec:
     'subcube:<k>,<n>', 'ball:<n>,<t>', 'tribes:<a>,<b>', 'paper5' and
     'talagrand:<n>:<seed>'.  params holds the textual parameters verbatim;
     an unknown kind, a wrong parameter count or a value the kind's builders
-    refuse below any arity cap is a ValueError here, before anything is
-    built.
+    refuse at any arity is a ValueError here, before anything is built.
     """
 
     kind: str
@@ -294,11 +290,11 @@ class FunctionSpec:
     def _values(self) -> list:
         return [convert(p) for convert, p in zip(_KINDS[self.kind].converters, self.params)]
 
-    def build(self, max_n: int | None = None) -> BooleanFunction:
+    def build(self) -> BooleanFunction:
         make = _KINDS[self.kind].table
         if make is None:
-            return self.halfspace().truth_table(max_n=max_n)
-        return make(*self._values(), max_n)
+            return self.halfspace().truth_table()
+        return make(*self._values())
 
     def halfspace(self):
         """The exact halfspace behind this descriptor, or None."""

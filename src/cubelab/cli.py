@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import correlate as corr
 from . import harness, spectral
-from .bfcore import MAX_N, FunctionSpec
+from .bfcore import TABLE_CAP, FunctionSpec
 from .chernoff import EATON_BOUND, check_local_chernoff, gaussian_tail_ratio
 from .halfspace import parse_halfspace
 from .influence import boundary_measures, influences
@@ -24,7 +24,7 @@ def _fr(x) -> str:
 def cmd_analyze(args) -> int:
     spec = FunctionSpec.parse(args.spec)
     h = spec.halfspace()
-    f = spec.build() if h is None or h.arity <= MAX_N else None
+    f = spec.build() if h is None or h.arity <= TABLE_CAP else None
     if h is not None:
         infl = h.influences()
         mean, total = h.mean(), sum(infl, Fraction(0))

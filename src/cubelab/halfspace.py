@@ -472,8 +472,8 @@ class Halfspace:
 
     # -- truth table -----------------------------------------------------------
 
-    def truth_table(self, max_n: int | None = None) -> BooleanFunction:
-        return ltf_truth_table(self.original_weights, self.threshold, max_n=max_n)
+    def truth_table(self) -> BooleanFunction:
+        return ltf_truth_table(self.original_weights, self.threshold)
 
     # -- decay machinery ---------------------------------------------------------
 
@@ -572,12 +572,12 @@ def make_halfspace(weights, threshold) -> Halfspace:
     return Halfspace(ws, threshold, original, order)
 
 
-def ltf_truth_table(weights, threshold, max_n: int | None = None) -> BooleanFunction:
+def ltf_truth_table(weights, threshold) -> BooleanFunction:
     """Truth table of 1{w.x > t} for arbitrary-sign rational weights."""
     ws = [as_fraction(w) for w in weights]
     threshold = as_fraction(threshold)
     n = len(ws)
-    _check_arity(n, max_n)
+    _check_arity(n)
     scale = common_scale(ws)
     scaled = np.array([int(w * scale) for w in ws], dtype=np.int64)
     vals = kernels.dot_values(scaled)

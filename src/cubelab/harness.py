@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bfcore import MAX_N, BooleanFunction, FunctionSpec
+from .bfcore import BooleanFunction, FunctionSpec, _check_arity
 from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
 from .checks import REGISTRY, SUITES, MemberContext
 from .halfspace import distribution_from_scaled
@@ -146,8 +146,7 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
         return Corpus(f"{kind}(seed={seed},count={len(entries)})", tuple(entries))
     if spec.table is not None:
         n = p["n"]
-        if not 1 <= n <= MAX_N:  # refused before a 2^n table is drawn
-            raise ValueError(f"arity {n} outside supported range 1..{MAX_N}")
+        _check_arity(n)  # refused before a 2^n table is drawn
         rng = np.random.default_rng(seed)
         entries = (BooleanFunction(n, spec.table(rng, n)).to_text() for _ in range(p["count"]))
         return Corpus(f"{kind}(n={n},seed={seed})", tuple(entries))

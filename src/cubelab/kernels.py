@@ -299,20 +299,6 @@ def set_subcube(table: np.ndarray, n: int, coords) -> None:
     table.reshape((2,) * n)[tuple(index)] = 1
 
 
-def sign_products(factors) -> np.ndarray:
-    """prod over i of (b_i if bit i of m is set else a_i), for every m below 2**n.
-
-    factors[i] = (a_i, b_i), each +1 or -1.  Built by the doubling step,
-    signs = concat(a_i * signs, b_i * signs) per coordinate, in int8: one
-    byte per entry, and a product with an int64 array is int64.  No index
-    array and no gather.
-    """
-    signs = np.ones(1, dtype=np.int8)
-    for a, b in factors:
-        signs = np.concatenate([a * signs, b * signs])
-    return signs
-
-
 def popcounts(n: int) -> np.ndarray:
     """popcount of every index below 2**n, as uint8 (a popcount is at most 64).
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .bfcore import MAX_N
+from .bfcore import TABLE_CAP
 from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
 from .halfspace import Halfspace
 from .rational import as_fraction, common_scale
@@ -222,39 +222,7 @@ def signed_poly_expectation(coeffs, a, s):
 
 
 # ---------------------------------------------------------------------------
-# degree-k smoothed coefficients
-
-def smoothed_fourier(h: Halfspace, subset, delta, t=None) -> float:
-    """Average of the degree-k coefficient of 1{a.x > t + s} when s is drawn
-    from delta times the k-fold uniform sum.
-
-    Equals E_x[x^S * G_k((a.x - t)/delta)] by Fubini, which is how it is
-    evaluated: one CDF weight per support value of a.x.  The subset holds
-    distinct internal (descending-weight) positions 0..h.n-1.
-    """
-    subset = tuple(sorted(subset))
-    k = len(subset)
-    if k < 1:
-        raise ValueError("subset must be nonempty")
-    if len(set(subset)) < k or subset[0] < 0 or subset[-1] >= h.n:
-        raise ValueError(f"subset {subset} needs distinct positions in 0..{h.n - 1}")
-    delta = as_fraction(delta)
-    if delta <= 0:
-        raise ValueError("smoothing width must be positive")
-    t = h.threshold if t is None else as_fraction(t)
-    if h.n > MAX_N:
-        raise ValueError(f"needs the full cube; arity capped at {MAX_N}")
-    mask = 0
-    for j in subset:
-        mask |= 1 << j
-    # x^S at every point: x_i for i in S, 1 elsewhere
-    signs = kernels.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(h.n))
-    uniq, inverse = CubeScan(h).classes
-    signed_counts = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(signed_counts, inverse, signs.astype(np.int64))  # mixed dtypes take a slow path
-    weights = _cdf_weights(h, k, uniq, t, delta)
-    return float(np.dot(signed_counts, weights)) / (1 << h.n)
-
+# smoothing weights and the cube's elementary symmetric values
 
 def _cdf_weights(h: Halfspace, k: int, uniq: np.ndarray, t: Fraction,
                  delta: Fraction) -> np.ndarray:
@@ -266,25 +234,6 @@ def _cdf_weights(h: Halfspace, k: int, uniq: np.ndarray, t: Fraction,
     t_scaled = float(t * h.scale)
     d_scaled = float(delta * h.scale)
     return np.array([irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq])
-
-
-def smoothed_fourier_lower_bound(h: Halfspace, subset, delta, t=None):
-    """(applicable, lower_bound) for the smoothed degree-k coefficient:
-    valid once the subset's weight mass A is at most half the width."""
-    subset = tuple(subset)
-    k = len(subset)
-    delta = as_fraction(delta)
-    t = h.threshold if t is None else as_fraction(t)
-    a_subset = sum((h.weights[j] for j in subset), Fraction(0))
-    if 2 * a_subset > delta:
-        return False, None
-    prod = math.prod(float(h.weights[j]) for j in subset)
-    main = h.tail(t + 2 * a_subset)
-    correction = Fraction(0)
-    for level in range(1, k + 1):
-        correction += math.comb(k, level) * h.tail(t + level * delta - 2 * a_subset)
-    bound = prod / float(delta) ** k * float(main - correction)
-    return True, bound
 
 
 def elementary_symmetric_pointwise(h: Halfspace, k: int) -> list[np.ndarray]:
@@ -444,8 +393,8 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
         raise ValueError("needs mean at most 1/2")
     norm = h.l2_norm()
 
-    if h.n > MAX_N:
-        raise ValueError(f"cube scan capped at {MAX_N} coordinates")
+    if h.n > TABLE_CAP:
+        raise ValueError(f"cube scan capped at {TABLE_CAP} coordinates")
     if k > h.n:
         raise ValueError(f"level {k} outside 0..{h.n}")
 

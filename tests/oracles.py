@@ -9,8 +9,10 @@ float32/float64 Walsh and blockwise squared level-sum kernels
 (``masked_level_sums`` also sums the signed terms of the tests' noise
 operator), the ``halves_*`` scans (one uint8 byte per point) of the
 bit-packed table scans, and the ``gather_*`` characters (a popcount table
-indexed by 2^n masks) of the doubling ``sign_products``,
-``index_unbiased_correlator`` (one int64 sign array per coordinate) of the
+indexed by 2^n masks) of the doubling ``sign_products``, on which
+``smoothed_fourier`` and ``smoothed_fourier_lower_bound`` (the smoothed
+degree-k coefficient and its lower bound, which no program path reads)
+are built, ``index_unbiased_correlator`` (one int64 sign array per coordinate) of the
 swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
@@ -24,10 +26,12 @@ ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
 one common denominator.  ``check_log_concavity`` and
 ``check_log_concave_exp`` (LEM111's and LEM42's sides as Fractions of the
 tail probabilities, LEM42's raised to the power l) are the slow routes of
-those checks' comparisons of integer tail counts, and
+those checks' comparisons of integer tail counts,
 ``per_coordinate_small_class_sums`` (one reduced distribution per small
 coordinate) of PROP5's sums by the identity sum_j a_j Inf_j =
-2 E[f a.x].  The scalar flip maps (``suffix_flip`` through
+2 E[f a.x], and ``two_pass_gauss_worst`` (every support value read twice,
+with the strict and the non-strict tail) of GAUSS-EATON's one-pass sweep.
+The scalar flip maps (``suffix_flip`` through
 ``interval_shift_map``, one tuple of Fractions at a time, raising
 ``DomainError`` outside their domains) are the slow route of the batched
 int64 maps in ``cubelab.flips``.
@@ -35,6 +39,7 @@ int64 maps in ``cubelab.flips``.
 
 from fractions import Fraction
 from itertools import combinations, product
+import math
 from math import comb, floor
 
 import numpy as np
@@ -43,7 +48,7 @@ from cubelab import kernels
 from cubelab.bfcore import BooleanFunction
 from cubelab.chernoff import CheckRecord
 from cubelab.correlate import CorrelationResult, first_level_form
-from cubelab.levelk import SymmetricStats
+from cubelab.levelk import SymmetricStats, _cdf_weights
 from cubelab.spectral import fwht_spectrum
 
 
@@ -287,6 +292,58 @@ def gather_subset_character(n: int, m: int) -> np.ndarray:
     return 1 - 2 * _parity_table(n)[np.arange(size) & ~m & (size - 1)]
 
 
+def sign_products(factors) -> np.ndarray:
+    """prod over i of (b_i if bit i of m is set else a_i), for every m below
+    2^n, with factors[i] = (a_i, b_i) each +1 or -1: the doubling step
+    signs = concat(a_i * signs, b_i * signs) per coordinate, in int8."""
+    signs = np.ones(1, dtype=np.int8)
+    for a, b in factors:
+        signs = np.concatenate([a * signs, b * signs])
+    return signs
+
+
+def smoothed_fourier(h, subset, delta, t=None) -> float:
+    """Average of the degree-k coefficient of 1{a.x > t + s} when s is drawn
+    from delta times the k-fold uniform sum.
+
+    Equals E_x[x^S * G_k((a.x - t)/delta)] by Fubini: the character summed
+    per distinct value of a.x, times one CDF weight per value.  The subset
+    holds distinct internal (descending-weight) positions 0..h.n-1.
+    """
+    subset = tuple(sorted(subset))
+    k = len(subset)
+    if k < 1:
+        raise ValueError("subset must be nonempty")
+    if len(set(subset)) < k or subset[0] < 0 or subset[-1] >= h.n:
+        raise ValueError(f"subset {subset} needs distinct positions in 0..{h.n - 1}")
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise ValueError("smoothing width must be positive")
+    t = h.threshold if t is None else Fraction(t)
+    signs = sign_products((-1, 1) if j in subset else (1, 1) for j in range(h.n))
+    uniq, inverse = np.unique(kernels.dot_values(h.scaled), return_inverse=True)
+    signed_counts = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(signed_counts, inverse, signs.astype(np.int64))
+    weights = _cdf_weights(h, k, uniq, t, delta)
+    return float(np.dot(signed_counts, weights)) / (1 << h.n)
+
+
+def smoothed_fourier_lower_bound(h, subset, delta, t=None):
+    """(applicable, lower_bound) for the smoothed degree-k coefficient:
+    valid once the subset's weight mass A is at most half the width."""
+    k = len(subset)
+    delta = Fraction(delta)
+    t = h.threshold if t is None else Fraction(t)
+    a_subset = sum((h.weights[j] for j in subset), Fraction(0))
+    if 2 * a_subset > delta:
+        return False, None
+    prod = math.prod(float(h.weights[j]) for j in subset)
+    main = h.tail(t + 2 * a_subset)
+    correction = sum((comb(k, level) * h.tail(t + level * delta - 2 * a_subset)
+                      for level in range(1, k + 1)), Fraction(0))
+    return True, prod / float(delta) ** k * float(main - correction)
+
+
 def index_unbiased_correlator(f, full_scan: bool = False) -> CorrelationResult:
     """``correlate.unbiased_correlator`` by value arithmetic: each flipped
     form is l - 2 c_i x_i, rebuilt from an index array and int64 signs."""
@@ -457,6 +514,20 @@ def per_coordinate_small_class_sums(h, n_big: int, thresholds) -> list[int]:
             total += int(h.scaled[j]) * (red.count_gt(t - w) - red.count_gt(t + w))
         sums.append(total)
     return sums
+
+
+def two_pass_gauss_worst(dist, norm: float) -> float:
+    """GAUSS-EATON's worst ratio by its former sweep: every value v >= 0 of
+    the support twice, once with P(a.x > v) and once with P(a.x >= v)."""
+    values = dist.values[dist.values >= 0]
+    worst = 0.0
+    for strict in (True, False):
+        counts = dist.counts_gt_scaled(values) if strict else dist.counts_ge_scaled(values)
+        for v, c in zip(values, counts):
+            z = float(v) / (dist.scale * norm)
+            gauss = 0.5 * math.erfc(z / math.sqrt(2))
+            worst = max(worst, int(c) / dist.total / gauss)
+    return worst
 
 
 # The scalar flip maps, one vector of Fractions at a time: the slow route of

@@ -64,7 +64,7 @@ def test_criterion_1_exact_identities():
     rng = np.random.default_rng(11)
     # Parseval: builtins and 100 random 12-coordinate functions
     for entry in harness.BUILTIN_ALL:
-        f = bfcore.FunctionSpec.parse(entry).build(max_n=25)
+        f = bfcore.FunctionSpec.parse(entry).build()
         assert spectral.parseval_holds(f)
     for _ in range(100):
         f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << 12), 12)

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -40,7 +41,7 @@ def test_from_truth_table_errors():
     with pytest.raises(ValueError):
         bfcore.from_truth_table([0, 1], 0)
     with pytest.raises(ValueError):
-        bfcore.from_truth_table([0] * (1 << 25), 25)
+        bfcore.from_truth_table([0, 1], bfcore.MAX_N + 1)
     with pytest.raises(ValueError):
         bfcore.from_truth_table([0, 2], 1)
 
@@ -91,7 +92,7 @@ def test_builtin_errors():
     with pytest.raises(ValueError):
         bfcore.majority(4)
     with pytest.raises(ValueError):
-        bfcore.tribes(5, 5)
+        bfcore.tribes(2, 13)
     with pytest.raises(ValueError):
         FunctionSpec.parse("mystery:3")
 
@@ -163,7 +164,7 @@ TALAGRAND_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(TALAGRAND_SHA256))
 def test_talagrand_or_table_digest(n):
-    f = bfcore.talagrand_or(n, 42, max_n=25)
+    f = bfcore.talagrand_or(n, 42)
     assert hashlib.sha256(f.table.tobytes()).hexdigest() == TALAGRAND_SHA256[n]
 
 
@@ -264,13 +265,47 @@ def test_function_spec_builds_match_builtins():
     assert FunctionSpec.parse("paper5").build() == bfcore.paper5()
 
 
+# every truth-table builder, each asked for one arity past the cap
+PAST_CAP = bfcore.MAX_N + 1
+PAST_CAP_BUILDS = [
+    lambda: bfcore.from_truth_table([0, 1], PAST_CAP),
+    lambda: bfcore.from_text(f"tt:{PAST_CAP}:0"),
+    lambda: bfcore.majority(PAST_CAP | 1),  # the first odd arity past the cap
+    lambda: bfcore.dictator(PAST_CAP),
+    lambda: bfcore.subcube(2, PAST_CAP),
+    lambda: bfcore.hamming_ball(PAST_CAP, 0),
+    lambda: bfcore.tribes(2, PAST_CAP // 2),
+    lambda: bfcore.talagrand_or(PAST_CAP, 42),
+    lambda: halfspace.ltf_truth_table([1] * PAST_CAP, 0),
+    lambda: halfspace.make_halfspace([1] * PAST_CAP, 0).truth_table(),
+    lambda: FunctionSpec.parse(f"tribes:2,{PAST_CAP // 2}").build(),
+    lambda: FunctionSpec.parse(f"ltf:{','.join(['1'] * PAST_CAP)};0").build(),
+]
+
+
 def test_arity_cap():
-    """MAX_N caps every table builder before it allocates; max_n moves the cap."""
-    with pytest.raises(ValueError, match=f"1..{bfcore.MAX_N}"):
-        bfcore.majority(bfcore.MAX_N + 1)
-    with pytest.raises(ValueError):
-        bfcore.majority(5, max_n=4)
-    assert bfcore.majority(5, max_n=10).n == 5
+    """MAX_N caps every table builder before it allocates, and no builder
+    takes an argument that moves the cap."""
+    assert PAST_CAP % 2 == 0  # tribes:2,PAST_CAP/2 has PAST_CAP coordinates
+    refusal = rf"^arity ({PAST_CAP}|{PAST_CAP | 1}) outside supported range 1\.\.{bfcore.MAX_N}$"
+    tracemalloc.start()
+    try:
+        for build in PAST_CAP_BUILDS:
+            with pytest.raises(ValueError, match=refusal):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 2^26 table would be 64 MiB
+    builders = [bfcore.from_truth_table, bfcore.from_text, bfcore.majority, bfcore.dictator,
+                bfcore.subcube, bfcore.hamming_ball, bfcore.tribes, bfcore.paper5,
+                bfcore.talagrand_or, FunctionSpec.build, halfspace.Halfspace.truth_table,
+                halfspace.ltf_truth_table]
+    for builder in builders:
+        assert "max_n" not in inspect.signature(builder).parameters, builder.__name__
+    for name, kind in bfcore._KINDS.items():
+        if kind.table is not None:
+            assert len(inspect.signature(kind.table).parameters) == len(kind.converters), name
 
 
 # one case per descriptor kind: its text and the builder it names, called directly

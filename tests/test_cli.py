@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from cubelab import cli, harness
-from cubelab.bfcore import MAX_N, FunctionSpec
+from cubelab.bfcore import MAX_N, TABLE_CAP, FunctionSpec
 
 
 def run(capsys, *argv):
@@ -29,14 +30,15 @@ def test_analyze_truth_table(capsys):
 
 
 def test_analyze_halfspace_past_the_table_cap(capsys, monkeypatch):
-    """25 coordinates, one past bfcore.MAX_N: influences and vertex boundaries
-    come from the halfspace, and no 2^25 table is built for level weights."""
+    """25 coordinates, one past bfcore.TABLE_CAP: influences and vertex
+    boundaries come from the halfspace, and no 2^25 table is built for level
+    weights."""
 
     def no_table(*args, **kwargs):
         raise AssertionError("a truth table was built past the cap")
 
     monkeypatch.setattr(FunctionSpec, "build", no_table)
-    n = MAX_N + 1
+    n = TABLE_CAP + 1
     code, out = run(capsys, "analyze", "ltf:" + ",".join(["1"] * n) + ";0", "--json")
     assert code == 0
     data = json.loads(out)
@@ -45,6 +47,23 @@ def test_analyze_halfspace_past_the_table_cap(capsys, monkeypatch):
     assert data["influences"] == [str(Fraction(comb(n - 1, n // 2), 1 << (n - 1)))] * n
     side = str(Fraction(comb(n, n // 2), 1 << n))  # a.x = +-1: one flip crosses
     assert data["vertex_boundary"] == {"vb0": side, "vb1": side}
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "correlate"])
+@pytest.mark.parametrize("spec", [f"tribes:2,{(MAX_N + 1) // 2}", f"talagrand:{MAX_N + 1}:7"])
+def test_table_command_refuses_an_arity_past_the_cap(capsys, command, spec):
+    """A descriptor with no halfspace behind it and one coordinate past
+    bfcore.MAX_N is exit 2 naming the range, before a table is drawn."""
+    tracemalloc.start()
+    try:
+        code = cli.main([command, spec])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: arity {MAX_N + 1} outside supported range 1..{MAX_N}\n")
+    assert peak < 1 << 20  # a 2^26 table would be 64 MiB
 
 
 @pytest.mark.parametrize("spec", ["subcube:3", "maj:5,7", "paper5:1", "tt:2:1ff", "mystery:3",

@@ -154,7 +154,7 @@ def test_threshold_integral_identity_past_int64():
     n = 23
     rng = np.random.default_rng(0)
     weights = [int(w) for w in rng.integers(1, 65, size=n)]
-    f = make_halfspace(weights, sum(weights) // 4).truth_table(max_n=24)
+    f = make_halfspace(weights, sum(weights) // 4).truth_table()
     halves = [f.table.reshape(-1, 2, 1 << i) for i in range(n)]
     nums = [int(np.count_nonzero(h[:, 1, :])) - int(np.count_nonzero(h[:, 0, :]))
             for h in halves]
@@ -250,7 +250,7 @@ def test_biased_correlator_biased_instance():
     from cubelab.halfspace import make_halfspace
 
     h = make_halfspace([1] * 15, 9)
-    f = h.truth_table(max_n=24)
+    f = h.truth_table()
     rec = correlate.biased_correlator(correlate.FirstLevel(f))
     assert rec.hypothesis_met
     assert rec.small_mean_ok and rec.expectation_ok

@@ -118,8 +118,8 @@ def test_corpus_kind_refuses_a_parameter_it_does_not_take(kind):
 
 @pytest.mark.parametrize("kind", ["random-function", "monotone-random"])
 def test_table_kind_refuses_an_arity_past_the_cap(kind):
-    with pytest.raises(ValueError, match="arity 25 outside supported range 1..24"):
-        harness.corpus_gen(kind, {"n": 25, "count": 1})
+    with pytest.raises(ValueError, match=r"arity 26 outside supported range 1\.\.25"):
+        harness.corpus_gen(kind, {"n": 26, "count": 1})
     with pytest.raises(ValueError, match="arity 0 outside"):
         harness.corpus_gen(kind, {"n": 0, "count": 1})
 
@@ -386,6 +386,40 @@ def test_decay_violations_match_the_pointer_sweep(top):
             vals = rng.integers(0, top, size=len(kappa), endpoint=True)
             want = oracles.swept_decay_violations(kappa, highs, vals)
             assert checks._decay_violations(kappa, highs, vals) == want
+
+
+def test_distinct_matches_np_unique():
+    """COR36's and LEM62's breakpoints: the same array as np.unique, dtype
+    included, on random, empty and all-equal arrays."""
+    rng = np.random.default_rng(62)
+    cases = [np.array([], dtype=np.int64), np.full(9, -4, dtype=np.int64), np.array([7])]
+    for size in (1, 2, 5, 100, 10_000):
+        cases.append(rng.integers(-size, size, size=size))
+        cases.append(rng.integers(-(1 << 62), 1 << 62, size=size))
+    for values in cases:
+        got = checks._distinct(values)
+        want = np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_gauss_eaton_matches_the_two_pass_sweep():
+    """GAUSS-EATON reads only P(a.x >= v) at each support value v >= 0; its
+    worst ratio equals the sweep that also reads P(a.x > v), on every dense
+    member of the builtin, tail and standard corpora it runs on."""
+    checked = 0
+    for name in ("builtin", "tail", "standard"):
+        for i, entry in enumerate(harness.load_corpus(name).entries):
+            ctx = MemberContext(f"{name}#{i}", entry)
+            if not REGISTRY["GAUSS-EATON"].applies(ctx):
+                continue
+            dist = checks._dense_distribution(ctx.halfspace)
+            if dist is None:
+                continue
+            [rec] = REGISTRY["GAUSS-EATON"].fn(ctx, harness.PinnedConstants())
+            want = oracles.two_pass_gauss_worst(dist, ctx.halfspace.l2_norm())
+            assert rec.lhs == want, entry
+            checked += 1
+    assert checked == 164
 
 
 def test_pin_then_assert_roundtrip(tmp_path):

@@ -294,13 +294,14 @@ def test_packed_scans_match_uint8_oracle(n):
 
 @pytest.mark.parametrize("n", range(11))
 def test_sign_products_match_gather(n):
-    """Both characters the callers build, x^S over the points for a fixed S
-    and over the masks S at a fixed point, against the popcount gather."""
+    """The doubling character of the oracles, x^S over the points for a
+    fixed S and over the masks S at a fixed point, against the popcount
+    gather."""
     rng = np.random.default_rng(n)
     for mask in sorted({0, (1 << n) - 1, *rng.integers(0, 1 << n, size=6).tolist()}):
-        got = kernels.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(n))
+        got = oracles.sign_products((-1, 1) if mask >> i & 1 else (1, 1) for i in range(n))
         assert np.array_equal(got, oracles.gather_point_character(n, mask))
-        got = kernels.sign_products((1, 1 if mask >> i & 1 else -1) for i in range(n))
+        got = oracles.sign_products((1, 1 if mask >> i & 1 else -1) for i in range(n))
         assert np.array_equal(got, oracles.gather_subset_character(n, mask))
 
 

@@ -154,20 +154,21 @@ def test_signed_poly_expectation_bracket_degree_plus_one():
         assert lo <= value <= hi
 
 
-# -- smoothed degree-k coefficients ------------------------------------------------
+# -- smoothed degree-k coefficients, a test oracle -------------------------------------
 
 def test_smoothed_fourier_k1_matches_smoothed_influence():
     h = make_halfspace([F(3), F(2), F(2), F(1)], 1)
     for j in range(h.n):
         via_influence = h.smoothed_influence(h.order[j], 2) / 2
-        via_fourier = levelk.smoothed_fourier(h, (j,), 2)
+        via_fourier = oracles.smoothed_fourier(h, (j,), 2)
         assert via_fourier == pytest.approx(float(via_influence), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_smoothed_fourier_matches_gather_route(n):
-    """Bit for bit against the popcount-gather character the doubling step
-    replaced, for every subset of up to three coordinates."""
+    """The coefficient summed over the doubling character against the same
+    sum over the popcount-gather character, bit for bit, for every subset of
+    up to three coordinates."""
     rng = np.random.default_rng(300 + n)
     h = make_halfspace([F(int(w)) for w in rng.integers(1, 6, size=n)], F(1, 2))
     vals = kernels.dot_values(h.scaled)
@@ -179,18 +180,18 @@ def test_smoothed_fourier_matches_gather_route(n):
             np.add.at(signed_counts, inverse, oracles.gather_point_character(n, mask))
             weights = levelk._cdf_weights(h, k, uniq, h.threshold, F(3))
             expect = float(np.dot(signed_counts, weights)) / (1 << n)
-            assert levelk.smoothed_fourier(h, subset, 3) == expect
+            assert oracles.smoothed_fourier(h, subset, 3) == expect
 
 
 def test_smoothed_fourier_empty_tail_is_zero():
     h = make_halfspace([1, 1, 1], 10)
-    assert levelk.smoothed_fourier(h, (0, 1), 1) == 0.0
+    assert oracles.smoothed_fourier(h, (0, 1), 1) == 0.0
 
 
 def test_smoothed_fourier_monte_carlo():
     h = make_halfspace([1] * 5, 0)
     delta = 4
-    exact = levelk.smoothed_fourier(h, (0, 1), delta)
+    exact = oracles.smoothed_fourier(h, (0, 1), delta)
     rng = np.random.default_rng(2024)
     samples = 1_000_000
     x = rng.choice((-1.0, 1.0), size=(samples, 5))
@@ -203,19 +204,19 @@ def test_smoothed_fourier_monte_carlo():
 
 def test_smoothed_fourier_lower_bound_applicability():
     h = make_halfspace([1] * 5, 0)
-    ok, bound = levelk.smoothed_fourier_lower_bound(h, (0, 1), 4)
+    ok, bound = oracles.smoothed_fourier_lower_bound(h, (0, 1), 4)
     assert ok
-    assert levelk.smoothed_fourier(h, (0, 1), 4) >= bound - 1e-12
-    ok, _ = levelk.smoothed_fourier_lower_bound(h, (0, 1), 1)
+    assert oracles.smoothed_fourier(h, (0, 1), 4) >= bound - 1e-12
+    ok, _ = oracles.smoothed_fourier_lower_bound(h, (0, 1), 1)
     assert not ok
 
 
 def test_smoothed_fourier_validates():
     h = make_halfspace([1, 1], 0)
     with pytest.raises(ValueError):
-        levelk.smoothed_fourier(h, (), 1)
+        oracles.smoothed_fourier(h, (), 1)
     with pytest.raises(ValueError):
-        levelk.smoothed_fourier(h, (0,), 0)
+        oracles.smoothed_fourier(h, (0,), 0)
 
 
 @pytest.mark.parametrize("subset", [(0, 5), (0, 0), (-1, 0), (3,), (1, 1, 2)])
@@ -224,7 +225,7 @@ def test_smoothed_fourier_refuses_repeated_or_outside_positions(subset):
     pair the k-fold CDF with the character of a smaller set."""
     h = make_halfspace([3, 2, 1], 1)
     with pytest.raises(ValueError, match="distinct positions"):
-        levelk.smoothed_fourier(h, subset, 1)
+        oracles.smoothed_fourier(h, subset, 1)
 
 
 # -- pointwise symmetric values and sign condition ------------------------------------

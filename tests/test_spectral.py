@@ -170,11 +170,11 @@ def test_noise_stability_examples():
 
 def noise_operator_at(f, rho, m, spec=None):
     """T_rho f at cube point m, sum_S rho^|S| f-hat(S) x^S, from the doubling
-    character of kernels.sign_products and one masked sum per level of the
+    character of oracles.sign_products and one masked sum per level of the
     signed numerators; exact for rational rho."""
     spec = spec or spectral.fwht_spectrum(f)
     n = f.n
-    signs = kernels.sign_products((1, 1 if m >> i & 1 else -1) for i in range(n))
+    signs = oracles.sign_products((1, 1 if m >> i & 1 else -1) for i in range(n))
     sums = oracles.masked_level_sums(spec.numerators * signs, n)
     if isinstance(rho, (int, Fraction)):
         return sum(Fraction(rho) ** k * Fraction(s, 1 << n) for k, s in enumerate(sums))
