@@ -3,7 +3,9 @@
 Member checks receive one corpus member context; global checks run once per
 suite on fixed instances.  Checks whose statement is exact assert with
 rational equality; shape-only statistics report their value, and the runner
-alone asserts them against pinned constants.
+alone asserts them against pinned constants.  One skip rule covers every
+budget: a member check body that raises BudgetError gives one
+hypothesis-not-met record with the refusal's message.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .chernoff import (
     gaussian_tail_ratio,
     log_concave_exp_holds,
 )
-from .halfspace import (BudgetError, Halfspace, TailDistribution, _suffix_counts,
-                        make_halfspace)
+from .halfspace import BudgetError, Halfspace, _suffix_counts, make_halfspace
 from .influence import boundary_measures, influences
 
 F = Fraction
@@ -109,11 +110,14 @@ def _check(check_id: str, applies: Callable[[MemberContext], bool] | None = None
         if check_id in REGISTRY:
             raise ValueError(f"check {check_id} is already registered")
 
-        def fn(*args):  # drops the constants, always the last argument
-            return body(*args[:-1])
+        def member(ctx, constants):  # drops the constants; a refusal is a skip
+            try:
+                return body(ctx)
+            except BudgetError as exc:
+                return [CheckRecord.skipped(check_id, ctx.label, str(exc))]
 
-        REGISTRY[check_id] = (CheckDef(check_id, "global", fn) if applies is None
-                              else CheckDef(check_id, "member", fn, applies))
+        REGISTRY[check_id] = (CheckDef(check_id, "global", lambda _: body()) if applies is None
+                              else CheckDef(check_id, "member", member, applies))
         return body
     return register
 
@@ -306,11 +310,6 @@ def _global_interval_decay_witness() -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 # tail-shape lemmas on halfspace members
 
-def _dense_distribution(h: Halfspace) -> TailDistribution | None:
-    dist = h.distribution()
-    return dist if isinstance(dist, TailDistribution) else None
-
-
 def _log_concavity_violations(dist, quarters: list[list[int]], m_scaled: int) -> list[bool]:
     """Whether F(d)F(b) > F(c)F(b+d-c-m) at each row (4b, 4c, 4d), b <= c <= d,
     with m_scaled = m * scale: one tail-count query per column, and the
@@ -346,11 +345,10 @@ def _check_log_concavity_member(ctx: MemberContext) -> list[CheckRecord]:
 def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """All support-aligned 0 <= s <= t pairs at once via a prefix minimum."""
     h = ctx.halfspace
-    dist = _dense_distribution(h)
-    if dist is None:
-        return [CheckRecord.skipped("LEM32", ctx.label, "support too wide")]
+    dist = h.distribution()
+    values, _ = dist.support()
     m_scaled = int(h.scaled[0])
-    support = dist.values[dist.values >= 0]  # never empty: a.x is symmetric
+    support = values[values >= 0]  # never empty: a.x is symmetric
     mass = (dist.counts_gt_scaled(support - m_scaled)
             - dist.counts_gt_scaled(support + m_scaled))
     # pair (s, t): mass[t] <= 5 * mass[s] for every s-index <= t-index
@@ -416,10 +414,9 @@ def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """5 I_1(f_s) >= I_1(f_t) for every real |s| <= t, via piece sweep."""
     h = ctx.halfspace
     red = h.reduced_distribution(0)
-    if not isinstance(red, TailDistribution):
-        return [CheckRecord.skipped("COR36", ctx.label, "support too wide")]
+    values, _ = red.support()
     w0 = int(h.scaled[0])
-    breaks = _distinct(np.concatenate([red.values - w0, red.values + w0]))
+    breaks = _distinct(np.concatenate([values - w0, values + w0]))
     # influence of the heaviest coordinate at every piece's left end
     def inf_at(r: np.ndarray) -> np.ndarray:
         return red.counts_gt_scaled(r - w0) - red.counts_gt_scaled(r + w0)
@@ -472,10 +469,7 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
         if delta < a:
             continue
         checked += 1
-        try:
-            got = h.smoothed_influence(h.order[j], delta)
-        except BudgetError:
-            return [CheckRecord.skipped("LEM52", ctx.label, "support too wide")]
+        got = h.smoothed_influence(h.order[j], delta)
         bound = (a / delta) * h.distribution().prob_interval(
             t + a, t + delta - a, include_lo=True, include_hi=True)
         if got < bound:
@@ -491,13 +485,13 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
 def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     """I_1(f_s)/mu(f_s) <= 6 I_1(f_t)/mu(f_t) for all 0 <= s <= t, exact."""
     h = ctx.halfspace
-    dist = _dense_distribution(h)
+    dist = h.distribution()
+    values, _ = dist.support()
     red = h.reduced_distribution(0)
-    if dist is None or not isinstance(red, TailDistribution):
-        return [CheckRecord.skipped("LEM62", ctx.label, "support too wide")]
+    red_values, _ = red.support()
     w0 = int(h.scaled[0])
     breaks = _distinct(np.concatenate(
-        [red.values - w0, red.values + w0, dist.values, [0]]))
+        [red_values - w0, red_values + w0, values, [0]]))
     breaks = breaks[breaks >= 0]  # holds 0
     inf_counts = (red.counts_gt_scaled(breaks - w0)
                   - red.counts_gt_scaled(breaks + w0)).astype(object)
@@ -519,11 +513,12 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL, f"{len(breaks)} thresholds swept")]
 
 
-def _small_class_sums(h: Halfspace, dist: TailDistribution, n_big: int,
-                      cuts: np.ndarray) -> np.ndarray:
+def _small_class_sums(h: Halfspace, values: np.ndarray, counts: np.ndarray,
+                      n_big: int, cuts: np.ndarray) -> np.ndarray:
     """Sum over the coordinates j >= n_big of s_j times the points where j
-    decides 1{a.x > g}, at each scaled cut g; s_j are the scaled weights,
-    descending, so the first n_big are the big class.
+    decides 1{a.x > g}, at each scaled cut g, from the support of a.x (its
+    values and counts); s_j are the scaled weights, descending, so the first
+    n_big are the big class.
 
     Over every coordinate that sum is the sum of v * count(v) over the
     support values v > g: with nonnegative weights f^({j}) = Inf_j / 2, so
@@ -531,9 +526,9 @@ def _small_class_sums(h: Halfspace, dist: TailDistribution, n_big: int,
     off, one reduced distribution each.  Every partial sum is at most
     T * 2^n in size, so int64 below 2^63 and Python ints past it.
     """
-    dtype = np.int64 if dist.max_scaled << dist.n_summands < 1 << 63 else object
-    moments = dist.values.astype(dtype) * dist.counts.astype(dtype)
-    sums = _suffix_counts(moments)[np.searchsorted(dist.values, cuts, side="right")]
+    dtype = np.int64 if int(values[-1]) << h.n < 1 << 63 else object
+    moments = values.astype(dtype) * counts.astype(dtype)
+    sums = _suffix_counts(moments)[np.searchsorted(values, cuts, side="right")]
     for j in range(n_big):
         red = h.reduced_distribution(j)
         w = int(h.scaled[j])
@@ -555,12 +550,10 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     n_big = sum(1 for w in h.weights if w > beta)
     if n_big > 0.5 * math.log2(1 / float(eps)):
         return [CheckRecord.skipped("PROP5", ctx.label, "big class too large")]
-    dist = _dense_distribution(h)
-    if dist is None:
-        return [CheckRecord.skipped("PROP5", ctx.label, "support too wide")]
+    values, counts = h.distribution().support()
     t_scaled = math.floor(h.threshold * h.scale)
-    grid = dist.values[dist.values > t_scaled]
-    sums = _small_class_sums(h, dist, n_big, np.append(t_scaled, grid))
+    grid = values[values > t_scaled]
+    sums = _small_class_sums(h, values, counts, n_big, np.append(t_scaled, grid))
     violations = int(np.count_nonzero(sums[1:] > sums[0]))
     ok = violations == 0
     return [CheckRecord("PROP5", ctx.label, violations, 0, None, ok,
@@ -611,12 +604,13 @@ def _check_segment_band(ctx) -> list[CheckRecord]:
 def _check_gauss_member(ctx) -> list[CheckRecord]:
     """Worst Gaussian-domination ratio over the whole nonnegative grid."""
     h = ctx.halfspace
-    dist = _dense_distribution(h)
-    if dist is None:
-        rec = gaussian_tail_ratio(h, max(F(0), h.threshold), instance=ctx.label)
-        return [rec]
+    dist = h.distribution()
+    try:
+        values, _ = dist.support()
+    except BudgetError:  # one threshold instead of the sweep
+        return [gaussian_tail_ratio(h, max(F(0), h.threshold), instance=ctx.label)]
     norm = h.l2_norm()
-    values = dist.values[dist.values >= 0]
+    values = values[values >= 0]
     worst = 0.0
     # the grid is P(a.x > v) and P(a.x >= v) at each v, and the note counts
     # both; count_gt(v) <= count_ge(v) and each division below is correctly

@@ -48,10 +48,10 @@ class _TailBase:
     A backend supplies ``counts_ge_scaled`` (the outcomes with value >= v,
     at a Python int or at every entry of an int64 array of any shape),
     ``support_window`` (the support values in a closed window, and their
-    counts), ``min_scaled`` and ``max_scaled``; every other query
-    is written once, here.  All probabilities are exact with denominator
-    2^n_summands; thresholds are rationals in original (unscaled) units
-    unless suffixed _scaled.
+    counts), ``min_scaled`` and ``max_scaled``; every other query, the
+    whole ``support()`` among them, is written once, here.  All
+    probabilities are exact with denominator 2^n_summands; thresholds are
+    rationals in original (unscaled) units unless suffixed _scaled.
     """
 
     scale: int
@@ -71,6 +71,11 @@ class _TailBase:
 
     def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
         return self.counts_ge_scaled(np.asarray(v, dtype=np.int64) + 1)
+
+    def support(self):
+        """Every support value ascending and its count; a meet-in-the-middle
+        backend refuses past _WINDOW_GUARD pairs with a BudgetError."""
+        return self.support_window(self.min_scaled, self.max_scaled)
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """Least scaled v in [min_scaled, max_scaled] with
@@ -195,7 +200,7 @@ class MeetInMiddleDistribution(_TailBase):
         spans = np.maximum(stop - first, 0)
         assembled = int(spans.sum())
         if assembled > _WINDOW_GUARD:
-            raise BudgetError("support window too dense to assemble")
+            raise BudgetError("support too wide")
         rows = np.repeat(np.arange(len(spans)), spans)
         # right index of each pair: its row's first index plus its place in the row
         cols = np.arange(assembled) + np.repeat(first - (np.cumsum(spans) - spans), spans)

@@ -512,6 +512,8 @@ def assert_same_distribution(a, b):
     assert np.array_equal(a.counts_ge_scaled(v), b.counts_ge_scaled(v))
     for x, y in zip(a.support_window(v[0], v[-1]), b.support_window(v[0], v[-1])):
         assert np.array_equal(x, y)
+    for x, y in zip(a.support(), b.support()):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("keys", [1, 5, 1 << 20])

@@ -81,6 +81,64 @@ def test_tail_lemmas_record_skips_on_meet_in_the_middle_members():
                    ("LEM52", 1, "pass", "3 coordinates checked")]
 
 
+TAIL_SWEEP_IDS = checks.SUITES["tail-lemmas"] + ("GAUSS-EATON",)
+
+
+def _member_records(ctx, check_ids=TAIL_SWEEP_IDS):
+    return [rec for cid in check_ids if REGISTRY[cid].applies(ctx)
+            for rec in REGISTRY[cid].fn(ctx, harness.PinnedConstants())]
+
+
+def test_tail_lemmas_read_the_same_support_on_both_backends():
+    """Every halfspace member of the tail and builtin corpora, its sums
+    forced onto meet-in-the-middle halves: the tail-lemmas suite and
+    GAUSS-EATON give the dense backend's records, field for field."""
+    checked = 0
+    for name in ("tail", "builtin"):
+        for i, entry in enumerate(harness.load_corpus(name).entries):
+            dense, mitm = (MemberContext(f"{name}#{i}", entry) for _ in range(2))
+            if dense.halfspace is None:
+                continue
+            assert isinstance(mitm.halfspace.distribution(backend="mitm"),
+                              MeetInMiddleDistribution)
+            assert _member_records(mitm) == _member_records(dense), entry
+            checked += 1
+    assert checked == 64
+
+
+def test_a_refused_support_is_one_skip_per_check(monkeypatch):
+    """With the pair guard at zero every support assembly of a forced
+    meet-in-the-middle member refuses: the whole-support sweeps each record
+    one skip noted with the refusal, and GAUSS-EATON falls back to the tail
+    ratio at max(0, t)."""
+    ctx = MemberContext("mitm", "ltf:23,14,10,6,5,3,2,5/3,1,2/3;23")
+    ctx.halfspace.distribution(backend="mitm")
+    monkeypatch.setattr(halfspace, "_WINDOW_GUARD", 0)
+    sweeps = ("LEM32", "COR36", "LEM62", "PROP5", "LEM52")
+    got = [(r.check_id, r.instance, r.status, r.notes) for r in _member_records(ctx, sweeps)]
+    assert got == [(cid, "mitm", "hypothesis-not-met", "support too wide") for cid in sweeps]
+    h = ctx.halfspace
+    assert _member_records(ctx, ("GAUSS-EATON",)) == [
+        checks.gaussian_tail_ratio(h, max(F(0), h.threshold), instance="mitm")]
+
+
+def test_a_budget_error_in_a_member_check_is_its_skip_record(monkeypatch):
+    """A refusal raised anywhere in a member check's body, here LEM42's
+    log comparison, becomes that check's one skip record with the refusal's
+    message, and the suite runs on to the end."""
+    def refuse(*args):
+        raise halfspace.BudgetError("LEM42 sides at l=7 too close to tell in logs")
+
+    monkeypatch.setattr(checks, "log_concave_exp_holds", refuse)
+    corpus = harness.load_corpus("builtin")
+    report, _ = harness.run_suite("tail-lemmas", corpus)
+    lem42 = [r for r in report.records if r.check_id == "LEM42"]
+    assert len(lem42) == 14 and report.failures == 0
+    assert {(r.status, r.notes) for r in lem42} == {
+        ("hypothesis-not-met", "LEM42 sides at l=7 too close to tell in logs")}
+    assert len(report.records) == 112
+
+
 def test_standard_corpus_shape():
     corpus = harness.standard_corpus()
     assert len(corpus.entries) == 100
@@ -333,7 +391,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
         thresholds = _prop5_thresholds(h)
         cuts = np.array([math.floor(t * h.scale) for t in thresholds])
         for n_big in range(h.n + 1):
-            got = checks._small_class_sums(h, dist, n_big, cuts)
+            got = checks._small_class_sums(h, *dist.support(), n_big, cuts)
             assert got.tolist() == oracles.per_coordinate_small_class_sums(
                 h, n_big, thresholds), (h.to_text(), n_big)
     wide = make_halfspace([int(w) for w in rng.integers(3, 6, size=60)], 0)
@@ -343,7 +401,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
     cuts = np.array([math.floor(t) for t in thresholds])
     for n_big in (0, 1, 2, 30, 59, 60):
         want = oracles.per_coordinate_small_class_sums(wide, n_big, thresholds)
-        assert checks._small_class_sums(wide, dist, n_big, cuts).tolist() == want
+        assert checks._small_class_sums(wide, *dist.support(), n_big, cuts).tolist() == want
     assert max(oracles.per_coordinate_small_class_sums(wide, 0, thresholds)) >= 1 << 63
 
 
@@ -412,9 +470,7 @@ def test_gauss_eaton_matches_the_two_pass_sweep():
             ctx = MemberContext(f"{name}#{i}", entry)
             if not REGISTRY["GAUSS-EATON"].applies(ctx):
                 continue
-            dist = checks._dense_distribution(ctx.halfspace)
-            if dist is None:
-                continue
+            dist = ctx.halfspace.distribution()
             [rec] = REGISTRY["GAUSS-EATON"].fn(ctx, harness.PinnedConstants())
             want = oracles.two_pass_gauss_worst(dist, ctx.halfspace.l2_norm())
             assert rec.lhs == want, entry
