@@ -9,6 +9,10 @@ combined per query, selected by budget.
 A dense halfspace runs one subset-sum DP: every influence is a window of
 the full count array with one weight divided out, and both vertex
 boundaries come from one sweep that adds the weights smallest first.
+A meet-in-the-middle halfspace counts them from its two halves: every
+influence is one masked sum over the points of the half that holds its
+weight, and both vertex boundaries pair suffixes of the two halves, each
+half's suffixes enumerated in one array.
 """
 
 from __future__ import annotations
@@ -79,19 +83,35 @@ class _TailBase:
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """Least scaled v in [min_scaled, max_scaled] with
-        count_gt_scaled(v) * limit_den <= limit_num, bisecting the integers.
+        count_gt_scaled(v) * limit_den <= limit_num.
 
         The tail count is constant from one support value up to the next,
         so the least such v is a support value on either backend; for
-        limit_num >= 0, max_scaled qualifies.
+        limit_num >= 0, max_scaled qualifies.  The search keeps a bracket
+        whose count fails at lo - 1 and passes at hi, and probes where the
+        line through the log counts at its ends meets the log limit.  It
+        bisects while the count at hi is 0, and after a probe that did not
+        halve the bracket, so it takes at most about twice the probes of
+        a bisection, and usually far fewer.
         """
         lo, hi = self.min_scaled, self.max_scaled
+        failed, passed = self.total, 0  # the counts at lo - 1 and at hi
+        if failed * limit_den <= limit_num:
+            return lo
+        halved = True
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.count_gt_scaled(mid) * limit_den <= limit_num:
-                hi = mid
+            drop = math.log(failed / passed) if passed and halved else 0.0
+            if drop > 0:  # floats only place the probe; the counts decide
+                frac = math.log(failed * limit_den / limit_num) / drop
+                mid = min(max(lo - 1 + int(frac * (hi - lo + 1)), lo), hi - 1)
+            width = hi - lo
+            count = self.count_gt_scaled(mid)
+            if count * limit_den <= limit_num:
+                hi, passed = mid, count
             else:
-                lo = mid + 1
+                lo, failed = mid + 1, count
+            halved = 2 * (hi - lo) <= width
         return lo
 
     def count_gt(self, q) -> int:
@@ -177,6 +197,29 @@ class MeetInMiddleDistribution(_TailBase):
         halves = [(self._lv, self._lc), (self._rv, self._rc, self._rsuffix)]
         halves[side] = _half(side, np.delete(weights[side::2], j // 2))
         return MeetInMiddleDistribution(*halves, self.scale, self.n_summands - 1)
+
+    def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
+        """For every weight j, the sum of x_j over the points with a.x > cut:
+        Inf_j * 2^(n-1), the weights being nonnegative.  self is the
+        distribution of `weights`, as in ``without``.
+
+        For j in one half, that sum runs over the half's points p, each
+        weighted by x_j(p) times the other half's outcomes above cut - u(p):
+        one ``searchsorted`` for all p, then one masked sum per coordinate.
+        """
+        keys_left = cut - kernels.dot_values(weights[0::2])
+        keys_right = cut - kernels.dot_values(weights[1::2])
+        # outcomes of the other half above each key: the right half's suffix
+        # counts, and the prefix counts of the left half, stored descending
+        left_prefix = np.concatenate([[0], np.cumsum(self._lc)])
+        above = (self._rsuffix[np.searchsorted(self._rv, keys_left, side="right")],
+                 left_prefix[np.searchsorted(-self._lv, -keys_right, side="left")])
+        out = np.empty(len(weights), dtype=np.int64)
+        for side, g in enumerate(above):
+            total = int(g.sum())
+            for i in range(len(weights[side::2])):  # bit i of a point is x_i = +1
+                out[side + 2 * i] = 2 * int(g.reshape(-1, 2, 1 << i)[:, 1].sum()) - total
+        return out
 
     def counts_ge_scaled(self, v):
         """Outcomes with value >= v at every entry of v, a block of rows of
@@ -372,13 +415,18 @@ class Halfspace:
         the halfspace's one dense DP: dense backend, and counts in int64."""
         return summands <= MAX_SUMMANDS and _dense(self._total, self._backend)
 
+    def _halves(self, summands: int) -> bool:
+        """Whether statistics whose counts have this many summands come from
+        meet-in-the-middle halves of the weights."""
+        return _mitm(summands, self._total, self._backend)
+
     def _pivot_top(self, t: Fraction) -> int:
         """b such that a weight w decides 1{a.x > t} exactly when the other
         coordinates at +1 sum to b - w + 1..b."""
         return (_floor_scaled(t, self.scale) + self._total) // 2
 
     def influence_internal(self, j: int, t=None) -> Fraction:
-        if self._one_dp(self.n):
+        if self._one_dp(self.n) or self._halves(self.n):
             return self.influences(t)[self.order[j]]
         t = self.threshold if t is None else as_fraction(t)
         w = self.weights[j]
@@ -400,10 +448,11 @@ class Halfspace:
         """Influence of every original coordinate, computed once per threshold.
 
         On the dense route the full distribution's counts are divided by
-        (1 + z^w) for each distinct weight w; past MAX_SUMMANDS (those counts
-        overflow) or above the dense budget, each coordinate has its own
-        reduced distribution, which above the budget enumerates only the
-        coordinate's own half.
+        (1 + z^w) for each distinct weight w; on the meet-in-the-middle
+        route each is one masked sum over the points of its weight's half
+        (``MeetInMiddleDistribution.influence_counts``).  Past MAX_SUMMANDS
+        on the dense route (those counts overflow), or past MITM_MAX_N above
+        the budget, each coordinate has its own reduced distribution.
         """
         t = self.threshold if t is None else as_fraction(t)
         if t not in self._influences:
@@ -417,6 +466,10 @@ class Halfspace:
                 weights = self.scaled.tolist()
                 counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
                 internal = [Fraction(counts[w], 1 << (self.n - 1)) for w in weights]
+            elif self._halves(self.n):
+                cut = _floor_scaled(t, self.scale)
+                counts = self.distribution().influence_counts(self.scaled, cut)
+                internal = [Fraction(c, 1 << (self.n - 1)) for c in counts.tolist()]
             else:
                 internal = [self.influence_internal(j, t) for j in range(self.n)]
             out = [Fraction(0)] * self.arity
@@ -452,27 +505,23 @@ class Halfspace:
 
         Suffix k (the weights after k) has at most n - 1 summands.  On the
         dense route one DP sweep adds the weights smallest first and reads
-        suffix k just before weight k would join it; otherwise each suffix
-        has its own distribution, built here and dropped after its two counts.
+        suffix k just before weight k would join it; above the dense budget
+        suffix k pairs a suffix of each meet-in-the-middle half.
         """
+        if self._halves(self.n - 1):
+            return _paired_suffix_counts(self.scaled, _floor_scaled(t, self.scale))
+        if not self._one_dp(self.n - 1):
+            raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")
         c0 = c1 = 0
-        if self._one_dp(self.n - 1):
-            b = self._pivot_top(t)
-            weights = self.scaled.tolist()
-            prefix = self._total
-            sweep = kernels.subset_sum_prefixes(self.scaled[::-1])
-            for k, counts in zip(range(self.n - 1, -1, -1), sweep):
-                w = weights[k]
-                prefix -= w  # now the sum of weights[:k]
-                c1 += _window_sum(counts, b - w + 1, b)
-                c0 += _window_sum(counts, b - prefix - w + 1, b - prefix)
-            return c0, c1
-        prefix = Fraction(0)
-        for k, w in enumerate(self.weights):
-            dist = distribution_from_scaled(self.scaled[k + 1 :], self.scale, self._backend)
-            c1 += dist.count_interval(t + prefix - w, t + prefix + w)
-            c0 += dist.count_interval(t - prefix - w, t - prefix + w)
-            prefix += w
+        b = self._pivot_top(t)
+        weights = self.scaled.tolist()
+        prefix = self._total
+        sweep = kernels.subset_sum_prefixes(self.scaled[::-1])
+        for k, counts in zip(range(self.n - 1, -1, -1), sweep):
+            w = weights[k]
+            prefix -= w  # now the sum of weights[:k]
+            c1 += _window_sum(counts, b - w + 1, b)
+            c0 += _window_sum(counts, b - prefix - w + 1, b - prefix)
         return c0, c1
 
     # -- truth table -----------------------------------------------------------
@@ -553,6 +602,53 @@ class Halfspace:
         overlap = np.minimum(int(ds * q), a + 2 * w_q) - np.maximum(a, 0)
         acc = int(np.dot(counts.astype(object), np.maximum(overlap, 0)))
         return Fraction(acc, self.scale * q) / (delta * (1 << (self.n - 1)))
+
+
+def _paired_suffix_counts(weights: np.ndarray, cut: int) -> tuple[int, int]:
+    """0-side and 1-side boundary counts of 1{weights.x > cut}, weights
+    descending, from meet-in-the-middle halves of their suffixes.
+
+    Suffix k (the weights after k) splits into the odd-indexed and the
+    even-indexed weights after k, a suffix of weights[1::2] and one of
+    weights[2::2].  With P the sum of weights[:k] and w = weights[k], the
+    1-side counts the points of suffix k with a sum in (cut + P - w,
+    cut + P + w], and the 0-side those in (cut - P - w, cut - P + w].
+    """
+    halves = [_sorted_suffix_sums(weights[2::2]), _sorted_suffix_sums(weights[1::2])]
+    sizes = [0, 0]  # the weights of each half in suffix k
+    prefix = int(weights.sum())
+    c0 = c1 = 0
+    for k in range(len(weights) - 1, -1, -1):
+        w = int(weights[k])
+        prefix -= w  # now the sum of weights[:k]
+        even, odd = halves[0][sizes[0]], halves[1][sizes[1]]
+        c1 += _pairs_within(even, odd, cut + prefix - w, cut + prefix + w)
+        c0 += _pairs_within(even, odd, cut - prefix - w, cut - prefix + w)
+        sizes[k % 2] += 1  # weight k joins suffix k - 1
+    return c0, c1
+
+
+def _sorted_suffix_sums(weights: np.ndarray) -> list[np.ndarray]:
+    """For j = 0..len(weights), the 2^j point sums of the last j weights,
+    ascending, from one ``dot_values`` of the weights reversed: its first
+    2^j entries hold the last j weights with every other weight at -1."""
+    sums = kernels.dot_values(weights[::-1])
+    out = []
+    for j in range(len(weights) + 1):
+        part = np.sort(sums[: 1 << j])
+        part += int(weights[: len(weights) - j].sum())
+        out.append(part)
+    return out
+
+
+def _pairs_within(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> int:
+    """Pairs (x, y) of a and b, both ascending, with lo < x + y <= hi: for
+    each x of the shorter array, the y <= hi - x less the y <= lo - x."""
+    if len(a) > len(b):
+        a, b = b, a
+    keys = a[::-1]  # ascending keys hi - x and lo - x
+    return (int(np.searchsorted(b, hi - keys, side="right").sum())
+            - int(np.searchsorted(b, lo - keys, side="right").sum()))
 
 
 def _window_sum(counts: np.ndarray, lo: int, hi: int) -> int:

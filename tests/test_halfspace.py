@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubelab import bfcore, chernoff, influence, kernels
@@ -350,9 +350,10 @@ def test_rescaled_copies():
 # -- one DP per halfspace ------------------------------------------------------------
 #
 # Dense halfspaces count influences from the full distribution (one weight
-# divided out) and both boundaries from one DP sweep.  The per-coordinate
-# reduced distributions, the per-suffix distributions and the truth table
-# are the slow routes they are checked against.
+# divided out) and both boundaries from one DP sweep; meet-in-the-middle
+# halfspaces count both from their two halves.  The per-coordinate reduced
+# distributions, the per-suffix distributions and the truth table are the
+# slow routes they are checked against.
 
 def per_coordinate_influences(h, t) -> list[F]:
     out = [F(0)] * h.arity
@@ -377,7 +378,7 @@ def rational_halfspace_and_thresholds(draw):
     """Weights from a small pool (zeros and repeats are common) and two to
     four thresholds, each a support value (a tie) or just off one."""
     pool = draw(st.lists(st.fractions(0, 6, max_denominator=4), min_size=1, max_size=4))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 14))
     weights = [draw(st.sampled_from(pool)) for _ in range(n)]
     if not any(weights):
         weights[draw(st.integers(0, n - 1))] = F(1)
@@ -392,24 +393,58 @@ def rational_halfspace_and_thresholds(draw):
 
 @given(rational_halfspace_and_thresholds())
 @settings(max_examples=60, deadline=None)
+@example(([F(3)], [F(-3), F(0), F(3)]))  # n = 1: the right half is empty
+@example(([F(5, 2), 1, 1, F(3, 4), 0, 2, 1, F(5, 2), 2, 1, F(3, 4), 1, 2], [F(1), F(3, 2)]))
+@example(([2, 1, F(1, 3), 2, 2, F(5, 3), 1, F(1, 3), 1, 2, F(5, 3), 1, 2, 1], [F(2), F(13, 6)]))
 def test_one_dp_routes_match_slow_routes(case):
+    """Both routes against the per-coordinate and per-suffix distributions,
+    for odd and even n up to 14 (halves of unequal size), and those against
+    the truth table: by brute force up to n = 8, by its scans above."""
     weights, thresholds = case
     h = make_halfspace(weights, thresholds[0])
     slow = make_halfspace(weights, thresholds[0])
     mitm = make_halfspace(weights, thresholds[0])
-    mitm.distribution(backend="mitm")  # every statistic from per-coordinate/suffix halves
+    mitm.distribution(backend="mitm")  # every statistic from the two halves
+    n = len(weights)
     for t in thresholds:
         table = ltf_truth_table(weights, t)
         infl = per_coordinate_influences(slow, t)
-        assert infl == [oracles.brute_influence(table, i) for i in range(len(weights))]
+        if n <= 8:
+            assert infl == [oracles.brute_influence(table, i) for i in range(n)]
+        else:
+            assert infl == list(influence.influences(table).per_coordinate)
         assert h.influences(t) == mitm.influences(t) == infl
         best = max(infl)
         assert h.max_influence(t) == (best, infl.index(best))
+        scanned = influence.boundary_measures(table)
         for lam in (0, 1):
             vb = per_suffix_boundary(slow, lam, t)
-            assert vb == oracles.brute_boundary(table, lam)
+            assert vb == (oracles.brute_boundary(table, lam) if n <= 8
+                          else (scanned.vb0, scanned.vb1)[lam])
             assert h.vertex_boundary(lam, t) == mitm.vertex_boundary(lam, t) == vb
-        assert h.influence_internal(0, t) == infl[h.order[0]]
+        assert h.influence_internal(0, t) == mitm.influence_internal(0, t) == infl[h.order[0]]
+
+
+def test_halves_route_builds_no_other_distribution(monkeypatch):
+    """On a meet-in-the-middle halfspace, once the full distribution exists,
+    every influence and both boundaries come from the halves: no half is
+    enumerated again and no reduced or suffix distribution is built."""
+    weights = [F(9), F(7, 2), 7, 6, 6, 5, F(9, 2), 3, 2, 2, 1]
+    slow = make_halfspace(weights, F(5, 2))
+    thresholds = (slow.threshold, F(0), F(-6), F(31, 2))
+    want = [(per_coordinate_influences(slow, t), per_suffix_boundary(slow, 0, t),
+             per_suffix_boundary(slow, 1, t)) for t in thresholds]
+    h = make_halfspace(weights, F(5, 2))
+    h.distribution(backend="mitm")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a distribution or half was built")
+
+    monkeypatch.setattr(hs, "_half", refused)
+    monkeypatch.setattr(hs, "distribution_from_scaled", refused)
+    for t, expect in zip(thresholds, want):
+        assert (h.influences(t), h.vertex_boundary(0, t), h.vertex_boundary(1, t)) == expect
+    assert h._reduced == {}
 
 
 @pytest.mark.parametrize("weight", [F(1), F(7, 3)])
@@ -428,7 +463,9 @@ def test_counts_at_62_summands_fill_int64(weight):
 def test_summand_limit_refused_before_any_dp(monkeypatch):
     """At n = 63 the full distribution is refused; the influences (62
     summands each) and the boundaries (suffixes of at most 62) are still
-    counted.  At n = 64 those are refused too.  No refusal starts a DP."""
+    counted.  At n = 64 those are refused too, and so are the boundaries of
+    42 weights past the dense budget (suffixes of 41 > MITM_MAX_N summands).
+    No refusal starts a DP or enumerates a half."""
     h63 = make_halfspace([1] * 63, 1)
     assert h63.influences() == [oracles.equal_weight_influence(63, 1)] * 63
     assert h63.vertex_boundary(0) == oracles.equal_weight_boundary(63, 1, 0)
@@ -448,6 +485,8 @@ def test_summand_limit_refused_before_any_dp(monkeypatch):
         h64.influences()
     with pytest.raises(BudgetError):
         h64.vertex_boundary(1)
+    with pytest.raises(BudgetError):
+        make_halfspace([10**6] * 42, 0).vertex_boundary(0)
 
 
 def test_small_cube_enumerated_not_dp(monkeypatch):
@@ -575,6 +614,31 @@ def test_tail_queries_match_a_scan(backend):
                 assert got == max(first, dist.min_scaled) and got in sums
 
 
+@pytest.mark.parametrize("backend", ["dense", "mitm"])
+def test_delta_search_matches_bisection(backend):
+    """The log-secant search against the integer bisection with den 1, 3 and
+    6: at limit 0 and below, at limits of total * den and above, at ties (a
+    limit equal to a tail count times den) and one either side of them, on
+    small rational weights and on 16-bit weights whose counts are lumpy."""
+    rng = np.random.default_rng(43)
+    cases = [[F(int(a), int(b)) for a, b in zip(rng.integers(1, 9, size=n),
+                                                rng.choice([1, 2, 3], size=n))]
+             for n in (1, 2, 5, 8, 11)]
+    cases.append([int(a) for a in rng.integers(1, 1 << 16, size=16)])
+    for weights in cases:
+        h = make_halfspace(weights, 0)
+        dist = distribution_from_scaled(h.scaled, h.scale, backend=backend)
+        values = np.unique(rng.choice(dist.support()[0], size=12))
+        for den in (1, 3, 6):
+            limits = {-1, 0, dist.total * den, dist.total * den + 7}
+            for v in values.tolist():
+                tie = dist.count_gt_scaled(v) * den
+                limits |= {tie - 1, tie, tie + 1}
+            for num in sorted(limits):
+                want = oracles.bisect_first_value_tail_le(dist, num, den)
+                assert dist.first_value_tail_le(num, den) == want
+
+
 def test_mitm_support_window_matches_pairwise_and_dense():
     rng = np.random.default_rng(32)
     for n in (1, 2, 6, 9):
@@ -664,13 +728,20 @@ def test_backend_switch_recounts_every_statistic(monkeypatch):
     assert isinstance(h.reduced_distribution(0), TailDistribution)
     assert isinstance(distribution_from_scaled(h.scaled[1:], h.scale, "dense"), TailDistribution)
     counted = []
-    counts_ge = MeetInMiddleDistribution.counts_ge_scaled
 
-    def spy(self, v):
-        counted.append(v)
-        return counts_ge(self, v)
+    def spy(owner, name):
+        route = getattr(owner, name)
 
-    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled", spy)
+        def counting(*args):
+            counted.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    # the meet-in-the-middle routes: tail counts, influences and boundaries
+    spy(MeetInMiddleDistribution, "counts_ge_scaled")
+    spy(MeetInMiddleDistribution, "influence_counts")
+    spy(hs, "_paired_suffix_counts")
     assert isinstance(h.distribution(backend="mitm"), MeetInMiddleDistribution)
     for i, stat in enumerate((h.influences, lambda: h.vertex_boundary(0),
                               h.decay_thresholds, lambda: h.delta_query(F(1, 2)))):
