@@ -83,35 +83,19 @@ class _TailBase:
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """Least scaled v in [min_scaled, max_scaled] with
-        count_gt_scaled(v) * limit_den <= limit_num.
+        count_gt_scaled(v) * limit_den <= limit_num, bisecting the integers.
 
         The tail count is constant from one support value up to the next,
         so the least such v is a support value on either backend; for
-        limit_num >= 0, max_scaled qualifies.  The search keeps a bracket
-        whose count fails at lo - 1 and passes at hi, and probes where the
-        line through the log counts at its ends meets the log limit.  It
-        bisects while the count at hi is 0, and after a probe that did not
-        halve the bracket, so it takes at most about twice the probes of
-        a bisection, and usually far fewer.
+        limit_num >= 0, max_scaled qualifies.
         """
         lo, hi = self.min_scaled, self.max_scaled
-        failed, passed = self.total, 0  # the counts at lo - 1 and at hi
-        if failed * limit_den <= limit_num:
-            return lo
-        halved = True
         while lo < hi:
             mid = (lo + hi) // 2
-            drop = math.log(failed / passed) if passed and halved else 0.0
-            if drop > 0:  # floats only place the probe; the counts decide
-                frac = math.log(failed * limit_den / limit_num) / drop
-                mid = min(max(lo - 1 + int(frac * (hi - lo + 1)), lo), hi - 1)
-            width = hi - lo
-            count = self.count_gt_scaled(mid)
-            if count * limit_den <= limit_num:
-                hi, passed = mid, count
+            if self.count_gt_scaled(mid) * limit_den <= limit_num:
+                hi = mid
             else:
-                lo, failed = mid + 1, count
-            halved = 2 * (hi - lo) <= width
+                lo = mid + 1
         return lo
 
     def count_gt(self, q) -> int:
@@ -503,20 +487,23 @@ class Halfspace:
     def _boundary_counts(self, t: Fraction) -> tuple[int, int]:
         """0-side and 1-side boundary counts at t.
 
-        Suffix k (the weights after k) has at most n - 1 summands.  On the
-        dense route one DP sweep adds the weights smallest first and reads
-        suffix k just before weight k would join it; above the dense budget
-        suffix k pairs a suffix of each meet-in-the-middle half.
+        Suffix k (the weights after k) has at most n - 1 summands.  Above
+        the dense budget suffix k pairs a suffix of each meet-in-the-middle
+        half.  Otherwise, or when suffix 0 (the largest) is under the budget
+        but has too many summands for the halves, one DP sweep adds the
+        weights after weight 0 smallest first and reads suffix k just before
+        weight k would join it.
         """
         if self._halves(self.n - 1):
             return _paired_suffix_counts(self.scaled, _floor_scaled(t, self.scale))
-        if not self._one_dp(self.n - 1):
+        after_first = self.scaled[:0:-1]  # suffix 0, ascending
+        if self.n - 1 > MAX_SUMMANDS or not _dense(int(after_first.sum()), self._backend):
             raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")
         c0 = c1 = 0
         b = self._pivot_top(t)
         weights = self.scaled.tolist()
         prefix = self._total
-        sweep = kernels.subset_sum_prefixes(self.scaled[::-1])
+        sweep = kernels.subset_sum_prefixes(after_first)
         for k, counts in zip(range(self.n - 1, -1, -1), sweep):
             w = weights[k]
             prefix -= w  # now the sum of weights[:k]

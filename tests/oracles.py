@@ -17,9 +17,7 @@ swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
 meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
-dot product per value) of its blocked tail counts,
-``bisect_first_value_tail_le`` (a bisection of the integers) of the
-log-secant delta search, ``all_plus`` (a
+dot product per value) of its blocked tail counts, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
 subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
 ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
@@ -427,19 +425,6 @@ def mitm_count_ge(dist, v: int) -> int:
     counts."""
     idx = np.searchsorted(dist._rv, v - dist._lv, side="left")
     return int(np.dot(dist._lc, dist._rsuffix[idx]))
-
-
-def bisect_first_value_tail_le(dist, limit_num: int, limit_den: int) -> int:
-    """Least scaled v in [min_scaled, max_scaled] with count_gt_scaled(v) *
-    limit_den <= limit_num, bisecting the integers; max_scaled when none is."""
-    lo, hi = dist.min_scaled, dist.max_scaled
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if dist.count_gt_scaled(mid) * limit_den <= limit_num:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def swept_decay_violations(kappa, highs, piece_vals) -> int:

@@ -399,7 +399,7 @@ def rational_halfspace_and_thresholds(draw):
 def test_one_dp_routes_match_slow_routes(case):
     """Both routes against the per-coordinate and per-suffix distributions,
     for odd and even n up to 14 (halves of unequal size), and those against
-    the truth table: by brute force up to n = 8, by its scans above."""
+    the truth table: by brute force up to n = 12, by its scans above."""
     weights, thresholds = case
     h = make_halfspace(weights, thresholds[0])
     slow = make_halfspace(weights, thresholds[0])
@@ -409,7 +409,7 @@ def test_one_dp_routes_match_slow_routes(case):
     for t in thresholds:
         table = ltf_truth_table(weights, t)
         infl = per_coordinate_influences(slow, t)
-        if n <= 8:
+        if n <= 12:
             assert infl == [oracles.brute_influence(table, i) for i in range(n)]
         else:
             assert infl == list(influence.influences(table).per_coordinate)
@@ -419,7 +419,7 @@ def test_one_dp_routes_match_slow_routes(case):
         scanned = influence.boundary_measures(table)
         for lam in (0, 1):
             vb = per_suffix_boundary(slow, lam, t)
-            assert vb == (oracles.brute_boundary(table, lam) if n <= 8
+            assert vb == (oracles.brute_boundary(table, lam) if n <= 12
                           else (scanned.vb0, scanned.vb1)[lam])
             assert h.vertex_boundary(lam, t) == mitm.vertex_boundary(lam, t) == vb
         assert h.influence_internal(0, t) == mitm.influence_internal(0, t) == infl[h.order[0]]
@@ -464,8 +464,8 @@ def test_summand_limit_refused_before_any_dp(monkeypatch):
     """At n = 63 the full distribution is refused; the influences (62
     summands each) and the boundaries (suffixes of at most 62) are still
     counted.  At n = 64 those are refused too, and so are the boundaries of
-    42 weights past the dense budget (suffixes of 41 > MITM_MAX_N summands).
-    No refusal starts a DP or enumerates a half."""
+    42 weights whose suffix 0 (41 > MITM_MAX_N summands) passes the dense
+    budget.  No refusal starts a DP or enumerates a half."""
     h63 = make_halfspace([1] * 63, 1)
     assert h63.influences() == [oracles.equal_weight_influence(63, 1)] * 63
     assert h63.vertex_boundary(0) == oracles.equal_weight_boundary(63, 1, 0)
@@ -487,6 +487,20 @@ def test_summand_limit_refused_before_any_dp(monkeypatch):
         h64.vertex_boundary(1)
     with pytest.raises(BudgetError):
         make_halfspace([10**6] * 42, 0).vertex_boundary(0)
+
+
+@pytest.mark.parametrize("t, t_small", [(0, 0), (10**8 - 5, 37)])
+def test_boundary_past_budget_with_dense_suffixes(t, t_small):
+    """42 weights past the dense budget, with every suffix (41 summands, too
+    many for the halves) under it: the boundaries come from the sweep of the
+    weights after the first.  Weight 42 dominates the other 41 as 10^8
+    does, so 1{42 x_0 + s > t_small} is the same function."""
+    big = make_halfspace([10**8] + [1] * 41, t)
+    with pytest.raises(BudgetError):
+        big.distribution()
+    small = make_halfspace([42] + [1] * 41, t_small)
+    for lam in (0, 1):
+        assert big.vertex_boundary(lam) == small.vertex_boundary(lam)
 
 
 def test_small_cube_enumerated_not_dp(monkeypatch):
@@ -583,7 +597,10 @@ def test_tail_queries_match_a_scan(backend):
     """For n = 1..9 with ties and rational weights, at every integer from
     min_scaled - 2 to max_scaled + 2: the tail counts at a Python int, a 0-d
     and a 2-D array against enumerated sums, and the one delta search
-    against the least scanned value (at least min_scaled) within the limit."""
+    against the least scanned value (at least min_scaled) within the limit,
+    with den 1, 3 and 6: at limits below 0 (max_scaled, none being within
+    them), at 0, at every tail count times den and one either side, and at
+    total * den and above."""
     rng = np.random.default_rng(41)
     for n in range(1, 10):
         weights = [F(int(a), int(b)) for a, b in zip(rng.integers(1, 5, size=n),
@@ -607,36 +624,12 @@ def test_tail_queries_match_a_scan(backend):
                 assert type(count(x)) is int
                 assert grid_counts[0, i] == grid_counts[1, -1 - i] == want
         base = tail[0]
-        for den in (1, 3):
-            for num in (0, 1, base - 1, base, dist.total * den):
-                first = next(x for x in scan if tail[x] * den <= num)
+        for den in (1, 3, 6):
+            ties = {tail[x] * den + d for x in sums for d in (-1, 0, 1)}
+            for num in {-1, 0, 1, base - 1, base, dist.total * den, dist.total * den + 7} | ties:
+                first = next((x for x in scan if tail[x] * den <= num), dist.max_scaled)
                 got = dist.first_value_tail_le(num, den)
                 assert got == max(first, dist.min_scaled) and got in sums
-
-
-@pytest.mark.parametrize("backend", ["dense", "mitm"])
-def test_delta_search_matches_bisection(backend):
-    """The log-secant search against the integer bisection with den 1, 3 and
-    6: at limit 0 and below, at limits of total * den and above, at ties (a
-    limit equal to a tail count times den) and one either side of them, on
-    small rational weights and on 16-bit weights whose counts are lumpy."""
-    rng = np.random.default_rng(43)
-    cases = [[F(int(a), int(b)) for a, b in zip(rng.integers(1, 9, size=n),
-                                                rng.choice([1, 2, 3], size=n))]
-             for n in (1, 2, 5, 8, 11)]
-    cases.append([int(a) for a in rng.integers(1, 1 << 16, size=16)])
-    for weights in cases:
-        h = make_halfspace(weights, 0)
-        dist = distribution_from_scaled(h.scaled, h.scale, backend=backend)
-        values = np.unique(rng.choice(dist.support()[0], size=12))
-        for den in (1, 3, 6):
-            limits = {-1, 0, dist.total * den, dist.total * den + 7}
-            for v in values.tolist():
-                tie = dist.count_gt_scaled(v) * den
-                limits |= {tie - 1, tie, tie + 1}
-            for num in sorted(limits):
-                want = oracles.bisect_first_value_tail_le(dist, num, den)
-                assert dist.first_value_tail_le(num, den) == want
 
 
 def test_mitm_support_window_matches_pairwise_and_dense():
