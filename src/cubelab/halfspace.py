@@ -13,6 +13,14 @@ A meet-in-the-middle halfspace counts them from its two halves: every
 influence is one masked sum over the points of the half that holds its
 weight, and both vertex boundaries pair suffixes of the two halves, each
 half's suffixes enumerated in one array.
+
+The delta search (the least value whose tail count is within a limit)
+is one ``searchsorted`` of the suffix counts on the dense backend.  On
+the meet-in-the-middle backend it is a weighted selection among the pairs
+of the two halves: a bracket narrowed by exact counts placed where a
+sample of its pairs puts the answer, then read pair by pair once it holds
+few pairs.  A threshold whose scaled value leaves int64 is clamped into
+the range of a.x before any count, which keeps every count.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ MITM_MAX_N = 40
 MAX_SUMMANDS = 62  # 2^62 outcome counts fit int64; 2^63 does not
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
 _QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
+_SEARCH_PAIRS = 4096  # pairs a delta search samples per round, and reads at the end
 
 
 class BudgetError(ValueError):
@@ -52,10 +61,18 @@ class _TailBase:
     A backend supplies ``counts_ge_scaled`` (the outcomes with value >= v,
     at a Python int or at every entry of an int64 array of any shape),
     ``support_window`` (the support values in a closed window, and their
-    counts), ``min_scaled`` and ``max_scaled``; every other query, the
-    whole ``support()`` among them, is written once, here.  All
-    probabilities are exact with denominator 2^n_summands; thresholds are
-    rationals in original (unscaled) units unless suffixed _scaled.
+    counts), ``first_value_tail_le`` (the delta search, from the backend's
+    own data), ``min_scaled`` and ``max_scaled``; the counts at a rational
+    threshold, clamped into the support's range before they reach int64,
+    and the whole ``support()`` are written once, here.  All probabilities
+    are exact with denominator 2^n_summands; thresholds are rationals in
+    original (unscaled) units unless suffixed _scaled.
+
+    ``first_value_tail_le(limit_num, limit_den)`` is the least scaled v in
+    [min_scaled, max_scaled] with count_gt_scaled(v) * limit_den <=
+    limit_num, for limit_den > 0, and max_scaled when no v qualifies.  The
+    tail count is constant from one support value up to the next, so that v
+    is a support value.
     """
 
     scale: int
@@ -81,28 +98,20 @@ class _TailBase:
         backend refuses past _WINDOW_GUARD pairs with a BudgetError."""
         return self.support_window(self.min_scaled, self.max_scaled)
 
-    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
-        """Least scaled v in [min_scaled, max_scaled] with
-        count_gt_scaled(v) * limit_den <= limit_num, bisecting the integers.
-
-        The tail count is constant from one support value up to the next,
-        so the least such v is a support value on either backend; for
-        limit_num >= 0, max_scaled qualifies.
-        """
-        lo, hi = self.min_scaled, self.max_scaled
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.count_gt_scaled(mid) * limit_den <= limit_num:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+    def _tail_cap(self, limit_num: int, limit_den: int) -> int:
+        """count * limit_den <= limit_num holds exactly when count <=
+        limit_num // limit_den; that cap, clamped to total."""
+        return min(limit_num // limit_den, self.total)
 
     def count_gt(self, q) -> int:
-        return self.count_gt_scaled(_floor_scaled(as_fraction(q), self.scale))
+        return self.count_gt_scaled(self._clamp(_floor_scaled(as_fraction(q), self.scale)))
 
     def count_ge(self, q) -> int:
-        return self.count_ge_scaled(_ceil_scaled(as_fraction(q), self.scale))
+        # integer values at least x are those above ceil(x) - 1
+        return self.count_gt_scaled(self._clamp(_ceil_scaled(as_fraction(q), self.scale) - 1))
+
+    def _clamp(self, cut: int) -> int:
+        return _clamped(cut, self.min_scaled, self.max_scaled)
 
     def prob_gt(self, q) -> Fraction:
         return Fraction(self.count_gt(q), self.total)
@@ -140,6 +149,16 @@ class TailDistribution(_TailBase):
 
     def counts_ge_scaled(self, v):
         return self._suffix[np.searchsorted(self.values, v, side="left")]
+
+    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
+        """One ``searchsorted`` of the cap into the suffix counts, which
+        ascend when read backwards: values[k] qualifies when suffix[k + 1]
+        is within the cap."""
+        cap = self._tail_cap(limit_num, limit_den)
+        if cap < 0:
+            return self.max_scaled
+        within = int(np.searchsorted(self._suffix[::-1], cap, side="right"))
+        return int(self.values[max(len(self.values) - within, 0)])
 
     def support_window(self, lo_scaled: int, hi_scaled: int):
         left = int(np.searchsorted(self.values, lo_scaled, "left"))
@@ -220,22 +239,97 @@ class MeetInMiddleDistribution(_TailBase):
 
     def support_window(self, lo_scaled: int, hi_scaled: int):
         """Support values in the window and their counts, from the pairs
-        (u, r) with u + r inside it: each left value's span of right indices,
-        repeated into one array of pairs, then summed per distinct value."""
-        first = np.searchsorted(self._rv, lo_scaled - self._lv, side="left")
-        stop = np.searchsorted(self._rv, hi_scaled - self._lv, side="right")
-        spans = np.maximum(stop - first, 0)
-        assembled = int(spans.sum())
-        if assembled > _WINDOW_GUARD:
+        (u, r) with u + r inside it: each left value's span of right indices."""
+        lo = _clamped(lo_scaled, self.min_scaled, self.max_scaled + 1)
+        hi = _clamped(hi_scaled, self.min_scaled, self.max_scaled)
+        first = np.searchsorted(self._rv, lo - self._lv, side="left")
+        stop = np.searchsorted(self._rv, hi - self._lv, side="right")
+        if int(np.maximum(stop - first, 0).sum()) > _WINDOW_GUARD:
             raise BudgetError("support too wide")
-        rows = np.repeat(np.arange(len(spans)), spans)
+        return self._pair_sums(first, stop)
+
+    def _pair_sums(self, first: np.ndarray, stop: np.ndarray):
+        """The distinct values u + r and their counts over the pairs of left
+        row i and right index first[i]..stop[i] - 1: the spans repeated into
+        one array of pairs, then summed per distinct value."""
+        spans = stop - first
+        held = np.flatnonzero(spans > 0)
+        spans = spans[held]
+        rows = np.repeat(held, spans)
         # right index of each pair: its row's first index plus its place in the row
-        cols = np.arange(assembled) + np.repeat(first - (np.cumsum(spans) - spans), spans)
-        sums = self._lv[rows] + self._rv[cols]
-        values, inverse = np.unique(sums, return_inverse=True)
+        cols = np.arange(len(rows)) + np.repeat(first[held] - (np.cumsum(spans) - spans), spans)
+        values, inverse = np.unique(self._lv[rows] + self._rv[cols], return_inverse=True)
         counts = np.zeros(len(values), dtype=np.int64)
         np.add.at(counts, inverse, self._lc[rows] * self._rc[cols])
         return values, counts
+
+    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
+        """A weighted selection among the pairs (u, r) of the two halves.
+
+        A bracket [lo, hi] always holds the answer: every value below lo
+        has more than cap outcomes above it, and hi has at most cap.  It
+        keeps, per left row, the span of right indices whose pairs lie in
+        it.  Each round samples _SEARCH_PAIRS of its pairs, estimates where
+        the outcomes above reach the cap, and probes once either side of the
+        estimate (or the midpoint, when neither side is inside); a probe is
+        one exact count, whose right indices become the new span ends.  Once
+        the bracket holds at most _SEARCH_PAIRS pairs they are read directly.
+        The sample only places the probes, and its generator has a fixed
+        seed, so each search makes the same probes on every run.
+        """
+        cap = self._tail_cap(limit_num, limit_den)
+        if cap < 0:
+            return self.max_scaled
+        lo, hi = self.min_scaled, self.max_scaled
+        above_lo, above_hi = self.total, 0  # outcomes >= lo and > hi
+        first = np.zeros(len(self._lv), dtype=np.int64)
+        stop = np.full(len(self._lv), len(self._rv), dtype=np.int64)
+        rng = np.random.default_rng(0)
+        while lo < hi and int((spans := stop - first).sum()) > _SEARCH_PAIRS:
+            q = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
+            probes = [v for v in self._estimates(first, spans, q, rng) if lo <= v < hi]
+            for v in probes or [(lo + hi) // 2]:
+                if lo <= v < hi:  # the round's first probe may have passed it
+                    above, idx = self._probe(v)
+                    if above <= cap:
+                        hi, above_hi, stop = v, above, idx
+                    else:
+                        lo, above_lo, first = v + 1, above, idx
+        if lo == hi:
+            return lo
+        values, counts = self._pair_sums(first, stop)
+        within = above_hi + _suffix_counts(counts)[1:] <= cap
+        return int(values[np.argmax(within)])
+
+    def _probe(self, v: int):
+        """The outcomes with value > v, and for each left value u the first
+        right index past v - u: one full tail count."""
+        idx = np.searchsorted(self._rv, v - self._lv, side="right")
+        return int(self._rsuffix[idx] @ self._lc), idx
+
+    def _estimates(self, first: np.ndarray, spans: np.ndarray, q: float, rng) -> list[int]:
+        """Two values about where the share q of the bracket's outcomes lies
+        above: weighted quantiles, 2.5 standard errors either side, of a
+        stratified sample of its pairs, each pair weighted by its two counts."""
+        ends = np.cumsum(spans)
+        k = _SEARCH_PAIRS
+        ranks = ((np.arange(k) + rng.random(k)) * (int(ends[-1]) / k)).astype(np.int64)
+        np.minimum(ranks, ends[-1] - 1, out=ranks)
+        rows = np.searchsorted(ends, ranks, side="right")
+        cols = first[rows] + ranks - (ends[rows] - spans[rows])
+        values = self._lv[rows] + self._rv[cols]
+        order = np.argsort(values)
+        # float weights: only the probes' places depend on them
+        mass = np.cumsum(self._lc[rows[order]] * self._rc[cols[order]].astype(float))
+        margin = 2.5 * math.sqrt(q * (1 - q) / k)
+        return [int(values[order[min(int(np.searchsorted(mass, (1 - share) * mass[-1])), k - 1)]])
+                for share in (q + margin, q - margin)]
+
+
+def _clamped(cut: int, low: int, high: int) -> int:
+    """A scaled cut clamped to [low - 1, high]: for values in [low, high]
+    the outcomes above it are the same, and it fits int64."""
+    return min(max(cut, low - 1), high)
 
 
 def _suffix_counts(counts: np.ndarray) -> np.ndarray:
@@ -407,7 +501,11 @@ class Halfspace:
     def _pivot_top(self, t: Fraction) -> int:
         """b such that a weight w decides 1{a.x > t} exactly when the other
         coordinates at +1 sum to b - w + 1..b."""
-        return (_floor_scaled(t, self.scale) + self._total) // 2
+        return (self._cut(t) + self._total) // 2
+
+    def _cut(self, t: Fraction) -> int:
+        """floor(t * scale), clamped into the range of a.x, -T..T."""
+        return _clamped(_floor_scaled(t, self.scale), -self._total, self._total)
 
     def influence_internal(self, j: int, t=None) -> Fraction:
         if self._one_dp(self.n) or self._halves(self.n):
@@ -451,8 +549,7 @@ class Halfspace:
                 counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
                 internal = [Fraction(counts[w], 1 << (self.n - 1)) for w in weights]
             elif self._halves(self.n):
-                cut = _floor_scaled(t, self.scale)
-                counts = self.distribution().influence_counts(self.scaled, cut)
+                counts = self.distribution().influence_counts(self.scaled, self._cut(t))
                 internal = [Fraction(c, 1 << (self.n - 1)) for c in counts.tolist()]
             else:
                 internal = [self.influence_internal(j, t) for j in range(self.n)]
@@ -495,7 +592,7 @@ class Halfspace:
         weight k would join it.
         """
         if self._halves(self.n - 1):
-            return _paired_suffix_counts(self.scaled, _floor_scaled(t, self.scale))
+            return _paired_suffix_counts(self.scaled, self._cut(t))
         after_first = self.scaled[:0:-1]  # suffix 0, ascending
         if self.n - 1 > MAX_SUMMANDS or not _dense(int(after_first.sum()), self._backend):
             raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")

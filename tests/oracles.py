@@ -17,7 +17,9 @@ swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
 meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
-dot product per value) of its blocked tail counts, ``all_plus`` (a
+dot product per value) of its blocked tail counts,
+``bisect_first_value_tail_le`` (a bisection of the integer range, one tail
+count per step) of both backends' delta searches, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
 subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
 ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
@@ -425,6 +427,20 @@ def mitm_count_ge(dist, v: int) -> int:
     counts."""
     idx = np.searchsorted(dist._rv, v - dist._lv, side="left")
     return int(np.dot(dist._lc, dist._rsuffix[idx]))
+
+
+def bisect_first_value_tail_le(dist, limit_num: int, limit_den: int) -> int:
+    """Least scaled v in [min_scaled, max_scaled] with count_gt_scaled(v) *
+    limit_den <= limit_num, max_scaled when none qualifies: a bisection of
+    the integers, in Python ints."""
+    lo, hi = dist.min_scaled, dist.max_scaled
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dist.count_gt_scaled(mid) * limit_den <= limit_num:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def swept_decay_violations(kappa, highs, piece_vals) -> int:

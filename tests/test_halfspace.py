@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubelab import bfcore, chernoff, influence, kernels
+from cubelab import bfcore, chernoff, harness, influence, kernels
 from cubelab import halfspace as hs
 from cubelab.halfspace import (
     BudgetError,
@@ -751,13 +751,12 @@ def test_delta_searched_once_per_c_and_t(monkeypatch):
     """The delta query of chernoff, of both decay thresholds and of the
     strong and weak statistics search once per (c, t); copies start empty."""
     calls = []
-    search = hs._TailBase.first_value_tail_le
+    for backend in (TailDistribution, MeetInMiddleDistribution):
+        def counted(self, num, den, search=backend.first_value_tail_le):
+            calls.append((num, den))
+            return search(self, num, den)
 
-    def counted(self, num, den):
-        calls.append((num, den))
-        return search(self, num, den)
-
-    monkeypatch.setattr(hs._TailBase, "first_value_tail_le", counted)
+        monkeypatch.setattr(backend, "first_value_tail_le", counted)
     h = make_halfspace([5, 3, 3, 1, 1], 1)
     half = h.delta_query(F(1, 2))
     assert h.delta_query(F(1, 2), h.threshold) == half and len(calls) == 1
@@ -779,3 +778,146 @@ def test_delta_searched_once_per_c_and_t(monkeypatch):
         before = len(calls)
         assert copy.delta_query(F(1, 2)) == want
         assert len(calls) == before + 1
+
+
+# -- the delta search -----------------------------------------------------------
+
+def _limits(dist, den, rng, tails=40):
+    """Limits of a search at den: below 0, at 0, at tail counts times den and
+    one either side (tail counts of random support values), at total * den
+    and above, and past 2^63."""
+    values, _ = dist.support_window(dist.min_scaled, dist.max_scaled)
+    picks = rng.choice(values, size=min(tails, len(values)), replace=False)
+    ties = {c * den + d for c in dist.counts_gt_scaled(picks).tolist() for d in (-1, 0, 1)}
+    return sorted({-1, 0, dist.total * den, dist.total * den + 1, 1 << 63, 1 << 70} | ties)
+
+
+@pytest.mark.parametrize("n", [18, 20, 21, 22])
+def test_mitm_search_matches_bisection_and_dense(n):
+    """16-bit weights: pairs of the two halves in the millions, so the
+    search narrows its bracket over sampled rounds before it reads the last
+    window; against the bisection oracle and the forced dense backend."""
+    rng = np.random.default_rng(n)
+    weights = np.sort(rng.integers(1, 1 << 16, size=n))[::-1].astype(np.int64)
+    mitm = distribution_from_scaled(weights, 1, backend="mitm")
+    dense = distribution_from_scaled(weights, 1, backend="dense")
+    assert len(mitm._lv) * len(mitm._rv) > 50 * hs._SEARCH_PAIRS
+    for den in (1, 3, 6, 216):
+        for num in _limits(dense, den, rng):
+            want = oracles.bisect_first_value_tail_le(dense, num, den)
+            assert mitm.first_value_tail_le(num, den) == want
+            assert dense.first_value_tail_le(num, den) == want
+
+
+@pytest.mark.parametrize("pairs", [1, 4, 4096])
+@pytest.mark.parametrize("weights", [[1] * 30, [7] * 9 + [2] * 21, [3] * 15 + [1] * 15])
+def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
+    """Few distinct values, each of many outcomes: the samples pile onto a
+    few values, and with few pairs per round some rounds fall back to the
+    midpoint of the bracket, which then need not be a support value."""
+    monkeypatch.setattr(hs, "_SEARCH_PAIRS", pairs)
+    mitm = distribution_from_scaled(np.array(weights), 1, backend="mitm")
+    dense = distribution_from_scaled(np.array(weights), 1, backend="dense")
+    estimated, probed = set(), []
+    route = MeetInMiddleDistribution._estimates
+
+    def estimates(self, *args):
+        out = route(self, *args)
+        estimated.update(out)
+        return out
+
+    monkeypatch.setattr(MeetInMiddleDistribution, "_estimates", estimates)
+    probe = MeetInMiddleDistribution._probe
+    monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
+                        lambda self, v: probed.append(v) or probe(self, v))
+    values = dense.values.tolist()
+    for den in (1, 6):
+        for num in {-1, 0, dense.total * den} | {c * den + d for c in dense._suffix.tolist()
+                                                  for d in (-1, 0, 1)}:
+            want = oracles.bisect_first_value_tail_le(dense, num, den)
+            assert mitm.first_value_tail_le(num, den) == want
+            assert dense.first_value_tail_le(num, den) == want and want in values
+    if pairs == 1:
+        assert any(v not in estimated for v in probed)  # a midpoint probe
+    if pairs == 4096:
+        assert not probed  # every bracket fits one window
+
+
+def test_mitm_search_probe_bound(monkeypatch):
+    """On the 26-coordinate, 24-bit member of CI's chernoff gate (about
+    2^26 pairs of the two halves), each search makes at most 12 full tail
+    counts, every one through ``_probe``, where the bisection made 29."""
+    corpus = harness.corpus_gen(
+        "random-halfspace", {"n_lo": 26, "n_hi": 26, "count": 1, "weight_bits": 24}, seed=5)
+    h = parse_halfspace(corpus.entries[0])
+    dist = h.distribution()
+    assert isinstance(dist, MeetInMiddleDistribution)
+    base = dist.count_gt(h.threshold)
+    probes, counts = [], []
+    probe, count = MeetInMiddleDistribution._probe, MeetInMiddleDistribution.counts_ge_scaled
+    monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
+                        lambda self, v: probes.append(v) or probe(self, v))
+    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled",
+                        lambda self, v: counts.append(v) or count(self, v))
+    for c in (F(1, 2), F(1, 3), F(1, 6)):
+        probes.clear()
+        counts.clear()
+        got = dist.first_value_tail_le(c.numerator * base, c.denominator)
+        assert 1 <= len(probes) <= 12 and not counts
+        assert got == oracles.bisect_first_value_tail_le(dist, c.numerator * base, c.denominator)
+        again = list(probes)
+        probes.clear()
+        assert dist.first_value_tail_le(c.numerator * base, c.denominator) == got
+        assert probes == again  # the same probes on every run
+
+
+@st.composite
+def tied_weights_and_limit(draw):
+    n = draw(st.integers(1, 12))
+    weights = draw(st.lists(st.sampled_from([1, 2, 3, 5, 8, 13]), min_size=n, max_size=n))
+    den = draw(st.sampled_from([1, 2, 3, 6, 216]))
+    num = draw(st.integers(-2, (1 << n) * den + 2))
+    pairs = draw(st.sampled_from([1, 2, 5, 4096]))
+    return sorted(weights, reverse=True), num, den, pairs
+
+
+@given(tied_weights_and_limit())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_searches_match_bisection_on_random_ties(case):
+    """Both backends' search against the bisection oracle on small weights
+    with ties, with one to 4096 pairs sampled per round."""
+    weights, num, den, pairs = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hs, "_SEARCH_PAIRS", pairs)
+        for backend in ("dense", "mitm"):
+            dist = distribution_from_scaled(np.array(weights), 1, backend=backend)
+            want = oracles.bisect_first_value_tail_le(dist, num, den)
+            assert dist.first_value_tail_le(num, den) == want
+
+
+@pytest.mark.parametrize("t", [10**25, -10**25])
+def test_thresholds_past_int64(t):
+    """A threshold whose scaled value leaves int64 is clamped into the range
+    of a.x first: the 26-coordinate meet-in-the-middle member gives what a
+    small dense member gives at the same threshold, an empty or a full
+    tail, and so does that small member on the forced meet-in-the-middle
+    backend, delta queries included."""
+    big = make_halfspace([2**23 + 977 * i for i in range(26)], t)
+    assert isinstance(big.distribution(), MeetInMiddleDistribution)
+    small = {b: make_halfspace([5, 3, 2], t) for b in ("dense", "mitm")}
+    for b, h in small.items():
+        h.distribution(backend=b)
+    for h in (big, *small.values()):
+        assert h.tail() == (1 if t < 0 else 0)
+        assert h.distribution().count_ge(t) == h.distribution().count_gt(t)
+        assert h.influences() == [0] * h.n
+        assert h.vertex_boundary(0) == h.vertex_boundary(1) == 0
+        assert h.smoothed_influence(0, 1) == 0
+    if t < 0:
+        assert small["dense"].delta_query(F(1, 2)) == small["mitm"].delta_query(F(1, 2))
+        low = big.distribution().min_value - 1  # the tail is full there too
+        assert big.delta_query(F(1, 2)) + t == big.delta_query(F(1, 2), low) + low
+        assert small["dense"].decay_thresholds() == small["mitm"].decay_thresholds()
+    else:
+        with pytest.raises(ValueError, match="zero"):
+            big.delta_query(F(1, 2))
