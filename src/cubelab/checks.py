@@ -4,8 +4,9 @@ Member checks receive one corpus member context; global checks run once per
 suite on fixed instances.  Checks whose statement is exact assert with
 rational equality; shape-only statistics report their value, and the runner
 alone asserts them against pinned constants.  One skip rule covers every
-budget: a member check body that raises BudgetError gives one
-hypothesis-not-met record with the refusal's message.
+budget: a member check whose filter or body raises BudgetError gives one
+hypothesis-not-met record with the refusal's message, and a refused filter
+runs no body.
 """
 
 from __future__ import annotations
@@ -120,6 +121,18 @@ def _check(check_id: str, applies: Callable[[MemberContext], bool] | None = None
                               else CheckDef(check_id, "member", member, applies))
         return body
     return register
+
+
+def member_records(defn: CheckDef, ctx: MemberContext, constants) -> list[CheckRecord]:
+    """The records of member check defn on ctx: none when its filter turns
+    the member away, and the skip rule's one record when the filter's own
+    counts are refused."""
+    try:
+        if not defn.applies(ctx):
+            return []
+    except BudgetError as exc:
+        return [CheckRecord.skipped(defn.check_id, ctx.label, str(exc))]
+    return defn.fn(ctx, constants)
 
 
 def _is_halfspace(ctx: MemberContext) -> bool:
@@ -345,15 +358,15 @@ def _check_log_concavity_member(ctx: MemberContext) -> list[CheckRecord]:
 def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """All support-aligned 0 <= s <= t pairs at once via a prefix minimum."""
     h = ctx.halfspace
-    dist = h.distribution()
-    values, _ = dist.support()
+    sup = h.distribution().support()
     m_scaled = int(h.scaled[0])
-    support = values[values >= 0]  # never empty: a.x is symmetric
-    mass = (dist.counts_gt_scaled(support - m_scaled)
-            - dist.counts_gt_scaled(support + m_scaled))
-    # pair (s, t): mass[t] <= 5 * mass[s] for every s-index <= t-index
+    support = sup.values[sup.values >= 0]  # never empty: a.x is symmetric
+    mass = (sup.counts_gt_scaled(support - m_scaled)
+            - sup.counts_gt_scaled(support + m_scaled))
+    # pair (s, t): mass[t] <= 5 * mass[s] for every s-index <= t-index; as in
+    # _decay_violations, 5 * min < mass as min <= (mass - 1) // 5, no overflow
     prefix_min = np.minimum.accumulate(mass)
-    violations = int(np.count_nonzero(mass > 5 * prefix_min))
+    violations = int(np.count_nonzero(prefix_min <= (mass - 1) // 5))
     ratio = float(np.max(mass / np.maximum(prefix_min, 1)))
     ok = violations == 0
     rec = CheckRecord("LEM32", ctx.label, violations, 0, ratio, ok,
@@ -413,10 +426,9 @@ def _decay_violations(kappa: np.ndarray, highs: np.ndarray, piece_vals: np.ndarr
 def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """5 I_1(f_s) >= I_1(f_t) for every real |s| <= t, via piece sweep."""
     h = ctx.halfspace
-    red = h.reduced_distribution(0)
-    values, _ = red.support()
+    red = h.reduced_distribution(0).support()
     w0 = int(h.scaled[0])
-    breaks = _distinct(np.concatenate([values - w0, values + w0]))
+    breaks = _distinct(np.concatenate([red.values - w0, red.values + w0]))
     # influence of the heaviest coordinate at every piece's left end
     def inf_at(r: np.ndarray) -> np.ndarray:
         return red.counts_gt_scaled(r - w0) - red.counts_gt_scaled(r + w0)
@@ -485,17 +497,15 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
 def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     """I_1(f_s)/mu(f_s) <= 6 I_1(f_t)/mu(f_t) for all 0 <= s <= t, exact."""
     h = ctx.halfspace
-    dist = h.distribution()
-    values, _ = dist.support()
-    red = h.reduced_distribution(0)
-    red_values, _ = red.support()
+    sup = h.distribution().support()
+    red = h.reduced_distribution(0).support()
     w0 = int(h.scaled[0])
     breaks = _distinct(np.concatenate(
-        [red_values - w0, red_values + w0, values, [0]]))
+        [red.values - w0, red.values + w0, sup.values, [0]]))
     breaks = breaks[breaks >= 0]  # holds 0
     inf_counts = (red.counts_gt_scaled(breaks - w0)
                   - red.counts_gt_scaled(breaks + w0)).astype(object)
-    mu_counts = dist.counts_gt_scaled(breaks).astype(object)
+    mu_counts = sup.counts_gt_scaled(breaks).astype(object)
     # sweep s <= t over piece left-ends; exact integer cross-multiplication
     best_num, best_den = None, None  # running max of I/mu as a fraction
     violations = 0
@@ -513,24 +523,23 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
                         PASS if ok else FAIL, f"{len(breaks)} thresholds swept")]
 
 
-def _small_class_sums(h: Halfspace, values: np.ndarray, counts: np.ndarray,
-                      n_big: int, cuts: np.ndarray) -> np.ndarray:
+def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
     """Sum over the coordinates j >= n_big of s_j times the points where j
-    decides 1{a.x > g}, at each scaled cut g, from the support of a.x (its
-    values and counts); s_j are the scaled weights, descending, so the first
-    n_big are the big class.
+    decides 1{a.x > g}, at each scaled cut g, from the support of a.x; s_j
+    are the scaled weights, descending, so the first n_big are the big class.
 
     Over every coordinate that sum is the sum of v * count(v) over the
     support values v > g: with nonnegative weights f^({j}) = Inf_j / 2, so
     sum_j a_j Inf_j = 2 E[1{a.x > g} a.x].  The big class's windows come
-    off, one reduced distribution each.  Every partial sum is at most
-    T * 2^n in size, so int64 below 2^63 and Python ints past it.
+    off, one reduced support each.  Every partial sum is at most T * 2^n in
+    size, so int64 below 2^63 and Python ints past it.
     """
-    dtype = np.int64 if int(values[-1]) << h.n < 1 << 63 else object
-    moments = values.astype(dtype) * counts.astype(dtype)
-    sums = _suffix_counts(moments)[np.searchsorted(values, cuts, side="right")]
+    sup = h.distribution().support()
+    dtype = np.int64 if sup.max_scaled << h.n < 1 << 63 else object
+    moments = sup.values.astype(dtype) * sup.counts.astype(dtype)
+    sums = _suffix_counts(moments)[np.searchsorted(sup.values, cuts, side="right")]
     for j in range(n_big):
-        red = h.reduced_distribution(j)
+        red = h.reduced_distribution(j).support()
         w = int(h.scaled[j])
         sums = sums - w * (red.counts_gt_scaled(cuts - w)
                            - red.counts_gt_scaled(cuts + w)).astype(dtype)
@@ -550,10 +559,10 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     n_big = sum(1 for w in h.weights if w > beta)
     if n_big > 0.5 * math.log2(1 / float(eps)):
         return [CheckRecord.skipped("PROP5", ctx.label, "big class too large")]
-    values, counts = h.distribution().support()
+    values = h.distribution().support().values
     t_scaled = math.floor(h.threshold * h.scale)
     grid = values[values > t_scaled]
-    sums = _small_class_sums(h, values, counts, n_big, np.append(t_scaled, grid))
+    sums = _small_class_sums(h, n_big, np.append(t_scaled, grid))
     violations = int(np.count_nonzero(sums[1:] > sums[0]))
     ok = violations == 0
     return [CheckRecord("PROP5", ctx.label, violations, 0, None, ok,
@@ -604,22 +613,21 @@ def _check_segment_band(ctx) -> list[CheckRecord]:
 def _check_gauss_member(ctx) -> list[CheckRecord]:
     """Worst Gaussian-domination ratio over the whole nonnegative grid."""
     h = ctx.halfspace
-    dist = h.distribution()
     try:
-        values, _ = dist.support()
+        sup = h.distribution().support()
     except BudgetError:  # one threshold instead of the sweep
         return [gaussian_tail_ratio(h, max(F(0), h.threshold), instance=ctx.label)]
     norm = h.l2_norm()
-    values = values[values >= 0]
+    values = sup.values[sup.values >= 0]
     worst = 0.0
     # the grid is P(a.x > v) and P(a.x >= v) at each v, and the note counts
     # both; count_gt(v) <= count_ge(v) and each division below is correctly
     # rounded, so monotone, and the strict ratios never set the maximum
-    for v, c in zip(values, dist.counts_ge_scaled(values)):
-        z = float(v) / (dist.scale * norm)
+    for v, c in zip(values, sup.counts_ge_scaled(values)):
+        z = float(v) / (sup.scale * norm)
         gauss = 0.5 * math.erfc(z / math.sqrt(2))
         # int / int is correctly rounded, so this is float(F(c, total))
-        worst = max(worst, int(c) / dist.total / gauss)
+        worst = max(worst, int(c) / sup.total / gauss)
     bound = EATON_BOUND * EATON_SLACK
     ok = worst <= bound
     return [CheckRecord("GAUSS-EATON", ctx.label, worst, bound, worst / EATON_BOUND,

@@ -4,23 +4,23 @@ Weights and thresholds are rescaled to integers internally, so a tie
 a.x = t is decided exactly and the strict ">" rule never needs the
 "perturb slightly" escape hatch.  The distribution of a.x is kept either
 densely (one counter per achievable sum) or as two enumerated halves
-combined per query, selected by budget.
+combined per query, selected by budget.  Either backend's whole support
+is one dense distribution: the dense backend itself, or the pairs of the
+halves assembled once.
 
-A dense halfspace runs one subset-sum DP: every influence is a window of
-the full count array with one weight divided out, and both vertex
-boundaries come from one sweep that adds the weights smallest first.
-A meet-in-the-middle halfspace counts them from its two halves: every
-influence is one masked sum over the points of the half that holds its
-weight, and both vertex boundaries pair suffixes of the two halves, each
-half's suffixes enumerated in one array.
+Each backend counts every influence: the dense one as a window of its
+counts with one weight divided out, the halves as one masked sum over the
+points of the half that holds the weight.  Both vertex boundaries come
+from one DP sweep that adds the weights smallest first, or above the
+budget from suffixes of the two halves paired.
 
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the dense backend.  On
 the meet-in-the-middle backend it is a weighted selection among the pairs
 of the two halves: a bracket narrowed by exact counts placed where a
-sample of its pairs puts the answer, then read pair by pair once it holds
-few pairs.  A threshold whose scaled value leaves int64 is clamped into
-the range of a.x before any count, which keeps every count.
+sample of its pairs puts the answer, then finished by the dense search
+over its last few pairs.  A threshold whose scaled value leaves int64 is
+clamped into the range of a.x before any count, which keeps every count.
 """
 
 from __future__ import annotations
@@ -61,12 +61,14 @@ class _TailBase:
     A backend supplies ``counts_ge_scaled`` (the outcomes with value >= v,
     at a Python int or at every entry of an int64 array of any shape),
     ``support_window`` (the support values in a closed window, and their
-    counts), ``first_value_tail_le`` (the delta search, from the backend's
-    own data), ``min_scaled`` and ``max_scaled``; the counts at a rational
-    threshold, clamped into the support's range before they reach int64,
-    and the whole ``support()`` are written once, here.  All probabilities
-    are exact with denominator 2^n_summands; thresholds are rationals in
-    original (unscaled) units unless suffixed _scaled.
+    counts), ``support()`` (the whole support as a ``TailDistribution``;
+    a meet-in-the-middle backend refuses past _WINDOW_GUARD pairs with a
+    BudgetError), ``influence_counts``, ``first_value_tail_le`` (the delta
+    search, from the backend's own data), ``min_scaled`` and
+    ``max_scaled``; the counts at a rational threshold, clamped into the
+    support's range before they reach int64, are written once, here.  All
+    probabilities are exact with denominator 2^n_summands; thresholds are
+    rationals in original (unscaled) units unless suffixed _scaled.
 
     ``first_value_tail_le(limit_num, limit_den)`` is the least scaled v in
     [min_scaled, max_scaled] with count_gt_scaled(v) * limit_den <=
@@ -92,11 +94,6 @@ class _TailBase:
 
     def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
         return self.counts_ge_scaled(np.asarray(v, dtype=np.int64) + 1)
-
-    def support(self):
-        """Every support value ascending and its count; a meet-in-the-middle
-        backend refuses past _WINDOW_GUARD pairs with a BudgetError."""
-        return self.support_window(self.min_scaled, self.max_scaled)
 
     def _tail_cap(self, limit_num: int, limit_den: int) -> int:
         """count * limit_den <= limit_num holds exactly when count <=
@@ -150,6 +147,25 @@ class TailDistribution(_TailBase):
     def counts_ge_scaled(self, v):
         return self._suffix[np.searchsorted(self.values, v, side="left")]
 
+    def support(self) -> "TailDistribution":
+        return self
+
+    def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
+        """For every weight j, Inf_j * 2^(n-1) of 1{a.x > cut}, cut in [-T, T]
+        and self the distribution of `weights`, T their sum.  As a.x = 2s - T,
+        s the sum of the +1 weights, w decides when the others at +1 sum to
+        b - w + 1..b, b = (cut + T) // 2: a window of these counts with w
+        divided out, once per distinct weight."""
+        total = int(weights.sum())
+        # cum[s + 1] counts the points whose +1 weights sum to at most s
+        cum = np.zeros(total + 2, dtype=np.int64)
+        cum[(self.values + total) // 2 + 1] = self.counts
+        np.cumsum(cum, out=cum)
+        b = (cut + total) // 2
+        weights = weights.tolist()
+        counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
+        return np.array([counts[w] for w in weights], dtype=np.int64)
+
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """One ``searchsorted`` of the cap into the suffix counts, which
         ascend when read backwards: values[k] qualifies when suffix[k + 1]
@@ -187,6 +203,7 @@ class MeetInMiddleDistribution(_TailBase):
         self.n_summands = n_summands
         self.min_scaled = int(self._lv[-1] + self._rv[0])
         self.max_scaled = int(self._lv[0] + self._rv[-1])
+        self._support = None
 
     @classmethod
     def from_weights(cls, weights: np.ndarray, scale: int) -> "MeetInMiddleDistribution":
@@ -237,6 +254,14 @@ class MeetInMiddleDistribution(_TailBase):
             out[s : s + rows] = self._rsuffix[idx].reshape(keys.shape) @ self._lc
         return out.reshape(v.shape)
 
+    def support(self) -> TailDistribution:
+        """Every pair (u, r) assembled once into the dense distribution of
+        their sums, under the guard of ``support_window``."""
+        if self._support is None:
+            pairs = self.support_window(self.min_scaled, self.max_scaled)
+            self._support = TailDistribution(*pairs, self.scale, self.n_summands)
+        return self._support
+
     def support_window(self, lo_scaled: int, hi_scaled: int):
         """Support values in the window and their counts, from the pairs
         (u, r) with u + r inside it: each left value's span of right indices."""
@@ -273,7 +298,7 @@ class MeetInMiddleDistribution(_TailBase):
         the outcomes above reach the cap, and probes once either side of the
         estimate (or the midpoint, when neither side is inside); a probe is
         one exact count, whose right indices become the new span ends.  Once
-        the bracket holds at most _SEARCH_PAIRS pairs they are read directly.
+        it holds at most _SEARCH_PAIRS pairs, the dense search over them ends.
         The sample only places the probes, and its generator has a fixed
         seed, so each search makes the same probes on every run.
         """
@@ -297,9 +322,8 @@ class MeetInMiddleDistribution(_TailBase):
                         lo, above_lo, first = v + 1, above, idx
         if lo == hi:
             return lo
-        values, counts = self._pair_sums(first, stop)
-        within = above_hi + _suffix_counts(counts)[1:] <= cap
-        return int(values[np.argmax(within)])
+        window = TailDistribution(*self._pair_sums(first, stop), self.scale, self.n_summands)
+        return window.first_value_tail_le(cap - above_hi, 1)
 
     def _probe(self, v: int):
         """The outcomes with value > v, and for each left value u the first
@@ -488,32 +512,12 @@ class Halfspace:
     def l2_norm(self) -> float:
         return math.sqrt(float(self.sq_norm()))
 
-    def _one_dp(self, summands: int) -> bool:
-        """Whether statistics whose counts have this many summands come from
-        the halfspace's one dense DP: dense backend, and counts in int64."""
-        return summands <= MAX_SUMMANDS and _dense(self._total, self._backend)
-
-    def _halves(self, summands: int) -> bool:
-        """Whether statistics whose counts have this many summands come from
-        meet-in-the-middle halves of the weights."""
-        return _mitm(summands, self._total, self._backend)
-
-    def _pivot_top(self, t: Fraction) -> int:
-        """b such that a weight w decides 1{a.x > t} exactly when the other
-        coordinates at +1 sum to b - w + 1..b."""
-        return (self._cut(t) + self._total) // 2
-
     def _cut(self, t: Fraction) -> int:
         """floor(t * scale), clamped into the range of a.x, -T..T."""
         return _clamped(_floor_scaled(t, self.scale), -self._total, self._total)
 
     def influence_internal(self, j: int, t=None) -> Fraction:
-        if self._one_dp(self.n) or self._halves(self.n):
-            return self.influences(t)[self.order[j]]
-        t = self.threshold if t is None else as_fraction(t)
-        w = self.weights[j]
-        count = self.reduced_distribution(j).count_interval(t - w, t + w)
-        return Fraction(count, 1 << (self.n - 1))
+        return self.influences(t)[self.order[j]]
 
     def _internal(self, i: int) -> int | None:
         """Internal position of original coordinate i; None for a dropped zero weight."""
@@ -529,33 +533,21 @@ class Halfspace:
     def influences(self, t=None) -> list[Fraction]:
         """Influence of every original coordinate, computed once per threshold.
 
-        On the dense route the full distribution's counts are divided by
-        (1 + z^w) for each distinct weight w; on the meet-in-the-middle
-        route each is one masked sum over the points of its weight's half
-        (``MeetInMiddleDistribution.influence_counts``).  Past MAX_SUMMANDS
-        on the dense route (those counts overflow), or past MITM_MAX_N above
-        the budget, each coordinate has its own reduced distribution.
+        The distribution counts them all (``influence_counts`` of either
+        backend).  When no backend takes the full sum (past MAX_SUMMANDS, or
+        past MITM_MAX_N above the budget), each coordinate has its own
+        reduced distribution.
         """
         t = self.threshold if t is None else as_fraction(t)
         if t not in self._influences:
-            if self._one_dp(self.n):
-                dist = self.distribution()
-                # cum[s + 1] counts the points whose +1 weights sum to at most s
-                cum = np.zeros(self._total + 2, dtype=np.int64)
-                cum[(dist.values + self._total) // 2 + 1] = dist.counts
-                np.cumsum(cum, out=cum)
-                b = self._pivot_top(t)
-                weights = self.scaled.tolist()
-                counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
-                internal = [Fraction(counts[w], 1 << (self.n - 1)) for w in weights]
-            elif self._halves(self.n):
-                counts = self.distribution().influence_counts(self.scaled, self._cut(t))
-                internal = [Fraction(c, 1 << (self.n - 1)) for c in counts.tolist()]
-            else:
-                internal = [self.influence_internal(j, t) for j in range(self.n)]
+            try:
+                counts = self.distribution().influence_counts(self.scaled, self._cut(t)).tolist()
+            except BudgetError:
+                counts = [self.reduced_distribution(j).count_interval(t - w, t + w)
+                          for j, w in enumerate(self.weights)]
             out = [Fraction(0)] * self.arity
-            for orig, value in zip(self.order, internal):
-                out[orig] = value
+            for orig, count in zip(self.order, counts):
+                out[orig] = Fraction(count, 1 << (self.n - 1))
             self._influences[t] = out
         return list(self._influences[t])
 
@@ -591,13 +583,13 @@ class Halfspace:
         weights after weight 0 smallest first and reads suffix k just before
         weight k would join it.
         """
-        if self._halves(self.n - 1):
+        if _mitm(self.n - 1, self._total, self._backend):
             return _paired_suffix_counts(self.scaled, self._cut(t))
         after_first = self.scaled[:0:-1]  # suffix 0, ascending
         if self.n - 1 > MAX_SUMMANDS or not _dense(int(after_first.sum()), self._backend):
             raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")
         c0 = c1 = 0
-        b = self._pivot_top(t)
+        b = (self._cut(t) + self._total) // 2  # w decides at sums b - w + 1..b of the rest
         weights = self.scaled.tolist()
         prefix = self._total
         sweep = kernels.subset_sum_prefixes(after_first)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bfcore import BooleanFunction, FunctionSpec, _check_arity
 from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
-from .checks import REGISTRY, SUITES, MemberContext
+from .checks import REGISTRY, SUITES, MemberContext, member_records
 from .halfspace import distribution_from_scaled
 from .kernels import set_subcube
 from .rational import as_fraction, format_fraction
@@ -376,9 +376,8 @@ def run_suite(suite_id: str, corpus: Corpus,
         ctx = MemberContext(f"{corpus.name}#{idx}", entry)
         for cid in check_ids:
             defn = REGISTRY[cid]
-            if defn.scope != "member" or not defn.applies(ctx):
-                continue
-            records.extend(defn.fn(ctx, constants))
+            if defn.scope == "member":
+                records.extend(member_records(defn, ctx, constants))
 
     new_constants = None
     judge = constants if asserted else PinnedConstants()

@@ -272,9 +272,9 @@ def e_k_fits(h: Halfspace, k: int) -> bool:
 class CubeScan:
     """A halfspace's arrays over the whole cube, each built on first use and
     then kept, so every check of one member reads the same copy: the scaled
-    dot values a.x, the points the halfspace accepts, the value classes (the
-    distinct values ascending and each point's index among them) and the
-    elementary symmetric layers e_k of (a_j x_j) for k in 1..max(LEVELS)."""
+    dot values a.x, the points the halfspace accepts and the elementary
+    symmetric layers e_k of (a_j x_j) for k in 1..max(LEVELS).  The distinct
+    values are the support of the halfspace's distribution."""
 
     def __init__(self, h: Halfspace):
         self.h = h
@@ -286,10 +286,6 @@ class CubeScan:
     @cached_property
     def accepts(self) -> np.ndarray:
         return self.values > math.floor(self.h.threshold * self.h.scale)
-
-    @cached_property
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.unique(self.values, return_inverse=True)
 
     @cached_property
     def layers(self) -> dict[int, np.ndarray]:
@@ -414,8 +410,8 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
 
     esym = cube.esym(k) / (float(h.scale) ** k * norm**k)
     if delta > 0:
-        uniq, inverse = cube.classes
-        point_weights = _cdf_weights(h, k, uniq, t, delta)[inverse]
+        uniq = h.distribution().support().values  # the distinct values of a.x
+        point_weights = _cdf_weights(h, k, uniq, t, delta)[np.searchsorted(uniq, cube.values)]
     else:
         point_weights = cube.accepts.astype(np.float64)
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)

@@ -425,6 +425,29 @@ def test_one_dp_routes_match_slow_routes(case):
         assert h.influence_internal(0, t) == mitm.influence_internal(0, t) == infl[h.order[0]]
 
 
+def test_dense_influence_counts_match_the_halves_and_reduced_sums():
+    """TailDistribution.influence_counts of forced-dense members, tied
+    weights among them, against the halves' counts of the same weights, the
+    per-coordinate reduced distributions and influences(), at every cut from
+    -T to T."""
+    rng = np.random.default_rng(31)
+    members = [[5, 5, 3, 3, 3, 1], [7]] + [rng.integers(1, 12, size=n).tolist() for n in (2, 9, 13)]
+    for weights in members:
+        h = make_halfspace(weights, 0)
+        dense = h.distribution(backend="dense")
+        assert isinstance(dense, TailDistribution)
+        mitm = distribution_from_scaled(h.scaled, h.scale, "mitm")
+        total = int(h.scaled.sum())
+        for cut in range(-total, total + 1):
+            got = dense.influence_counts(h.scaled, cut)
+            assert np.array_equal(got, mitm.influence_counts(h.scaled, cut))
+            want = [h.reduced_distribution(j).count_interval(cut - w, cut + w)
+                    for j, w in enumerate(h.weights)]
+            assert got.tolist() == want
+            assert h.influences(cut) == [F(got[h.order.index(i)], 1 << (h.n - 1))
+                                         for i in range(h.n)]
+
+
 def test_halves_route_builds_no_other_distribution(monkeypatch):
     """On a meet-in-the-middle halfspace, once the full distribution exists,
     every influence and both boundaries come from the halves: no half is
@@ -565,8 +588,8 @@ def assert_same_distribution(a, b):
     assert np.array_equal(a.counts_ge_scaled(v), b.counts_ge_scaled(v))
     for x, y in zip(a.support_window(v[0], v[-1]), b.support_window(v[0], v[-1])):
         assert np.array_equal(x, y)
-    for x, y in zip(a.support(), b.support()):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a.support().values, b.support().values)
+    assert np.array_equal(a.support().counts, b.support().counts)
 
 
 @pytest.mark.parametrize("keys", [1, 5, 1 << 20])

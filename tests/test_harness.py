@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -137,6 +139,107 @@ def test_a_budget_error_in_a_member_check_is_its_skip_record(monkeypatch):
     assert {(r.status, r.notes) for r in lem42} == {
         ("hypothesis-not-met", "LEM42 sides at l=7 too close to tell in logs")}
     assert len(report.records) == 112
+
+
+PAST_EVERY_BACKEND = ("ltf:" + ",".join(str(2**24 + 977 * i) for i in range(41))
+                      + f";{9 * 2**24}")  # 41 weights summing past the dense budget
+
+
+def test_a_budget_error_in_a_filter_is_its_check_skip_record(monkeypatch):
+    """Beside a small member, one past every backend: each suite ends with
+    exit code 0, each check admitted on the wide member records one skip
+    with the refusal's text, no local Chernoff body runs on it, and the small
+    member gets the records of its own run.  COR36 reads only the reduced
+    sum of 40 weights, which the halves take, and checks it."""
+    small = "ltf:5,4,3,2,2,1;6"
+    refusal = "scaled weight sum 688666996 exceeds the dense budget and n=41 > 40"
+    with pytest.raises(halfspace.BudgetError, match=refusal):
+        parse_halfspace(PAST_EVERY_BACKEND).mean()
+    bodies = []
+
+    def local_chernoff(h, *args, **kwargs):
+        bodies.append(h.n)
+        return chernoff_check(h, *args, **kwargs)
+
+    chernoff_check = checks.check_local_chernoff
+    monkeypatch.setattr(checks, "check_local_chernoff", local_chernoff)
+    pair = harness.Corpus("pair", (PAST_EVERY_BACKEND, small))
+    solo = harness.Corpus("pair", (small,))
+    for suite in ("chernoff", "boundary", "pinned", "tail-lemmas", "levelk"):
+        report, _ = harness.run_suite(suite, pair)
+        assert report.exit_code == 0, suite
+        wide = [r for r in report.records if r.instance.startswith("pair#0")]
+        assert [r.instance for r in wide] == ["pair#0"] * len(wide)
+        assert len({r.check_id for r in wide}) == len(wide) and wide, suite
+        assert {(r.status, r.notes) for r in wide if r.check_id != "COR36"} == {
+            ("hypothesis-not-met", refusal)}, suite
+        rest = [dataclasses.replace(r, instance=r.instance.replace("pair#1", "pair#0"))
+                for r in report.records if not r.instance.startswith("pair#0")]
+        assert rest == harness.run_suite(suite, solo)[0].records, suite
+    assert 41 not in bodies and bodies
+    assert len(harness.run_suite("chernoff", pair)[0].records) == 11
+
+
+def test_lem32_compares_masses_past_int64_exactly():
+    """One weight 100 and sixty-one 1s: the interval masses reach 2^60.7,
+    where 5 * mass wraps int64.  LEM32 finds no violation, as a count of the
+    same pairs in Python ints finds."""
+    entry = "ltf:100," + ",".join(["1"] * 61) + ";120"
+    dist = parse_halfspace(entry).distribution()
+    values, _ = dist.support_window(dist.min_scaled, dist.max_scaled)
+    mass = [dist.count_gt_scaled(v - 100) - dist.count_gt_scaled(v + 100)
+            for v in values.tolist() if v >= 0]
+    assert max(mass) >= 1 << 60
+    assert not any(m > 5 * low for m, low in zip(mass, itertools.accumulate(mass, min)))
+    [rec] = REGISTRY["LEM32"].fn(MemberContext("wide", entry), harness.PinnedConstants())
+    assert (rec.lhs, rec.status) == (0, "pass")
+
+
+@pytest.fixture(scope="module")
+def fitting_mitm_member():
+    """20 coordinates of 24-bit weights: past the dense budget, with a
+    support of about a million values that fits the window guard."""
+    corpus = harness.corpus_gen("random-halfspace",
+                                {"n_lo": 20, "n_hi": 20, "weight_bits": 24, "count": 1}, seed=4)
+    assert corpus.digest == "bdc8eba3b5df673a"
+    return corpus.entries[0]
+
+
+def test_sweeps_count_from_the_assembled_support(monkeypatch, fitting_mitm_member):
+    """The whole-support sweeps on a meet-in-the-middle member whose support
+    fits count their keys from it: no tail count of the halves gets more than
+    one key (LEM32 alone passed them 522,334 keys when it counted there)."""
+    keys = []
+    halves_count = MeetInMiddleDistribution.counts_ge_scaled
+
+    def counting(self, v):
+        keys.append(np.size(v))
+        return halves_count(self, v)
+
+    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled", counting)
+    ctx = MemberContext("mitm20", fitting_mitm_member)
+    assert isinstance(ctx.halfspace.distribution(), MeetInMiddleDistribution)
+    sweeps = ("LEM32", "COR36", "LEM62", "PROP5", "GAUSS-EATON")
+    assert [r.status for r in _member_records(ctx, sweeps)] == ["pass"] * len(sweeps)
+    assert keys and max(keys) == 1
+
+
+def test_assembled_support_counts_match_the_halves(fitting_mitm_member):
+    """The support assembled once counts as the halves do at sampled support
+    values, one either side of each, and keys inside and past the range."""
+    dist = parse_halfspace(fitting_mitm_member).distribution()
+    sup = dist.support()
+    assert isinstance(sup, TailDistribution) and dist.support() is sup
+    assert (sup.min_scaled, sup.max_scaled, sup.total) == (dist.min_scaled, dist.max_scaled,
+                                                          dist.total)
+    rng = np.random.default_rng(4)
+    picks = rng.choice(sup.values, size=200, replace=False)
+    keys = np.concatenate([picks - 1, picks, picks + 1,
+                           rng.integers(dist.min_scaled - 10**6, dist.max_scaled + 10**6, 400),
+                           [dist.min_scaled - 1, dist.max_scaled + 1, -(1 << 40), 1 << 40]])
+    assert len(keys) == 1004
+    assert np.array_equal(sup.counts_gt_scaled(keys), dist.counts_gt_scaled(keys))
+    assert np.array_equal(sup.counts_ge_scaled(keys), dist.counts_ge_scaled(keys))
 
 
 def test_standard_corpus_shape():
@@ -305,9 +408,9 @@ def test_wk_pipeline_check_matches_internal_table_route():
 
 def test_each_member_does_its_cube_work_once(monkeypatch):
     """run_suite("all") on two members: each makes one halfspace dot-value
-    fill, one value-class sort, one e_k layer pass, one build of the first-
-    level form's values, one cut profile and one level-sum pass, however
-    many checks read them.  The global checks' own calls are measured on an
+    fill, one e_k layer pass, one build of the first-level form's values,
+    one cut profile and one level-sum pass, however many checks read them,
+    and no value-class sort: the classes come from the member's support.  The global checks' own calls are measured on an
     empty corpus and taken off."""
     counts = Counter()
 
@@ -337,10 +440,10 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     assert {r.check_id for r in report.records} >= {"SIGN-COND", "WK-PIPELINE", "THM17",
                                                     "PROP92", "PROP93", "PROP16", "NSREMARK"}
     per_members = counts - globals_only
-    for key in ("dot_values from cubelab.levelk", "class sort",
-                "elementary_symmetric_pointwise", "scaled_values", "_cut_covariances",
-                "squared_level_sums"):
+    for key in ("dot_values from cubelab.levelk", "elementary_symmetric_pointwise",
+                "scaled_values", "_cut_covariances", "squared_level_sums"):
         assert per_members[key] == 2, key
+    assert per_members["class sort"] == 0
 
 
 def test_lem111_reports_the_first_violating_triple(monkeypatch):
@@ -387,11 +490,10 @@ def test_prop5_sums_match_the_per_coordinate_route():
         members.append(make_halfspace(
             [F(int(w), den) for w in rng.integers(1, 5, size=n)], F(int(rng.integers(-3, 4)), 2)))
     for h in members:
-        dist = h.distribution()
         thresholds = _prop5_thresholds(h)
         cuts = np.array([math.floor(t * h.scale) for t in thresholds])
         for n_big in range(h.n + 1):
-            got = checks._small_class_sums(h, *dist.support(), n_big, cuts)
+            got = checks._small_class_sums(h, n_big, cuts)
             assert got.tolist() == oracles.per_coordinate_small_class_sums(
                 h, n_big, thresholds), (h.to_text(), n_big)
     wide = make_halfspace([int(w) for w in rng.integers(3, 6, size=60)], 0)
@@ -401,7 +503,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
     cuts = np.array([math.floor(t) for t in thresholds])
     for n_big in (0, 1, 2, 30, 59, 60):
         want = oracles.per_coordinate_small_class_sums(wide, n_big, thresholds)
-        assert checks._small_class_sums(wide, *dist.support(), n_big, cuts).tolist() == want
+        assert checks._small_class_sums(wide, n_big, cuts).tolist() == want
     assert max(oracles.per_coordinate_small_class_sums(wide, 0, thresholds)) >= 1 << 63
 
 

@@ -318,8 +318,8 @@ def test_one_pass_layers_equal_per_level_passes():
 
 
 def test_cube_scan_shares_fresh_arrays():
-    """The scan's dot values and value classes equal fresh kernel and
-    np.unique calls, and each is built once however often it is read."""
+    """The scan's dot values equal a fresh kernel call, and each array is
+    built once however often it is read."""
     rng = np.random.default_rng(5)
     for n in (1, 6, 11):
         h = make_halfspace([F(int(a), int(b)) for a, b in
@@ -327,10 +327,7 @@ def test_cube_scan_shares_fresh_arrays():
         cube = levelk.CubeScan(h)
         vals = kernels.dot_values(h.scaled)
         assert np.array_equal(cube.values, vals)
-        uniq, inverse = np.unique(vals, return_inverse=True)
-        assert np.array_equal(cube.classes[0], uniq)
-        assert np.array_equal(cube.classes[1], inverse)
-        assert cube.values is cube.values and cube.classes is cube.classes
+        assert cube.values is cube.values
         assert cube.layers is cube.layers and cube.esym(3) is cube.layers[3]
 
 
