@@ -137,9 +137,11 @@ def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
 
     Entry s holds the number of sign vectors whose sum equals 2s - T with
     T = sum(weights): the x_i = +1 coordinates form a subset of sum s, and
-    a.x = 2s - T.  Weights must be nonnegative.
+    a.x = 2s - T.  Weights must be nonnegative.  The counts do not depend on
+    the order, so the DP adds the weights smallest first: its live prefix
+    grows slowest.
     """
-    for counts in subset_sum_prefixes(weights):
+    for counts in subset_sum_prefixes(np.sort(weights)):
         pass
     return counts
 

@@ -294,6 +294,11 @@ class CubeScan:
         top = max(k for k in range(max(LEVELS) + 1) if e_k_fits(self.h, k))
         return dict(enumerate(elementary_symmetric_pointwise(self.h, top)[1:], 1))
 
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """Each point's index into the distinct values of a.x, the support."""
+        return np.searchsorted(self.h.distribution().support().values, self.values)
+
     def esym(self, k: int) -> np.ndarray:
         """e_k at every cube point; refused when its values could overflow int64."""
         if not e_k_fits(self.h, k):
@@ -411,7 +416,7 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     esym = cube.esym(k) / (float(h.scale) ** k * norm**k)
     if delta > 0:
         uniq = h.distribution().support().values  # the distinct values of a.x
-        point_weights = _cdf_weights(h, k, uniq, t, delta)[np.searchsorted(uniq, cube.values)]
+        point_weights = _cdf_weights(h, k, uniq, t, delta)[cube.classes]
     else:
         point_weights = cube.accepts.astype(np.float64)
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)

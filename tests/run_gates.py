@@ -1,0 +1,56 @@
+"""Run every exact-output gate of tests/gates.json: python3 tests/run_gates.py
+
+Each gate runs `python -m cubelab.cli` with its arguments, no shell, in one
+temporary working directory, so later gates read the corpora earlier ones
+wrote.  A gate passes when its exit code is the expected one and each file it
+pins has the recorded sha256.  The checkout's src/ goes first on PYTHONPATH,
+so this runs the same from a checkout or an install.  Prints one line per
+gate and exits 1 if any gate failed.
+"""
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_gates(manifest=ROOT / "tests" / "gates.json") -> int:
+    spec = json.loads(Path(manifest).read_text())
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, text in spec["files"].items():
+            (work / name).write_bytes(text.encode())
+        for gate in spec["gates"]:
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "cubelab.cli", *shlex.split(gate["cmd"])],
+                                  cwd=work, env=env, capture_output=True)
+            if "stdout" in gate:
+                (work / gate["stdout"]).write_bytes(proc.stdout)
+            wrong = []
+            if proc.returncode != gate["exit"]:
+                wrong.append(f"exit {proc.returncode}, expected {gate['exit']}")
+                wrong += proc.stderr.decode().splitlines()[-1:]
+            for name, digest in gate["sha256"].items():
+                out = work / name
+                got = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "missing"
+                if got != digest:
+                    wrong.append(f"{name}: sha256 {got}, expected {digest}")
+            failed |= bool(wrong)
+            seconds = time.perf_counter() - start
+            print(f"{'FAIL' if wrong else 'ok'} {seconds:6.1f} s  {gate['cmd']}", flush=True)
+            for line in wrong:
+                print(f"    {line}", flush=True)
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(run_gates())

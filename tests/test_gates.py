@@ -1,0 +1,45 @@
+"""The exact-output gate runner on two cheap gates of tests/gates.json."""
+import json
+from pathlib import Path
+
+from run_gates import ROOT, run_gates
+
+CHEAP = ("analyze maj:21 --json", "chernoff 'ltf:7,5,4,4,3,2,2,1,1;4' --c 1/64")
+
+
+def cheap_gates() -> list[dict]:
+    spec = json.loads((ROOT / "tests" / "gates.json").read_text())
+    gates = [g for g in spec["gates"] if g["cmd"] in CHEAP]
+    assert [g["cmd"] for g in gates] == list(CHEAP)
+    return gates
+
+
+def run(tmp_path: Path, gates: list[dict]) -> int:
+    manifest = tmp_path / "gates.json"
+    manifest.write_text(json.dumps({"files": {}, "gates": gates}))
+    return run_gates(manifest)
+
+
+def test_gates_pass_as_written(tmp_path, capsys):
+    assert run(tmp_path, cheap_gates()) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["ok", "ok"]
+
+
+def test_a_wrong_digest_or_exit_code_fails_that_gate_alone(tmp_path, capsys):
+    """Two copies of the chernoff gate, one with a broken digest and one
+    expecting the wrong exit code, fail around the gate as written."""
+    _, chernoff = cheap_gates()
+    [(name, digest)] = chernoff["sha256"].items()
+    broken = {**chernoff, "sha256": {name: digest[::-1]}}
+    wrong_exit = {**chernoff, "exit": 1}
+    assert run(tmp_path, [broken, chernoff, wrong_exit]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if not line.startswith(" ")] == ["FAIL", "ok", "FAIL"]
+    assert [line.strip() for line in out if line.startswith(" ")] == [
+        f"{name}: sha256 {digest}, expected {digest[::-1]}", "exit 0, expected 1"]
+
+
+def test_the_workflow_pins_no_digest_itself():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert "python3 tests/run_gates.py" in workflow
+    assert not [line for line in workflow.splitlines() if "sha256sum" in line]

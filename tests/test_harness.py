@@ -410,8 +410,9 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     """run_suite("all") on two members: each makes one halfspace dot-value
     fill, one e_k layer pass, one build of the first-level form's values,
     one cut profile and one level-sum pass, however many checks read them,
-    and no value-class sort: the classes come from the member's support.  The global checks' own calls are measured on an
-    empty corpus and taken off."""
+    and no value-class sort: the classes come from the member's support, by
+    one class search per member for both levels.  The global checks' own
+    calls are measured on an empty corpus and taken off."""
     counts = Counter()
 
     def counting(owner, name, key=None):
@@ -428,6 +429,8 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     counting(kernels, "dot_values",
              lambda a, kw: "dot_values from " + sys._getframe(2).f_globals["__name__"])
     counting(np, "unique", lambda a, kw: "class sort" if kw.get("return_inverse") else "unique")
+    counting(np, "searchsorted",
+             lambda a, kw: "class search from " + sys._getframe(2).f_globals["__name__"])
     counting(levelk, "elementary_symmetric_pointwise")
     counting(correlate.LinearForm, "scaled_values")
     counting(correlate, "_cut_covariances")
@@ -441,7 +444,8 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
                                                     "PROP92", "PROP93", "PROP16", "NSREMARK"}
     per_members = counts - globals_only
     for key in ("dot_values from cubelab.levelk", "elementary_symmetric_pointwise",
-                "scaled_values", "_cut_covariances", "squared_level_sums"):
+                "scaled_values", "_cut_covariances", "squared_level_sums",
+                "class search from cubelab.levelk"):
         assert per_members[key] == 2, key
     assert per_members["class sort"] == 0
 

@@ -196,6 +196,17 @@ def test_signed_sum_counts_binomial():
     assert sum_counts_by_value(ones) == {-4: 1, -2: 4, 0: 6, 2: 4, 4: 1}
 
 
+def test_signed_sum_counts_adds_weights_smallest_first(monkeypatch):
+    """The DP gets the weights ascending, so its live prefix grows slowest,
+    and the counts are those of the weights in the order given."""
+    seen = []
+    prefixes = kernels.subset_sum_prefixes
+    monkeypatch.setattr(kernels, "subset_sum_prefixes", lambda w: seen.append(w.tolist()) or prefixes(w))
+    w = np.array([9, 5, 0, 7, 1, 5, 2], dtype=np.int64)
+    assert sum_counts_by_value(w) == oracles.brute_sum_counts(w)
+    assert seen == [[0, 1, 2, 5, 5, 7, 9]]
+
+
 def subset_counts(weights) -> dict[int, int]:
     """Number of subsets per subset sum, from sign-pattern enumeration."""
     total = sum(weights)
