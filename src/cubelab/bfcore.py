@@ -1,8 +1,10 @@
 """Truth-table Boolean functions, builtin families, and function descriptors.
 
-A Boolean function f: {-1,1}^n -> {0,1} is stored as its full truth table.
+A Boolean function f: {-1,1}^n -> {0,1} is stored as its full truth table,
+packed one bit per point in little-endian uint64 words (``kernels.WORD``).
 Point m of the cube (0 <= m < 2^n) is the sign vector with x_i = +1 exactly
-when bit i of m is set, so tables serialize deterministically.
+when bit i of m is set; it is bit m % 64 of word m // 64, so tables
+serialize deterministically.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import kernels
 from .rational import as_fraction
 
-MAX_N = 25  # arity cap for truth tables, 2^25 one-byte entries: EX74's OR table is the largest
+MAX_N = 25  # arity cap for truth tables, 2^25 points in 4 MiB of words: EX74's OR table is the largest
 TABLE_CAP = 24  # a halfspace above this arity is analysed without a table or a cube
 
 
@@ -28,17 +30,30 @@ def _check_arity(n: int) -> None:
 
 
 class BooleanFunction:
-    """Immutable 0/1 function on the discrete cube, with exact cached mean."""
+    """Immutable 0/1 function on the discrete cube, with exact cached mean.
 
-    __slots__ = ("n", "table", "_ones")
+    words is the packed table; when n < 6 its one word's bits from 2^n up
+    are 0.  Per-point bits come in through ``from_truth_table``.
+    """
 
-    def __init__(self, n: int, table: np.ndarray):
-        if table.shape != (1 << n,):
-            raise ValueError(f"table length {table.shape} does not match arity {n}")
+    __slots__ = ("n", "words", "_ones")
+
+    def __init__(self, n: int, words: np.ndarray):
+        if words.shape != (kernels.word_count(n),):
+            raise ValueError(f"{words.shape} words do not hold a table of arity {n}")
+        if n < 6 and int(words[0]) >> (1 << n):
+            raise ValueError(f"bits past the 2^{n} points of arity {n} are set")
         self.n = n
-        self.table = np.ascontiguousarray(table, dtype=np.uint8)
-        self.table.setflags(write=False)
-        self._ones = int(np.count_nonzero(self.table))
+        self.words = np.ascontiguousarray(words, dtype=kernels.WORD)
+        self.words.setflags(write=False)
+        self._ones = kernels.count_ones(self.words)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The 0/1 value at every point, as a new read-only uint8 array."""
+        table = np.unpackbits(self.words.view(np.uint8), count=1 << self.n, bitorder="little")
+        table.setflags(write=False)
+        return table
 
     @property
     def ones(self) -> int:
@@ -52,31 +67,30 @@ class BooleanFunction:
         return (
             isinstance(other, BooleanFunction)
             and self.n == other.n
-            and bool(np.array_equal(self.table, other.table))
+            and bool(np.array_equal(self.words, other.words))
         )
 
     def __hash__(self):
-        return hash((self.n, self.table.tobytes()))
+        return hash((self.n, self.words.tobytes()))
 
     def __repr__(self):
         return f"BooleanFunction(n={self.n}, mean={self.mean})"
 
     def to_text(self) -> str:
         """Serialize as 'tt:<n>:<hex>' with little-endian bit order."""
-        packed = np.packbits(self.table, bitorder="little").tobytes()
-        value = int.from_bytes(packed, "little")
-        digits = max(1, (1 << self.n) // 4 + (1 if (1 << self.n) % 4 else 0))
-        return f"tt:{self.n}:{value:0{digits}x}"
+        digits = max(1, (1 << self.n) // 4)  # the bits past 2^n, all 0, are cut
+        return f"tt:{self.n}:{self.words.tobytes()[::-1].hex()[-digits:]}"
 
 
 def from_truth_table(bits, n: int) -> BooleanFunction:
+    """The function with value bits[m] at point m; each entry must be 0 or 1."""
     _check_arity(n)
-    table = np.asarray(bits, dtype=np.uint8)
+    table = np.asarray(bits)
     if table.ndim != 1 or table.shape[0] != (1 << n):
         raise ValueError(f"expected 2^{n} = {1 << n} bits, got shape {table.shape}")
-    if np.any(table > 1):
+    if table.dtype != bool and (table.min() < 0 or table.max() > 1):
         raise ValueError("truth table entries must be 0 or 1")
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, kernels.pack_bits(table))
 
 
 def from_text(text: str) -> BooleanFunction:
@@ -89,31 +103,36 @@ def from_text(text: str) -> BooleanFunction:
     value = int(hex_str, 16)
     if value < 0 or value.bit_length() > 1 << n:
         raise ValueError(f"truth-table literal {text!r} does not fit its 2^{n} points")
-    raw = value.to_bytes(((1 << n) + 7) // 8, "little")
-    table = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return BooleanFunction(n, table[: 1 << n])
+    raw = value.to_bytes(kernels.WORD.itemsize * kernels.word_count(n), "little")
+    return BooleanFunction(n, np.frombuffer(raw, dtype=kernels.WORD))
+
+
+# bit j of _BIT_REVERSE[b] is bit 7 - j of b
+_BIT_REVERSE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
     """g(x) = 1 - f(-x); negating x flips every index bit.
 
-    m ^ (2^n - 1) = 2^n - 1 - m, so f(-x) is the table read backwards.
+    m ^ (2^n - 1) = 2^n - 1 - m, so f(-x) is the table read backwards: the
+    bytes in reverse order, each with its bits reversed, then complemented.
+    Below 64 points the reversed points land in the top 2^n bits of the
+    word, and a shift brings them down.
     """
-    return BooleanFunction(f.n, 1 - f.table[::-1])
+    words = _BIT_REVERSE[f.words.view(np.uint8)[::-1]].view(kernels.WORD)
+    np.invert(words, out=words)
+    if f.n < 6:
+        words >>= np.uint64(64 - (1 << f.n))
+    return BooleanFunction(f.n, words)
 
 
 def is_monotone(f: BooleanFunction) -> bool:
     """Exhaustive check over all n * 2^(n-1) cube edges."""
-    return kernels.monotone_violations(f.table, f.n) == 0
+    return kernels.monotone_violations(f.words, f.n) == 0
 
 
 # ---------------------------------------------------------------------------
 # builtin families
-
-def _majority_table(n: int) -> np.ndarray:
-    # sum(x_i) = 2*popcount - n > 0  <=>  popcount > n // 2
-    return (kernels.popcounts(n) > n // 2).view(np.uint8)
-
 
 def _check_positive(n: int) -> None:
     if n < 1:
@@ -125,10 +144,17 @@ def _check_majority(n: int) -> None:
         raise ValueError(f"majority needs a positive odd arity, got {n}")
 
 
+def _by_popcount(n: int, accept) -> np.ndarray:
+    """Words of the table that is 1 at m exactly when accept(popcount(m)),
+    asked once for each of 0..n."""
+    return kernels.popcount_words(n, [bool(accept(k)) for k in range(n + 1)])
+
+
 def majority(n: int) -> BooleanFunction:
     _check_majority(n)
     _check_arity(n)
-    return BooleanFunction(n, _majority_table(n))
+    # sum(x_i) = 2*popcount - n > 0  <=>  popcount > n // 2
+    return BooleanFunction(n, _by_popcount(n, lambda k: k > n // 2))
 
 
 def dictator(n: int) -> BooleanFunction:
@@ -145,9 +171,9 @@ def subcube(k: int, n: int) -> BooleanFunction:
     """1 exactly when the first k coordinates are all +1."""
     _check_arity(n)
     _check_subcube(k, n)
-    table = np.zeros(1 << n, dtype=np.uint8)
-    kernels.set_subcube(table, n, range(k))
-    return BooleanFunction(n, table)
+    words = kernels.zero_words(n)
+    kernels.set_subcube(words, n, range(k))
+    return BooleanFunction(n, words)
 
 
 def hamming_ball(n: int, t) -> BooleanFunction:
@@ -156,7 +182,7 @@ def hamming_ball(n: int, t) -> BooleanFunction:
     t = as_fraction(t)
     # sum(x_i) = 2*popcount - n > t  <=>  popcount > floor((t + n)/2), an integer cut
     cut = math.floor((t + n) / 2)
-    return BooleanFunction(n, (kernels.popcounts(n) > cut).view(np.uint8))
+    return BooleanFunction(n, _by_popcount(n, lambda k: k > cut))
 
 
 def _check_tribes(a: int, b: int) -> None:
@@ -169,18 +195,17 @@ def tribes(a: int, b: int) -> BooleanFunction:
     _check_tribes(a, b)
     n = a * b
     _check_arity(n)
-    table = np.zeros(1 << n, dtype=np.uint8)
+    words = kernels.zero_words(n)
     for j in range(a):
-        kernels.set_subcube(table, n, range(j * b, (j + 1) * b))
-    return BooleanFunction(n, table)
+        kernels.set_subcube(words, n, range(j * b, (j + 1) * b))
+    return BooleanFunction(n, words)
 
 
 def paper5() -> BooleanFunction:
     """The 5-variable function that is 1 exactly when sum(x_i) is -1, 3 or 5."""
     _check_arity(5)
     # sum(x_i) = 2*popcount - 5 is -1, 3 or 5  <=>  popcount is 2, 4 or 5
-    table = np.isin(kernels.popcounts(5), (2, 4, 5))
-    return BooleanFunction(5, table.view(np.uint8))
+    return BooleanFunction(5, _by_popcount(5, lambda k: k in (2, 4, 5)))
 
 
 def talagrand_or(n: int, seed: int) -> BooleanFunction:
@@ -196,10 +221,10 @@ def talagrand_or(n: int, seed: int) -> BooleanFunction:
         b += 1
     a = -(-(1 << b) // b)
     rng = np.random.default_rng(seed)
-    table = (kernels.popcounts(n) >= (n + 1) // 2).view(np.uint8)
+    words = _by_popcount(n, lambda k: k >= (n + 1) // 2)
     for _ in range(a):
-        kernels.set_subcube(table, n, rng.choice(n, size=b, replace=False))
-    return BooleanFunction(n, table)
+        kernels.set_subcube(words, n, rng.choice(n, size=b, replace=False))
+    return BooleanFunction(n, words)
 
 
 # ---------------------------------------------------------------------------

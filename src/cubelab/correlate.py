@@ -101,7 +101,7 @@ def _cut_covariances(f: BooleanFunction, values: np.ndarray):
     v = sorted_vals[last]
     count = size - 1 - last
     # ones of f above v: all ones minus those at or below v
-    both = f.ones - np.searchsorted(np.sort(values[f.table != 0]), v, side="right")
+    both = f.ones - np.searchsorted(np.sort(values[f.table.view(bool)]), v, side="right")
     return v, count, both * size - f.ones * count
 
 
@@ -158,7 +158,7 @@ def unbiased_correlator(first: FirstLevel, full_scan: bool = False) -> Correlati
     values = first.scaled_values[0]
     size = 1 << f.n
     ones = f.ones
-    on = f.table != 0
+    on = f.table.view(bool)
     # negating c_i reads l at x with x_i negated, so a flipped cut is the base
     # cut with coordinate i's halves swapped: same size, only the ones of f
     # under it are recounted
@@ -234,7 +234,7 @@ def biased_correlator(first: FirstLevel) -> BiasedCorrelation:
     tau_sq = s * s * float(w1) * scale * scale
     hit = (values > 0) & (values.astype(np.float64) ** 2 > tau_sq)
     mean_g = Fraction(int(np.count_nonzero(hit)), size)
-    both = Fraction(int(np.count_nonzero(hit & (f.table != 0))), size)
+    both = Fraction(int(np.count_nonzero(hit & f.table.view(bool))), size)
 
     hypothesis = eps < Fraction(1, 2) and s > 0 and math.sqrt(alpha) * log_inv > 2 * float(eps)
     small_ok = expect_ok = None

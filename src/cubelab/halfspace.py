@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .bfcore import BooleanFunction, FunctionSpec, _check_arity
+from .bfcore import BooleanFunction, FunctionSpec, _check_arity, from_truth_table
 from .rational import as_fraction, common_scale, format_fraction
 
 DENSE_BUDGET = 10_000_000  # max sum of scaled weights for the dense backend
@@ -759,7 +759,7 @@ def ltf_truth_table(weights, threshold) -> BooleanFunction:
     scaled = np.array([int(w * scale) for w in ws], dtype=np.int64)
     vals = kernels.dot_values(scaled)
     cut = _floor_scaled(threshold, scale)
-    return BooleanFunction(n, (vals > cut).view(np.uint8))
+    return from_truth_table(vals > cut, n)
 
 
 def parse_halfspace(text: str) -> Halfspace:

@@ -13,11 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bfcore import BooleanFunction, FunctionSpec, _check_arity
+from .bfcore import BooleanFunction, FunctionSpec, _check_arity, from_truth_table
 from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
 from .checks import REGISTRY, SUITES, MemberContext, member_records
 from .halfspace import distribution_from_scaled
-from .kernels import set_subcube
+from .kernels import set_subcube, zero_words
 from .rational import as_fraction, format_fraction
 
 F = Fraction
@@ -90,23 +90,23 @@ def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
     return entries
 
 
-def _monotone_table(rng: np.random.Generator, n: int) -> np.ndarray:
+def _monotone_function(rng: np.random.Generator, n: int) -> BooleanFunction:
     """An OR of 1..n random subcubes, each of 1..n fixed coordinates."""
-    table = np.zeros(1 << n, dtype=np.uint8)
+    words = zero_words(n)
     for _term in range(int(rng.integers(1, n + 1))):
         width = int(rng.integers(1, n + 1))
-        set_subcube(table, n, rng.choice(n, size=width, replace=False))
-    return table
+        set_subcube(words, n, rng.choice(n, size=width, replace=False))
+    return BooleanFunction(n, words)
 
 
 @dataclass(frozen=True)
 class CorpusKind:
     """Every parameter a corpus kind takes, with its default; a halfspace
-    kind names its weights' denominators, a truth-table kind its table."""
+    kind names its weights' denominators, a truth-table kind what draws its function."""
 
     params: dict
     denominators: tuple[int, ...] = ()
-    table: Callable[[np.random.Generator, int], np.ndarray] | None = None
+    function: Callable[[np.random.Generator, int], BooleanFunction] | None = None
 
 
 CORPUS_KINDS = {
@@ -118,8 +118,9 @@ CORPUS_KINDS = {
         {"count": 50, "n_lo": 8, "n_hi": 16, "weight_bits": 5,
          "eps_band": (F(1, 1024), F(1, 4))}, denominators=(1, 2, 3, 4)),
     "random-function": CorpusKind({"count": 20, "n": 10},
-                                  table=lambda rng, n: rng.integers(0, 2, size=1 << n)),
-    "monotone-random": CorpusKind({"count": 20, "n": 8}, table=_monotone_table),
+                                  function=lambda rng, n: from_truth_table(
+                                      rng.integers(0, 2, size=1 << n), n)),
+    "monotone-random": CorpusKind({"count": 20, "n": 8}, function=_monotone_function),
 }
 
 
@@ -144,11 +145,11 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
         entries = _random_halfspace_entries(seed, p["n_lo"], p["n_hi"], p["weight_bits"],
                                             eps_lo, eps_hi, p["count"], spec.denominators)
         return Corpus(f"{kind}(seed={seed},count={len(entries)})", tuple(entries))
-    if spec.table is not None:
+    if spec.function is not None:
         n = p["n"]
         _check_arity(n)  # refused before a 2^n table is drawn
         rng = np.random.default_rng(seed)
-        entries = (BooleanFunction(n, spec.table(rng, n)).to_text() for _ in range(p["count"]))
+        entries = (spec.function(rng, n).to_text() for _ in range(p["count"]))
         return Corpus(f"{kind}(n={n},seed={seed})", tuple(entries))
     return Corpus(kind, BUILTIN_ALL)
 

@@ -40,12 +40,12 @@ class BoundaryMeasures:
 
 
 def influences(f: BooleanFunction) -> InfluenceProfile:
-    counts = kernels.influence_counts(f.table, f.n)
+    counts = kernels.influence_counts(f.words, f.n)
     size = 1 << f.n
     return InfluenceProfile(f.n, tuple(Fraction(int(c), size) for c in counts))
 
 
 def boundary_measures(f: BooleanFunction) -> BoundaryMeasures:
-    c0, c1 = kernels.boundary_counts(f.table, f.n)
+    c0, c1 = kernels.boundary_counts(f.words, f.n)
     size = 1 << f.n
     return BoundaryMeasures(Fraction(c0, size), Fraction(c1, size))

@@ -1,16 +1,18 @@
 """Hot numeric kernels on plain integer numpy arrays.
 
 Point m of the cube has x_i = +1 where bit i of m is set and x_i = -1
-where it is clear.  The truth-table scans (influence, boundary,
-monotonicity) run on the table packed one bit per point into little-endian
-uint64 words: bit b of word q is point 64q + b, so coordinates 0..5 index
-bits inside a word and coordinate i >= 6 pairs word q with word
-q + 2^(i - 6).  Seen as ``table.reshape((2,) * n)``, a table has axis
-n - 1 - i for coordinate i (bit i of a point index), so a subcube that
-fixes x_i = +1 for i in a set of coordinates is the slice taking index 1
-on those axes and every index on the others.  Each kernel is one
-vectorized numpy algorithm; its independent slow route is in the tests
-(``tests/oracles.py``).
+where it is clear.  A truth table is stored packed one bit per point in
+little-endian uint64 words (``WORD``): bit b of word q is point 64q + b,
+so coordinates 0..5 index bits inside a word and coordinate i >= 6 pairs
+word q with word q + 2^(i - 6).  A table of fewer than 64 points fills the
+low bits of one word.  Seen as ``words.reshape((2,) * (n - 6))``, the
+words have axis n - 1 - i for coordinate i >= 6 (bit i - 6 of a word
+index), so a subcube that fixes x_i = +1 for some coordinates is one
+in-word mask ORed into a strided slice.  The table scans (influence,
+boundary, monotonicity), the subcube write and the popcount builder work
+on the words; only the Walsh transform reads one entry per point.  Each
+kernel is one vectorized numpy algorithm; its independent slow route is
+in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -212,93 +214,168 @@ _IN_WORD_MASKS = tuple(np.uint64(m) for m in (
     0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
     0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF))
 
+WORD = np.dtype("<u8")  # one truth-table word: 64 points, point 64q + b at bit b of word q
 
-def _packed(table: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """The 0/1 table as little-endian uint64 words, and the pad shift.
 
-    Bit b of word q is point 64q + b.  A table of fewer than 64 points is
-    tiled to 64 first, which adds 6 - n dummy coordinates above the real
-    ones: every count over the tiled table is 2^(6 - n) times the true one,
-    so callers shift it right by the returned pad.
+def word_count(n: int) -> int:
+    """Words of a packed table of 2^n points; fewer than 64 points fill one word."""
+    return 1 << max(0, n - 6)
+
+
+def zero_words(n: int) -> np.ndarray:
+    """The packed table of 2^n points that is 0 everywhere, for set_subcube to write."""
+    return np.zeros(word_count(n), dtype=WORD)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Per-point 0/1 (or bool) values as packed words.
+
+    Fewer than 64 points fill the low bits of one word, and its other bits
+    are 0.
+    """
+    raw = np.packbits(bits, bitorder="little")
+    if raw.shape[0] % 8:
+        raw = np.concatenate([raw, np.zeros(8 - raw.shape[0] % 8, dtype=np.uint8)])
+    return raw.view(WORD)
+
+
+def _tiled(words: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """The packed table over at least 64 points, and the pad shift.
+
+    A table of fewer than 64 points is tiled across its one word, which adds
+    6 - n dummy coordinates above the real ones: every count over the tiled
+    word is 2^(6 - n) times the true one, so callers shift it right by the
+    returned pad.
     """
     pad = max(0, 6 - n)
-    if pad:
-        table = np.tile(table, 1 << pad)
-    return np.packbits(table, bitorder="little").view("<u8"), pad
+    if not pad:
+        return words, 0
+    word = int(words[0])
+    for k in range(n, 6):
+        word |= word << (1 << k)
+    return np.array([word], dtype=WORD), pad
 
 
-def _word_halves(words: np.ndarray, n: int):
-    """For each coordinate i, the packed points at x_i = -1 and at x_i = +1.
+def _edges(words: np.ndarray, n: int, monotone: bool = False):
+    """For each coordinate i in turn, the words of its cut edges.
 
-    Bit j of the first array and bit j of the second are neighbours across
-    coordinate i.  For i >= 6 whole words pair up (reshape views); for i < 6
-    the pairs sit inside a word, and both arrays keep the x_i = -1 bit
-    positions of M_i, the second shifted down by 2^i.
+    A cut edge pairs a point at x_i = -1 with its neighbour at x_i = +1 where
+    f differs; with monotone, only where f is 1 below and 0 above.  For
+    i >= 6 whole words pair up, and the edges fill half the scratch words;
+    for i < 6 the pairs sit inside a word, and an edge is the x_i = -1 bit
+    (a bit of M_i).  The yielded words are one scratch array, which the
+    caller may change and the next coordinate overwrites.
     """
+    scratch = np.empty_like(words)
     for i in range(n):
         if i < 6:
-            mask = _IN_WORD_MASKS[i]
-            yield words & mask, (words >> np.uint64(1 << i)) & mask
+            np.right_shift(words, np.uint64(1 << i), out=scratch)  # bit j holds point j + 2^i
+            lo, hi, out = words, scratch, scratch
         else:
             view = words.reshape(-1, 2, 1 << (i - 6))
-            yield view[:, 0, :], view[:, 1, :]
+            lo, hi = view[:, 0, :], view[:, 1, :]
+            out = scratch[: words.shape[0] // 2].reshape(lo.shape)
+        if monotone:
+            np.invert(hi, out=out)
+            out &= lo
+        else:
+            np.bitwise_xor(lo, hi, out=out)
+        if i < 6:
+            out &= _IN_WORD_MASKS[i]
+        yield out
 
 
-def _ones(words: np.ndarray) -> int:
+def count_ones(words: np.ndarray) -> int:
+    """Set bits of the words: the points of a packed table where f is 1."""
     return int(np.bitwise_count(words).sum(dtype=np.int64))
 
 
-def influence_counts(table: np.ndarray, n: int) -> np.ndarray:
-    """Per-coordinate count of points m with table[m] != table[m ^ e_i]."""
-    words, pad = _packed(table, n)
-    return np.array([2 * _ones(lo ^ hi) >> pad for lo, hi in _word_halves(words, n)],
-                    dtype=np.int64)
+def influence_counts(words: np.ndarray, n: int) -> np.ndarray:
+    """Per-coordinate count of points m with f(m) != f(m ^ e_i), from the packed table."""
+    words, pad = _tiled(words, n)
+    return np.array([2 * count_ones(cut) >> pad for cut in _edges(words, n)], dtype=np.int64)
 
 
-def boundary_counts(table: np.ndarray, n: int) -> tuple[int, int]:
-    """Counts of 0-side and 1-side vertex-boundary points of the truth table.
+def boundary_counts(words: np.ndarray, n: int) -> tuple[int, int]:
+    """Counts of 0-side and 1-side vertex-boundary points of the packed table.
 
     A point is on the boundary when some coordinate's cut (its pair differs)
-    reaches it from either side, so each cut is ORed into the packed
-    "on boundary" words at both the x_i = -1 and the x_i = +1 bits.
+    reaches it from either side, so each cut is ORed, in place, into the
+    "on boundary" words at both the x_i = -1 and the x_i = +1 bits.  Those
+    words and the cut scratch are the only arrays of the table's size.
     """
-    words, pad = _packed(table, n)
+    words, pad = _tiled(words, n)
     on = np.zeros_like(words)
-    for i, (lo, hi) in enumerate(_word_halves(words, n)):
-        cut = lo ^ hi
+    for i, cut in enumerate(_edges(words, n)):
         if i < 6:
-            on |= cut | (cut << np.uint64(1 << i))
+            on |= cut
+            cut <<= np.uint64(1 << i)
+            on |= cut
         else:
             view = on.reshape(-1, 2, 1 << (i - 6))
             view[:, 0, :] |= cut
             view[:, 1, :] |= cut
-    c1 = _ones(on & words)
-    return (_ones(on) - c1) >> pad, c1 >> pad
+    total = count_ones(on)
+    on &= words
+    c1 = count_ones(on)
+    return (total - c1) >> pad, c1 >> pad
 
 
-def monotone_violations(table: np.ndarray, n: int) -> int:
-    """Number of directed edges with f = 1 below and f = 0 above."""
-    words, pad = _packed(table, n)
-    return sum(_ones(lo & ~hi) for lo, hi in _word_halves(words, n)) >> pad
+def monotone_violations(words: np.ndarray, n: int) -> int:
+    """Number of directed edges with f = 1 below and f = 0 above, from the packed table."""
+    words, pad = _tiled(words, n)
+    return sum(count_ones(cut) for cut in _edges(words, n, monotone=True)) >> pad
 
 
-def set_subcube(table: np.ndarray, n: int, coords) -> None:
-    """Set table[m] = 1, in place, at the points with x_i = +1 for all i in coords.
+def set_subcube(words: np.ndarray, n: int, coords) -> None:
+    """Set f = 1, in place in the packed table, at the points with x_i = +1 for all i in coords.
 
-    One slice assignment on the (2,)*n view writes the subcube's
-    2^(n - |coords|) entries, so repeated calls OR subcubes together.  A
-    coordinate outside 0..n-1, or a table whose reshape would be a copy, is
-    refused before any write.
+    The coordinates below 6 make one in-word mask (the x_i = +1 bits, and
+    the table's own bits when n < 6); each coordinate from 6 up fixes index
+    1 on its axis of the (2,)*(n - 6) word view.  One OR of the mask into
+    that strided view writes the subcube, so repeated calls OR subcubes
+    together.  A coordinate outside 0..n-1, or words whose reshape would be
+    a copy, is refused before any write.
     """
     coords = [int(i) for i in coords]
     if not all(0 <= i < n for i in coords):
         raise ValueError(f"subcube coordinates {coords} outside 0..{n - 1}")
-    if not table.flags.c_contiguous:
-        raise ValueError("set_subcube writes through a reshape view; the table must be C-contiguous")
-    index = [slice(None)] * n
+    if not words.flags.c_contiguous:
+        raise ValueError("set_subcube writes through a reshape view; the words must be C-contiguous")
+    mask = (1 << (1 << min(n, 6))) - 1
+    index = [slice(None)] * max(0, n - 6)
     for i in coords:
-        index[n - 1 - i] = 1
-    table.reshape((2,) * n)[tuple(index)] = 1
+        if i < 6:
+            mask &= ~int(_IN_WORD_MASKS[i])
+        else:
+            index[n - 1 - i] = 1
+    view = words.reshape((2,) * max(0, n - 6))
+    view[(*index, Ellipsis)] |= np.uint64(mask)
+
+
+_CHUNK_BITS = 16  # points per chunk of popcount_words: 2^16
+
+
+def popcount_words(n: int, accept) -> np.ndarray:
+    """The packed table that is 1 at point m exactly when accept[popcount(m)].
+
+    accept has n + 1 entries, one per popcount.  The 2^16 points of a chunk
+    (all 2^n when n < 16) share the high bits of their index, so the chunk's
+    words depend only on the popcount h of those bits: the chunk of h is the
+    OR of the packed levels {popcounts(16) == k} with accept[h + k], made
+    once per h, and each chunk is copied from the one of its h.  No array of
+    2^n entries is made beside the words.
+    """
+    accept = np.asarray(accept, dtype=bool)
+    low = min(n, _CHUNK_BITS)
+    pc = popcounts(low)
+    levels = np.stack([pack_bits(pc == k) for k in range(low + 1)])
+    chunks = np.stack([np.bitwise_or.reduce(levels[accept[h : h + low + 1]], axis=0)
+                       for h in range(n - low + 1)])
+    words = np.empty(word_count(n), dtype=WORD)
+    np.take(chunks, popcounts(n - low), axis=0, mode="clip",
+            out=words.reshape(-1, chunks.shape[1]))
+    return words
 
 
 def popcounts(n: int) -> np.ndarray:

@@ -74,7 +74,10 @@ class LevelWeights:
 
 
 def fwht_spectrum(f: BooleanFunction) -> FourierSpectrum:
-    """Fast Walsh transform, O(n 2^n); agrees with the defining sum exactly."""
+    """Fast Walsh transform, O(n 2^n); agrees with the defining sum exactly.
+
+    The transform reads one entry per point, so the table is unpacked for it.
+    """
     return FourierSpectrum(f.n, kernels.fwht(f.table))
 
 
@@ -108,7 +111,7 @@ def covariance(f: BooleanFunction, g: BooleanFunction) -> Fraction:
     """E[fg] - E[f]E[g], exact."""
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
-    both = int(np.count_nonzero(f.table & g.table))
+    both = kernels.count_ones(f.words & g.words)
     n2 = 1 << f.n
     return Fraction(both * n2 - f.ones * g.ones, n2 * n2)
 

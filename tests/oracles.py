@@ -47,7 +47,7 @@ from math import comb, floor
 import numpy as np
 
 from cubelab import kernels
-from cubelab.bfcore import BooleanFunction
+from cubelab.bfcore import from_truth_table
 from cubelab.chernoff import CheckRecord
 from cubelab.correlate import CorrelationResult, first_level_form
 from cubelab.levelk import SymmetricStats, _cdf_weights
@@ -59,13 +59,14 @@ def point_signs(m: int, n: int):
 
 
 def brute_coefficient(f, subset) -> Fraction:
+    table = f.table
     total = 0
     for m in range(1 << f.n):
         x = point_signs(m, f.n)
         sign = 1
         for i in subset:
             sign *= x[i]
-        total += sign * int(f.table[m])
+        total += sign * int(table[m])
     return Fraction(total, 1 << f.n)
 
 
@@ -81,28 +82,31 @@ def brute_spectrum(f) -> dict[int, Fraction]:
 
 
 def brute_influence(f, i: int) -> Fraction:
+    table = f.table
     count = 0
     for m in range(1 << f.n):
-        if f.table[m] != f.table[m ^ (1 << i)]:
+        if table[m] != table[m ^ (1 << i)]:
             count += 1
     return Fraction(count, 1 << f.n)
 
 
 def brute_boundary(f, lam: int) -> Fraction:
+    table = f.table
     count = 0
     for m in range(1 << f.n):
-        if int(f.table[m]) != lam:
+        if int(table[m]) != lam:
             continue
-        if any(int(f.table[m ^ (1 << i)]) != lam for i in range(f.n)):
+        if any(int(table[m ^ (1 << i)]) != lam for i in range(f.n)):
             count += 1
     return Fraction(count, 1 << f.n)
 
 
 def brute_is_monotone(f) -> bool:
+    table = f.table
     for m in range(1 << f.n):
         for i in range(f.n):
             if not m >> i & 1:
-                if f.table[m] > f.table[m | (1 << i)]:
+                if table[m] > table[m | (1 << i)]:
                     return False
     return True
 
@@ -397,7 +401,7 @@ def table_level_weight(h, k: int) -> Fraction:
     """W^k of 1{a.x > t} tabulated over the halfspace's nonzero weights in
     descending order, not over its original coordinates."""
     accepts = kernels.dot_values(h.scaled) > floor(h.threshold * h.scale)
-    table = BooleanFunction(h.n, accepts.astype(np.uint8))
+    table = from_truth_table(accepts, h.n)
     return fwht_spectrum(table).level_weights().level(k)
 
 

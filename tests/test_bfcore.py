@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubelab import bfcore, halfspace
+from cubelab import bfcore, halfspace, influence, kernels
 from cubelab.bfcore import FunctionSpec
 
 import oracles
+from test_kernels import traced_peak
 
 
 def test_from_truth_table_dictator():
@@ -61,9 +62,34 @@ def test_builtin_paper5():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_majority_table_pointwise(n):
-    """2 * popcount - n > 0 at every point, also for even n (ties are 0)."""
-    table = bfcore._majority_table(n)
+    """2 * popcount - n > 0 at every point, also for even n (ties are 0),
+    from the popcount builder majority uses."""
+    table = bfcore.BooleanFunction(n, bfcore._by_popcount(n, lambda k: k > n // 2)).table
     assert table.tolist() == [int(2 * bin(m).count("1") - n > 0) for m in range(1 << n)]
+    if n % 2:
+        assert bfcore.majority(n).table.tolist() == table.tolist()
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 13, 16, 17, 18])
+def test_popcount_words_match_per_point(n):
+    """The chunked popcount builder against accept[popcount(m)] at every
+    point: one chunk below n = 16, two and four chunks of 2^16 points at 17
+    and 18, for a random accept set and for a cut below 0 (all ones) and at
+    n or more (all zeros)."""
+    pc = np.array([bin(m).count("1") for m in range(1 << n)])
+    accepts = [np.random.default_rng(n).integers(0, 2, size=n + 1).astype(bool),
+               np.ones(n + 1, dtype=bool), np.zeros(n + 1, dtype=bool)]
+    for accept in accepts:
+        f = bfcore.BooleanFunction(n, kernels.popcount_words(n, accept))
+        assert np.array_equal(f.table, accept[pc].astype(np.uint8))
+    for t, ones in ((-1000, 1 << n), (-n - 1, 1 << n), (n, 0), (10**20, 0)):
+        assert bfcore.hamming_ball(n, t).ones == ones
+
+
+def test_ball_descriptor_cuts_outside_the_popcounts():
+    """A cut below every popcount is all ones, one above every popcount all zeros."""
+    assert FunctionSpec.parse("ball:3,-1000").build().table.tolist() == [1] * 8
+    assert FunctionSpec.parse("ball:3,100000000000000000000").build().table.tolist() == [0] * 8
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -98,40 +124,40 @@ def test_builtin_errors():
 
 
 def test_tribes_structure():
-    f = bfcore.tribes(2, 2)
+    table = bfcore.tribes(2, 2).table
     # 1 iff coords {0,1} both +1 or coords {2,3} both +1
     for m in range(16):
         expect = int((m & 0b0011) == 0b0011 or (m & 0b1100) == 0b1100)
-        assert int(f.table[m]) == expect
+        assert int(table[m]) == expect
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_indicator_builtins_pointwise(n):
     """dictator, subcube and tribes against their definitions at every point."""
-    dictator = bfcore.dictator(n)
-    subcubes = {k: bfcore.subcube(k, n) for k in range(1, n + 1)}
-    tribes = {b: bfcore.tribes(n // b, b) for b in range(1, n + 1) if n % b == 0}
+    dictator = bfcore.dictator(n).table
+    subcubes = {k: bfcore.subcube(k, n).table for k in range(1, n + 1)}
+    tribes = {b: bfcore.tribes(n // b, b).table for b in range(1, n + 1) if n % b == 0}
     for m in range(1 << n):
         x = oracles.point_signs(m, n)
-        assert int(dictator.table[m]) == int(x[0] == 1)
-        for k, f in subcubes.items():
-            assert int(f.table[m]) == int(all(v == 1 for v in x[:k]))
-        for b, f in tribes.items():
+        assert int(dictator[m]) == int(x[0] == 1)
+        for k, table in subcubes.items():
+            assert int(table[m]) == int(all(v == 1 for v in x[:k]))
+        for b, table in tribes.items():
             want = any(all(v == 1 for v in x[j:j + b]) for j in range(0, n, b))
-            assert int(f.table[m]) == int(want)
+            assert int(table[m]) == int(want)
 
 
 @pytest.mark.parametrize("n", [9, 16])
 def test_talagrand_or_pointwise(n):
     """Majority (ties count as 1) OR the seeded AND terms, drawn again here."""
-    f = bfcore.talagrand_or(n, 42)
+    table = bfcore.talagrand_or(n, 42).table
     b = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
     rng = np.random.default_rng(42)
     terms = [rng.choice(n, size=b, replace=False).tolist() for _ in range(-(-(1 << b) // b))]
     for m in range(1 << n):
         x = oracles.point_signs(m, n)
         want = sum(x) >= 0 or any(all(x[i] == 1 for i in term) for term in terms)
-        assert int(f.table[m]) == int(want)
+        assert int(table[m]) == int(want)
 
 
 def _table_n22_tribes_shapes():
@@ -168,10 +194,21 @@ def test_talagrand_or_table_digest(n):
     assert hashlib.sha256(f.table.tobytes()).hexdigest() == TALAGRAND_SHA256[n]
 
 
+def test_talagrand_or_boundary_peak_memory():
+    """EX74's path at the cap: the 2^25-point table is 4 MiB of words, and
+    its build and boundary scan stay under five times that, with no
+    per-point array of popcounts or bytes beside the words."""
+    def build_and_scan():
+        influence.boundary_measures(bfcore.talagrand_or(25, 42))
+
+    assert traced_peak(build_and_scan) < 20 * (1 << 20)
+
+
 @pytest.mark.parametrize("build", [lambda: bfcore.subcube(3, 20), lambda: bfcore.tribes(4, 5)])
 def test_indicator_builders_allocate_one_table(build):
-    """One byte per point at the peak: the table is written in place, with
-    no full-size term table, OR pass or dtype copy beside it."""
+    """One bit per point at the peak: the words are written in place, with
+    no full-size term table, OR pass or dtype copy beside them.  The slack is
+    the popcount's byte per word and numpy's 64 KiB summation buffer."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -180,7 +217,7 @@ def test_indicator_builders_allocate_one_table(build):
     finally:
         tracemalloc.stop()
     assert f.n == 20
-    assert peak < 1.25 * (1 << 20), peak
+    assert peak < 1.25 * (1 << 20) / 8 + (1 << 17), peak
 
 
 def test_talagrand_or_reproducible():
@@ -226,8 +263,22 @@ def test_dual_pointwise(n):
     f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
     g = bfcore.dual(f)
     mask = (1 << n) - 1
+    f_table, g_table = f.table, g.table
     for m in range(1 << n):
-        assert int(g.table[m]) == 1 - int(f.table[m ^ mask])
+        assert int(g_table[m]) == 1 - int(f_table[m ^ mask])
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 13])
+def test_dual_and_text_against_the_per_point_table(n):
+    """dual reverses and complements the packed bits: 1 - table[::-1] on a
+    random, a constant and a dictator table; the text literal round-trips."""
+    rng = np.random.default_rng(200 + n)
+    tables = [rng.integers(0, 2, size=1 << n).astype(np.uint8), np.zeros(1 << n, np.uint8),
+              (np.arange(1 << n) >> (n - 1) & 1).astype(np.uint8)]
+    for table in tables:
+        f = bfcore.from_truth_table(table, n)
+        assert np.array_equal(bfcore.dual(f).table, 1 - table[::-1])
+        assert bfcore.from_text(f.to_text()) == f
 
 
 def test_is_monotone_examples():
@@ -242,7 +293,7 @@ def test_is_monotone_examples():
 
 def test_text_roundtrip_truth_table():
     rng = np.random.default_rng(2)
-    for n in (1, 3, 6):
+    for n in (*range(1, 8), 13):
         f = bfcore.from_truth_table(rng.integers(0, 2, size=1 << n), n)
         assert bfcore.from_text(f.to_text()) == f
 

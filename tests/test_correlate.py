@@ -77,7 +77,7 @@ def test_best_halfspace_brute_agreement():
         # brute force: every cut that keeps some point, as a table
         cuts = []
         for v in sorted(set(values.tolist()))[:-1]:
-            g = bfcore.BooleanFunction(f.n, (values > v).astype(np.uint8))
+            g = bfcore.from_truth_table(values > v, f.n)
             cuts.append((spectral.covariance(f, g), v))
         best = max(cov for cov, _ in cuts)
         if best < 0:
@@ -155,7 +155,8 @@ def test_threshold_integral_identity_past_int64():
     rng = np.random.default_rng(0)
     weights = [int(w) for w in rng.integers(1, 65, size=n)]
     f = make_halfspace(weights, sum(weights) // 4).truth_table()
-    halves = [f.table.reshape(-1, 2, 1 << i) for i in range(n)]
+    table = f.table
+    halves = [table.reshape(-1, 2, 1 << i) for i in range(n)]
     nums = [int(np.count_nonzero(h[:, 1, :])) - int(np.count_nonzero(h[:, 0, :]))
             for h in halves]
     w1 = F(sum(c * c for c in nums), 1 << (2 * n))
@@ -301,8 +302,7 @@ def test_tribes_or_small_halfspace_tightness():
     form = correlate.first_level_form(glued)
     values, scale = form.scaled_values()
     best = correlate.best_halfspace_over_form(correlate.FirstLevel(glued, form=form))
-    cut = bfcore.BooleanFunction(
-        n, (values > best.threshold * scale).astype("uint8"))
+    cut = bfcore.from_truth_table(values > best.threshold * scale, n)
     assert spectral.covariance(glued, cut) == best.covariance
     assert best.covariance <= spectral.covariance(tribes, cut) + 2 * eta
     assert best.covariance > 0

@@ -43,10 +43,11 @@ def test_edge_boundary_identity():
     for _ in range(10):
         f = bfcore.from_truth_table(rng.integers(0, 2, size=64), 6)
         prof = influence.influences(f)
+        table = f.table
         edges = 0
         for m in range(64):
             for i in range(6):
-                if m >> i & 1 and f.table[m] != f.table[m ^ (1 << i)]:
+                if m >> i & 1 and table[m] != table[m ^ (1 << i)]:
                     edges += 1
         assert prof.total * (1 << 5) == edges  # I(f) * 2^(n-1)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cubelab import kernels
-from cubelab.bfcore import BooleanFunction
+from cubelab.bfcore import BooleanFunction, from_truth_table
 from cubelab.spectral import spectrum_by_definition
 
 import oracles
@@ -24,7 +24,7 @@ def random_table(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
 def test_fwht_backends_agree(n):
     """The butterfly equals the O(4^n) transform from the defining sum."""
-    f = BooleanFunction(n, random_table(np.random.default_rng(n), n))
+    f = from_truth_table(random_table(np.random.default_rng(n), n), n)
     got = kernels.fwht(f.table.astype(np.int64))
     assert np.array_equal(got, spectrum_by_definition(f).numerators)
 
@@ -252,7 +252,8 @@ def test_dot_values_backends_agree():
 
 
 def direct_monotone_violations(f):
-    return sum(int(f.table[m]) > int(f.table[m | 1 << i])
+    table = f.table
+    return sum(int(table[m]) > int(table[m | 1 << i])
                for m in range(1 << f.n) for i in range(f.n) if not m >> i & 1)
 
 
@@ -268,13 +269,13 @@ def test_table_kernels_backends_agree(n):
     tables = [random_table(rng, n), np.zeros(size, np.uint8), np.ones(size, np.uint8),
               (2 * weight >= n).astype(np.uint8)]
     for table in tables:
-        f = BooleanFunction(n, table)
-        influence = kernels.influence_counts(f.table, n)
+        f = from_truth_table(table, n)
+        influence = kernels.influence_counts(f.words, n)
         assert list(influence) == [oracles.brute_influence(f, i) * size for i in range(n)]
-        c0, c1 = kernels.boundary_counts(f.table, n)
+        c0, c1 = kernels.boundary_counts(f.words, n)
         assert (c0, c1) == (oracles.brute_boundary(f, 0) * size,
                             oracles.brute_boundary(f, 1) * size)
-        bad = kernels.monotone_violations(f.table, n)
+        bad = kernels.monotone_violations(f.words, n)
         assert bad == direct_monotone_violations(f)
         assert (bad == 0) == oracles.brute_is_monotone(f)
 
@@ -294,13 +295,28 @@ def scan_tables(n):
     return tables + [(points >> i & 1).astype(np.uint8) for i in range(n)]
 
 
-@pytest.mark.parametrize("n", [*range(1, 13), 20])
+@pytest.mark.parametrize("n", [*range(1, 14), 20])
 def test_packed_scans_match_uint8_oracle(n):
-    """The bit-packed scans against the one-byte-per-point scans."""
+    """The scans of the packed words against the one-byte-per-point scans;
+    below n = 6 the one word is tiled, and its unused bits stay 0."""
     for table in scan_tables(n):
-        assert kernels.influence_counts(table, n).tolist() == oracles.halves_influence_counts(table, n)
-        assert kernels.boundary_counts(table, n) == oracles.halves_boundary_counts(table, n)
-        assert kernels.monotone_violations(table, n) == oracles.halves_monotone_violations(table, n)
+        words = kernels.pack_bits(table)
+        assert words.shape == (kernels.word_count(n),) and words.dtype == kernels.WORD
+        assert kernels.influence_counts(words, n).tolist() == oracles.halves_influence_counts(table, n)
+        assert kernels.boundary_counts(words, n) == oracles.halves_boundary_counts(table, n)
+        assert kernels.monotone_violations(words, n) == oracles.halves_monotone_violations(table, n)
+        assert np.array_equal(BooleanFunction(n, words).table, table)
+
+
+@pytest.mark.parametrize("n", [6, 23])
+def test_packed_scans_keep_two_scratch_arrays(n):
+    """Each scan holds at most two word arrays of the table's size beside the
+    words it reads (the boundary's "on" words and the cut scratch), with no
+    full- or half-size temporary per coordinate.  The slack is the popcount's
+    byte per word and 256 KiB for numpy's buffers of strided operands."""
+    words = kernels.pack_bits(random_table(np.random.default_rng(n), n))
+    for scan in (kernels.influence_counts, kernels.boundary_counts, kernels.monotone_violations):
+        assert traced_peak(scan, words, n) < 2.125 * words.nbytes + (1 << 18), scan.__name__
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -323,39 +339,50 @@ def test_popcounts():
         assert pc.tolist() == [bin(m).count("1") for m in range(1 << n)]
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+def unpacked(words, n):
+    return BooleanFunction(n, words.copy()).table.astype(bool)
+
+
+@pytest.mark.parametrize("n", [*range(1, 14), 17])
 def test_set_subcube_matches_all_plus(n):
-    """Random, empty and full coordinate sets, on bool and uint8 tables, and
-    several subcubes written into one table (their OR)."""
+    """Random, empty and full coordinate sets, and sets of only in-word
+    coordinates (below 6) and only word coordinates (6 up), on packed
+    words, and several subcubes written into one table (their OR)."""
     rng = np.random.default_rng(n)
-    sets = [[], list(range(n)), list(range(n))[::-1]]
+    sets = [[], list(range(n)), list(range(n))[::-1], list(range(min(n, 6))), list(range(6, n))]
     sets += [rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) for _ in range(6)]
-    for dtype in (bool, np.uint8):
-        union = np.zeros(1 << n, dtype=bool)
-        table = np.zeros(1 << n, dtype=dtype)
-        for coords in sets[1:]:
-            alone = np.zeros(1 << n, dtype=dtype)
-            kernels.set_subcube(alone, n, coords)
-            assert np.array_equal(alone.astype(bool), oracles.all_plus(n, coords))
-            kernels.set_subcube(table, n, coords)
-            union |= oracles.all_plus(n, coords)
-            assert np.array_equal(table.astype(bool), union)
-        kernels.set_subcube(table, n, sets[0])
-        assert table.dtype == dtype and table.all()
+    sets += [rng.choice(min(n, 6), size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+             for _ in range(3)]
+    union = np.zeros(1 << n, dtype=bool)
+    words = kernels.zero_words(n)
+    for coords in sets[1:]:
+        alone = np.zeros_like(words)
+        kernels.set_subcube(alone, n, coords)
+        assert np.array_equal(unpacked(alone, n), oracles.all_plus(n, coords))
+        kernels.set_subcube(words, n, coords)
+        union |= oracles.all_plus(n, coords)
+        assert np.array_equal(unpacked(words, n), union)
+    kernels.set_subcube(words, n, sets[0])
+    assert words.dtype == kernels.WORD and unpacked(words, n).all()
+    assert kernels.count_ones(words) == 1 << n  # no bit past the table's points
 
 
 @pytest.mark.parametrize("coords", [[-1], [4], [0, 4], [2, -3]])
 def test_set_subcube_refuses_coordinate_outside_cube(coords):
-    table = random_table(np.random.default_rng(0), 4)
-    before = table.copy()
-    with pytest.raises(ValueError, match="outside"):
-        kernels.set_subcube(table, 4, coords)
-    assert np.array_equal(table, before)
+    """Refused before any write, on the one word of 16 points, and on the
+    words of 512 points beside a valid word coordinate (7); 4 stands for n,
+    one past the top coordinate."""
+    for n, extra in ((4, []), (9, [7])):
+        words = kernels.pack_bits(random_table(np.random.default_rng(0), n))
+        before = words.copy()
+        with pytest.raises(ValueError, match="outside"):
+            kernels.set_subcube(words, n, [n if i == 4 else i for i in coords] + extra)
+        assert np.array_equal(words, before)
 
 
 def test_set_subcube_refuses_non_contiguous_table():
-    base = random_table(np.random.default_rng(1), 5)
+    base = kernels.pack_bits(random_table(np.random.default_rng(1), 9))
     before = base.copy()
     with pytest.raises(ValueError, match="C-contiguous"):
-        kernels.set_subcube(base[::2], 4, [0])
+        kernels.set_subcube(base[::2], 8, [0])
     assert np.array_equal(base, before)

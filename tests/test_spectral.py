@@ -189,8 +189,9 @@ def test_noise_operator_at_zero_rho_is_mean():
 
 def test_noise_operator_at_one_recovers_function():
     f = bfcore.paper5()
+    table = f.table
     for m in (0, 5, 21, 31):
-        assert noise_operator_at(f, 1, m) == int(f.table[m])
+        assert noise_operator_at(f, 1, m) == int(table[m])
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 8])
@@ -217,7 +218,8 @@ def test_spectrum_by_definition_pointwise(n):
     """Every numerator against sum_m f(m) * (-1)^popcount(S & ~m)."""
     f = bfcore.from_truth_table(np.random.default_rng(n).integers(0, 2, size=1 << n), n)
     got = spectral.spectrum_by_definition(f).numerators
-    ones = [m for m in range(1 << n) if f.table[m]]
+    table = f.table
+    ones = [m for m in range(1 << n) if table[m]]
     for mask in range(1 << n):
         assert got[mask] == sum(1 - 2 * (bin(mask & ~m).count("1") & 1) for m in ones)
 
