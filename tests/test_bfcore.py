@@ -271,13 +271,17 @@ def test_dual_pointwise(n):
 @pytest.mark.parametrize("n", [*range(1, 8), 13])
 def test_dual_and_text_against_the_per_point_table(n):
     """dual reverses and complements the packed bits: 1 - table[::-1] on a
-    random, a constant and a dictator table; the text literal round-trips."""
+    random, a constant and a dictator table.  The text literal is the table
+    read as a binary number, point 2^n - 1 first, in max(1, 2^n / 4) hex
+    digits, and it round-trips."""
     rng = np.random.default_rng(200 + n)
     tables = [rng.integers(0, 2, size=1 << n).astype(np.uint8), np.zeros(1 << n, np.uint8),
               (np.arange(1 << n) >> (n - 1) & 1).astype(np.uint8)]
     for table in tables:
         f = bfcore.from_truth_table(table, n)
         assert np.array_equal(bfcore.dual(f).table, 1 - table[::-1])
+        value = int("".join(str(b) for b in table[::-1]), 2)
+        assert f.to_text() == f"tt:{n}:{value:0{max(1, (1 << n) // 4)}x}"
         assert bfcore.from_text(f.to_text()) == f
 
 
