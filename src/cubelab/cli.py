@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -51,20 +50,25 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _write_spectrum(fh, spec: spectral.FourierSpectrum) -> None:
+    """The CSV header, then one LF-ended row mask,numerator,n per mask (the
+    coefficient is numerator / 2^n), one write per block of 2^16 rows."""
+    fh.write("mask,numerator,denominator_log2\n")
+    tail = f",{spec.n}\n"
+    for start in range(0, 1 << spec.n, 1 << 16):
+        block = spec.numerators[start : start + (1 << 16)].tolist()
+        fh.write("".join(f"{start + i},{v}{tail}" for i, v in enumerate(block)))
+
+
 def cmd_spectrum(args) -> int:
     f = FunctionSpec.parse(args.spec).build()
     spec = spectral.fwht_spectrum(f)
-    rows = spec.export_rows()
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mask", "numerator", "denominator_log2"])
-            writer.writerows(rows)
+        with open(args.csv, "w") as fh:
+            _write_spectrum(fh, spec)
         print(f"wrote {1 << f.n} rows to {args.csv}")
     else:
-        print("mask,numerator,denominator_log2")
-        for row in rows:
-            print(f"{row[0]},{row[1]},{row[2]}")
+        _write_spectrum(sys.stdout, spec)
     return 0
 
 

@@ -192,21 +192,37 @@ def leave_one_out_window(cum: np.ndarray, w: int, b: int) -> int:
     return int(terms[0::2].sum()) - int(terms[1::2].sum())
 
 
-def dot_values(weights: np.ndarray) -> np.ndarray:
-    """sum(w_i * x_i) for every point m of the cube, as int64.
+def elementary_symmetric(weights: np.ndarray, k: int) -> list[np.ndarray]:
+    """e_1 .. e_k of (w_i x_i) at every point m of the cube, as int64 arrays.
 
-    One array is filled by doubling in place: after the first j weights its
-    first 2^j entries hold their sums, and weight j extends them to 2^(j+1)
-    as out[h:2h] = out[:h] + w, then out[:h] -= w.
+    Each layer is filled by doubling in place: after the first j weights its
+    first 2^j entries hold e_d of those coordinates, and weight j extends
+    them to 2^(j+1) as e_d[h:2h] = e_d[:h] + w e_{d-1}[:h], then
+    e_d[:h] -= w e_{d-1}[:h], top level first so that e_{d-1} is still the
+    old layer when e_d reads it.  e_0 = 1 is not stored, so e_1 needs no
+    step buffer and the others share one of half size.  int64 wraps modulo
+    2^64 and the fill only adds, subtracts and multiplies, so a layer whose
+    values fit int64 is exact even where a layer below it wrapped.
     """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
-    out = np.zeros(1 << len(weights), dtype=np.int64)
+    size = 1 << len(weights)
+    layers = [np.zeros(size, dtype=np.int64) for _ in range(k)]
+    step = np.empty(size >> 1, dtype=np.int64) if k > 1 else None
+    top_first = range(k - 1, -1, -1)  # layers[d] holds e_(d+1)
     h = 1
     for w in weights.tolist():
-        np.add(out[:h], w, out=out[h : 2 * h])
-        out[:h] -= w
+        for d in top_first:
+            below = np.multiply(layers[d - 1][:h], w, out=step[:h]) if d else w
+            np.add(layers[d][:h], below, out=layers[d][h : 2 * h])
+            layers[d][:h] -= below
         h *= 2
-    return out
+    return layers
+
+
+def dot_values(weights: np.ndarray) -> np.ndarray:
+    """sum(w_i * x_i) for every point m of the cube, as int64: the one layer
+    of ``elementary_symmetric`` at k = 1."""
+    return elementary_symmetric(weights, 1)[0]
 
 
 # M_i: the bits of a word whose point has x_i = -1, for the in-word coordinates i < 6

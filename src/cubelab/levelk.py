@@ -236,30 +236,11 @@ def _cdf_weights(h: Halfspace, k: int, uniq: np.ndarray, t: Fraction,
     return np.array([irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq])
 
 
-def elementary_symmetric_pointwise(h: Halfspace, k: int) -> list[np.ndarray]:
-    """e_0 .. e_k of (a_j x_j) at every cube point, as scaled int64 (e_d in
-    scale^d units), from one doubling pass.
-
-    int64 arithmetic wraps modulo 2^64 and the pass only adds, subtracts and
-    multiplies, so a layer whose values fit int64 is exact even where a layer
-    below it wrapped; ``e_k_fits`` tells which layers fit.
-    """
-    # layers[d][:span] holds e_d of the coordinates seen so far; each new one
-    # doubles it in place as in kernels.dot_values, to e_d - w e_{d-1} on the
-    # low half and e_d + w e_{d-1} on the high half, top level first so that
-    # e_{d-1} is still the old layer when e_d reads it
-    size = 1 << h.n
-    layers = [np.ones(size, dtype=np.int64)] + [np.zeros(size, dtype=np.int64) for _ in range(k)]
-    step = np.empty(size >> 1, dtype=np.int64)
-    span = 1
-    for w in h.scaled.tolist():
-        for d in range(k, 0, -1):
-            e = layers[d]
-            below = w if d == 1 else np.multiply(layers[d - 1][:span], w, out=step[:span])
-            np.add(e[:span], below, out=e[span : 2 * span])
-            e[:span] -= below
-        span *= 2
-    return layers
+def elementary_symmetric_pointwise(h: Halfspace, k: int) -> dict[int, np.ndarray]:
+    """e_1 .. e_k of (a_j x_j) at every cube point, keyed by level, as scaled
+    int64 (e_d in scale^d units), from the one doubling fill of
+    ``kernels.elementary_symmetric``; ``e_k_fits`` tells which layers fit."""
+    return dict(enumerate(kernels.elementary_symmetric(h.scaled, k), 1))
 
 
 def e_k_fits(h: Halfspace, k: int) -> bool:
@@ -271,28 +252,30 @@ def e_k_fits(h: Halfspace, k: int) -> bool:
 
 class CubeScan:
     """A halfspace's arrays over the whole cube, each built on first use and
-    then kept, so every check of one member reads the same copy: the scaled
-    dot values a.x, the points the halfspace accepts and the elementary
-    symmetric layers e_k of (a_j x_j) for k in 1..max(LEVELS).  The distinct
-    values are the support of the halfspace's distribution."""
+    then kept, so every check of one member reads the same copy: the
+    elementary symmetric layers e_k of (a_j x_j) for k in 1..max(LEVELS),
+    whose e_1 is the scaled dot values a.x, and the points the halfspace
+    accepts.  The distinct values are the support of the halfspace's
+    distribution."""
 
     def __init__(self, h: Halfspace):
         self.h = h
 
     @cached_property
+    def layers(self) -> dict[int, np.ndarray]:
+        """e_1 .. e_top from one pass, top the highest level up to
+        max(LEVELS) whose values fit int64, and at least 1."""
+        top = max((k for k in range(2, max(LEVELS) + 1) if e_k_fits(self.h, k)), default=1)
+        return elementary_symmetric_pointwise(self.h, top)
+
+    @property
     def values(self) -> np.ndarray:
-        return kernels.dot_values(self.h.scaled)
+        """The scaled dot values a.x: the layer e_1."""
+        return self.layers[1]
 
     @cached_property
     def accepts(self) -> np.ndarray:
         return self.values > math.floor(self.h.threshold * self.h.scale)
-
-    @cached_property
-    def layers(self) -> dict[int, np.ndarray]:
-        """e_1 .. e_top from one pass, top the highest level up to
-        max(LEVELS) whose values fit int64; e_0 is not kept."""
-        top = max(k for k in range(max(LEVELS) + 1) if e_k_fits(self.h, k))
-        return dict(enumerate(elementary_symmetric_pointwise(self.h, top)[1:], 1))
 
     @cached_property
     def classes(self) -> np.ndarray:

@@ -43,11 +43,6 @@ class FourierSpectrum:
             self._level_weights = LevelWeights(self.n, sums)
         return self._level_weights
 
-    def export_rows(self):
-        """(mask, numerator, denominator-log2) triples for CSV export."""
-        for mask in range(1 << self.n):
-            yield mask, int(self.numerators[mask]), self.n
-
 
 class LevelWeights:
     """W[k] = sum of squared coefficients at level k, exact."""

@@ -36,7 +36,7 @@ with the strict and the non-strict tail) of GAUSS-EATON's one-pass sweep.
 The scalar flip maps (``suffix_flip`` through
 ``interval_shift_map``, one tuple of Fractions at a time, raising
 ``DomainError`` outside their domains) are the slow route of the batched
-int64 maps in ``cubelab.flips``.
+int64 maps in ``flips``, which the tests alone use.
 """
 
 from fractions import Fraction
@@ -467,8 +467,7 @@ def swept_decay_violations(kappa, highs, piece_vals) -> int:
 def per_k_elementary_symmetric(h, k: int) -> np.ndarray:
     """e_k of (a_j x_j) at every cube point by its own doubling pass, layers
     0..k only, refused when C(n, k) max^k passes 2^62: the per-level route
-    that the one shared pass of ``levelk.elementary_symmetric_pointwise``
-    replaces."""
+    that the one shared fill of ``kernels.elementary_symmetric`` replaces."""
     biggest = int(max(h.scaled)) if h.n else 0
     if k >= 1 and comb(max(h.n, 1), k) * biggest**k > 2**62:
         raise OverflowError("elementary symmetric values would overflow int64")
@@ -551,7 +550,7 @@ def two_pass_gauss_worst(dist, norm: float) -> float:
 
 
 # The scalar flip maps, one vector of Fractions at a time: the slow route of
-# the batched int64 maps in cubelab.flips.
+# the batched int64 maps in flips.
 
 
 class DomainError(ValueError):

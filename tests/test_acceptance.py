@@ -11,11 +11,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cubelab import bfcore, correlate, flips, harness, influence, spectral
+from cubelab import bfcore, correlate, harness, influence, spectral
 from cubelab.chernoff import check_interval_decay
 from cubelab.halfspace import make_halfspace, parse_halfspace
 from cubelab.rational import common_scale
 
+import flips
 import oracles
 
 F = Fraction

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -99,9 +103,25 @@ def test_spectrum_stdout_and_csv(capsys, tmp_path):
     assert "mask,numerator,denominator_log2" in out
     assert "1,2,3" in out  # f-hat({1}) = 2/8 = 1/4
     path = tmp_path / "spec.csv"
-    code, out = run(capsys, "spectrum", "maj:3", "--csv", str(path))
+    code, note = run(capsys, "spectrum", "maj:3", "--csv", str(path))
     assert code == 0
-    assert path.read_text().count("\n") == 9
+    assert note == f"wrote 8 rows to {path}\n"
+    assert path.read_bytes() == out.encode()  # one writer: the file holds stdout's bytes
+
+
+def test_src_holds_only_what_the_cli_loads():
+    """Importing the CLI loads one cubelab module per file under src/cubelab:
+    code that no program path reaches belongs beside its tests."""
+    package = Path(cli.__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(package.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, cubelab.cli; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cubelab'))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    files = sorted("cubelab" if p.stem == "__init__" else f"cubelab.{p.stem}"
+                   for p in package.glob("*.py"))
+    assert loaded == files
 
 
 def test_chernoff_command(capsys):

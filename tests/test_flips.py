@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubelab import flips
 from cubelab.rational import common_scale
 
+import flips
 import oracles
 
 F = Fraction

@@ -407,10 +407,10 @@ def test_wk_pipeline_check_matches_internal_table_route():
 
 
 def test_each_member_does_its_cube_work_once(monkeypatch):
-    """run_suite("all") on two members: each makes one halfspace dot-value
-    fill, one e_k layer pass, one build of the first-level form's values,
-    one cut profile and one level-sum pass, however many checks read them,
-    and no value-class sort: the classes come from the member's support, by
+    """run_suite("all") on two members: each makes one e_k layer pass, one
+    build of the first-level form's values, one cut profile and one
+    level-sum pass, however many checks read them, and no dot-value fill in
+    levelk (the cube's dot values are its e_1 layer), and no value-class sort: the classes come from the member's support, by
     one class search per member for both levels.  The global checks' own
     calls are measured on an empty corpus and taken off."""
     counts = Counter()
@@ -443,10 +443,10 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     assert {r.check_id for r in report.records} >= {"SIGN-COND", "WK-PIPELINE", "THM17",
                                                     "PROP92", "PROP93", "PROP16", "NSREMARK"}
     per_members = counts - globals_only
-    for key in ("dot_values from cubelab.levelk", "elementary_symmetric_pointwise",
-                "scaled_values", "_cut_covariances", "squared_level_sums",
-                "class search from cubelab.levelk"):
+    for key in ("elementary_symmetric_pointwise", "scaled_values", "_cut_covariances",
+                "squared_level_sums", "class search from cubelab.levelk"):
         assert per_members[key] == 2, key
+    assert per_members["dot_values from cubelab.levelk"] == 0
     assert per_members["class sort"] == 0
 
 

@@ -5,7 +5,9 @@ defining Walsh sum or a per-point loop; none of the slow routes calls the
 kernel it checks.
 """
 
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -249,6 +251,40 @@ def test_dot_values_backends_agree():
     assert got.shape == (1 << n,)
     for m in range(1 << n):
         assert got[m] == sum(int(w[i]) if m >> i & 1 else -int(w[i]) for i in range(n))
+
+
+def _fits_boundary(n, k):
+    """The largest w with C(n, k) w^k <= 2^62: all n weights at w put e_k at
+    the edge of what ``levelk.e_k_fits`` admits."""
+    lo, hi = 0, 1 << 62
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if math.comb(n, k) * mid**k <= 1 << 62 else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_elementary_symmetric_fill_matches_per_level_passes(n):
+    """Every layer of the one fill against its own doubling pass, and
+    ``dot_values`` against layer 1, on random weights, weights with zeros
+    and, for each level k <= 3, n equal weights at the int64 boundary."""
+    rng = np.random.default_rng(40 + n)
+    cases = [rng.integers(1, 1 << 12, size=n), rng.integers(0, 3, size=n)]
+    cases += [[_fits_boundary(n, k)] * n for k in range(1, 4) if k <= n]
+    for w in cases:
+        h = SimpleNamespace(scaled=np.array(w, dtype=np.int64), n=n)
+        layers = kernels.elementary_symmetric(h.scaled, 3)
+        assert np.array_equal(kernels.dot_values(h.scaled), layers[0])
+        for k, layer in enumerate(layers, 1):
+            try:
+                expect = oracles.per_k_elementary_symmetric(h, k)
+            except OverflowError:
+                continue  # a wrapped layer: only the layers that fit are exact
+            assert layer.dtype == np.int64 and np.array_equal(layer, expect)
+    for k in range(1, min(n, 3) + 1):
+        w = _fits_boundary(n, k)
+        top = int(kernels.elementary_symmetric(np.full(n, w), k)[k - 1][-1])
+        assert top == math.comb(n, k) * w**k  # every x_i = +1, the largest e_k
 
 
 def direct_monotone_violations(f):

@@ -242,27 +242,51 @@ def test_elementary_symmetric_pointwise_matches_brute():
         halfspaces.append(make_halfspace([F(int(a), int(b)) for a, b in zip(nums, dens)], 0))
     for h in halfspaces:
         layers = levelk.elementary_symmetric_pointwise(h, 4)
-        assert len(layers) == 5
-        for k, table in enumerate(layers):
+        assert list(layers) == [1, 2, 3, 4]
+        for k, table in layers.items():
             assert table.shape == (1 << h.n,) and table.dtype == np.int64
             for m in range(1 << h.n):
                 signed = [int(h.scaled[j]) * x for j, x in enumerate(oracles.point_signs(m, h.n))]
                 assert table[m] == brute_esym(signed, k)
 
 
-def test_elementary_symmetric_layers_fill_in_place():
-    """e_0..e_3 at n = 20 take four cube arrays and one half-size step at
-    the peak: the layers are doubled in place, top level first."""
-    h = make_halfspace([F(int(w)) for w in np.random.default_rng(20).integers(1, 64, size=20)], 0)
+def _traced_peak(fn):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        layers = levelk.elementary_symmetric_pointwise(h, 3)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(layers) == 4
-    assert peak < 5 * 8 * (1 << 20), peak
+    return result, peak
+
+
+def _n20_halfspace():
+    return make_halfspace([F(int(w)) for w in np.random.default_rng(20).integers(1, 64, size=20)], 0)
+
+
+def test_elementary_symmetric_layers_fill_in_place():
+    """e_1..e_3 at n = 20 take three cube arrays and one half-size step at
+    the peak: the layers are doubled in place, top level first, and e_0 = 1
+    is not stored."""
+    h = _n20_halfspace()
+    layers, peak = _traced_peak(lambda: levelk.elementary_symmetric_pointwise(h, 3))
+    assert list(layers) == [1, 2, 3]
+    assert peak < 3.75 * 8 * (1 << 20), peak
+
+
+def test_cube_scan_is_one_fill():
+    """A whole scan at n = 20, its accepted points, e_2, e_3 and dot values
+    read, stays under 32 MiB: one fill, whose e_1 is the dot values, beside
+    the 1 MiB of accepted points."""
+    h = _n20_halfspace()
+
+    def scan():
+        cube = levelk.CubeScan(h)
+        return cube.accepts, cube.esym(2), cube.esym(3), cube.values
+
+    _, peak = _traced_peak(scan)
+    assert peak < 32 * (1 << 20), peak
 
 
 def test_elementary_symmetric_overflow_guard_boundary():
@@ -294,7 +318,7 @@ def test_one_pass_layers_equal_per_level_passes():
     for h in cases:
         layers = levelk.elementary_symmetric_pointwise(h, 4)
         cube = levelk.CubeScan(h)
-        for k in range(5):
+        for k in range(1, 5):
             try:
                 expect = oracles.per_k_elementary_symmetric(h, k)
             except OverflowError:
@@ -327,7 +351,7 @@ def test_cube_scan_shares_fresh_arrays():
         cube = levelk.CubeScan(h)
         vals = kernels.dot_values(h.scaled)
         assert np.array_equal(cube.values, vals)
-        assert cube.values is cube.values
+        assert cube.values is cube.values and cube.values is cube.layers[1]
         assert cube.layers is cube.layers and cube.esym(3) is cube.layers[3]
 
 
