@@ -3,10 +3,10 @@
 Weights and thresholds are rescaled to integers internally, so a tie
 a.x = t is decided exactly and the strict ">" rule never needs the
 "perturb slightly" escape hatch.  The distribution of a.x is kept either
-densely (one counter per achievable sum) or as two enumerated halves
-combined per query, selected by budget.  Either backend's whole support
-is one dense distribution: the dense backend itself, or the pairs of the
-halves assembled once.
+densely (one counter per achievable sum, in Python ints past 62 summands)
+or as two enumerated halves combined per query, selected by budget.
+Either backend's whole support is one dense distribution: the dense
+backend itself, or the pairs of the halves assembled once.
 
 Each backend counts every influence: the dense one as a window of its
 counts with one weight divided out, the halves as one masked sum over the
@@ -26,6 +26,7 @@ clamped into the range of a.x before any count, which keeps every count.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,9 +36,11 @@ from . import kernels
 from .bfcore import BooleanFunction, FunctionSpec, _check_arity, from_truth_table
 from .rational import as_fraction, common_scale, format_fraction
 
-DENSE_BUDGET = 10_000_000  # max sum of scaled weights for the dense backend
+DENSE_BUDGET = 10_000_000  # max sum of scaled weights (or DP cells) for the dense backend
 MITM_MAX_N = 40
-MAX_SUMMANDS = 62  # 2^62 outcome counts fit int64; 2^63 does not
+# 1022: the most summands of any distribution, the largest n for which a
+# tail probability 2^-n, and the Gaussian tail at z = sqrt(n), are normal doubles
+MAX_SUMMANDS = 1 - sys.float_info.min_exp
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
 _QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
 _SEARCH_PAIRS = 4096  # pairs a delta search samples per round, and reads at the end
@@ -86,9 +89,6 @@ class _TailBase:
     def total(self) -> int:
         return 1 << self.n_summands
 
-    def count_ge_scaled(self, v: int) -> int:
-        return int(self.counts_ge_scaled(v))
-
     def count_gt_scaled(self, v: int) -> int:
         return int(self.counts_ge_scaled(v + 1))
 
@@ -132,8 +132,9 @@ class _TailBase:
 
 class TailDistribution(_TailBase):
     """Dense exact distribution: the distinct scaled sums ascending and their
-    counts.  With the suffix counts beside them, a tail count is one
-    ``searchsorted`` of the values."""
+    counts, int64 or (past 62 summands) Python ints, a dtype the suffix and
+    influence counts keep.  With the suffix counts beside them, a tail count
+    is one ``searchsorted`` of the values."""
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, scale: int, n_summands: int):
         self.values = values
@@ -158,13 +159,13 @@ class TailDistribution(_TailBase):
         divided out, once per distinct weight."""
         total = int(weights.sum())
         # cum[s + 1] counts the points whose +1 weights sum to at most s
-        cum = np.zeros(total + 2, dtype=np.int64)
+        cum = np.zeros(total + 2, dtype=self.counts.dtype)
         cum[(self.values + total) // 2 + 1] = self.counts
         np.cumsum(cum, out=cum)
         b = (cut + total) // 2
         weights = weights.tolist()
         counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
-        return np.array([counts[w] for w in weights], dtype=np.int64)
+        return np.array([counts[w] for w in weights], dtype=self.counts.dtype)
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """One ``searchsorted`` of the cap into the suffix counts, which
@@ -358,7 +359,7 @@ def _clamped(cut: int, low: int, high: int) -> int:
 
 def _suffix_counts(counts: np.ndarray) -> np.ndarray:
     """suffix[i] = counts[i] + ... + counts[-1], and a final zero."""
-    return np.concatenate([np.cumsum(counts[::-1])[::-1], np.zeros(1, dtype=np.int64)])
+    return np.concatenate([np.cumsum(counts[::-1])[::-1], np.zeros(1, dtype=counts.dtype)])
 
 
 def _half(side: int, weights: np.ndarray):
@@ -377,14 +378,19 @@ def _enumerated(weights: np.ndarray):
     return values, counts.astype(np.int64, copy=False)
 
 
-def _dense(total: int, backend: str | None) -> bool:
-    """Whether a sum of scaled weights `total` takes the dense backend."""
-    return backend == "dense" or (backend is None and total <= DENSE_BUDGET)
+def _dense(n: int, total: int, backend: str | None) -> bool:
+    """Whether n scaled weights summing to `total` take the dense DP: up to
+    MAX_SUMMANDS of them, when named or under the budget.  Past
+    INT64_SUMMANDS its counts are Python ints, and the budget prices its
+    n * (total + 1) cell updates."""
+    cost = n * (total + 1) if n > kernels.INT64_SUMMANDS else total
+    return n <= MAX_SUMMANDS and (backend == "dense" or (backend is None and cost <= DENSE_BUDGET))
 
 
 def _mitm(n: int, total: int, backend: str | None) -> bool:
-    """Whether n weights summing to `total` take the meet-in-the-middle backend."""
-    return (n <= MAX_SUMMANDS and not _dense(total, backend)
+    """Whether n weights summing to `total` take the meet-in-the-middle
+    backend, whose counts are int64."""
+    return (n <= kernels.INT64_SUMMANDS and not _dense(n, total, backend)
             and (backend == "mitm" or n <= MITM_MAX_N))
 
 
@@ -395,11 +401,7 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
     total = int(weights.sum())
     if backend not in (None, "dense", "mitm"):
         raise ValueError(f"unknown backend {backend!r}")
-    if n > MAX_SUMMANDS:
-        raise BudgetError(
-            f"outcome counts overflow int64 beyond {MAX_SUMMANDS} summands (n={n})"
-        )
-    if _dense(total, backend):
+    if _dense(n, total, backend):
         if backend is None and (1 << n) <= total + 1:
             # the cube has no more points than the DP would have cells
             return TailDistribution(*_enumerated(weights), scale, n)
@@ -408,9 +410,11 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
         return TailDistribution(2 * nz - total, dense[nz], scale, n)
     if _mitm(n, total, backend):
         return MeetInMiddleDistribution.from_weights(weights, scale)
-    raise BudgetError(
-        f"scaled weight sum {total} exceeds the dense budget and n={n} > {MITM_MAX_N}"
-    )
+    if n > MAX_SUMMANDS:
+        raise BudgetError(f"n={n} summands exceed {MAX_SUMMANDS}: 2^-n is not a normal double")
+    what = (f"scaled weight sum {total}" if total > DENSE_BUDGET
+            else f"DP of {n} * ({total} + 1) cells")
+    raise BudgetError(f"{what} exceeds the dense budget and n={n} > {MITM_MAX_N}")
 
 
 @dataclass(frozen=True)
@@ -531,20 +535,12 @@ class Halfspace:
         return Fraction(0) if j is None else self.influence_internal(j, t)
 
     def influences(self, t=None) -> list[Fraction]:
-        """Influence of every original coordinate, computed once per threshold.
-
-        The distribution counts them all (``influence_counts`` of either
-        backend).  When no backend takes the full sum (past MAX_SUMMANDS, or
-        past MITM_MAX_N above the budget), each coordinate has its own
-        reduced distribution.
-        """
+        """Influence of every original coordinate, computed once per threshold
+        by the distribution (``influence_counts`` of either backend), and
+        refused exactly when it is."""
         t = self.threshold if t is None else as_fraction(t)
         if t not in self._influences:
-            try:
-                counts = self.distribution().influence_counts(self.scaled, self._cut(t)).tolist()
-            except BudgetError:
-                counts = [self.reduced_distribution(j).count_interval(t - w, t + w)
-                          for j, w in enumerate(self.weights)]
+            counts = self.distribution().influence_counts(self.scaled, self._cut(t)).tolist()
             out = [Fraction(0)] * self.arity
             for orig, count in zip(self.order, counts):
                 out[orig] = Fraction(count, 1 << (self.n - 1))
@@ -578,15 +574,15 @@ class Halfspace:
 
         Suffix k (the weights after k) has at most n - 1 summands.  Above
         the dense budget suffix k pairs a suffix of each meet-in-the-middle
-        half.  Otherwise, or when suffix 0 (the largest) is under the budget
-        but has too many summands for the halves, one DP sweep adds the
-        weights after weight 0 smallest first and reads suffix k just before
-        weight k would join it.
+        half.  Otherwise, or when the dense DP takes suffix 0 (the largest)
+        but the halves do not, one DP sweep (in Python ints past 62 summands)
+        adds the weights after weight 0 smallest first and reads suffix k
+        just before weight k would join it.
         """
         if _mitm(self.n - 1, self._total, self._backend):
             return _paired_suffix_counts(self.scaled, self._cut(t))
         after_first = self.scaled[:0:-1]  # suffix 0, ascending
-        if self.n - 1 > MAX_SUMMANDS or not _dense(int(after_first.sum()), self._backend):
+        if not _dense(self.n - 1, int(after_first.sum()), self._backend):
             raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")
         c0 = c1 = 0
         b = (self._cut(t) + self._total) // 2  # w decides at sums b - w + 1..b of the rest

@@ -23,6 +23,7 @@ import numpy as np
 
 
 _WALSH_BLOCK = 1 << 16  # entries per block and per piece of fwht's stages
+INT64_SUMMANDS = 62  # subset counts of up to 62 weights (at most 2^62) fit int64
 
 
 def fwht(a: np.ndarray) -> np.ndarray:
@@ -153,14 +154,17 @@ def subset_sum_prefixes(weights: np.ndarray):
 
     Each yielded array has sum(weights) + 1 cells, entry s counting the
     subsets of weights[:k] that sum to s; cells past that prefix's sum are
-    zero.  The DP adds one weight per step on its live prefix, with two
-    buffers allocated once and swapped, so a yielded array is overwritten
-    two steps later; only the last one is the caller's to keep.
+    zero.  The counts are int64 up to INT64_SUMMANDS weights and Python
+    ints (an object array) past them, where 2^n leaves int64.  The DP adds
+    one weight per step on its live prefix, with two buffers allocated once
+    and swapped, so a yielded array is overwritten two steps later; only
+    the last one is the caller's to keep.
     """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
     total = int(weights.sum())
-    cur = np.zeros(total + 1, dtype=np.int64)
-    nxt = np.zeros(total + 1, dtype=np.int64)
+    dtype = np.int64 if len(weights) <= INT64_SUMMANDS else object
+    cur = np.zeros(total + 1, dtype=dtype)
+    nxt = np.zeros(total + 1, dtype=dtype)
     cur[0] = 1
     top = 0  # largest subset sum reached; both buffers are zero above it
     yield cur
@@ -182,7 +186,8 @@ def leave_one_out_window(cum: np.ndarray, w: int, b: int) -> int:
     gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window of Q is
     the alternating sum of P's windows (b - (i+1)w, b - iw] for i >= 0.
     Those windows are disjoint, so every term and every partial sum counts
-    at most 2^n <= 2^62 subsets and int64 is exact.
+    at most 2^n subsets: exact in int64 up to INT64_SUMMANDS weights, and
+    in the Python ints of an object cum past them.
     """
     if not 0 <= b < len(cum) - 1:
         return 0  # Q has no mass below 0 or above sum(P) - w

@@ -389,6 +389,7 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     )
 
     thresholds = h.decay_thresholds(t, k=k)
+    # delta >= beta > 0: a tail count F(t) > 0 exceeds F(t)/3
     beta, gamma, delta = thresholds.beta, thresholds.gamma, thresholds.delta
     top_mass = sum(h.weights[:k], Fraction(0))
 
@@ -397,17 +398,14 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     coeff_sq_sum = Fraction(_elementary_ints(squares, k)[k], sum(squares) ** k)
 
     esym = cube.esym(k) / (float(h.scale) ** k * norm**k)
-    if delta > 0:
-        uniq = h.distribution().support().values  # the distinct values of a.x
-        point_weights = _cdf_weights(h, k, uniq, t, delta)[cube.classes]
-    else:
-        point_weights = cube.accepts.astype(np.float64)
+    uniq = h.distribution().support().values  # the distinct values of a.x
+    point_weights = _cdf_weights(h, k, uniq, t, delta)[cube.classes]
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)
 
     sign_ok = sign_condition_holds(cube, k)
 
     lower_ok = None
-    if 2 * top_mass < beta and delta > 0:
+    if 2 * top_mass < beta:
         lower_bound = float(eps) / (9 * (float(delta) / norm) ** k) * float(coeff_sq_sum)
         lower_ok = smoothed_total >= lower_bound * (1 - 1e-9)
     upper_ok = None

@@ -134,13 +134,13 @@ def test_criterion_3_heavy_light_family():
     """vb1 / I(heavy) along the 5&4 family tends to 10/9; the 0.02 window is
     a statement about that limit.
 
-    No member the program can build lies in the window: distributions of more
-    than 62 summands are refused, and value(41) = 1.052002436... exactly.
     The family rises strictly towards 10/9 from below, with n * (10/9 -
-    value(n)) = 2.24 at n = 21, 2.42 at 41, 2.56 at 121 and 2.63 at 1001, so
-    the window first holds at n = 129 (gap 0.01992; n = 127 gives 0.02022).
-    The test therefore checks every exact value against an independent
-    binomial count and applies the tolerance to their extrapolation in 1/n.
+    value(n)) = 2.24 at n = 21, 2.42 at 41, 2.56 at 121 and 2.63 at 1001;
+    value(41) = 1.052002436... exactly.  The window first holds at n = 129
+    (gap 0.01992; n = 127 gives 0.02022), which the library counts exactly.
+    The test checks every exact value against an independent binomial
+    count, the window's first member at 129, and the tolerance on the
+    extrapolation in 1/n of the values through n = 41.
     """
     target, tolerance = F(10, 9), F(2, 100)
 
@@ -155,7 +155,7 @@ def test_criterion_3_heavy_light_family():
                 == oracles.brute_influence(f, 0))
 
     values = {}
-    for n in range(5, 42, 2):
+    for n in [*range(5, 42, 2), 127, 129]:
         h = make_halfspace(family(n), 1)
         vb1, heavy_influence = h.vertex_boundary(1), h.influence_internal(0)
         assert vb1 == oracles.two_weight_boundary(5, 4, 4, n - 4, 1), n
@@ -163,14 +163,16 @@ def test_criterion_3_heavy_light_family():
         values[n] = vb1 / heavy_influence
     sizes = sorted(values)
     assert all(values[a] < values[b] for a, b in zip(sizes, sizes[1:]))
-    assert values[41] < target
+    assert values[129] < target
+    assert target - values[127] > tolerance >= target - values[129]
 
     quadratic = _extrapolate_to_limit(values, (21, 31, 41))
     linear = _extrapolate_to_limit(values, (21, 41))
     gaps = [abs(quadratic - target), abs(linear - target)]
     ok = max(gaps) <= tolerance
-    announce(3, ok, f"5&4-family ratio exact at odd n = 5..41, rising to "
-                    f"{float(values[41]):.6f}; extrapolated limit "
+    announce(3, ok, f"5&4-family ratio exact at odd n = 5..41, 127 and 129, rising to "
+                    f"{float(values[41]):.6f} at 41 and {float(values[129]):.6f} at 129, "
+                    f"the first n in the window; extrapolated limit "
                     f"{float(quadratic):.6f} (quadratic in 1/n), "
                     f"{float(linear):.6f} (linear); |limit - 10/9| <= "
                     f"{float(max(gaps)):.4f} (tolerance 0.02)")

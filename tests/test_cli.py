@@ -53,6 +53,40 @@ def test_analyze_halfspace_past_the_table_cap(capsys, monkeypatch):
     assert data["vertex_boundary"] == {"vb0": side, "vb1": side}
 
 
+def test_analyze_majority_past_62_summands(capsys):
+    """maj:101 as a halfspace: its counts reach 2^100, past int64, and the
+    mean and every influence are exact."""
+    code, out = run(capsys, "analyze", "maj:101", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["mean"] == "1/2"
+    assert data["influences"] == [str(Fraction(comb(100, 50), 1 << 100))] * 101
+
+
+WIDE = {"name": "wide", "entries": [
+    "ltf:" + ",".join(str(1 + i % 3) for i in range(64)) + ";5",
+    "ltf:" + ",".join(["5"] * 4 + ["4"] * 125) + ";1",  # the 5&4 family at n = 129
+    "ltf:" + ",".join(["1"] * 1022) + ";1020",  # eps = 2^-1022
+    "ltf:" + ",".join(["1"] * 1022) + ";0",
+    "ltf:" + ",".join(str(1 + i % 3) for i in range(1022)) + ";7"]}
+
+
+@pytest.mark.parametrize("suite", ["chernoff", "boundary", "tail-lemmas", "pinned"])
+def test_verify_halfspace_suites_past_62_summands(capsys, tmp_path, suite):
+    """Members of 64, 129 and 1022 coordinates, whose counts leave int64,
+    among them eps = 2^-1022 and t = 0: every check reaches a verdict, and
+    the only skips are hypotheses these members do not meet."""
+    corpus = tmp_path / "wide.json"
+    corpus.write_text(json.dumps(WIDE))
+    code, _ = run(capsys, "verify", "--suite", suite, "--corpus", str(corpus), "--pin",
+                  "--constants", str(tmp_path / "c.json"), "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    records = json.loads((tmp_path / "r.json").read_text())["records"]
+    assert {r["instance"].split()[0] for r in records} == {f"wide#{i}" for i in range(5)}
+    skips = {(r["check_id"], r["notes"]) for r in records if r["status"] != "pass"}
+    assert skips <= {("LEM51", "no weight above beta/2"), ("PROP5", "eps >= 1/4")}
+
+
 @pytest.mark.parametrize("command", ["analyze", "spectrum", "correlate"])
 @pytest.mark.parametrize("spec", [f"tribes:2,{(MAX_N + 1) // 2}", f"talagrand:{MAX_N + 1}:7"])
 def test_table_command_refuses_an_arity_past_the_cap(capsys, command, spec):

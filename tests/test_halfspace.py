@@ -107,7 +107,7 @@ def test_backends_agree():
     assert dense.max_scaled == mitm.max_scaled
     for q in range(-40, 41, 3):
         assert dense.count_gt_scaled(q) == mitm.count_gt_scaled(q)
-        assert dense.count_ge_scaled(q) == mitm.count_ge_scaled(q)
+        assert dense.count_gt_scaled(q - 1) == mitm.count_gt_scaled(q - 1)
     vd, cd = dense.support_window(-20, 20)
     vm, cm = mitm.support_window(-20, 20)
     assert np.array_equal(vd, vm) and np.array_equal(cd, cm)
@@ -483,33 +483,49 @@ def test_counts_at_62_summands_fill_int64(weight):
             assert h.vertex_boundary(lam) == oracles.equal_weight_boundary(n, t_units, lam)
 
 
+@pytest.mark.parametrize("n", [63, 64])
+@pytest.mark.parametrize("weight", [F(1), F(7, 3)])
+def test_counts_past_62_summands_are_python_ints(weight, n):
+    """Past 62 equal weights the counts leave int64 and the DP keeps them
+    as Python ints: the total is 2^n, and the tails, the influences and
+    both boundaries equal their binomial counts."""
+    for t_units in (0, 1, F(1, 2), -(n - 1), n - 3, n - 2, n):
+        h = make_halfspace([weight] * n, t_units * weight)
+        counts = h.distribution().counts
+        assert counts.dtype == object and sum(counts.tolist()) == 1 << n
+        assert h.mean() == oracles.ones_interval_mass(n, t_units, n)
+        assert h.influences() == [oracles.equal_weight_influence(n, t_units)] * n
+        for lam in (0, 1):
+            assert h.vertex_boundary(lam) == oracles.equal_weight_boundary(n, t_units, lam)
+
+
 def test_summand_limit_refused_before_any_dp(monkeypatch):
-    """At n = 63 the full distribution is refused; the influences (62
-    summands each) and the boundaries (suffixes of at most 62) are still
-    counted.  At n = 64 those are refused too, and so are the boundaries of
-    42 weights whose suffix 0 (41 > MITM_MAX_N summands) passes the dense
+    """Past MAX_SUMMANDS = 1022 summands, and past the dense budget priced
+    in cell updates (100 weights of 10^4: 100 * (10^6 + 1) cells), the
+    distribution and the influences are refused.  The boundaries count
+    suffixes of n - 1 summands, so n = 1023 has them and n = 1024 does not,
+    nor do 42 weights whose suffix 0 (41 > MITM_MAX_N summands) passes the
     budget.  No refusal starts a DP or enumerates a half."""
-    h63 = make_halfspace([1] * 63, 1)
-    assert h63.influences() == [oracles.equal_weight_influence(63, 1)] * 63
-    assert h63.vertex_boundary(0) == oracles.equal_weight_boundary(63, 1, 0)
-    assert h63.vertex_boundary(1) == oracles.equal_weight_boundary(63, 1, 1)
+    assert hs.MAX_SUMMANDS == 1022
+    h1023 = make_halfspace([1] * 1023, 1)
+    for lam in (0, 1):
+        assert h1023.vertex_boundary(lam) == oracles.equal_weight_boundary(1023, 1, lam)
 
     def no_dp(*args):
         raise AssertionError("a DP started")
 
     for name in ("signed_sum_counts", "subset_sum_prefixes", "dot_values"):
         monkeypatch.setattr(kernels, name, no_dp)
-    with pytest.raises(BudgetError):
-        make_halfspace([1] * 63, 1).tail()
-    with pytest.raises(BudgetError):
-        distribution_from_scaled(np.ones(63, dtype=np.int64), 1)
-    h64 = make_halfspace([1] * 64, 0)
-    with pytest.raises(BudgetError):
-        h64.influences()
-    with pytest.raises(BudgetError):
-        h64.vertex_boundary(1)
-    with pytest.raises(BudgetError):
-        make_halfspace([10**6] * 42, 0).vertex_boundary(0)
+    for weights in ([1] * 1023, [10**4] * 100):
+        with pytest.raises(BudgetError):
+            make_halfspace(weights, 1).tail()
+        with pytest.raises(BudgetError):
+            make_halfspace(weights, 0).influences()
+        with pytest.raises(BudgetError):
+            distribution_from_scaled(np.array(weights, dtype=np.int64), 1)
+    for weights in ([1] * 1024, [10**4] * 100, [10**6] * 42):
+        with pytest.raises(BudgetError):
+            make_halfspace(weights, 0).vertex_boundary(0)
 
 
 @pytest.mark.parametrize("t, t_small", [(0, 0), (10**8 - 5, 37)])
@@ -642,7 +658,8 @@ def test_tail_queries_match_a_scan(backend):
         for i, x in enumerate(scan):
             assert np.shape(dist.counts_ge_scaled(np.array(x))) == ()
             for count, grid_counts, want in ((dist.count_gt_scaled, gt, tail[x]),
-                                             (dist.count_ge_scaled, ge, tail[x - 1])):
+                                             (lambda v: dist.count_gt_scaled(v - 1), ge,
+                                              tail[x - 1])):
                 assert count(x) == count(np.array(x)) == want
                 assert type(count(x)) is int
                 assert grid_counts[0, i] == grid_counts[1, -1 - i] == want

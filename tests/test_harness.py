@@ -180,6 +180,22 @@ def test_a_budget_error_in_a_filter_is_its_check_skip_record(monkeypatch):
     assert len(harness.run_suite("chernoff", pair)[0].records) == 11
 
 
+def test_influences_past_every_backend_are_refused_as_the_mean_is(monkeypatch):
+    """The influences come from the full distribution alone: past every
+    backend they are refused with the mean's message, and no half of a
+    reduced distribution is enumerated."""
+    def no_half(*args):
+        raise AssertionError("a half was enumerated")
+
+    monkeypatch.setattr(halfspace, "_half", no_half)
+    h = parse_halfspace(PAST_EVERY_BACKEND)
+    with pytest.raises(halfspace.BudgetError) as mean_refusal:
+        h.mean()
+    with pytest.raises(halfspace.BudgetError) as refusal:
+        h.influences()
+    assert str(refusal.value) == str(mean_refusal.value)
+
+
 def test_lem32_compares_masses_past_int64_exactly():
     """One weight 100 and sixty-one 1s: the interval masses reach 2^60.7,
     where 5 * mass wraps int64.  LEM32 finds no violation, as a count of the

@@ -242,6 +242,34 @@ def test_leave_one_out_window_backends_agree(seed):
             assert kernels.leave_one_out_window(cum, wj, b) == expect
 
 
+@pytest.mark.parametrize("n", [62, 63])
+def test_subset_sum_prefixes_leave_int64_past_62_summands(n):
+    """62 unit weights count in int64, 63 in Python ints (2^63 leaves
+    int64); both yield the binomial row at every step."""
+    steps = kernels.subset_sum_prefixes(np.ones(n, dtype=np.int64))
+    for k, counts in enumerate(steps):
+        assert counts.dtype == (np.int64 if n <= 62 else object)
+        assert counts[: k + 1].tolist() == [math.comb(k, s) for s in range(k + 1)]
+    assert counts.tolist() == [math.comb(n, s) for s in range(n + 1)]
+    assert type(counts[n // 2]) is (np.int64 if n <= 62 else int)
+
+
+def test_leave_one_out_window_on_python_int_counts():
+    """One weight 3 and 100 weights 1, counts past int64: dividing out
+    either weight leaves the other weights' subsets, in Python ints."""
+    counts = [c.copy() for c in kernels.subset_sum_prefixes(np.array([3] + [1] * 100))][-1]
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    assert cum.dtype == object
+
+    def ones(m, s):  # subsets of m weights 1 with sum s
+        return math.comb(m, s) if s >= 0 else 0
+
+    for b in (-1, 0, 1, 2, 50, 51, 102, 103, 104):
+        without_3 = ones(100, b - 2) + ones(100, b - 1) + ones(100, b)
+        assert kernels.leave_one_out_window(cum, 3, b) == without_3
+        assert kernels.leave_one_out_window(cum, 1, b) == ones(99, b) + ones(99, b - 3)
+
+
 def test_dot_values_backends_agree():
     """Every point's value against a per-point sum; bit i set means +w[i]."""
     rng = np.random.default_rng(3)
