@@ -45,7 +45,9 @@ LOG_CONCAVITY_TRIPLES = 40  # LEM111's sampled threshold triples per member
 
 
 class MemberContext:
-    """Lazy per-member artifacts shared by all checks of a suite run."""
+    """Lazy per-member artifacts shared by all checks of a suite run.  No
+    cube array is among them: SIGN-COND reads none, and WK-PIPELINE builds
+    its own ``CubeScan``, freed when that check returns."""
 
     def __init__(self, label: str, entry: str):
         self.label = label
@@ -80,10 +82,6 @@ class MemberContext:
     @property
     def level_weights(self):
         return self.spectrum.level_weights()
-
-    @cached_property
-    def cube(self) -> levelk.CubeScan:
-        return levelk.CubeScan(self.halfspace)
 
     @cached_property
     def first_level(self) -> correlate.FirstLevel:
@@ -422,6 +420,15 @@ def _decay_violations(kappa: np.ndarray, highs: np.ndarray, piece_vals: np.ndarr
     return int(np.count_nonzero(prefix_min[reach - 1] <= (piece_vals[t_idx] - 1) // 5))
 
 
+def _pivotal_counts(h: Halfspace, j: int, cuts: np.ndarray) -> np.ndarray:
+    """At each scaled cut c, the points where coordinate j (internal index)
+    decides 1{a.x > c}: the outcomes of a.x - a_j x_j in (c - s_j, c + s_j],
+    s_j its scaled weight, from the support of the reduced distribution."""
+    red = h.reduced_distribution(j).support()
+    w = int(h.scaled[j])
+    return red.counts_gt_scaled(cuts - w) - red.counts_gt_scaled(cuts + w)
+
+
 @_check("COR36", _is_halfspace)
 def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """5 I_1(f_s) >= I_1(f_t) for every real |s| <= t, via piece sweep."""
@@ -430,10 +437,7 @@ def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     w0 = int(h.scaled[0])
     breaks = _distinct(np.concatenate([red.values - w0, red.values + w0]))
     # influence of the heaviest coordinate at every piece's left end
-    def inf_at(r: np.ndarray) -> np.ndarray:
-        return red.counts_gt_scaled(r - w0) - red.counts_gt_scaled(r + w0)
-
-    piece_vals = np.concatenate([[0], inf_at(breaks)])
+    piece_vals = np.concatenate([[0], _pivotal_counts(h, 0, breaks)])
     lows, highs = _step_pieces(breaks)
     # s-pieces keyed by the infimum of |s| over the piece
     kappa = np.where(lows >= 0, lows, np.where(highs <= 0, -highs, 0.0))
@@ -503,8 +507,7 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     breaks = _distinct(np.concatenate(
         [red.values - w0, red.values + w0, sup.values, [0]]))
     breaks = breaks[breaks >= 0]  # holds 0
-    inf_counts = (red.counts_gt_scaled(breaks - w0)
-                  - red.counts_gt_scaled(breaks + w0)).astype(object)
+    inf_counts = _pivotal_counts(h, 0, breaks).astype(object)
     mu_counts = sup.counts_gt_scaled(breaks).astype(object)
     # sweep s <= t over piece left-ends; exact integer cross-multiplication
     best_num, best_den = None, None  # running max of I/mu as a fraction
@@ -539,10 +542,7 @@ def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
     moments = sup.values.astype(dtype) * sup.counts.astype(dtype)
     sums = _suffix_counts(moments)[np.searchsorted(sup.values, cuts, side="right")]
     for j in range(n_big):
-        red = h.reduced_distribution(j).support()
-        w = int(h.scaled[j])
-        sums = sums - w * (red.counts_gt_scaled(cuts - w)
-                           - red.counts_gt_scaled(cuts + w)).astype(dtype)
+        sums = sums - int(h.scaled[j]) * _pivotal_counts(h, j, cuts).astype(dtype)
     return sums
 
 
@@ -792,13 +792,14 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
     return recs
 
 
+# no table is read; the cap keeps the records of every corpus wider than it unchanged
 @_check("SIGN-COND", lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= TABLE_CAP)
 def _check_sign_condition(ctx) -> list[CheckRecord]:
     h = ctx.halfspace
     recs = []
     for k in levelk.LEVELS:
         try:
-            holds = levelk.sign_condition_holds(ctx.cube, k)
+            holds = levelk.sign_condition_holds(h, k)
         except OverflowError:
             recs.append(CheckRecord.skipped("SIGN-COND", f"{ctx.label} k={k}",
                                             "weights too large for exact scan"))
@@ -816,11 +817,12 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
 @_check("WK-PIPELINE", lambda ctx: _halfspace_table(ctx) and ctx.halfspace.n <= 20)
 def _check_wk_pipeline(ctx) -> list[CheckRecord]:
     levels = ctx.level_weights
+    cube = levelk.CubeScan(ctx.halfspace)  # one fill for both levels, freed on return
     recs = []
     for k in levelk.LEVELS:
         try:
             wk = levels.level(k) if k <= levels.n else F(0)  # W^k = 0 above the arity
-            report = levelk.level_k_pipeline(ctx.cube, k, wk)
+            report = levelk.level_k_pipeline(cube, k, wk)
         except (ValueError, OverflowError) as exc:
             recs.append(CheckRecord.skipped("WK-PIPELINE", f"{ctx.label} k={k}", str(exc)))
             continue

@@ -5,6 +5,10 @@ The k-fold uniform-sum distribution smooths the threshold; its CDF has a
 piecewise-constant k-th derivative, which is what makes the degree-k
 coefficient averages controllable by elementary symmetric sums of squared
 weights.
+
+The sign condition (e_k >= 0 wherever the halfspace accepts) is decided
+from Newton's identities and the halfspace's distribution, with no array
+over the cube; only the pipeline's smoothed total reads a ``CubeScan``.
 """
 
 from __future__ import annotations
@@ -252,11 +256,11 @@ def e_k_fits(h: Halfspace, k: int) -> bool:
 
 class CubeScan:
     """A halfspace's arrays over the whole cube, each built on first use and
-    then kept, so every check of one member reads the same copy: the
-    elementary symmetric layers e_k of (a_j x_j) for k in 1..max(LEVELS),
-    whose e_1 is the scaled dot values a.x, and the points the halfspace
-    accepts.  The distinct values are the support of the halfspace's
-    distribution."""
+    then kept for as long as the scan lives: the elementary symmetric layers
+    e_k of (a_j x_j) for k in 1..max(LEVELS), whose e_1 is the scaled dot
+    values a.x, and each point's class in the support of the halfspace's
+    distribution.  WK-PIPELINE builds one per member, which both levels
+    read and which is freed when the check returns."""
 
     def __init__(self, h: Halfspace):
         self.h = h
@@ -274,10 +278,6 @@ class CubeScan:
         return self.layers[1]
 
     @cached_property
-    def accepts(self) -> np.ndarray:
-        return self.values > math.floor(self.h.threshold * self.h.scale)
-
-    @cached_property
     def classes(self) -> np.ndarray:
         """Each point's index into the distinct values of a.x, the support."""
         return np.searchsorted(self.h.distribution().support().values, self.values)
@@ -289,10 +289,64 @@ class CubeScan:
         return self.layers[k]
 
 
-def sign_condition_holds(cube: CubeScan, k: int) -> bool:
-    """Exhaustively: the degree-k elementary symmetric form of the signed
-    weights is nonnegative on every point the halfspace accepts."""
-    return not bool(np.any(cube.accepts & (cube.esym(k) < 0)))
+def sign_condition_holds(h: Halfspace, k: int) -> bool:
+    """Whether e_k of (a_j x_j) is nonnegative at every point the halfspace
+    accepts, for k <= 3, from Newton's identities in v = a.x and the power
+    sums p_m = sum (s_j x_j)^m of the scaled weights s_j; no cube is read.
+
+    e_1 = v, and 2 e_2 = v^2 - p_2, where p_2 = sum s_j^2 at every point:
+    each is negative exactly on a window of v, so levels 1 and 2 are two
+    tail counts of the distribution, on either backend.  Level 3 is
+    ``_third_level_holds``.  Refused, as the cube's layers are, where
+    ``e_k_fits`` is false; above the arity e_k is 0 and the condition holds.
+    """
+    if not e_k_fits(h, k):
+        raise OverflowError("elementary symmetric values would overflow int64")
+    if k > h.n:
+        return True
+    cut = h._cut(h.threshold)
+    if k == 3:
+        return _third_level_holds(h, cut)
+    if k == 1:
+        lo, hi = cut, -1
+    elif k == 2:
+        r = math.isqrt(sum(s * s for s in h.scaled.tolist()) - 1)  # v^2 < p_2 as |v| <= r
+        lo, hi = max(cut, -r - 1), r
+    else:
+        raise ValueError(f"sign condition by identity only for k <= 3, not {k}")
+    dist = h.distribution()
+    return lo >= hi or dist.count_gt_scaled(lo) == dist.count_gt_scaled(hi)
+
+
+def _third_level_holds(h: Halfspace, cut: int) -> bool:
+    """The sign condition at k = 3 from 6 e_3 = v^3 - 3 v p_2 + 2 p_3.
+
+    The points where the +1 weights sum to s have v = 2s - T, T = sum s_j,
+    and the least p_3 among them is 2 low[s] - P_3, where P_3 = sum s_j^3
+    and low[s] is the least sum of s_j^3 over the subsets summing to s.
+    One min-plus DP over the T + 1 subset sums gives every low[s], and the
+    condition is read at the reachable s above the cut.
+    """
+    weights = h.scaled.tolist()
+    total = sum(weights)
+    p2 = sum(w * w for w in weights)
+    p3 = sum(w**3 for w in weights)
+    # e_k_fits(h, 3) bounds C(n, 3) max^3 by 2^62, so P_3 <= n max^3 <= 3 * 2^62;
+    # an unreached sum holds P_3 + 1, and each step is clipped to it, so uint64 holds
+    low = np.full(total + 1, p3 + 1, dtype=np.uint64)
+    low[0] = 0
+    for w in weights:
+        step = np.minimum(low[:-w], p3 + 1 - w**3)
+        step += w**3
+        np.minimum(low[w:], step, out=low[w:])
+    sums = np.flatnonzero(low <= p3)
+    values = 2 * sums - total
+    above = values > cut
+    # |v| <= T, p_2 <= T^2 and p_3 <= T^3, so every partial sum is at most 7 T^3 in size
+    dtype = np.int64 if 8 * total**3 < 1 << 63 else object
+    v = values[above].astype(dtype)
+    least = low[sums[above]].astype(dtype)
+    return not bool(np.any(v * (v * v - 3 * p2) + 4 * least - 2 * p3 < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +416,9 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
 
     The two bracketing inequalities around the smoothed total M are asserted
     whenever their own preconditions hold: the lower one needs the top-k
-    weight mass to fit under beta, the upper one needs the exhaustive sign
-    condition.  The headline ratio is reported, never asserted: its regime
-    is far beyond desk scale.
+    weight mass to fit under beta, the upper one needs the sign condition.
+    The headline ratio is reported, never asserted: its regime is far
+    beyond desk scale.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -402,7 +456,7 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     point_weights = _cdf_weights(h, k, uniq, t, delta)[cube.classes]
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)
 
-    sign_ok = sign_condition_holds(cube, k)
+    sign_ok = sign_condition_holds(h, k)
 
     lower_ok = None
     if 2 * top_mass < beta:

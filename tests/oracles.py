@@ -23,7 +23,9 @@ count per step) of both backends' delta searches, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
 subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
 ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
-(one doubling pass per level) of the shared e_k layers, and
+(one doubling pass per level) of the shared e_k layers, on which
+``scanned_sign_condition`` (every accepted point's e_k read) is the slow
+route of the sign condition by Newton's identities, and
 ``fraction_symmetric_stats`` (Fraction sums term by term) of the sums over
 one common denominator.  ``check_log_concavity`` and
 ``check_log_concave_exp`` (LEM111's and LEM42's sides as Fractions of the
@@ -476,6 +478,13 @@ def per_k_elementary_symmetric(h, k: int) -> np.ndarray:
         steps = [0] + [w * e for e in layers[:-1]]
         layers = [np.concatenate([e - s, e + s]) for e, s in zip(layers, steps)]
     return layers[k]
+
+
+def scanned_sign_condition(h, k: int) -> bool:
+    """The sign condition by scanning the cube: no point with a.x above the
+    threshold has e_k of (a_j x_j) below 0, each layer from its own pass."""
+    accepts = per_k_elementary_symmetric(h, 1) > floor(h.threshold * h.scale)
+    return not np.any(accepts & (per_k_elementary_symmetric(h, k) < 0))
 
 
 def fraction_symmetric_stats(values, m_max: int):

@@ -240,6 +240,17 @@ def test_sweeps_count_from_the_assembled_support(monkeypatch, fitting_mitm_membe
     assert keys and max(keys) == 1
 
 
+def test_sign_condition_counts_from_the_halves(fitting_mitm_member):
+    """At k = 2 the sign condition of a meet-in-the-middle member is two
+    tail counts of its halves, and it answers as the scan of every accepted
+    point does; k = 3 is refused, as e_3 could overflow int64."""
+    h = parse_halfspace(fitting_mitm_member)
+    assert isinstance(h.distribution(), MeetInMiddleDistribution)
+    assert levelk.sign_condition_holds(h, 2) == oracles.scanned_sign_condition(h, 2)
+    with pytest.raises(OverflowError):
+        levelk.sign_condition_holds(h, 3)
+
+
 def test_assembled_support_counts_match_the_halves(fitting_mitm_member):
     """The support assembled once counts as the halves do at sampled support
     values, one either side of each, and keys inside and past the range."""
@@ -428,7 +439,8 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     level-sum pass, however many checks read them, and no dot-value fill in
     levelk (the cube's dot values are its e_1 layer), and no value-class sort: the classes come from the member's support, by
     one class search per member for both levels.  The global checks' own
-    calls are measured on an empty corpus and taken off."""
+    calls are measured on an empty corpus and taken off.  On a member of 21
+    coordinates the levelk suite makes no e_k layer pass."""
     counts = Counter()
 
     def counting(owner, name, key=None):
@@ -464,6 +476,13 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
         assert per_members[key] == 2, key
     assert per_members["dot_values from cubelab.levelk"] == 0
     assert per_members["class sort"] == 0
+    # past WK-PIPELINE's 20 coordinates the levelk suite fills no cube at all
+    counts.clear()
+    wide = harness.corpus_gen("random-halfspace", {"n_lo": 21, "n_hi": 21, "weight_bits": 10,
+                                                   "count": 1}, seed=11)
+    report, _ = harness.run_suite("levelk", wide)
+    assert sum(r.check_id == "SIGN-COND" for r in report.records) == 2
+    assert counts["elementary_symmetric_pointwise"] == 0
 
 
 def test_lem111_reports_the_first_violating_triple(monkeypatch):

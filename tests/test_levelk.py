@@ -5,8 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubelab import harness, kernels, levelk, spectral
+from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import make_halfspace, parse_halfspace
 
 import oracles
@@ -276,17 +279,17 @@ def test_elementary_symmetric_layers_fill_in_place():
 
 
 def test_cube_scan_is_one_fill():
-    """A whole scan at n = 20, its accepted points, e_2, e_3 and dot values
-    read, stays under 32 MiB: one fill, whose e_1 is the dot values, beside
-    the 1 MiB of accepted points."""
+    """A whole scan at n = 20, its e_2, e_3 and dot values read, stays
+    under 30 MiB: one fill of three 8 MiB layers, whose e_1 is the dot
+    values, beside one half-size step."""
     h = _n20_halfspace()
 
     def scan():
         cube = levelk.CubeScan(h)
-        return cube.accepts, cube.esym(2), cube.esym(3), cube.values
+        return cube.esym(2), cube.esym(3), cube.values
 
     _, peak = _traced_peak(scan)
-    assert peak < 32 * (1 << 20), peak
+    assert peak < 30 * (1 << 20), peak
 
 
 def test_elementary_symmetric_overflow_guard_boundary():
@@ -416,12 +419,100 @@ def test_levelk_suite_guards_each_level_with_shared_layers():
 
 def test_sign_condition_majority():
     h = make_halfspace([1] * 9, 4)
-    assert levelk.sign_condition_holds(levelk.CubeScan(h), 2)
+    assert levelk.sign_condition_holds(h, 2)
 
 
 def test_sign_condition_fails_with_heavy_weight():
     h = make_halfspace([F(3), F(1), F(1)], 1)
-    assert not levelk.sign_condition_holds(levelk.CubeScan(h), 2)
+    assert not levelk.sign_condition_holds(h, 2)
+
+
+def test_sign_condition_identity_matches_the_scan_on_every_corpus_member():
+    """Newton's identities against the scan of every accepted point, at each
+    level, on every halfspace member of the standard, tail and builtin
+    corpora; both answers occur at both levels."""
+    seen = set()
+    for name in ("standard", "tail", "builtin"):
+        for entry in harness.load_corpus(name).entries:
+            h = MemberContext(name, entry).halfspace
+            if h is None:
+                continue
+            for k in levelk.LEVELS:
+                holds = levelk.sign_condition_holds(h, k)
+                assert holds == oracles.scanned_sign_condition(h, k), (entry, k)
+                seen.add((k, holds))
+    assert seen == {(k, holds) for k in levelk.LEVELS for holds in (True, False)}
+
+
+@st.composite
+def sign_condition_members(draw):
+    """Weights from a small pool, where zeros, ties and denominators up to 4
+    are common, n from 1 to 10 (some below k), and the threshold at a
+    support value (a tie), half a scaled unit either side of one, or at
+    +-10^25."""
+    pool = draw(st.lists(st.fractions(0, 6, max_denominator=4), min_size=1, max_size=4))
+    n = draw(st.integers(1, 10))
+    weights = [draw(st.sampled_from(pool)) for _ in range(n)]
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = F(1)
+    half = F(1, 2 * make_halfspace(weights, 0).scale)
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    tie = sum((w * x for w, x in zip(weights, signs)), F(0))
+    return weights, draw(st.sampled_from((tie, tie + half, tie - half, F(10**25), F(-10**25))))
+
+
+@given(sign_condition_members())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_sign_condition_identity_matches_the_scan_on_drawn_members(case):
+    """At k = 1..3, on the dense backend and on meet-in-the-middle halves."""
+    weights, t = case
+    dense, mitm = make_halfspace(weights, t), make_halfspace(weights, t)
+    mitm.distribution(backend="mitm")
+    for k in (1, *levelk.LEVELS):
+        expect = oracles.scanned_sign_condition(dense, k)
+        assert levelk.sign_condition_holds(dense, k) == expect
+        assert levelk.sign_condition_holds(mitm, k) == expect
+
+
+def test_sign_condition_refused_exactly_where_e_k_fits_is_false():
+    """At [2^31, 2^31], p_2 = 2^63 and e_2 reaches +-2^62: the identity
+    answers as the scan does.  One unit more is refused at k = 2, where e_3
+    is 0 at every point and holds.  At k = 3 the edge is three weights m
+    with m^3 <= 2^62 < (m + 1)^3, where T is just under 5 * 10^6 and P_3
+    passes 2^63."""
+    m = 1664510
+    assert m**3 <= 2**62 < (m + 1) ** 3
+    cases = [([2**31, 2**31], t) for t in (-(2**32), -1, 0, 2**32)]
+    cases += [([m, m, m], t) for t in (-3 * m, -m - 1, -m, 0, m)]
+    cases += [([m, m - 7, m - 1], -m), ([2**31 + 1, 2**31], 0), ([m + 1, m, m], 0)]
+    refused = []
+    for weights, t in cases:
+        h = make_halfspace(weights, t)
+        for k in levelk.LEVELS:
+            try:
+                expect = oracles.scanned_sign_condition(h, k)
+            except OverflowError:
+                assert not levelk.e_k_fits(h, k)
+                with pytest.raises(OverflowError):
+                    levelk.sign_condition_holds(h, k)
+                refused.append((weights[0], k))
+                continue
+            assert levelk.e_k_fits(h, k)
+            assert levelk.sign_condition_holds(h, k) == expect, (weights, t, k)
+    assert refused == [(2**31 + 1, 2), (m + 1, 3)]
+
+
+def test_sign_condition_allocates_no_cube_array():
+    """SIGN-COND on a fresh 22-coordinate member, its distribution built
+    inside, peaks below one 2^22-entry int64 array."""
+    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 21, "n_hi": 24, "weight_bits": 10,
+                                                     "count": 3}, seed=11)
+    entry = corpus.entries[1]
+    assert parse_halfspace(entry).n == 22
+    ctx = MemberContext("wide", entry)
+    recs, peak = _traced_peak(lambda: REGISTRY["SIGN-COND"].fn(ctx, None))
+    assert [r.status for r in recs] == ["hypothesis-not-met"] * 2
+    assert peak < 8 << 22, peak
 
 
 # -- the pipeline -------------------------------------------------------------------
@@ -489,9 +580,8 @@ def test_pipeline_matches_separate_routes():
     for n in (6, 9, 12):
         weights = [int(w) for w in rng.integers(1, 9, size=n)]
         h = make_halfspace(weights, sum(weights) // 3)
-        accepts = oracles.per_k_elementary_symmetric(h, 1) > math.floor(h.threshold * h.scale)
         for k in (1, 2, 3):
-            brute = not np.any(accepts & (oracles.per_k_elementary_symmetric(h, k) < 0))
+            brute = oracles.scanned_sign_condition(h, k)
             report = levelk.level_k_pipeline(levelk.CubeScan(h), k, _member_wk(h, k))
             assert report.sign_ok == brute
             seen.add(brute)
@@ -508,7 +598,6 @@ def test_hypotheses_stop_at_the_first_false_one(monkeypatch):
     """SIGN-COND, NG and the pipeline read the level-k hypotheses from one
     helper.  A member whose bias misses the cut runs no delta search for
     SIGN-COND or NG, and the pipeline reports the helper's four flags."""
-    from cubelab.checks import REGISTRY, MemberContext
     from cubelab.halfspace import Halfspace
 
     ctx = MemberContext("m", "ltf:1,1,1,1,1,1,1,1,1,1,1,1,1,1,1;9")
@@ -516,8 +605,9 @@ def test_hypotheses_stop_at_the_first_false_one(monkeypatch):
     hyps = {k: levelk.Hypotheses(h, k) for k in levelk.LEVELS}
     flags = {k: (hyp.small_top_ok, hyp.tall_threshold_ok, hyp.eta_ok, hyp.surrogate_ok)
              for k, hyp in hyps.items()}
+    cube = levelk.CubeScan(h)
     for k in levelk.LEVELS:
-        report = levelk.level_k_pipeline(ctx.cube, k, _member_wk(h, k))
+        report = levelk.level_k_pipeline(cube, k, _member_wk(h, k))
         assert (report.small_top_ok, report.tall_threshold_ok, report.eta_ok,
                 report.surrogate_ok) == flags[k]
         assert not hyps[k].surrogate_ok and not hyps[k].all()
