@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bfcore, correlate, levelk, spectral
+from . import bfcore, correlate, kernels, levelk, spectral
 from .bfcore import TABLE_CAP, FunctionSpec
 from .chernoff import (
     EATON_BOUND,
@@ -538,7 +538,7 @@ def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
     size, so int64 below 2^63 and Python ints past it.
     """
     sup = h.distribution().support()
-    dtype = np.int64 if sup.max_scaled << h.n < 1 << 63 else object
+    dtype = kernels.exact_int_dtype(sup.max_scaled << h.n)
     moments = sup.values.astype(dtype) * sup.counts.astype(dtype)
     sums = _suffix_counts(moments)[np.searchsorted(sup.values, cuts, side="right")]
     for j in range(n_big):
@@ -616,7 +616,9 @@ def _check_gauss_member(ctx) -> list[CheckRecord]:
     try:
         sup = h.distribution().support()
     except BudgetError:  # one threshold instead of the sweep
-        return [gaussian_tail_ratio(h, max(F(0), h.threshold), instance=ctx.label)]
+        rec = gaussian_tail_ratio(h, max(F(0), h.threshold), instance=ctx.label)
+        rec.ratio = rec.lhs / EATON_BOUND  # the sweep's meaning of ratio
+        return [rec]
     norm = h.l2_norm()
     values = sup.values[sup.values >= 0]
     worst = 0.0
@@ -814,7 +816,9 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
     return recs
 
 
-@_check("WK-PIPELINE", lambda ctx: _halfspace_table(ctx) and ctx.halfspace.n <= 20)
+# n first: a wider halfspace is refused before its truth table is built
+@_check("WK-PIPELINE",
+        lambda ctx: _is_halfspace(ctx) and ctx.halfspace.n <= 20 and _has_table(ctx))
 def _check_wk_pipeline(ctx) -> list[CheckRecord]:
     levels = ctx.level_weights
     cube = levelk.CubeScan(ctx.halfspace)  # one fill for both levels, freed on return

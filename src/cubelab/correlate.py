@@ -97,11 +97,16 @@ def _cut_covariances(f: BooleanFunction, values: np.ndarray):
     """
     size = 1 << f.n
     sorted_vals = np.sort(values)
-    last = np.flatnonzero(np.diff(sorted_vals, append=sorted_vals[-1] + 1))
+    # a run of equal values ends where the next value differs
+    ends = np.ones(size, dtype=bool)
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=ends[:-1])
+    last = np.flatnonzero(ends)
     v = sorted_vals[last]
     count = size - 1 - last
     # ones of f above v: all ones minus those at or below v
-    both = f.ones - np.searchsorted(np.sort(values[f.table.view(bool)]), v, side="right")
+    ones_vals = values[f.table.view(bool)]
+    ones_vals.sort()
+    both = f.ones - np.searchsorted(ones_vals, v, side="right")
     return v, count, both * size - f.ones * count
 
 
@@ -138,8 +143,10 @@ def threshold_integral_identity(first: FirstLevel) -> Fraction:
         return Fraction(0)
     scale = first.scaled_values[1]
     v, _count, cov_num = first.cut_profile
-    # products and their sum can pass int64 from n = 23: use Python ints
-    acc = np.dot(cov_num[:-1].astype(object), np.diff(v).astype(object))
+    # each partial sum is at most max|cov_num| times the sum of the step
+    # widths, v[-1] - v[0]; that can pass int64 from n = 23
+    dtype = kernels.exact_int_dtype(int(np.abs(cov_num).max()) * int(v[-1] - v[0]))
+    acc = int(np.dot(cov_num[:-1].astype(dtype), np.diff(v).astype(dtype)))
     return Fraction(acc, (1 << (2 * first.f.n)) * scale)
 
 
@@ -155,43 +162,36 @@ def unbiased_correlator(first: FirstLevel, full_scan: bool = False) -> Correlati
     if form.is_zero():
         return CorrelationResult(Fraction(0), None, "", degenerate=True,
                                  notes="first level vanishes")
-    values = first.scaled_values[0]
     size = 1 << f.n
-    ones = f.ones
-    on = f.table.view(bool)
-    # negating c_i reads l at x with x_i negated, so a flipped cut is the base
-    # cut with coordinate i's halves swapped: same size, only the ones of f
-    # under it are recounted
-    cut = values > 0
+    # negating c_i reads l at x with x_i negated, so the cut of sign pattern P
+    # is the base cut read at m XOR P: same size, only the ones of f under it
+    # are recounted
+    cut = first.scaled_values[0] > 0
     count = int(np.count_nonzero(cut))
-
-    def cov_num_for(hit) -> int:
-        both = int(np.count_nonzero(hit.reshape(-1) & on))
-        return both * size - ones * count
-
-    candidates: list[tuple[int, tuple[int, ...]]] = [(cov_num_for(cut), ())]
-    for i in range(f.n):
-        candidates.append((cov_num_for(cut.reshape(-1, 2, 1 << i)[:, ::-1]), (i,)))
-
     if full_scan:
         if f.n > 16:
             raise ValueError("full sign-pattern scan capped at 16 coordinates")
-        # gray-code walk: one coordinate flips per step
-        hit = cut
-        pattern: set[int] = set()
-        for g in range(1, 1 << f.n):
-            i = (g & -g).bit_length() - 1
-            pattern ^= {i}
-            hit = hit.reshape(-1, 2, 1 << i)[:, ::-1].reshape(-1)
-            candidates.append((cov_num_for(hit), tuple(sorted(pattern))))
-
-    best_num, best_flips = candidates[0]
-    for num, flips in candidates[1:]:
-        if num > best_num:
-            best_num, best_flips = num, flips
-    cov = Fraction(best_num, size * size)
-    note = "base" if not best_flips else f"flips={best_flips}"
-    return CorrelationResult(cov, Fraction(0), form.halfspace_text(Fraction(0), best_flips),
+        # the XOR convolution sum_m f(m) cut(m ^ P) at every P: fwht = par * H
+        # with par(S) = (-1)^|S| and H the Hadamard matrix, so it is
+        # par * fwht(F * G) / 2^n for F, G the transforms of f and the cut,
+        # exact while 8^n < 2^53 (O'Donnell 2014, section 1.5)
+        par = 1 - 2 * (kernels.popcounts(f.n) & 1).astype(np.int64)
+        fg = first.spec.numerators.astype(np.int64) * kernels.fwht(cut)
+        # base, single flips, then Gray-code order: argmax keeps the first of ties
+        gray = np.arange(1, size)
+        gray ^= gray >> 1
+        patterns = np.concatenate(([0], 1 << np.arange(f.n), gray))
+        both = ((par * kernels.fwht(fg)) >> f.n)[patterns]
+    else:
+        on = f.table.view(bool)
+        patterns = [0] + [1 << i for i in range(f.n)]
+        hits = [cut] + [cut.reshape(-1, 2, 1 << i)[:, ::-1] for i in range(f.n)]
+        both = [int(np.count_nonzero(hit.reshape(-1) & on)) for hit in hits]
+    best = int(np.argmax(both))  # the first of tied patterns
+    flips = tuple(i for i in range(f.n) if int(patterns[best]) >> i & 1)
+    cov = Fraction(int(both[best]) * size - f.ones * count, size * size)
+    note = "base" if not flips else f"flips={flips}"
+    return CorrelationResult(cov, Fraction(0), form.halfspace_text(Fraction(0), flips),
                              notes=note)
 
 
@@ -228,13 +228,19 @@ def biased_correlator(first: FirstLevel) -> BiasedCorrelation:
     alpha = float(w1) / (float(eps) ** 2 * log_inv) if log_inv > 0 else math.inf
     s = 0.5 * math.sqrt(max(0.0, alpha) * log_inv) if log_inv > 0 else 0.0
 
-    values, scale = first.scaled_values
+    scale = first.scaled_values[1]
     size = 1 << f.n
-    # l(x)/||l|| > s  <=>  l(x) > 0 and l(x)^2 > s^2 W1; squares stay exact
+    # l(x)/||l|| > s  <=>  l(x) > 0 and l(x)^2 > s^2 W1; squares stay exact.
+    # That is decided once per distinct value v, and the profile counts the
+    # points and the ones of f at each v
+    v, count, cov_num = first.cut_profile
     tau_sq = s * s * float(w1) * scale * scale
-    hit = (values > 0) & (values.astype(np.float64) ** 2 > tau_sq)
-    mean_g = Fraction(int(np.count_nonzero(hit)), size)
-    both = Fraction(int(np.count_nonzero(hit & f.table.view(bool))), size)
+    hit = (v > 0) & (v.astype(np.float64) ** 2 > tau_sq)
+    ones_above = (cov_num + f.ones * count) >> f.n
+    points_at = -np.diff(count, prepend=size)
+    ones_at = -np.diff(ones_above, prepend=f.ones)
+    mean_g = Fraction(int(points_at[hit].sum()), size)
+    both = Fraction(int(ones_at[hit].sum()), size)
 
     hypothesis = eps < Fraction(1, 2) and s > 0 and math.sqrt(alpha) * log_inv > 2 * float(eps)
     small_ok = expect_ok = None

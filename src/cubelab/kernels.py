@@ -26,6 +26,12 @@ _WALSH_BLOCK = 1 << 16  # entries per block and per piece of fwht's stages
 INT64_SUMMANDS = 62  # subset counts of up to 62 weights (at most 2^62) fit int64
 
 
+def exact_int_dtype(bound: int):
+    """The dtype that holds integers of magnitude up to bound exactly: int64
+    below 2^63, Python ints (object) from there."""
+    return np.int64 if bound < 1 << 63 else object
+
+
 def fwht(a: np.ndarray) -> np.ndarray:
     """Signed Walsh transform of an integer vector of length 2**n, as a new array.
 
@@ -162,7 +168,7 @@ def subset_sum_prefixes(weights: np.ndarray):
     """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
     total = int(weights.sum())
-    dtype = np.int64 if len(weights) <= INT64_SUMMANDS else object
+    dtype = exact_int_dtype(1 << len(weights))
     cur = np.zeros(total + 1, dtype=dtype)
     nxt = np.zeros(total + 1, dtype=dtype)
     cur[0] = 1

@@ -343,7 +343,7 @@ def _third_level_holds(h: Halfspace, cut: int) -> bool:
     values = 2 * sums - total
     above = values > cut
     # |v| <= T, p_2 <= T^2 and p_3 <= T^3, so every partial sum is at most 7 T^3 in size
-    dtype = np.int64 if 8 * total**3 < 1 << 63 else object
+    dtype = kernels.exact_int_dtype(8 * total**3)
     v = values[above].astype(dtype)
     least = low[sums[above]].astype(dtype)
     return not bool(np.any(v * (v * v - 3 * p2) + 4 * least - 2 * p3 < 0))

@@ -12,8 +12,11 @@ bit-packed table scans, and the ``gather_*`` characters (a popcount table
 indexed by 2^n masks) of the doubling ``sign_products``, on which
 ``smoothed_fourier`` and ``smoothed_fourier_lower_bound`` (the smoothed
 degree-k coefficient and its lower bound, which no program path reads)
-are built, ``index_unbiased_correlator`` (one int64 sign array per coordinate) of the
-swapped-halves sign-flip scan, ``table_level_weight`` (a truth table of
+are built, ``index_unbiased_correlator`` (one int64 sign array per coordinate,
+and a Gray-code walk that recounts every sign pattern) of the
+swapped-halves sign-flip scan and the full scan by one XOR convolution,
+``per_point_biased_correlator`` (l read at every point in float64) of
+PROP93's cut read from the cut profile, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
 ``pairwise_support_window`` (a dict filled pair by pair) of the
 meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
@@ -51,7 +54,7 @@ import numpy as np
 from cubelab import kernels
 from cubelab.bfcore import from_truth_table
 from cubelab.chernoff import CheckRecord
-from cubelab.correlate import CorrelationResult, first_level_form
+from cubelab.correlate import BiasedCorrelation, CorrelationResult, first_level_form
 from cubelab.levelk import SymmetricStats, _cdf_weights
 from cubelab.spectral import fwht_spectrum
 
@@ -397,6 +400,39 @@ def index_unbiased_correlator(f, full_scan: bool = False) -> CorrelationResult:
     note = "base" if not best_flips else f"flips={best_flips}"
     return CorrelationResult(Fraction(best_num, size * size), Fraction(0),
                              form.halfspace_text(Fraction(0), best_flips), notes=note)
+
+
+def per_point_biased_correlator(f) -> BiasedCorrelation:
+    """``correlate.biased_correlator`` by its former route: l read at every
+    point in float64, and the points and the ones of f under the cut
+    counted from one mask per point."""
+    form = first_level_form(f)
+    eps = f.mean
+    if not 0 < eps < 1:
+        raise ValueError("mean must be strictly inside (0, 1)")
+    if form.is_zero():
+        raise ValueError("first level vanishes")
+    w1 = form.sq_norm
+    log_inv = math.log(1 / float(eps))
+    alpha = float(w1) / (float(eps) ** 2 * log_inv) if log_inv > 0 else math.inf
+    s = 0.5 * math.sqrt(max(0.0, alpha) * log_inv) if log_inv > 0 else 0.0
+    values, scale = form.scaled_values()
+    size = 1 << f.n
+    tau_sq = s * s * float(w1) * scale * scale
+    hit = (values > 0) & (values.astype(np.float64) ** 2 > tau_sq)
+    mean_g = Fraction(int(np.count_nonzero(hit)), size)
+    both = Fraction(int(np.count_nonzero(hit & (f.table != 0))), size)
+    hypothesis = eps < Fraction(1, 2) and s > 0 and math.sqrt(alpha) * log_inv > 2 * float(eps)
+    small_ok = expect_ok = None
+    notes = ""
+    if hypothesis:
+        small_ok = float(mean_g) <= float(eps) ** (alpha / 8) * (1 + 1e-12)
+        expect_ok = float(both) >= math.sqrt(alpha) / 8 * float(eps) * (1 - 1e-12)
+    else:
+        notes = "hypothesis-not-met"
+    text = f"normalized-cut:s={s:.6g};" + form.halfspace_text(Fraction(0))
+    return BiasedCorrelation(text, both, mean_g, alpha, s, hypothesis,
+                             small_ok, expect_ok, notes)
 
 
 def table_level_weight(h, k: int) -> Fraction:

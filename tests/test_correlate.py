@@ -1,10 +1,13 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubelab import bfcore, correlate, spectral
+from cubelab import bfcore, correlate, harness, kernels, spectral
+from cubelab.checks import MemberContext
 from cubelab.halfspace import make_halfspace
 
 import oracles
@@ -145,6 +148,23 @@ def test_threshold_integral_identity_random():
         assert correlate.threshold_integral_identity(correlate.FirstLevel(f)) == w1
 
 
+def test_cut_covariances_make_no_difference_arrays():
+    """The cut profile of tribes:4,5 (20 coordinates, 21 distinct values)
+    holds one sorted copy of l and the ones' values at its peak, below two
+    2^n int64 arrays: no array of adjacent differences beside them."""
+    f = bfcore.tribes(4, 5)
+    values = correlate.first_level_form(f).scaled_values()[0]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        v, _count, _cov_num = correlate._cut_covariances(f, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(v) == 21
+    assert peak < 2 * 8 * (1 << f.n), peak
+
+
 def test_threshold_integral_identity_past_int64():
     """At n = 23 the step sum no longer fits int64; the identity stays exact.
 
@@ -166,6 +186,8 @@ def test_threshold_integral_identity_past_int64():
     v, _count, cov_num = correlate._cut_covariances(f, values)
     wide = np.dot(cov_num[:-1].astype(object), np.diff(v).astype(object))
     assert int(np.dot(cov_num[:-1], np.diff(v))) != wide  # int64 wraps here
+    # so the bound on the partial sums is past int64 and picks Python ints
+    assert kernels.exact_int_dtype(int(np.abs(cov_num).max()) * int(v[-1] - v[0])) is object
     assert correlate.threshold_integral_identity(correlate.FirstLevel(f, form=form)) == w1
 
 
@@ -257,6 +279,61 @@ def test_biased_correlator_biased_instance():
     assert rec.small_mean_ok and rec.expectation_ok
     assert float(rec.mean_g) <= float(f.mean) ** (rec.alpha / 8)
     assert float(rec.expectation) >= math.sqrt(rec.alpha) / 8 * float(f.mean)
+
+
+def _prop93_members():
+    """Every table of the standard and builtin corpora and random tables at
+    n = 1-12, and: constant tables and a parity (refused), and the AND of
+    four coordinates, where the cut's square equals l^2 at a point."""
+    for name in ("standard", "builtin"):
+        for i, entry in enumerate(harness.load_corpus(name).entries):
+            yield MemberContext(f"{name}#{i}", entry).function
+    rng = np.random.default_rng(93)
+    for n in range(1, 13):
+        for p in (0.05, 0.3, 0.5):
+            yield bfcore.from_truth_table(rng.random(1 << n) < p, n)
+    yield bfcore.from_truth_table(np.zeros(16, dtype=np.uint8), 4)
+    yield bfcore.from_truth_table(np.ones(16, dtype=np.uint8), 4)
+    yield bfcore.from_truth_table([bin(m).count("1") & 1 for m in range(16)], 4)
+    yield bfcore.from_truth_table([0] * 15 + [1], 4)
+
+
+def test_biased_correlator_matches_per_point_route():
+    """PROP93's cut decided once per distinct value of l from the cut
+    profile against l read at every point in float64: the same record, or
+    the same refusal."""
+    tied = refused = 0
+    for f in _prop93_members():
+        try:
+            want = oracles.per_point_biased_correlator(f)
+        except ValueError as exc:
+            refused += 1
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                correlate.biased_correlator(correlate.FirstLevel(f))
+            continue
+        first = correlate.FirstLevel(f)
+        assert correlate.biased_correlator(first) == want
+        v, scale = first.cut_profile[0], first.scaled_values[1]
+        tau_sq = want.s * want.s * float(first.form.sq_norm) * scale * scale
+        tied += bool(np.any((v > 0) & (v.astype(np.float64) ** 2 == tau_sq)))
+    assert refused >= 3 and tied >= 1
+
+
+def test_biased_correlator_allocates_no_cube_array():
+    """With the member's cut profile built, PROP93 reads only the profile's
+    21 distinct values of tribes:4,5: far below one 2^20 float64 array."""
+    f = bfcore.tribes(4, 5)
+    first = correlate.FirstLevel(f)
+    first.cut_profile
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rec = correlate.biased_correlator(first)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec == oracles.per_point_biased_correlator(f)
+    assert peak < 8 * (1 << f.n), peak
 
 
 def test_biased_correlator_validates():

@@ -112,7 +112,7 @@ def test_a_refused_support_is_one_skip_per_check(monkeypatch):
     """With the pair guard at zero every support assembly of a forced
     meet-in-the-middle member refuses: the whole-support sweeps each record
     one skip noted with the refusal, and GAUSS-EATON falls back to the tail
-    ratio at max(0, t)."""
+    ratio at max(0, t), its ratio that lhs over EATON_BOUND as in the sweep."""
     ctx = MemberContext("mitm", "ltf:23,14,10,6,5,3,2,5/3,1,2/3;23")
     ctx.halfspace.distribution(backend="mitm")
     monkeypatch.setattr(halfspace, "_WINDOW_GUARD", 0)
@@ -120,8 +120,9 @@ def test_a_refused_support_is_one_skip_per_check(monkeypatch):
     got = [(r.check_id, r.instance, r.status, r.notes) for r in _member_records(ctx, sweeps)]
     assert got == [(cid, "mitm", "hypothesis-not-met", "support too wide") for cid in sweeps]
     h = ctx.halfspace
-    assert _member_records(ctx, ("GAUSS-EATON",)) == [
-        checks.gaussian_tail_ratio(h, max(F(0), h.threshold), instance="mitm")]
+    fallback = checks.gaussian_tail_ratio(h, max(F(0), h.threshold), instance="mitm")
+    fallback.ratio = fallback.lhs / checks.EATON_BOUND
+    assert _member_records(ctx, ("GAUSS-EATON",)) == [fallback]
 
 
 def test_a_budget_error_in_a_member_check_is_its_skip_record(monkeypatch):
@@ -483,6 +484,37 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     report, _ = harness.run_suite("levelk", wide)
     assert sum(r.check_id == "SIGN-COND" for r in report.records) == 2
     assert counts["elementary_symmetric_pointwise"] == 0
+
+
+def test_levelk_suite_builds_no_table_past_20_coordinates(monkeypatch):
+    """WK-PIPELINE reads the arity before it asks for the member's truth
+    table, so on halfspaces of 21 and 22 coordinates (below TABLE_CAP) the
+    levelk suite builds no table and records no WK-PIPELINE."""
+    built = []
+    build = FunctionSpec.build
+    monkeypatch.setattr(FunctionSpec, "build", lambda self: built.append(self) or build(self))
+    wide = harness.corpus_gen("random-halfspace", {"n_lo": 21, "n_hi": 22, "weight_bits": 10,
+                                                   "count": 2}, seed=11)
+    report, _ = harness.run_suite("levelk", wide)
+    assert "WK-PIPELINE" not in {r.check_id for r in report.records}
+    assert built == []
+
+
+def test_gauss_eaton_ratio_is_lhs_over_eaton_bound():
+    """Both GAUSS-EATON routes record the worst ratio over EATON_BOUND as
+    their ratio: the sweep over an assembled support (the builtin corpus)
+    and the one-threshold fallback where assembly is refused (the gated
+    meet-in-the-middle corpus of 26-30 coordinates)."""
+    mitm = harness.corpus_gen("random-halfspace", {"n_lo": 26, "n_hi": 30, "weight_bits": 24,
+                                                   "count": 3}, seed=5)
+    swept = set()
+    for corpus in (mitm, harness.load_corpus("builtin")):
+        report, _ = harness.run_suite("chernoff", corpus, pin=True)
+        for rec in report.records:
+            if rec.check_id == "GAUSS-EATON":
+                assert rec.ratio == rec.lhs / checks.EATON_BOUND
+                swept.add(rec.notes.endswith("grid evaluations"))
+    assert swept == {True, False}
 
 
 def test_lem111_reports_the_first_violating_triple(monkeypatch):

@@ -242,6 +242,14 @@ def test_leave_one_out_window_backends_agree(seed):
             assert kernels.leave_one_out_window(cum, wj, b) == expect
 
 
+def test_exact_int_dtype_leaves_int64_at_2_to_63():
+    assert kernels.exact_int_dtype(0) is np.int64
+    assert kernels.exact_int_dtype((1 << 63) - 1) is np.int64
+    assert kernels.exact_int_dtype(1 << 63) is object
+    assert np.array([(1 << 63) - 1], dtype=kernels.exact_int_dtype((1 << 63) - 1))[0] == (1 << 63) - 1
+    assert np.array([1 << 63], dtype=kernels.exact_int_dtype(1 << 63))[0] == 1 << 63
+
+
 @pytest.mark.parametrize("n", [62, 63])
 def test_subset_sum_prefixes_leave_int64_past_62_summands(n):
     """62 unit weights count in int64, 63 in Python ints (2^63 leaves
