@@ -459,6 +459,7 @@ class Halfspace:
         self._influences: dict[Fraction, list[Fraction]] = {}  # by threshold
         self._boundaries: dict[Fraction, tuple[int, int]] = {}  # by threshold
         self._deltas: dict[tuple[Fraction, Fraction], Fraction] = {}  # by (c, t)
+        self._decays: dict[tuple[Fraction, int | None], DecayThresholds] = {}  # by (t, k)
 
     # -- construction helpers ------------------------------------------------
 
@@ -628,7 +629,13 @@ class Halfspace:
         return Fraction(vstar, self.scale) - t
 
     def decay_thresholds(self, t=None, k: int | None = None) -> DecayThresholds:
+        """The decay shifts at t, searched once per (t, k)."""
         t = self.threshold if t is None else as_fraction(t)
+        if (t, k) not in self._decays:
+            self._decays[t, k] = self._decay_thresholds(t, k)
+        return self._decays[t, k]
+
+    def _decay_thresholds(self, t: Fraction, k: int | None) -> DecayThresholds:
         beta = self.delta_query(Fraction(1, 3), t)
         if k is None:
             gamma = self.delta_query(Fraction(1, 6), t)

@@ -8,7 +8,9 @@ weights.
 
 The sign condition (e_k >= 0 wherever the halfspace accepts) is decided
 from Newton's identities and the halfspace's distribution, with no array
-over the cube; only the pipeline's smoothed total reads a ``CubeScan``.
+over the cube; only the pipeline's smoothed total reads a ``CubeScan``,
+whose dot values take their smoothing weights from the few support values
+strictly inside the threshold window, and 0 or 1 outside it.
 """
 
 from __future__ import annotations
@@ -202,22 +204,37 @@ def signed_poly_expectation(coeffs, a, s):
 
     Only polynomials of degree at most m+1 are supported, where the m-th
     derivative is monotone and the closed-interval extremes are exact.
+
+    Over common denominators D of the points and E of the coefficients, each
+    point is one Horner pass in Python ints, and the sum one Fraction.
     """
     a = [as_fraction(v) for v in a]
     s = as_fraction(s)
     m = len(a)
     coeffs = [as_fraction(c) for c in coeffs]
-    if len(coeffs) - 1 > m + 1:
+    degree = len(coeffs) - 1
+    if degree > m + 1:
         raise ValueError("degree above m+1 needs extremum search")
-    total = Fraction(0)
+    den, coeff_den = common_scale([*a, s]), common_scale(coeffs)
+    ints = [v.numerator * (den // v.denominator) for v in a]
+    start = s.numerator * (den // s.denominator)
+    # c_i E D^(deg-i): the Horner pass at P = D p gives g(p) E D^deg
+    scaled = [c.numerator * (coeff_den // c.denominator) * den ** (degree - i)
+              for i, c in enumerate(coeffs)]
+    total = 0
     for mask in range(1 << m):
-        signs = [1 if mask >> i & 1 else -1 for i in range(m)]
-        prod = 1
-        for x in signs:
-            prod *= x
-        point = s + sum(w * x for w, x in zip(a, signs))
-        total += prod * poly_eval(coeffs, point)
-    value = total / (1 << m)
+        point, odd = start, 0
+        for i, w in enumerate(ints):
+            if mask >> i & 1:
+                point += w
+            else:
+                point -= w
+                odd ^= 1
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * point + c
+        total += -acc if odd else acc
+    value = Fraction(total, coeff_den * den ** max(degree, 0) << m)
     deriv = poly_derivative(coeffs, m)
     reach = sum(a, Fraction(0))
     ends = (poly_eval(deriv, s - reach), poly_eval(deriv, s + reach))
@@ -228,16 +245,28 @@ def signed_poly_expectation(coeffs, a, s):
 # ---------------------------------------------------------------------------
 # smoothing weights and the cube's elementary symmetric values
 
-def _cdf_weights(h: Halfspace, k: int, uniq: np.ndarray, t: Fraction,
-                 delta: Fraction) -> np.ndarray:
-    """The k-fold CDF at (v - t)/delta for each distinct scaled value v.
+def _point_weights(h: Halfspace, k: int, values: np.ndarray, t: Fraction,
+                   delta: Fraction) -> np.ndarray:
+    """The k-fold CDF at (v - t)/delta for each scaled dot value v.
 
-    One scalar call per value: a vectorised power can differ in the last
-    ulp, and these weights reach the report.
+    x = (v - t)/delta is taken over the distinct values of a.x in one pass.
+    The CDF is 0 at x <= 0 and 1 at x >= k, so only the window of values
+    with 0 < x < k gets a call, one scalar call per value (a vectorised
+    power can differ in the last ulp, and these weights reach the report),
+    and only the points inside it are looked up in the window.  The window
+    is cut by x, not by the weights, which may round to 0 or 1 inside it.
     """
-    t_scaled = float(t * h.scale)
-    d_scaled = float(delta * h.scale)
-    return np.array([irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq])
+    uniq = h.distribution().support().values
+    x = (uniq.astype(np.float64) - float(t * h.scale)) / float(delta * h.scale)
+    lo, hi = np.searchsorted(x, 0.0, side="right"), np.searchsorted(x, float(k))
+    weights = (values >= uniq[hi]).astype(np.float64) if hi < len(uniq) else np.zeros(len(values))
+    if lo < hi:
+        window = uniq[lo:hi]
+        inside = values >= window[0]
+        inside &= values <= window[-1]
+        cdf = np.array([irwin_hall_cdf(k, v) for v in x[lo:hi]])
+        weights[inside] = cdf[np.searchsorted(window, values[inside])]
+    return weights
 
 
 def elementary_symmetric_pointwise(h: Halfspace, k: int) -> dict[int, np.ndarray]:
@@ -255,12 +284,12 @@ def e_k_fits(h: Halfspace, k: int) -> bool:
 
 
 class CubeScan:
-    """A halfspace's arrays over the whole cube, each built on first use and
-    then kept for as long as the scan lives: the elementary symmetric layers
-    e_k of (a_j x_j) for k in 1..max(LEVELS), whose e_1 is the scaled dot
-    values a.x, and each point's class in the support of the halfspace's
-    distribution.  WK-PIPELINE builds one per member, which both levels
-    read and which is freed when the check returns."""
+    """A halfspace's arrays over the whole cube, built on first use and then
+    kept for as long as the scan lives: the elementary symmetric layers e_k
+    of (a_j x_j) for k in 1..max(LEVELS), whose e_1 is the scaled dot values
+    a.x, from which the pipeline's point weights are read.  WK-PIPELINE
+    builds one per member, which both levels read and which is freed when
+    the check returns."""
 
     def __init__(self, h: Halfspace):
         self.h = h
@@ -276,11 +305,6 @@ class CubeScan:
     def values(self) -> np.ndarray:
         """The scaled dot values a.x: the layer e_1."""
         return self.layers[1]
-
-    @cached_property
-    def classes(self) -> np.ndarray:
-        """Each point's index into the distinct values of a.x, the support."""
-        return np.searchsorted(self.h.distribution().support().values, self.values)
 
     def esym(self, k: int) -> np.ndarray:
         """e_k at every cube point; refused when its values could overflow int64."""
@@ -451,9 +475,9 @@ def level_k_pipeline(cube: CubeScan, k: int, wk: Fraction) -> PipelineReport:
     squares = [s * s for s in h.scaled.tolist()]
     coeff_sq_sum = Fraction(_elementary_ints(squares, k)[k], sum(squares) ** k)
 
+    # the weights first, so their temporaries are gone before the float e_k is made
+    point_weights = _point_weights(h, k, cube.values, t, delta)
     esym = cube.esym(k) / (float(h.scale) ** k * norm**k)
-    uniq = h.distribution().support().values  # the distinct values of a.x
-    point_weights = _cdf_weights(h, k, uniq, t, delta)[cube.classes]
     smoothed_total = float(np.dot(esym, point_weights)) / (1 << h.n)
 
     sign_ok = sign_condition_holds(h, k)

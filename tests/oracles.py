@@ -38,6 +38,12 @@ those checks' comparisons of integer tail counts,
 coordinate) of PROP5's sums by the identity sum_j a_j Inf_j =
 2 E[f a.x], and ``two_pass_gauss_worst`` (every support value read twice,
 with the strict and the non-strict tail) of GAUSS-EATON's one-pass sweep.
+``cdf_weights`` (one scalar CDF call per support value) and
+``class_point_weights`` (every point's class found by one search of all
+2^n dot values) are the slow routes of the level-k pipeline's point
+weights read from the threshold window, and
+``fraction_signed_poly_expectation`` (a Fraction per point) of FDERIV's
+sum over one common denominator.
 The scalar flip maps (``suffix_flip`` through
 ``interval_shift_map``, one tuple of Fractions at a time, raising
 ``DomainError`` outside their domains) are the slow route of the batched
@@ -55,7 +61,7 @@ from cubelab import kernels
 from cubelab.bfcore import from_truth_table
 from cubelab.chernoff import CheckRecord
 from cubelab.correlate import BiasedCorrelation, CorrelationResult, first_level_form
-from cubelab.levelk import SymmetricStats, _cdf_weights
+from cubelab.levelk import SymmetricStats, irwin_hall_cdf, poly_derivative, poly_eval
 from cubelab.spectral import fwht_spectrum
 
 
@@ -313,6 +319,42 @@ def sign_products(factors) -> np.ndarray:
     return signs
 
 
+def cdf_weights(h, k, uniq, t, delta) -> np.ndarray:
+    """The k-fold CDF at (v - t)/delta for each distinct scaled value v, one
+    scalar call per value."""
+    t_scaled = float(t * h.scale)
+    d_scaled = float(delta * h.scale)
+    return np.array([irwin_hall_cdf(k, (float(v) - t_scaled) / d_scaled) for v in uniq])
+
+
+def class_point_weights(h, k, values, t, delta) -> np.ndarray:
+    """Each point's CDF weight gathered through its class, the index of its
+    dot value among the support's distinct values."""
+    uniq = h.distribution().support().values
+    return cdf_weights(h, k, uniq, t, delta)[np.searchsorted(uniq, values)]
+
+
+def fraction_signed_poly_expectation(coeffs, a, s):
+    """``levelk.signed_poly_expectation`` with a Fraction at every point."""
+    a = [Fraction(v) for v in a]
+    s = Fraction(s)
+    m = len(a)
+    coeffs = [Fraction(c) for c in coeffs]
+    if len(coeffs) - 1 > m + 1:
+        raise ValueError("degree above m+1 needs extremum search")
+    total = Fraction(0)
+    for mask in range(1 << m):
+        signs = [1 if mask >> i & 1 else -1 for i in range(m)]
+        point = s + sum(w * x for w, x in zip(a, signs))
+        total += math.prod(signs) * poly_eval(coeffs, point)
+    value = total / (1 << m)
+    deriv = poly_derivative(coeffs, m)
+    reach = sum(a, Fraction(0))
+    ends = (poly_eval(deriv, s - reach), poly_eval(deriv, s + reach))
+    scale = math.prod(a)
+    return value, scale * min(ends), scale * max(ends)
+
+
 def smoothed_fourier(h, subset, delta, t=None) -> float:
     """Average of the degree-k coefficient of 1{a.x > t + s} when s is drawn
     from delta times the k-fold uniform sum.
@@ -335,7 +377,7 @@ def smoothed_fourier(h, subset, delta, t=None) -> float:
     uniq, inverse = np.unique(kernels.dot_values(h.scaled), return_inverse=True)
     signed_counts = np.zeros(len(uniq), dtype=np.int64)
     np.add.at(signed_counts, inverse, signs.astype(np.int64))
-    weights = _cdf_weights(h, k, uniq, t, delta)
+    weights = cdf_weights(h, k, uniq, t, delta)
     return float(np.dot(signed_counts, weights)) / (1 << h.n)
 
 

@@ -4,8 +4,9 @@ Each gate runs `python -m cubelab.cli` with its arguments, no shell, in one
 temporary working directory, so later gates read the corpora earlier ones
 wrote.  A gate passes when its exit code is the expected one and each file it
 pins has the recorded sha256.  The checkout's src/ goes first on PYTHONPATH,
-so this runs the same from a checkout or an install.  Prints one line per
-gate and exits 1 if any gate failed.
+so this runs the same from a checkout or an install.  A gate's optional
+`env` map is added to the environment of that gate's process alone.  Prints
+one line per gate, its env first, and exits 1 if any gate failed.
 """
 import hashlib
 import json
@@ -31,8 +32,9 @@ def run_gates(manifest=ROOT / "tests" / "gates.json") -> int:
             (work / name).write_bytes(text.encode())
         for gate in spec["gates"]:
             start = time.perf_counter()
+            gate_env = gate.get("env", {})
             proc = subprocess.run([sys.executable, "-m", "cubelab.cli", *shlex.split(gate["cmd"])],
-                                  cwd=work, env=env, capture_output=True)
+                                  cwd=work, env={**env, **gate_env}, capture_output=True)
             if "stdout" in gate:
                 (work / gate["stdout"]).write_bytes(proc.stdout)
             wrong = []
@@ -46,7 +48,8 @@ def run_gates(manifest=ROOT / "tests" / "gates.json") -> int:
                     wrong.append(f"{name}: sha256 {got}, expected {digest}")
             failed |= bool(wrong)
             seconds = time.perf_counter() - start
-            print(f"{'FAIL' if wrong else 'ok'} {seconds:6.1f} s  {gate['cmd']}", flush=True)
+            label = " ".join([*(f"{k}={v}" for k, v in gate_env.items()), gate["cmd"]])
+            print(f"{'FAIL' if wrong else 'ok'} {seconds:6.1f} s  {label}", flush=True)
             for line in wrong:
                 print(f"    {line}", flush=True)
     return int(failed)

@@ -1,5 +1,9 @@
 """The exact-output gate runner on two cheap gates of tests/gates.json."""
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from run_gates import ROOT, run_gates
@@ -37,6 +41,22 @@ def test_a_wrong_digest_or_exit_code_fails_that_gate_alone(tmp_path, capsys):
     assert [line.split()[0] for line in out if not line.startswith(" ")] == ["FAIL", "ok", "FAIL"]
     assert [line.strip() for line in out if line.startswith(" ")] == [
         f"{name}: sha256 {digest}, expected {digest[::-1]}", "exit 0, expected 1"]
+
+
+def test_a_gate_env_reaches_that_gate_process_alone(tmp_path, capsys, monkeypatch):
+    """argparse wraps --help at $COLUMNS: a gate pinned to the 30-column
+    text passes with env COLUMNS=30 and fails without it, and the env set
+    for one gate does not leak into the next."""
+    monkeypatch.delenv("COLUMNS", raising=False)
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    narrow = subprocess.run([sys.executable, "-m", "cubelab.cli", "--help"], capture_output=True,
+                            env={**os.environ, "PYTHONPATH": path, "COLUMNS": "30"}, check=True)
+    digest = hashlib.sha256(narrow.stdout).hexdigest()
+    gate = {"cmd": "--help", "exit": 0, "stdout": "help.txt", "sha256": {"help.txt": digest}}
+    assert run(tmp_path, [{**gate, "env": {"COLUMNS": "30"}}, gate]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
+    assert [line.split()[0] for line in lines] == ["ok", "FAIL"]
+    assert lines[0].endswith(" s  COLUMNS=30 --help") and lines[1].endswith(" s  --help")
 
 
 def test_the_workflow_pins_no_digest_itself():

@@ -240,6 +240,22 @@ def test_decay_thresholds_ordered():
         assert h.tail(t + thr.gamma) <= eps / 6
 
 
+def test_decay_thresholds_are_searched_once_per_threshold_and_level(monkeypatch):
+    """A second call at the same (t, k) returns the same object and makes no
+    delta query; the default threshold is the halfspace's own, and another
+    t or k is searched afresh."""
+    h = make_halfspace([5, 3, 3, 2, 1, 1], 1)
+    calls = []
+    query = h.delta_query
+    monkeypatch.setattr(h, "delta_query", lambda *args: calls.append(args) or query(*args))
+    for t, k in ((None, None), (F(1), 2), (F(2), 2), (F(1), 3)):
+        first = h.decay_thresholds(t, k=k)
+        assert calls
+        calls.clear()
+        assert h.decay_thresholds(t, k=k) is first and calls == []
+    assert h.decay_thresholds(F(1)) is h.decay_thresholds() and calls == []
+
+
 def test_decay_thresholds_geometric_variant():
     h = make_halfspace([1] * 15, 0)
     t = F(9)

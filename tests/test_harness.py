@@ -438,10 +438,11 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     """run_suite("all") on two members: each makes one e_k layer pass, one
     build of the first-level form's values, one cut profile and one
     level-sum pass, however many checks read them, and no dot-value fill in
-    levelk (the cube's dot values are its e_1 layer), and no value-class sort: the classes come from the member's support, by
-    one class search per member for both levels.  The global checks' own
-    calls are measured on an empty corpus and taken off.  On a member of 21
-    coordinates the levelk suite makes no e_k layer pass."""
+    levelk (the cube's dot values are its e_1 layer), no value-class sort
+    and no search with 2^n keys: the point weights come from the threshold
+    window.  The global checks' own calls are measured on an empty corpus
+    and taken off.  On a member of 21 coordinates the levelk suite makes no
+    e_k layer pass."""
     counts = Counter()
 
     def counting(owner, name, key=None):
@@ -458,8 +459,8 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
     counting(kernels, "dot_values",
              lambda a, kw: "dot_values from " + sys._getframe(2).f_globals["__name__"])
     counting(np, "unique", lambda a, kw: "class sort" if kw.get("return_inverse") else "unique")
-    counting(np, "searchsorted",
-             lambda a, kw: "class search from " + sys._getframe(2).f_globals["__name__"])
+    counting(np, "searchsorted", lambda a, kw: ("search from " + sys._getframe(2).f_globals["__name__"],
+                                                np.size(a[1])))
     counting(levelk, "elementary_symmetric_pointwise")
     counting(correlate.LinearForm, "scaled_values")
     counting(correlate, "_cut_covariances")
@@ -473,8 +474,11 @@ def test_each_member_does_its_cube_work_once(monkeypatch):
                                                     "PROP92", "PROP93", "PROP16", "NSREMARK"}
     per_members = counts - globals_only
     for key in ("elementary_symmetric_pointwise", "scaled_values", "_cut_covariances",
-                "squared_level_sums", "class search from cubelab.levelk"):
+                "squared_level_sums"):
         assert per_members[key] == 2, key
+    key_counts = {key[1] for key in per_members
+                  if isinstance(key, tuple) and key[0] == "search from cubelab.levelk"}
+    assert key_counts and not key_counts & {1 << parse_halfspace(e).n for e in corpus.entries}
     assert per_members["dot_values from cubelab.levelk"] == 0
     assert per_members["class sort"] == 0
     # past WK-PIPELINE's 20 coordinates the levelk suite fills no cube at all

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubelab import harness, kernels, levelk, spectral
@@ -157,6 +157,25 @@ def test_signed_poly_expectation_bracket_degree_plus_one():
         assert lo <= value <= hi
 
 
+def test_signed_poly_expectation_matches_fraction_route():
+    """The sum over one common denominator equals the sum of one Fraction
+    per point, on random rationals of degree -1 (no coefficients) through
+    m + 1, with coefficients zeroed at random, and both refuse m + 2."""
+    rng = np.random.default_rng(8402)
+    for trial in range(300):
+        m = int(rng.integers(0, 6))
+        degree = m + 1 if trial % 3 == 0 else int(rng.integers(-1, m + 2))
+        coeffs = [F(int(c), int(d)) if rng.random() > 0.3 else F(0) for c, d in
+                  zip(rng.integers(-6, 7, size=degree + 1), rng.integers(1, 5, size=degree + 1))]
+        a = [F(int(x), int(d)) for x, d in zip(rng.integers(1, 9, size=m), rng.integers(1, 4, size=m))]
+        s = F(int(rng.integers(-9, 10)), int(rng.integers(1, 6)))
+        assert levelk.signed_poly_expectation(coeffs, a, s) == \
+            oracles.fraction_signed_poly_expectation(coeffs, a, s), (coeffs, a, s)
+    for route in (levelk.signed_poly_expectation, oracles.fraction_signed_poly_expectation):
+        with pytest.raises(ValueError, match=r"degree above m\+1"):
+            route([F(1)] * 4, [F(1)], F(0))
+
+
 # -- smoothed degree-k coefficients, a test oracle -------------------------------------
 
 def test_smoothed_fourier_k1_matches_smoothed_influence():
@@ -181,7 +200,7 @@ def test_smoothed_fourier_matches_gather_route(n):
             mask = sum(1 << j for j in subset)
             signed_counts = np.zeros(len(uniq), dtype=np.int64)
             np.add.at(signed_counts, inverse, oracles.gather_point_character(n, mask))
-            weights = levelk._cdf_weights(h, k, uniq, h.threshold, F(3))
+            weights = oracles.cdf_weights(h, k, uniq, h.threshold, F(3))
             expect = float(np.dot(signed_counts, weights)) / (1 << n)
             assert oracles.smoothed_fourier(h, subset, 3) == expect
 
@@ -621,6 +640,103 @@ def test_hypotheses_stop_at_the_first_false_one(monkeypatch):
         assert REGISTRY[cid].fn(fresh, None)
     steep = levelk.Hypotheses(make_halfspace([1] * 20, 18), 2)  # eps = 2^-20
     assert steep.surrogate_ok and not steep.eta_ok and not steep.all()
+
+
+def _same_bits(got, expect):
+    return got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def test_point_weights_equal_the_class_gather_on_every_corpus_member():
+    """At each level, at the member's threshold and delta, the window's
+    point weights equal the class gather bit for bit on every halfspace
+    member of the standard, builtin and tail corpora with n <= 20."""
+    checked = 0
+    for name in ("standard", "builtin", "tail"):
+        for entry in harness.load_corpus(name).entries:
+            h = MemberContext(name, entry).halfspace
+            if h is None or h.n > 20 or h.tail(h.threshold) == 0:
+                continue
+            values = kernels.dot_values(h.scaled)
+            for k in levelk.LEVELS:
+                delta = h.decay_thresholds(h.threshold, k).delta
+                got = levelk._point_weights(h, k, values, h.threshold, delta)
+                assert _same_bits(got, oracles.class_point_weights(h, k, values, h.threshold, delta))
+                checked += 1
+    assert checked >= 300
+
+
+@st.composite
+def window_cases(draw):
+    """Integer or half-integer weights, a level, and a threshold and width
+    that put support values exactly at x = 0 and x = k, leave the window
+    empty, reach the top value, or fall anywhere."""
+    den = draw(st.sampled_from((1, 2)))
+    weights = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    h = make_halfspace([F(w, den) for w in weights], 0)
+    k = draw(st.sampled_from(levelk.LEVELS))
+    uniq = h.distribution().support().values.tolist()
+    kind = draw(st.sampled_from(("edges", "empty", "top", "anywhere")))
+    i = draw(st.integers(0, len(uniq) - 1))
+    if kind == "edges":  # x = (v - v_i) k / (v_j - v_i) is exactly 0 at v_i and k at v_j
+        ends = [j for j in range(i + 1, len(uniq)) if (uniq[j] - uniq[i]) % k == 0]
+        assume(ends)
+        j = draw(st.sampled_from(ends))
+        t, delta = F(uniq[i], h.scale), F((uniq[j] - uniq[i]) // k, h.scale)
+    elif kind == "empty":  # every value above v_i lies at least one unit past it, x >= k
+        t, delta = F(uniq[i], h.scale), F(1, k * h.scale)
+    elif kind == "top":  # every x is below 1
+        t, delta = F(uniq[i], h.scale), F(uniq[-1] - uniq[0] + 1, h.scale)
+    else:
+        t = F(draw(st.integers(uniq[0] - 4, uniq[-1] + 4)), 2 * h.scale)
+        delta = F(draw(st.integers(1, 40)), draw(st.integers(1, 6)) * h.scale)
+    return h, k, t, delta, kind
+
+
+@given(window_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_point_weights_equal_the_class_gather_at_the_window_edges(case):
+    """Bit for bit on drawn members, each case checked to be the kind it was
+    drawn as."""
+    h, k, t, delta, kind = case
+    uniq = h.distribution().support().values
+    x = (uniq.astype(np.float64) - float(t * h.scale)) / float(delta * h.scale)
+    inside = (x > 0) & (x < k)
+    if kind == "edges":
+        assert 0.0 in x and float(k) in x
+    elif kind == "empty":
+        assert not inside.any()
+    elif kind == "top":
+        assert (x < k).all()
+    values = kernels.dot_values(h.scaled)
+    got = levelk._point_weights(h, k, values, t, delta)
+    assert _same_bits(got, oracles.class_point_weights(h, k, values, t, delta))
+
+
+def test_pipeline_calls_the_cdf_only_inside_the_window(monkeypatch):
+    """The scalar CDF runs at x strictly inside (0, k) alone: every other
+    support value's weight is 0 or 1 without a call."""
+    calls = []
+    cdf = levelk.irwin_hall_cdf
+    monkeypatch.setattr(levelk, "irwin_hall_cdf", lambda k, x: calls.append((k, x)) or cdf(k, x))
+    for entry in harness.load_corpus("standard").entries[:10]:
+        h = parse_halfspace(entry)
+        cube = levelk.CubeScan(h)
+        for k in levelk.LEVELS:
+            levelk.level_k_pipeline(cube, k, F(0))
+    assert calls and all(0 < x < k for k, x in calls)
+
+
+def test_wk_pipeline_body_holds_no_class_array():
+    """WK-PIPELINE on a 20-coordinate corpus member, its level weights and
+    distribution read before, peaks below five 8 MiB cube arrays (three
+    layers, the float e_k and the point weights) and one bool mask: no 2^20
+    intp class index sits beside them."""
+    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 20, "n_hi": 20, "count": 1}, seed=3)
+    ctx = MemberContext("n20", corpus.entries[0])
+    ctx.level_weights, ctx.halfspace.distribution().support()
+    recs, peak = _traced_peak(lambda: REGISTRY["WK-PIPELINE"].fn(ctx, None))
+    assert [r.status for r in recs] == ["pass", "hypothesis-not-met"]
+    assert peak < (5 * 8 + 1) * (1 << 20), peak
 
 
 def test_pipeline_rejects_unbiased():
