@@ -460,6 +460,7 @@ class Halfspace:
         self._boundaries: dict[Fraction, tuple[int, int]] = {}  # by threshold
         self._deltas: dict[tuple[Fraction, Fraction], Fraction] = {}  # by (c, t)
         self._decays: dict[tuple[Fraction, int | None], DecayThresholds] = {}  # by (t, k)
+        self._signs: dict[int, bool] = {}  # levelk.sign_condition_holds, by k
 
     # -- construction helpers ------------------------------------------------
 

@@ -9,10 +9,10 @@ low bits of one word.  Seen as ``words.reshape((2,) * (n - 6))``, the
 words have axis n - 1 - i for coordinate i >= 6 (bit i - 6 of a word
 index), so a subcube that fixes x_i = +1 for some coordinates is one
 in-word mask ORed into a strided slice.  The table scans (influence,
-boundary, monotonicity), the subcube write and the popcount builder work
-on the words; only the Walsh transform reads one entry per point.  Each
-kernel is one vectorized numpy algorithm; its independent slow route is
-in the tests (``tests/oracles.py``).
+boundary, monotonicity), the subcube write, the popcount builder and the
+Walsh transform of a table work on the words; no kernel unpacks a table
+to one byte per point.  Each kernel is one vectorized numpy algorithm; its
+independent slow route is in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 
-_WALSH_BLOCK = 1 << 16  # entries per block and per piece of fwht's stages
+_WALSH_BLOCK = 1 << 16  # entries per block and per piece of the Walsh stages
 INT64_SUMMANDS = 62  # subset counts of up to 62 weights (at most 2^62) fit int64
 
 
@@ -39,37 +39,85 @@ def fwht(a: np.ndarray) -> np.ndarray:
     a subset mask S; entry S becomes sum_m a[m] * sign(S, m) where
     sign(S, m) = prod over i in S of (+1 if bit i of m else -1).
 
-    The transform is the n-th Kronecker power of [[1, 1], [-1, 1]] (rows S,
-    columns m), applied four coordinates at a time as matrix products.
-    Every product, partial sum and intermediate entry is an integer of
-    magnitude at most peak = max|a| * 2**n, so the stages run in float32
-    when peak <= 2**24 (every such integer is a float32) and in float64 when
-    peak < 2**53; a larger input is refused before any work.
-
-    The work happens in one buffer of 2**n entries.  The low coordinates
-    are transformed one block of _WALSH_BLOCK entries at a time in a
-    block-sized scratch pair, and each block is written to the buffer once;
-    every later stage runs in place, one piece of at most _WALSH_BLOCK
-    entries at a time through the scratch.  The buffer is then cast in place
-    to the integer type of its width and returned: int32 after float32
-    stages (|entry| <= 2**24), int64 after float64 stages.
+    Every product, partial sum and intermediate entry of the stages is an
+    integer of magnitude at most peak = max|a| * 2**n, so they run in
+    float32 when peak <= 2**24 (every such integer is a float32) and in
+    float64 when peak < 2**53; a larger input is refused before any work.
+    Each block of the stages is filled from a, cast to that float type
+    (``_walsh``).
     """
     n = a.shape[0].bit_length() - 1
     peak = max(int(a.max()), -int(a.min())) << n
     if peak >= 1 << 53:
         raise OverflowError(f"max|a| * 2^n = {peak} is not below 2^53; "
                             "the float64 Walsh transform would not be exact")
+
+    def fill(x: np.ndarray, spare: np.ndarray, start: int) -> None:
+        x[:] = a[start : start + x.shape[0]]
+
+    return _walsh(n, peak, fill, 0)
+
+
+def fwht_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The Walsh transform of a packed 0/1 table of 2^n points (``WORD``):
+    equal, values and dtype, to ``fwht`` of its unpacked table.
+
+    Seen as little-endian uint16, the words are chunks of 16 points, bit j
+    of chunk c being point 16c + j, and the transform of coordinates 0..3
+    of a chunk is row c of ``_chunk_transforms``.  So each block of the
+    stages is one ``np.take`` of those rows by the block's chunks into the
+    spare scratch block, cast to the float type, and the stages start at
+    coordinate 4: no byte per point is unpacked.  Below 4 coordinates a
+    table is less than a chunk and is unpacked for ``fwht``.
+    """
+    if n < 4:
+        return fwht(np.unpackbits(words.view(np.uint8), count=1 << n, bitorder="little"))
+    chunks = words.view("<u2")[: 1 << (n - 4)]
+    rows = _chunk_transforms()
+
+    def fill(x: np.ndarray, spare: np.ndarray, start: int) -> None:
+        part = spare.view(np.int8)[: x.shape[0]].reshape(-1, 16)
+        # every uint16 is a row index, so clip never clips; it spares the range check
+        np.take(rows, chunks[start >> 4 : (start + x.shape[0]) >> 4], axis=0, out=part, mode="clip")
+        x[:] = part.reshape(-1)
+
+    return _walsh(n, (1 << n) if words.any() else 0, fill, 4)  # fwht's peak, max|a| * 2^n
+
+
+def _walsh(n: int, peak: int, fill, first: int) -> np.ndarray:
+    """The stages of the Walsh transform of 2^n entries of magnitude at most
+    peak / 2^n, as a new int32 (peak <= 2^24) or int64 (peak < 2^53) array.
+
+    fill(x, spare, start) writes entries start .. start + len(x) of the
+    input, with coordinates 0 .. first - 1 already transformed, into the
+    float block x; spare is the other block of the scratch pair, free
+    while fill runs.  The transform is the n-th Kronecker power of
+    [[1, 1], [-1, 1]] (rows S, columns m); each stage applies the power of
+    c coordinates (``_sign_matrix``) as one matrix product, and c comes
+    from how far apart the 2^c rows of that product lie (``_stage_width``).
+
+    The work happens in one buffer of 2**n entries.  The low coordinates
+    are transformed one block of _WALSH_BLOCK entries at a time in a
+    block-sized scratch pair, and the last of those stages writes the block
+    to the buffer; every later stage runs in place, one piece of at most
+    _WALSH_BLOCK entries at a time through the scratch.  The buffer is then cast in place
+    to the integer type of its width and returned.
+    """
     real, whole = (np.float32, np.int32) if peak <= 1 << 24 else (np.float64, np.int64)
-    out = np.empty(a.shape[0], dtype=real)
-    block = min(a.shape[0], _WALSH_BLOCK)
+    size = 1 << n
+    out = np.empty(size, dtype=real)
+    block = min(size, max(_WALSH_BLOCK, 1 << first))
     low = block.bit_length() - 1  # coordinates transformed inside a block
     x, y = np.empty(block, dtype=real), np.empty(block, dtype=real)
-    for start in range(0, a.shape[0], block):
-        x[:] = a[start : start + block]
+    for start in range(0, size, block):
+        fill(x, y, start)
         src, dst = x, y
-        for done in range(0, low, 4):
-            c = min(4, low - done)
+        done = first
+        while done < low:
+            c = min(_stage_width(done, x.itemsize), low - done)
             sign = _sign_matrix(c, real)
+            if done + c == low:
+                dst = out[start : start + block]  # the last stage writes the buffer
             if done == 0:
                 # one (block/2^c x 2^c) product; a stack of 2^c x 1 columns is slow
                 np.matmul(src.reshape(-1, 1 << c), sign.T, out=dst.reshape(-1, 1 << c))
@@ -77,10 +125,12 @@ def fwht(a: np.ndarray) -> np.ndarray:
                 np.matmul(sign, src.reshape(-1, 1 << c, 1 << done),
                           out=dst.reshape(-1, 1 << c, 1 << done))
             src, dst = dst, src
-        out[start : start + block] = src
+            done += c
+        if first == low:
+            out[start : start + block] = x
     done = low
     while done < n:
-        c = min(4, n - done, low)
+        c = min(_stage_width(done, x.itemsize), n - done, low)
         sign = _sign_matrix(c, real)
         cols = block >> c  # a piece is 2^c rows of this many entries
         piece = x.reshape(1 << c, cols)
@@ -94,6 +144,17 @@ def fwht(a: np.ndarray) -> np.ndarray:
     return result
 
 
+def _stage_width(done: int, itemsize: int) -> int:
+    """Coordinates of the stage that starts at coordinate done: 4 (a product
+    of 16 rows) while its rows lie less than 1 KiB apart, 3 (8 rows) from
+    there.  Rows 2^done entries apart are a power of two of bytes apart and
+    share a set of the L1 data cache, and 16 such rows thrash it: on a
+    2-core Xeon with a 48 KiB L1D, a stage of 16 rows 16 KiB apart took
+    44.6 us on a 2^16-entry float32 block (11.1 us per coordinate), the
+    same stage with 8 rows 15.6 us (5.2 us per coordinate)."""
+    return 4 if itemsize << done < 1 << 10 else 3
+
+
 @functools.cache
 def _sign_matrix(c: int, dtype) -> np.ndarray:
     """The 2^c x 2^c Walsh sign matrix of c coordinates, rows S, columns m."""
@@ -105,39 +166,64 @@ def _sign_matrix(c: int, dtype) -> np.ndarray:
     return sign
 
 
-_SQUARE_BLOCK = 1 << 15  # entries squared at a time by squared_level_sums
+@functools.cache
+def _chunk_transforms() -> np.ndarray:
+    """Row u: the Walsh transform of coordinates 0..3 of the 16 points whose
+    0/1 values are the bits of u, for every u < 2^16, as a read-only int8
+    array of 1 MiB (entries lie in -16..16).
+
+    Row u is the sum of the sign matrix's columns m over the set bits m of
+    u, so the rows are filled by doubling: rows 2^m .. 2^(m+1) - 1 are rows
+    0 .. 2^m - 1 plus column m.
+    """
+    sign = _sign_matrix(4, np.int8)
+    rows = np.zeros((1 << 16, 16), dtype=np.int8)
+    h = 1
+    for m in range(16):
+        np.add(rows[:h], sign[:, m], out=rows[h : 2 * h])
+        h *= 2
+    rows.flags.writeable = False
+    return rows
+
+
+_SQUARE_BITS = 15  # squared_level_sums squares 2^15 entries at a time
 
 
 def squared_level_sums(numerators: np.ndarray, n: int) -> list[int]:
     """Sum of numerators[S]**2 over the masks S of each popcount k = 0..n, as ints.
 
-    The high ceil(n/2) and low floor(n/2) bits of S are binned by one-hot
-    popcount matrices, P = Hi^T (squares as 2^hi x 2^lo) Lo, and level k
-    sums P[a, c] over a + c = k.  The squares are taken in float64 one block
-    of about 2^15 entries (whole rows) at a time and binned by Lo at once,
-    so no 2^n array of squares is made.  Each square and partial sum is an
-    integer no larger than sum numerators**2, so the result is exact while
-    that sum is below 2^53.  For Walsh numerators of a 0/1 table it is at
-    most 4^n (Parseval), so n > 26 is refused.
+    S is split into its low lo = min(n // 2, 8) bits and its high hi bits,
+    and the squares are taken in float64 one block of about 2^15 entries
+    (2^s whole rows of 2^lo) at a time, so no 2^n array of squares is made.
+    A block is binned by low popcount (a product with the one-hot popcount
+    matrix of lo bits), then by the popcount of the row inside the block
+    (the one of s bits); the block's own high bits add their popcount p, so
+    the (s + 1) x (lo + 1) binning is added at rows p .. p + s of one
+    (hi + 1) x (lo + 1) total, and level k sums the total over a + c = k.
+    Each square and partial sum is an integer no larger than sum
+    numerators**2, so the result is exact while that sum is below 2^53.
+    For Walsh numerators of a 0/1 table it is at most 4^n (Parseval), so
+    n > 26 is refused.
     """
     if n > 26:
         raise ValueError(f"level sums are exact in float64 only for n <= 26, got n = {n}")
-    lo = n // 2
+    lo = min(n // 2, 8)
     hi = n - lo
-    hi_hot = np.eye(hi + 1)[popcounts(hi)]
+    s = min(hi, _SQUARE_BITS - lo)  # 2^s rows per block
+    rows = np.asarray(numerators).reshape(-1, 1 << s, 1 << lo)
     lo_hot = np.eye(lo + 1)[popcounts(lo)]
-    rows = np.asarray(numerators).reshape(1 << hi, 1 << lo)
-    step = max(1, _SQUARE_BLOCK >> lo)
-    squares = np.empty((min(step, 1 << hi), 1 << lo))
-    by_row = np.empty((1 << hi, lo + 1))  # by_row[r, c]: squares of row r with low popcount c
-    for r in range(0, 1 << hi, step):
-        np.square(rows[r : r + step], out=squares, dtype=np.float64)
-        np.matmul(squares, lo_hot, out=by_row[r : r + step])
-    binned = hi_hot.T @ by_row
+    row_hot_t = np.eye(s + 1)[popcounts(s)].T
+    squares = np.empty((1 << s, 1 << lo))
+    by_row = np.empty((1 << s, lo + 1))
+    total = np.zeros((hi + 1, lo + 1))
+    for p, block in zip(popcounts(hi - s).tolist(), rows):
+        np.square(block, out=squares, dtype=np.float64)
+        np.matmul(squares, lo_hot, out=by_row)
+        total[p : p + s + 1] += row_hot_t @ by_row
     out = [0] * (n + 1)
     for a in range(hi + 1):
         for c in range(lo + 1):
-            out[a + c] += int(binned[a, c])
+            out[a + c] += int(total[a, c])
     return out
 
 

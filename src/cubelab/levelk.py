@@ -323,9 +323,17 @@ def sign_condition_holds(h: Halfspace, k: int) -> bool:
     tail counts of the distribution, on either backend.  Level 3 is
     ``_third_level_holds``.  Refused, as the cube's layers are, where
     ``e_k_fits`` is false; above the arity e_k is 0 and the condition holds.
+    The verdict is kept on the halfspace, so SIGN-COND and WK-PIPELINE
+    decide each (member, k) once.
     """
     if not e_k_fits(h, k):
         raise OverflowError("elementary symmetric values would overflow int64")
+    if k not in h._signs:
+        h._signs[k] = _sign_condition(h, k)
+    return h._signs[k]
+
+
+def _sign_condition(h: Halfspace, k: int) -> bool:
     if k > h.n:
         return True
     cut = h._cut(h.threshold)

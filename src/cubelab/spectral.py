@@ -71,9 +71,11 @@ class LevelWeights:
 def fwht_spectrum(f: BooleanFunction) -> FourierSpectrum:
     """Fast Walsh transform, O(n 2^n); agrees with the defining sum exactly.
 
-    The transform reads one entry per point, so the table is unpacked for it.
+    The transform reads the packed words: each chunk of 16 points enters as
+    the looked-up transform of its four in-chunk coordinates
+    (``kernels.fwht_words``), so no byte per point is unpacked.
     """
-    return FourierSpectrum(f.n, kernels.fwht(f.table))
+    return FourierSpectrum(f.n, kernels.fwht_words(f.words, f.n))
 
 
 def spectrum_by_definition(f: BooleanFunction) -> FourierSpectrum:

@@ -235,14 +235,15 @@ def equal_weight_boundary(n: int, t, lam: int) -> Fraction:
 
 def butterfly_walsh(a) -> np.ndarray:
     """Signed Walsh transform by n int64 butterfly passes: entry S is
-    sum_m a[m] * prod_{i in S} (+1 if bit i of m else -1)."""
+    sum_m a[m] * prod_{i in S} (+1 if bit i of m else -1).  A 2-d a is
+    transformed row by row."""
     a = np.array(a, dtype=np.int64)
     h = 1
-    while h < a.shape[0]:
-        view = a.reshape(-1, 2, h)
-        low = view[:, 0, :].copy()
-        view[:, 0, :] = low + view[:, 1, :]
-        view[:, 1, :] -= low
+    while h < a.shape[-1]:
+        view = a.reshape(*a.shape[:-1], -1, 2, h)
+        low = view[..., 0, :].copy()
+        view[..., 0, :] = low + view[..., 1, :]
+        view[..., 1, :] -= low
         h *= 2
     return a
 
@@ -251,7 +252,7 @@ def masked_level_sums(values, n: int) -> list[int]:
     """Sum of values[S] over the masks S of each popcount, one masked int64
     pass per level."""
     values = np.asarray(values, dtype=np.int64)
-    pc = np.array([bin(m).count("1") for m in range(1 << n)])
+    pc = np.bitwise_count(np.arange(1 << n))
     return [int(values[pc == k].sum()) for k in range(n + 1)]
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from cubelab import kernels
 from cubelab.bfcore import BooleanFunction, from_truth_table
-from cubelab.spectral import spectrum_by_definition
+from cubelab.spectral import fwht_spectrum, spectrum_by_definition
 
 import oracles
 
@@ -137,6 +137,86 @@ def test_fwht_allocates_one_buffer():
     assert traced_peak(kernels.fwht, table) < 1.25 * 4 * (1 << n)
 
 
+@pytest.mark.parametrize("n", range(1, 23))
+def test_fwht_words_match_butterfly(n):
+    """The transform read from the packed words equals the butterfly of the
+    unpacked table, as int32, on a random table and, up to n = 20, the
+    all-zero, all-one and single-point tables: n = 1..3 take the unpacked
+    fallback, n = 4 and 5 are the chunks of one word, and from n = 17 the
+    in-place stages run."""
+    rng = np.random.default_rng(400 + n)
+    tables = [random_table(rng, n)]
+    if n <= 20:
+        single = np.zeros(1 << n, dtype=np.uint8)
+        single[rng.integers(1 << n)] = 1
+        tables += [np.zeros(1 << n, dtype=np.uint8), np.ones(1 << n, dtype=np.uint8), single]
+    for table in tables:
+        got = kernels.fwht_words(from_truth_table(table, n).words, n)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, oracles.butterfly_walsh(table)), table[:8]
+
+
+def test_chunk_transforms_are_the_transform_of_their_bits():
+    """Row u of the read-only int8 chunk table is the int64 transform of the
+    16 bits of u, for every u < 2^16."""
+    rows = kernels._chunk_transforms()
+    bits = np.arange(1 << 16)[:, None] >> np.arange(16) & 1
+    assert rows.dtype == np.int8 and rows.shape == (1 << 16, 16)
+    assert np.array_equal(rows, oracles.butterfly_walsh(bits))
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+
+
+def test_table_spectrum_unpacks_no_table():
+    """After one warm call (which builds the chunk table), the spectrum of a
+    20-coordinate table holds its int32 numerators and the block scratch
+    pair, but no unpacked byte per point: that alone would take the peak
+    past 1.25 * 4 * 2^n."""
+    n = 20
+    f = from_truth_table(random_table(np.random.default_rng(20), n), n)
+    fwht_spectrum(f)
+    assert traced_peak(fwht_spectrum, f) < 1.15 * 4 * (1 << n)
+
+
+def stage_products(monkeypatch) -> list[tuple[int, int]]:
+    """Record (rows, bytes between rows) of each np.matmul the Walsh stages
+    make: a stage multiplies the rows of its data operand by the sign matrix."""
+    products = []
+    matmul = np.matmul
+
+    def spy(a, b, **kwargs):
+        if a.ndim == 2 and a.shape[0] == a.shape[1] == b.shape[-2]:
+            products.append((b.shape[-2], b.strides[-2]))  # sign @ rows
+        else:
+            products.append((b.shape[0], a.strides[-1]))  # entries @ sign.T: adjacent rows
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return products
+
+
+def test_walsh_stages_multiply_at_most_8_far_rows(monkeypatch):
+    """No stage multiplies more than 8 rows lying 1 KiB or more apart: at the
+    default block for table spectra of n = 16..22 and signed float64
+    vectors, and at the block sizes the pieces test uses."""
+    products = stage_products(monkeypatch)
+    rng = np.random.default_rng(5)
+    for n in range(16, 23):
+        kernels.fwht_words(from_truth_table(random_table(rng, n), n).words, n)
+    for n in (16, 20):
+        kernels.fwht(rng.integers(-(1 << 30), 1 << 30, size=1 << n))
+    for block in (1 << 2, 1 << 4, 1 << 6):
+        monkeypatch.setattr(kernels, "_WALSH_BLOCK", block)
+        for n in range(1, 13):
+            table = random_table(rng, n)
+            kernels.fwht(table)
+            kernels.fwht_words(from_truth_table(table, n).words, n)
+    far = [rows for rows, apart in products if apart >= 1 << 10]
+    assert far and max(far) <= 8
+    assert max(rows for rows, _ in products) == 16
+
+
 def test_dot_values_fill_one_array():
     """The doubling writes into the int64 result: no concatenated halves."""
     n = 20
@@ -144,12 +224,15 @@ def test_dot_values_fill_one_array():
     assert traced_peak(kernels.dot_values, w) < 1.25 * 8 * (1 << n)
 
 
-@pytest.mark.parametrize("n", [*range(13), 17])
+@pytest.mark.parametrize("n", range(23))
 def test_level_sums_backends_agree(n):
     """Squares of signed integer values binned by popcount, one block of rows
     at a time, against one masked pass per level; at n = 17 the 2^9 rows of
-    2^8 entries are squared in four blocks."""
-    values = np.random.default_rng(n).integers(-(1 << n), (1 << n) + 1, size=1 << n)
+    2^8 entries are squared in four blocks, at n = 22 2^14 rows in 128.
+    Values up to 2^n, or 2^((52 - n) // 2) from n = 18, keep the sum of
+    squares below 2^53, as Parseval keeps that of Walsh numerators."""
+    bound = 1 << min(n, (52 - n) // 2)
+    values = np.random.default_rng(n).integers(-bound, bound + 1, size=1 << n)
     assert kernels.squared_level_sums(values, n) == oracles.masked_level_sums(values**2, n)
 
 

@@ -534,6 +534,19 @@ def test_sign_condition_allocates_no_cube_array():
     assert peak < 8 << 22, peak
 
 
+def test_levelk_suite_decides_the_third_level_once_per_member(monkeypatch):
+    """SIGN-COND decides each (member, k) and keeps the verdict on the
+    halfspace, so WK-PIPELINE reads it: one k = 3 DP per member."""
+    members = []
+    third = levelk._third_level_holds
+    monkeypatch.setattr(levelk, "_third_level_holds",
+                        lambda h, cut: members.append(h.to_text()) or third(h, cut))
+    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 10, "n_hi": 14, "count": 4}, seed=3)
+    report, _ = harness.run_suite("levelk", corpus)
+    assert {"SIGN-COND", "WK-PIPELINE"} <= {r.check_id for r in report.records}
+    assert sorted(members) == sorted(parse_halfspace(e).to_text() for e in corpus.entries)
+
+
 # -- the pipeline -------------------------------------------------------------------
 
 def _member_wk(h, k):
