@@ -8,11 +8,16 @@ or as two enumerated halves combined per query, selected by budget.
 Either backend's whole support is one dense distribution: the dense
 backend itself, or the pairs of the halves assembled once.
 
-Each backend counts every influence: the dense one as a window of its
-counts with one weight divided out, the halves as one masked sum over the
-points of the half that holds the weight.  Both vertex boundaries come
-from one DP sweep that adds the weights smallest first, or above the
-budget from suffixes of the two halves paired.
+The dense counts come from one subset-sum DP that keeps only the lower
+half of each prefix's counts, a palindrome, and mirrors the last one once
+into the T + 1 counts of the distribution.  Each backend counts every
+influence: the dense one as a window of its suffix counts with one weight
+divided out, read at the window's edges, the halves as one masked sum over
+the points of the half that holds the weight.  Both vertex boundaries come
+from one sweep of that DP, which adds the weights after the first smallest
+first and reads each window from a prefix's lower half as one slice and
+one mirrored slice, or above the budget from suffixes of the two halves
+paired.
 
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the dense backend.  On
@@ -156,16 +161,36 @@ class TailDistribution(_TailBase):
         and self the distribution of `weights`, T their sum.  As a.x = 2s - T,
         s the sum of the +1 weights, w decides when the others at +1 sum to
         b - w + 1..b, b = (cut + T) // 2: a window of these counts with w
-        divided out, once per distinct weight."""
-        total = int(weights.sum())
-        # cum[s + 1] counts the points whose +1 weights sum to at most s
-        cum = np.zeros(total + 2, dtype=self.counts.dtype)
-        cum[(self.values + total) // 2 + 1] = self.counts
-        np.cumsum(cum, out=cum)
-        b = (cut + total) // 2
+        divided out (``leave_one_out_window``), once per distinct weight."""
+        b = (cut + int(weights.sum())) // 2
         weights = weights.tolist()
-        counts = {w: kernels.leave_one_out_window(cum, w, b) for w in set(weights)}
+        counts = {w: self.leave_one_out_window(w, b) for w in set(weights)}
         return np.array([counts[w] for w in weights], dtype=self.counts.dtype)
+
+    def leave_one_out_window(self, w: int, b: int) -> int:
+        """Subsets of the other weights with sum in b - w + 1..b, weight w > 0
+        removed, self being the distribution of weights summing to T =
+        max_scaled, w among them.
+
+        With P the subset-sum counts of all the weights, P(z) = Q(z) * (1 +
+        z^w) gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window
+        of Q is the alternating sum of P's windows (b - (i+1)w, b - iw] for
+        i >= 0.  P's subsets with sum at least e are the outcomes with a.x
+        >= 2e - T, so each window is a difference of two suffix counts read
+        at its edges.  The windows are disjoint, so every term and every
+        partial sum counts at most 2^n subsets: exact in the dtype of the
+        suffix counts.  Q is a palindrome (s and T - w - s), so the window
+        is read at the top b or T - 1 - b, whichever has fewer edges below.
+        """
+        total = self.max_scaled
+        if not 0 <= b <= total:
+            return 0  # Q has no mass below 0 or above T - w
+        b = min(b, total - 1 - b)
+        # a.x at the subset sums e = b + 1, b + 1 - w, ... down past 0
+        edges = np.arange(2 * (b + 1) - total, -2 * w - total, -2 * w)
+        at_least = self.counts_ge_scaled(edges)
+        terms = at_least[1:] - at_least[:-1]
+        return int(terms[0::2].sum()) - int(terms[1::2].sum())
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """One ``searchsorted`` of the cap into the suffix counts, which
@@ -358,8 +383,12 @@ def _clamped(cut: int, low: int, high: int) -> int:
 
 
 def _suffix_counts(counts: np.ndarray) -> np.ndarray:
-    """suffix[i] = counts[i] + ... + counts[-1], and a final zero."""
-    return np.concatenate([np.cumsum(counts[::-1])[::-1], np.zeros(1, dtype=counts.dtype)])
+    """suffix[i] = counts[i] + ... + counts[-1], and a final zero: one
+    ``cumsum`` of the reversed counts into the array returned."""
+    suffix = np.empty(len(counts) + 1, dtype=counts.dtype)
+    suffix[-1] = 0
+    np.cumsum(counts[::-1], out=suffix[-2::-1])
+    return suffix
 
 
 def _half(side: int, weights: np.ndarray):
@@ -406,8 +435,12 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
             # the cube has no more points than the DP would have cells
             return TailDistribution(*_enumerated(weights), scale, n)
         dense = kernels.signed_sum_counts(weights)
-        nz = np.nonzero(dense)[0]
-        return TailDistribution(2 * nz - total, dense[nz], scale, n)
+        values = np.flatnonzero(dense)
+        counts = dense[values]
+        del dense  # freed before the suffix counts are made
+        values *= 2
+        values -= total
+        return TailDistribution(values, counts, scale, n)
     if _mitm(n, total, backend):
         return MeetInMiddleDistribution.from_weights(weights, scale)
     if n > MAX_SUMMANDS:
@@ -579,7 +612,8 @@ class Halfspace:
         half.  Otherwise, or when the dense DP takes suffix 0 (the largest)
         but the halves do not, one DP sweep (in Python ints past 62 summands)
         adds the weights after weight 0 smallest first and reads suffix k
-        just before weight k would join it.
+        just before weight k would join it, each window from the lower half
+        of its counts (``_window_sum``).
         """
         if _mitm(self.n - 1, self._total, self._backend):
             return _paired_suffix_counts(self.scaled, self._cut(t))
@@ -589,13 +623,14 @@ class Halfspace:
         c0 = c1 = 0
         b = (self._cut(t) + self._total) // 2  # w decides at sums b - w + 1..b of the rest
         weights = self.scaled.tolist()
-        prefix = self._total
+        prefix, rest = self._total, 0  # the sums of weights[:k + 1] and weights[k + 1:]
         sweep = kernels.subset_sum_prefixes(after_first)
-        for k, counts in zip(range(self.n - 1, -1, -1), sweep):
+        for k, half in zip(range(self.n - 1, -1, -1), sweep):
             w = weights[k]
             prefix -= w  # now the sum of weights[:k]
-            c1 += _window_sum(counts, b - w + 1, b)
-            c0 += _window_sum(counts, b - prefix - w + 1, b - prefix)
+            c1 += _window_sum(half, rest, b - w + 1, b)
+            c0 += _window_sum(half, rest, b - prefix - w + 1, b - prefix)
+            rest += w  # weight k joins suffix k - 1
         return c0, c1
 
     # -- truth table -----------------------------------------------------------
@@ -731,11 +766,18 @@ def _pairs_within(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> int:
             - int(np.searchsorted(b, lo - keys, side="right").sum()))
 
 
-def _window_sum(counts: np.ndarray, lo: int, hi: int) -> int:
-    """counts[lo] + ... + counts[hi], with cells outside the array zero."""
-    if hi < 0:
+def _window_sum(half: np.ndarray, total: int, lo: int, hi: int) -> int:
+    """The subsets with sum in lo..hi, from the lower half of subset-sum
+    counts whose sums reach `total` (``kernels.subset_sum_prefixes``): the
+    cells of the window up to the middle, total // 2, are one slice of the
+    half, and those above it one slice read from the mirror, s at total - s."""
+    lo, hi = max(lo, 0), min(hi, total)
+    if lo > hi:
         return 0
-    return int(counts[max(lo, 0) : hi + 1].sum())
+    mid = total // 2
+    below = half[lo : min(hi, mid) + 1].sum() if lo <= mid else 0
+    above = half[total - hi : total - max(lo, mid + 1) + 1].sum() if hi > mid else 0
+    return int(below) + int(above)
 
 
 def make_halfspace(weights, threshold) -> Halfspace:

@@ -234,59 +234,55 @@ def signed_sum_counts(weights: np.ndarray) -> np.ndarray:
     T = sum(weights): the x_i = +1 coordinates form a subset of sum s, and
     a.x = 2s - T.  Weights must be nonnegative.  The counts do not depend on
     the order, so the DP adds the weights smallest first: its live prefix
-    grows slowest.
+    grows slowest.  The DP keeps the lower half of the counts, which are a
+    palindrome (s and T - s), and it is mirrored once into the T + 1 cells
+    returned.
     """
-    for counts in subset_sum_prefixes(np.sort(weights)):
+    total = int(np.sum(weights))
+    for half in subset_sum_prefixes(np.sort(weights)):
         pass
+    counts = np.empty(total + 1, dtype=half.dtype)
+    counts[: len(half)] = half
+    counts[total - len(half) + 1 :] = half[::-1]
     return counts
 
 
 def subset_sum_prefixes(weights: np.ndarray):
-    """Yield the subset-sum counts of weights[:k] for k = 0, 1, ..., n.
+    """Yield the lower half of the subset-sum counts of weights[:k], for
+    k = 0, 1, ..., n.
 
-    Each yielded array has sum(weights) + 1 cells, entry s counting the
-    subsets of weights[:k] that sum to s; cells past that prefix's sum are
-    zero.  The counts are int64 up to INT64_SUMMANDS weights and Python
-    ints (an object array) past them, where 2^n leaves int64.  The DP adds
-    one weight per step on its live prefix, with two buffers allocated once
-    and swapped, so a yielded array is overwritten two steps later; only
-    the last one is the caller's to keep.
+    With S the sum of weights[:k], the array yielded for k holds cells
+    0..S // 2, entry s counting the subsets of weights[:k] that sum to s;
+    the count at s > S // 2 is the one at S - s (complementing a subset),
+    and none is above S.  The counts are int64 up to INT64_SUMMANDS weights
+    and Python ints (an object array) past them, where 2^n leaves int64.
+
+    Adding a weight w makes S' = S + w and c'[s] = c[s] + c[s - w] for
+    s = 0..S' // 2.  Each step first extends the old half in its own buffer
+    up to S' // 2, the cells above S // 2 read from the mirror, and then
+    writes the new half into the other buffer.  The two buffers of
+    sum(weights) // 2 + 1 cells are allocated once, zeroed, and swapped; a
+    buffer is never written above the half of the step it serves, so its
+    cells above S stay zero.  A yielded array is a view that the step two
+    later overwrites; only the last one is the caller's to keep.
     """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
-    total = int(weights.sum())
     dtype = exact_int_dtype(1 << len(weights))
-    cur = np.zeros(total + 1, dtype=dtype)
-    nxt = np.zeros(total + 1, dtype=dtype)
+    cur = np.zeros(int(weights.sum()) // 2 + 1, dtype=dtype)
+    nxt = np.zeros_like(cur)
     cur[0] = 1
-    top = 0  # largest subset sum reached; both buffers are zero above it
-    yield cur
-    for w in weights:
-        w = int(w)
-        # nxt[s] = cur[s] + cur[s - w] on the live prefix 0..top + w
-        np.copyto(nxt[:w], cur[:w])
-        np.add(cur[w : top + w + 1], cur[: top + 1], out=nxt[w : top + w + 1])
-        top += w
+    prefix = 0  # S, the sum of the weights added so far
+    yield cur[:1]
+    for w in weights.tolist():
+        mid, top = prefix // 2, (prefix + w) // 2
+        mirrored = min(top, prefix)  # cells mid + 1..mirrored are c[prefix - s]
+        cur[mid + 1 : mirrored + 1] = cur[prefix - mirrored : prefix - mid][::-1]
+        low = min(w, top + 1)
+        nxt[:low] = cur[:low]
+        np.add(cur[low : top + 1], cur[: top + 1 - low], out=nxt[low : top + 1])
+        prefix += w
         cur, nxt = nxt, cur
-        yield cur
-
-
-def leave_one_out_window(cum: np.ndarray, w: int, b: int) -> int:
-    """Subsets of the other weights with sum in b - w + 1..b, weight w removed.
-
-    cum[s + 1] = P[0] + ... + P[s] for the subset-sum counts P of all the
-    weights, w > 0 among them, and cum[0] = 0.  P(z) = Q(z) * (1 + z^w)
-    gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window of Q is
-    the alternating sum of P's windows (b - (i+1)w, b - iw] for i >= 0.
-    Those windows are disjoint, so every term and every partial sum counts
-    at most 2^n subsets: exact in int64 up to INT64_SUMMANDS weights, and
-    in the Python ints of an object cum past them.
-    """
-    if not 0 <= b < len(cum) - 1:
-        return 0  # Q has no mass below 0 or above sum(P) - w
-    edges = np.arange(b + 1, -w, -w)  # cum indices b + 1, b + 1 - w, ... down past 0
-    ends = cum[np.maximum(edges, 0)]
-    terms = ends[:-1] - ends[1:]
-    return int(terms[0::2].sum()) - int(terms[1::2].sum())
+        yield cur[: top + 1]
 
 
 def elementary_symmetric(weights: np.ndarray, k: int) -> list[np.ndarray]:

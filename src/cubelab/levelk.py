@@ -356,29 +356,63 @@ def _third_level_holds(h: Halfspace, cut: int) -> bool:
     The points where the +1 weights sum to s have v = 2s - T, T = sum s_j,
     and the least p_3 among them is 2 low[s] - P_3, where P_3 = sum s_j^3
     and low[s] is the least sum of s_j^3 over the subsets summing to s.
-    One min-plus DP over the T + 1 subset sums gives every low[s], and the
+    Every reachable s and its low[s] come from the 2^n subsets when there
+    are no more of them than subset sums, T + 1 (``_least_cubes_enumerated``,
+    the rule by which ``distribution_from_scaled`` enumerates), and from a
+    min-plus DP over the sums otherwise (``_least_cubes_dp``); the
     condition is read at the reachable s above the cut.
     """
     weights = h.scaled.tolist()
     total = sum(weights)
     p2 = sum(w * w for w in weights)
     p3 = sum(w**3 for w in weights)
-    # e_k_fits(h, 3) bounds C(n, 3) max^3 by 2^62, so P_3 <= n max^3 <= 3 * 2^62;
-    # an unreached sum holds P_3 + 1, and each step is clipped to it, so uint64 holds
-    low = np.full(total + 1, p3 + 1, dtype=np.uint64)
-    low[0] = 0
-    for w in weights:
-        step = np.minimum(low[:-w], p3 + 1 - w**3)
-        step += w**3
-        np.minimum(low[w:], step, out=low[w:])
-    sums = np.flatnonzero(low <= p3)
-    values = 2 * sums - total
+    # e_k_fits(h, 3) bounds C(n, 3) max^3 by 2^62, so P_3 <= n max^3 <= 3 * 2^62 fits uint64
+    if 1 << len(weights) <= total + 1:
+        values, low = _least_cubes_enumerated(weights)
+    else:
+        values, low = _least_cubes_dp(weights, p3)
     above = values > cut
     # |v| <= T, p_2 <= T^2 and p_3 <= T^3, so every partial sum is at most 7 T^3 in size
     dtype = kernels.exact_int_dtype(8 * total**3)
     v = values[above].astype(dtype)
-    least = low[sums[above]].astype(dtype)
+    least = low[above].astype(dtype)
     return not bool(np.any(v * (v * v - 3 * p2) + 4 * least - 2 * p3 < 0))
+
+
+def _least_cubes_enumerated(weights: list[int]):
+    """The distinct values v = 2s - T of the 2^n points ascending, and the
+    least sum of s_j^3 over the subsets of sum s at each, as uint64: the
+    cube sums by one doubling fill (point m's bits are its subset, as in
+    ``kernels.dot_values``), then the least of each run of equal v."""
+    values = kernels.dot_values(np.array(weights, dtype=np.int64))
+    cubes = np.zeros(len(values), dtype=np.uint64)
+    h = 1
+    for w in weights:
+        np.add(cubes[:h], w**3, out=cubes[h : 2 * h])
+        h *= 2
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    return values[starts], np.minimum.reduceat(cubes[order], starts)
+
+
+def _least_cubes_dp(weights: list[int], p3: int):
+    """The reachable subset sums s as v = 2s - T, ascending, and the least
+    sum of s_j^3 over the subsets of sum s at each, as uint64: one min-plus
+    DP over the T + 1 subset sums that adds the weights ascending, each step
+    on the live prefix (the sums reached so far).  An unreached sum holds
+    P_3 + 1, and each step is clipped to it, so uint64 holds every cell."""
+    total = sum(weights)
+    low = np.full(total + 1, p3 + 1, dtype=np.uint64)
+    low[0] = 0
+    top = 0  # the largest subset sum reached
+    for w in sorted(weights):
+        step = np.minimum(low[: top + 1], p3 + 1 - w**3)
+        step += w**3
+        np.minimum(low[w : top + w + 1], step, out=low[w : top + w + 1])
+        top += w
+    sums = np.flatnonzero(low <= p3)
+    return 2 * sums - total, low[sums]
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ and a Gray-code walk that recounts every sign pattern) of the
 swapped-halves sign-flip scan and the full scan by one XOR convolution,
 ``per_point_biased_correlator`` (l read at every point in float64) of
 PROP93's cut read from the cut profile, ``table_level_weight`` (a truth table of
-the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k, and
-``pairwise_support_window`` (a dict filled pair by pair) of the
-meet-in-the-middle support window, ``mitm_count_ge`` (one search and one
-dot product per value) of its blocked tail counts,
+the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k,
+``full_width_sum_prefixes`` (every cell of every prefix's counts) of the
+half-width subset-sum DP, and ``pairwise_support_window`` (a dict filled
+pair by pair) of the meet-in-the-middle support window,
+``mitm_count_ge`` (one search and one dot product per value) of its
+blocked tail counts,
 ``bisect_first_value_tail_le`` (a bisection of the integer range, one tail
 count per step) of both backends' delta searches, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
@@ -130,6 +132,26 @@ def brute_sum_counts(weights) -> dict[Fraction, int]:
         s = sum(w * x for w, x in zip(weights, signs))
         out[s] = out.get(s, 0) + 1
     return out
+
+
+def full_width_sum_prefixes(weights):
+    """Yield the subset-sum counts of weights[:k] for k = 0, 1, ..., n, each
+    over all sum(weights) + 1 cells (zero past that prefix's sum), as a new
+    array: the package's former DP, which filled every cell up to each
+    prefix's sum, kept as the slow route of the half-width
+    ``kernels.subset_sum_prefixes``.  int64 up to 62 weights, Python ints
+    past them."""
+    weights = np.ascontiguousarray(weights, dtype=np.int64)
+    dtype = np.int64 if len(weights) <= 62 else object
+    cur = np.zeros(int(weights.sum()) + 1, dtype=dtype)
+    cur[0] = 1
+    top = 0  # largest subset sum reached; the counts are zero above it
+    yield cur
+    for w in weights.tolist():
+        nxt = cur.copy()
+        nxt[w : top + w + 1] += cur[: top + 1]
+        cur, top = nxt, top + w
+        yield cur
 
 
 def brute_tail(weights, t) -> Fraction:

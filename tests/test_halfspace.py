@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -379,12 +380,15 @@ def per_coordinate_influences(h, t) -> list[F]:
     return out
 
 
-def per_suffix_boundary(h, lam, t) -> F:
+def per_suffix_boundary(h, lam, t, suffixes=None) -> F:
+    """The boundary side lam at t from one distribution per suffix (the
+    weights after k), built here unless given."""
+    if suffixes is None:
+        suffixes = [distribution_from_scaled(h.scaled[k + 1 :], h.scale) for k in range(h.n)]
     count, prefix = 0, F(0)
     for k, w in enumerate(h.weights):
         shift = prefix if lam == 1 else -prefix
-        suffix = distribution_from_scaled(h.scaled[k + 1 :], h.scale)
-        count += suffix.count_interval(t + shift - w, t + shift + w)
+        count += suffixes[k].count_interval(t + shift - w, t + shift + w)
         prefix += w
     return F(count, 1 << h.n)
 
@@ -462,6 +466,89 @@ def test_dense_influence_counts_match_the_halves_and_reduced_sums():
             assert got.tolist() == want
             assert h.influences(cut) == [F(got[h.order.index(i)], 1 << (h.n - 1))
                                          for i in range(h.n)]
+
+
+@pytest.mark.parametrize("weights", [
+    [5, 5, 3, 3, 3, 1], [7], [4, 2], [9, 6, 6, 4, 3, 2, 1, 1], [F(5, 2), 1, F(3, 4), 2, 2, F(1, 3)],
+    [2, 1] * 32, [1] * 63 + [3]])
+def test_half_dp_routes_match_slow_routes_at_every_support_value(weights):
+    """The influences (the kept suffix counts read at each weight's window
+    edges) and both boundaries (the half-width sweep) of forced-dense
+    members, at every support value of a.x, against the reduced
+    distributions and one distribution per suffix.  The last two members
+    have 64 summands, so their counts, and those of their 63-summand
+    reduced distributions, are Python ints."""
+    h = make_halfspace(weights, 0)
+    dense = h.distribution(backend="dense")
+    assert dense.counts.dtype == (object if h.n > 62 else np.int64)
+    slow = make_halfspace(weights, 0)
+    suffixes = [distribution_from_scaled(slow.scaled[k + 1 :], slow.scale) for k in range(slow.n)]
+    for v in dense.values.tolist():
+        t = F(v, h.scale)
+        assert h.influences(t) == per_coordinate_influences(slow, t)
+        for lam in (0, 1):
+            assert h.vertex_boundary(lam, t) == per_suffix_boundary(slow, lam, t, suffixes)
+
+
+@pytest.mark.parametrize("weights", [[4, 3, 3, 1], [5, 2, 2], [1] * 9, [7, 0, 2]])
+def test_window_sum_reads_the_upper_half_from_the_mirror(weights):
+    """The window sum of a prefix's lower half, for every window lo..hi from
+    below 0 to past the prefix's sum (below, across and above the middle),
+    against the full-width counts of that prefix; odd and even sums."""
+    halves = kernels.subset_sum_prefixes(np.array(weights, dtype=np.int64))
+    for k, (half, full) in enumerate(zip(halves, oracles.full_width_sum_prefixes(weights))):
+        prefix = sum(weights[:k])
+        for lo in range(-3, prefix + 4):
+            for hi in range(-3, prefix + 4):
+                expect = int(full[max(lo, 0) : max(hi + 1, 0)].sum())
+                assert hs._window_sum(half, prefix, lo, hi) == expect, (k, lo, hi)
+
+
+def _dense_member():
+    """48 weights summing to T = 286,501, in the dense backend's range."""
+    weights = np.random.default_rng(1).integers(1, 12_500, size=48).tolist()
+    h = make_halfspace(weights, sum(weights) // 5)
+    assert h._total == 286_501 and hs._dense(h.n, h._total, None)
+    return h
+
+
+def _traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while fn() runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_dense_build_holds_its_three_arrays_and_no_more():
+    """The dense build of T = 286,501 peaks below 3.2 arrays of T + 1
+    int64 cells: the mirrored counts, then the support values and their
+    counts gathered from them, the counts freed before the suffix counts
+    are made (5.8 arrays with the full-width DP and its temporaries)."""
+    h = _dense_member()
+    cells = 8 * (h._total + 1)
+    assert _traced_peak(lambda: distribution_from_scaled(h.scaled, h.scale)) < 3.2 * cells
+    assert type(h.distribution()).__name__ == "TailDistribution"
+
+
+def test_dense_influences_allocate_no_count_array():
+    """The influences of a built dense distribution read its suffix counts
+    at the window edges: below a tenth of an array of T + 1 int64 cells
+    (1.9 arrays with a scattered cumulative array)."""
+    h = _dense_member()
+    h.distribution()
+    assert _traced_peak(h.influences) < 0.1 * 8 * (h._total + 1)
+
+
+def test_boundary_sweep_holds_two_half_buffers():
+    """The boundary sweep holds the two half-width DP buffers, about one
+    array of T + 1 int64 cells (1.9 with full-width buffers)."""
+    h = _dense_member()
+    assert _traced_peak(lambda: h.vertex_boundary(0)) < 1.1 * 8 * (h._total + 1)
 
 
 def test_halves_route_builds_no_other_distribution(monkeypatch):
@@ -586,13 +673,13 @@ def test_influences_counted_once_per_threshold(monkeypatch):
     """analyze asks for the influences three times; they are counted once per
     threshold, and a caller that edits the returned list changes nothing."""
     calls = []
-    window = kernels.leave_one_out_window
+    window = TailDistribution.leave_one_out_window
 
-    def counted(cum, w, b):
+    def counted(dist, w, b):
         calls.append((w, b))
-        return window(cum, w, b)
+        return window(dist, w, b)
 
-    monkeypatch.setattr(kernels, "leave_one_out_window", counted)
+    monkeypatch.setattr(TailDistribution, "leave_one_out_window", counted)
     h = make_halfspace([5, 3, 3, 1], 2)
     first = h.influences()
     expect = list(first)

@@ -14,6 +14,7 @@ import pytest
 
 from cubelab import kernels
 from cubelab.bfcore import BooleanFunction, from_truth_table
+from cubelab.halfspace import distribution_from_scaled
 from cubelab.spectral import fwht_spectrum, spectrum_by_definition
 
 import oracles
@@ -298,31 +299,39 @@ def subset_counts(weights) -> dict[int, int]:
     return {int((v + total) / 2): c for v, c in oracles.brute_sum_counts(weights).items()}
 
 
-@pytest.mark.parametrize("weights", [[], [0, 2], [3, 1, 4, 1, 5], [2, 2, 0, 7]])
+@pytest.mark.parametrize("weights", [[], [0, 2], [3, 1, 4, 1, 5], [2, 2, 0, 7], [6], [1], [0],
+                                     [0, 0, 3, 3], [5, 5, 5], [9, 1, 1, 2], [1, 8, 2, 2, 0, 4]])
 def test_subset_sum_prefixes_backends_agree(weights):
-    """Every prefix's counts against enumeration of that prefix."""
+    """Every prefix's half against enumeration of that prefix and against
+    the full-width DP: zero and tied weights, odd and even totals, a weight
+    larger than the sum before it and a single weight."""
     steps = [c.copy() for c in kernels.subset_sum_prefixes(np.array(weights, dtype=np.int64))]
-    assert len(steps) == len(weights) + 1
-    for k, counts in enumerate(steps):
-        assert counts.shape == (sum(weights) + 1,)
-        assert {s: int(c) for s, c in enumerate(counts) if c} == subset_counts(weights[:k])
-    assert np.array_equal(steps[-1], kernels.signed_sum_counts(np.array(weights, dtype=np.int64)))
+    full = list(oracles.full_width_sum_prefixes(weights))
+    assert len(steps) == len(full) == len(weights) + 1
+    for k, half in enumerate(steps):
+        prefix = sum(weights[:k])
+        assert half.shape == (prefix // 2 + 1,)
+        counts = subset_counts(weights[:k])
+        assert half.tolist() == [counts.get(s, 0) for s in range(prefix // 2 + 1)]
+        assert half.tolist() == full[k][: prefix // 2 + 1].tolist()
+        assert not full[k][prefix + 1 :].any()
+    assert np.array_equal(full[-1], kernels.signed_sum_counts(np.array(weights, dtype=np.int64)))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_leave_one_out_window_backends_agree(seed):
-    """Each weight divided out of the full counts, at every window top b,
-    against counting the subsets of the other weights directly."""
+    """Each weight divided out of the dense distribution's suffix counts,
+    at every window top b, against counting the subsets of the other
+    weights directly."""
     rng = np.random.default_rng(seed)
     w = [int(x) for x in rng.integers(1, 9, size=7)]
     total = sum(w)
-    full = subset_counts(w)
-    cum = np.cumsum([0] + [full.get(s, 0) for s in range(total + 1)]).astype(np.int64)
+    dist = distribution_from_scaled(np.array(w), 1, backend="dense")
     for j, wj in enumerate(w):
         others = subset_counts(w[:j] + w[j + 1 :])
         for b in range(-wj - 2, total + 3):
             expect = sum(c for s, c in others.items() if b - wj + 1 <= s <= b)
-            assert kernels.leave_one_out_window(cum, wj, b) == expect
+            assert dist.leave_one_out_window(wj, b) == expect
 
 
 def test_exact_int_dtype_leaves_int64_at_2_to_63():
@@ -336,11 +345,13 @@ def test_exact_int_dtype_leaves_int64_at_2_to_63():
 @pytest.mark.parametrize("n", [62, 63])
 def test_subset_sum_prefixes_leave_int64_past_62_summands(n):
     """62 unit weights count in int64, 63 in Python ints (2^63 leaves
-    int64); both yield the binomial row at every step."""
+    int64); both yield the lower half of the binomial row at every step,
+    and the mirrored counts are the whole row."""
     steps = kernels.subset_sum_prefixes(np.ones(n, dtype=np.int64))
-    for k, counts in enumerate(steps):
-        assert counts.dtype == (np.int64 if n <= 62 else object)
-        assert counts[: k + 1].tolist() == [math.comb(k, s) for s in range(k + 1)]
+    for k, half in enumerate(steps):
+        assert half.dtype == (np.int64 if n <= 62 else object)
+        assert half.tolist() == [math.comb(k, s) for s in range(k // 2 + 1)]
+    counts = kernels.signed_sum_counts(np.ones(n, dtype=np.int64))
     assert counts.tolist() == [math.comb(n, s) for s in range(n + 1)]
     assert type(counts[n // 2]) is (np.int64 if n <= 62 else int)
 
@@ -348,17 +359,16 @@ def test_subset_sum_prefixes_leave_int64_past_62_summands(n):
 def test_leave_one_out_window_on_python_int_counts():
     """One weight 3 and 100 weights 1, counts past int64: dividing out
     either weight leaves the other weights' subsets, in Python ints."""
-    counts = [c.copy() for c in kernels.subset_sum_prefixes(np.array([3] + [1] * 100))][-1]
-    cum = np.concatenate([[0], np.cumsum(counts)])
-    assert cum.dtype == object
+    dist = distribution_from_scaled(np.array([3] + [1] * 100), 1)
+    assert dist.counts.dtype == object
 
     def ones(m, s):  # subsets of m weights 1 with sum s
         return math.comb(m, s) if s >= 0 else 0
 
     for b in (-1, 0, 1, 2, 50, 51, 102, 103, 104):
         without_3 = ones(100, b - 2) + ones(100, b - 1) + ones(100, b)
-        assert kernels.leave_one_out_window(cum, 3, b) == without_3
-        assert kernels.leave_one_out_window(cum, 1, b) == ones(99, b) + ones(99, b - 3)
+        assert dist.leave_one_out_window(3, b) == without_3
+        assert dist.leave_one_out_window(1, b) == ones(99, b) + ones(99, b - 3)
 
 
 def test_dot_values_backends_agree():

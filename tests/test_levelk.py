@@ -534,6 +534,40 @@ def test_sign_condition_allocates_no_cube_array():
     assert peak < 8 << 22, peak
 
 
+def test_third_level_on_a_small_cube_holds_no_sum_array():
+    """Three weights near 1.66 * 10^6 have 8 points and T near 5 * 10^6: the
+    k = 3 verdict enumerates the points and peaks below 1 MiB (a DP over
+    the T + 1 sums held 88.9 MiB), and equals the scan."""
+    h = make_halfspace([1664510, 1664503, 1664509], -1664510)
+    holds, peak = _traced_peak(lambda: levelk.sign_condition_holds(h, 3))
+    assert peak < 1 << 20, peak
+    assert holds == oracles.scanned_sign_condition(h, 3)
+
+
+def test_third_level_routes_agree_and_match_the_scan():
+    """The least cube sums by enumerating the 2^n subsets and by the
+    min-plus DP are the same arrays on every member, ties and n = 1 among
+    them; the verdict equals the scan at cuts across the range, on members
+    that take each route (2^n <= T + 1 and 2^n > T + 1)."""
+    rng = np.random.default_rng(3)
+    members = [[5], [1, 1], [4, 4, 1], [9, 2, 2, 7], [1] * 8, [3, 3, 2, 2, 1, 1, 1]]
+    members += [rng.integers(1, 1 << int(rng.integers(1, 7)), size=int(rng.integers(1, 11))).tolist()
+                for _ in range(30)]
+    routes = set()
+    for weights in members:
+        total = sum(weights)
+        p3 = sum(w**3 for w in weights)
+        enumerated = levelk._least_cubes_enumerated(weights)
+        dp = levelk._least_cubes_dp(weights, p3)
+        for a, b in zip(enumerated, dp):
+            assert np.array_equal(a, b), weights
+        routes.add(1 << len(weights) <= total + 1)
+        for t in sorted({-total - 1, -total, -1, 0, total // 3, total - 1, total}):
+            h = make_halfspace(weights, t)
+            assert levelk.sign_condition_holds(h, 3) == oracles.scanned_sign_condition(h, 3), (weights, t)
+    assert routes == {True, False}
+
+
 def test_levelk_suite_decides_the_third_level_once_per_member(monkeypatch):
     """SIGN-COND decides each (member, k) and keeps the verdict on the
     halfspace, so WK-PIPELINE reads it: one k = 3 DP per member."""
