@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .rational import as_fraction
+from .rational import as_fraction, scaled_int64
 
 MAX_N = 25  # arity cap for truth tables, 2^25 points in 4 MiB of words: EX74's OR table is the largest
 TABLE_CAP = 24  # a halfspace above this arity is analysed without a table or a cube
@@ -247,11 +247,16 @@ def _weights(text: str) -> list[Fraction]:
     return [as_fraction(w) for w in text.split(",")]
 
 
+def _check_scalable(weights: list[Fraction], t: Fraction) -> None:
+    scaled_int64(weights)  # refuses weights whose scaled sum leaves the int64 keys
+
+
 # builders are named inside lambdas, so each call looks them up in the module
 # and sees any wrapper installed there since import (perfbench's tracer does)
 _KINDS: dict[str, _Kind] = {
     "tt": _Kind(":", (int, str), lambda n, hexstr: from_text(f"tt:{n}:{hexstr}"), None),
-    "ltf": _Kind(";", (_weights, as_fraction), None, lambda weights, t: (weights, t)),
+    "ltf": _Kind(";", (_weights, as_fraction), None, lambda weights, t: (weights, t),
+                 _check_scalable),
     "maj": _Kind(",", (int,), lambda n: majority(n), lambda n: ([1] * n, 0),
                  _check_majority),
     "dict": _Kind(",", (int,), lambda n: dictator(n), lambda n: ([1] + [0] * (n - 1), 0),

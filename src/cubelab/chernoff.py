@@ -126,9 +126,9 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong", c=None,
                          instance: str = "") -> CheckRecord:
     """Scale-free decay statistic for the halfspace's tail at t.
 
-    strong: D = delta_half * sqrt(log(1/eps)) in l2-normalized units.
+    strong: D = delta_{1/2} * sqrt(log(1/eps)) in l2-normalized units.
     partitioned: the weights above beta = delta_{1/3} form the big class B;
-        D as for strong, with delta_half measured against the mass of the
+        D as for strong, with delta_{1/2} measured against the mass of the
         rest, unless |B| >= log(1/eps)/2.
     weak: ((delta_c - m) clamped at 0) * sqrt(log(1/eps)) / log(2/c).
 

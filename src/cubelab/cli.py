@@ -76,6 +76,8 @@ def cmd_chernoff(args) -> int:
     h = parse_halfspace(args.ltf)
     t = as_fraction(args.t) if args.t is not None else h.threshold
     c = as_fraction(args.c)
+    if not 0 < c <= 1:
+        raise ValueError(f"--c={_fr(c)}: decay factor must be in (0, 1]")
     print(f"halfspace: {h.to_text()}")
     print(f"tail F(t) at t={_fr(t)}: {_fr(h.tail(t))}")
     delta = h.delta_query(c, t)

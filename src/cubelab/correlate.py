@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .bfcore import BooleanFunction, is_monotone
-from .rational import common_scale, format_fraction
+from .rational import format_fraction, scaled_int64
 from .spectral import FourierSpectrum, fwht_spectrum, noise_stability
 
 
@@ -40,8 +40,7 @@ class LinearForm:
 
     def scaled_values(self) -> tuple[np.ndarray, int]:
         """l(x) at every cube point, as integers over a common scale."""
-        scale = common_scale(self.coeffs)
-        ints = np.array([int(c * scale) for c in self.coeffs], dtype=np.int64)
+        ints, scale = scaled_int64(self.coeffs)
         return kernels.dot_values(ints), scale
 
     def halfspace_text(self, threshold: Fraction, flips: tuple[int, ...] = ()) -> str:

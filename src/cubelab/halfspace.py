@@ -4,20 +4,23 @@ Weights and thresholds are rescaled to integers internally, so a tie
 a.x = t is decided exactly and the strict ">" rule never needs the
 "perturb slightly" escape hatch.  The distribution of a.x is kept either
 densely (one counter per achievable sum, in Python ints past 62 summands)
-or as two enumerated halves combined per query, selected by budget.
-Either backend's whole support is one dense distribution: the dense
-backend itself, or the pairs of the halves assembled once.
+or, selected by budget, split into two halves combined per query.  A split
+is two dense distributions, each half the enumerated ``TailDistribution``
+of every other weight, and every count of a half is that half's own tail
+query.  Either backend's whole support is one dense distribution: the
+dense backend itself, or the pairs of the halves assembled once.
 
 The dense counts come from one subset-sum DP that keeps only the lower
 half of each prefix's counts, a palindrome, and mirrors the last one once
 into the T + 1 counts of the distribution.  Each backend counts every
 influence: the dense one as a window of its suffix counts with one weight
-divided out, read at the window's edges, the halves as one masked sum over
-the points of the half that holds the weight.  Both vertex boundaries come
-from one sweep of that DP, which adds the weights after the first smallest
-first and reads each window from a prefix's lower half as one slice and
-one mirrored slice, or above the budget from suffixes of the two halves
-paired.
+divided out, read at the window's edges, a split as one masked sum over
+the points of the half that holds the weight, each point weighted by the
+other half's tail count above the cut less its value.  Both vertex
+boundaries come from one sweep of that DP, which adds the weights after
+the first smallest first and reads each window from a prefix's lower half
+as one slice and one mirrored slice, or above the budget from suffixes of
+the two halves paired.
 
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the dense backend.  On
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import kernels
 from .bfcore import BooleanFunction, FunctionSpec, _check_arity, from_truth_table
-from .rational import as_fraction, common_scale, format_fraction
+from .rational import as_fraction, format_fraction, scaled_int64
 
 DENSE_BUDGET = 10_000_000  # max sum of scaled weights (or DP cells) for the dense backend
 MITM_MAX_N = 40
@@ -209,40 +212,43 @@ class TailDistribution(_TailBase):
 
 
 class MeetInMiddleDistribution(_TailBase):
-    """Two enumerated halves: a.x = u + r, u from the left half, r from the right.
+    """Two dense halves: a.x = u + r, u from the left half, r from the right.
 
-    The outcomes with value >= v number the sum over left values u of
-    count(u) times the right outcomes with r >= v - u.  For a block of
-    queries that is one ``searchsorted`` of the keys v - u into the right
-    values, then one matrix product of the right half's suffix counts with
-    the left counts.  The left half is stored descending, so each row of
-    keys ascends, the order in which ``searchsorted`` narrows each search
-    from the one before it.
+    Each half is the ``TailDistribution`` of every other weight.  The
+    outcomes with value >= v number the sum over left values u of count(u)
+    times the right half's tail count at v - u: for a block of queries, one
+    tail query of the right half at every key, then one matrix product with
+    the left counts.  A pair table has one row per left value, descending
+    (``_rows``), so each row of keys ascends, the order in which
+    ``searchsorted`` narrows each search from the one before it.
     """
 
-    def __init__(self, left, right, scale: int, n_summands: int):
-        """left: values descending and their counts; right: values ascending,
-        their counts and suffix counts (see ``_half``)."""
-        self._lv, self._lc = left
-        self._rv, self._rc, self._rsuffix = right
-        self.scale = scale
-        self.n_summands = n_summands
-        self.min_scaled = int(self._lv[-1] + self._rv[0])
-        self.max_scaled = int(self._lv[0] + self._rv[-1])
+    def __init__(self, left: TailDistribution, right: TailDistribution):
+        self.left = left
+        self.right = right
+        self.scale = left.scale
+        self.n_summands = left.n_summands + right.n_summands
+        self.min_scaled = left.min_scaled + right.min_scaled
+        self.max_scaled = left.max_scaled + right.max_scaled
         self._support = None
 
     @classmethod
     def from_weights(cls, weights: np.ndarray, scale: int) -> "MeetInMiddleDistribution":
         # alternate large/small weights between halves to balance the sums
-        return cls(_half(0, weights[0::2]), _half(1, weights[1::2]), scale, len(weights))
+        return cls(_enumerated(weights[0::2], scale), _enumerated(weights[1::2], scale))
 
     def without(self, weights: np.ndarray, j: int) -> "MeetInMiddleDistribution":
         """Distribution of `weights` with weight j deleted, self being that of
         `weights`: j's half is enumerated again, the other half is shared."""
         side = j % 2
-        halves = [(self._lv, self._lc), (self._rv, self._rc, self._rsuffix)]
-        halves[side] = _half(side, np.delete(weights[side::2], j // 2))
-        return MeetInMiddleDistribution(*halves, self.scale, self.n_summands - 1)
+        halves = [self.left, self.right]
+        halves[side] = _enumerated(np.delete(weights[side::2], j // 2), self.scale)
+        return MeetInMiddleDistribution(*halves)
+
+    @property
+    def _rows(self):
+        """The left half's values and counts, descending: the rows of a pair table."""
+        return self.left.values[::-1], self.left.counts[::-1]
 
     def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
         """For every weight j, the sum of x_j over the points with a.x > cut:
@@ -250,16 +256,11 @@ class MeetInMiddleDistribution(_TailBase):
         distribution of `weights`, as in ``without``.
 
         For j in one half, that sum runs over the half's points p, each
-        weighted by x_j(p) times the other half's outcomes above cut - u(p):
-        one ``searchsorted`` for all p, then one masked sum per coordinate.
+        weighted by x_j(p) times the other half's tail count above cut -
+        u(p): one tail query for all p, then one masked sum per coordinate.
         """
-        keys_left = cut - kernels.dot_values(weights[0::2])
-        keys_right = cut - kernels.dot_values(weights[1::2])
-        # outcomes of the other half above each key: the right half's suffix
-        # counts, and the prefix counts of the left half, stored descending
-        left_prefix = np.concatenate([[0], np.cumsum(self._lc)])
-        above = (self._rsuffix[np.searchsorted(self._rv, keys_left, side="right")],
-                 left_prefix[np.searchsorted(-self._lv, -keys_right, side="left")])
+        above = (self.right.counts_gt_scaled(cut - kernels.dot_values(weights[0::2])),
+                 self.left.counts_gt_scaled(cut - kernels.dot_values(weights[1::2])))
         out = np.empty(len(weights), dtype=np.int64)
         for side, g in enumerate(above):
             total = int(g.sum())
@@ -273,11 +274,10 @@ class MeetInMiddleDistribution(_TailBase):
         v = np.asarray(v, dtype=np.int64)
         flat = v.ravel()
         out = np.empty(len(flat), dtype=np.int64)
-        rows = max(1, _QUERY_KEYS // len(self._lv))
+        lv, lc = self._rows
+        rows = max(1, _QUERY_KEYS // len(lv))
         for s in range(0, len(flat), rows):
-            keys = flat[s : s + rows, None] - self._lv
-            idx = np.searchsorted(self._rv, keys.ravel(), side="left")
-            out[s : s + rows] = self._rsuffix[idx].reshape(keys.shape) @ self._lc
+            out[s : s + rows] = self.right.counts_ge_scaled(flat[s : s + rows, None] - lv) @ lc
         return out.reshape(v.shape)
 
     def support(self) -> TailDistribution:
@@ -293,8 +293,9 @@ class MeetInMiddleDistribution(_TailBase):
         (u, r) with u + r inside it: each left value's span of right indices."""
         lo = _clamped(lo_scaled, self.min_scaled, self.max_scaled + 1)
         hi = _clamped(hi_scaled, self.min_scaled, self.max_scaled)
-        first = np.searchsorted(self._rv, lo - self._lv, side="left")
-        stop = np.searchsorted(self._rv, hi - self._lv, side="right")
+        lv = self._rows[0]
+        first = np.searchsorted(self.right.values, lo - lv, side="left")
+        stop = np.searchsorted(self.right.values, hi - lv, side="right")
         if int(np.maximum(stop - first, 0).sum()) > _WINDOW_GUARD:
             raise BudgetError("support too wide")
         return self._pair_sums(first, stop)
@@ -303,15 +304,16 @@ class MeetInMiddleDistribution(_TailBase):
         """The distinct values u + r and their counts over the pairs of left
         row i and right index first[i]..stop[i] - 1: the spans repeated into
         one array of pairs, then summed per distinct value."""
+        lv, lc = self._rows
         spans = stop - first
         held = np.flatnonzero(spans > 0)
         spans = spans[held]
         rows = np.repeat(held, spans)
         # right index of each pair: its row's first index plus its place in the row
         cols = np.arange(len(rows)) + np.repeat(first[held] - (np.cumsum(spans) - spans), spans)
-        values, inverse = np.unique(self._lv[rows] + self._rv[cols], return_inverse=True)
+        values, inverse = np.unique(lv[rows] + self.right.values[cols], return_inverse=True)
         counts = np.zeros(len(values), dtype=np.int64)
-        np.add.at(counts, inverse, self._lc[rows] * self._rc[cols])
+        np.add.at(counts, inverse, lc[rows] * self.right.counts[cols])
         return values, counts
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
@@ -333,8 +335,8 @@ class MeetInMiddleDistribution(_TailBase):
             return self.max_scaled
         lo, hi = self.min_scaled, self.max_scaled
         above_lo, above_hi = self.total, 0  # outcomes >= lo and > hi
-        first = np.zeros(len(self._lv), dtype=np.int64)
-        stop = np.full(len(self._lv), len(self._rv), dtype=np.int64)
+        first = np.zeros(len(self.left.values), dtype=np.int64)
+        stop = np.full(len(self.left.values), len(self.right.values), dtype=np.int64)
         rng = np.random.default_rng(0)
         while lo < hi and int((spans := stop - first).sum()) > _SEARCH_PAIRS:
             q = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
@@ -353,9 +355,11 @@ class MeetInMiddleDistribution(_TailBase):
 
     def _probe(self, v: int):
         """The outcomes with value > v, and for each left value u the first
-        right index past v - u: one full tail count."""
-        idx = np.searchsorted(self._rv, v - self._lv, side="right")
-        return int(self._rsuffix[idx] @ self._lc), idx
+        right index past v - u: one full tail count, from the right half's
+        suffix counts at those indices."""
+        lv, lc = self._rows
+        idx = np.searchsorted(self.right.values, v - lv, side="right")
+        return int(self.right._suffix[idx] @ lc), idx
 
     def _estimates(self, first: np.ndarray, spans: np.ndarray, q: float, rng) -> list[int]:
         """Two values about where the share q of the bracket's outcomes lies
@@ -367,10 +371,11 @@ class MeetInMiddleDistribution(_TailBase):
         np.minimum(ranks, ends[-1] - 1, out=ranks)
         rows = np.searchsorted(ends, ranks, side="right")
         cols = first[rows] + ranks - (ends[rows] - spans[rows])
-        values = self._lv[rows] + self._rv[cols]
+        lv, lc = self._rows
+        values = lv[rows] + self.right.values[cols]
         order = np.argsort(values)
         # float weights: only the probes' places depend on them
-        mass = np.cumsum(self._lc[rows[order]] * self._rc[cols[order]].astype(float))
+        mass = np.cumsum(lc[rows[order]] * self.right.counts[cols[order]].astype(float))
         margin = 2.5 * math.sqrt(q * (1 - q) / k)
         return [int(values[order[min(int(np.searchsorted(mass, (1 - share) * mass[-1])), k - 1)]])
                 for share in (q + margin, q - margin)]
@@ -391,20 +396,11 @@ def _suffix_counts(counts: np.ndarray) -> np.ndarray:
     return suffix
 
 
-def _half(side: int, weights: np.ndarray):
-    """A meet-in-the-middle half as stored: the left (side 0) as distinct
-    values descending and their counts, the right (side 1) as values
-    ascending, their counts and suffix counts."""
-    values, counts = _enumerated(weights)
-    if side == 0:
-        return values[::-1], counts[::-1]
-    return values, counts, _suffix_counts(counts)
-
-
-def _enumerated(weights: np.ndarray):
-    """Distinct values of sum(w_i x_i) and their counts, point by point."""
+def _enumerated(weights: np.ndarray, scale: int) -> TailDistribution:
+    """The distribution of sum(w_i x_i), point by point: its distinct values
+    and their counts."""
     values, counts = np.unique(kernels.dot_values(weights), return_counts=True)
-    return values, counts.astype(np.int64, copy=False)
+    return TailDistribution(values, counts.astype(np.int64, copy=False), scale, len(weights))
 
 
 def _dense(n: int, total: int, backend: str | None) -> bool:
@@ -433,7 +429,7 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
     if _dense(n, total, backend):
         if backend is None and (1 << n) <= total + 1:
             # the cube has no more points than the DP would have cells
-            return TailDistribution(*_enumerated(weights), scale, n)
+            return _enumerated(weights, scale)
         dense = kernels.signed_sum_counts(weights)
         values = np.flatnonzero(dense)
         counts = dense[values]
@@ -479,8 +475,7 @@ class Halfspace:
         self.order = order                  # order[j] = original index of weights[j]
         self.n = len(weights)
         self.arity = len(original_weights)
-        self.scale = common_scale(weights)
-        self.scaled = np.array([int(w * self.scale) for w in weights], dtype=np.int64)
+        self.scaled, self.scale = scaled_int64(weights)
         self._total = int(self.scaled.sum())  # T: a.x = 2s - T, s the sum of the +1 weights
         self._backend = None
         self._forget()
@@ -645,9 +640,11 @@ class Halfspace:
         searched once per (c, t).
 
         F is a right-continuous step function, so the infimum is attained at
-        a support value.
+        a support value.  No shift makes a tail negative, so c < 0 is refused.
         """
         c = as_fraction(c)
+        if c < 0:
+            raise ValueError(f"decay factor {format_fraction(c)} is negative")
         t = self.threshold if t is None else as_fraction(t)
         if (c, t) not in self._deltas:
             self._deltas[c, t] = self._delta(c, t)
@@ -801,8 +798,7 @@ def ltf_truth_table(weights, threshold) -> BooleanFunction:
     threshold = as_fraction(threshold)
     n = len(ws)
     _check_arity(n)
-    scale = common_scale(ws)
-    scaled = np.array([int(w * scale) for w in ws], dtype=np.int64)
+    scaled, scale = scaled_int64(ws)
     vals = kernels.dot_values(scaled)
     cut = _floor_scaled(threshold, scale)
     return from_truth_table(vals > cut, n)

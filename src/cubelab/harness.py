@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -18,7 +17,7 @@ from .chernoff import FAIL, PASS, REPORT, CheckRecord, bound_ratio
 from .checks import REGISTRY, SUITES, MemberContext, member_records
 from .halfspace import distribution_from_scaled
 from .kernels import set_subcube, zero_words
-from .rational import as_fraction, format_fraction
+from .rational import as_fraction, format_fraction, scaled_int64
 
 F = Fraction
 
@@ -64,6 +63,16 @@ class Corpus:
 
 def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
                               count, denominators=(1,)) -> list[str]:
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError(f"n_lo={n_lo}, n_hi={n_hi}: need 1 <= n_lo <= n_hi")
+    if not 0 <= weight_bits <= 62:
+        raise ValueError(f"weight_bits={weight_bits} outside 0..62")
+    for name, side in (("eps_lo", eps_lo), ("eps_hi", eps_hi)):
+        if not 0 < side <= 1:
+            raise ValueError(f"{name}={format_fraction(side)} outside (0, 1]")
+    if eps_lo > eps_hi:
+        raise ValueError(f"eps_lo={format_fraction(eps_lo)} exceeds "
+                         f"eps_hi={format_fraction(eps_hi)}")
     entries = []
     for i in range(count):
         for attempt in range(200):
@@ -73,8 +82,7 @@ def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
             dens = rng.choice(denominators, size=n)
             weights = sorted((F(int(a), int(b)) for a, b in zip(nums, dens)),
                              reverse=True)
-            scale = math.lcm(*[w.denominator for w in weights])
-            scaled = np.array([int(w * scale) for w in weights], dtype=np.int64)
+            scaled, scale = scaled_int64(weights)
             dist = distribution_from_scaled(scaled, scale)
             # the least threshold whose strict tail is at most eps_hi
             v = dist.first_value_tail_le(eps_hi.numerator * dist.total, eps_hi.denominator)
@@ -128,7 +136,10 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
     """Deterministic corpus builder; same (kind, params, seed) is byte-identical.
 
     A parameter the kind does not take is refused.  One not given takes the
-    kind's default, and so does a side of eps_band given as None.
+    kind's default, and so does a side of eps_band given as None.  A value
+    no draw could satisfy (a negative count, an empty arity range, weight
+    bits outside 0..62, a bias band not inside (0, 1]) is refused before
+    the first draw.
     """
     if kind not in CORPUS_KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}; have {list(CORPUS_KINDS)}")
@@ -139,6 +150,8 @@ def corpus_gen(kind: str, params: dict | None = None, seed: int = 0) -> Corpus:
             raise ValueError(f"corpus kind {kind!r} takes no parameter {name!r}; "
                              f"it takes {list(spec.params) or 'none'}")
     p = {**spec.params, **params}
+    if p.get("count", 0) < 0:
+        raise ValueError(f"count={p['count']} is negative")
     if spec.denominators:
         eps_lo, eps_hi = (as_fraction(default if given is None else given)
                           for given, default in zip(p["eps_band"], spec.params["eps_band"]))

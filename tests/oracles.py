@@ -21,7 +21,8 @@ the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k,
 ``full_width_sum_prefixes`` (every cell of every prefix's counts) of the
 half-width subset-sum DP, and ``pairwise_support_window`` (a dict filled
 pair by pair) of the meet-in-the-middle support window,
-``mitm_count_ge`` (one search and one dot product per value) of its
+``mitm_count_ge`` (the halves' values and counts summed in Python ints,
+one value at a time) of its
 blocked tail counts,
 ``bisect_first_value_tail_le`` (a bisection of the integer range, one tail
 count per step) of both backends' delta searches, ``all_plus`` (a
@@ -529,11 +530,12 @@ def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int):
 
 def mitm_count_ge(dist, v: int) -> int:
     """Outcomes of a meet-in-the-middle distribution with value >= v, one
-    value at a time: one ``searchsorted`` of the keys v - u into the right
-    values, then one dot product of the left counts with the right suffix
-    counts."""
-    idx = np.searchsorted(dist._rv, v - dist._lv, side="left")
-    return int(np.dot(dist._lc, dist._rsuffix[idx]))
+    value at a time: for each left value u, its count times the right
+    counts at values >= v - u, summed from the halves' values and counts in
+    Python ints, with no suffix counts."""
+    right = list(zip(dist.right.values.tolist(), dist.right.counts.tolist()))
+    return sum(lc * sum(rc for rv, rc in right if rv >= v - lv)
+               for lv, lc in zip(dist.left.values.tolist(), dist.left.counts.tolist()))
 
 
 def bisect_first_value_tail_le(dist, limit_num: int, limit_den: int) -> int:

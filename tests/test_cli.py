@@ -166,6 +166,37 @@ def test_chernoff_command(capsys):
     assert "beta=1" in out
 
 
+@pytest.mark.parametrize("c", ["-1/2", "0", "3"])
+def test_chernoff_refuses_a_factor_outside_the_unit_interval_first(capsys, c):
+    """--c outside (0, 1] exits 2 before the first line is printed."""
+    assert cli.main(["chernoff", "ltf:3,2,1;1", f"--c={c}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: --c={c}: decay factor must be in (0, 1]\n"
+
+
+def test_scaled_weights_past_the_bound_exit_2(capsys, tmp_path):
+    """Two weights of 2^62 (the AND) sum past 2^60 once scaled: spectrum and
+    analyze refuse with the bound, and a corpus holding the entry is refused
+    at load, before any check runs."""
+    spec = f"ltf:{1 << 62},{1 << 62};0"
+    for argv in (["spectrum", spec], ["analyze", f"ltf:{1 << 62},{1 << 62},1;0"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bound 2^60" in captured.err
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"name": "wide", "entries": ["maj:3", spec]}))
+    assert cli.main(["verify", "--suite", "exact-identities", "--corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "entry 1: scaled weights sum to" in captured.err and "total:" not in captured.out
+
+
+def test_corpus_gen_refuses_a_negative_count(capsys, tmp_path):
+    path = tmp_path / "c.json"
+    argv = ["corpus", "gen", "--kind", "random-halfspace", "--count", "-3", "--out", str(path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: count=-3 is negative\n" and not path.exists()
+
+
 def test_correlate_command(capsys):
     code, out = run(capsys, "correlate", "paper5")
     assert code == 0

@@ -57,6 +57,35 @@ def test_make_halfspace_errors():
         make_halfspace([1, F(-1, 2)], 0)
 
 
+EDGE = (1 << 60) - 1  # the largest sum of scaled weight magnitudes that int64 keys allow
+
+
+@pytest.mark.parametrize("weights", [[1 << 59, (1 << 59) - 1], [F(EDGE, 2)], [EDGE - 5, -5]])
+def test_scaled_weights_at_the_bound_are_counted(weights):
+    """Scaled magnitudes summing to 2^60 - 1: the table route and the
+    halfspace route both build, and the halfspace's mean and influences are
+    the table's (a negative weight read as its flipped coordinate)."""
+    table = ltf_truth_table(weights, 1)
+    h = make_halfspace([abs(w) for w in weights], 1)
+    assert sum(abs(int(w * h.scale)) for w in weights) == EDGE
+    flipped = ltf_truth_table([abs(w) for w in weights], 1)
+    assert h.mean() == flipped.mean and 0 < table.mean < 1
+    assert h.influences() == list(influence.influences(flipped).per_coordinate)
+
+
+@pytest.mark.parametrize("weights", [[1 << 59, 1 << 59], [F(EDGE, 2), F(1, 3)], [EDGE, -1],
+                                     [1 << 62] * 3, [10**20]])
+def test_scaled_weights_past_the_bound_are_refused(weights):
+    """From 2^60 on, counted after scaling (EDGE / 2 and 1/3 scale by 6),
+    the table route, the halfspace route and the parsed descriptor refuse
+    with the bound's message, not a wrapped or overflowing int64."""
+    text = "ltf:" + ",".join(map(str, weights)) + ";0"
+    for build in (lambda: ltf_truth_table(weights, 0), lambda: bfcore.FunctionSpec.parse(text),
+                  lambda: make_halfspace([abs(w) for w in weights], 0)):
+        with pytest.raises(ValueError, match=r"bound 2\^60"):
+            build()
+
+
 def test_majority_table():
     h = make_halfspace([1, 1, 1], 0)
     assert h.truth_table() == bfcore.majority(3)
@@ -224,6 +253,14 @@ def test_delta_query_requires_mass():
     h = make_halfspace([1, 1], 0)
     with pytest.raises(ValueError):
         h.delta_query(F(1, 2), 10)
+
+
+def test_delta_query_refuses_a_negative_factor():
+    """No shift makes a tail negative; c = 0 asks for an empty tail."""
+    h = make_halfspace([3, 2, 1], 1)
+    with pytest.raises(ValueError, match="negative"):
+        h.delta_query(-1)
+    assert h.delta_query(0) == 6 - 1  # past the largest value, 6
 
 
 def test_decay_thresholds_ordered():
@@ -566,7 +603,7 @@ def test_halves_route_builds_no_other_distribution(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a distribution or half was built")
 
-    monkeypatch.setattr(hs, "_half", refused)
+    monkeypatch.setattr(hs, "_enumerated", refused)
     monkeypatch.setattr(hs, "distribution_from_scaled", refused)
     for t, expect in zip(thresholds, want):
         assert (h.influences(t), h.vertex_boundary(0, t), h.vertex_boundary(1, t)) == expect
@@ -818,12 +855,39 @@ def test_reduced_distributions_share_the_other_half(weights):
     for j in range(h.n):
         red = h.reduced_distribution(j)
         assert isinstance(red, MeetInMiddleDistribution) and red.n_summands == h.n - 1
-        kept, renewed = ("_rv", "_lv") if j % 2 == 0 else ("_lv", "_rv")
+        kept, renewed = ("right", "left") if j % 2 == 0 else ("left", "right")
         assert getattr(red, kept) is getattr(full, kept)
         assert getattr(red, renewed) is not getattr(full, renewed)
         rest = np.delete(h.scaled, j)
         for backend in ("mitm", "dense"):
             assert_same_distribution(red, distribution_from_scaled(rest, h.scale, backend=backend))
+
+
+def test_split_halves_are_the_dense_distributions_of_every_other_weight():
+    """Random weights with ties and zeros: each half of a split is a
+    ``TailDistribution`` with the values and counts of the dense DP over
+    every other weight, and deleting a weight renews its half and returns
+    the other half itself."""
+    rng = np.random.default_rng(42)
+    for trial in range(40):
+        n = int(rng.integers(1, 15))
+        weights = np.sort(rng.integers(0, 6, size=n))[::-1].astype(np.int64)
+        scale = int(rng.integers(1, 4))
+        mitm = MeetInMiddleDistribution.from_weights(weights, scale)
+        for side, half in enumerate((mitm.left, mitm.right)):
+            dense = distribution_from_scaled(weights[side::2], scale, "dense")
+            assert isinstance(half, TailDistribution)
+            assert (half.scale, half.n_summands) == (scale, len(weights[side::2]))
+            assert np.array_equal(half.values, dense.values)
+            assert np.array_equal(half.counts, dense.counts)
+        for j in range(n):
+            red = mitm.without(weights, j)
+            assert red.n_summands == n - 1
+            kept, renewed = ("right", "left") if j % 2 == 0 else ("left", "right")
+            assert getattr(red, kept) is getattr(mitm, kept)
+            rest = np.delete(weights[j % 2::2], j // 2)  # j's half without j
+            assert np.array_equal(getattr(red, renewed).counts,
+                                  distribution_from_scaled(rest, scale, "dense").counts)
 
 
 def test_reduced_distributions_keep_their_backend_above_the_budget(monkeypatch):
@@ -835,7 +899,7 @@ def test_reduced_distributions_keep_their_backend_above_the_budget(monkeypatch):
     assert isinstance(h.reduced_distribution(0), TailDistribution)  # 5 + 3 + 2 <= 10
     shared = h.reduced_distribution(3)  # 7 + 5 + 3 > 10
     assert isinstance(shared, MeetInMiddleDistribution)
-    assert shared._lv is h.distribution()._lv
+    assert shared.left is h.distribution().left
     assert_same_distribution(shared, distribution_from_scaled(np.array([7, 5, 3]), 1, "dense"))
     assert h.influences() == list(influence.influences(h.truth_table()).per_coordinate)
 
@@ -944,7 +1008,7 @@ def test_mitm_search_matches_bisection_and_dense(n):
     weights = np.sort(rng.integers(1, 1 << 16, size=n))[::-1].astype(np.int64)
     mitm = distribution_from_scaled(weights, 1, backend="mitm")
     dense = distribution_from_scaled(weights, 1, backend="dense")
-    assert len(mitm._lv) * len(mitm._rv) > 50 * hs._SEARCH_PAIRS
+    assert len(mitm.left.values) * len(mitm.right.values) > 50 * hs._SEARCH_PAIRS
     for den in (1, 3, 6, 216):
         for num in _limits(dense, den, rng):
             want = oracles.bisect_first_value_tail_le(dense, num, den)

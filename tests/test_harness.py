@@ -188,7 +188,7 @@ def test_influences_past_every_backend_are_refused_as_the_mean_is(monkeypatch):
     def no_half(*args):
         raise AssertionError("a half was enumerated")
 
-    monkeypatch.setattr(halfspace, "_half", no_half)
+    monkeypatch.setattr(halfspace, "_enumerated", no_half)
     h = parse_halfspace(PAST_EVERY_BACKEND)
     with pytest.raises(halfspace.BudgetError) as mean_refusal:
         h.mean()
@@ -311,6 +311,31 @@ def test_table_kind_refuses_an_arity_past_the_cap(kind):
         harness.corpus_gen(kind, {"n": 26, "count": 1})
     with pytest.raises(ValueError, match="arity 0 outside"):
         harness.corpus_gen(kind, {"n": 0, "count": 1})
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("random-halfspace", {"count": -3}, "count=-3 is negative"),
+    ("random-function", {"count": -1}, "count=-1 is negative"),
+    ("random-halfspace", {"n_lo": 0, "n_hi": 0}, "n_lo=0, n_hi=0"),
+    ("random-rational-halfspace", {"n_lo": 9, "n_hi": 8}, "n_lo=9, n_hi=8"),
+    ("random-halfspace", {"weight_bits": 70}, r"weight_bits=70 outside 0\.\.62"),
+    ("random-halfspace", {"weight_bits": -1}, r"weight_bits=-1 outside 0\.\.62"),
+    ("random-halfspace", {"eps_band": (F(1, 4), F(1, 16))}, "eps_lo=1/4 exceeds eps_hi=1/16"),
+    ("random-halfspace", {"eps_band": (F(1, 8), None)}, "eps_lo=1/8 exceeds eps_hi=1/16"),
+    ("random-halfspace", {"eps_band": (0, None)}, r"eps_lo=0 outside \(0, 1\]"),
+    ("random-rational-halfspace", {"eps_band": (None, 2)}, r"eps_hi=2 outside \(0, 1\]"),
+])
+def test_corpus_gen_refuses_a_parameter_no_draw_satisfies(monkeypatch, kind, params, message):
+    """Each refusal names its parameter and comes before the first draw; a
+    band side left out takes the kind's default before the band is checked."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a member was drawn")
+
+    monkeypatch.setattr(harness, "distribution_from_scaled", no_draw)
+    monkeypatch.setitem(harness.CORPUS_KINDS, "random-function", dataclasses.replace(
+        harness.CORPUS_KINDS["random-function"], function=no_draw))
+    with pytest.raises(ValueError, match=message):
+        harness.corpus_gen(kind, params)
 
 
 @pytest.mark.parametrize("kind, default", [("random-halfspace", (F(1, 256), F(1, 16))),
