@@ -2,31 +2,39 @@
 
 Weights and thresholds are rescaled to integers internally, so a tie
 a.x = t is decided exactly and the strict ">" rule never needs the
-"perturb slightly" escape hatch.  The distribution of a.x is kept either
-densely (one counter per achievable sum, in Python ints past 62 summands)
-or, selected by budget, split into two halves combined per query.  A split
-is two dense distributions, each half the enumerated ``TailDistribution``
-of every other weight, and every count of a half is that half's own tail
-query.  Either backend's whole support is one dense distribution: the
-dense backend itself, or the pairs of the halves assembled once.
+"perturb slightly" escape hatch.  The distribution of a.x is kept in one
+of three forms, selected by budget.  Under the dense budget it is its
+subset-sum DP's cells (``TailDistribution``): with T the sum of the
+weights, cell s = 0..T is a.x = 2s - T, and one suffix array over every
+cell, zero cells included, holds the outcomes with a.x >= 2s - T, in
+Python ints past 62 summands.  Every tail count, influence window, delta
+search and support window reads that array by index.  A small cube, with
+no more points than the DP would have cells, is enumerated instead into a
+sorted distribution (``SupportDistribution``: the distinct values, their
+counts and their suffix counts, read by ``searchsorted``).  Past the
+budget the sum splits into two halves combined per query, each half the
+sorted distribution of every other weight.  Either form's whole support,
+``support()``, is one sorted distribution: the enumerated one itself, the
+DP's nonzero cells made on each call, or the pairs of the halves
+assembled once.
 
-The dense counts come from one subset-sum DP that keeps only the lower
-half of each prefix's counts, a palindrome, and mirrors the last one once
-into the T + 1 counts of the distribution.  Each backend counts every
-influence: the dense one as a window of its suffix counts with one weight
-divided out, read at the window's edges, a split as one masked sum over
-the points of the half that holds the weight, each point weighted by the
-other half's tail count above the cut less its value.  Both vertex
-boundaries come from one sweep of that DP, which adds the weights after
-the first smallest first and reads each window from a prefix's lower half
-as one slice and one mirrored slice, or above the budget from suffixes of
-the two halves paired.
+The DP keeps only the lower half of each prefix's counts, a palindrome,
+and mirrors the last one once into the T + 1 counts whose suffix the
+distribution keeps; the counts are freed once it exists.  Each form counts
+every influence: the DP's as a window of its suffix counts with one weight
+divided out, read at the window's edges as one strided view, a split as
+one masked sum over the points of the half that holds the weight, each
+point weighted by the other half's tail count above the cut less its
+value.  Both vertex boundaries come from one sweep of that DP, which adds
+the weights after the first smallest first and reads each window from a
+prefix's lower half as one slice and one mirrored slice, or above the
+budget from suffixes of the two halves paired.
 
 The delta search (the least value whose tail count is within a limit)
-is one ``searchsorted`` of the suffix counts on the dense backend.  On
-the meet-in-the-middle backend it is a weighted selection among the pairs
+is one ``searchsorted`` of the suffix counts on the DP's cells or a sorted
+distribution.  On the split it is a weighted selection among the pairs
 of the two halves: a bracket narrowed by exact counts placed where a
-sample of its pairs puts the answer, then finished by the dense search
+sample of its pairs puts the answer, then finished by the sorted search
 over its last few pairs.  A threshold whose scaled value leaves int64 is
 clamped into the range of a.x before any count, which keeps every count.
 """
@@ -67,19 +75,22 @@ def _ceil_scaled(q: Fraction, scale: int) -> int:
 
 
 class _TailBase:
-    """Query interface shared by both distribution backends.
+    """Query interface shared by the three distribution forms.
 
-    A backend supplies ``counts_ge_scaled`` (the outcomes with value >= v,
-    at a Python int or at every entry of an int64 array of any shape),
+    A form supplies ``counts_ge_scaled`` (the outcomes with value >= v, at
+    a Python int or at every entry of an int64 array of any shape),
     ``support_window`` (the support values in a closed window, and their
-    counts), ``support()`` (the whole support as a ``TailDistribution``;
-    a meet-in-the-middle backend refuses past _WINDOW_GUARD pairs with a
-    BudgetError), ``influence_counts``, ``first_value_tail_le`` (the delta
-    search, from the backend's own data), ``min_scaled`` and
-    ``max_scaled``; the counts at a rational threshold, clamped into the
-    support's range before they reach int64, are written once, here.  All
-    probabilities are exact with denominator 2^n_summands; thresholds are
-    rationals in original (unscaled) units unless suffixed _scaled.
+    counts), ``support()`` (the whole support as a ``SupportDistribution``;
+    a meet-in-the-middle split refuses past _WINDOW_GUARD pairs with a
+    BudgetError), ``first_value_tail_le`` (the delta search, from the
+    form's own data), ``min_scaled`` and ``max_scaled``.  Written once,
+    here: the counts at a rational threshold, clamped into the support's
+    range before they reach int64, and the influence counts as windows
+    with one weight divided out, read at edges that ``_edge_counts``
+    gives: one tail query of the edges, or on the DP's cells, whose suffix
+    array is indexed by cell, one strided view of it.  All probabilities
+    are exact with denominator 2^n_summands; thresholds are rationals in
+    original (unscaled) units unless suffixed _scaled.
 
     ``first_value_tail_le(limit_num, limit_den)`` is the least scaled v in
     [min_scaled, max_scaled] with count_gt_scaled(v) * limit_den <=
@@ -96,6 +107,47 @@ class _TailBase:
     @property
     def total(self) -> int:
         return 1 << self.n_summands
+
+    def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
+        """For every weight j, Inf_j * 2^(n-1) of 1{a.x > cut}, cut in [-T, T]
+        and self the distribution of `weights`, T their sum.  As a.x = 2s - T,
+        s the sum of the +1 weights, w decides when the others at +1 sum to
+        b - w + 1..b, b = (cut + T) // 2: a window of these counts with w
+        divided out (``leave_one_out_window``), once per distinct weight."""
+        b = (cut + int(weights.sum())) // 2
+        weights = weights.tolist()
+        counts = {w: self.leave_one_out_window(w, b) for w in set(weights)}
+        dtype = object if self.n_summands > kernels.INT64_SUMMANDS else np.int64
+        return np.array([counts[w] for w in weights], dtype=dtype)
+
+    def leave_one_out_window(self, w: int, b: int) -> int:
+        """Subsets of the other weights with sum in b - w + 1..b, weight w > 0
+        removed, self being the distribution of weights summing to T =
+        max_scaled, w among them.
+
+        With P the subset-sum counts of all the weights, P(z) = Q(z) * (1 +
+        z^w) gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window
+        of Q is the alternating sum of P's windows (b - (i+1)w, b - iw] for
+        i >= 0.  P's subsets with sum at least e are the outcomes with a.x
+        >= 2e - T, so each window is a difference of two tail counts read
+        at its edges (``_edge_counts``).  The windows are disjoint, so every
+        term and every partial sum counts at most 2^n subsets: exact in the
+        dtype of the counts.  Q is a palindrome (s and T - w - s), so the
+        window is read at the top b or T - 1 - b, whichever has fewer edges
+        below.
+        """
+        total = self.max_scaled
+        if not 0 <= b <= total:
+            return 0  # Q has no mass below 0 or above T - w
+        at_least = self._edge_counts(w, min(b, total - 1 - b))
+        terms = at_least[1:] - at_least[:-1]
+        return int(terms[0::2].sum()) - int(terms[1::2].sum())
+
+    def _edge_counts(self, w: int, b: int) -> np.ndarray:
+        """The outcomes with a.x >= 2e - T at the subset sums e = b + 1,
+        b + 1 - w, ... down past 0: one tail count of the edges' array."""
+        total = self.max_scaled
+        return self.counts_ge_scaled(np.arange(2 * (b + 1) - total, -2 * w - total, -2 * w))
 
     def count_gt_scaled(self, v: int) -> int:
         return int(self.counts_ge_scaled(v + 1))
@@ -138,11 +190,11 @@ class _TailBase:
         return Fraction(self.max_scaled, self.scale)
 
 
-class TailDistribution(_TailBase):
-    """Dense exact distribution: the distinct scaled sums ascending and their
-    counts, int64 or (past 62 summands) Python ints, a dtype the suffix and
-    influence counts keep.  With the suffix counts beside them, a tail count
-    is one ``searchsorted`` of the values."""
+class SupportDistribution(_TailBase):
+    """Sorted exact distribution: the distinct scaled sums ascending, their
+    int64 counts and the suffix counts beside them, so a tail count is one
+    ``searchsorted`` of the values.  It holds an enumerated small cube, each
+    half of a split, and any whole support assembled once."""
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, scale: int, n_summands: int):
         self.values = values
@@ -156,54 +208,13 @@ class TailDistribution(_TailBase):
     def counts_ge_scaled(self, v):
         return self._suffix[np.searchsorted(self.values, v, side="left")]
 
-    def support(self) -> "TailDistribution":
+    def support(self) -> "SupportDistribution":
         return self
 
-    def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
-        """For every weight j, Inf_j * 2^(n-1) of 1{a.x > cut}, cut in [-T, T]
-        and self the distribution of `weights`, T their sum.  As a.x = 2s - T,
-        s the sum of the +1 weights, w decides when the others at +1 sum to
-        b - w + 1..b, b = (cut + T) // 2: a window of these counts with w
-        divided out (``leave_one_out_window``), once per distinct weight."""
-        b = (cut + int(weights.sum())) // 2
-        weights = weights.tolist()
-        counts = {w: self.leave_one_out_window(w, b) for w in set(weights)}
-        return np.array([counts[w] for w in weights], dtype=self.counts.dtype)
-
-    def leave_one_out_window(self, w: int, b: int) -> int:
-        """Subsets of the other weights with sum in b - w + 1..b, weight w > 0
-        removed, self being the distribution of weights summing to T =
-        max_scaled, w among them.
-
-        With P the subset-sum counts of all the weights, P(z) = Q(z) * (1 +
-        z^w) gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window
-        of Q is the alternating sum of P's windows (b - (i+1)w, b - iw] for
-        i >= 0.  P's subsets with sum at least e are the outcomes with a.x
-        >= 2e - T, so each window is a difference of two suffix counts read
-        at its edges.  The windows are disjoint, so every term and every
-        partial sum counts at most 2^n subsets: exact in the dtype of the
-        suffix counts.  Q is a palindrome (s and T - w - s), so the window
-        is read at the top b or T - 1 - b, whichever has fewer edges below.
-        """
-        total = self.max_scaled
-        if not 0 <= b <= total:
-            return 0  # Q has no mass below 0 or above T - w
-        b = min(b, total - 1 - b)
-        # a.x at the subset sums e = b + 1, b + 1 - w, ... down past 0
-        edges = np.arange(2 * (b + 1) - total, -2 * w - total, -2 * w)
-        at_least = self.counts_ge_scaled(edges)
-        terms = at_least[1:] - at_least[:-1]
-        return int(terms[0::2].sum()) - int(terms[1::2].sum())
-
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
-        """One ``searchsorted`` of the cap into the suffix counts, which
-        ascend when read backwards: values[k] qualifies when suffix[k + 1]
-        is within the cap."""
+        """values[k] qualifies when suffix[k + 1] is within the cap."""
         cap = self._tail_cap(limit_num, limit_den)
-        if cap < 0:
-            return self.max_scaled
-        within = int(np.searchsorted(self._suffix[::-1], cap, side="right"))
-        return int(self.values[max(len(self.values) - within, 0)])
+        return self.max_scaled if cap < 0 else int(self.values[_least_within(self._suffix, cap)])
 
     def support_window(self, lo_scaled: int, hi_scaled: int):
         left = int(np.searchsorted(self.values, lo_scaled, "left"))
@@ -211,10 +222,68 @@ class TailDistribution(_TailBase):
         return self.values[left:right], self.counts[left:right]
 
 
-class MeetInMiddleDistribution(_TailBase):
-    """Two dense halves: a.x = u + r, u from the left half, r from the right.
+class TailDistribution(_TailBase):
+    """The dense DP's distribution: one suffix array over every cell s =
+    0..T of the subset-sum counts, zero cells included, and a final zero.
+    Cell s is a.x = 2s - T, and suffix[s] counts the outcomes with a.x >=
+    2s - T, int64 or (past 62 summands) Python ints.  Every query reads it
+    by index; the values and counts of the support are made on request.
+    The weights sum to T, so min_scaled = -T (cell 0 has count 1) and
+    max_scaled = T."""
 
-    Each half is the ``TailDistribution`` of every other weight.  The
+    def __init__(self, counts: np.ndarray, scale: int, n_summands: int):
+        self.scale = scale
+        self.n_summands = n_summands
+        self._suffix = _suffix_counts(counts)
+        self.max_scaled = len(counts) - 1
+        self.min_scaled = -self.max_scaled
+
+    def counts_ge_scaled(self, v):
+        """The suffix at cell ceil((v + T) / 2), clipped to 0..T + 1: a
+        Python int v stays one, and an array is clipped to +-(T + 1) before
+        T is added, so int64 cannot wrap."""
+        top = self.max_scaled
+        if not isinstance(v, np.ndarray):
+            return self._suffix[min(max((int(v) + top + 1) // 2, 0), top + 1)]
+        cells = np.clip(v.astype(np.int64, copy=False), -top - 1, top + 1)
+        cells += top + 1
+        cells >>= 1
+        return self._suffix[cells]
+
+    def support(self) -> SupportDistribution:
+        """The nonzero cells as a sorted distribution, made on each call."""
+        return SupportDistribution(*self.support_window(self.min_scaled, self.max_scaled),
+                                   self.scale, self.n_summands)
+
+    def _edge_counts(self, w: int, b: int) -> np.ndarray:
+        """The suffix at cells b + 1, b + 1 - w, ... as one strided view,
+        and suffix[0] (every outcome) for an edge below cell 0."""
+        at_least = self._suffix[b + 1 :: -w]
+        return at_least if (b + 1) % w == 0 else np.append(at_least, self._suffix[0])
+
+    def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
+        """Cell s qualifies when suffix[s + 1] is within the cap.  The least
+        such cell is a support value: a zero cell has the suffix of the cell
+        above it, and cell 0 has count 1."""
+        cap = self._tail_cap(limit_num, limit_den)
+        top = self.max_scaled
+        return top if cap < 0 else 2 * _least_within(self._suffix, cap) - top
+
+    def support_window(self, lo_scaled: int, hi_scaled: int):
+        """The nonzero cells with lo <= 2s - T <= hi, and their counts, the
+        differences of neighbouring suffix counts."""
+        top = self.max_scaled
+        first = min(max((int(lo_scaled) + top + 1) // 2, 0), top + 1)
+        stop = max(first, min((int(hi_scaled) + top) // 2 + 1, top + 1))
+        counts = self._suffix[first:stop] - self._suffix[first + 1 : stop + 1]
+        held = np.flatnonzero(counts)
+        return 2 * (held + first) - top, counts[held]
+
+
+class MeetInMiddleDistribution(_TailBase):
+    """Two sorted halves: a.x = u + r, u from the left half, r from the right.
+
+    Each half is the ``SupportDistribution`` of every other weight.  The
     outcomes with value >= v number the sum over left values u of count(u)
     times the right half's tail count at v - u: for a block of queries, one
     tail query of the right half at every key, then one matrix product with
@@ -223,7 +292,7 @@ class MeetInMiddleDistribution(_TailBase):
     ``searchsorted`` narrows each search from the one before it.
     """
 
-    def __init__(self, left: TailDistribution, right: TailDistribution):
+    def __init__(self, left: SupportDistribution, right: SupportDistribution):
         self.left = left
         self.right = right
         self.scale = left.scale
@@ -280,12 +349,12 @@ class MeetInMiddleDistribution(_TailBase):
             out[s : s + rows] = self.right.counts_ge_scaled(flat[s : s + rows, None] - lv) @ lc
         return out.reshape(v.shape)
 
-    def support(self) -> TailDistribution:
-        """Every pair (u, r) assembled once into the dense distribution of
+    def support(self) -> SupportDistribution:
+        """Every pair (u, r) assembled once into the sorted distribution of
         their sums, under the guard of ``support_window``."""
         if self._support is None:
             pairs = self.support_window(self.min_scaled, self.max_scaled)
-            self._support = TailDistribution(*pairs, self.scale, self.n_summands)
+            self._support = SupportDistribution(*pairs, self.scale, self.n_summands)
         return self._support
 
     def support_window(self, lo_scaled: int, hi_scaled: int):
@@ -326,7 +395,7 @@ class MeetInMiddleDistribution(_TailBase):
         the outcomes above reach the cap, and probes once either side of the
         estimate (or the midpoint, when neither side is inside); a probe is
         one exact count, whose right indices become the new span ends.  Once
-        it holds at most _SEARCH_PAIRS pairs, the dense search over them ends.
+        it holds at most _SEARCH_PAIRS pairs, the sorted search over them ends.
         The sample only places the probes, and its generator has a fixed
         seed, so each search makes the same probes on every run.
         """
@@ -350,7 +419,7 @@ class MeetInMiddleDistribution(_TailBase):
                         lo, above_lo, first = v + 1, above, idx
         if lo == hi:
             return lo
-        window = TailDistribution(*self._pair_sums(first, stop), self.scale, self.n_summands)
+        window = SupportDistribution(*self._pair_sums(first, stop), self.scale, self.n_summands)
         return window.first_value_tail_le(cap - above_hi, 1)
 
     def _probe(self, v: int):
@@ -396,11 +465,17 @@ def _suffix_counts(counts: np.ndarray) -> np.ndarray:
     return suffix
 
 
-def _enumerated(weights: np.ndarray, scale: int) -> TailDistribution:
+def _least_within(suffix: np.ndarray, cap: int) -> int:
+    """The least k with suffix[k + 1] <= cap, for cap >= 0 and suffix ending
+    in 0: one ``searchsorted`` of the suffix, which ascends read backwards."""
+    return max(len(suffix) - 1 - int(np.searchsorted(suffix[::-1], cap, side="right")), 0)
+
+
+def _enumerated(weights: np.ndarray, scale: int) -> SupportDistribution:
     """The distribution of sum(w_i x_i), point by point: its distinct values
     and their counts."""
     values, counts = np.unique(kernels.dot_values(weights), return_counts=True)
-    return TailDistribution(values, counts.astype(np.int64, copy=False), scale, len(weights))
+    return SupportDistribution(values, counts.astype(np.int64, copy=False), scale, len(weights))
 
 
 def _dense(n: int, total: int, backend: str | None) -> bool:
@@ -430,13 +505,8 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
         if backend is None and (1 << n) <= total + 1:
             # the cube has no more points than the DP would have cells
             return _enumerated(weights, scale)
-        dense = kernels.signed_sum_counts(weights)
-        values = np.flatnonzero(dense)
-        counts = dense[values]
-        del dense  # freed before the suffix counts are made
-        values *= 2
-        values -= total
-        return TailDistribution(values, counts, scale, n)
+        # the counts are freed once their suffix exists
+        return TailDistribution(kernels.signed_sum_counts(weights), scale, n)
     if _mitm(n, total, backend):
         return MeetInMiddleDistribution.from_weights(weights, scale)
     if n > MAX_SUMMANDS:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,6 +68,11 @@ def _random_halfspace_entries(rng_seed, n_lo, n_hi, weight_bits, eps_lo, eps_hi,
         raise ValueError(f"n_lo={n_lo}, n_hi={n_hi}: need 1 <= n_lo <= n_hi")
     if not 0 <= weight_bits <= 62:
         raise ValueError(f"weight_bits={weight_bits} outside 0..62")
+    # a scaled weight is at most 2^weight_bits times the denominators' lcm
+    reach = n_hi * math.lcm(*denominators) << weight_bits
+    if reach >= 1 << 60:
+        raise ValueError(f"weight_bits={weight_bits} with n_hi={n_hi}: scaled weights could sum "
+                         f"to {reach}, at or past the bound 2^60")
     for name, side in (("eps_lo", eps_lo), ("eps_hi", eps_hi)):
         if not 0 < side <= 1:
             raise ValueError(f"{name}={format_fraction(side)} outside (0, 1]")

@@ -650,7 +650,8 @@ def per_coordinate_small_class_sums(h, n_big: int, thresholds) -> list[int]:
 def two_pass_gauss_worst(dist, norm: float) -> float:
     """GAUSS-EATON's worst ratio by its former sweep: every value v >= 0 of
     the support twice, once with P(a.x > v) and once with P(a.x >= v)."""
-    values = dist.values[dist.values >= 0]
+    values = dist.support().values
+    values = values[values >= 0]
     worst = 0.0
     for strict in (True, False):
         counts = dist.counts_gt_scaled(values) if strict else dist.counts_ge_scaled(values)

@@ -1,4 +1,6 @@
-"""Run every exact-output gate of tests/gates.json: python3 tests/run_gates.py
+"""Run every exact-output gate of tests/gates.json:
+
+    python3 tests/run_gates.py [--keep DIR] [--against DIR]
 
 Each gate runs `python -m cubelab.cli` with its arguments, no shell, in one
 temporary working directory, so later gates read the corpora earlier ones
@@ -7,21 +9,44 @@ pins has the recorded sha256.  The checkout's src/ goes first on PYTHONPATH,
 so this runs the same from a checkout or an install.  A gate's optional
 `env` map is added to the environment of that gate's process alone.  Prints
 one line per gate, its env first, and exits 1 if any gate failed.
+
+`--keep DIR` copies the work directory's files to DIR once every gate has
+run.  `--against DIR` reads DIR as such a copy, from another tree: for each
+pinned report (a JSON file with records) whose digest moved, it prints
+tests/report_diff.py's summary of DIR's copy against the new output.
 """
+import argparse
 import hashlib
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from report_diff import diff_reports, format_diff
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_gates(manifest=ROOT / "tests" / "gates.json") -> int:
+def moved_report_lines(old: Path, new: Path) -> list[str]:
+    """report_diff's summary of two copies of one pinned output, or why
+    there is none."""
+    if not old.exists():
+        return [f"no copy at {old}"]
+    try:
+        before, after = (json.loads(p.read_text()) for p in (old, new))
+    except (ValueError, UnicodeDecodeError):
+        return ["not JSON: no record diff"]
+    if not all(isinstance(r, dict) and "records" in r for r in (before, after)):
+        return ["not a report: no record diff"]
+    return format_diff(diff_reports(before, after))
+
+
+def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -> int:
     spec = json.loads(Path(manifest).read_text())
     path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -46,14 +71,28 @@ def run_gates(manifest=ROOT / "tests" / "gates.json") -> int:
                 got = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "missing"
                 if got != digest:
                     wrong.append(f"{name}: sha256 {got}, expected {digest}")
+                    if against is not None and out.exists() and name.endswith(".json"):
+                        wrong += [f"  {line}" for line in
+                                  moved_report_lines(Path(against) / name, out)]
             failed |= bool(wrong)
             seconds = time.perf_counter() - start
             label = " ".join([*(f"{k}={v}" for k, v in gate_env.items()), gate["cmd"]])
             print(f"{'FAIL' if wrong else 'ok'} {seconds:6.1f} s  {label}", flush=True)
             for line in wrong:
                 print(f"    {line}", flush=True)
+        if keep is not None:
+            shutil.copytree(work, keep, dirs_exist_ok=True)
     return int(failed)
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run the exact-output gates.")
+    parser.add_argument("--keep", metavar="DIR", help="copy the gates' outputs to DIR")
+    parser.add_argument("--against", metavar="DIR",
+                        help="diff each moved report against DIR's copy")
+    args = parser.parse_args(argv)
+    return run_gates(keep=args.keep, against=args.against)
+
+
 if __name__ == "__main__":
-    sys.exit(run_gates())
+    sys.exit(main())

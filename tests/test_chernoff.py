@@ -6,7 +6,8 @@ import pytest
 
 from cubelab import checks, chernoff, harness
 from cubelab.chernoff import CheckRecord
-from cubelab.halfspace import TailDistribution, make_halfspace, parse_halfspace
+from cubelab.halfspace import (SupportDistribution, TailDistribution, make_halfspace,
+                               parse_halfspace)
 
 import oracles
 
@@ -99,10 +100,10 @@ def test_log_concavity_counts_past_int64_match_fractions():
         # two heavy atoms at -2 gap and 2 gap with a light one between them:
         # the tail is flat across each gap, which log-concavity forbids
         counts = np.array([2**32 - 5, 5, 2**32], dtype=np.int64)
-        cases.append((TailDistribution(np.array([-2 * gap, 0, 2 * gap]), counts, 1, 33), 1))
+        cases.append((SupportDistribution(np.array([-2 * gap, 0, 2 * gap]), counts, 1, 33), 1))
     outcomes, widest = set(), 0
     for dist, w0 in cases:
-        assert isinstance(dist, TailDistribution) and dist.n_summands >= 31
+        assert isinstance(dist, (TailDistribution, SupportDistribution)) and dist.n_summands >= 31
         quarters = _lem111_quarters(rng, dist, 60)
         got = checks._log_concavity_violations(dist, quarters, 2 * w0)
         for row, bad in zip(quarters, got):

@@ -9,19 +9,21 @@ from pathlib import Path
 from run_gates import ROOT, run_gates
 
 CHEAP = ("analyze maj:21 --json", "chernoff 'ltf:7,5,4,4,3,2,2,1,1;4' --c 1/64")
+REPORTS = ("verify --suite paper-examples --corpus builtin --out builtin-examples.json",
+           "verify --suite tail-lemmas --corpus builtin --out builtin-tail-lemmas.json")
 
 
-def cheap_gates() -> list[dict]:
+def cheap_gates(cmds=CHEAP) -> list[dict]:
     spec = json.loads((ROOT / "tests" / "gates.json").read_text())
-    gates = [g for g in spec["gates"] if g["cmd"] in CHEAP]
-    assert [g["cmd"] for g in gates] == list(CHEAP)
+    gates = [g for g in spec["gates"] if g["cmd"] in cmds]
+    assert [g["cmd"] for g in gates] == list(cmds)
     return gates
 
 
-def run(tmp_path: Path, gates: list[dict]) -> int:
+def run(tmp_path: Path, gates: list[dict], **kwargs) -> int:
     manifest = tmp_path / "gates.json"
     manifest.write_text(json.dumps({"files": {}, "gates": gates}))
-    return run_gates(manifest)
+    return run_gates(manifest, **kwargs)
 
 
 def test_gates_pass_as_written(tmp_path, capsys):
@@ -63,3 +65,29 @@ def test_the_workflow_pins_no_digest_itself():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
     assert "python3 tests/run_gates.py" in workflow
     assert not [line for line in workflow.splitlines() if "sha256sum" in line]
+
+
+def test_a_moved_report_is_explained_against_a_kept_copy(tmp_path, capsys):
+    """Two report gates run with --keep; the kept copy of the second report
+    then differs in one record's notes, and its gate pins that copy's
+    bytes.  Run --against the copy, the first gate passes with no diff and
+    the second fails with report_diff's summary: one check id, one field."""
+    kept = tmp_path / "kept"
+    gates = cheap_gates(REPORTS)
+    assert run(tmp_path, gates, keep=kept) == 0
+    capsys.readouterr()
+    first, [name] = gates[0]["sha256"], gates[1]["sha256"]
+    assert all((kept / out).exists() for out in [*first, name])
+    report = json.loads((kept / name).read_text())
+    record = report["records"][0]
+    record["notes"] += " (kept)"
+    altered = json.dumps(report).encode()
+    (kept / name).write_bytes(altered)
+    pinned = {**gates[1], "sha256": {name: hashlib.sha256(altered).hexdigest()}}
+    assert run(tmp_path, [gates[0], pinned], against=kept) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if not line.startswith(" ")] == ["ok", "FAIL"]
+    detail = [line.strip() for line in out if line.startswith(" ")]
+    assert detail[0].startswith(f"{name}: sha256 ")
+    assert detail[1:] == [f"{record['check_id']}:", "fields differ: notes (1)",
+                          "1 check ids differ; 0 records in one report only"]

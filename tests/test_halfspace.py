@@ -12,6 +12,7 @@ from cubelab.halfspace import (
     BudgetError,
     Halfspace,
     MeetInMiddleDistribution,
+    SupportDistribution,
     TailDistribution,
     distribution_from_scaled,
     ltf_truth_table,
@@ -101,7 +102,7 @@ def test_text_roundtrip():
 
 def test_binomial_distribution():
     h = make_halfspace([1, 1, 1, 1], 0)
-    dist = h.distribution()
+    dist = h.distribution().support()
     assert list(dist.values) == [-4, -2, 0, 2, 4]
     assert list(dist.counts) == [1, 4, 6, 4, 1]
 
@@ -121,7 +122,7 @@ def test_half_weights_tails():
 def test_distribution_symmetry_and_total():
     rng = np.random.default_rng(4)
     h = random_halfspace(rng, 9)
-    dist = h.distribution()
+    dist = h.distribution().support()
     assert int(dist.counts.sum()) == 1 << 9
     assert np.array_equal(dist.values, -dist.values[::-1])
     assert np.array_equal(dist.counts, dist.counts[::-1])
@@ -149,9 +150,10 @@ def test_backends_agree():
 def test_empty_sum_distribution(backend):
     """No summands: the sum is 0 on the one point of the empty cube."""
     dist = distribution_from_scaled(np.zeros(0, dtype=np.int64), 3, backend=backend)
-    assert isinstance(dist, TailDistribution)
-    assert dist.values.tolist() == [0] and dist.counts.tolist() == [1]
-    assert dist.values.dtype == dist.counts.dtype == np.int64
+    assert type(dist) is (TailDistribution if backend == "dense" else SupportDistribution)
+    sup = dist.support()
+    assert sup.values.tolist() == [0] and sup.counts.tolist() == [1]
+    assert sup.values.dtype == sup.counts.dtype == np.int64
     assert dist.total == 1 and dist.scale == 3
     assert dist.count_gt_scaled(-1) == 1 and dist.count_gt_scaled(0) == 0
 
@@ -517,10 +519,10 @@ def test_half_dp_routes_match_slow_routes_at_every_support_value(weights):
     reduced distributions, are Python ints."""
     h = make_halfspace(weights, 0)
     dense = h.distribution(backend="dense")
-    assert dense.counts.dtype == (object if h.n > 62 else np.int64)
+    assert dense.support().counts.dtype == (object if h.n > 62 else np.int64)
     slow = make_halfspace(weights, 0)
     suffixes = [distribution_from_scaled(slow.scaled[k + 1 :], slow.scale) for k in range(slow.n)]
-    for v in dense.values.tolist():
+    for v in dense.support().values.tolist():
         t = F(v, h.scale)
         assert h.influences(t) == per_coordinate_influences(slow, t)
         for lam in (0, 1):
@@ -551,24 +553,34 @@ def _dense_member():
 
 def _traced_peak(fn):
     """Peak bytes that numpy and Python allocate while fn() runs."""
+    return _traced(fn)[1]
+
+
+def _traced(fn):
+    """The bytes still held once fn() returns, its result kept, and the peak
+    bytes that numpy and Python allocate while it runs."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak
+    del result
+    return held, peak
 
 
-def test_dense_build_holds_its_three_arrays_and_no_more():
-    """The dense build of T = 286,501 peaks below 3.2 arrays of T + 1
-    int64 cells: the mirrored counts, then the support values and their
-    counts gathered from them, the counts freed before the suffix counts
-    are made (5.8 arrays with the full-width DP and its temporaries)."""
+def test_dense_build_holds_one_suffix_array():
+    """The dense build of T = 286,501 keeps one array of T + 2 int64 cells,
+    the suffix counts (2.89 arrays of T + 1 cells when it kept the support
+    values, their counts and the suffix beside them), and peaks below 2.2
+    arrays: the mirrored counts and their suffix, the counts freed once the
+    suffix exists (2.93 with the three support arrays, 5.8 with the
+    full-width DP and its temporaries)."""
     h = _dense_member()
     cells = 8 * (h._total + 1)
-    assert _traced_peak(lambda: distribution_from_scaled(h.scaled, h.scale)) < 3.2 * cells
+    held, peak = _traced(lambda: distribution_from_scaled(h.scaled, h.scale))
+    assert held < 1.05 * cells and peak < 2.2 * cells
     assert type(h.distribution()).__name__ == "TailDistribution"
 
 
@@ -579,6 +591,21 @@ def test_dense_influences_allocate_no_count_array():
     h = _dense_member()
     h.distribution()
     assert _traced_peak(h.influences) < 0.1 * 8 * (h._total + 1)
+
+
+def test_a_unit_weight_window_reads_a_strided_view():
+    """47 weights up to 12,500 and one weight 1 (T = 274,243): the unit
+    weight's window has about 0.4 T edges, read as one strided view of the
+    suffix counts, so the influences peak at its differences alone, below
+    half an array of T + 1 int64 cells (1.20 arrays when each edge was a
+    searched key)."""
+    weights = np.random.default_rng(1).integers(1, 12_500, size=47).tolist() + [1]
+    h = make_halfspace(weights, sum(weights) // 5)
+    assert h._total == 274_243
+    h.distribution()
+    assert _traced_peak(h.influences) < 0.5 * 8 * (h._total + 1)
+    assert h.influences() == per_coordinate_influences(make_halfspace(weights, h.threshold),
+                                                       h.threshold)
 
 
 def test_boundary_sweep_holds_two_half_buffers():
@@ -617,7 +644,7 @@ def test_counts_at_62_summands_fill_int64(weight):
     n = 62
     for t_units in (0, 1, F(1, 2), -61, 59, 60, 62):
         h = make_halfspace([weight] * n, t_units * weight)
-        assert int(h.distribution().counts.sum()) == 1 << 62
+        assert int(h.distribution().support().counts.sum()) == 1 << 62
         assert h.influences() == [oracles.equal_weight_influence(n, t_units)] * n
         for lam in (0, 1):
             assert h.vertex_boundary(lam) == oracles.equal_weight_boundary(n, t_units, lam)
@@ -631,7 +658,7 @@ def test_counts_past_62_summands_are_python_ints(weight, n):
     both boundaries equal their binomial counts."""
     for t_units in (0, 1, F(1, 2), -(n - 1), n - 3, n - 2, n):
         h = make_halfspace([weight] * n, t_units * weight)
-        counts = h.distribution().counts
+        counts = h.distribution().support().counts
         assert counts.dtype == object and sum(counts.tolist()) == 1 << n
         assert h.mean() == oracles.ones_interval_mass(n, t_units, n)
         assert h.influences() == [oracles.equal_weight_influence(n, t_units)] * n
@@ -695,9 +722,9 @@ def test_small_cube_enumerated_not_dp(monkeypatch):
     monkeypatch.setattr(kernels, "signed_sum_counts", no_dp)
     for w in cases:
         got = distribution_from_scaled(np.array(w), 1)
-        assert type(got).__name__ == "TailDistribution"
-        assert np.array_equal(got.values, dense[tuple(w)].values)
-        assert np.array_equal(got.counts, dense[tuple(w)].counts)
+        assert type(got).__name__ == "SupportDistribution"
+        assert np.array_equal(got.values, dense[tuple(w)].support().values)
+        assert np.array_equal(got.counts, dense[tuple(w)].support().counts)
         h = make_halfspace(w, 1)
         assert h.influences() == list(influence.influences(h.truth_table()).per_coordinate)
     with pytest.raises(AssertionError, match="the DP ran"):
@@ -821,7 +848,7 @@ def test_mitm_support_window_matches_pairwise_and_dense():
         k = n // 2
         halves = [distribution_from_scaled(part, 1, backend="dense")
                   for part in (weights[:k], weights[k:])]
-        left, right = ((d.values, d.counts) for d in halves)
+        left, right = ((d.values, d.counts) for d in (half.support() for half in halves))
         edges = sorted(set(rng.integers(mitm.min_scaled - 3, mitm.max_scaled + 4, size=5).tolist()))
         for lo in edges:
             for hi in edges:
@@ -863,9 +890,80 @@ def test_reduced_distributions_share_the_other_half(weights):
             assert_same_distribution(red, distribution_from_scaled(rest, h.scale, backend=backend))
 
 
+@pytest.mark.parametrize("weights", [
+    [6, 4, 4, 2, 2, 8], [9, 3, 3, 6, 12, 3], [5, 5, 3, 3, 3, 1, 0, 0], [7, 0, 2, 2, 9, 1, 1, 4],
+    [1], [2] * 61 + [4, 6], [3] * 63 + [6]])
+def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
+    """The DP's distribution, one suffix array over every cell read by
+    index, against the full-width DP's cells (summed in Python ints) and
+    the sorted routes: the sorted distribution of those cells and, on small
+    cubes, the enumerated one.  Ties, zeros and common factors of 2 and 3
+    leave zero cells between support values; the last two members have 63
+    and 64 summands (Python-int counts).  Tail counts at every cell, one
+    either side, past both ends and at the int64 extremes; the delta search
+    at every cap from -1 to 2^n (at every tail count and one either side
+    past 12 summands); support windows, empty ones too; and, with no zero
+    weight, the influence counts at every support value."""
+    w = np.array(weights, dtype=np.int64)
+    n, total = len(w), int(w.sum())
+    *_, full = oracles.full_width_sum_prefixes(w)
+    full = full.tolist()
+    held = [s for s, c in enumerate(full) if c]
+    dtype = object if n > 62 else np.int64
+    cells = SupportDistribution(np.array([2 * s - total for s in held]),
+                                np.array([full[s] for s in held], dtype=dtype), 1, n)
+    dense = distribution_from_scaled(w, 1, "dense")
+    assert type(dense) is TailDistribution
+    assert (dense.min_scaled, dense.max_scaled, dense.total) == (-total, total, 1 << n)
+    routes = [dense, cells] + ([hs._enumerated(w, 1)] if n <= 16 else [])
+
+    def ge(v):
+        return sum(c for s, c in enumerate(full) if 2 * s - total >= v)
+
+    keys = sorted({v + d for v in range(-total, total + 1, 2) for d in (-1, 0, 1)}
+                  | {-total - 5, -total - 2, total + 2, total + 7, -(1 << 63), (1 << 63) - 1})
+    want = [ge(v) for v in keys]
+    assert [int(dense.counts_ge_scaled(v)) for v in keys] == want
+    for dist in routes:
+        assert dist.counts_ge_scaled(np.array(keys, dtype=np.int64)).tolist() == want
+
+    gt = [ge(v + 1) for v in range(-total, total + 1)]  # non-increasing, down to 0
+    caps = (range(-1, (1 << n) + 1) if n <= 12
+            else sorted({c + d for c in gt for d in (-1, 0, 1)} | {(1 << n) + 1}))
+    for cap in caps:
+        first = next((-total + i for i, c in enumerate(gt) if c <= cap), total)
+        for dist in routes:
+            assert dist.first_value_tail_le(cap, 1) == first, cap
+        assert dense.first_value_tail_le(3 * cap + 2, 3) == first
+
+    rng = np.random.default_rng(n)
+    edges = rng.integers(-total - 3, total + 4, size=(40, 2)).tolist() + [[1, 0], [total, -total]]
+    for lo, hi in edges:
+        expect = [(2 * s - total, full[s]) for s in held if lo <= 2 * s - total <= hi]
+        for dist in routes:
+            values, counts = dist.support_window(lo, hi)
+            assert values.dtype == np.int64
+            assert list(zip(values.tolist(), counts.tolist())) == expect, (lo, hi)
+
+    if 0 in weights:
+        return  # a halfspace drops its zero weights: no window divides one out
+    rest = {}  # the full-width cells of the other weights, per distinct weight
+    for wj in set(weights):
+        others = list(weights)
+        others.remove(wj)
+        *_, rest[wj] = oracles.full_width_sum_prefixes(np.array(others, dtype=np.int64))
+        rest[wj] = rest[wj].tolist()
+    for s in held:
+        b = s  # the cut 2s - T: the other weights sum to b - w + 1..b
+        expect = [sum(rest[wj][max(b - wj + 1, 0) : b + 1]) for wj in weights]
+        for dist in routes:
+            got = dist.influence_counts(w, 2 * s - total)
+            assert got.dtype == dtype and got.tolist() == expect, s
+
+
 def test_split_halves_are_the_dense_distributions_of_every_other_weight():
     """Random weights with ties and zeros: each half of a split is a
-    ``TailDistribution`` with the values and counts of the dense DP over
+    ``SupportDistribution`` with the values and counts of the dense DP over
     every other weight, and deleting a weight renews its half and returns
     the other half itself."""
     rng = np.random.default_rng(42)
@@ -875,8 +973,8 @@ def test_split_halves_are_the_dense_distributions_of_every_other_weight():
         scale = int(rng.integers(1, 4))
         mitm = MeetInMiddleDistribution.from_weights(weights, scale)
         for side, half in enumerate((mitm.left, mitm.right)):
-            dense = distribution_from_scaled(weights[side::2], scale, "dense")
-            assert isinstance(half, TailDistribution)
+            dense = distribution_from_scaled(weights[side::2], scale, "dense").support()
+            assert isinstance(half, SupportDistribution)
             assert (half.scale, half.n_summands) == (scale, len(weights[side::2]))
             assert np.array_equal(half.values, dense.values)
             assert np.array_equal(half.counts, dense.counts)
@@ -887,7 +985,7 @@ def test_split_halves_are_the_dense_distributions_of_every_other_weight():
             assert getattr(red, kept) is getattr(mitm, kept)
             rest = np.delete(weights[j % 2::2], j // 2)  # j's half without j
             assert np.array_equal(getattr(red, renewed).counts,
-                                  distribution_from_scaled(rest, scale, "dense").counts)
+                                  distribution_from_scaled(rest, scale, "dense").support().counts)
 
 
 def test_reduced_distributions_keep_their_backend_above_the_budget(monkeypatch):
@@ -896,7 +994,8 @@ def test_reduced_distributions_keep_their_backend_above_the_budget(monkeypatch):
     monkeypatch.setattr(hs, "DENSE_BUDGET", 10)
     h = make_halfspace([7, 5, 3, 2], 1)
     assert isinstance(h.distribution(), MeetInMiddleDistribution)
-    assert isinstance(h.reduced_distribution(0), TailDistribution)  # 5 + 3 + 2 <= 10
+    # 5 + 3 + 2 <= 10, enumerated as 2^3 <= 10 + 1
+    assert isinstance(h.reduced_distribution(0), SupportDistribution)
     shared = h.reduced_distribution(3)  # 7 + 5 + 3 > 10
     assert isinstance(shared, MeetInMiddleDistribution)
     assert shared.left is h.distribution().left
@@ -958,7 +1057,7 @@ def test_delta_searched_once_per_c_and_t(monkeypatch):
     """The delta query of chernoff, of both decay thresholds and of the
     strong and weak statistics search once per (c, t); copies start empty."""
     calls = []
-    for backend in (TailDistribution, MeetInMiddleDistribution):
+    for backend in (TailDistribution, SupportDistribution, MeetInMiddleDistribution):
         def counted(self, num, den, search=backend.first_value_tail_le):
             calls.append((num, den))
             return search(self, num, den)
@@ -1037,7 +1136,7 @@ def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
     probe = MeetInMiddleDistribution._probe
     monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
                         lambda self, v: probed.append(v) or probe(self, v))
-    values = dense.values.tolist()
+    values = dense.support().values.tolist()
     for den in (1, 6):
         for num in {-1, 0, dense.total * den} | {c * den + d for c in dense._suffix.tolist()
                                                   for d in (-1, 0, 1)}:

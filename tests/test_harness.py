@@ -13,7 +13,7 @@ import pytest
 from cubelab import checks, correlate, halfspace, harness, kernels, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
-from cubelab.halfspace import (Halfspace, MeetInMiddleDistribution, TailDistribution,
+from cubelab.halfspace import (Halfspace, MeetInMiddleDistribution, SupportDistribution,
                                make_halfspace, parse_halfspace)
 
 import oracles
@@ -257,7 +257,7 @@ def test_assembled_support_counts_match_the_halves(fitting_mitm_member):
     values, one either side of each, and keys inside and past the range."""
     dist = parse_halfspace(fitting_mitm_member).distribution()
     sup = dist.support()
-    assert isinstance(sup, TailDistribution) and dist.support() is sup
+    assert isinstance(sup, SupportDistribution) and dist.support() is sup
     assert (sup.min_scaled, sup.max_scaled, sup.total) == (dist.min_scaled, dist.max_scaled,
                                                           dist.total)
     rng = np.random.default_rng(4)
@@ -324,6 +324,12 @@ def test_table_kind_refuses_an_arity_past_the_cap(kind):
     ("random-halfspace", {"eps_band": (F(1, 8), None)}, "eps_lo=1/8 exceeds eps_hi=1/16"),
     ("random-halfspace", {"eps_band": (0, None)}, r"eps_lo=0 outside \(0, 1\]"),
     ("random-rational-halfspace", {"eps_band": (None, 2)}, r"eps_hi=2 outside \(0, 1\]"),
+    ("random-halfspace", {"weight_bits": 62}, r"weight_bits=62 with n_hi=20: .* bound 2\^60"),
+    ("random-halfspace", {"weight_bits": 57}, "weight_bits=57 with n_hi=20"),
+    ("random-halfspace", {"weight_bits": 56}, "weight_bits=56 with n_hi=20"),
+    ("random-halfspace", {"weight_bits": 40, "n_lo": 1, "n_hi": 1 << 20},
+     "weight_bits=40 with n_hi=1048576"),
+    ("random-rational-halfspace", {"weight_bits": 53}, "weight_bits=53 with n_hi=16"),
 ])
 def test_corpus_gen_refuses_a_parameter_no_draw_satisfies(monkeypatch, kind, params, message):
     """Each refusal names its parameter and comes before the first draw; a
@@ -336,6 +342,14 @@ def test_corpus_gen_refuses_a_parameter_no_draw_satisfies(monkeypatch, kind, par
         harness.CORPUS_KINDS["random-function"], function=no_draw))
     with pytest.raises(ValueError, match=message):
         harness.corpus_gen(kind, params)
+
+
+def test_corpus_gen_admits_the_widest_weights_under_the_bound():
+    """The widest weights whose sums stay below 2^60 on every draw: 20
+    weights of 55 bits, and 16 of 52 bits over denominators 1..4 (lcm 12)."""
+    for kind, bits in (("random-halfspace", 55), ("random-rational-halfspace", 52)):
+        corpus = harness.corpus_gen(kind, {"count": 2, "weight_bits": bits}, seed=7)
+        assert len(corpus.entries) == 2
 
 
 @pytest.mark.parametrize("kind, default", [("random-halfspace", (F(1, 256), F(1, 16))),
@@ -552,7 +566,7 @@ def test_lem111_reports_the_first_violating_triple(monkeypatch):
     triples of its 40 draws as the Fraction oracle does and names the first
     one drawn."""
     entry = "ltf:1,1;0"
-    fake = TailDistribution(np.array([-12, -10, 10, 12]), np.array([3, 1, 3, 1]), 1, 3)
+    fake = SupportDistribution(np.array([-12, -10, 10, 12]), np.array([3, 1, 3, 1]), 1, 3)
     monkeypatch.setattr(Halfspace, "distribution", lambda self, backend=None: fake)
     [rec] = REGISTRY["LEM111"].fn(MemberContext("fake", entry), harness.PinnedConstants())
     # the same draws as the check: one call of three per triple
@@ -570,7 +584,7 @@ def test_lem111_reports_the_first_violating_triple(monkeypatch):
 def _prop5_thresholds(h):
     """Rational thresholds below the support of a.x, at each support value,
     between it and the next scaled integer, and above the support."""
-    values = [F(int(v), h.scale) for v in h.distribution().values]
+    values = [F(int(v), h.scale) for v in h.distribution().support().values]
     between = [v + F(1, 3 * h.scale) for v in values]
     return [values[0] - 1] + values + between + [values[-1] + F(1, 2)]
 

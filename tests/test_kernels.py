@@ -360,7 +360,7 @@ def test_leave_one_out_window_on_python_int_counts():
     """One weight 3 and 100 weights 1, counts past int64: dividing out
     either weight leaves the other weights' subsets, in Python ints."""
     dist = distribution_from_scaled(np.array([3] + [1] * 100), 1)
-    assert dist.counts.dtype == object
+    assert dist.support().counts.dtype == object
 
     def ones(m, s):  # subsets of m weights 1 with sum s
         return math.comb(m, s) if s >= 0 else 0
