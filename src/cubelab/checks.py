@@ -25,8 +25,6 @@ from .bfcore import TABLE_CAP, FunctionSpec
 from .chernoff import (
     EATON_BOUND,
     EATON_SLACK,
-    FAIL,
-    PASS,
     REPORT,
     SKIPPED,
     CheckRecord,
@@ -157,8 +155,7 @@ def _check_parseval(ctx: MemberContext) -> list[CheckRecord]:
     f = ctx.function
     total = ctx.level_weights.total()
     ok = spectral.parseval_holds(f, ctx.spectrum) and total == f.mean
-    return [CheckRecord("PARSEVAL", ctx.label, total, f.mean, None, ok,
-                        PASS if ok else FAIL)]
+    return [CheckRecord.verdict("PARSEVAL", ctx.label, ok, total, f.mean)]
 
 
 @_check("FWHT-NAIVE", lambda ctx: _has_table(ctx) and ctx.function.n <= 8)
@@ -166,8 +163,7 @@ def _check_fwht_naive(ctx: MemberContext) -> list[CheckRecord]:
     f = ctx.function
     slow = spectral.spectrum_by_definition(f)
     ok = bool(np.array_equal(ctx.spectrum.numerators, slow.numerators))
-    return [CheckRecord("FWHT-NAIVE", ctx.label, None, None, None, ok,
-                        PASS if ok else FAIL)]
+    return [CheckRecord.verdict("FWHT-NAIVE", ctx.label, ok)]
 
 
 @_check("DUAL", _has_table)
@@ -179,8 +175,7 @@ def _check_dual(ctx: MemberContext) -> list[CheckRecord]:
     if ctx.halfspace is not None:
         ok = ok and ctx.halfspace.dual().truth_table() == g
         notes = "halfspace dual table compared"
-    return [CheckRecord("DUAL", ctx.label, g.mean, 1 - f.mean, None, ok,
-                        PASS if ok else FAIL, notes)]
+    return [CheckRecord.verdict("DUAL", ctx.label, ok, g.mean, 1 - f.mean, notes)]
 
 
 @_check("INFLUENCE-XCHECK",
@@ -196,8 +191,7 @@ def _check_influence_xcheck(ctx: MemberContext) -> list[CheckRecord]:
         and h.vertex_boundary(1) == veils.vb1
         and h.vertex_boundary(0) == veils.vb0
     )
-    return [CheckRecord("INFLUENCE-XCHECK", ctx.label, None, None, None, ok,
-                        PASS if ok else FAIL)]
+    return [CheckRecord.verdict("INFLUENCE-XCHECK", ctx.label, ok)]
 
 
 @_check("MONO-FOURIER", _has_table)
@@ -210,8 +204,7 @@ def _check_monotone_fourier(ctx: MemberContext) -> list[CheckRecord]:
         ctx.spectrum.coefficient(1 << i) == prof.per_coordinate[i] / 2
         for i in range(f.n)
     )
-    return [CheckRecord("MONO-FOURIER", ctx.label, None, None, None, ok,
-                        PASS if ok else FAIL)]
+    return [CheckRecord.verdict("MONO-FOURIER", ctx.label, ok)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +216,13 @@ def _global_paper5() -> list[CheckRecord]:
     spec = spectral.fwht_spectrum(f)
     recs = []
     ok = all(spec.coefficient(1 << i) == F(1, 16) for i in range(5))
-    recs.append(CheckRecord("PAPER5", "paper5", None, None, None, ok,
-                            PASS if ok else FAIL, "first-level coefficients"))
+    recs.append(CheckRecord.verdict("PAPER5", "paper5", ok, notes="first-level coefficients"))
     cov_maj = spectral.covariance(f, bfcore.majority(5))
-    recs.append(CheckRecord("PAPER5", "paper5", cov_maj, F(-1, 16), None,
-                            cov_maj == F(-1, 16),
-                            PASS if cov_maj == F(-1, 16) else FAIL,
-                            "covariance with the plain majority cut"))
+    recs.append(CheckRecord.verdict("PAPER5", "paper5", cov_maj == F(-1, 16), cov_maj, F(-1, 16),
+                                    "covariance with the plain majority cut"))
     best = correlate.unbiased_correlator(correlate.FirstLevel(f, spec))
-    ok = best.covariance == F(1, 8)
-    recs.append(CheckRecord("PAPER5", "paper5", best.covariance, F(1, 8), None,
-                            ok, PASS if ok else FAIL, "one sign flip recovers 1/8"))
+    recs.append(CheckRecord.verdict("PAPER5", "paper5", best.covariance == F(1, 8),
+                                    best.covariance, F(1, 8), "one sign flip recovers 1/8"))
     return recs
 
 
@@ -247,10 +236,9 @@ def _global_subcube_vb() -> list[CheckRecord]:
         vb1 = h.vertex_boundary(1)
         vb0 = h.vertex_boundary(0)
         ok = vb1 == F(1, 2**k) and vb0 == F(k, 2**k)
-        recs.append(CheckRecord("SUBCUBE-VB", f"subcube:{k},{n}", (vb0, vb1),
-                                (F(k, 2**k), F(1, 2**k)), None, ok,
-                                PASS if ok else FAIL,
-                                f"boundary ratio {float(vb0 / vb1):.0f} = k"))
+        recs.append(CheckRecord.verdict("SUBCUBE-VB", f"subcube:{k},{n}", ok, (vb0, vb1),
+                                        (F(k, 2**k), F(1, 2**k)),
+                                        f"boundary ratio {float(vb0 / vb1):.0f} = k"))
     return recs
 
 
@@ -260,8 +248,8 @@ def _global_dictator_vb() -> list[CheckRecord]:
     vb1 = h.vertex_boundary(1)
     i1 = h.influence(0)
     ok = vb1 == i1 / 2
-    return [CheckRecord("DICT-VB", "dict:4", vb1, i1 / 2, None, ok,
-                        PASS if ok else FAIL, "lower bound tight for dictators")]
+    return [CheckRecord.verdict("DICT-VB", "dict:4", ok, vb1, i1 / 2,
+                                "lower bound tight for dictators")]
 
 
 def _heavy_light_family(n: int) -> Halfspace:
@@ -279,8 +267,8 @@ def _global_heavy_light_family() -> list[CheckRecord]:
         recs.append(CheckRecord("EX54", f"n={n}", float(ratio), None, None,
                                 None, REPORT, "vb1 / I1 along the 5&4 family"))
     ok = abs(float(final) - 10 / 9) <= 0.02
-    recs.append(CheckRecord("EX54", "n=41", float(final), 10 / 9, None, ok,
-                            PASS if ok else FAIL, "limit value 10/9 within 0.02"))
+    recs.append(CheckRecord.verdict("EX54", "n=41", ok, float(final), 10 / 9,
+                                    "limit value 10/9 within 0.02"))
     return recs
 
 
@@ -295,9 +283,8 @@ def _global_or_blowup_example() -> list[CheckRecord]:
         ok = lo <= mu <= hi
         veils = boundary_measures(f)
         gap = float(veils.vb0 / veils.vb1) if veils.vb1 else math.inf
-        recs.append(CheckRecord("EX74", f"talagrand:{n}:{seed}", mu, (lo, hi),
-                                None, ok, PASS if ok else FAIL,
-                                f"vb0/vb1 = {gap:.3f} (reported)"))
+        recs.append(CheckRecord.verdict("EX74", f"talagrand:{n}:{seed}", ok, mu, (lo, hi),
+                                        f"vb0/vb1 = {gap:.3f} (reported)"))
     return recs
 
 
@@ -312,9 +299,8 @@ def _global_interval_decay_witness() -> list[CheckRecord]:
         best = max(best, rec.ratio)
         recs.append(rec)
     ok = best >= 1.9
-    recs.append(CheckRecord("LEM32", "all-ones family max", best, 1.9, None, ok,
-                            PASS if ok else FAIL,
-                            "family maximum must witness the lower bound"))
+    recs.append(CheckRecord.verdict("LEM32", "all-ones family max", ok, best, 1.9,
+                                    "family maximum must witness the lower bound"))
     return recs
 
 
@@ -348,8 +334,7 @@ def _check_log_concavity_member(ctx: MemberContext) -> list[CheckRecord]:
     notes = f"{LOG_CONCAVITY_TRIPLES} sampled triples"
     if not ok:
         notes += f"; first violation {[F(x, 4) for x in quarters[bad.index(True)]]}"
-    return [CheckRecord("LEM111", ctx.label, sum(bad), 0, None, ok, PASS if ok else FAIL,
-                        notes)]
+    return [CheckRecord.verdict("LEM111", ctx.label, ok, sum(bad), 0, notes)]
 
 
 @_check("LEM32", _is_halfspace)
@@ -367,10 +352,9 @@ def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     violations = int(np.count_nonzero(prefix_min <= (mass - 1) // 5))
     ratio = float(np.max(mass / np.maximum(prefix_min, 1)))
     ok = violations == 0
-    rec = CheckRecord("LEM32", ctx.label, violations, 0, ratio, ok,
-                      PASS if ok else FAIL,
-                      f"{len(support)} aligned thresholds, max ratio {ratio:.3f}")
-    return [rec]
+    return [CheckRecord.verdict("LEM32", ctx.label, ok, violations, 0,
+                                f"{len(support)} aligned thresholds, max ratio {ratio:.3f}",
+                                ratio)]
 
 
 @_check("LEM42", _is_halfspace)
@@ -387,8 +371,8 @@ def _check_log_concave_exp_member(ctx: MemberContext) -> list[CheckRecord]:
                                         1 + int(t // d), dist.n_summands)
               for t in grid_t for d in grid_d)
     ok = bad == 0
-    return [CheckRecord("LEM42", ctx.label, bad, 0, None, ok, PASS if ok else FAIL,
-                        f"grid of {len(grid_t)}x{len(grid_d)} (t, delta) points")]
+    return [CheckRecord.verdict("LEM42", ctx.label, ok, bad, 0,
+                                f"grid of {len(grid_t)}x{len(grid_d)} (t, delta) points")]
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -420,12 +404,10 @@ def _decay_violations(kappa: np.ndarray, highs: np.ndarray, piece_vals: np.ndarr
     return int(np.count_nonzero(prefix_min[reach - 1] <= (piece_vals[t_idx] - 1) // 5))
 
 
-def _pivotal_counts(h: Halfspace, j: int, cuts: np.ndarray) -> np.ndarray:
-    """At each scaled cut c, the points where coordinate j (internal index)
-    decides 1{a.x > c}: the outcomes of a.x - a_j x_j in (c - s_j, c + s_j],
-    s_j its scaled weight, from the support of the reduced distribution."""
-    red = h.reduced_distribution(j).support()
-    w = int(h.scaled[j])
+def _pivotal_counts(red, w: int, cuts: np.ndarray) -> np.ndarray:
+    """At each scaled cut c, the points where a coordinate of scaled weight
+    w decides 1{a.x > c}: the outcomes of the rest of a.x in (c - w, c + w],
+    read from red, the support of the reduced distribution without it."""
     return red.counts_gt_scaled(cuts - w) - red.counts_gt_scaled(cuts + w)
 
 
@@ -437,14 +419,14 @@ def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     w0 = int(h.scaled[0])
     breaks = _distinct(np.concatenate([red.values - w0, red.values + w0]))
     # influence of the heaviest coordinate at every piece's left end
-    piece_vals = np.concatenate([[0], _pivotal_counts(h, 0, breaks)])
+    piece_vals = np.concatenate([[0], _pivotal_counts(red, w0, breaks)])
     lows, highs = _step_pieces(breaks)
     # s-pieces keyed by the infimum of |s| over the piece
     kappa = np.where(lows >= 0, lows, np.where(highs <= 0, -highs, 0.0))
     violations = _decay_violations(kappa, highs, piece_vals)
     ok = violations == 0
-    return [CheckRecord("COR36", ctx.label, violations, 0, None, ok,
-                        PASS if ok else FAIL, f"{len(breaks)} breakpoints swept")]
+    return [CheckRecord.verdict("COR36", ctx.label, ok, violations, 0,
+                                f"{len(breaks)} breakpoints swept")]
 
 
 @_check("LEM51", _is_halfspace)
@@ -460,13 +442,12 @@ def _check_big_coordinate_influence(ctx: MemberContext) -> list[CheckRecord]:
         if 2 * w > beta:
             hits += 1
             if h.influence_internal(j) < F(2, 3) * eps:
-                return [CheckRecord("LEM51", ctx.label, h.influence_internal(j),
-                                    F(2, 3) * eps, None, False, FAIL,
-                                    f"coordinate {j}")]
+                return [CheckRecord.verdict("LEM51", ctx.label, False, h.influence_internal(j),
+                                            F(2, 3) * eps, f"coordinate {j}")]
     if hits == 0:
         return [CheckRecord.skipped("LEM51", ctx.label, "no weight above beta/2")]
-    return [CheckRecord("LEM51", ctx.label, hits, hits, None, True, PASS,
-                        f"{hits} heavy coordinates checked")]
+    return [CheckRecord.verdict("LEM51", ctx.label, True, hits, hits,
+                                f"{hits} heavy coordinates checked")]
 
 
 @_check("LEM52", _is_halfspace)
@@ -493,8 +474,8 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
     if checked == 0:
         return [CheckRecord.skipped("LEM52", ctx.label, "delta below every weight")]
     ok = bad == 0
-    return [CheckRecord("LEM52", ctx.label, bad, 0, None, ok, PASS if ok else FAIL,
-                        f"{checked} coordinates checked at delta={delta}")]
+    return [CheckRecord.verdict("LEM52", ctx.label, ok, bad, 0,
+                                f"{checked} coordinates checked at delta={delta}")]
 
 
 @_check("LEM62", _is_halfspace)
@@ -507,7 +488,7 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     breaks = _distinct(np.concatenate(
         [red.values - w0, red.values + w0, sup.values, [0]]))
     breaks = breaks[breaks >= 0]  # holds 0
-    inf_counts = _pivotal_counts(h, 0, breaks).astype(object)
+    inf_counts = _pivotal_counts(red, w0, breaks).astype(object)
     mu_counts = sup.counts_gt_scaled(breaks).astype(object)
     # sweep s <= t over piece left-ends; exact integer cross-multiplication
     best_num, best_den = None, None  # running max of I/mu as a fraction
@@ -522,14 +503,15 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
         if best_num * den > 6 * num * best_den:
             violations += 1
     ok = violations == 0
-    return [CheckRecord("LEM62", ctx.label, violations, 0, None, ok,
-                        PASS if ok else FAIL, f"{len(breaks)} thresholds swept")]
+    return [CheckRecord.verdict("LEM62", ctx.label, ok, violations, 0,
+                                f"{len(breaks)} thresholds swept")]
 
 
-def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
+def _small_class_sums(h: Halfspace, sup, n_big: int, cuts: np.ndarray) -> np.ndarray:
     """Sum over the coordinates j >= n_big of s_j times the points where j
-    decides 1{a.x > g}, at each scaled cut g, from the support of a.x; s_j
-    are the scaled weights, descending, so the first n_big are the big class.
+    decides 1{a.x > g}, at each scaled cut g, from sup, the support of a.x;
+    s_j are the scaled weights, descending, so the first n_big are the big
+    class.
 
     Over every coordinate that sum is the sum of v * count(v) over the
     support values v > g: with nonnegative weights f^({j}) = Inf_j / 2, so
@@ -537,12 +519,13 @@ def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
     off, one reduced support each.  Every partial sum is at most T * 2^n in
     size, so int64 below 2^63 and Python ints past it.
     """
-    sup = h.distribution().support()
     dtype = kernels.exact_int_dtype(sup.max_scaled << h.n)
     moments = sup.values.astype(dtype) * sup.counts.astype(dtype)
     sums = _suffix_counts(moments)[np.searchsorted(sup.values, cuts, side="right")]
     for j in range(n_big):
-        sums = sums - int(h.scaled[j]) * _pivotal_counts(h, j, cuts).astype(dtype)
+        w = int(h.scaled[j])
+        red = h.reduced_distribution(j).support()
+        sums = sums - w * _pivotal_counts(red, w, cuts).astype(dtype)
     return sums
 
 
@@ -559,15 +542,14 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     n_big = sum(1 for w in h.weights if w > beta)
     if n_big > 0.5 * math.log2(1 / float(eps)):
         return [CheckRecord.skipped("PROP5", ctx.label, "big class too large")]
-    values = h.distribution().support().values
-    t_scaled = math.floor(h.threshold * h.scale)
-    grid = values[values > t_scaled]
-    sums = _small_class_sums(h, n_big, np.append(t_scaled, grid))
+    sup = h.distribution().support()
+    t_scaled = h.cut()
+    grid = sup.values[sup.values > t_scaled]
+    sums = _small_class_sums(h, sup, n_big, np.append(t_scaled, grid))
     violations = int(np.count_nonzero(sums[1:] > sums[0]))
     ok = violations == 0
-    return [CheckRecord("PROP5", ctx.label, violations, 0, None, ok,
-                        PASS if ok else FAIL,
-                        f"|B|={n_big}, {len(grid)} raised thresholds")]
+    return [CheckRecord.verdict("PROP5", ctx.label, ok, violations, 0,
+                                f"|B|={n_big}, {len(grid)} raised thresholds")]
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +614,8 @@ def _check_gauss_member(ctx) -> list[CheckRecord]:
         worst = max(worst, int(c) / sup.total / gauss)
     bound = EATON_BOUND * EATON_SLACK
     ok = worst <= bound
-    return [CheckRecord("GAUSS-EATON", ctx.label, worst, bound, worst / EATON_BOUND,
-                        ok, PASS if ok else FAIL,
-                        f"{2 * len(values)} grid evaluations")]
+    return [CheckRecord.verdict("GAUSS-EATON", ctx.label, ok, worst, bound,
+                                f"{2 * len(values)} grid evaluations", worst / EATON_BOUND)]
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +628,8 @@ def _check_sign_level1_mass(ctx) -> list[CheckRecord]:
     w1 = ctx.level_weights.level(1)
     signed = (2 * f.mean - 1) ** 2 + 4 * w1
     ok = signed >= F(1, 2)
-    return [CheckRecord("GL-halfplane", ctx.label, F(1, 2), signed, None, ok,
-                        PASS if ok else FAIL, "level <=1 weight of the sign version")]
+    return [CheckRecord.verdict("GL-halfplane", ctx.label, ok, F(1, 2), signed,
+                                "level <=1 weight of the sign version")]
 
 
 @_check("LVL1-upper", _has_table)
@@ -660,8 +641,7 @@ def _check_level1_upper(ctx) -> list[CheckRecord]:
     w1 = ctx.level_weights.level(1)
     rhs = 2 * float(mu) ** 2 * math.log(1 / float(mu))
     ok = float(w1) <= rhs + 1e-12
-    return [CheckRecord("LVL1-upper", ctx.label, w1, rhs, None, ok,
-                        PASS if ok else FAIL)]
+    return [CheckRecord.verdict("LVL1-upper", ctx.label, ok, w1, rhs)]
 
 
 @_check("THM12-lower", _halfspace_table)
@@ -688,8 +668,7 @@ def _check_levelk_upper(ctx) -> list[CheckRecord]:
         lhs = ctx.level_weights.cumulative(k)
         rhs = (2 * math.e / k) ** k * float(mu) ** 2 * math.log(1 / float(mu)) ** k
         ok = float(lhs) <= rhs + 1e-12
-        recs.append(CheckRecord("LVLK-upper", f"{ctx.label} k={k}", lhs, rhs,
-                                None, ok, PASS if ok else FAIL))
+        recs.append(CheckRecord.verdict("LVLK-upper", f"{ctx.label} k={k}", ok, lhs, rhs))
     return recs
 
 
@@ -719,16 +698,14 @@ def _check_boundary_two_sided(ctx) -> list[CheckRecord]:
     vb1 = h.vertex_boundary(1)
     vb0 = h.vertex_boundary(0)
     ok = i1 / 2 <= vb1 <= F(7, 4) * i1
-    recs = [CheckRecord("PROP71", ctx.label, vb1, (i1 / 2, F(7, 4) * i1), None,
-                        ok, PASS if ok else FAIL)]
+    recs = [CheckRecord.verdict("PROP71", ctx.label, ok, vb1, (i1 / 2, F(7, 4) * i1))]
     ok0 = vb0 >= F(2, 7) * vb1
     # the member is not constant, so vb1 > 0, and log(1/eps) >= log 2
     ratio = float(vb0 / vb1)
     log_term = math.log(1 / float(h.mean()))
-    recs.append(CheckRecord("PROP72", ctx.label, vb0, F(2, 7) * vb1, ratio, ok0,
-                            PASS if ok0 else FAIL,
-                            f"vb0/vb1 = {ratio:.3f}; /log(1/eps) = "
-                            f"{ratio / log_term:.3f} (reported)"))
+    recs.append(CheckRecord.verdict("PROP72", ctx.label, ok0, vb0, F(2, 7) * vb1,
+                                    f"vb0/vb1 = {ratio:.3f}; /log(1/eps) = "
+                                    f"{ratio / log_term:.3f} (reported)", ratio))
     return recs
 
 
@@ -745,8 +722,7 @@ def _global_derivative_law() -> list[CheckRecord]:
         got, want = levelk.derivative_law_residual(k, x)
         worst = max(worst, abs(got - want))
     ok = worst <= 1e-5
-    return [CheckRecord("IH-DERIV", "200 random points, k<=6", worst, 1e-5,
-                        None, ok, PASS if ok else FAIL)]
+    return [CheckRecord.verdict("IH-DERIV", "200 random points, k<=6", ok, worst, 1e-5)]
 
 
 @_check("FDERIV")
@@ -765,8 +741,7 @@ def _global_poly_bracket() -> list[CheckRecord]:
         if not lo <= value <= hi:
             bad += 1
     ok = bad == 0
-    return [CheckRecord("FDERIV", "60 random polynomials, m<=5", bad, 0, None,
-                        ok, PASS if ok else FAIL)]
+    return [CheckRecord.verdict("FDERIV", "60 random polynomials, m<=5", ok, bad, 0)]
 
 
 @_check("NG", _is_halfspace)
@@ -779,18 +754,16 @@ def _check_newton_girard(ctx) -> list[CheckRecord]:
     stats = levelk.symmetric_stats(values, m_max)
     residuals = [stats.newton_girard_residual(m) for m in range(1, m_max + 1)]
     ok = all(r == 0 for r in residuals)
-    recs = [CheckRecord("NG", ctx.label, max(abs(r) for r in residuals), 0,
-                        None, ok, PASS if ok else FAIL,
-                        f"identities up to degree {m_max}")]
+    recs = [CheckRecord.verdict("NG", ctx.label, ok, max(abs(r) for r in residuals), 0,
+                                f"identities up to degree {m_max}")]
     for k in levelk.LEVELS:
         if k > m_max:
             continue
         hyp, chain, ek, bound = levelk.elementary_chain_check(stats, k)
         if hyp and levelk.Hypotheses(h, k).surrogate_ok:
             ok = chain and ek >= bound
-            recs.append(CheckRecord("NG", f"{ctx.label} chain k={k}", ek, bound,
-                                    None, ok, PASS if ok else FAIL,
-                                    "squared-weight elementary sums stay large"))
+            recs.append(CheckRecord.verdict("NG", f"{ctx.label} chain k={k}", ok, ek, bound,
+                                            "squared-weight elementary sums stay large"))
     return recs
 
 
@@ -807,8 +780,7 @@ def _check_sign_condition(ctx) -> list[CheckRecord]:
                                             "weights too large for exact scan"))
             continue
         if levelk.Hypotheses(h, k).all():
-            recs.append(CheckRecord("SIGN-COND", f"{ctx.label} k={k}", holds,
-                                    True, None, holds, PASS if holds else FAIL))
+            recs.append(CheckRecord.verdict("SIGN-COND", f"{ctx.label} k={k}", holds, holds, True))
         else:
             recs.append(CheckRecord("SIGN-COND", f"{ctx.label} k={k}", holds,
                                     None, None, None, SKIPPED,
@@ -846,10 +818,8 @@ def _check_best_correlator(ctx) -> list[CheckRecord]:
     denom = math.sqrt(float(w1) / math.log(math.e / float(w1)))
     stat = float(res.covariance) / denom
     ident = correlate.threshold_integral_identity(ctx.first_level)
-    ok_ident = ident == w1
-    return [CheckRecord("THM17", f"{ctx.label} identity", ident, w1, None,
-                        ok_ident, PASS if ok_ident else FAIL,
-                        "step integral of the covariance profile"),
+    return [CheckRecord.verdict("THM17", f"{ctx.label} identity", ident == w1, ident, w1,
+                                "step integral of the covariance profile"),
             CheckRecord.report("THM17", ctx.label, stat)]
 
 
@@ -874,10 +844,9 @@ def _check_biased_correlator(ctx) -> list[CheckRecord]:
     if not rec.hypothesis_met:
         return [CheckRecord.skipped("PROP93", ctx.label, "hypothesis not met")]
     ok = bool(rec.small_mean_ok and rec.expectation_ok)
-    return [CheckRecord("PROP93", ctx.label, float(rec.expectation),
-                        math.sqrt(rec.alpha) / 8 * float(f.mean), None, ok,
-                        PASS if ok else FAIL,
-                        f"mean_g={float(rec.mean_g):.4g} <= eps^(alpha/8)={float(f.mean) ** (rec.alpha / 8):.4g}")]
+    return [CheckRecord.verdict("PROP93", ctx.label, ok, float(rec.expectation),
+                                math.sqrt(rec.alpha) / 8 * float(f.mean),
+                                f"mean_g={float(rec.mean_g):.4g} <= eps^(alpha/8)={float(f.mean) ** (rec.alpha / 8):.4g}")]
 
 
 @_check("PROP16", _has_table)

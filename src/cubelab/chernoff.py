@@ -49,11 +49,16 @@ class CheckRecord:
     notes: str = ""
 
     @staticmethod
+    def verdict(check_id: str, instance: str, ok, lhs=None, rhs=None, notes: str = "",
+                ratio: float | None = None) -> "CheckRecord":
+        """A record that asserts: ok is its verdict, and its status says so."""
+        return CheckRecord(check_id, instance, lhs, rhs, ratio, ok, PASS if ok else FAIL, notes)
+
+    @staticmethod
     def inequality(check_id: str, instance: str, lhs, rhs, notes: str = "") -> "CheckRecord":
         """lhs <= rhs decides pass; ratio reported when rhs is nonzero."""
-        ok = bool(lhs <= rhs)
-        return CheckRecord(check_id, instance, lhs, rhs, bound_ratio(lhs, rhs),
-                           ok, PASS if ok else FAIL, notes)
+        return CheckRecord.verdict(check_id, instance, bool(lhs <= rhs), lhs, rhs, notes,
+                                   bound_ratio(lhs, rhs))
 
     @staticmethod
     def skipped(check_id: str, instance: str, notes: str) -> "CheckRecord":
@@ -158,8 +163,7 @@ def check_local_chernoff(h: Halfspace, t=None, variant: str = "strong", c=None,
         # with every weight above beta, |B| = n >= log(1/eps)/2 as eps >= 2^-n,
         # so the small-class mass below is never zero
         if n_big >= 0.5 * log_inv:
-            return CheckRecord(check_id, instance, None, None, None, True, PASS,
-                               "big-class branch holds")
+            return CheckRecord.verdict(check_id, instance, True, notes="big-class branch holds")
         small_sq = sum((w**2 for w in h.weights if w <= beta), Fraction(0))
         delta = h.delta_query(Fraction(1, 2), t)
         # the norm cancels: delta and the small-class mass rescale together
@@ -185,8 +189,7 @@ def gaussian_tail_ratio(h: Halfspace, t, instance: str = "") -> CheckRecord:
     if t < 0:
         raise ValueError("need t >= 0")
     norm = h.l2_norm()
-    dist = h.distribution()
-    prob = Fraction(dist.count_gt(t), dist.total)
+    prob = h.tail(t)
     z = float(t) / norm
     gauss = 0.5 * math.erfc(z / math.sqrt(2))
     ratio = float(prob) / gauss

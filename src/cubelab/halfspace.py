@@ -35,8 +35,10 @@ is one ``searchsorted`` of the suffix counts on the DP's cells or a sorted
 distribution.  On the split it is a weighted selection among the pairs
 of the two halves: a bracket narrowed by exact counts placed where a
 sample of its pairs puts the answer, then finished by the sorted search
-over its last few pairs.  A threshold whose scaled value leaves int64 is
-clamped into the range of a.x before any count, which keeps every count.
+over its last few pairs.  Thresholds and the keys of counts above a value
+are clamped into the range of a.x before any count, so none wraps int64.
+A ``Halfspace`` keeps each count in one memo (``memoized``), keyed by the
+counting function and its arguments and cleared when the backend changes.
 """
 
 from __future__ import annotations
@@ -150,10 +152,14 @@ class _TailBase:
         return self.counts_ge_scaled(np.arange(2 * (b + 1) - total, -2 * w - total, -2 * w))
 
     def count_gt_scaled(self, v: int) -> int:
-        return int(self.counts_ge_scaled(v + 1))
+        return int(self.counts_ge_scaled(_clamped(int(v), self.min_scaled, self.max_scaled) + 1))
 
     def counts_gt_scaled(self, v: np.ndarray) -> np.ndarray:
-        return self.counts_ge_scaled(np.asarray(v, dtype=np.int64) + 1)
+        """Each key clamped as ``_clamped`` clamps a cut before the + 1, so
+        no key wraps in int64, and a split subtracts its left values from
+        keys within its range."""
+        keys = np.maximum(np.asarray(v, dtype=np.int64), self.min_scaled - 1)
+        return self.counts_ge_scaled(np.minimum(keys, self.max_scaled) + 1)
 
     def _tail_cap(self, limit_num: int, limit_den: int) -> int:
         """count * limit_den <= limit_num holds exactly when count <=
@@ -161,17 +167,11 @@ class _TailBase:
         return min(limit_num // limit_den, self.total)
 
     def count_gt(self, q) -> int:
-        return self.count_gt_scaled(self._clamp(_floor_scaled(as_fraction(q), self.scale)))
+        return self.count_gt_scaled(_floor_scaled(as_fraction(q), self.scale))
 
     def count_ge(self, q) -> int:
         # integer values at least x are those above ceil(x) - 1
-        return self.count_gt_scaled(self._clamp(_ceil_scaled(as_fraction(q), self.scale) - 1))
-
-    def _clamp(self, cut: int) -> int:
-        return _clamped(cut, self.min_scaled, self.max_scaled)
-
-    def prob_gt(self, q) -> Fraction:
-        return Fraction(self.count_gt(q), self.total)
+        return self.count_gt_scaled(_ceil_scaled(as_fraction(q), self.scale) - 1)
 
     def count_interval(self, lo, hi, include_lo: bool = False, include_hi: bool = True) -> int:
         left = self.count_ge(lo) if include_lo else self.count_gt(lo)
@@ -339,8 +339,10 @@ class MeetInMiddleDistribution(_TailBase):
 
     def counts_ge_scaled(self, v):
         """Outcomes with value >= v at every entry of v, a block of rows of
-        keys at a time; a Python int or 0-d v is a block of one row."""
-        v = np.asarray(v, dtype=np.int64)
+        keys at a time; a Python int or 0-d v is a block of one row.  Keys
+        are clamped into min_scaled..max_scaled + 1 first, so none wraps
+        when a left value is subtracted."""
+        v = np.asarray(np.clip(v, self.min_scaled, self.max_scaled + 1), dtype=np.int64)
         flat = v.ravel()
         out = np.empty(len(flat), dtype=np.int64)
         lv, lc = self._rows
@@ -516,6 +518,18 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
     raise BudgetError(f"{what} exceeds the dense budget and n={n} > {MITM_MAX_N}")
 
 
+def memoized(count):
+    """count(h, *args) kept in halfspace h's one memo, keyed by the function itself and
+    its arguments; ``Halfspace.distribution`` clears it when the backend changes."""
+    def kept(h, *args):
+        key = (count, *args)
+        if key not in h._memo:
+            h._memo[key] = count(h, *args)
+        return h._memo[key]
+    kept.__doc__ = count.__doc__
+    return kept
+
+
 @dataclass(frozen=True)
 class DecayThresholds:
     """Shifts that make the tail drop by fixed factors, plus the step width m.
@@ -548,17 +562,7 @@ class Halfspace:
         self.scaled, self.scale = scaled_int64(weights)
         self._total = int(self.scaled.sum())  # T: a.x = 2s - T, s the sum of the +1 weights
         self._backend = None
-        self._forget()
-
-    def _forget(self) -> None:
-        """Drop every distribution and statistic counted so far."""
-        self._dist = None
-        self._reduced: dict[int, _TailBase] = {}
-        self._influences: dict[Fraction, list[Fraction]] = {}  # by threshold
-        self._boundaries: dict[Fraction, tuple[int, int]] = {}  # by threshold
-        self._deltas: dict[tuple[Fraction, Fraction], Fraction] = {}  # by (c, t)
-        self._decays: dict[tuple[Fraction, int | None], DecayThresholds] = {}  # by (t, k)
-        self._signs: dict[int, bool] = {}  # levelk.sign_condition_holds, by k
+        self._memo: dict[tuple, object] = {}  # every count so far, by ``memoized``
 
     # -- construction helpers ------------------------------------------------
 
@@ -575,36 +579,42 @@ class Halfspace:
 
     def distribution(self, backend: str | None = None) -> _TailBase:
         """The distribution of a.x.  Naming a backend other than the current
-        one drops every cached statistic, which came from the old route."""
+        one clears the memo, whose counts came from the old route."""
         if backend is not None and backend != self._backend:
-            self._forget()
+            self._memo.clear()
             self._backend = backend
-        if self._dist is None:
-            self._dist = distribution_from_scaled(self.scaled, self.scale, self._backend)
-        return self._dist
+        return self._distribution()
 
+    @memoized
+    def _distribution(self) -> _TailBase:
+        return distribution_from_scaled(self.scaled, self.scale, self._backend)
+
+    @memoized
     def reduced_distribution(self, j: int) -> _TailBase:
         """Distribution of a.x - a_j x_j (internal index j).
 
         When it and the full distribution both take the meet-in-the-middle
         backend, it shares the full distribution's half without j.
         """
-        if j not in self._reduced:
-            rest_total = self._total - int(self.scaled[j])
-            if (_mitm(self.n, self._total, self._backend)
-                    and _mitm(self.n - 1, rest_total, self._backend)):
-                self._reduced[j] = self.distribution().without(self.scaled, j)
-            else:
-                rest = np.delete(self.scaled, j)
-                self._reduced[j] = distribution_from_scaled(rest, self.scale, self._backend)
-        return self._reduced[j]
+        rest_total = self._total - int(self.scaled[j])
+        if (_mitm(self.n, self._total, self._backend)
+                and _mitm(self.n - 1, rest_total, self._backend)):
+            return self.distribution().without(self.scaled, j)
+        return distribution_from_scaled(np.delete(self.scaled, j), self.scale, self._backend)
 
     # -- basic statistics ------------------------------------------------------
 
+    def _at(self, t) -> Fraction:  # t as a Fraction, the threshold when t is None
+        return self.threshold if t is None else as_fraction(t)
+
     def tail(self, t=None) -> Fraction:
         """F(t) = Pr[a.x > t]."""
-        t = self.threshold if t is None else as_fraction(t)
-        return self.distribution().prob_gt(t)
+        return Fraction(self._tail_count(self._at(t)), 1 << self.n)
+
+    @memoized
+    def _tail_count(self, t: Fraction) -> int:
+        """The outcomes with a.x > t, of 2^n, as the tail and every search base read it."""
+        return self.distribution().count_gt(t)
 
     def mean(self) -> Fraction:
         return self.tail()
@@ -616,9 +626,9 @@ class Halfspace:
     def l2_norm(self) -> float:
         return math.sqrt(float(self.sq_norm()))
 
-    def _cut(self, t: Fraction) -> int:
-        """floor(t * scale), clamped into the range of a.x, -T..T."""
-        return _clamped(_floor_scaled(t, self.scale), -self._total, self._total)
+    def cut(self, t=None) -> int:
+        """floor(t * scale), t the threshold by default, clamped into -T..T."""
+        return _clamped(_floor_scaled(self._at(t), self.scale), -self._total, self._total)
 
     def influence_internal(self, j: int, t=None) -> Fraction:
         return self.influences(t)[self.order[j]]
@@ -637,15 +647,16 @@ class Halfspace:
     def influences(self, t=None) -> list[Fraction]:
         """Influence of every original coordinate, computed once per threshold
         by the distribution (``influence_counts`` of either backend), and
-        refused exactly when it is."""
-        t = self.threshold if t is None else as_fraction(t)
-        if t not in self._influences:
-            counts = self.distribution().influence_counts(self.scaled, self._cut(t)).tolist()
-            out = [Fraction(0)] * self.arity
-            for orig, count in zip(self.order, counts):
-                out[orig] = Fraction(count, 1 << (self.n - 1))
-            self._influences[t] = out
-        return list(self._influences[t])
+        refused exactly when it is; a copy of the memo's list."""
+        return list(self._influences_at(self._at(t)))
+
+    @memoized
+    def _influences_at(self, t: Fraction) -> list[Fraction]:
+        counts = self.distribution().influence_counts(self.scaled, self.cut(t)).tolist()
+        out = [Fraction(0)] * self.arity
+        for orig, count in zip(self.order, counts):
+            out[orig] = Fraction(count, 1 << (self.n - 1))
+        return out
 
     def max_influence(self, t=None) -> tuple[Fraction, int]:
         """(value, original index); lowest original index wins ties."""
@@ -664,11 +675,9 @@ class Halfspace:
         """
         if lam not in (0, 1):
             raise ValueError("boundary side must be 0 or 1")
-        t = self.threshold if t is None else as_fraction(t)
-        if t not in self._boundaries:
-            self._boundaries[t] = self._boundary_counts(t)
-        return Fraction(self._boundaries[t][lam], 1 << self.n)
+        return Fraction(self._boundary_counts(self._at(t))[lam], 1 << self.n)
 
+    @memoized
     def _boundary_counts(self, t: Fraction) -> tuple[int, int]:
         """0-side and 1-side boundary counts at t.
 
@@ -681,12 +690,12 @@ class Halfspace:
         of its counts (``_window_sum``).
         """
         if _mitm(self.n - 1, self._total, self._backend):
-            return _paired_suffix_counts(self.scaled, self._cut(t))
+            return _paired_suffix_counts(self.scaled, self.cut(t))
         after_first = self.scaled[:0:-1]  # suffix 0, ascending
         if not _dense(self.n - 1, int(after_first.sum()), self._backend):
             raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")
         c0 = c1 = 0
-        b = (self._cut(t) + self._total) // 2  # w decides at sums b - w + 1..b of the rest
+        b = (self.cut(t) + self._total) // 2  # w decides at sums b - w + 1..b of the rest
         weights = self.scaled.tolist()
         prefix, rest = self._total, 0  # the sums of weights[:k + 1] and weights[k + 1:]
         sweep = kernels.subset_sum_prefixes(after_first)
@@ -715,42 +724,36 @@ class Halfspace:
         c = as_fraction(c)
         if c < 0:
             raise ValueError(f"decay factor {format_fraction(c)} is negative")
-        t = self.threshold if t is None else as_fraction(t)
-        if (c, t) not in self._deltas:
-            self._deltas[c, t] = self._delta(c, t)
-        return self._deltas[c, t]
+        return self._delta(c, self._at(t))
 
+    @memoized
     def _delta(self, c: Fraction, t: Fraction) -> Fraction:
-        dist = self.distribution()
-        base = dist.count_gt(t)
+        base = self._tail_count(t)
         if base == 0:
             raise ValueError("tail probability at t is zero")
         limit_num, limit_den = (c.numerator * base, c.denominator)
         if base * limit_den <= limit_num:
             return Fraction(0)
-        vstar = dist.first_value_tail_le(limit_num, limit_den)
+        vstar = self.distribution().first_value_tail_le(limit_num, limit_den)
         return Fraction(vstar, self.scale) - t
 
     def decay_thresholds(self, t=None, k: int | None = None) -> DecayThresholds:
         """The decay shifts at t, searched once per (t, k)."""
-        t = self.threshold if t is None else as_fraction(t)
-        if (t, k) not in self._decays:
-            self._decays[t, k] = self._decay_thresholds(t, k)
-        return self._decays[t, k]
+        return self._decay_thresholds(self._at(t), k)
 
+    @memoized
     def _decay_thresholds(self, t: Fraction, k: int | None) -> DecayThresholds:
         beta = self.delta_query(Fraction(1, 3), t)
         if k is None:
             gamma = self.delta_query(Fraction(1, 6), t)
         else:
-            base_count = self.distribution().count_gt(t)
             gamma = Fraction(0)
             lvl = 1
             while True:
                 factor = (6 * k) ** lvl
                 shift = self.delta_query(Fraction(1, factor), t)
                 gamma = max(gamma, shift / lvl)
-                if base_count < factor:  # tail must be empty from here on
+                if self._tail_count(t) < factor:  # tail must be empty from here on
                     break
                 lvl += 1
         m = 2 * self.weights[0] if self.n else Fraction(0)
@@ -766,7 +769,7 @@ class Halfspace:
         delta = as_fraction(delta)
         if delta <= 0:
             raise ValueError("smoothing width must be positive")
-        t = self.threshold if t is None else as_fraction(t)
+        t = self._at(t)
         j = self._internal(i)
         if j is None:
             return Fraction(0)

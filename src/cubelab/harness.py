@@ -426,7 +426,7 @@ def _assert_pinned(records: list[CheckRecord], constants: PinnedConstants) -> No
     that CheckRecord.inequality reports.  A passing record of a pinned check
     that carries no statistic (a branch that holds outright) shows the bound.
     """
-    for rec in records:
+    for i, rec in enumerate(records):
         bound = constants.get(rec.check_id) if rec.check_id in PIN_KINDS else None
         if bound is None:
             continue
@@ -436,13 +436,13 @@ def _assert_pinned(records: list[CheckRecord], constants: PinnedConstants) -> No
         if rec.status != REPORT or not isinstance(rec.lhs, float):
             continue
         kind = PIN_KINDS[rec.check_id]
+        ratio = rec.ratio
         if kind == "upper":
             ok = rec.lhs <= bound
-            rec.ratio = bound_ratio(rec.lhs, bound)
+            ratio = bound_ratio(rec.lhs, bound)
         elif kind == "lower":
             ok = rec.lhs >= bound
         else:
             ok = bound[0] <= rec.lhs <= bound[1]
-        rec.rhs = bound
-        rec.passed = ok
-        rec.status = PASS if ok else FAIL
+        records[i] = CheckRecord.verdict(rec.check_id, rec.instance, ok, rec.lhs, bound,
+                                         rec.notes, ratio)

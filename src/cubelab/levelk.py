@@ -24,8 +24,8 @@ import numpy as np
 
 from . import kernels
 from .bfcore import TABLE_CAP
-from .chernoff import FAIL, PASS, SKIPPED, CheckRecord
-from .halfspace import Halfspace
+from .chernoff import SKIPPED, CheckRecord
+from .halfspace import Halfspace, memoized
 from .rational import as_fraction, common_scale
 
 LEVELS = (2, 3)  # the degrees k of the level-k checks
@@ -323,20 +323,19 @@ def sign_condition_holds(h: Halfspace, k: int) -> bool:
     tail counts of the distribution, on either backend.  Level 3 is
     ``_third_level_holds``.  Refused, as the cube's layers are, where
     ``e_k_fits`` is false; above the arity e_k is 0 and the condition holds.
-    The verdict is kept on the halfspace, so SIGN-COND and WK-PIPELINE
-    decide each (member, k) once.
+    The verdict is kept in the halfspace's memo, so SIGN-COND and
+    WK-PIPELINE decide each (member, k) once.
     """
     if not e_k_fits(h, k):
         raise OverflowError("elementary symmetric values would overflow int64")
-    if k not in h._signs:
-        h._signs[k] = _sign_condition(h, k)
-    return h._signs[k]
+    return _sign_condition(h, k)
 
 
+@memoized
 def _sign_condition(h: Halfspace, k: int) -> bool:
     if k > h.n:
         return True
-    cut = h._cut(h.threshold)
+    cut = h.cut()
     if k == 3:
         return _third_level_holds(h, cut)
     if k == 1:
@@ -552,6 +551,5 @@ def pipeline_record(report: PipelineReport, instance: str = "") -> CheckRecord:
     if not asserted:
         return CheckRecord("WK-PIPELINE", instance, report.smoothed_total, None,
                            None, True, SKIPPED, notes)
-    ok = all(asserted)
-    return CheckRecord("WK-PIPELINE", instance, report.smoothed_total, None,
-                       None, ok, PASS if ok else FAIL, notes)
+    return CheckRecord.verdict("WK-PIPELINE", instance, all(asserted), report.smoothed_total,
+                               notes=notes)

@@ -605,14 +605,18 @@ def fraction_symmetric_stats(values, m_max: int):
     return SymmetricStats(vals, tuple(elem), tuple(power))
 
 
+def _prob_gt(dist, q) -> Fraction:
+    return Fraction(dist.count_gt(q), dist.total)
+
+
 def check_log_concavity(dist, b, c, d, m) -> CheckRecord:
     """LEM111's F(d)F(b) <= F(c)F(b+d-c-m) for b <= c <= d, both sides as
     products of Fraction tail probabilities."""
     b, c, d, m = map(Fraction, (b, c, d, m))
     if not b <= c <= d:
         raise ValueError("need b <= c <= d")
-    lhs = dist.prob_gt(d) * dist.prob_gt(b)
-    rhs = dist.prob_gt(c) * dist.prob_gt(b + d - c - m)
+    lhs = _prob_gt(dist, d) * _prob_gt(dist, b)
+    rhs = _prob_gt(dist, c) * _prob_gt(dist, b + d - c - m)
     return CheckRecord.inequality("LEM111", "", lhs, rhs)
 
 
@@ -624,8 +628,8 @@ def check_log_concave_exp(dist, t, delta, m) -> CheckRecord:
     if t < 0 or delta <= 0:
         raise ValueError("need t >= 0 and delta > 0")
     level = 1 + int(t // delta)
-    lhs = dist.prob_gt(t + delta + m) ** level
-    rhs = 2 * dist.prob_gt(t) ** (level + 1)
+    lhs = _prob_gt(dist, t + delta + m) ** level
+    rhs = 2 * _prob_gt(dist, t) ** (level + 1)
     ok = lhs <= rhs
     return CheckRecord("LEM42", "", lhs, rhs, None, ok, "pass" if ok else "fail",
                        f"l={level}")

@@ -8,7 +8,10 @@ wrote.  A gate passes when its exit code is the expected one and each file it
 pins has the recorded sha256.  The checkout's src/ goes first on PYTHONPATH,
 so this runs the same from a checkout or an install.  A gate's optional
 `env` map is added to the environment of that gate's process alone.  Prints
-one line per gate, its env first, and exits 1 if any gate failed.
+one line per gate, its env first, and exits 1 if any gate failed.  When a
+gate with an `env` map moves a pinned report (a JSON file with records), it
+also prints tests/report_diff.py's summary of the new output against the
+output of the earlier gate that pins the same sha256, the default run.
 
 `--keep DIR` copies the work directory's files to DIR once every gate has
 run.  `--against DIR` reads DIR as such a copy, from another tree: for each
@@ -55,6 +58,7 @@ def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -
         work = Path(tmp)
         for name, text in spec["files"].items():
             (work / name).write_bytes(text.encode())
+        pinned: dict[str, Path] = {}  # sha256 -> the first output that pins it
         for gate in spec["gates"]:
             start = time.perf_counter()
             gate_env = gate.get("env", {})
@@ -71,9 +75,15 @@ def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -
                 got = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "missing"
                 if got != digest:
                     wrong.append(f"{name}: sha256 {got}, expected {digest}")
-                    if against is not None and out.exists() and name.endswith(".json"):
+                    report = out.exists() and name.endswith(".json")
+                    if against is not None and report:
                         wrong += [f"  {line}" for line in
                                   moved_report_lines(Path(against) / name, out)]
+                    default = pinned.get(digest)
+                    if gate_env and report and default is not None:
+                        wrong.append(f"  against {default.name}:")
+                        wrong += [f"  {line}" for line in moved_report_lines(default, out)]
+                pinned.setdefault(digest, out)
             failed |= bool(wrong)
             seconds = time.perf_counter() - start
             label = " ".join([*(f"{k}={v}" for k, v in gate_env.items()), gate["cmd"]])

@@ -91,3 +91,37 @@ def test_a_moved_report_is_explained_against_a_kept_copy(tmp_path, capsys):
     assert detail[0].startswith(f"{name}: sha256 ")
     assert detail[1:] == [f"{record['check_id']}:", "fields differ: notes (1)",
                           "1 check ids differ; 0 records in one report only"]
+
+
+def test_an_env_gate_that_moves_a_report_is_explained_against_the_default_run(tmp_path, capsys):
+    """A default gate writes a report; a gate with an env map pins the same
+    sha256, but its corpus has one threshold moved, which moves the notes
+    of one LEM52 record.  The env gate fails with report_diff's summary
+    against the default run's output; the same gate without env prints the
+    bare digest line."""
+    corpus = {"name": "pair", "entries": ["ltf:3,2,1;1", "ltf:5,3,3,1,1;2"]}
+    moved = {**corpus, "entries": ["ltf:3,2,1;1", "ltf:5,3,3,1,1;4"]}
+    files = {"pair.json": json.dumps(corpus), "moved.json": json.dumps(moved)}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cmd = "verify --suite tail-lemmas --corpus {} --out {}"
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    argv = [sys.executable, "-m", "cubelab.cli", *cmd.format("pair.json", "a.json").split()]
+    subprocess.run(argv, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, check=True)
+    digest = hashlib.sha256((tmp_path / "a.json").read_bytes()).hexdigest()
+    default = {"cmd": cmd.format("pair.json", "default.json"), "exit": 0,
+               "sha256": {"default.json": digest}}
+    env_gate = {"cmd": cmd.format("moved.json", "env.json"), "exit": 0,
+                "sha256": {"env.json": digest}, "env": {"OPENBLAS_NUM_THREADS": "1"}}
+    plain = {**env_gate, "env": {}}
+    manifest = tmp_path / "gates.json"
+    manifest.write_text(json.dumps({"files": files, "gates": [default, env_gate, plain]}))
+    assert run_gates(manifest) == 1
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if not line.startswith(" ")]
+    assert [out[i].split()[0] for i in heads] == ["ok", "FAIL", "FAIL"]
+    detail = [line.strip() for line in out[heads[1] + 1 : heads[2]]]
+    assert detail[0].startswith("env.json: sha256 ") and detail[1] == "against default.json:"
+    assert detail[2:] == ["LEM52:", "fields differ: notes (1)",
+                          "1 check ids differ; 0 records in one report only"]
+    assert [line.strip().split(":")[0] for line in out[heads[2] + 1 :]] == ["env.json"]

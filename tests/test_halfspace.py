@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubelab import bfcore, chernoff, harness, influence, kernels
+from cubelab import bfcore, chernoff, harness, influence, kernels, levelk
 from cubelab import halfspace as hs
 from cubelab.halfspace import (
     BudgetError,
@@ -632,9 +632,9 @@ def test_halves_route_builds_no_other_distribution(monkeypatch):
 
     monkeypatch.setattr(hs, "_enumerated", refused)
     monkeypatch.setattr(hs, "distribution_from_scaled", refused)
+    monkeypatch.setattr(Halfspace, "reduced_distribution", refused)
     for t, expect in zip(thresholds, want):
         assert (h.influences(t), h.vertex_boundary(0, t), h.vertex_boundary(1, t)) == expect
-    assert h._reduced == {}
 
 
 @pytest.mark.parametrize("weight", [F(1), F(7, 3)])
@@ -890,6 +890,39 @@ def test_reduced_distributions_share_the_other_half(weights):
             assert_same_distribution(red, distribution_from_scaled(rest, h.scale, backend=backend))
 
 
+@pytest.mark.parametrize("weights", [[3, 2, 2, 1], [9, 5, 3], [4, 4, 2, 2, 1, 1]])
+def test_gt_counts_clamp_their_keys(weights):
+    """Keys above are clamped into the support's range before the + 1, and
+    a split clamps its keys before it subtracts its left values, so none
+    wraps in int64: on the DP's cells, the enumerated cube and the split,
+    the outcomes above each key, as an array and one by one, and those at
+    or above it, at the int64 extremes, at -+(T + 1) and at every support
+    value and one either side, equal the points' own counts and count_gt
+    at that key; Python ints past int64 count as the extremes do."""
+    w = np.array(weights, dtype=np.int64)
+    total = int(w.sum())
+    points = kernels.dot_values(w)
+    keys = sorted({-(1 << 63), (1 << 63) - 1, -total - 1, total + 1}
+                  | {int(v) + d for v in np.unique(points) for d in (-1, 0, 1)})
+    want = [int(np.count_nonzero(points > k)) for k in keys]
+    forms = (distribution_from_scaled(w, 1, "dense"), hs._enumerated(w, 1),
+             distribution_from_scaled(w, 1, "mitm"))
+    assert [type(d) for d in forms] == [TailDistribution, SupportDistribution,
+                                        MeetInMiddleDistribution]
+    ge = [int(np.count_nonzero(points >= k)) for k in keys]
+    for dist in forms:
+        assert dist.counts_gt_scaled(np.array(keys, dtype=np.int64)).tolist() == want
+        assert [dist.count_gt_scaled(k) for k in keys] == want
+        assert [dist.count_gt(k) for k in keys] == want
+        assert dist.counts_ge_scaled(np.array(keys, dtype=np.int64)).tolist() == ge
+        assert [int(dist.counts_ge_scaled(k)) for k in (-(1 << 70), 1 << 70)] == [len(points), 0]
+    dense, _, split = forms
+    extremes = np.array([(1 << 63) - 1, -(1 << 63)])
+    if weights == [3, 2, 2, 1]:  # the dense form read [16, 16] and the split [8, 12]
+        assert dense.counts_gt_scaled(extremes).tolist() == [0, 16]
+        assert split.counts_gt_scaled(extremes).tolist() == [0, 16]
+
+
 @pytest.mark.parametrize("weights", [
     [6, 4, 4, 2, 2, 8], [9, 3, 3, 6, 12, 3], [5, 5, 3, 3, 3, 1, 0, 0], [7, 0, 2, 2, 9, 1, 1, 4],
     [1], [2] * 61 + [4, 6], [3] * 63 + [6]])
@@ -1018,11 +1051,15 @@ def test_smoothed_influence_from_shared_halves_matches_brute():
 
 def test_backend_switch_recounts_every_statistic(monkeypatch):
     """A dense/meet-in-the-middle cross-check on one object: after the
-    switch every statistic is counted again on the new route, and agrees."""
+    switch every statistic, the tail count and the sign verdict among them,
+    is counted again on the new route, and agrees.  The delta search reads
+    its base from the memo, so its new count is a probe of the halves."""
     h = make_halfspace([5, 3, 3, 1, 1], 2)
     h.distribution(backend="dense")
-    dense = (h.influences(), h.vertex_boundary(0), h.decay_thresholds(),
-             h.delta_query(F(1, 2)))
+    stats = (h.tail, h.influences, lambda: h.vertex_boundary(0),
+             lambda: levelk.sign_condition_holds(h, 2), h.decay_thresholds,
+             lambda: h.delta_query(F(1, 2)))
+    dense = [stat() for stat in stats]
     vb1 = h.vertex_boundary(1)
     assert isinstance(h.reduced_distribution(0), TailDistribution)
     assert isinstance(distribution_from_scaled(h.scaled[1:], h.scale, "dense"), TailDistribution)
@@ -1037,20 +1074,45 @@ def test_backend_switch_recounts_every_statistic(monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    # the meet-in-the-middle routes: tail counts, influences and boundaries
+    # the meet-in-the-middle routes: tail counts, probes, influences and boundaries
+    monkeypatch.setattr(hs, "_SEARCH_PAIRS", 1)  # so the search probes
     spy(MeetInMiddleDistribution, "counts_ge_scaled")
+    spy(MeetInMiddleDistribution, "_probe")
     spy(MeetInMiddleDistribution, "influence_counts")
     spy(hs, "_paired_suffix_counts")
     assert isinstance(h.distribution(backend="mitm"), MeetInMiddleDistribution)
-    for i, stat in enumerate((h.influences, lambda: h.vertex_boundary(0),
-                              h.decay_thresholds, lambda: h.delta_query(F(1, 2)))):
+    for stat, want in zip(stats, dense):
         before = len(counted)
-        assert stat() == dense[i]
+        assert stat() == want
         assert len(counted) > before
     assert h.vertex_boundary(1) == vb1  # counted with side 0
     assert isinstance(h.reduced_distribution(0), MeetInMiddleDistribution)
     assert isinstance(distribution_from_scaled(h.scaled[1:], h.scale, "mitm"),
                       MeetInMiddleDistribution)
+
+
+def test_chernoff_sequence_counts_the_tail_once(monkeypatch):
+    """`cubelab chernoff`'s sequence on the 26-coordinate member of CI's
+    chernoff gate (tail, delta query, decay thresholds, strong and weak
+    statistics, Gaussian ratio) counts the tail at t once: the tail, the
+    mean and each delta search's base read one memo entry."""
+    corpus = harness.corpus_gen(
+        "random-halfspace", {"n_lo": 26, "n_hi": 26, "count": 1, "weight_bits": 24}, seed=5)
+    h = parse_halfspace(corpus.entries[0])
+    assert isinstance(h.distribution(), MeetInMiddleDistribution)
+    counts = []
+    count = MeetInMiddleDistribution.counts_ge_scaled
+    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled",
+                        lambda self, v: counts.append(v) or count(self, v))
+    t = h.threshold
+    h.tail(t)
+    h.delta_query(F(1, 2), t)
+    h.decay_thresholds(t)
+    chernoff.check_local_chernoff(h, t, "strong")
+    chernoff.check_local_chernoff(h, t, "weak", c=F(1, 2))
+    chernoff.gaussian_tail_ratio(h, t)
+    assert len(counts) == 1
+    assert h.mean() == h.tail(t) and len(counts) == 1
 
 
 def test_delta_searched_once_per_c_and_t(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from cubelab import checks, correlate, halfspace, harness, kernels, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import (Halfspace, MeetInMiddleDistribution, SupportDistribution,
-                               make_halfspace, parse_halfspace)
+                               TailDistribution, make_halfspace, parse_halfspace)
 
 import oracles
 
@@ -589,6 +590,24 @@ def _prop5_thresholds(h):
     return [values[0] - 1] + values + between + [values[-1] + F(1, 2)]
 
 
+def test_tail_lemmas_pass_their_supports_to_the_helpers(monkeypatch):
+    """COR36 and LEM62 hand the reduced support they hold to
+    ``_pivotal_counts``, and PROP5 its full support to
+    ``_small_class_sums``: on the seed-1 16-coordinate dense member the
+    tail lemmas make 5 sorted supports of the DP's cells, where rebuilding
+    them in the helpers made 8, and the report keeps its bytes."""
+    corpus = harness.corpus_gen("random-halfspace", {"n_lo": 16, "n_hi": 16, "count": 1}, seed=1)
+    assert isinstance(parse_halfspace(corpus.entries[0]).distribution(), TailDistribution)
+    built = []
+    support = TailDistribution.support
+    monkeypatch.setattr(TailDistribution, "support", lambda self: built.append(1) or support(self))
+    report, _ = harness.run_suite("tail-lemmas", corpus)
+    assert len(built) == 5
+    assert [r.status for r in report.records] == ["pass"] * 8
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "efbb52474c0ac4e3b3fb80928074a7fb627c69e5ac44f9af2e5d552c96c6211f")
+
+
 def test_prop5_sums_match_the_per_coordinate_route():
     """PROP5's small-class sums by the identity against one reduced
     distribution per coordinate, for every big-class size 0..n: tied
@@ -607,7 +626,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
         thresholds = _prop5_thresholds(h)
         cuts = np.array([math.floor(t * h.scale) for t in thresholds])
         for n_big in range(h.n + 1):
-            got = checks._small_class_sums(h, n_big, cuts)
+            got = checks._small_class_sums(h, h.distribution().support(), n_big, cuts)
             assert got.tolist() == oracles.per_coordinate_small_class_sums(
                 h, n_big, thresholds), (h.to_text(), n_big)
     wide = make_halfspace([int(w) for w in rng.integers(3, 6, size=60)], 0)
@@ -617,7 +636,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
     cuts = np.array([math.floor(t) for t in thresholds])
     for n_big in (0, 1, 2, 30, 59, 60):
         want = oracles.per_coordinate_small_class_sums(wide, n_big, thresholds)
-        assert checks._small_class_sums(wide, n_big, cuts).tolist() == want
+        assert checks._small_class_sums(wide, dist.support(), n_big, cuts).tolist() == want
     assert max(oracles.per_coordinate_small_class_sums(wide, 0, thresholds)) >= 1 << 63
 
 
