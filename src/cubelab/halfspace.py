@@ -33,12 +33,15 @@ budget from suffixes of the two halves paired.
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the DP's cells or a sorted
 distribution.  On the split it is a weighted selection among the pairs
-of the two halves: a bracket narrowed by exact counts placed where a
-sample of its pairs puts the answer, then finished by the sorted search
-over its last few pairs.  Thresholds and the keys of counts above a value
-are clamped into the range of a.x before any count, so none wraps int64.
-A ``Halfspace`` keeps each count in one memo (``memoized``), keyed by the
-counting function and its arguments and cleared when the backend changes.
+of the two halves: a bracket narrowed by exact counts, each placed by a
+secant step in the normal quantile of the share below (the first by the
+Gaussian limit), then finished by the sorted search over its last few
+pairs.  A sample of the bracket's pairs places the counts only after a
+step that gained little, as where a.x is far from Gaussian.  Thresholds
+and the keys of counts above a value are clamped into the range of a.x
+before any count, so none wraps int64.  A ``Halfspace`` keeps each count
+in one memo (``memoized``), keyed by the counting function and its
+arguments and cleared when the backend changes.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ MITM_MAX_N = 40
 MAX_SUMMANDS = 1 - sys.float_info.min_exp
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
 _QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
-_SEARCH_PAIRS = 4096  # pairs a delta search samples per round, and reads at the end
+_SEARCH_PAIRS = 4096  # pairs a delta search samples in a safeguard round, and reads at the end
 
 
 class BudgetError(ValueError):
@@ -239,13 +242,14 @@ class TailDistribution(_TailBase):
         self.min_scaled = -self.max_scaled
 
     def counts_ge_scaled(self, v):
-        """The suffix at cell ceil((v + T) / 2), clipped to 0..T + 1: a
-        Python int v stays one, and an array is clipped to +-(T + 1) before
-        T is added, so int64 cannot wrap."""
+        """The suffix at cell ceil((v + T) / 2), clamped to 0..T + 1: a
+        Python int v stays one, and an array is clamped to +-(T + 1) before
+        T is added, so int64 cannot wrap.  ``np.maximum`` and ``np.minimum``
+        clamp it: ``np.clip`` costs more on the few keys a check passes."""
         top = self.max_scaled
         if not isinstance(v, np.ndarray):
             return self._suffix[min(max((int(v) + top + 1) // 2, 0), top + 1)]
-        cells = np.clip(v.astype(np.int64, copy=False), -top - 1, top + 1)
+        cells = np.minimum(np.maximum(v.astype(np.int64, copy=False), -top - 1), top + 1)
         cells += top + 1
         cells >>= 1
         return self._suffix[cells]
@@ -300,6 +304,7 @@ class MeetInMiddleDistribution(_TailBase):
         self.min_scaled = left.min_scaled + right.min_scaled
         self.max_scaled = left.max_scaled + right.max_scaled
         self._support = None
+        self._sigma = None  # the standard deviation of a.x, on the first delta search
 
     @classmethod
     def from_weights(cls, weights: np.ndarray, scale: int) -> "MeetInMiddleDistribution":
@@ -393,32 +398,69 @@ class MeetInMiddleDistribution(_TailBase):
         A bracket [lo, hi] always holds the answer: every value below lo
         has more than cap outcomes above it, and hi has at most cap.  It
         keeps, per left row, the span of right indices whose pairs lie in
-        it.  Each round samples _SEARCH_PAIRS of its pairs, estimates where
-        the outcomes above reach the cap, and probes once either side of the
-        estimate (or the midpoint, when neither side is inside); a probe is
-        one exact count, whose right indices become the new span ends.  Once
-        it holds at most _SEARCH_PAIRS pairs, the sorted search over them ends.
-        The sample only places the probes, and its generator has a fixed
-        seed, so each search makes the same probes on every run.
+        it.  A probe is one exact count, whose right indices become the new
+        span ends; once the bracket holds at most _SEARCH_PAIRS pairs, the
+        sorted search over them ends.
+
+        Each probe is a secant step in z(v), the normal quantile of the
+        share of outcomes at or below v, which is nearly linear in v when
+        a.x is nearly Gaussian.  The first is placed by the Gaussian limit
+        (a.x is symmetric about 0, its standard deviation ``_sigma``), each
+        later one from the last two probes.  A step outside the bracket
+        becomes regula falsi between its ends.  Once an end is within
+        _SEARCH_PAIRS outcomes of the cap, the step aims just past the cap
+        (``_goal``), so that the next probe closes the bracket.
+
+        A round whose nearest probe is not 4 times closer to the cap than
+        the round before's (than total, in the first round) is followed by
+        the safeguard, for a.x far from Gaussian: a round that samples
+        _SEARCH_PAIRS of the bracket's pairs, estimates where the outcomes
+        above reach the cap, and probes once either side of the estimate (or
+        the midpoint, when neither side is inside).  The sample's generator
+        has a fixed seed, so each search makes the same probes on every run.
         """
         cap = self._tail_cap(limit_num, limit_den)
         if cap < 0:
             return self.max_scaled
+        from statistics import NormalDist  # on the first search, not with the package
+        quantile, total = NormalDist().inv_cdf, self.total
+
+        def z(above: int) -> float:
+            """z of a value with `above` outcomes above it, the quantile read
+            on the smaller side and kept finite at 0 and total outcomes."""
+            side = max(min(above, total - above), 0.5) / total
+            return quantile(side) if 2 * above > total else -quantile(side)
+
         lo, hi = self.min_scaled, self.max_scaled
-        above_lo, above_hi = self.total, 0  # outcomes >= lo and > hi
+        above_lo, above_hi = total, 0  # outcomes >= lo and > hi
         first = np.zeros(len(self.left.values), dtype=np.int64)
         stop = np.full(len(self.left.values), len(self.right.values), dtype=np.int64)
         rng = np.random.default_rng(0)
+        if self._sigma is None:  # the halves' variances added, each half symmetric about 0
+            self._sigma = math.sqrt(sum(float(half.counts @ np.square(half.values, dtype=float))
+                                        / half.total for half in (self.left, self.right)))
+        last, slope = (0, 0.0), self._sigma  # the Gaussian limit's centre and dv/dz
+        gap, sample = total, False  # the last round's nearest distance to the cap
         while lo < hi and int((spans := stop - first).sum()) > _SEARCH_PAIRS:
-            q = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
-            probes = [v for v in self._estimates(first, spans, q, rng) if lo <= v < hi]
-            for v in probes or [(lo + hi) // 2]:
+            if sample:
+                q = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
+                probes = [v for v in self._estimates(first, spans, q, rng) if lo <= v < hi]
+                probes = probes or [(lo + hi) // 2]
+            else:
+                goal = z(_goal(cap, above_lo, above_hi))
+                probes = [_step(last, slope, goal, lo, hi, (z(above_lo), z(above_hi)))]
+            near = total
+            for v in probes:
                 if lo <= v < hi:  # the round's first probe may have passed it
                     above, idx = self._probe(v)
                     if above <= cap:
                         hi, above_hi, stop = v, above, idx
                     else:
                         lo, above_lo, first = v + 1, above, idx
+                    if (score := z(above)) != last[1]:
+                        slope = (v - last[0]) / (score - last[1])
+                    last, near = (v, score), min(near, abs(above - cap))
+            sample, gap = 4 * near >= gap, near
         if lo == hi:
             return lo
         window = SupportDistribution(*self._pair_sums(first, stop), self.scale, self.n_summands)
@@ -456,6 +498,32 @@ def _clamped(cut: int, low: int, high: int) -> int:
     """A scaled cut clamped to [low - 1, high]: for values in [low, high]
     the outcomes above it are the same, and it fits int64."""
     return min(max(cut, low - 1), high)
+
+
+def _step(last: tuple[int, float], slope: float, goal: float, lo: int, hi: int,
+          ends: tuple[float, float]) -> int:
+    """A delta search's secant step to z = goal from `last`, a value and its
+    z, along `slope` (dv/dz).  A step outside the bracket [lo, hi) is regula
+    falsi between its ends, z_lo at lo - 1 and z_hi at hi (`ends`), instead;
+    either is clamped into lo..hi - 1, so every step is a probe."""
+    v = last[0] + slope * (goal - last[1])
+    if not lo <= v < hi:
+        z_lo, z_hi = ends
+        share = (goal - z_lo) / (z_hi - z_lo) if z_hi > z_lo else 0.5
+        v = lo - 1 + share * (hi - lo + 1)
+    return min(max(int(v), lo), hi - 1)
+
+
+def _goal(cap: int, above_lo: int, above_hi: int) -> int:
+    """The count of outcomes above that a delta search's next probe aims
+    at: the cap, or once an end of the bracket is within _SEARCH_PAIRS
+    outcomes of it, the middle of the counts just past the cap that would
+    leave at most _SEARCH_PAIRS outcomes between the ends."""
+    if cap - above_hi <= _SEARCH_PAIRS:
+        return (cap + 1 + above_hi + _SEARCH_PAIRS) // 2
+    if above_lo - cap <= _SEARCH_PAIRS:
+        return (above_lo - _SEARCH_PAIRS + cap) // 2
+    return cap
 
 
 def _suffix_counts(counts: np.ndarray) -> np.ndarray:

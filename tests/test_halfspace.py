@@ -923,6 +923,28 @@ def test_gt_counts_clamp_their_keys(weights):
         assert split.counts_gt_scaled(extremes).tolist() == [0, 16]
 
 
+@pytest.mark.parametrize("weights", [[3, 2, 2, 1], [9, 5, 3], [1], [2] * 61 + [4, 6]])
+def test_dense_array_keys_clamp_as_scalar_keys(weights):
+    """The DP's array route clamps its keys to -+(T + 1) with ``np.maximum``
+    and ``np.minimum`` and reads the cells the scalar route reads: at -+(T +
+    1) and one past them, at the int64 extremes and at every support value
+    and one either side, as a flat, a 2-D and an int32 array (the last
+    member's counts are Python ints)."""
+    dense = distribution_from_scaled(np.array(weights, dtype=np.int64), 1, "dense")
+    top = dense.max_scaled
+    values, _ = dense.support_window(-top, top)
+    keys = sorted({-(1 << 63), (1 << 63) - 1, -top - 2, -top - 1, top + 1, top + 2}
+                  | {int(v) + d for v in values for d in (-1, 0, 1)})
+    want = [dense.counts_ge_scaled(k) for k in keys]
+    array = np.array(keys, dtype=np.int64)
+    assert dense.counts_ge_scaled(array).tolist() == want
+    assert dense.counts_ge_scaled(array.reshape(-1, 1)).ravel().tolist() == want
+    small = [k for k in keys if abs(k) < 1 << 31]
+    assert (dense.counts_ge_scaled(np.array(small, dtype=np.int32)).tolist()
+            == [dense.counts_ge_scaled(k) for k in small])
+    assert array.tolist() == keys  # the keys are not clamped in place
+
+
 @pytest.mark.parametrize("weights", [
     [6, 4, 4, 2, 2, 8], [9, 3, 3, 6, 12, 3], [5, 5, 3, 3, 3, 1, 0, 0], [7, 0, 2, 2, 9, 1, 1, 4],
     [1], [2] * 61 + [4, 6], [3] * 63 + [6]])
@@ -1180,9 +1202,10 @@ def test_mitm_search_matches_bisection_and_dense(n):
 @pytest.mark.parametrize("pairs", [1, 4, 4096])
 @pytest.mark.parametrize("weights", [[1] * 30, [7] * 9 + [2] * 21, [3] * 15 + [1] * 15])
 def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
-    """Few distinct values, each of many outcomes: the samples pile onto a
-    few values, and with few pairs per round some rounds fall back to the
-    midpoint of the bracket, which then need not be a support value."""
+    """Few distinct values, each of many outcomes: the count is flat from
+    one value to the next, so with few pairs read at the end some secant
+    steps stall and the next round samples; a secant step need not be a
+    support value, nor one of the sampled estimates."""
     monkeypatch.setattr(hs, "_SEARCH_PAIRS", pairs)
     mitm = distribution_from_scaled(np.array(weights), 1, backend="mitm")
     dense = distribution_from_scaled(np.array(weights), 1, backend="dense")
@@ -1205,38 +1228,112 @@ def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
             want = oracles.bisect_first_value_tail_le(dense, num, den)
             assert mitm.first_value_tail_le(num, den) == want
             assert dense.first_value_tail_le(num, den) == want and want in values
-    if pairs == 1:
-        assert any(v not in estimated for v in probed)  # a midpoint probe
-    if pairs == 4096:
+    if pairs < 4096:
+        assert estimated  # the safeguard ran
+        assert any(v not in estimated for v in probed)  # secant steps
+        assert any(v not in values for v in probed)
+    else:
         assert not probed  # every bracket fits one window
 
 
-def test_mitm_search_probe_bound(monkeypatch):
-    """On the 26-coordinate, 24-bit member of CI's chernoff gate (about
-    2^26 pairs of the two halves), each search makes at most 12 full tail
-    counts, every one through ``_probe``, where the bisection made 29."""
+def test_mitm_search_steps_stay_in_the_bracket():
+    """A secant step inside the bracket is taken as it is; one outside, or
+    one that is not a number, becomes regula falsi between the bracket's
+    ends, and a flat bracket its midpoint; and every step, rounding and a
+    goal outside the ends' z included, is clamped into lo..hi - 1."""
+    ends = (-1.0, 1.0)  # z at lo - 1 and at hi
+    assert hs._step((0, 0.0), 10.0, 2.5, 0, 100, ends) == 25
+    assert hs._step((0, 0.0), 100.0, 0.0, 10, 21, ends) == 15  # regula falsi at share 1/2
+    assert hs._step((0, 0.0), 100.0, 1.0, 10, 21, ends) == 20  # at hi, clamped
+    assert hs._step((0, 0.0), 100.0, -5.0, 10, 21, ends) == 10  # below z_lo
+    assert hs._step((0, 0.0), 100.0, 3.0, 10, 21, (0.5, 0.5)) == 15  # flat: the midpoint
+    assert hs._step((0, 1.0), np.inf, 1.0, 10, 21, ends) == 20  # inf * 0
+    rng = np.random.default_rng(46)
+    for _ in range(2000):
+        lo = int(rng.integers(-10**12, 10**12))
+        hi = lo + int(rng.integers(1, 10 ** int(rng.integers(1, 13))))
+        z_lo, z_hi = sorted(rng.normal(0, 3, size=2).tolist())
+        last = (int(rng.integers(lo - 10**6, hi + 10**6)), float(rng.normal(0, 3)))
+        v = hs._step(last, float(rng.exponential(10**6)), float(rng.normal(0, 4)), lo, hi,
+                     (z_lo, z_hi))
+        assert lo <= v < hi
+
+
+def _ci_member():
+    """The 26-coordinate, 24-bit member of CI's chernoff gate (about 2^26
+    pairs of the two halves)."""
     corpus = harness.corpus_gen(
         "random-halfspace", {"n_lo": 26, "n_hi": 26, "count": 1, "weight_bits": 24}, seed=5)
-    h = parse_halfspace(corpus.entries[0])
+    return parse_halfspace(corpus.entries[0])
+
+
+def _spy_search(monkeypatch):
+    """Lists of the search's probes, sampled rounds and other full tail counts."""
+    probes, rounds, counts = [], [], []
+    probe, sample = MeetInMiddleDistribution._probe, MeetInMiddleDistribution._estimates
+    count = MeetInMiddleDistribution.counts_ge_scaled
+    monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
+                        lambda self, v: probes.append(v) or probe(self, v))
+    monkeypatch.setattr(MeetInMiddleDistribution, "_estimates",
+                        lambda self, *args: rounds.append(args[2]) or sample(self, *args))
+    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled",
+                        lambda self, v: counts.append(v) or count(self, v))
+    return probes, rounds, counts
+
+
+def test_mitm_search_probe_bound(monkeypatch):
+    """On CI's 26-coordinate member each search at t makes at most 5 full
+    tail counts, every one through ``_probe`` and none after a sampled
+    round: a.x is nearly Gaussian there, so the secant steps in z land
+    without the safeguard.  The sampled search made 6 counts and 3 sampled
+    rounds, the bisection 29."""
+    h = _ci_member()
     dist = h.distribution()
     assert isinstance(dist, MeetInMiddleDistribution)
     base = dist.count_gt(h.threshold)
-    probes, counts = [], []
-    probe, count = MeetInMiddleDistribution._probe, MeetInMiddleDistribution.counts_ge_scaled
-    monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
-                        lambda self, v: probes.append(v) or probe(self, v))
-    monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled",
-                        lambda self, v: counts.append(v) or count(self, v))
+    probes, rounds, counts = _spy_search(monkeypatch)
     for c in (F(1, 2), F(1, 3), F(1, 6)):
         probes.clear()
         counts.clear()
         got = dist.first_value_tail_le(c.numerator * base, c.denominator)
-        assert 1 <= len(probes) <= 12 and not counts
+        assert 1 <= len(probes) <= 5 and not counts and not rounds
         assert got == oracles.bisect_first_value_tail_le(dist, c.numerator * base, c.denominator)
         again = list(probes)
         probes.clear()
         assert dist.first_value_tail_le(c.numerator * base, c.denominator) == got
         assert probes == again  # the same probes on every run
+
+
+def _far_from_gaussian():
+    """Three 26-coordinate members whose a.x is far from Gaussian: the
+    weights 3^26..3^1 (every sum distinct, the counts a staircase), one
+    weight 2^27 over 25 below 2^22 and two over 24 below 2^20 (two and three
+    lumps with empty gaps between them)."""
+    rng = np.random.default_rng(46)
+    return {"geometric": [3**k for k in range(26, 0, -1)],
+            "one heavy": [1 << 27] + rng.integers(1, 1 << 22, size=25).tolist(),
+            "two heavy": [1 << 27] * 2 + rng.integers(1, 1 << 20, size=24).tolist()}
+
+
+@pytest.mark.parametrize("name", ["geometric", "one heavy", "two heavy"])
+def test_mitm_search_safeguard_far_from_gaussian(monkeypatch, name):
+    """Where the Gaussian limit places its probes badly, the sampled round
+    keeps the search short: at caps 0-3, 0.1%, 2%, 30%, 50%, 77% and 99.9%
+    of 2^n, 2^n - 1 and 2^n, each search equals the bisection oracle and
+    makes at most 12 probes (the sampled search made at most 8; with no
+    safeguard the geometric member took up to 71)."""
+    weights = np.array(sorted(_far_from_gaussian()[name], reverse=True), dtype=np.int64)
+    dist = distribution_from_scaled(weights, 1)
+    assert isinstance(dist, MeetInMiddleDistribution)
+    total = dist.total
+    caps = [0, 1, 2, 3, *(total * p // 1000 for p in (1, 20, 300, 500, 770, 999)),
+            total - 1, total]
+    probes, rounds, _ = _spy_search(monkeypatch)
+    for cap in caps:
+        probes.clear()
+        assert dist.first_value_tail_le(cap, 1) == oracles.bisect_first_value_tail_le(dist, cap, 1)
+        assert 1 <= len(probes) <= 12
+    assert rounds  # the safeguard ran
 
 
 @st.composite
