@@ -23,21 +23,28 @@ and mirrors the last one once into the T + 1 counts whose suffix the
 distribution keeps; the counts are freed once it exists.  Each form counts
 every influence: the DP's as a window of its suffix counts with one weight
 divided out, read at the window's edges as one strided view, a split as
-one masked sum over the points of the half that holds the weight, each
+a signed sum over the points of the half that holds the weight, each
 point weighted by the other half's tail count above the cut less its
-value.  Both vertex boundaries come from one sweep of that DP, which adds
-the weights after the first smallest first and reads each window from a
-prefix's lower half as one slice and one mirrored slice, or above the
-budget from suffixes of the two halves paired.
+value, counted in ascending order of the values and summed by folding the
+half's points in two, one coordinate at a time.  Both vertex boundaries
+come from one sweep of that DP, which adds the weights after the first
+smallest first and reads each window from a prefix's lower half as one
+slice and one mirrored slice, or above the budget from suffixes of the two
+halves paired.
 
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the DP's cells or a sorted
 distribution.  On the split it is a weighted selection among the pairs
-of the two halves: a bracket narrowed by exact counts, each placed by a
-secant step in the normal quantile of the share below (the first by the
-Gaussian limit), then finished by the sorted search over its last few
-pairs.  A sample of the bracket's pairs places the counts only after a
-step that gained little, as where a.x is far from Gaussian.  Thresholds
+of the two halves: a bracket narrowed by exact counts, then finished by
+the sorted search over its last few pairs.  The counts are placed by the
+split's guide (``_Guide``), a dense DP of its weights rounded to multiples
+of a power of two, small enough to cost less than one count: its own
+search puts the limit at a guide value, and a secant step from the last
+counts along the guide's places corrects it, lumps and gaps of a.x
+included.  A step that gained
+little is followed by a count at the guide's error bound while an end of
+the bracket is still open, and by a sample of the bracket's pairs once
+both are closed.  Thresholds
 and the keys of counts above a value are clamped into the range of a.x
 before any count, so none wraps int64.  A ``Halfspace`` keeps each count
 in one memo (``memoized``), keyed by the counting function and its
@@ -64,7 +71,9 @@ MITM_MAX_N = 40
 MAX_SUMMANDS = 1 - sys.float_info.min_exp
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
 _QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
-_SEARCH_PAIRS = 4096  # pairs a delta search samples in a safeguard round, and reads at the end
+# pairs a split's delta search samples in a safeguard round, and reads at the end;
+# its guide's counts aim within this many outcomes past the limit to close the bracket
+_SEARCH_PAIRS = 4096
 
 
 class BudgetError(ValueError):
@@ -296,20 +305,22 @@ class MeetInMiddleDistribution(_TailBase):
     ``searchsorted`` narrows each search from the one before it.
     """
 
-    def __init__(self, left: SupportDistribution, right: SupportDistribution):
+    def __init__(self, left: SupportDistribution, right: SupportDistribution,
+                 weights: np.ndarray):
         self.left = left
         self.right = right
+        self.weights = weights  # the scaled weights, left half at even places
         self.scale = left.scale
         self.n_summands = left.n_summands + right.n_summands
         self.min_scaled = left.min_scaled + right.min_scaled
         self.max_scaled = left.max_scaled + right.max_scaled
         self._support = None
-        self._sigma = None  # the standard deviation of a.x, on the first delta search
+        self._guide = None  # the delta search's ``_Guide``, made on its first search
 
     @classmethod
     def from_weights(cls, weights: np.ndarray, scale: int) -> "MeetInMiddleDistribution":
         # alternate large/small weights between halves to balance the sums
-        return cls(_enumerated(weights[0::2], scale), _enumerated(weights[1::2], scale))
+        return cls(_enumerated(weights[0::2], scale), _enumerated(weights[1::2], scale), weights)
 
     def without(self, weights: np.ndarray, j: int) -> "MeetInMiddleDistribution":
         """Distribution of `weights` with weight j deleted, self being that of
@@ -317,7 +328,7 @@ class MeetInMiddleDistribution(_TailBase):
         side = j % 2
         halves = [self.left, self.right]
         halves[side] = _enumerated(np.delete(weights[side::2], j // 2), self.scale)
-        return MeetInMiddleDistribution(*halves)
+        return MeetInMiddleDistribution(*halves, np.delete(weights, j))
 
     @property
     def _rows(self):
@@ -330,16 +341,23 @@ class MeetInMiddleDistribution(_TailBase):
         distribution of `weights`, as in ``without``.
 
         For j in one half, that sum runs over the half's points p, each
-        weighted by x_j(p) times the other half's tail count above cut -
-        u(p): one tail query for all p, then one masked sum per coordinate.
+        weighted by x_j(p) times g(p), the other half's tail count above
+        cut - u(p).  g is one ``searchsorted`` of the points' keys in
+        ascending order (``_ascending_points``), so that each search narrows
+        from the one before it, scattered back to the points' order.  Bit i
+        of a point is x_i = +1, so the sum for the top bit is the upper half
+        of g less the lower; adding the two halves folds that bit away, and
+        the next bit is the top one of an array half as long.
         """
-        above = (self.right.counts_gt_scaled(cut - kernels.dot_values(weights[0::2])),
-                 self.left.counts_gt_scaled(cut - kernels.dot_values(weights[1::2])))
         out = np.empty(len(weights), dtype=np.int64)
-        for side, g in enumerate(above):
-            total = int(g.sum())
-            for i in range(len(weights[side::2])):  # bit i of a point is x_i = +1
-                out[side + 2 * i] = 2 * int(g.reshape(-1, 2, 1 << i)[:, 1].sum()) - total
+        for side, other in enumerate((self.right, self.left)):
+            values, points = _ascending_points(weights[side::2])
+            g = np.empty(len(points), dtype=np.int64)
+            g[points[::-1]] = other._suffix[np.searchsorted(other.values, cut - values[::-1], "right")]
+            for i in range(len(weights[side::2]) - 1, -1, -1):
+                low, high = g.reshape(2, -1)
+                out[side + 2 * i] = int(high.sum()) - int(low.sum())
+                g = low + high
         return out
 
     def counts_ge_scaled(self, v):
@@ -402,76 +420,95 @@ class MeetInMiddleDistribution(_TailBase):
         span ends; once the bracket holds at most _SEARCH_PAIRS pairs, the
         sorted search over them ends.
 
-        Each probe is a secant step in z(v), the normal quantile of the
-        share of outcomes at or below v, which is nearly linear in v when
-        a.x is nearly Gaussian.  The first is placed by the Gaussian limit
-        (a.x is symmetric about 0, its standard deviation ``_sigma``), each
-        later one from the last two probes.  A step outside the bracket
-        becomes regula falsi between its ends.  Once an end is within
+        Each probe is placed by the split's guide (``_Guide``), built on its
+        first search and kept: the dense distribution of its weights
+        rounded to multiples of a power of two q.  The guide's place for a
+        count is q times its value with that many outcomes above.  The first
+        probe goes to the place for the goal; each later one is a secant
+        step from the last probe, which moves from the last probe's place
+        to the goal's along the slope (places per unit of value) the last
+        two probes showed.  Until there are two, the slope is 1: the step is
+        the goal's place plus the last probe's offset from its own place,
+        which corrects the guide where the rounding moved it.  A step
+        outside the bracket becomes regula falsi between its ends on the
+        guide's places for their counts, and every step is clamped into
+        lo..hi - 1.  Once an end is within
         _SEARCH_PAIRS outcomes of the cap, the step aims just past the cap
-        (``_goal``), so that the next probe closes the bracket.
+        (``_goal``), so that the next probe closes the bracket.  At caps 0
+        and 2^n the answer is an end of the range, and no probe is made.
 
         A round whose nearest probe is not 4 times closer to the cap than
         the round before's (than total, in the first round) is followed by
-        the safeguard, for a.x far from Gaussian: a round that samples
-        _SEARCH_PAIRS of the bracket's pairs, estimates where the outcomes
-        above reach the cap, and probes once either side of the estimate (or
-        the midpoint, when neither side is inside).  The sample's generator
-        has a fixed seed, so each search makes the same probes on every run.
+        a safeguard.  While an end of the bracket is still the range's end,
+        that is a probe at the guide's bound on that side (``bounds``),
+        sure to close it.  Once both ends have been probed, it is a round
+        that samples _SEARCH_PAIRS of the bracket's pairs, estimates where
+        the outcomes above reach the cap, and probes once either side of
+        the estimate (or the midpoint, when neither side is inside).  The
+        sample's generator has a fixed seed, so each search makes the same
+        probes on every run.
         """
-        cap = self._tail_cap(limit_num, limit_den)
-        if cap < 0:
-            return self.max_scaled
-        from statistics import NormalDist  # on the first search, not with the package
-        quantile, total = NormalDist().inv_cdf, self.total
-
-        def z(above: int) -> float:
-            """z of a value with `above` outcomes above it, the quantile read
-            on the smaller side and kept finite at 0 and total outcomes."""
-            side = max(min(above, total - above), 0.5) / total
-            return quantile(side) if 2 * above > total else -quantile(side)
-
+        cap, total = self._tail_cap(limit_num, limit_den), self.total
+        if cap <= 0 or cap == total:  # the ends of the range, no count needed
+            return self.max_scaled if cap <= 0 else self.min_scaled
+        if self._guide is None:
+            self._guide = _Guide(self.weights.tolist(), len(self.left.values) + len(self.right.values))
+        place = self._guide.place
         lo, hi = self.min_scaled, self.max_scaled
         above_lo, above_hi = total, 0  # outcomes >= lo and > hi
         first = np.zeros(len(self.left.values), dtype=np.int64)
         stop = np.full(len(self.left.values), len(self.right.values), dtype=np.int64)
         rng = np.random.default_rng(0)
-        if self._sigma is None:  # the halves' variances added, each half symmetric about 0
-            self._sigma = math.sqrt(sum(float(half.counts @ np.square(half.values, dtype=float))
-                                        / half.total for half in (self.left, self.right)))
-        last, slope = (0, 0.0), self._sigma  # the Gaussian limit's centre and dv/dz
-        gap, sample = total, False  # the last round's nearest distance to the cap
+        last, slope = None, 1.0  # the last probe's value and place, and dplace/dv
+        gap, stalled = total, False  # the last round's nearest distance to the cap
         while lo < hi and int((spans := stop - first).sum()) > _SEARCH_PAIRS:
-            if sample:
-                q = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
-                probes = [v for v in self._estimates(first, spans, q, rng) if lo <= v < hi]
+            if stalled and hi == self.max_scaled:  # the guide's bound, sure to close hi
+                probes = [min(self._guide.bounds(cap)[1], hi - 1)]
+            elif stalled and lo == self.min_scaled:  # the guide's bound, sure to close lo
+                probes = [max(self._guide.bounds(cap)[0], lo)]
+            elif stalled:
+                share = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
+                probes = [v for v in self._estimates(first, spans, share, rng) if lo <= v < hi]
                 probes = probes or [(lo + hi) // 2]
             else:
-                goal = z(_goal(cap, above_lo, above_hi))
-                probes = [_step(last, slope, goal, lo, hi, (z(above_lo), z(above_hi)))]
+                goal = place(_goal(cap, above_lo, above_hi))
+                v = goal if last is None else last[0] + round((goal - last[1]) / slope)
+                probes = [_step(v, lo, hi, (place(above_lo), goal, place(above_hi)))]
             near = total
             for v in probes:
                 if lo <= v < hi:  # the round's first probe may have passed it
-                    above, idx = self._probe(v)
+                    above, idx = self._probe(v, first, stop)
                     if above <= cap:
                         hi, above_hi, stop = v, above, idx
                     else:
                         lo, above_lo, first = v + 1, above, idx
-                    if (score := z(above)) != last[1]:
-                        slope = (v - last[0]) / (score - last[1])
-                    last, near = (v, score), min(near, abs(above - cap))
-            sample, gap = 4 * near >= gap, near
+                    p = place(above)
+                    if last is not None and p != last[1]:
+                        slope = (p - last[1]) / (v - last[0])
+                    last, near = (v, p), min(near, abs(above - cap))
+            stalled, gap = 4 * near >= gap, near
         if lo == hi:
             return lo
         window = SupportDistribution(*self._pair_sums(first, stop), self.scale, self.n_summands)
         return window.first_value_tail_le(cap - above_hi, 1)
 
-    def _probe(self, v: int):
-        """The outcomes with value > v, and for each left value u the first
-        right index past v - u: one full tail count, from the right half's
+    def _probe(self, v: int, first: np.ndarray, stop: np.ndarray):
+        """The outcomes with value > v, for v in a bracket whose pairs lie at
+        right indices first[i]..stop[i] - 1 of left row i, and for each row
+        the first right index past v - u: only the rows whose span is not
+        empty are searched, and the others have it at first[i] (while every
+        row is live, as before the bracket's second end is probed, all are
+        searched with no copies).  The count is read from the right half's
         suffix counts at those indices."""
         lv, lc = self._rows
-        idx = np.searchsorted(self.right.values, v - lv, side="right")
+        live = stop > first
+        if live.all():
+            idx = np.searchsorted(self.right.values, v - lv, side="right")
+        else:
+            live = np.flatnonzero(live)
+            keys = lv[live]
+            idx = first.copy()
+            idx[live] = np.searchsorted(self.right.values, np.subtract(v, keys, out=keys), side="right")
         return int(self.right._suffix[idx] @ lc), idx
 
     def _estimates(self, first: np.ndarray, spans: np.ndarray, q: float, rng) -> list[int]:
@@ -494,24 +531,69 @@ class MeetInMiddleDistribution(_TailBase):
                 for share in (q + margin, q - margin)]
 
 
+class _Guide:
+    """A split's delta-search guide: the subset-sum DP of its weights
+    rounded to multiples of q, c_i = (w_i + q/2) // q, with q the least
+    power of two that puts their sum T at or below `cells`.  Zero c_i stay
+    in the DP, so it counts all 2^n outcomes.  Cell s is c.x = 2s - T,
+    which stands for a.x = q * (2s - T), and at every point |a.x - q * c.x|
+    is at most ``error``.  The guide keeps the DP's running sums in place of
+    its counts, ``below[s]`` the outcomes in cells 0..s, each read by one
+    ``searchsorted``."""
+
+    def __init__(self, weights: list[int], cells: int):
+        q = 1
+        while sum((w + q // 2) // q for w in weights) > cells:
+            q *= 2
+        coarse = [(w + q // 2) // q for w in weights]
+        self.q, self.top = q, sum(coarse)
+        self.error = sum(abs(w - q * c) for w, c in zip(weights, coarse))
+        counts = kernels.signed_sum_counts(np.array(coarse, dtype=np.int64))
+        self.below = np.cumsum(counts, out=counts)
+
+    def _cell(self, above: int) -> int:
+        """The least cell with at most `above` outcomes in the cells above it,
+        for 0 <= above <= 2^n."""
+        return int(np.searchsorted(self.below, int(self.below[-1]) - above, side="left"))
+
+    def place(self, above: int) -> int:
+        """The value of a.x with `above` outcomes above it, by the guide: q
+        times the guide's value there, each cell's outcomes spread evenly
+        over the two units about it."""
+        total = int(self.below[-1])
+        above = min(max(above, 0), total)
+        s = self._cell(above)
+        under = int(self.below[s - 1]) if s else 0
+        share = (above - total + int(self.below[s])) / (int(self.below[s]) - under)
+        return round(self.q * (2 * s + 1 - self.top - 2 * share))
+
+    def bounds(self, cap: int) -> tuple[int, int]:
+        """Two values of a.x, the first with more than cap outcomes above it
+        and the second with at most cap, for 0 <= cap < 2^n: with g the
+        least cell value with at most cap of the guide's outcomes above it,
+        q * (g - 1) and q * g, each moved away from the answer by
+        ``error``."""
+        g = 2 * self._cell(cap) - self.top
+        return self.q * (g - 1) - self.error, self.q * g + self.error
+
+
 def _clamped(cut: int, low: int, high: int) -> int:
     """A scaled cut clamped to [low - 1, high]: for values in [low, high]
     the outcomes above it are the same, and it fits int64."""
     return min(max(cut, low - 1), high)
 
 
-def _step(last: tuple[int, float], slope: float, goal: float, lo: int, hi: int,
-          ends: tuple[float, float]) -> int:
-    """A delta search's secant step to z = goal from `last`, a value and its
-    z, along `slope` (dv/dz).  A step outside the bracket [lo, hi) is regula
-    falsi between its ends, z_lo at lo - 1 and z_hi at hi (`ends`), instead;
-    either is clamped into lo..hi - 1, so every step is a probe."""
-    v = last[0] + slope * (goal - last[1])
+def _step(v: int, lo: int, hi: int, ends: tuple[int, int, int]) -> int:
+    """A delta search's step to v.  A step outside the bracket [lo, hi) is
+    regula falsi between its ends, lo - 1 and hi, instead, on the guide's
+    places: v_lo and v_hi at their counts and v_goal at the goal (`ends`),
+    or the midpoint when v_lo = v_hi; either is clamped into lo..hi - 1, so
+    every step is a probe."""
     if not lo <= v < hi:
-        z_lo, z_hi = ends
-        share = (goal - z_lo) / (z_hi - z_lo) if z_hi > z_lo else 0.5
-        v = lo - 1 + share * (hi - lo + 1)
-    return min(max(int(v), lo), hi - 1)
+        v_lo, v_goal, v_hi = ends
+        share = (v_goal - v_lo) / (v_hi - v_lo) if v_hi > v_lo else 0.5
+        v = lo - 1 + int(share * (hi - lo + 1))
+    return min(max(v, lo), hi - 1)
 
 
 def _goal(cap: int, above_lo: int, above_hi: int) -> int:
@@ -539,6 +621,22 @@ def _least_within(suffix: np.ndarray, cap: int) -> int:
     """The least k with suffix[k + 1] <= cap, for cap >= 0 and suffix ending
     in 0: one ``searchsorted`` of the suffix, which ascends read backwards."""
     return max(len(suffix) - 1 - int(np.searchsorted(suffix[::-1], cap, side="right")), 0)
+
+
+def _ascending_points(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The point sums of `weights` ascending, and the point of each: one
+    ``np.sort`` of value * 2^h + point, h = len(weights).  The values are
+    first shifted right by the bits that would otherwise pass int64, so a
+    half of huge weights comes out sorted by its values' top bits, nearly
+    sorted; the values returned are exact, read at the sorted points."""
+    h = len(weights)
+    values = kernels.dot_values(weights)
+    keys = values >> max(0, int(weights.sum()).bit_length() + h - 62)
+    keys <<= h
+    keys |= np.arange(1 << h)
+    keys.sort()
+    points = keys & ((1 << h) - 1)
+    return values[points], points
 
 
 def _enumerated(weights: np.ndarray, scale: int) -> SupportDistribution:

@@ -25,7 +25,10 @@ pair by pair) of the meet-in-the-middle support window,
 one value at a time) of its
 blocked tail counts,
 ``bisect_first_value_tail_le`` (a bisection of the integer range, one tail
-count per step) of both backends' delta searches, ``all_plus`` (a
+count per step) of both backends' delta searches,
+``per_point_influence_counts`` (each half's points searched in their own
+order, one strided sum per coordinate) of a split's influence counts in
+sorted key order, ``all_plus`` (a
 new table cleared one strided sweep per coordinate) of the in-place
 subcube write, and ``swept_decay_violations`` (a pointer sweep in Python
 ints) of COR36's prefix-minimum count, ``per_k_elementary_symmetric``
@@ -536,6 +539,21 @@ def mitm_count_ge(dist, v: int) -> int:
     right = list(zip(dist.right.values.tolist(), dist.right.counts.tolist()))
     return sum(lc * sum(rc for rv, rc in right if rv >= v - lv)
                for lv, lc in zip(dist.left.values.tolist(), dist.left.counts.tolist()))
+
+
+def per_point_influence_counts(dist, weights, cut: int) -> np.ndarray:
+    """A meet-in-the-middle split's influence counts, each half's points in
+    point order: one tail count of the other half above cut - u(p) at every
+    point p, then, for each coordinate i, twice the sum over the points with
+    bit i set (x_i = +1) less the sum over all of them."""
+    above = (dist.right.counts_gt_scaled(cut - kernels.dot_values(weights[0::2])),
+             dist.left.counts_gt_scaled(cut - kernels.dot_values(weights[1::2])))
+    out = np.empty(len(weights), dtype=np.int64)
+    for side, g in enumerate(above):
+        total = int(g.sum())
+        for i in range(len(weights[side::2])):
+            out[side + 2 * i] = 2 * int(g.reshape(-1, 2, 1 << i)[:, 1].sum()) - total
+    return out
 
 
 def bisect_first_value_tail_le(dist, limit_num: int, limit_den: int) -> int:

@@ -1,5 +1,7 @@
+import importlib.util
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -505,6 +507,28 @@ def test_dense_influence_counts_match_the_halves_and_reduced_sums():
             assert got.tolist() == want
             assert h.influences(cut) == [F(got[h.order.index(i)], 1 << (h.n - 1))
                                          for i in range(h.n)]
+
+
+@pytest.mark.parametrize("weights", [
+    [5] * 26, [9] * 7 + [4] * 19, [3] * 13 + [1] * 12, [6, 6, 2, 2, 2, 1, 1],
+    [(1 << 55) + 977 * i for i in range(26)]])
+def test_mitm_influence_counts_in_sorted_key_order(weights):
+    """A split's influence counts, searched in ascending key order and
+    scattered back, against the per-point route, on tied weights and on 26
+    weights near 2^55, whose packed keys are shifted right 10 bits and come
+    out only nearly sorted; at random cuts and the range's ends."""
+    weights = np.array(sorted(weights, reverse=True), dtype=np.int64)
+    mitm = distribution_from_scaled(weights, 1, backend="mitm")
+    assert isinstance(mitm, MeetInMiddleDistribution)
+    total = int(weights.sum())
+    rng = np.random.default_rng(47)
+    for half in (weights[0::2], weights[1::2]):
+        values, points = hs._ascending_points(half)
+        assert sorted(points.tolist()) == list(range(1 << len(half)))
+        assert np.array_equal(values, kernels.dot_values(half)[points])
+    for cut in [-total, total, -1, 0, *rng.integers(-total, total, size=12).tolist()]:
+        assert np.array_equal(mitm.influence_counts(weights, cut),
+                              oracles.per_point_influence_counts(mitm, weights, cut))
 
 
 @pytest.mark.parametrize("weights", [
@@ -1203,9 +1227,10 @@ def test_mitm_search_matches_bisection_and_dense(n):
 @pytest.mark.parametrize("weights", [[1] * 30, [7] * 9 + [2] * 21, [3] * 15 + [1] * 15])
 def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
     """Few distinct values, each of many outcomes: the count is flat from
-    one value to the next, so with few pairs read at the end some secant
-    steps stall and the next round samples; a secant step need not be a
-    support value, nor one of the sampled estimates."""
+    one value to the next.  Where the guide rounds the weights (q = 2),
+    some of its steps stall with few pairs read at the end and the next
+    round samples; where it is exact (q = 1), none stalls.  A guide step
+    need not be a support value, nor one of the sampled estimates."""
     monkeypatch.setattr(hs, "_SEARCH_PAIRS", pairs)
     mitm = distribution_from_scaled(np.array(weights), 1, backend="mitm")
     dense = distribution_from_scaled(np.array(weights), 1, backend="dense")
@@ -1220,7 +1245,7 @@ def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
     monkeypatch.setattr(MeetInMiddleDistribution, "_estimates", estimates)
     probe = MeetInMiddleDistribution._probe
     monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
-                        lambda self, v: probed.append(v) or probe(self, v))
+                        lambda self, v, *spans: probed.append(v) or probe(self, v, *spans))
     values = dense.support().values.tolist()
     for den in (1, 6):
         for num in {-1, 0, dense.total * den} | {c * den + d for c in dense._suffix.tolist()
@@ -1228,35 +1253,36 @@ def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
             want = oracles.bisect_first_value_tail_le(dense, num, den)
             assert mitm.first_value_tail_le(num, den) == want
             assert dense.first_value_tail_le(num, den) == want and want in values
-    if pairs < 4096:
-        assert estimated  # the safeguard ran
-        assert any(v not in estimated for v in probed)  # secant steps
-        assert any(v not in values for v in probed)
-    else:
+    if pairs == 4096:
         assert not probed  # every bracket fits one window
+    elif mitm._guide.q == 1:  # the guide is the distribution itself: no step stalls
+        assert not estimated and any(v not in values for v in probed)
+    else:
+        assert estimated  # the safeguard ran
+        assert any(v not in estimated for v in probed)  # guide steps
+        assert any(v not in values for v in probed)
 
 
 def test_mitm_search_steps_stay_in_the_bracket():
-    """A secant step inside the bracket is taken as it is; one outside, or
-    one that is not a number, becomes regula falsi between the bracket's
-    ends, and a flat bracket its midpoint; and every step, rounding and a
-    goal outside the ends' z included, is clamped into lo..hi - 1."""
-    ends = (-1.0, 1.0)  # z at lo - 1 and at hi
-    assert hs._step((0, 0.0), 10.0, 2.5, 0, 100, ends) == 25
-    assert hs._step((0, 0.0), 100.0, 0.0, 10, 21, ends) == 15  # regula falsi at share 1/2
-    assert hs._step((0, 0.0), 100.0, 1.0, 10, 21, ends) == 20  # at hi, clamped
-    assert hs._step((0, 0.0), 100.0, -5.0, 10, 21, ends) == 10  # below z_lo
-    assert hs._step((0, 0.0), 100.0, 3.0, 10, 21, (0.5, 0.5)) == 15  # flat: the midpoint
-    assert hs._step((0, 1.0), np.inf, 1.0, 10, 21, ends) == 20  # inf * 0
-    rng = np.random.default_rng(46)
+    """A step inside the bracket is taken as it is; one outside becomes
+    regula falsi between the bracket's ends on the guide's places (v_lo at
+    lo - 1, v_goal, v_hi at hi), and a flat guide the midpoint; and every
+    step, a goal outside the ends' places included, is clamped into
+    lo..hi - 1."""
+    ends = (0, 50, 100)  # the guide's places at lo - 1, at the goal and at hi
+    assert hs._step(25, 0, 100, ends) == 25
+    assert hs._step(500, 10, 21, ends) == 15  # regula falsi at share 1/2
+    assert hs._step(-500, 10, 21, (0, 100, 100)) == 20  # at hi, clamped
+    assert hs._step(-500, 10, 21, (0, -40, 100)) == 10  # below v_lo, clamped
+    assert hs._step(21, 10, 21, (7, 7, 7)) == 15  # flat: the midpoint
+    rng = np.random.default_rng(47)
     for _ in range(2000):
         lo = int(rng.integers(-10**12, 10**12))
         hi = lo + int(rng.integers(1, 10 ** int(rng.integers(1, 13))))
-        z_lo, z_hi = sorted(rng.normal(0, 3, size=2).tolist())
-        last = (int(rng.integers(lo - 10**6, hi + 10**6)), float(rng.normal(0, 3)))
-        v = hs._step(last, float(rng.exponential(10**6)), float(rng.normal(0, 4)), lo, hi,
-                     (z_lo, z_hi))
-        assert lo <= v < hi
+        places = sorted(rng.integers(-10**13, 10**13, size=3).tolist())
+        v_goal = int(rng.integers(-10**13, 10**13))  # inside the ends or not
+        v = int(rng.integers(lo - 10**12, hi + 10**12))
+        assert lo <= hs._step(v, lo, hi, (places[0], v_goal, places[2])) < hi
 
 
 def _ci_member():
@@ -1267,13 +1293,21 @@ def _ci_member():
     return parse_halfspace(corpus.entries[0])
 
 
-def _spy_search(monkeypatch):
-    """Lists of the search's probes, sampled rounds and other full tail counts."""
+def _spy_search(monkeypatch, counted=None):
+    """Lists of the search's probes, sampled rounds and other full tail
+    counts; each probe's count goes to `counted` too, when given."""
     probes, rounds, counts = [], [], []
     probe, sample = MeetInMiddleDistribution._probe, MeetInMiddleDistribution._estimates
     count = MeetInMiddleDistribution.counts_ge_scaled
-    monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
-                        lambda self, v: probes.append(v) or probe(self, v))
+
+    def probing(self, v, *spans):
+        probes.append(v)
+        out = probe(self, v, *spans)
+        if counted is not None:
+            counted.append(out[0])
+        return out
+
+    monkeypatch.setattr(MeetInMiddleDistribution, "_probe", probing)
     monkeypatch.setattr(MeetInMiddleDistribution, "_estimates",
                         lambda self, *args: rounds.append(args[2]) or sample(self, *args))
     monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled",
@@ -1282,21 +1316,24 @@ def _spy_search(monkeypatch):
 
 
 def test_mitm_search_probe_bound(monkeypatch):
-    """On CI's 26-coordinate member each search at t makes at most 5 full
-    tail counts, every one through ``_probe`` and none after a sampled
-    round: a.x is nearly Gaussian there, so the secant steps in z land
-    without the safeguard.  The sampled search made 6 counts and 3 sampled
-    rounds, the bisection 29."""
+    """On CI's 26-coordinate member each search at t makes at most 2 full
+    tail counts, every one through ``_probe`` and no sampled round: the
+    guide places them.  The Gaussian limit's secant steps made 3-4 counts,
+    the sampled search 6 counts and 3 sampled rounds, the bisection 29.
+    At caps 0 and 2^n the answer is an end of the range, with no count."""
     h = _ci_member()
     dist = h.distribution()
     assert isinstance(dist, MeetInMiddleDistribution)
     base = dist.count_gt(h.threshold)
     probes, rounds, counts = _spy_search(monkeypatch)
+    assert dist.first_value_tail_le(0, 1) == dist.max_scaled
+    assert dist.first_value_tail_le(dist.total, 1) == dist.min_scaled
+    assert not probes and not counts
     for c in (F(1, 2), F(1, 3), F(1, 6)):
         probes.clear()
         counts.clear()
         got = dist.first_value_tail_le(c.numerator * base, c.denominator)
-        assert 1 <= len(probes) <= 5 and not counts and not rounds
+        assert 1 <= len(probes) <= 2 and not counts and not rounds
         assert got == oracles.bisect_first_value_tail_le(dist, c.numerator * base, c.denominator)
         again = list(probes)
         probes.clear()
@@ -1305,35 +1342,157 @@ def test_mitm_search_probe_bound(monkeypatch):
 
 
 def _far_from_gaussian():
-    """Three 26-coordinate members whose a.x is far from Gaussian: the
+    """Four 26-coordinate members whose a.x is far from Gaussian: the
     weights 3^26..3^1 (every sum distinct, the counts a staircase), one
     weight 2^27 over 25 below 2^22 and two over 24 below 2^20 (two and three
-    lumps with empty gaps between them)."""
+    lumps with empty gaps between them), and one weight 2^30 over 25 below
+    2^16, which the guide rounds to zero (two lumps, each one cell of the
+    guide, but 1.6 million wide)."""
     rng = np.random.default_rng(46)
     return {"geometric": [3**k for k in range(26, 0, -1)],
             "one heavy": [1 << 27] + rng.integers(1, 1 << 22, size=25).tolist(),
-            "two heavy": [1 << 27] * 2 + rng.integers(1, 1 << 20, size=24).tolist()}
+            "two heavy": [1 << 27] * 2 + rng.integers(1, 1 << 20, size=24).tolist(),
+            "light under heavy": [1 << 30] + rng.integers(1, 1 << 16, size=25).tolist()}
 
 
-@pytest.mark.parametrize("name", ["geometric", "one heavy", "two heavy"])
+@pytest.mark.parametrize("name", ["geometric", "one heavy", "two heavy", "light under heavy"])
 def test_mitm_search_safeguard_far_from_gaussian(monkeypatch, name):
-    """Where the Gaussian limit places its probes badly, the sampled round
-    keeps the search short: at caps 0-3, 0.1%, 2%, 30%, 50%, 77% and 99.9%
-    of 2^n, 2^n - 1 and 2^n, each search equals the bisection oracle and
-    makes at most 12 probes (the sampled search made at most 8; with no
-    safeguard the geometric member took up to 71)."""
+    """Where a coarse guide places its probes badly, the guide's error
+    bound and the sampled round keep the search short: at caps 1-3, 0.1%,
+    2%, 30%, 50%, 77% and 99.9% of 2^n and 2^n - 1, each search equals the
+    bisection oracle and makes at most 8 probes on the geometric member and
+    2 on the lumpy ones (the sampled search made at most 8, the Gaussian
+    limit's steps at most 12; with no safeguard the geometric member took
+    up to 71), and at caps 0 and 2^n none.  No sampled round runs before both ends of the
+    bracket have been probed: before it, some count was within the cap and
+    some above it."""
+    most = {"geometric": 8, "one heavy": 2, "two heavy": 2, "light under heavy": 8}[name]
     weights = np.array(sorted(_far_from_gaussian()[name], reverse=True), dtype=np.int64)
     dist = distribution_from_scaled(weights, 1)
     assert isinstance(dist, MeetInMiddleDistribution)
     total = dist.total
-    caps = [0, 1, 2, 3, *(total * p // 1000 for p in (1, 20, 300, 500, 770, 999)),
-            total - 1, total]
-    probes, rounds, _ = _spy_search(monkeypatch)
+    caps = [1, 2, 3, *(total * p // 1000 for p in (1, 20, 300, 500, 770, 999)), total - 1]
+    counted, sides = [], []
+    probes, rounds, _ = _spy_search(monkeypatch, counted)
+    sample = MeetInMiddleDistribution._estimates
+
+    def both_sides(self, *args):
+        sides.append({above <= cap for above in counted})
+        return sample(self, *args)
+
+    monkeypatch.setattr(MeetInMiddleDistribution, "_estimates", both_sides)
+    for cap in (0, total):
+        assert dist.first_value_tail_le(cap, 1) == oracles.bisect_first_value_tail_le(dist, cap, 1)
+        assert not probes
     for cap in caps:
         probes.clear()
+        counted.clear()
         assert dist.first_value_tail_le(cap, 1) == oracles.bisect_first_value_tail_le(dist, cap, 1)
-        assert 1 <= len(probes) <= 12
-    assert rounds  # the safeguard ran
+        assert 1 <= len(probes) <= most
+    assert all(seen == {True, False} for seen in sides)
+    if name in ("geometric", "light under heavy"):
+        assert sides  # the safeguard ran
+
+
+def _benchmark_splits(seeds=range(1, 11)) -> list[str]:
+    """The 32-coordinate member of the `halfspace` benchmark plan of each
+    seed, ``Halfspace().plan(seed, 13)[1]``: 24-bit weights, halves of
+    about 2^16 values each."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.Halfspace().plan(seed, 13)[1] for seed in seeds]
+
+
+def test_mitm_search_counts_on_the_benchmark_splits(monkeypatch):
+    """On the benchmark's 32-coordinate splits of seeds 1-10, the searches
+    at t for c = 1/2, 1/3 and 1/6 make at most 3 counts each, 2.8 on
+    average (the Gaussian limit's secant steps made 6.9), and each equals
+    the bisection oracle."""
+    probes, _, _ = _spy_search(monkeypatch)
+    made = []
+    for desc in _benchmark_splits():
+        h = parse_halfspace(desc)
+        dist = h.distribution()
+        assert isinstance(dist, MeetInMiddleDistribution) and h.n == 32
+        base = dist.count_gt(h.threshold)
+        for c in (F(1, 2), F(1, 3), F(1, 6)):
+            probes.clear()
+            got = dist.first_value_tail_le(c.numerator * base, c.denominator)
+            made.append(len(probes))
+            assert got == oracles.bisect_first_value_tail_le(dist, c.numerator * base, c.denominator)
+    assert max(made) <= 3 and sum(made) / len(made) <= 2.8
+
+
+def test_mitm_guide_is_one_small_dp_per_split(monkeypatch):
+    """The guide is built once per split: ``kernels.signed_sum_counts``
+    runs once across the delta query and the decay thresholds at one t.
+    Under tracemalloc the guide's arrays stay under 16 bytes per value of
+    the two halves: it holds one int64 running sum over at most that many
+    cells, and while it is built the DP's lower half and its counts exist
+    together, 12 bytes per cell.  Seed 3's guide has the most cells of the
+    ten."""
+    h = parse_halfspace(_benchmark_splits([3])[0])
+    dist = h.distribution()
+    cells = len(dist.left.values) + len(dist.right.values)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        guide = hs._Guide(dist.weights.tolist(), cells)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert guide.top <= cells < 2 * guide.top  # q is the least power of two
+    assert int(guide.below[-1]) == dist.total
+    assert held - before < peak - before < 16 * cells
+    calls = []
+    route = kernels.signed_sum_counts
+    monkeypatch.setattr(kernels, "signed_sum_counts", lambda w: calls.append(len(w)) or route(w))
+    h.delta_query(F(1, 2), h.threshold)
+    h.decay_thresholds(h.threshold)
+    assert calls == [h.n]
+
+
+@pytest.mark.parametrize("name", ["geometric", "light under heavy", "ci"])
+def test_mitm_guide_bounds_hold(name):
+    """The guide's bounds, q * (g - 1) and q * g moved away from the answer
+    by the rounding's whole error, have more than cap and at most cap
+    outcomes above them, at caps across the range; the search's probe at a
+    bound closes an open end of its bracket on that ground."""
+    if name == "ci":
+        dist = _ci_member().distribution()
+    else:
+        weights = np.array(sorted(_far_from_gaussian()[name], reverse=True), dtype=np.int64)
+        dist = distribution_from_scaled(weights, 1)
+    guide = hs._Guide(dist.weights.tolist(), len(dist.left.values) + len(dist.right.values))
+    total = dist.total
+    for cap in [0, 1, 3, 4096, *(total * p // 1000 for p in (1, 20, 300, 500, 770, 999)), total - 1]:
+        below, past = guide.bounds(cap)
+        assert dist.count_gt_scaled(below) > cap >= dist.count_gt_scaled(past)
+
+
+def test_mitm_probe_counts_only_live_rows():
+    """A probe at v in a bracket [lo, hi] searches only the left rows with
+    a pair inside it: its count and its right indices equal the full
+    search's, at random brackets from one value wide to the whole range."""
+    dist = _ci_member().distribution()
+    lv = dist._rows[0]
+
+    def full(v):
+        return np.searchsorted(dist.right.values, v - lv, side="right")
+
+    rng = np.random.default_rng(47)
+    for width in [1, 2, 10, 10**3, 10**5, 10**7, dist.max_scaled - dist.min_scaled]:
+        for _ in range(5):
+            lo = int(rng.integers(dist.min_scaled, dist.max_scaled - width + 1))
+            hi = lo + width
+            first, stop = full(lo - 1), full(hi)
+            v = int(rng.integers(lo, hi))
+            above, idx = dist._probe(v, first, stop)
+            assert np.array_equal(idx, full(v))
+            assert above == dist.count_gt_scaled(v)
 
 
 @st.composite
