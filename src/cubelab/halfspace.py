@@ -3,20 +3,19 @@
 Weights and thresholds are rescaled to integers internally, so a tie
 a.x = t is decided exactly and the strict ">" rule never needs the
 "perturb slightly" escape hatch.  The distribution of a.x is kept in one
-of three forms, selected by budget.  Under the dense budget it is its
-subset-sum DP's cells (``TailDistribution``): with T the sum of the
-weights, cell s = 0..T is a.x = 2s - T, and one suffix array over every
-cell, zero cells included, holds the outcomes with a.x >= 2s - T, in
-Python ints past 62 summands.  Every tail count, influence window, delta
-search and support window reads that array by index.  A small cube, with
-no more points than the DP would have cells, is enumerated instead into a
-sorted distribution (``SupportDistribution``: the distinct values, their
-counts and their suffix counts, read by ``searchsorted``).  Past the
-budget the sum splits into two halves combined per query, each half the
-sorted distribution of every other weight.  Either form's whole support,
-``support()``, is one sorted distribution: the enumerated one itself, the
-DP's nonzero cells made on each call, or the pairs of the halves
-assembled once.
+of two forms, and ``_dense`` alone picks one.  Under the dense budget, for
+a cube with more points than the DP has cells, it is its subset-sum DP's
+cells (``TailDistribution``): with T the sum of the weights, cell s =
+0..T is a.x = 2s - T, and one suffix array over every cell, zero cells
+included, holds the outcomes with a.x >= 2s - T, in Python ints past 62
+summands.  Every tail count, influence window, delta search and support
+window reads that array by index.  Every other sum, past the budget or a
+small cube (2^n <= T + 1), splits into two halves combined per query,
+each half the sorted distribution of every other weight
+(``SupportDistribution``: the distinct values, their counts and their
+suffix counts, read by ``searchsorted``).  Either form's whole support,
+``support()``, is one sorted distribution: the DP's nonzero cells made on
+each call, or the pairs of the halves assembled once.
 
 The DP keeps only the lower half of each prefix's counts, a palindrome,
 and mirrors the last one once into the T + 1 counts whose suffix the
@@ -29,8 +28,8 @@ value, counted in ascending order of the values and summed by folding the
 half's points in two, one coordinate at a time.  Both vertex boundaries
 come from one sweep of that DP, which adds the weights after the first
 smallest first and reads each window from a prefix's lower half as one
-slice and one mirrored slice, or above the budget from suffixes of the two
-halves paired.
+slice and one mirrored slice, or, where the weights after the first would
+split, from suffixes of the two halves paired.
 
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the DP's cells or a sorted
@@ -41,14 +40,13 @@ split's guide (``_Guide``), a dense DP of its weights rounded to multiples
 of a power of two, small enough to cost less than one count: its own
 search puts the limit at a guide value, and a secant step from the last
 counts along the guide's places corrects it, lumps and gaps of a.x
-included.  A step that gained
-little is followed by a count at the guide's error bound while an end of
-the bracket is still open, and by a sample of the bracket's pairs once
-both are closed.  Thresholds
-and the keys of counts above a value are clamped into the range of a.x
-before any count, so none wraps int64.  A ``Halfspace`` keeps each count
-in one memo (``memoized``), keyed by the counting function and its
-arguments and cleared when the backend changes.
+included.  A step that gained little is followed by a count at the
+guide's error bound while an end of the bracket is still open, and by a
+fixed stratified sample of the bracket's pairs once both are closed.
+Thresholds and the keys of counts above a value are clamped into the
+range of a.x before any count, so none wraps int64.  A ``Halfspace``
+keeps each count in one memo (``memoized``), keyed by the counting
+function and its arguments and cleared when the backend changes.
 """
 
 from __future__ import annotations
@@ -89,22 +87,21 @@ def _ceil_scaled(q: Fraction, scale: int) -> int:
 
 
 class _TailBase:
-    """Query interface shared by the three distribution forms.
+    """Query interface shared by the distribution forms.
 
     A form supplies ``counts_ge_scaled`` (the outcomes with value >= v, at
     a Python int or at every entry of an int64 array of any shape),
+    ``first_value_tail_le`` (the delta search, from the form's own data),
+    ``min_scaled`` and ``max_scaled``.  The two forms of a whole
+    distribution, the DP's cells and the split, also supply
     ``support_window`` (the support values in a closed window, and their
-    counts), ``support()`` (the whole support as a ``SupportDistribution``;
-    a meet-in-the-middle split refuses past _WINDOW_GUARD pairs with a
-    BudgetError), ``first_value_tail_le`` (the delta search, from the
-    form's own data), ``min_scaled`` and ``max_scaled``.  Written once,
-    here: the counts at a rational threshold, clamped into the support's
-    range before they reach int64, and the influence counts as windows
-    with one weight divided out, read at edges that ``_edge_counts``
-    gives: one tail query of the edges, or on the DP's cells, whose suffix
-    array is indexed by cell, one strided view of it.  All probabilities
-    are exact with denominator 2^n_summands; thresholds are rationals in
-    original (unscaled) units unless suffixed _scaled.
+    counts), ``support()`` (the whole support as a
+    ``SupportDistribution``; a split refuses past _WINDOW_GUARD pairs with
+    a BudgetError) and ``influence_counts``.  Written once, here: the
+    counts at a rational threshold, clamped into the support's range
+    before they reach int64.  All probabilities are exact with denominator
+    2^n_summands; thresholds are rationals in original (unscaled) units
+    unless suffixed _scaled.
 
     ``first_value_tail_le(limit_num, limit_den)`` is the least scaled v in
     [min_scaled, max_scaled] with count_gt_scaled(v) * limit_den <=
@@ -121,47 +118,6 @@ class _TailBase:
     @property
     def total(self) -> int:
         return 1 << self.n_summands
-
-    def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
-        """For every weight j, Inf_j * 2^(n-1) of 1{a.x > cut}, cut in [-T, T]
-        and self the distribution of `weights`, T their sum.  As a.x = 2s - T,
-        s the sum of the +1 weights, w decides when the others at +1 sum to
-        b - w + 1..b, b = (cut + T) // 2: a window of these counts with w
-        divided out (``leave_one_out_window``), once per distinct weight."""
-        b = (cut + int(weights.sum())) // 2
-        weights = weights.tolist()
-        counts = {w: self.leave_one_out_window(w, b) for w in set(weights)}
-        dtype = object if self.n_summands > kernels.INT64_SUMMANDS else np.int64
-        return np.array([counts[w] for w in weights], dtype=dtype)
-
-    def leave_one_out_window(self, w: int, b: int) -> int:
-        """Subsets of the other weights with sum in b - w + 1..b, weight w > 0
-        removed, self being the distribution of weights summing to T =
-        max_scaled, w among them.
-
-        With P the subset-sum counts of all the weights, P(z) = Q(z) * (1 +
-        z^w) gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window
-        of Q is the alternating sum of P's windows (b - (i+1)w, b - iw] for
-        i >= 0.  P's subsets with sum at least e are the outcomes with a.x
-        >= 2e - T, so each window is a difference of two tail counts read
-        at its edges (``_edge_counts``).  The windows are disjoint, so every
-        term and every partial sum counts at most 2^n subsets: exact in the
-        dtype of the counts.  Q is a palindrome (s and T - w - s), so the
-        window is read at the top b or T - 1 - b, whichever has fewer edges
-        below.
-        """
-        total = self.max_scaled
-        if not 0 <= b <= total:
-            return 0  # Q has no mass below 0 or above T - w
-        at_least = self._edge_counts(w, min(b, total - 1 - b))
-        terms = at_least[1:] - at_least[:-1]
-        return int(terms[0::2].sum()) - int(terms[1::2].sum())
-
-    def _edge_counts(self, w: int, b: int) -> np.ndarray:
-        """The outcomes with a.x >= 2e - T at the subset sums e = b + 1,
-        b + 1 - w, ... down past 0: one tail count of the edges' array."""
-        total = self.max_scaled
-        return self.counts_ge_scaled(np.arange(2 * (b + 1) - total, -2 * w - total, -2 * w))
 
     def count_gt_scaled(self, v: int) -> int:
         return int(self.counts_ge_scaled(_clamped(int(v), self.min_scaled, self.max_scaled) + 1))
@@ -205,8 +161,8 @@ class _TailBase:
 class SupportDistribution(_TailBase):
     """Sorted exact distribution: the distinct scaled sums ascending, their
     int64 counts and the suffix counts beside them, so a tail count is one
-    ``searchsorted`` of the values.  It holds an enumerated small cube, each
-    half of a split, and any whole support assembled once."""
+    ``searchsorted`` of the values.  It holds each half of a split, a
+    whole support assembled once and a split search's last window."""
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, scale: int, n_summands: int):
         self.values = values
@@ -220,18 +176,10 @@ class SupportDistribution(_TailBase):
     def counts_ge_scaled(self, v):
         return self._suffix[np.searchsorted(self.values, v, side="left")]
 
-    def support(self) -> "SupportDistribution":
-        return self
-
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """values[k] qualifies when suffix[k + 1] is within the cap."""
         cap = self._tail_cap(limit_num, limit_den)
         return self.max_scaled if cap < 0 else int(self.values[_least_within(self._suffix, cap)])
-
-    def support_window(self, lo_scaled: int, hi_scaled: int):
-        left = int(np.searchsorted(self.values, lo_scaled, "left"))
-        right = int(np.searchsorted(self.values, hi_scaled, "right"))
-        return self.values[left:right], self.counts[left:right]
 
 
 class TailDistribution(_TailBase):
@@ -268,11 +216,44 @@ class TailDistribution(_TailBase):
         return SupportDistribution(*self.support_window(self.min_scaled, self.max_scaled),
                                    self.scale, self.n_summands)
 
-    def _edge_counts(self, w: int, b: int) -> np.ndarray:
-        """The suffix at cells b + 1, b + 1 - w, ... as one strided view,
-        and suffix[0] (every outcome) for an edge below cell 0."""
+    def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
+        """For every weight j, Inf_j * 2^(n-1) of 1{a.x > cut}, cut in [-T, T]
+        and self the distribution of `weights`, T their sum.  As a.x = 2s - T,
+        s the sum of the +1 weights, w decides when the others at +1 sum to
+        b - w + 1..b, b = (cut + T) // 2: a window of these counts with w
+        divided out (``leave_one_out_window``), once per distinct weight."""
+        b = (cut + int(weights.sum())) // 2
+        weights = weights.tolist()
+        counts = {w: self.leave_one_out_window(w, b) for w in set(weights)}
+        dtype = object if self.n_summands > kernels.INT64_SUMMANDS else np.int64
+        return np.array([counts[w] for w in weights], dtype=dtype)
+
+    def leave_one_out_window(self, w: int, b: int) -> int:
+        """Subsets of the other weights with sum in b - w + 1..b, weight w > 0
+        removed, self being the distribution of weights summing to T =
+        max_scaled, w among them.
+
+        With P the subset-sum counts of all the weights, P(z) = Q(z) * (1 +
+        z^w) gives Q[s] = P[s] - P[s - w] + P[s - 2w] - ..., so the window
+        of Q is the alternating sum of P's windows (b - (i+1)w, b - iw] for
+        i >= 0.  P's subsets with sum at least e are the outcomes with a.x
+        >= 2e - T, so each window is a difference of two tail counts read
+        at its edges: the suffix at cells b + 1, b + 1 - w, ... as one
+        strided view, and suffix[0] (every outcome) for an edge below cell
+        0.  The windows are disjoint, so every term and every partial sum
+        counts at most 2^n subsets: exact in the dtype of the counts.  Q is
+        a palindrome (s and T - w - s), so the window is read at the top b
+        or T - 1 - b, whichever has fewer edges below.
+        """
+        total = self.max_scaled
+        if not 0 <= b <= total:
+            return 0  # Q has no mass below 0 or above T - w
+        b = min(b, total - 1 - b)
         at_least = self._suffix[b + 1 :: -w]
-        return at_least if (b + 1) % w == 0 else np.append(at_least, self._suffix[0])
+        if (b + 1) % w:
+            at_least = np.append(at_least, self._suffix[0])
+        terms = at_least[1:] - at_least[:-1]
+        return int(terms[0::2].sum()) - int(terms[1::2].sum())
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """Cell s qualifies when suffix[s + 1] is within the cap.  The least
@@ -364,8 +345,14 @@ class MeetInMiddleDistribution(_TailBase):
         """Outcomes with value >= v at every entry of v, a block of rows of
         keys at a time; a Python int or 0-d v is a block of one row.  Keys
         are clamped into min_scaled..max_scaled + 1 first, so none wraps
-        when a left value is subtracted."""
-        v = np.asarray(np.clip(v, self.min_scaled, self.max_scaled + 1), dtype=np.int64)
+        when a left value is subtracted: a Python int by ``min`` and
+        ``max``, an array by ``np.maximum`` and ``np.minimum``, as the DP's
+        cells clamp theirs."""
+        lo, hi = self.min_scaled, self.max_scaled + 1
+        if isinstance(v, np.ndarray):
+            v = np.minimum(np.maximum(v.astype(np.int64, copy=False), lo), hi)
+        else:
+            v = np.array(min(max(int(v), lo), hi))
         flat = v.ravel()
         out = np.empty(len(flat), dtype=np.int64)
         lv, lc = self._rows
@@ -429,13 +416,11 @@ class MeetInMiddleDistribution(_TailBase):
         to the goal's along the slope (places per unit of value) the last
         two probes showed.  Until there are two, the slope is 1: the step is
         the goal's place plus the last probe's offset from its own place,
-        which corrects the guide where the rounding moved it.  A step
-        outside the bracket becomes regula falsi between its ends on the
-        guide's places for their counts, and every step is clamped into
-        lo..hi - 1.  Once an end is within
-        _SEARCH_PAIRS outcomes of the cap, the step aims just past the cap
-        (``_goal``), so that the next probe closes the bracket.  At caps 0
-        and 2^n the answer is an end of the range, and no probe is made.
+        which corrects the guide where the rounding moved it.  Every step
+        is clamped into lo..hi - 1.  Once an end is within _SEARCH_PAIRS
+        outcomes of the cap, the step aims just past the cap (``_goal``),
+        so that the next probe closes the bracket.  At caps 0 and 2^n the
+        answer is an end of the range, and no probe is made.
 
         A round whose nearest probe is not 4 times closer to the cap than
         the round before's (than total, in the first round) is followed by
@@ -445,8 +430,8 @@ class MeetInMiddleDistribution(_TailBase):
         that samples _SEARCH_PAIRS of the bracket's pairs, estimates where
         the outcomes above reach the cap, and probes once either side of
         the estimate (or the midpoint, when neither side is inside).  The
-        sample's generator has a fixed seed, so each search makes the same
-        probes on every run.
+        sample's ranks are fixed, so each search makes the same probes on
+        every run.
         """
         cap, total = self._tail_cap(limit_num, limit_den), self.total
         if cap <= 0 or cap == total:  # the ends of the range, no count needed
@@ -458,7 +443,6 @@ class MeetInMiddleDistribution(_TailBase):
         above_lo, above_hi = total, 0  # outcomes >= lo and > hi
         first = np.zeros(len(self.left.values), dtype=np.int64)
         stop = np.full(len(self.left.values), len(self.right.values), dtype=np.int64)
-        rng = np.random.default_rng(0)
         last, slope = None, 1.0  # the last probe's value and place, and dplace/dv
         gap, stalled = total, False  # the last round's nearest distance to the cap
         while lo < hi and int((spans := stop - first).sum()) > _SEARCH_PAIRS:
@@ -468,12 +452,12 @@ class MeetInMiddleDistribution(_TailBase):
                 probes = [max(self._guide.bounds(cap)[0], lo)]
             elif stalled:
                 share = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
-                probes = [v for v in self._estimates(first, spans, share, rng) if lo <= v < hi]
+                probes = [v for v in self._estimates(first, spans, share) if lo <= v < hi]
                 probes = probes or [(lo + hi) // 2]
             else:
                 goal = place(_goal(cap, above_lo, above_hi))
                 v = goal if last is None else last[0] + round((goal - last[1]) / slope)
-                probes = [_step(v, lo, hi, (place(above_lo), goal, place(above_hi)))]
+                probes = [min(max(v, lo), hi - 1)]
             near = total
             for v in probes:
                 if lo <= v < hi:  # the round's first probe may have passed it
@@ -511,14 +495,14 @@ class MeetInMiddleDistribution(_TailBase):
             idx[live] = np.searchsorted(self.right.values, np.subtract(v, keys, out=keys), side="right")
         return int(self.right._suffix[idx] @ lc), idx
 
-    def _estimates(self, first: np.ndarray, spans: np.ndarray, q: float, rng) -> list[int]:
+    def _estimates(self, first: np.ndarray, spans: np.ndarray, q: float) -> list[int]:
         """Two values about where the share q of the bracket's outcomes lies
         above: weighted quantiles, 2.5 standard errors either side, of a
-        stratified sample of its pairs, each pair weighted by its two counts."""
+        stratified sample of its pairs, the middle pair of each of k equal
+        runs, each pair weighted by its two counts."""
         ends = np.cumsum(spans)
         k = _SEARCH_PAIRS
-        ranks = ((np.arange(k) + rng.random(k)) * (int(ends[-1]) / k)).astype(np.int64)
-        np.minimum(ranks, ends[-1] - 1, out=ranks)
+        ranks = ((np.arange(k) + 0.5) * (int(ends[-1]) / k)).astype(np.int64)
         rows = np.searchsorted(ends, ranks, side="right")
         cols = first[rows] + ranks - (ends[rows] - spans[rows])
         lv, lc = self._rows
@@ -583,19 +567,6 @@ def _clamped(cut: int, low: int, high: int) -> int:
     return min(max(cut, low - 1), high)
 
 
-def _step(v: int, lo: int, hi: int, ends: tuple[int, int, int]) -> int:
-    """A delta search's step to v.  A step outside the bracket [lo, hi) is
-    regula falsi between its ends, lo - 1 and hi, instead, on the guide's
-    places: v_lo and v_hi at their counts and v_goal at the goal (`ends`),
-    or the midpoint when v_lo = v_hi; either is clamped into lo..hi - 1, so
-    every step is a probe."""
-    if not lo <= v < hi:
-        v_lo, v_goal, v_hi = ends
-        share = (v_goal - v_lo) / (v_hi - v_lo) if v_hi > v_lo else 0.5
-        v = lo - 1 + int(share * (hi - lo + 1))
-    return min(max(v, lo), hi - 1)
-
-
 def _goal(cap: int, above_lo: int, above_hi: int) -> int:
     """The count of outcomes above that a delta search's next probe aims
     at: the cap, or once an end of the bracket is within _SEARCH_PAIRS
@@ -640,19 +611,22 @@ def _ascending_points(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _enumerated(weights: np.ndarray, scale: int) -> SupportDistribution:
-    """The distribution of sum(w_i x_i), point by point: its distinct values
-    and their counts."""
+    """One half of a split: the distribution of sum(w_i x_i), point by
+    point, its distinct values and their counts."""
     values, counts = np.unique(kernels.dot_values(weights), return_counts=True)
     return SupportDistribution(values, counts.astype(np.int64, copy=False), scale, len(weights))
 
 
 def _dense(n: int, total: int, backend: str | None) -> bool:
-    """Whether n scaled weights summing to `total` take the dense DP: up to
-    MAX_SUMMANDS of them, when named or under the budget.  Past
-    INT64_SUMMANDS its counts are Python ints, and the budget prices its
-    n * (total + 1) cell updates."""
+    """Whether n scaled weights summing to `total` take the dense DP, the
+    one rule between the two forms: up to MAX_SUMMANDS of them, when named,
+    or with no backend named when under the budget and the cube has more
+    points than the DP has cells, 2^n > total + 1 (a smaller cube is a
+    split).  Past INT64_SUMMANDS its counts are Python ints, and the budget
+    prices its n * (total + 1) cell updates."""
     cost = n * (total + 1) if n > kernels.INT64_SUMMANDS else total
-    return n <= MAX_SUMMANDS and (backend == "dense" or (backend is None and cost <= DENSE_BUDGET))
+    return n <= MAX_SUMMANDS and (backend == "dense" or (
+        backend is None and cost <= DENSE_BUDGET and 1 << n > total + 1))
 
 
 def _mitm(n: int, total: int, backend: str | None) -> bool:
@@ -670,9 +644,6 @@ def distribution_from_scaled(weights: np.ndarray, scale: int, backend: str | Non
     if backend not in (None, "dense", "mitm"):
         raise ValueError(f"unknown backend {backend!r}")
     if _dense(n, total, backend):
-        if backend is None and (1 << n) <= total + 1:
-            # the cube has no more points than the DP would have cells
-            return _enumerated(weights, scale)
         # the counts are freed once their suffix exists
         return TailDistribution(kernels.signed_sum_counts(weights), scale, n)
     if _mitm(n, total, backend):
@@ -847,8 +818,9 @@ class Halfspace:
     def _boundary_counts(self, t: Fraction) -> tuple[int, int]:
         """0-side and 1-side boundary counts at t.
 
-        Suffix k (the weights after k) has at most n - 1 summands.  Above
-        the dense budget suffix k pairs a suffix of each meet-in-the-middle
+        Suffix k (the weights after k) has at most n - 1 summands.  Where
+        n - 1 weights summing to T would split (past the dense budget, or a
+        small cube), suffix k pairs a suffix of each meet-in-the-middle
         half.  Otherwise, or when the dense DP takes suffix 0 (the largest)
         but the halves do not, one DP sweep (in Python ints past 62 summands)
         adds the weights after weight 0 smallest first and reads suffix k

@@ -357,7 +357,7 @@ def _third_level_holds(h: Halfspace, cut: int) -> bool:
     and low[s] is the least sum of s_j^3 over the subsets summing to s.
     Every reachable s and its low[s] come from the 2^n subsets when there
     are no more of them than subset sums, T + 1 (``_least_cubes_enumerated``,
-    the rule by which ``distribution_from_scaled`` enumerates), and from a
+    the small cube that ``halfspace._dense`` leaves to a split), and from a
     min-plus DP over the sums otherwise (``_least_cubes_dp``); the
     condition is read at the reachable s above the cut.
     """

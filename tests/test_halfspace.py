@@ -150,9 +150,11 @@ def test_backends_agree():
 
 @pytest.mark.parametrize("backend", [None, "dense"])
 def test_empty_sum_distribution(backend):
-    """No summands: the sum is 0 on the one point of the empty cube."""
+    """No summands: the sum is 0 on the one point of the empty cube, which
+    has no more points than the DP has cells, so it is a split of two empty
+    halves unless the DP is named."""
     dist = distribution_from_scaled(np.zeros(0, dtype=np.int64), 3, backend=backend)
-    assert type(dist) is (TailDistribution if backend == "dense" else SupportDistribution)
+    assert type(dist) is (TailDistribution if backend == "dense" else MeetInMiddleDistribution)
     sup = dist.support()
     assert sup.values.tolist() == [0] and sup.counts.tolist() == [1]
     assert sup.values.dtype == sup.counts.dtype == np.int64
@@ -734,9 +736,9 @@ def test_boundary_past_budget_with_dense_suffixes(t, t_small):
 
 
 def test_small_cube_enumerated_not_dp(monkeypatch):
-    """Below the budget, a sum with 2^n <= T + 1 is enumerated point by point
-    and equals the DP; one cell fewer, and the DP runs.  An explicit dense
-    backend always runs the DP."""
+    """Below the budget, a sum with 2^n <= T + 1 is a split, its halves
+    enumerated point by point, and its support equals the DP's; one cell
+    fewer, and the DP runs.  An explicit dense backend always runs the DP."""
     cases = ([1, 2], [3, 5, 9, 17], [40, 1, 1, 7, 20])  # 2^n <= T + 1, the first with equality
     dense = {tuple(w): distribution_from_scaled(np.array(w), 1, backend="dense") for w in cases}
 
@@ -746,15 +748,39 @@ def test_small_cube_enumerated_not_dp(monkeypatch):
     monkeypatch.setattr(kernels, "signed_sum_counts", no_dp)
     for w in cases:
         got = distribution_from_scaled(np.array(w), 1)
-        assert type(got).__name__ == "SupportDistribution"
-        assert np.array_equal(got.values, dense[tuple(w)].support().values)
-        assert np.array_equal(got.counts, dense[tuple(w)].support().counts)
+        assert type(got) is MeetInMiddleDistribution
+        sup, want = got.support(), dense[tuple(w)].support()
+        assert np.array_equal(sup.values, want.values)
+        assert np.array_equal(sup.counts, want.counts)
         h = make_halfspace(w, 1)
         assert h.influences() == list(influence.influences(h.truth_table()).per_coordinate)
     with pytest.raises(AssertionError, match="the DP ran"):
         distribution_from_scaled(np.array([1, 1]), 1)  # 2^2 > 2 + 1
     with pytest.raises(AssertionError, match="the DP ran"):
         distribution_from_scaled(np.array([3, 5, 9, 17]), 1, backend="dense")
+
+
+@pytest.mark.parametrize("weights", [[5_000_000, 1], [5_000_000, 3_000_000, 1],
+                                     [2_000_000] * 4 + [1] * 2])
+def test_small_cubes_count_from_their_points(weights):
+    """Cubes of 4-64 points under weight sums in the millions are splits:
+    at thresholds across the range, the influences and both vertex
+    boundaries equal the truth table's, and each statistic peaks below 1
+    MiB under tracemalloc (on the DP's T + 1 cells they peaked at 23-69 MB).
+    A coordinate's reduced sum shares the other half."""
+    total = sum(weights)
+    for t in (-total // 2, 0, total // 3, total - 1):
+        h = make_halfspace(weights, t)
+        assert isinstance(h.distribution(), MeetInMiddleDistribution)
+        table = h.truth_table()
+        bounds = influence.boundary_measures(table)
+        want = (list(influence.influences(table).per_coordinate), bounds.vb0, bounds.vb1)
+        stats = (h.influences, lambda: h.vertex_boundary(0), lambda: h.vertex_boundary(1))
+        for stat, expect in zip(stats, want):
+            assert _traced_peak(stat) < 1 << 20, t
+            assert stat() == expect, t  # the memo's entry
+    h = make_halfspace(weights, 0)
+    assert h.reduced_distribution(0).right is h.distribution().right
 
 
 def test_influences_counted_once_per_threshold(monkeypatch):
@@ -918,11 +944,12 @@ def test_reduced_distributions_share_the_other_half(weights):
 def test_gt_counts_clamp_their_keys(weights):
     """Keys above are clamped into the support's range before the + 1, and
     a split clamps its keys before it subtracts its left values, so none
-    wraps in int64: on the DP's cells, the enumerated cube and the split,
-    the outcomes above each key, as an array and one by one, and those at
-    or above it, at the int64 extremes, at -+(T + 1) and at every support
-    value and one either side, equal the points' own counts and count_gt
-    at that key; Python ints past int64 count as the extremes do."""
+    wraps in int64: on the DP's cells, the split and its halves' sorted
+    form (here of every point), the outcomes above each key, as an array
+    and one by one, and those at or above it, at the int64 extremes, at
+    -+(T + 1) and at every support value and one either side, equal the
+    points' own counts and count_gt at that key; Python ints past int64
+    count as the extremes do."""
     w = np.array(weights, dtype=np.int64)
     total = int(w.sum())
     points = kernels.dot_values(w)
@@ -975,14 +1002,15 @@ def test_dense_array_keys_clamp_as_scalar_keys(weights):
 def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
     """The DP's distribution, one suffix array over every cell read by
     index, against the full-width DP's cells (summed in Python ints) and
-    the sorted routes: the sorted distribution of those cells and, on small
-    cubes, the enumerated one.  Ties, zeros and common factors of 2 and 3
-    leave zero cells between support values; the last two members have 63
-    and 64 summands (Python-int counts).  Tail counts at every cell, one
-    either side, past both ends and at the int64 extremes; the delta search
-    at every cap from -1 to 2^n (at every tail count and one either side
-    past 12 summands); support windows, empty ones too; and, with no zero
-    weight, the influence counts at every support value."""
+    the sorted routes: the sorted distribution of those cells and, up to 16
+    summands, the split.  Ties, zeros and common factors of 2 and 3 leave
+    zero cells between support values; the last two members have 63 and 64
+    summands (Python-int counts).  Tail counts at every cell, one either
+    side, past both ends and at the int64 extremes; the delta search at
+    every cap from -1 to 2^n (at every tail count and one either side past
+    12 summands); and on the DP and the split, support windows, empty ones
+    too, and, with no zero weight, the influence counts at every support
+    value."""
     w = np.array(weights, dtype=np.int64)
     n, total = len(w), int(w.sum())
     *_, full = oracles.full_width_sum_prefixes(w)
@@ -994,7 +1022,8 @@ def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
     dense = distribution_from_scaled(w, 1, "dense")
     assert type(dense) is TailDistribution
     assert (dense.min_scaled, dense.max_scaled, dense.total) == (-total, total, 1 << n)
-    routes = [dense, cells] + ([hs._enumerated(w, 1)] if n <= 16 else [])
+    whole = [dense] + ([distribution_from_scaled(w, 1, "mitm")] if n <= 16 else [])
+    routes = whole + [cells]
 
     def ge(v):
         return sum(c for s, c in enumerate(full) if 2 * s - total >= v)
@@ -1019,7 +1048,7 @@ def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
     edges = rng.integers(-total - 3, total + 4, size=(40, 2)).tolist() + [[1, 0], [total, -total]]
     for lo, hi in edges:
         expect = [(2 * s - total, full[s]) for s in held if lo <= 2 * s - total <= hi]
-        for dist in routes:
+        for dist in whole:
             values, counts = dist.support_window(lo, hi)
             assert values.dtype == np.int64
             assert list(zip(values.tolist(), counts.tolist())) == expect, (lo, hi)
@@ -1035,7 +1064,7 @@ def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
     for s in held:
         b = s  # the cut 2s - T: the other weights sum to b - w + 1..b
         expect = [sum(rest[wj][max(b - wj + 1, 0) : b + 1]) for wj in weights]
-        for dist in routes:
+        for dist in whole:
             got = dist.influence_counts(w, 2 * s - total)
             assert got.dtype == dtype and got.tolist() == expect, s
 
@@ -1068,17 +1097,18 @@ def test_split_halves_are_the_dense_distributions_of_every_other_weight():
 
 
 def test_reduced_distributions_keep_their_backend_above_the_budget(monkeypatch):
-    """Above the budget only a reduced sum that is itself past the budget
-    shares a half; one that drops under it stays dense, as it was built before."""
+    """Above the budget only a reduced sum that is itself a split shares a
+    half; one that drops under the budget, with more points than cells,
+    is the DP's cells, as it was built before."""
     monkeypatch.setattr(hs, "DENSE_BUDGET", 10)
-    h = make_halfspace([7, 5, 3, 2], 1)
+    h = make_halfspace([7, 3, 2, 1, 1], 1)
     assert isinstance(h.distribution(), MeetInMiddleDistribution)
-    # 5 + 3 + 2 <= 10, enumerated as 2^3 <= 10 + 1
-    assert isinstance(h.reduced_distribution(0), SupportDistribution)
-    shared = h.reduced_distribution(3)  # 7 + 5 + 3 > 10
+    # 3 + 2 + 1 + 1 <= 10, and 2^4 > 7 + 1 points
+    assert isinstance(h.reduced_distribution(0), TailDistribution)
+    shared = h.reduced_distribution(3)  # 7 + 3 + 2 + 1 > 10
     assert isinstance(shared, MeetInMiddleDistribution)
     assert shared.left is h.distribution().left
-    assert_same_distribution(shared, distribution_from_scaled(np.array([7, 5, 3]), 1, "dense"))
+    assert_same_distribution(shared, distribution_from_scaled(np.array([7, 3, 2, 1]), 1, "dense"))
     assert h.influences() == list(influence.influences(h.truth_table()).per_coordinate)
 
 
@@ -1163,9 +1193,12 @@ def test_chernoff_sequence_counts_the_tail_once(monkeypatch):
 
 def test_delta_searched_once_per_c_and_t(monkeypatch):
     """The delta query of chernoff, of both decay thresholds and of the
-    strong and weak statistics search once per (c, t); copies start empty."""
+    strong and weak statistics search once per (c, t); copies start empty.
+    A search is counted on the two forms of a whole distribution: the
+    tripled copy is a small cube, a split, whose last window is a sorted
+    distribution searched in turn."""
     calls = []
-    for backend in (TailDistribution, SupportDistribution, MeetInMiddleDistribution):
+    for backend in (TailDistribution, MeetInMiddleDistribution):
         def counted(self, num, den, search=backend.first_value_tail_le):
             calls.append((num, den))
             return search(self, num, den)
@@ -1261,28 +1294,6 @@ def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
         assert estimated  # the safeguard ran
         assert any(v not in estimated for v in probed)  # guide steps
         assert any(v not in values for v in probed)
-
-
-def test_mitm_search_steps_stay_in_the_bracket():
-    """A step inside the bracket is taken as it is; one outside becomes
-    regula falsi between the bracket's ends on the guide's places (v_lo at
-    lo - 1, v_goal, v_hi at hi), and a flat guide the midpoint; and every
-    step, a goal outside the ends' places included, is clamped into
-    lo..hi - 1."""
-    ends = (0, 50, 100)  # the guide's places at lo - 1, at the goal and at hi
-    assert hs._step(25, 0, 100, ends) == 25
-    assert hs._step(500, 10, 21, ends) == 15  # regula falsi at share 1/2
-    assert hs._step(-500, 10, 21, (0, 100, 100)) == 20  # at hi, clamped
-    assert hs._step(-500, 10, 21, (0, -40, 100)) == 10  # below v_lo, clamped
-    assert hs._step(21, 10, 21, (7, 7, 7)) == 15  # flat: the midpoint
-    rng = np.random.default_rng(47)
-    for _ in range(2000):
-        lo = int(rng.integers(-10**12, 10**12))
-        hi = lo + int(rng.integers(1, 10 ** int(rng.integers(1, 13))))
-        places = sorted(rng.integers(-10**13, 10**13, size=3).tolist())
-        v_goal = int(rng.integers(-10**13, 10**13))  # inside the ends or not
-        v = int(rng.integers(lo - 10**12, hi + 10**12))
-        assert lo <= hs._step(v, lo, hi, (places[0], v_goal, places[2])) < hi
 
 
 def _ci_member():
