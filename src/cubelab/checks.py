@@ -341,11 +341,9 @@ def _check_log_concavity_member(ctx: MemberContext) -> list[CheckRecord]:
 def _check_interval_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """All support-aligned 0 <= s <= t pairs at once via a prefix minimum."""
     h = ctx.halfspace
-    sup = h.distribution().support()
-    m_scaled = int(h.scaled[0])
+    sup = h.support()
     support = sup.values[sup.values >= 0]  # never empty: a.x is symmetric
-    mass = (sup.counts_gt_scaled(support - m_scaled)
-            - sup.counts_gt_scaled(support + m_scaled))
+    mass = _pivotal_counts(sup, int(h.scaled[0]), support)
     # pair (s, t): mass[t] <= 5 * mass[s] for every s-index <= t-index; as in
     # _decay_violations, 5 * min < mass as min <= (mass - 1) // 5, no overflow
     prefix_min = np.minimum.accumulate(mass)
@@ -404,19 +402,21 @@ def _decay_violations(kappa: np.ndarray, highs: np.ndarray, piece_vals: np.ndarr
     return int(np.count_nonzero(prefix_min[reach - 1] <= (piece_vals[t_idx] - 1) // 5))
 
 
-def _pivotal_counts(red, w: int, cuts: np.ndarray) -> np.ndarray:
-    """At each scaled cut c, the points where a coordinate of scaled weight
-    w decides 1{a.x > c}: the outcomes of the rest of a.x in (c - w, c + w],
-    read from red, the support of the reduced distribution without it."""
-    return red.counts_gt_scaled(cuts - w) - red.counts_gt_scaled(cuts + w)
+def _pivotal_counts(sup, w: int, cuts: np.ndarray) -> np.ndarray:
+    """The outcomes of sup in (c - w, c + w] at each scaled cut c.  With sup
+    the support of a.x - a_j x_j and w = a_j scaled, those are the points
+    where coordinate j decides 1{a.x > c}."""
+    return sup.counts_gt_scaled(cuts - w) - sup.counts_gt_scaled(cuts + w)
 
 
 @_check("COR36", _is_halfspace)
 def _check_influence_decay_member(ctx: MemberContext) -> list[CheckRecord]:
     """5 I_1(f_s) >= I_1(f_t) for every real |s| <= t, via piece sweep."""
     h = ctx.halfspace
-    red = h.reduced_distribution(0).support()
+    red = h.support(0)
     w0 = int(h.scaled[0])
+    # the full support's values, but that passes _WINDOW_GUARD sooner: a
+    # 23-coordinate split has 2^12 * 2^11 pairs, over it, and these 2^11 * 2^11
     breaks = _distinct(np.concatenate([red.values - w0, red.values + w0]))
     # influence of the heaviest coordinate at every piece's left end
     piece_vals = np.concatenate([[0], _pivotal_counts(red, w0, breaks)])
@@ -482,13 +482,12 @@ def _check_smoothed_influence_bound(ctx: MemberContext) -> list[CheckRecord]:
 def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
     """I_1(f_s)/mu(f_s) <= 6 I_1(f_t)/mu(f_t) for all 0 <= s <= t, exact."""
     h = ctx.halfspace
-    sup = h.distribution().support()
-    red = h.reduced_distribution(0).support()
+    sup = h.support()
     w0 = int(h.scaled[0])
-    breaks = _distinct(np.concatenate(
-        [red.values - w0, red.values + w0, sup.values, [0]]))
-    breaks = breaks[breaks >= 0]  # holds 0
-    inf_counts = _pivotal_counts(red, w0, breaks).astype(object)
+    # 0 and the support >= 0, that is every reduced value +- a_0 that is >= 0
+    breaks = sup.values[sup.values >= 0]
+    breaks = breaks if breaks[0] == 0 else np.concatenate([[0], breaks])
+    inf_counts = _pivotal_counts(h.support(0), w0, breaks).astype(object)
     mu_counts = sup.counts_gt_scaled(breaks).astype(object)
     # sweep s <= t over piece left-ends; exact integer cross-multiplication
     best_num, best_den = None, None  # running max of I/mu as a fraction
@@ -507,10 +506,10 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
                                 f"{len(breaks)} thresholds swept")]
 
 
-def _small_class_sums(h: Halfspace, sup, n_big: int, cuts: np.ndarray) -> np.ndarray:
+def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
     """Sum over the coordinates j >= n_big of s_j times the points where j
-    decides 1{a.x > g}, at each scaled cut g, from sup, the support of a.x;
-    s_j are the scaled weights, descending, so the first n_big are the big
+    decides 1{a.x > g}, at each scaled cut g, from the support of a.x; s_j
+    are the scaled weights, descending, so the first n_big are the big
     class.
 
     Over every coordinate that sum is the sum of v * count(v) over the
@@ -519,13 +518,13 @@ def _small_class_sums(h: Halfspace, sup, n_big: int, cuts: np.ndarray) -> np.nda
     off, one reduced support each.  Every partial sum is at most T * 2^n in
     size, so int64 below 2^63 and Python ints past it.
     """
+    sup = h.support()
     dtype = kernels.exact_int_dtype(sup.max_scaled << h.n)
     moments = sup.values.astype(dtype) * sup.counts.astype(dtype)
     sums = _suffix_counts(moments)[np.searchsorted(sup.values, cuts, side="right")]
     for j in range(n_big):
         w = int(h.scaled[j])
-        red = h.reduced_distribution(j).support()
-        sums = sums - w * _pivotal_counts(red, w, cuts).astype(dtype)
+        sums = sums - w * _pivotal_counts(h.support(j), w, cuts).astype(dtype)
     return sums
 
 
@@ -542,10 +541,10 @@ def _check_threshold_monotone_member(ctx: MemberContext) -> list[CheckRecord]:
     n_big = sum(1 for w in h.weights if w > beta)
     if n_big > 0.5 * math.log2(1 / float(eps)):
         return [CheckRecord.skipped("PROP5", ctx.label, "big class too large")]
-    sup = h.distribution().support()
     t_scaled = h.cut()
-    grid = sup.values[sup.values > t_scaled]
-    sums = _small_class_sums(h, sup, n_big, np.append(t_scaled, grid))
+    grid = h.support().values
+    grid = grid[grid > t_scaled]
+    sums = _small_class_sums(h, n_big, np.append(t_scaled, grid))
     violations = int(np.count_nonzero(sums[1:] > sums[0]))
     ok = violations == 0
     return [CheckRecord.verdict("PROP5", ctx.label, ok, violations, 0,
@@ -596,7 +595,7 @@ def _check_gauss_member(ctx) -> list[CheckRecord]:
     """Worst Gaussian-domination ratio over the whole nonnegative grid."""
     h = ctx.halfspace
     try:
-        sup = h.distribution().support()
+        sup = h.support()
     except BudgetError:  # one threshold instead of the sweep
         rec = gaussian_tail_ratio(h, max(F(0), h.threshold), instance=ctx.label)
         rec.ratio = rec.lhs / EATON_BOUND  # the sweep's meaning of ratio

@@ -14,8 +14,8 @@ small cube (2^n <= T + 1), splits into two halves combined per query,
 each half the sorted distribution of every other weight
 (``SupportDistribution``: the distinct values, their counts and their
 suffix counts, read by ``searchsorted``).  Either form's whole support,
-``support()``, is one sorted distribution: the DP's nonzero cells made on
-each call, or the pairs of the halves assembled once.
+``support()``, is one sorted distribution built on each call: the DP's
+nonzero cells, or the pairs of the halves.
 
 The DP keeps only the lower half of each prefix's counts, a palindrome,
 and mirrors the last one once into the T + 1 counts whose suffix the
@@ -45,8 +45,8 @@ guide's error bound while an end of the bracket is still open, and by a
 fixed stratified sample of the bracket's pairs once both are closed.
 Thresholds and the keys of counts above a value are clamped into the
 range of a.x before any count, so none wraps int64.  A ``Halfspace``
-keeps each count in one memo (``memoized``), keyed by the counting
-function and its arguments and cleared when the backend changes.
+keeps each count and each support in one memo (``memoized``), keyed by
+the function and its arguments and cleared when the backend changes.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -95,13 +96,13 @@ class _TailBase:
     ``min_scaled`` and ``max_scaled``.  The two forms of a whole
     distribution, the DP's cells and the split, also supply
     ``support_window`` (the support values in a closed window, and their
-    counts), ``support()`` (the whole support as a
-    ``SupportDistribution``; a split refuses past _WINDOW_GUARD pairs with
-    a BudgetError) and ``influence_counts``.  Written once, here: the
-    counts at a rational threshold, clamped into the support's range
-    before they reach int64.  All probabilities are exact with denominator
-    2^n_summands; thresholds are rationals in original (unscaled) units
-    unless suffixed _scaled.
+    counts; a split refuses past _WINDOW_GUARD pairs with a BudgetError)
+    and ``influence_counts``.  Written once, here: the counts at a rational
+    threshold, clamped into the support's range before they reach int64,
+    and ``support()``, the whole window as a ``SupportDistribution``,
+    built on each call and kept by ``Halfspace.support`` alone.  All
+    probabilities are exact with denominator 2^n_summands; thresholds are
+    rationals in original (unscaled) units unless suffixed _scaled.
 
     ``first_value_tail_le(limit_num, limit_den)`` is the least scaled v in
     [min_scaled, max_scaled] with count_gt_scaled(v) * limit_den <=
@@ -134,6 +135,11 @@ class _TailBase:
         limit_num // limit_den; that cap, clamped to total."""
         return min(limit_num // limit_den, self.total)
 
+    def support(self) -> SupportDistribution:
+        """The whole support of a whole distribution, built on each call."""
+        return SupportDistribution(*self.support_window(self.min_scaled, self.max_scaled),
+                                   self.scale, self.n_summands)
+
     def count_gt(self, q) -> int:
         return self.count_gt_scaled(_floor_scaled(as_fraction(q), self.scale))
 
@@ -162,7 +168,7 @@ class SupportDistribution(_TailBase):
     """Sorted exact distribution: the distinct scaled sums ascending, their
     int64 counts and the suffix counts beside them, so a tail count is one
     ``searchsorted`` of the values.  It holds each half of a split, a
-    whole support assembled once and a split search's last window."""
+    whole support and a split search's last window."""
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, scale: int, n_summands: int):
         self.values = values
@@ -210,11 +216,6 @@ class TailDistribution(_TailBase):
         cells += top + 1
         cells >>= 1
         return self._suffix[cells]
-
-    def support(self) -> SupportDistribution:
-        """The nonzero cells as a sorted distribution, made on each call."""
-        return SupportDistribution(*self.support_window(self.min_scaled, self.max_scaled),
-                                   self.scale, self.n_summands)
 
     def influence_counts(self, weights: np.ndarray, cut: int) -> np.ndarray:
         """For every weight j, Inf_j * 2^(n-1) of 1{a.x > cut}, cut in [-T, T]
@@ -295,8 +296,6 @@ class MeetInMiddleDistribution(_TailBase):
         self.n_summands = left.n_summands + right.n_summands
         self.min_scaled = left.min_scaled + right.min_scaled
         self.max_scaled = left.max_scaled + right.max_scaled
-        self._support = None
-        self._guide = None  # the delta search's ``_Guide``, made on its first search
 
     @classmethod
     def from_weights(cls, weights: np.ndarray, scale: int) -> "MeetInMiddleDistribution":
@@ -310,6 +309,11 @@ class MeetInMiddleDistribution(_TailBase):
         halves = [self.left, self.right]
         halves[side] = _enumerated(np.delete(weights[side::2], j // 2), self.scale)
         return MeetInMiddleDistribution(*halves, np.delete(weights, j))
+
+    @cached_property
+    def _guide(self) -> "_Guide":
+        """The delta search's guide, built where a search first places a probe."""
+        return _Guide(self.weights.tolist(), len(self.left.values) + len(self.right.values))
 
     @property
     def _rows(self):
@@ -361,14 +365,6 @@ class MeetInMiddleDistribution(_TailBase):
             out[s : s + rows] = self.right.counts_ge_scaled(flat[s : s + rows, None] - lv) @ lc
         return out.reshape(v.shape)
 
-    def support(self) -> SupportDistribution:
-        """Every pair (u, r) assembled once into the sorted distribution of
-        their sums, under the guard of ``support_window``."""
-        if self._support is None:
-            pairs = self.support_window(self.min_scaled, self.max_scaled)
-            self._support = SupportDistribution(*pairs, self.scale, self.n_summands)
-        return self._support
-
     def support_window(self, lo_scaled: int, hi_scaled: int):
         """Support values in the window and their counts, from the pairs
         (u, r) with u + r inside it: each left value's span of right indices."""
@@ -407,8 +403,9 @@ class MeetInMiddleDistribution(_TailBase):
         span ends; once the bracket holds at most _SEARCH_PAIRS pairs, the
         sorted search over them ends.
 
-        Each probe is placed by the split's guide (``_Guide``), built on its
-        first search and kept: the dense distribution of its weights
+        Each probe is placed by the split's guide (``_Guide``), built where
+        the first probe is placed and kept, so a search whose bracket starts
+        within one window builds none: the dense distribution of its weights
         rounded to multiples of a power of two q.  The guide's place for a
         count is q times its value with that many outcomes above.  The first
         probe goes to the place for the goal; each later one is a secant
@@ -436,9 +433,6 @@ class MeetInMiddleDistribution(_TailBase):
         cap, total = self._tail_cap(limit_num, limit_den), self.total
         if cap <= 0 or cap == total:  # the ends of the range, no count needed
             return self.max_scaled if cap <= 0 else self.min_scaled
-        if self._guide is None:
-            self._guide = _Guide(self.weights.tolist(), len(self.left.values) + len(self.right.values))
-        place = self._guide.place
         lo, hi = self.min_scaled, self.max_scaled
         above_lo, above_hi = total, 0  # outcomes >= lo and > hi
         first = np.zeros(len(self.left.values), dtype=np.int64)
@@ -455,7 +449,7 @@ class MeetInMiddleDistribution(_TailBase):
                 probes = [v for v in self._estimates(first, spans, share) if lo <= v < hi]
                 probes = probes or [(lo + hi) // 2]
             else:
-                goal = place(_goal(cap, above_lo, above_hi))
+                goal = self._guide.place(_goal(cap, above_lo, above_hi))
                 v = goal if last is None else last[0] + round((goal - last[1]) / slope)
                 probes = [min(max(v, lo), hi - 1)]
             near = total
@@ -466,7 +460,7 @@ class MeetInMiddleDistribution(_TailBase):
                         hi, above_hi, stop = v, above, idx
                     else:
                         lo, above_lo, first = v + 1, above, idx
-                    p = place(above)
+                    p = self._guide.place(above)
                     if last is not None and p != last[1]:
                         slope = (p - last[1]) / (v - last[0])
                     last, near = (v, p), min(near, abs(above - cap))
@@ -699,7 +693,7 @@ class Halfspace:
         self.scaled, self.scale = scaled_int64(weights)
         self._total = int(self.scaled.sum())  # T: a.x = 2s - T, s the sum of the +1 weights
         self._backend = None
-        self._memo: dict[tuple, object] = {}  # every count so far, by ``memoized``
+        self._memo: dict[tuple, object] = {}  # every count and support so far, by ``memoized``
 
     # -- construction helpers ------------------------------------------------
 
@@ -725,6 +719,13 @@ class Halfspace:
     @memoized
     def _distribution(self) -> _TailBase:
         return distribution_from_scaled(self.scaled, self.scale, self._backend)
+
+    @memoized
+    def support(self, j: int | None = None) -> SupportDistribution:
+        """The support of a.x, or given j of a.x - a_j x_j (internal index
+        j), built once; j is passed only for a reduced support, so each has
+        one memo key."""
+        return (self.distribution() if j is None else self.reduced_distribution(j)).support()
 
     @memoized
     def reduced_distribution(self, j: int) -> _TailBase:

@@ -205,41 +205,35 @@ def signed_poly_expectation(coeffs, a, s):
     Only polynomials of degree at most m+1 are supported, where the m-th
     derivative is monotone and the closed-interval extremes are exact.
 
-    Over common denominators D of the points and E of the coefficients, each
-    point is one Horner pass in Python ints, and the sum one Fraction.
+    The mean of x * g(y + w x) over x = +-1 is half the central difference
+    g(y + w) - g(y - w), a polynomial in y (``_half_difference``), so the
+    expectation is the value at s of m of them, one per a_i.
     """
     a = [as_fraction(v) for v in a]
     s = as_fraction(s)
     m = len(a)
     coeffs = [as_fraction(c) for c in coeffs]
-    degree = len(coeffs) - 1
-    if degree > m + 1:
+    if len(coeffs) - 1 > m + 1:
         raise ValueError("degree above m+1 needs extremum search")
-    den, coeff_den = common_scale([*a, s]), common_scale(coeffs)
-    ints = [v.numerator * (den // v.denominator) for v in a]
-    start = s.numerator * (den // s.denominator)
-    # c_i E D^(deg-i): the Horner pass at P = D p gives g(p) E D^deg
-    scaled = [c.numerator * (coeff_den // c.denominator) * den ** (degree - i)
-              for i, c in enumerate(coeffs)]
-    total = 0
-    for mask in range(1 << m):
-        point, odd = start, 0
-        for i, w in enumerate(ints):
-            if mask >> i & 1:
-                point += w
-            else:
-                point -= w
-                odd ^= 1
-        acc = 0
-        for c in reversed(scaled):
-            acc = acc * point + c
-        total += -acc if odd else acc
-    value = Fraction(total, coeff_den * den ** max(degree, 0) << m)
+    diff = coeffs
+    for w in a:
+        diff = _half_difference(diff, w)
+    value = poly_eval(diff, s)
     deriv = poly_derivative(coeffs, m)
     reach = sum(a, Fraction(0))
     ends = (poly_eval(deriv, s - reach), poly_eval(deriv, s + reach))
     scale = math.prod(a)
     return value, scale * min(ends), scale * max(ends)
+
+
+def _half_difference(coeffs: list[Fraction], w: Fraction) -> list[Fraction]:
+    """(g(y + w) - g(y - w)) / 2 for g of ascending coefficients c_i: the
+    sum over i and odd j of C(i, j) w^j c_i y^(i - j), one degree lower."""
+    out = [Fraction(0)] * max(len(coeffs) - 1, 1)
+    for i, c in enumerate(coeffs):
+        for j in range(1, i + 1, 2):
+            out[i - j] += math.comb(i, j) * w**j * c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +250,7 @@ def _point_weights(h: Halfspace, k: int, values: np.ndarray, t: Fraction,
     and only the points inside it are looked up in the window.  The window
     is cut by x, not by the weights, which may round to 0 or 1 inside it.
     """
-    uniq = h.distribution().support().values
+    uniq = h.support().values
     x = (uniq.astype(np.float64) - float(t * h.scale)) / float(delta * h.scale)
     lo, hi = np.searchsorted(x, 0.0, side="right"), np.searchsorted(x, float(k))
     weights = (values >= uniq[hi]).astype(np.float64) if hi < len(uniq) else np.zeros(len(values))

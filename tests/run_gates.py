@@ -8,7 +8,8 @@ wrote.  A gate passes when its exit code is the expected one and each file it
 pins has the recorded sha256.  The checkout's src/ goes first on PYTHONPATH,
 so this runs the same from a checkout or an install.  A gate's optional
 `env` map is added to the environment of that gate's process alone.  Prints
-one line per gate, its env first, and exits 1 if any gate failed.  When a
+one line per gate, its seconds, its process's peak RSS and its env first,
+and exits 1 if any gate failed.  When a
 gate with an `env` map moves a pinned report (a JSON file with records), it
 also prints tests/report_diff.py's summary of the new output against the
 output of the earlier gate that pins the same sha256, the default run.
@@ -49,6 +50,22 @@ def moved_report_lines(old: Path, new: Path) -> list[str]:
     return format_diff(diff_reports(before, after))
 
 
+def run_gate(cmd: str, cwd: Path, env: dict) -> tuple[int, bytes, bytes, float]:
+    """One gate's process: its exit code, its stdout and stderr (through
+    temporary files, so it never blocks on a full pipe) and its peak RSS in
+    MB, from the rusage that ``os.wait4`` returns for it alone."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "cubelab.cli", *shlex.split(cmd)],
+                                cwd=cwd, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+        out.seek(0)
+        err.seek(0)
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        rss_mb = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+        return proc.returncode, out.read(), err.read(), rss_mb
+
+
 def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -> int:
     spec = json.loads(Path(manifest).read_text())
     path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -62,14 +79,13 @@ def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -
         for gate in spec["gates"]:
             start = time.perf_counter()
             gate_env = gate.get("env", {})
-            proc = subprocess.run([sys.executable, "-m", "cubelab.cli", *shlex.split(gate["cmd"])],
-                                  cwd=work, env={**env, **gate_env}, capture_output=True)
+            code, stdout, stderr, rss_mb = run_gate(gate["cmd"], work, {**env, **gate_env})
             if "stdout" in gate:
-                (work / gate["stdout"]).write_bytes(proc.stdout)
+                (work / gate["stdout"]).write_bytes(stdout)
             wrong = []
-            if proc.returncode != gate["exit"]:
-                wrong.append(f"exit {proc.returncode}, expected {gate['exit']}")
-                wrong += proc.stderr.decode().splitlines()[-1:]
+            if code != gate["exit"]:
+                wrong.append(f"exit {code}, expected {gate['exit']}")
+                wrong += stderr.decode().splitlines()[-1:]
             for name, digest in gate["sha256"].items():
                 out = work / name
                 got = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "missing"
@@ -87,7 +103,8 @@ def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -
             failed |= bool(wrong)
             seconds = time.perf_counter() - start
             label = " ".join([*(f"{k}={v}" for k, v in gate_env.items()), gate["cmd"]])
-            print(f"{'FAIL' if wrong else 'ok'} {seconds:6.1f} s  {label}", flush=True)
+            print(f"{'FAIL' if wrong else 'ok'} {seconds:6.1f} s {rss_mb:7.1f} MB  {label}",
+                  flush=True)
             for line in wrong:
                 print(f"    {line}", flush=True)
         if keep is not None:

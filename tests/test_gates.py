@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,8 +28,15 @@ def run(tmp_path: Path, gates: list[dict], **kwargs) -> int:
 
 
 def test_gates_pass_as_written(tmp_path, capsys):
-    assert run(tmp_path, cheap_gates()) == 0
-    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["ok", "ok"]
+    """Each gate's line gives its status, its seconds, its process's peak
+    RSS and its command."""
+    gates = cheap_gates()
+    assert run(tmp_path, gates) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["ok", "ok"]
+    for line, gate in zip(lines, gates):
+        seconds, rss = re.fullmatch(r"ok +(\S+) s +(\S+) MB  (.*)", line).group(1, 2)
+        assert line.endswith(f"MB  {gate['cmd']}") and float(seconds) >= 0 and float(rss) > 1
 
 
 def test_a_wrong_digest_or_exit_code_fails_that_gate_alone(tmp_path, capsys):
@@ -58,7 +66,8 @@ def test_a_gate_env_reaches_that_gate_process_alone(tmp_path, capsys, monkeypatc
     assert run(tmp_path, [{**gate, "env": {"COLUMNS": "30"}}, gate]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith(" ")]
     assert [line.split()[0] for line in lines] == ["ok", "FAIL"]
-    assert lines[0].endswith(" s  COLUMNS=30 --help") and lines[1].endswith(" s  --help")
+    assert re.fullmatch(r"ok +\d+\.\d s +\d+\.\d MB  COLUMNS=30 --help", lines[0])
+    assert re.fullmatch(r"FAIL +\d+\.\d s +\d+\.\d MB  --help", lines[1])
 
 
 def test_the_workflow_pins_no_digest_itself():

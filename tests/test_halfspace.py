@@ -1466,6 +1466,21 @@ def test_mitm_guide_is_one_small_dp_per_split(monkeypatch):
     assert calls == [h.n]
 
 
+def test_mitm_search_within_one_window_builds_no_guide(monkeypatch):
+    """A small cube's split holds at most _SEARCH_PAIRS pairs, so its search
+    is the sorted search over them alone: on 64 points, at caps 1..63,
+    none runs the guide's DP, and each answers as the whole support does."""
+    dist = distribution_from_scaled(np.array([2_000_000] * 4 + [1] * 2), 1)
+    assert isinstance(dist, MeetInMiddleDistribution)
+    sup = dist.support()
+    calls = []
+    route = kernels.signed_sum_counts
+    monkeypatch.setattr(kernels, "signed_sum_counts", lambda w: calls.append(len(w)) or route(w))
+    for cap in range(1, 64):
+        assert dist.first_value_tail_le(cap, 1) == sup.first_value_tail_le(cap, 1)
+    assert calls == [] and "_guide" not in vars(dist)
+
+
 @pytest.mark.parametrize("name", ["geometric", "light under heavy", "ci"])
 def test_mitm_guide_bounds_hold(name):
     """The guide's bounds, q * (g - 1) and q * g moved away from the answer

@@ -15,7 +15,7 @@ from cubelab import checks, correlate, halfspace, harness, kernels, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import (Halfspace, MeetInMiddleDistribution, SupportDistribution,
-                               TailDistribution, make_halfspace, parse_halfspace)
+                               TailDistribution, _TailBase, make_halfspace, parse_halfspace)
 
 import oracles
 
@@ -256,9 +256,9 @@ def test_sign_condition_counts_from_the_halves(fitting_mitm_member):
 def test_assembled_support_counts_match_the_halves(fitting_mitm_member):
     """The support assembled once counts as the halves do at sampled support
     values, one either side of each, and keys inside and past the range."""
-    dist = parse_halfspace(fitting_mitm_member).distribution()
-    sup = dist.support()
-    assert isinstance(sup, SupportDistribution) and dist.support() is sup
+    h = parse_halfspace(fitting_mitm_member)
+    dist, sup = h.distribution(), h.support()
+    assert isinstance(sup, SupportDistribution) and h.support() is sup
     assert (sup.min_scaled, sup.max_scaled, sup.total) == (dist.min_scaled, dist.max_scaled,
                                                           dist.total)
     rng = np.random.default_rng(4)
@@ -591,21 +591,33 @@ def _prop5_thresholds(h):
 
 
 def test_tail_lemmas_pass_their_supports_to_the_helpers(monkeypatch):
-    """COR36 and LEM62 hand the reduced support they hold to
-    ``_pivotal_counts``, and PROP5 its full support to
-    ``_small_class_sums``: on the seed-1 16-coordinate dense member the
-    tail lemmas make 5 sorted supports of the DP's cells, where rebuilding
-    them in the helpers made 8, and the report keeps its bytes."""
+    """The tail lemmas and their helpers read the halfspace's kept
+    supports: on the seed-1 16-coordinate dense member they make 2 sorted
+    supports of the DP's cells, the full one and the one without
+    coordinate 0, where each check building its own made 5, and the
+    report keeps its bytes."""
     corpus = harness.corpus_gen("random-halfspace", {"n_lo": 16, "n_hi": 16, "count": 1}, seed=1)
     assert isinstance(parse_halfspace(corpus.entries[0]).distribution(), TailDistribution)
     built = []
-    support = TailDistribution.support
-    monkeypatch.setattr(TailDistribution, "support", lambda self: built.append(1) or support(self))
+    support = _TailBase.support
+    monkeypatch.setattr(_TailBase, "support", lambda self: built.append(1) or support(self))
     report, _ = harness.run_suite("tail-lemmas", corpus)
-    assert len(built) == 5
+    assert len(built) == 2
     assert [r.status for r in report.records] == ["pass"] * 8
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
         "efbb52474c0ac4e3b3fb80928074a7fb627c69e5ac44f9af2e5d552c96c6211f")
+
+
+def test_run_suite_builds_each_support_once_per_distribution(monkeypatch):
+    """The `all` suite on three standard members reads each support from
+    its halfspace's memo: the tail lemmas, GAUSS-EATON and WK-PIPELINE
+    read them, and no distribution builds its support twice."""
+    built = []
+    support = _TailBase.support
+    monkeypatch.setattr(_TailBase, "support", lambda self: built.append(self) or support(self))
+    harness.run_suite("all", harness.Corpus("standard", harness.standard_corpus().entries[:3]))
+    assert built and all(isinstance(d, TailDistribution) for d in built)
+    assert len({id(d) for d in built}) == len(built)  # built holds each, so no id is reused
 
 
 def test_prop5_sums_match_the_per_coordinate_route():
@@ -626,7 +638,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
         thresholds = _prop5_thresholds(h)
         cuts = np.array([math.floor(t * h.scale) for t in thresholds])
         for n_big in range(h.n + 1):
-            got = checks._small_class_sums(h, h.distribution().support(), n_big, cuts)
+            got = checks._small_class_sums(h, n_big, cuts)
             assert got.tolist() == oracles.per_coordinate_small_class_sums(
                 h, n_big, thresholds), (h.to_text(), n_big)
     wide = make_halfspace([int(w) for w in rng.integers(3, 6, size=60)], 0)
@@ -636,7 +648,7 @@ def test_prop5_sums_match_the_per_coordinate_route():
     cuts = np.array([math.floor(t) for t in thresholds])
     for n_big in (0, 1, 2, 30, 59, 60):
         want = oracles.per_coordinate_small_class_sums(wide, n_big, thresholds)
-        assert checks._small_class_sums(wide, dist.support(), n_big, cuts).tolist() == want
+        assert checks._small_class_sums(wide, n_big, cuts).tolist() == want
     assert max(oracles.per_coordinate_small_class_sums(wide, 0, thresholds)) >= 1 << 63
 
 
@@ -682,7 +694,7 @@ def test_decay_violations_match_the_pointer_sweep(top):
 
 
 def test_distinct_matches_np_unique():
-    """COR36's and LEM62's breakpoints: the same array as np.unique, dtype
+    """COR36's breakpoints: the same array as np.unique, dtype
     included, on random, empty and all-equal arrays."""
     rng = np.random.default_rng(62)
     cases = [np.array([], dtype=np.int64), np.full(9, -4, dtype=np.int64), np.array([7])]

@@ -158,8 +158,8 @@ def test_signed_poly_expectation_bracket_degree_plus_one():
 
 
 def test_signed_poly_expectation_matches_fraction_route():
-    """The sum over one common denominator equals the sum of one Fraction
-    per point, on random rationals of degree -1 (no coefficients) through
+    """The m central differences equal the sum of one Fraction per point,
+    on random rationals of degree -1 (no coefficients) through
     m + 1, with coefficients zeroed at random, and both refuse m + 2."""
     rng = np.random.default_rng(8402)
     for trial in range(300):
