@@ -40,9 +40,8 @@ split's guide (``_Guide``), a dense DP of its weights rounded to multiples
 of a power of two, small enough to cost less than one count: its own
 search puts the limit at a guide value, and a secant step from the last
 counts along the guide's places corrects it, lumps and gaps of a.x
-included.  A step that gained little is followed by a count at the
-guide's error bound while an end of the bracket is still open, and by a
-fixed stratified sample of the bracket's pairs once both are closed.
+included.  A round that gained little is followed by a count at a
+weighted quantile of a fixed stratified sample of the bracket's pairs.
 Thresholds and the keys of counts above a value are clamped into the
 range of a.x before any count, so none wraps int64.  A ``Halfspace``
 keeps each count and each support in one memo (``memoized``), keyed by
@@ -70,7 +69,7 @@ MITM_MAX_N = 40
 MAX_SUMMANDS = 1 - sys.float_info.min_exp
 _WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
 _QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
-# pairs a split's delta search samples in a safeguard round, and reads at the end;
+# pairs a split's delta search samples after a stalled round, and reads at the end;
 # its guide's counts aim within this many outcomes past the limit to close the bracket
 _SEARCH_PAIRS = 4096
 
@@ -403,32 +402,31 @@ class MeetInMiddleDistribution(_TailBase):
         span ends; once the bracket holds at most _SEARCH_PAIRS pairs, the
         sorted search over them ends.
 
-        Each probe is placed by the split's guide (``_Guide``), built where
-        the first probe is placed and kept, so a search whose bracket starts
-        within one window builds none: the dense distribution of its weights
-        rounded to multiples of a power of two q.  The guide's place for a
-        count is q times its value with that many outcomes above.  The first
-        probe goes to the place for the goal; each later one is a secant
-        step from the last probe, which moves from the last probe's place
-        to the goal's along the slope (places per unit of value) the last
-        two probes showed.  Until there are two, the slope is 1: the step is
-        the goal's place plus the last probe's offset from its own place,
-        which corrects the guide where the rounding moved it.  Every step
-        is clamped into lo..hi - 1.  Once an end is within _SEARCH_PAIRS
-        outcomes of the cap, the step aims just past the cap (``_goal``),
-        so that the next probe closes the bracket.  At caps 0 and 2^n the
-        answer is an end of the range, and no probe is made.
+        Each round makes one probe, clamped into lo..hi - 1.  It is placed
+        by the split's guide (``_Guide``), built where the first probe is
+        placed and kept, so a search whose bracket starts within one window
+        builds none: the dense distribution of its weights rounded to
+        multiples of a power of two q.  The guide's place for a count is q
+        times its value with that many outcomes above.  The first probe
+        goes to the place for the goal; each later one is a secant step
+        from the last probe, which moves from the last probe's place to the
+        goal's along the slope (places per unit of value) the last two
+        probes showed.  Until there are two, the slope is 1: the step is the
+        goal's place plus the last probe's offset from its own place, which
+        corrects the guide where the rounding moved it.  Once an end is
+        within _SEARCH_PAIRS outcomes of the cap, the step aims just past
+        the cap (``_goal``), so that the next probe closes the bracket.  At
+        caps 0 and 2^n the answer is an end of the range, and no probe is
+        made.
 
-        A round whose nearest probe is not 4 times closer to the cap than
-        the round before's (than total, in the first round) is followed by
-        a safeguard.  While an end of the bracket is still the range's end,
-        that is a probe at the guide's bound on that side (``bounds``),
-        sure to close it.  Once both ends have been probed, it is a round
-        that samples _SEARCH_PAIRS of the bracket's pairs, estimates where
-        the outcomes above reach the cap, and probes once either side of
-        the estimate (or the midpoint, when neither side is inside).  The
-        sample's ranks are fixed, so each search makes the same probes on
-        every run.
+        A round whose count is not 4 times closer to the cap than the round
+        before's (than total, in the first round) stalled, and the next
+        probe goes to a sampled quantile of the bracket in place of a guide
+        step (``_estimate``), whether or not its ends have been probed: the
+        value where the sample's outcomes above reach the share of the
+        bracket's the cap allows, (cap - above_hi) / (above_lo - above_hi).
+        The sample's ranks are fixed, so each search makes the same probes
+        on every run.
         """
         cap, total = self._tail_cap(limit_num, limit_den), self.total
         if cap <= 0 or cap == total:  # the ends of the range, no count needed
@@ -438,32 +436,23 @@ class MeetInMiddleDistribution(_TailBase):
         first = np.zeros(len(self.left.values), dtype=np.int64)
         stop = np.full(len(self.left.values), len(self.right.values), dtype=np.int64)
         last, slope = None, 1.0  # the last probe's value and place, and dplace/dv
-        gap, stalled = total, False  # the last round's nearest distance to the cap
+        gap, stalled = total, False  # the last count's distance to the cap
         while lo < hi and int((spans := stop - first).sum()) > _SEARCH_PAIRS:
-            if stalled and hi == self.max_scaled:  # the guide's bound, sure to close hi
-                probes = [min(self._guide.bounds(cap)[1], hi - 1)]
-            elif stalled and lo == self.min_scaled:  # the guide's bound, sure to close lo
-                probes = [max(self._guide.bounds(cap)[0], lo)]
-            elif stalled:
-                share = (cap - above_hi) / (above_lo - above_hi)  # share of the bracket allowed above
-                probes = [v for v in self._estimates(first, spans, share) if lo <= v < hi]
-                probes = probes or [(lo + hi) // 2]
+            if stalled:
+                v = self._estimate(first, spans, (cap - above_hi) / (above_lo - above_hi))
             else:
                 goal = self._guide.place(_goal(cap, above_lo, above_hi))
                 v = goal if last is None else last[0] + round((goal - last[1]) / slope)
-                probes = [min(max(v, lo), hi - 1)]
-            near = total
-            for v in probes:
-                if lo <= v < hi:  # the round's first probe may have passed it
-                    above, idx = self._probe(v, first, stop)
-                    if above <= cap:
-                        hi, above_hi, stop = v, above, idx
-                    else:
-                        lo, above_lo, first = v + 1, above, idx
-                    p = self._guide.place(above)
-                    if last is not None and p != last[1]:
-                        slope = (p - last[1]) / (v - last[0])
-                    last, near = (v, p), min(near, abs(above - cap))
+            v = min(max(v, lo), hi - 1)
+            above, idx = self._probe(v, first, stop)
+            if above <= cap:
+                hi, above_hi, stop = v, above, idx
+            else:
+                lo, above_lo, first = v + 1, above, idx
+            p = self._guide.place(above)
+            if last is not None and p != last[1]:
+                slope = (p - last[1]) / (v - last[0])
+            last, near = (v, p), abs(above - cap)
             stalled, gap = 4 * near >= gap, near
         if lo == hi:
             return lo
@@ -489,11 +478,10 @@ class MeetInMiddleDistribution(_TailBase):
             idx[live] = np.searchsorted(self.right.values, np.subtract(v, keys, out=keys), side="right")
         return int(self.right._suffix[idx] @ lc), idx
 
-    def _estimates(self, first: np.ndarray, spans: np.ndarray, q: float) -> list[int]:
-        """Two values about where the share q of the bracket's outcomes lies
-        above: weighted quantiles, 2.5 standard errors either side, of a
-        stratified sample of its pairs, the middle pair of each of k equal
-        runs, each pair weighted by its two counts."""
+    def _estimate(self, first: np.ndarray, spans: np.ndarray, q: float) -> int:
+        """About where the share q of the bracket's outcomes lies above: the
+        weighted quantile of a stratified sample of its pairs, the middle
+        pair of each of k equal runs, each pair weighted by its two counts."""
         ends = np.cumsum(spans)
         k = _SEARCH_PAIRS
         ranks = ((np.arange(k) + 0.5) * (int(ends[-1]) / k)).astype(np.int64)
@@ -502,11 +490,9 @@ class MeetInMiddleDistribution(_TailBase):
         lv, lc = self._rows
         values = lv[rows] + self.right.values[cols]
         order = np.argsort(values)
-        # float weights: only the probes' places depend on them
+        # float weights: only the count's place depends on them
         mass = np.cumsum(lc[rows[order]] * self.right.counts[cols[order]].astype(float))
-        margin = 2.5 * math.sqrt(q * (1 - q) / k)
-        return [int(values[order[min(int(np.searchsorted(mass, (1 - share) * mass[-1])), k - 1)]])
-                for share in (q + margin, q - margin)]
+        return int(values[order[min(int(np.searchsorted(mass, (1 - q) * mass[-1])), k - 1)]])
 
 
 class _Guide:
@@ -514,10 +500,9 @@ class _Guide:
     rounded to multiples of q, c_i = (w_i + q/2) // q, with q the least
     power of two that puts their sum T at or below `cells`.  Zero c_i stay
     in the DP, so it counts all 2^n outcomes.  Cell s is c.x = 2s - T,
-    which stands for a.x = q * (2s - T), and at every point |a.x - q * c.x|
-    is at most ``error``.  The guide keeps the DP's running sums in place of
-    its counts, ``below[s]`` the outcomes in cells 0..s, each read by one
-    ``searchsorted``."""
+    which stands for a.x = q * (2s - T).  The guide keeps the DP's running
+    sums in place of its counts, ``below[s]`` the outcomes in cells 0..s,
+    read by one ``searchsorted``."""
 
     def __init__(self, weights: list[int], cells: int):
         q = 1
@@ -525,34 +510,20 @@ class _Guide:
             q *= 2
         coarse = [(w + q // 2) // q for w in weights]
         self.q, self.top = q, sum(coarse)
-        self.error = sum(abs(w - q * c) for w, c in zip(weights, coarse))
         counts = kernels.signed_sum_counts(np.array(coarse, dtype=np.int64))
         self.below = np.cumsum(counts, out=counts)
-
-    def _cell(self, above: int) -> int:
-        """The least cell with at most `above` outcomes in the cells above it,
-        for 0 <= above <= 2^n."""
-        return int(np.searchsorted(self.below, int(self.below[-1]) - above, side="left"))
 
     def place(self, above: int) -> int:
         """The value of a.x with `above` outcomes above it, by the guide: q
         times the guide's value there, each cell's outcomes spread evenly
-        over the two units about it."""
+        over the two units about it.  Cell s is the least with at most
+        `above` outcomes in the cells above it."""
         total = int(self.below[-1])
         above = min(max(above, 0), total)
-        s = self._cell(above)
+        s = int(np.searchsorted(self.below, total - above, side="left"))
         under = int(self.below[s - 1]) if s else 0
         share = (above - total + int(self.below[s])) / (int(self.below[s]) - under)
         return round(self.q * (2 * s + 1 - self.top - 2 * share))
-
-    def bounds(self, cap: int) -> tuple[int, int]:
-        """Two values of a.x, the first with more than cap outcomes above it
-        and the second with at most cap, for 0 <= cap < 2^n: with g the
-        least cell value with at most cap of the guide's outcomes above it,
-        q * (g - 1) and q * g, each moved away from the answer by
-        ``error``."""
-        g = 2 * self._cell(cap) - self.top
-        return self.q * (g - 1) - self.error, self.q * g + self.error
 
 
 def _clamped(cut: int, low: int, high: int) -> int:

@@ -7,9 +7,10 @@ temporary working directory, so later gates read the corpora earlier ones
 wrote.  A gate passes when its exit code is the expected one and each file it
 pins has the recorded sha256.  The checkout's src/ goes first on PYTHONPATH,
 so this runs the same from a checkout or an install.  A gate's optional
-`env` map is added to the environment of that gate's process alone.  Prints
-one line per gate, its seconds, its process's peak RSS and its env first,
-and exits 1 if any gate failed.  When a
+`env` map is added to the environment of that gate's process alone, and
+its optional `max_rss_mb` fails it when its process's peak RSS is above
+that many MB.  Prints one line per gate, its seconds, its process's peak
+RSS and its env first, and exits 1 if any gate failed.  When a
 gate with an `env` map moves a pinned report (a JSON file with records), it
 also prints tests/report_diff.py's summary of the new output against the
 output of the earlier gate that pins the same sha256, the default run.
@@ -86,6 +87,8 @@ def run_gates(manifest=ROOT / "tests" / "gates.json", keep=None, against=None) -
             if code != gate["exit"]:
                 wrong.append(f"exit {code}, expected {gate['exit']}")
                 wrong += stderr.decode().splitlines()[-1:]
+            if rss_mb > gate.get("max_rss_mb", float("inf")):
+                wrong.append(f"peak RSS {rss_mb:.1f} MB, above max_rss_mb {gate['max_rss_mb']}")
             for name, digest in gate["sha256"].items():
                 out = work / name
                 got = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "missing"

@@ -53,6 +53,20 @@ def test_a_wrong_digest_or_exit_code_fails_that_gate_alone(tmp_path, capsys):
         f"{name}: sha256 {digest}, expected {digest[::-1]}", "exit 0, expected 1"]
 
 
+def test_a_gate_above_its_memory_ceiling_fails_alone(tmp_path, capsys):
+    """Two copies of the analyze gate, one with a max_rss_mb below what its
+    process needs and one with room to spare: the first fails with its
+    measured peak, the second passes."""
+    analyze, _ = cheap_gates()
+    assert run(tmp_path, [{**analyze, "max_rss_mb": 1}, {**analyze, "max_rss_mb": 10_000}]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out if not line.startswith(" ")] == ["FAIL", "ok"]
+    rss = re.fullmatch(r"FAIL +\S+ s +(\S+) MB  .*", out[0]).group(1)
+    assert float(rss) > 1
+    assert [line.strip() for line in out if line.startswith(" ")] == [
+        f"peak RSS {rss} MB, above max_rss_mb 1"]
+
+
 def test_a_gate_env_reaches_that_gate_process_alone(tmp_path, capsys, monkeypatch):
     """argparse wraps --help at $COLUMNS: a gate pinned to the 30-column
     text passes with env COLUMNS=30 and fails without it, and the env set

@@ -1242,7 +1242,7 @@ def _limits(dist, den, rng, tails=40):
 @pytest.mark.parametrize("n", [18, 20, 21, 22])
 def test_mitm_search_matches_bisection_and_dense(n):
     """16-bit weights: pairs of the two halves in the millions, so the
-    search narrows its bracket over sampled rounds before it reads the last
+    search narrows its bracket over several probes before it reads the last
     window; against the bisection oracle and the forced dense backend."""
     rng = np.random.default_rng(n)
     weights = np.sort(rng.integers(1, 1 << 16, size=n))[::-1].astype(np.int64)
@@ -1260,38 +1260,30 @@ def test_mitm_search_matches_bisection_and_dense(n):
 @pytest.mark.parametrize("weights", [[1] * 30, [7] * 9 + [2] * 21, [3] * 15 + [1] * 15])
 def test_mitm_search_on_tied_weights(monkeypatch, weights, pairs):
     """Few distinct values, each of many outcomes: the count is flat from
-    one value to the next.  Where the guide rounds the weights (q = 2),
-    some of its steps stall with few pairs read at the end and the next
-    round samples; where it is exact (q = 1), none stalls.  A guide step
-    need not be a support value, nor one of the sampled estimates."""
+    one value to the next, so guide steps stall with few pairs read at the
+    end, where the guide rounds the weights (q = 2) and where it is exact
+    (q = 1) alike; on the q = 1 members 112-236 steps stalled when the
+    guide's error bounds still served them.  Every probe is a clamped guide
+    step or a clamped sample estimate, and a guide step need not be a
+    support value, nor one of the sampled estimates."""
     monkeypatch.setattr(hs, "_SEARCH_PAIRS", pairs)
     mitm = distribution_from_scaled(np.array(weights), 1, backend="mitm")
     dense = distribution_from_scaled(np.array(weights), 1, backend="dense")
-    estimated, probed = set(), []
-    route = MeetInMiddleDistribution._estimates
-
-    def estimates(self, *args):
-        out = route(self, *args)
-        estimated.update(out)
-        return out
-
-    monkeypatch.setattr(MeetInMiddleDistribution, "_estimates", estimates)
-    probe = MeetInMiddleDistribution._probe
-    monkeypatch.setattr(MeetInMiddleDistribution, "_probe",
-                        lambda self, v, *spans: probed.append(v) or probe(self, v, *spans))
+    log = []
+    probed, estimated, _ = _spy_search(monkeypatch, log)
     values = dense.support().values.tolist()
     for den in (1, 6):
         for num in {-1, 0, dense.total * den} | {c * den + d for c in dense._suffix.tolist()
                                                   for d in (-1, 0, 1)}:
             want = oracles.bisect_first_value_tail_le(dense, num, den)
+            log.clear()
             assert mitm.first_value_tail_le(num, den) == want
             assert dense.first_value_tail_le(num, den) == want and want in values
+            _assert_one_rule(mitm, mitm._tail_cap(num, den), log)
     if pairs == 4096:
         assert not probed  # every bracket fits one window
-    elif mitm._guide.q == 1:  # the guide is the distribution itself: no step stalls
-        assert not estimated and any(v not in values for v in probed)
     else:
-        assert estimated  # the safeguard ran
+        assert estimated  # some step stalled
         assert any(v not in estimated for v in probed)  # guide steps
         assert any(v not in values for v in probed)
 
@@ -1304,26 +1296,62 @@ def _ci_member():
     return parse_halfspace(corpus.entries[0])
 
 
-def _spy_search(monkeypatch, counted=None):
-    """Lists of the search's probes, sampled rounds and other full tail
-    counts; each probe's count goes to `counted` too, when given."""
-    probes, rounds, counts = [], [], []
-    probe, sample = MeetInMiddleDistribution._probe, MeetInMiddleDistribution._estimates
+def _spy_search(monkeypatch, log=None):
+    """Lists of the search's probes, sampled estimates and other full tail
+    counts; each probe goes to `log` as ("probe", v, its count) and each
+    estimate as ("estimate", v, None), when a log is given."""
+    probes, estimates, counts = [], [], []
+    probe, sample = MeetInMiddleDistribution._probe, MeetInMiddleDistribution._estimate
     count = MeetInMiddleDistribution.counts_ge_scaled
 
     def probing(self, v, *spans):
         probes.append(v)
         out = probe(self, v, *spans)
-        if counted is not None:
-            counted.append(out[0])
+        if log is not None:
+            log.append(("probe", v, out[0]))
         return out
 
+    def estimating(self, *args):
+        v = sample(self, *args)
+        estimates.append(v)
+        if log is not None:
+            log.append(("estimate", v, None))
+        return v
+
     monkeypatch.setattr(MeetInMiddleDistribution, "_probe", probing)
-    monkeypatch.setattr(MeetInMiddleDistribution, "_estimates",
-                        lambda self, *args: rounds.append(args[2]) or sample(self, *args))
+    monkeypatch.setattr(MeetInMiddleDistribution, "_estimate", estimating)
     monkeypatch.setattr(MeetInMiddleDistribution, "counts_ge_scaled",
                         lambda self, v: counts.append(v) or count(self, v))
-    return probes, rounds, counts
+    return probes, estimates, counts
+
+
+def _assert_one_rule(dist, cap, log):
+    """The one rule of a split's search, replayed over one search's log
+    from ``_spy_search``: each round probes once, clamped into lo..hi - 1,
+    at the guide's secant step, or, after a round whose count came less
+    than 4 times closer to the cap, at the sample estimate logged just
+    before the probe, so each estimate is followed by exactly one probe."""
+    lo, hi, above_lo, above_hi = dist.min_scaled, dist.max_scaled, dist.total, 0
+    last, slope, gap, stalled = None, 1.0, dist.total, False
+    events = iter(log)
+    for kind, v, above in events:
+        if stalled:
+            assert kind == "estimate"
+            step = v
+            kind, v, above = next(events)
+        else:
+            goal = dist._guide.place(hs._goal(cap, above_lo, above_hi))
+            step = goal if last is None else last[0] + round((goal - last[1]) / slope)
+        assert kind == "probe" and v == min(max(step, lo), hi - 1)
+        if above <= cap:
+            hi, above_hi = v, above
+        else:
+            lo, above_lo = v + 1, above
+        p = dist._guide.place(above)
+        if last is not None and p != last[1]:
+            slope = (p - last[1]) / (v - last[0])
+        last, near = (v, p), abs(above - cap)
+        stalled, gap = 4 * near >= gap, near
 
 
 def test_mitm_search_probe_bound(monkeypatch):
@@ -1336,7 +1364,7 @@ def test_mitm_search_probe_bound(monkeypatch):
     dist = h.distribution()
     assert isinstance(dist, MeetInMiddleDistribution)
     base = dist.count_gt(h.threshold)
-    probes, rounds, counts = _spy_search(monkeypatch)
+    probes, estimates, counts = _spy_search(monkeypatch)
     assert dist.first_value_tail_le(0, 1) == dist.max_scaled
     assert dist.first_value_tail_le(dist.total, 1) == dist.min_scaled
     assert not probes and not counts
@@ -1344,7 +1372,7 @@ def test_mitm_search_probe_bound(monkeypatch):
         probes.clear()
         counts.clear()
         got = dist.first_value_tail_le(c.numerator * base, c.denominator)
-        assert 1 <= len(probes) <= 2 and not counts and not rounds
+        assert 1 <= len(probes) <= 2 and not counts and not estimates
         assert got == oracles.bisect_first_value_tail_le(dist, c.numerator * base, c.denominator)
         again = list(probes)
         probes.clear()
@@ -1353,87 +1381,111 @@ def test_mitm_search_probe_bound(monkeypatch):
 
 
 def _far_from_gaussian():
-    """Four 26-coordinate members whose a.x is far from Gaussian: the
+    """Seven 26-coordinate members whose a.x is far from Gaussian: the
     weights 3^26..3^1 (every sum distinct, the counts a staircase), one
     weight 2^27 over 25 below 2^22 and two over 24 below 2^20 (two and three
-    lumps with empty gaps between them), and one weight 2^30 over 25 below
-    2^16, which the guide rounds to zero (two lumps, each one cell of the
-    guide, but 1.6 million wide)."""
+    lumps with empty gaps between them), one weight 2^30 over 25 below 2^16
+    and one 2^29 over 25 below 2^12, which the guide rounds to zero (two
+    lumps, each one cell of the guide, but 1.6 million and 100 thousand
+    wide), 26 random powers of two from 2^4 to 2^27, whose sums tie often,
+    and three weights in [2^22, 2^24) over 23 below 2^8 (eight narrow
+    lumps)."""
     rng = np.random.default_rng(46)
     return {"geometric": [3**k for k in range(26, 0, -1)],
             "one heavy": [1 << 27] + rng.integers(1, 1 << 22, size=25).tolist(),
             "two heavy": [1 << 27] * 2 + rng.integers(1, 1 << 20, size=24).tolist(),
-            "light under heavy": [1 << 30] + rng.integers(1, 1 << 16, size=25).tolist()}
+            "light under heavy": [1 << 30] + rng.integers(1, 1 << 16, size=25).tolist(),
+            "tiny under heavy": [1 << 29] + rng.integers(1, 1 << 12, size=25).tolist(),
+            "powers of two": [1 << k for k in rng.integers(4, 28, size=26).tolist()],
+            "three over light": rng.integers(1 << 22, 1 << 24, size=3).tolist()
+                                + rng.integers(1, 1 << 8, size=23).tolist()}
 
 
-@pytest.mark.parametrize("name", ["geometric", "one heavy", "two heavy", "light under heavy"])
+FAR_MOST = {"geometric": 7, "one heavy": 2, "two heavy": 2, "light under heavy": 8,
+            "tiny under heavy": 7, "powers of two": 3, "three over light": 8}
+
+
+@pytest.mark.parametrize("name", list(FAR_MOST))
 def test_mitm_search_safeguard_far_from_gaussian(monkeypatch, name):
-    """Where a coarse guide places its probes badly, the guide's error
-    bound and the sampled round keep the search short: at caps 1-3, 0.1%,
-    2%, 30%, 50%, 77% and 99.9% of 2^n and 2^n - 1, each search equals the
-    bisection oracle and makes at most 8 probes on the geometric member and
-    2 on the lumpy ones (the sampled search made at most 8, the Gaussian
-    limit's steps at most 12; with no safeguard the geometric member took
-    up to 71), and at caps 0 and 2^n none.  No sampled round runs before both ends of the
-    bracket have been probed: before it, some count was within the cap and
-    some above it."""
-    most = {"geometric": 8, "one heavy": 2, "two heavy": 2, "light under heavy": 8}[name]
+    """Where a coarse guide places its probes badly, the sampled estimate
+    after a stalled round keeps the search short: at caps 1-3, 0.1%, 2%,
+    30%, 50%, 77% and 99.9% of 2^n and 2^n - 1, each search equals the
+    bisection oracle, follows the one rule and makes at most 7 probes on
+    the geometric member, 2 on the one- and two-heavy ones, 8 with light
+    under heavy, 7 with tiny under heavy, 3 on the powers of two and 8 on
+    three over light; at caps 1-3 light under heavy takes at most 3.  The
+    guide's error bounds with a two-probe sampled round made at most 8, 2,
+    2, 8, 8, 4 and 8 (5 at caps 1-3 with light under heavy), the sampled
+    search at most 8, the Gaussian limit's steps at most 12; with no
+    safeguard the geometric member took up to 71.  At caps 0 and 2^n no
+    probe is made."""
+    most = FAR_MOST[name]
     weights = np.array(sorted(_far_from_gaussian()[name], reverse=True), dtype=np.int64)
     dist = distribution_from_scaled(weights, 1)
     assert isinstance(dist, MeetInMiddleDistribution)
     total = dist.total
     caps = [1, 2, 3, *(total * p // 1000 for p in (1, 20, 300, 500, 770, 999)), total - 1]
-    counted, sides = [], []
-    probes, rounds, _ = _spy_search(monkeypatch, counted)
-    sample = MeetInMiddleDistribution._estimates
-
-    def both_sides(self, *args):
-        sides.append({above <= cap for above in counted})
-        return sample(self, *args)
-
-    monkeypatch.setattr(MeetInMiddleDistribution, "_estimates", both_sides)
+    log = []
+    probes, estimates, _ = _spy_search(monkeypatch, log)
     for cap in (0, total):
         assert dist.first_value_tail_le(cap, 1) == oracles.bisect_first_value_tail_le(dist, cap, 1)
         assert not probes
     for cap in caps:
         probes.clear()
-        counted.clear()
+        log.clear()
         assert dist.first_value_tail_le(cap, 1) == oracles.bisect_first_value_tail_le(dist, cap, 1)
-        assert 1 <= len(probes) <= most
-    assert all(seen == {True, False} for seen in sides)
+        assert 1 <= len(probes) <= (3 if name == "light under heavy" and cap <= 3 else most)
+        _assert_one_rule(dist, cap, log)
     if name in ("geometric", "light under heavy"):
-        assert sides  # the safeguard ran
+        assert estimates  # some round stalled
 
 
-def _benchmark_splits(seeds=range(1, 11)) -> list[str]:
-    """The 32-coordinate member of the `halfspace` benchmark plan of each
-    seed, ``Halfspace().plan(seed, 13)[1]``: 24-bit weights, halves of
-    about 2^16 values each."""
+def _benchmark_plan(seed: int, seconds: float = 13) -> tuple[str, ...]:
+    """The members of the `halfspace` benchmark plan of `seconds` at `seed`,
+    ``Halfspace().plan(seed, seconds)``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [workloads.Halfspace().plan(seed, 13)[1] for seed in seeds]
+    return workloads.Halfspace().plan(seed, seconds)
+
+
+def _benchmark_splits(seeds=range(1, 11)) -> list[str]:
+    """The 32-coordinate member of the `halfspace` benchmark plan of each
+    seed, ``_benchmark_plan(seed)[1]``: 24-bit weights, halves of about
+    2^16 values each."""
+    return [_benchmark_plan(seed)[1] for seed in seeds]
 
 
 def test_mitm_search_counts_on_the_benchmark_splits(monkeypatch):
-    """On the benchmark's 32-coordinate splits of seeds 1-10, the searches
-    at t for c = 1/2, 1/3 and 1/6 make at most 3 counts each, 2.8 on
-    average (the Gaussian limit's secant steps made 6.9), and each equals
-    the bisection oracle."""
-    probes, _, _ = _spy_search(monkeypatch)
-    made = []
-    for desc in _benchmark_splits():
-        h = parse_halfspace(desc)
-        dist = h.distribution()
-        assert isinstance(dist, MeetInMiddleDistribution) and h.n == 32
-        base = dist.count_gt(h.threshold)
-        for c in (F(1, 2), F(1, 3), F(1, 6)):
-            probes.clear()
-            got = dist.first_value_tail_le(c.numerator * base, c.denominator)
-            made.append(len(probes))
-            assert got == oracles.bisect_first_value_tail_le(dist, c.numerator * base, c.denominator)
-    assert max(made) <= 3 and sum(made) / len(made) <= 2.8
+    """On the benchmark's splits of seeds 1-10, every member of 26 to 36
+    coordinates in a plan of 21 s, the searches at t for c = 1/2, 1/3 and
+    1/6 make at most 3 counts each, 454 in 180 searches, and no round
+    stalls, so no sampled estimate is taken.  On the 32-coordinate members
+    of the 13 s plan they make 2.8 counts on average (the Gaussian limit's
+    secant steps made 6.9), and each equals the bisection oracle."""
+    probes, estimates, _ = _spy_search(monkeypatch)
+    made, first_split = [], []
+    for seed in range(1, 11):
+        for i, desc in enumerate(_benchmark_plan(seed, 21)):
+            h = parse_halfspace(desc)
+            dist = h.distribution()
+            if not isinstance(dist, MeetInMiddleDistribution):
+                continue
+            assert 26 <= h.n <= 36
+            base = dist.count_gt(h.threshold)
+            for c in (F(1, 2), F(1, 3), F(1, 6)):
+                probes.clear()
+                got = dist.first_value_tail_le(c.numerator * base, c.denominator)
+                made.append(len(probes))
+                if i == 1:  # the 32-coordinate member of the 13 s plan
+                    assert h.n == 32
+                    first_split.append(len(probes))
+                    want = oracles.bisect_first_value_tail_le(
+                        dist, c.numerator * base, c.denominator)
+                    assert got == want
+    assert len(made) == 180 and max(made) <= 3 and sum(made) <= 454 and not estimates
+    assert len(first_split) == 30 and sum(first_split) / len(first_split) <= 2.8
 
 
 def test_mitm_guide_is_one_small_dp_per_split(monkeypatch):
@@ -1479,24 +1531,6 @@ def test_mitm_search_within_one_window_builds_no_guide(monkeypatch):
     for cap in range(1, 64):
         assert dist.first_value_tail_le(cap, 1) == sup.first_value_tail_le(cap, 1)
     assert calls == [] and "_guide" not in vars(dist)
-
-
-@pytest.mark.parametrize("name", ["geometric", "light under heavy", "ci"])
-def test_mitm_guide_bounds_hold(name):
-    """The guide's bounds, q * (g - 1) and q * g moved away from the answer
-    by the rounding's whole error, have more than cap and at most cap
-    outcomes above them, at caps across the range; the search's probe at a
-    bound closes an open end of its bracket on that ground."""
-    if name == "ci":
-        dist = _ci_member().distribution()
-    else:
-        weights = np.array(sorted(_far_from_gaussian()[name], reverse=True), dtype=np.int64)
-        dist = distribution_from_scaled(weights, 1)
-    guide = hs._Guide(dist.weights.tolist(), len(dist.left.values) + len(dist.right.values))
-    total = dist.total
-    for cap in [0, 1, 3, 4096, *(total * p // 1000 for p in (1, 20, 300, 500, 770, 999)), total - 1]:
-        below, past = guide.bounds(cap)
-        assert dist.count_gt_scaled(below) > cap >= dist.count_gt_scaled(past)
 
 
 def test_mitm_probe_counts_only_live_rows():
