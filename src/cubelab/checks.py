@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bfcore, correlate, kernels, levelk, spectral
+from . import bfcore, correlate, levelk, spectral
 from .bfcore import TABLE_CAP, FunctionSpec
 from .chernoff import (
     EATON_BOUND,
@@ -33,7 +33,7 @@ from .chernoff import (
     gaussian_tail_ratio,
     log_concave_exp_holds,
 )
-from .halfspace import BudgetError, Halfspace, _suffix_counts, make_halfspace
+from .halfspace import BudgetError, Halfspace, make_halfspace
 from .influence import boundary_measures, influences
 
 F = Fraction
@@ -508,23 +508,18 @@ def _check_relative_influence_member(ctx: MemberContext) -> list[CheckRecord]:
 
 def _small_class_sums(h: Halfspace, n_big: int, cuts: np.ndarray) -> np.ndarray:
     """Sum over the coordinates j >= n_big of s_j times the points where j
-    decides 1{a.x > g}, at each scaled cut g, from the support of a.x; s_j
-    are the scaled weights, descending, so the first n_big are the big
-    class.
+    decides 1{a.x > g}, at each scaled cut g; s_j are the scaled weights,
+    descending, so the first n_big are the big class.
 
-    Over every coordinate that sum is the sum of v * count(v) over the
-    support values v > g: with nonnegative weights f^({j}) = Inf_j / 2, so
+    Over every coordinate that sum is the first-moment tail of a.x above g
+    (``moment_gt_scaled``): with nonnegative weights f^({j}) = Inf_j / 2, so
     sum_j a_j Inf_j = 2 E[1{a.x > g} a.x].  The big class's windows come
-    off, one reduced support each.  Every partial sum is at most T * 2^n in
-    size, so int64 below 2^63 and Python ints past it.
+    off, one reduced support each, in the dtype of the moments.
     """
-    sup = h.support()
-    dtype = kernels.exact_int_dtype(sup.max_scaled << h.n)
-    moments = sup.values.astype(dtype) * sup.counts.astype(dtype)
-    sums = _suffix_counts(moments)[np.searchsorted(sup.values, cuts, side="right")]
+    sums = h.support().moment_gt_scaled(cuts)
     for j in range(n_big):
         w = int(h.scaled[j])
-        sums = sums - w * _pivotal_counts(h.support(j), w, cuts).astype(dtype)
+        sums = sums - w * _pivotal_counts(h.support(j), w, cuts).astype(sums.dtype)
     return sums
 
 

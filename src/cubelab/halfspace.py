@@ -8,14 +8,14 @@ a cube with more points than the DP has cells, it is its subset-sum DP's
 cells (``TailDistribution``): with T the sum of the weights, cell s =
 0..T is a.x = 2s - T, and one suffix array over every cell, zero cells
 included, holds the outcomes with a.x >= 2s - T, in Python ints past 62
-summands.  Every tail count, influence window, delta search and support
-window reads that array by index.  Every other sum, past the budget or a
+summands.  Every tail count, first-moment tail, influence window and delta
+search reads that array by index.  Every other sum, past the budget or a
 small cube (2^n <= T + 1), splits into two halves combined per query,
 each half the sorted distribution of every other weight
 (``SupportDistribution``: the distinct values, their counts and their
-suffix counts, read by ``searchsorted``).  Either form's whole support,
-``support()``, is one sorted distribution built on each call: the DP's
-nonzero cells, or the pairs of the halves.
+suffix counts, read by ``searchsorted``).  Callers read tails, the
+outcomes above a value and the sum of a.x over them, or a whole support,
+``support()``, one sorted distribution built on each call.
 
 The DP keeps only the lower half of each prefix's counts, a palindrome,
 and mirrors the last one once into the T + 1 counts whose suffix the
@@ -29,7 +29,7 @@ half's points in two, one coordinate at a time.  Both vertex boundaries
 come from one sweep of that DP, which adds the weights after the first
 smallest first and reads each window from a prefix's lower half as one
 slice and one mirrored slice, or, where the weights after the first would
-split, from suffixes of the two halves paired.
+split, from one tail count per suffix, its two halves paired.
 
 The delta search (the least value whose tail count is within a limit)
 is one ``searchsorted`` of the suffix counts on the DP's cells or a sorted
@@ -67,7 +67,7 @@ MITM_MAX_N = 40
 # 1022: the most summands of any distribution, the largest n for which a
 # tail probability 2^-n, and the Gaussian tail at z = sqrt(n), are normal doubles
 MAX_SUMMANDS = 1 - sys.float_info.min_exp
-_WINDOW_GUARD = 5_000_000  # max pairs assembled for a support window query
+_WINDOW_GUARD = 5_000_000  # max pairs a split assembles into its whole support
 _QUERY_KEYS = 1 << 20  # max keys searched at once by a vectorised tail count
 # pairs a split's delta search samples after a stalled round, and reads at the end;
 # its guide's counts aim within this many outcomes past the limit to close the bracket
@@ -82,26 +82,20 @@ def _floor_scaled(q: Fraction, scale: int) -> int:
     return math.floor(q * scale)
 
 
-def _ceil_scaled(q: Fraction, scale: int) -> int:
-    return math.ceil(q * scale)
-
-
 class _TailBase:
     """Query interface shared by the distribution forms.
 
     A form supplies ``counts_ge_scaled`` (the outcomes with value >= v, at
     a Python int or at every entry of an int64 array of any shape),
-    ``first_value_tail_le`` (the delta search, from the form's own data),
-    ``min_scaled`` and ``max_scaled``.  The two forms of a whole
-    distribution, the DP's cells and the split, also supply
-    ``support_window`` (the support values in a closed window, and their
-    counts; a split refuses past _WINDOW_GUARD pairs with a BudgetError)
-    and ``influence_counts``.  Written once, here: the counts at a rational
-    threshold, clamped into the support's range before they reach int64,
-    and ``support()``, the whole window as a ``SupportDistribution``,
-    built on each call and kept by ``Halfspace.support`` alone.  All
-    probabilities are exact with denominator 2^n_summands; thresholds are
-    rationals in original (unscaled) units unless suffixed _scaled.
+    ``moment_gt_scaled`` (the sum of the values above v, a Python int at a
+    Python int), ``first_value_tail_le`` (the delta search), ``min_scaled``
+    and ``max_scaled``.  The DP's cells and the split also supply
+    ``influence_counts`` and ``support()``, the whole support, built on each
+    call and kept by ``Halfspace.support`` alone (a split refuses past
+    _WINDOW_GUARD pairs).  Written once, here: the counts at a rational
+    threshold, clamped into the support's range before they reach int64.
+    All probabilities are exact with denominator 2^n_summands; thresholds
+    are rationals in original (unscaled) units unless suffixed _scaled.
 
     ``first_value_tail_le(limit_num, limit_den)`` is the least scaled v in
     [min_scaled, max_scaled] with count_gt_scaled(v) * limit_den <=
@@ -134,17 +128,12 @@ class _TailBase:
         limit_num // limit_den; that cap, clamped to total."""
         return min(limit_num // limit_den, self.total)
 
-    def support(self) -> SupportDistribution:
-        """The whole support of a whole distribution, built on each call."""
-        return SupportDistribution(*self.support_window(self.min_scaled, self.max_scaled),
-                                   self.scale, self.n_summands)
-
     def count_gt(self, q) -> int:
         return self.count_gt_scaled(_floor_scaled(as_fraction(q), self.scale))
 
     def count_ge(self, q) -> int:
         # integer values at least x are those above ceil(x) - 1
-        return self.count_gt_scaled(_ceil_scaled(as_fraction(q), self.scale) - 1)
+        return self.count_gt_scaled(math.ceil(as_fraction(q) * self.scale) - 1)
 
     def count_interval(self, lo, hi, include_lo: bool = False, include_hi: bool = True) -> int:
         left = self.count_ge(lo) if include_lo else self.count_gt(lo)
@@ -180,6 +169,16 @@ class SupportDistribution(_TailBase):
 
     def counts_ge_scaled(self, v):
         return self._suffix[np.searchsorted(self.values, v, side="left")]
+
+    def moment_gt_scaled(self, v):
+        """A suffix of value * count read by ``searchsorted``, at a Python int
+        (clamped first) or an int64 array; in Python ints past int64."""
+        scalar = not isinstance(v, np.ndarray)
+        keys = _clamped(int(v), self.min_scaled, self.max_scaled) if scalar else v
+        dtype = kernels.exact_int_dtype(max(-self.min_scaled, self.max_scaled) << self.n_summands)
+        moments = _suffix_counts(self.values.astype(dtype) * self.counts.astype(dtype))
+        out = moments[np.searchsorted(self.values, keys, side="right")]
+        return int(out) if scalar else out
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """values[k] qualifies when suffix[k + 1] is within the cap."""
@@ -263,15 +262,23 @@ class TailDistribution(_TailBase):
         top = self.max_scaled
         return top if cap < 0 else 2 * _least_within(self._suffix, cap) - top
 
-    def support_window(self, lo_scaled: int, hi_scaled: int):
-        """The nonzero cells with lo <= 2s - T <= hi, and their counts, the
-        differences of neighbouring suffix counts."""
+    def moment_gt_scaled(self, v: int) -> int:
+        """Over the cells s >= s0, the first with a.x = 2s - T above v, s *
+        count[s] sums to s0 * suffix[s0] plus the sum of suffix[s0 + 1:], in
+        int64 pieces of 2^(62 - n) cells, each under 2^62, or in Python ints."""
         top = self.max_scaled
-        first = min(max((int(lo_scaled) + top + 1) // 2, 0), top + 1)
-        stop = max(first, min((int(hi_scaled) + top) // 2 + 1, top + 1))
-        counts = self._suffix[first:stop] - self._suffix[first + 1 : stop + 1]
+        s0 = min(max((int(v) + top) // 2 + 1, 0), top + 1)
+        rest, at = self._suffix[s0 + 1 :], int(self._suffix[s0])
+        if rest.dtype != object:
+            rest = np.add.reduceat(rest, np.arange(0, len(rest), 1 << max(62 - self.n_summands, 0)))
+        return 2 * (s0 * at + sum(rest.tolist())) - top * at
+
+    def support(self) -> SupportDistribution:
+        """The nonzero cells, each count a difference of neighbouring suffixes."""
+        counts = self._suffix[:-1] - self._suffix[1:]
         held = np.flatnonzero(counts)
-        return 2 * (held + first) - top, counts[held]
+        return SupportDistribution(2 * held - self.max_scaled, counts[held],
+                                   self.scale, self.n_summands)
 
 
 class MeetInMiddleDistribution(_TailBase):
@@ -364,17 +371,23 @@ class MeetInMiddleDistribution(_TailBase):
             out[s : s + rows] = self.right.counts_ge_scaled(flat[s : s + rows, None] - lv) @ lc
         return out.reshape(v.shape)
 
-    def support_window(self, lo_scaled: int, hi_scaled: int):
-        """Support values in the window and their counts, from the pairs
-        (u, r) with u + r inside it: each left value's span of right indices."""
-        lo = _clamped(lo_scaled, self.min_scaled, self.max_scaled + 1)
-        hi = _clamped(hi_scaled, self.min_scaled, self.max_scaled)
-        lv = self._rows[0]
-        first = np.searchsorted(self.right.values, lo - lv, side="left")
-        stop = np.searchsorted(self.right.values, hi - lv, side="right")
-        if int(np.maximum(stop - first, 0).sum()) > _WINDOW_GUARD:
+    def moment_gt_scaled(self, v: int) -> int:
+        """For each left value u, u times the right half's tail count above v -
+        u plus its moment there, dotted with the left counts; v clamped first."""
+        lv, lc = self._rows
+        keys = _clamped(int(v), self.min_scaled, self.max_scaled) - lv  # ascending
+        dtype = kernels.exact_int_dtype(max(-self.min_scaled, self.max_scaled) << self.n_summands)
+        rows = (lv.astype(dtype) * self.right.counts_gt_scaled(keys).astype(dtype)
+                + self.right.moment_gt_scaled(keys))
+        return int(rows @ lc.astype(dtype))
+
+    def support(self) -> SupportDistribution:
+        """Every pair (u, r) summed per value u + r; refused past _WINDOW_GUARD pairs."""
+        rows, cols = len(self.left.values), len(self.right.values)
+        if rows * cols > _WINDOW_GUARD:
             raise BudgetError("support too wide")
-        return self._pair_sums(first, stop)
+        pairs = self._pair_sums(np.full(rows, 0), np.full(rows, cols))
+        return SupportDistribution(*pairs, self.scale, self.n_summands)
 
     def _pair_sums(self, first: np.ndarray, stop: np.ndarray):
         """The distinct values u + r and their counts over the pairs of left
@@ -792,15 +805,15 @@ class Halfspace:
 
         Suffix k (the weights after k) has at most n - 1 summands.  Where
         n - 1 weights summing to T would split (past the dense budget, or a
-        small cube), suffix k pairs a suffix of each meet-in-the-middle
-        half.  Otherwise, or when the dense DP takes suffix 0 (the largest)
-        but the halves do not, one DP sweep (in Python ints past 62 summands)
-        adds the weights after weight 0 smallest first and reads suffix k
-        just before weight k would join it, each window from the lower half
-        of its counts (``_window_sum``).
+        small cube), each suffix is one tail count of two paired halves
+        (``_paired_suffix_counts``).  Otherwise, or when the dense DP takes
+        suffix 0 but the halves do not, one DP sweep (in Python ints past 62
+        summands) adds the weights after weight 0 smallest first and reads
+        suffix k just before weight k joins it, each window from the lower
+        half of its counts (``_window_sum``).
         """
         if _mitm(self.n - 1, self._total, self._backend):
-            return _paired_suffix_counts(self.scaled, self.cut(t))
+            return _paired_suffix_counts(self.scaled, self.cut(t), self._tail_count(t))
         after_first = self.scaled[:0:-1]  # suffix 0, ascending
         if not _dense(self.n - 1, int(after_first.sum()), self._backend):
             raise BudgetError(f"suffix counts of {self.n - 1} summands fit no backend")
@@ -872,9 +885,10 @@ class Halfspace:
     def smoothed_influence(self, i: int, delta, t=None) -> Fraction:
         """Average influence of coordinate i over thresholds t + U(0, delta).
 
-        Exact via breakpoint integration: each support value v of the
-        reduced sum contributes the overlap of [v-t-a_i, v-t+a_i) with
-        (0, delta).
+        Each outcome r of the reduced sum contributes the overlap of [r - t -
+        a_i, r - t + a_i) with (0, delta), a trapezoid in r, so the sum is
+        H(t - a_i) - H(t - a_i + delta) - H(t + a_i) + H(t + a_i + delta),
+        H(c) the sum of r - c over the outcomes with r > c: four tails.
         """
         delta = as_fraction(delta)
         if delta <= 0:
@@ -883,43 +897,39 @@ class Halfspace:
         j = self._internal(i)
         if j is None:
             return Fraction(0)
-        w = self.weights[j]
         dist = self.reduced_distribution(j)
-        lo = _floor_scaled(t - w, self.scale)
-        hi = _ceil_scaled(t + delta + w, self.scale)
-        values, counts = dist.support_window(lo, hi)
-        # in Python ints, in units of 1/(scale * q): the overlap is
-        # min(delta, a + 2w) - max(0, a) with a = v - t - w
+        # in Python ints, in units of 1/(scale * q), where t and delta are
+        # integers: a scaled r is above c / q exactly when it is above c // q
         ts, ds = t * self.scale, delta * self.scale
         q = math.lcm(ts.denominator, ds.denominator)
-        w_q = int(self.scaled[j]) * q
-        a = values.astype(object) * q - int(ts * q) - w_q
-        overlap = np.minimum(int(ds * q), a + 2 * w_q) - np.maximum(a, 0)
-        acc = int(np.dot(counts.astype(object), np.maximum(overlap, 0)))
+        tq, dq, wq = int(ts * q), int(ds * q), int(self.scaled[j]) * q
+
+        def above(c: int) -> int:
+            return q * dist.moment_gt_scaled(c // q) - c * dist.count_gt_scaled(c // q)
+
+        acc = above(tq - wq) - above(tq - wq + dq) - above(tq + wq) + above(tq + wq + dq)
         return Fraction(acc, self.scale * q) / (delta * (1 << (self.n - 1)))
 
 
-def _paired_suffix_counts(weights: np.ndarray, cut: int) -> tuple[int, int]:
+def _paired_suffix_counts(weights: np.ndarray, cut: int, above: int) -> tuple[int, int]:
     """0-side and 1-side boundary counts of 1{weights.x > cut}, weights
-    descending, from meet-in-the-middle halves of their suffixes.
-
-    Suffix k (the weights after k) splits into the odd-indexed and the
-    even-indexed weights after k, a suffix of weights[1::2] and one of
-    weights[2::2].  With P the sum of weights[:k] and w = weights[k], the
-    1-side counts the points of suffix k with a sum in (cut + P - w,
-    cut + P + w], and the 0-side those in (cut - P - w, cut - P + w].
-    """
+    descending, `above` of the points above the cut.  With A_k the points
+    above the cut whose weights before k are all -1, the 1-side points whose
+    first +1 weight is k number A_k - 2 A_(k+1): flipping x_k to -1 maps
+    those still above the cut onto A_(k+1).  So the 1-side is A_0 - A_1 -
+    ... - A_(n-1) - 2 A_n, A_0 = `above`, and the 0-side the same with +1
+    and a.x <= cut.  A_k is one tail count of weights[k:], a suffix of
+    weights[2::2] paired with one of weights[1::2]."""
+    n = len(weights)
     halves = [_sorted_suffix_sums(weights[2::2]), _sorted_suffix_sums(weights[1::2])]
-    sizes = [0, 0]  # the weights of each half in suffix k
-    prefix = int(weights.sum())
-    c0 = c1 = 0
-    for k in range(len(weights) - 1, -1, -1):
-        w = int(weights[k])
-        prefix -= w  # now the sum of weights[:k]
+    sizes = [0, 0]  # the weights of each half in weights[k:]
+    c0, c1 = (1 << n) - above, above
+    for k in range(n, 0, -1):
         even, odd = halves[0][sizes[0]], halves[1][sizes[1]]
-        c1 += _pairs_within(even, odd, cut + prefix - w, cut + prefix + w)
-        c0 += _pairs_within(even, odd, cut - prefix - w, cut - prefix + w)
-        sizes[k % 2] += 1  # weight k joins suffix k - 1
+        prefix, times = int(weights[:k].sum()), 2 if k == n else 1
+        c1 -= times * _pairs_above(even, odd, cut + prefix)
+        c0 -= times * ((1 << (n - k)) - _pairs_above(even, odd, cut - prefix))
+        sizes[(k - 1) % 2] += 1  # weight k - 1 joins weights[k - 1:]
     return c0, c1
 
 
@@ -928,22 +938,16 @@ def _sorted_suffix_sums(weights: np.ndarray) -> list[np.ndarray]:
     ascending, from one ``dot_values`` of the weights reversed: its first
     2^j entries hold the last j weights with every other weight at -1."""
     sums = kernels.dot_values(weights[::-1])
-    out = []
-    for j in range(len(weights) + 1):
-        part = np.sort(sums[: 1 << j])
-        part += int(weights[: len(weights) - j].sum())
-        out.append(part)
-    return out
+    return [np.sort(sums[: 1 << j]) + int(weights[: len(weights) - j].sum())
+            for j in range(len(weights) + 1)]
 
 
-def _pairs_within(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> int:
-    """Pairs (x, y) of a and b, both ascending, with lo < x + y <= hi: for
-    each x of the shorter array, the y <= hi - x less the y <= lo - x."""
+def _pairs_above(a: np.ndarray, b: np.ndarray, key: int) -> int:
+    """Pairs (x, y) of a and b, both ascending, with x + y > key: the y above
+    key - x for each x of the shorter array."""
     if len(a) > len(b):
         a, b = b, a
-    keys = a[::-1]  # ascending keys hi - x and lo - x
-    return (int(np.searchsorted(b, hi - keys, side="right").sum())
-            - int(np.searchsorted(b, lo - keys, side="right").sum()))
+    return len(a) * len(b) - int(np.searchsorted(b, key - a[::-1], side="right").sum())
 
 
 def _window_sum(half: np.ndarray, total: int, lo: int, hi: int) -> int:

@@ -19,8 +19,13 @@ swapped-halves sign-flip scan and the full scan by one XOR convolution,
 PROP93's cut read from the cut profile, ``table_level_weight`` (a truth table of
 the halfspace's own, Walsh-transformed) of the level-k pipeline's W^k,
 ``full_width_sum_prefixes`` (every cell of every prefix's counts) of the
-half-width subset-sum DP, and ``pairwise_support_window`` (a dict filled
-pair by pair) of the meet-in-the-middle support window,
+half-width subset-sum DP, ``pairwise_support_window`` (a dict filled
+pair by pair) of a split's whole support and of ``support_window`` (the
+former window query of both forms), on which ``window_smoothed_influence``
+(each support value's overlap summed in object arrays) is the slow route
+of the smoothed influence by four first-moment tails, and
+``two_window_suffix_counts`` (two searches per suffix and side) of a
+split's boundary counts by one tail count per suffix,
 ``mitm_count_ge`` (the halves' values and counts summed in Python ints,
 one value at a time) of its
 blocked tail counts,
@@ -67,6 +72,7 @@ from cubelab import kernels
 from cubelab.bfcore import from_truth_table
 from cubelab.chernoff import CheckRecord
 from cubelab.correlate import BiasedCorrelation, CorrelationResult, first_level_form
+from cubelab.halfspace import TailDistribution, _sorted_suffix_sums
 from cubelab.levelk import SymmetricStats, irwin_hall_cdf, poly_derivative, poly_eval
 from cubelab.spectral import fwht_spectrum
 
@@ -529,6 +535,75 @@ def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int):
     values = np.array(sorted(acc), dtype=np.int64)
     counts = np.array([acc[int(v)] for v in values], dtype=np.int64)
     return values, counts
+
+
+def support_window(dist, lo_scaled: int, hi_scaled: int):
+    """The support values of a whole distribution (the DP's cells or a split)
+    in a closed window, and their counts: the DP's nonzero cells there, the
+    differences of neighbouring suffix counts, or each left value's span of
+    right indices, its pairs summed per value (no pair guard)."""
+    if isinstance(dist, TailDistribution):
+        top = dist.max_scaled
+        first = min(max((int(lo_scaled) + top + 1) // 2, 0), top + 1)
+        stop = max(first, min((int(hi_scaled) + top) // 2 + 1, top + 1))
+        counts = dist._suffix[first:stop] - dist._suffix[first + 1 : stop + 1]
+        held = np.flatnonzero(counts)
+        return 2 * (held + first) - top, counts[held]
+    lo = min(max(lo_scaled, dist.min_scaled - 1), dist.max_scaled + 1)
+    hi = min(max(hi_scaled, dist.min_scaled - 1), dist.max_scaled)
+    lv = dist.left.values[::-1]
+    first = np.searchsorted(dist.right.values, lo - lv, side="left")
+    stop = np.searchsorted(dist.right.values, hi - lv, side="right")
+    return dist._pair_sums(first, stop)  # a span that is empty has no pairs
+
+
+def window_smoothed_influence(h, i: int, delta, t=None) -> Fraction:
+    """``Halfspace.smoothed_influence`` by its former route: the support
+    window of the reduced sum that can overlap, each value v's overlap of
+    [v - t - a_i, v - t + a_i) with (0, delta) summed in object arrays."""
+    delta, t = Fraction(delta), h.threshold if t is None else Fraction(t)
+    j = h.order.index(i)
+    w = h.weights[j]
+    values, counts = support_window(h.reduced_distribution(j), floor((t - w) * h.scale),
+                                    math.ceil((t + delta + w) * h.scale))
+    # in units of 1/(scale * q): the overlap is min(delta, a + 2w) - max(0, a), a = v - t - w
+    ts, ds = t * h.scale, delta * h.scale
+    q = math.lcm(ts.denominator, ds.denominator)
+    w_q = int(h.scaled[j]) * q
+    a = values.astype(object) * q - int(ts * q) - w_q
+    overlap = np.minimum(int(ds * q), a + 2 * w_q) - np.maximum(a, 0)
+    acc = int(np.dot(counts.astype(object), np.maximum(overlap, 0)))
+    return Fraction(acc, h.scale * q) / (delta * (1 << (h.n - 1)))
+
+
+def two_window_suffix_counts(weights, cut: int) -> tuple[int, int]:
+    """The split's boundary counts by their former route: for each k, with P
+    the sum of weights[:k] and w = weights[k], the 1-side counts the points
+    of the weights after k with a sum in (cut + P - w, cut + P + w] and the
+    0-side those in (cut - P - w, cut - P + w], each window two searches
+    per point of the shorter of the two halves (``_pairs_within``)."""
+    halves = [_sorted_suffix_sums(weights[2::2]), _sorted_suffix_sums(weights[1::2])]
+    sizes = [0, 0]  # the weights of each half after k
+    prefix = int(weights.sum())
+    c0 = c1 = 0
+    for k in range(len(weights) - 1, -1, -1):
+        w = int(weights[k])
+        prefix -= w  # now the sum of weights[:k]
+        even, odd = halves[0][sizes[0]], halves[1][sizes[1]]
+        c1 += _pairs_within(even, odd, cut + prefix - w, cut + prefix + w)
+        c0 += _pairs_within(even, odd, cut - prefix - w, cut - prefix + w)
+        sizes[k % 2] += 1  # weight k joins the weights after k - 1
+    return c0, c1
+
+
+def _pairs_within(a, b, lo: int, hi: int) -> int:
+    """Pairs (x, y) of a and b, both ascending, with lo < x + y <= hi: for
+    each x of the shorter array, the y <= hi - x less the y <= lo - x."""
+    if len(a) > len(b):
+        a, b = b, a
+    keys = a[::-1]  # ascending keys hi - x and lo - x
+    return (int(np.searchsorted(b, hi - keys, side="right").sum())
+            - int(np.searchsorted(b, lo - keys, side="right").sum()))
 
 
 def mitm_count_ge(dist, v: int) -> int:

@@ -1,5 +1,8 @@
+import bisect
 import importlib.util
+import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from cubelab import bfcore, chernoff, harness, influence, kernels, levelk
 from cubelab import halfspace as hs
+from cubelab.checks import MemberContext
 from cubelab.halfspace import (
     BudgetError,
     Halfspace,
@@ -141,9 +145,10 @@ def test_backends_agree():
     for q in range(-40, 41, 3):
         assert dense.count_gt_scaled(q) == mitm.count_gt_scaled(q)
         assert dense.count_gt_scaled(q - 1) == mitm.count_gt_scaled(q - 1)
-    vd, cd = dense.support_window(-20, 20)
-    vm, cm = mitm.support_window(-20, 20)
-    assert np.array_equal(vd, vm) and np.array_equal(cd, cm)
+    sd, sm = dense.support(), mitm.support()
+    assert np.array_equal(sd.values, sm.values) and np.array_equal(sd.counts, sm.counts)
+    assert ([dense.moment_gt_scaled(q) for q in range(-40, 41, 3)]
+            == [mitm.moment_gt_scaled(q) for q in range(-40, 41, 3)])
     base = dense.count_gt_scaled(5)
     assert dense.first_value_tail_le(base, 3) == mitm.first_value_tail_le(base, 3)
 
@@ -809,18 +814,19 @@ def test_influences_counted_once_per_threshold(monkeypatch):
 # -- meet-in-the-middle queries -------------------------------------------------------
 #
 # Blocked counts against a one-value-at-a-time count at every value, the
-# support window against the pair-by-pair dict route, and reduced
+# whole support against the pair-by-pair dict route, and reduced
 # distributions that share the full distribution's other half against
 # distributions built from the reduced weights.
 
 def assert_same_distribution(a, b):
-    """Equal totals, ranges, tail counts at every value and supports."""
+    """Equal totals, ranges, tail counts and first-moment tails at every
+    value, and supports."""
     assert (a.total, a.min_scaled, a.max_scaled) == (b.total, b.min_scaled, b.max_scaled)
     v = np.arange(a.min_scaled - 2, a.max_scaled + 3)
     assert np.array_equal(a.counts_gt_scaled(v), b.counts_gt_scaled(v))
     assert np.array_equal(a.counts_ge_scaled(v), b.counts_ge_scaled(v))
-    for x, y in zip(a.support_window(v[0], v[-1]), b.support_window(v[0], v[-1])):
-        assert np.array_equal(x, y)
+    assert ([a.moment_gt_scaled(x) for x in v.tolist()]
+            == [b.moment_gt_scaled(x) for x in v.tolist()])
     assert np.array_equal(a.support().values, b.support().values)
     assert np.array_equal(a.support().counts, b.support().counts)
 
@@ -889,7 +895,10 @@ def test_tail_queries_match_a_scan(backend):
                 assert got == max(first, dist.min_scaled) and got in sums
 
 
-def test_mitm_support_window_matches_pairwise_and_dense():
+def test_mitm_support_matches_pairwise_and_dense():
+    """A split's whole support equals the pair-by-pair dict route's and the
+    DP's cells; the former window query, kept as an oracle, equals the dict
+    route on both forms at random windows."""
     rng = np.random.default_rng(32)
     for n in (1, 2, 6, 9):
         weights = np.sort(rng.integers(1, 9, size=n))[::-1].astype(np.int64)
@@ -899,25 +908,31 @@ def test_mitm_support_window_matches_pairwise_and_dense():
         halves = [distribution_from_scaled(part, 1, backend="dense")
                   for part in (weights[:k], weights[k:])]
         left, right = ((d.values, d.counts) for d in (half.support() for half in halves))
+        got, cells = mitm.support(), dense.support()
+        assert got.values.dtype == got.counts.dtype == np.int64
+        want = oracles.pairwise_support_window(left, right, mitm.min_scaled, mitm.max_scaled)
+        for x, y, z in zip((got.values, got.counts), want, (cells.values, cells.counts)):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
         edges = sorted(set(rng.integers(mitm.min_scaled - 3, mitm.max_scaled + 4, size=5).tolist()))
         for lo in edges:
             for hi in edges:
-                got = mitm.support_window(lo, hi)
-                assert got[0].dtype == got[1].dtype == np.int64
-                for x, y, z in zip(got, oracles.pairwise_support_window(left, right, lo, hi),
-                                   dense.support_window(lo, hi)):
+                for x, y, z in zip(oracles.support_window(mitm, lo, hi),
+                                   oracles.pairwise_support_window(left, right, lo, hi),
+                                   oracles.support_window(dense, lo, hi)):
                     assert np.array_equal(x, y) and np.array_equal(x, z)
 
 
-def test_mitm_support_window_guard_boundary(monkeypatch):
+def test_mitm_support_guard_boundary(monkeypatch):
     """Powers of two make every pair sum distinct: the sums are the odd
-    numbers -15..15, and a window assembles one pair per value in it."""
+    numbers -15..15, and the whole support assembles one pair per value, 16
+    in all, refused with the guard one below."""
     mitm = distribution_from_scaled(np.array([8, 4, 2, 1]), 1, backend="mitm")
+    monkeypatch.setattr(hs, "_WINDOW_GUARD", 16)
+    sup = mitm.support()
+    assert sup.values.tolist() == list(range(-15, 16, 2)) and sup.counts.tolist() == [1] * 16
     monkeypatch.setattr(hs, "_WINDOW_GUARD", 15)
-    values, counts = mitm.support_window(-15, 13)
-    assert values.tolist() == list(range(-15, 14, 2)) and counts.tolist() == [1] * 15
-    with pytest.raises(BudgetError):
-        mitm.support_window(-15, 15)
+    with pytest.raises(BudgetError, match="support too wide"):
+        mitm.support()
 
 
 @pytest.mark.parametrize("weights", [
@@ -983,7 +998,7 @@ def test_dense_array_keys_clamp_as_scalar_keys(weights):
     member's counts are Python ints)."""
     dense = distribution_from_scaled(np.array(weights, dtype=np.int64), 1, "dense")
     top = dense.max_scaled
-    values, _ = dense.support_window(-top, top)
+    values = dense.support().values
     keys = sorted({-(1 << 63), (1 << 63) - 1, -top - 2, -top - 1, top + 1, top + 2}
                   | {int(v) + d for v in values for d in (-1, 0, 1)})
     want = [dense.counts_ge_scaled(k) for k in keys]
@@ -1008,9 +1023,9 @@ def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
     summands (Python-int counts).  Tail counts at every cell, one either
     side, past both ends and at the int64 extremes; the delta search at
     every cap from -1 to 2^n (at every tail count and one either side past
-    12 summands); and on the DP and the split, support windows, empty ones
-    too, and, with no zero weight, the influence counts at every support
-    value."""
+    12 summands); first-moment tails at every key on every route; and on
+    the DP and the split, the whole support and, with no zero weight, the
+    influence counts at every support value."""
     w = np.array(weights, dtype=np.int64)
     n, total = len(w), int(w.sum())
     *_, full = oracles.full_width_sum_prefixes(w)
@@ -1044,14 +1059,14 @@ def test_dense_cells_match_the_sorted_route_and_the_full_width_dp(weights):
             assert dist.first_value_tail_le(cap, 1) == first, cap
         assert dense.first_value_tail_le(3 * cap + 2, 3) == first
 
-    rng = np.random.default_rng(n)
-    edges = rng.integers(-total - 3, total + 4, size=(40, 2)).tolist() + [[1, 0], [total, -total]]
-    for lo, hi in edges:
-        expect = [(2 * s - total, full[s]) for s in held if lo <= 2 * s - total <= hi]
-        for dist in whole:
-            values, counts = dist.support_window(lo, hi)
-            assert values.dtype == np.int64
-            assert list(zip(values.tolist(), counts.tolist())) == expect, (lo, hi)
+    expect = [(2 * s - total, full[s]) for s in held]
+    for dist in whole:
+        sup = dist.support()
+        assert sup.values.dtype == np.int64
+        assert list(zip(sup.values.tolist(), sup.counts.tolist())) == expect
+    for v in keys:
+        want = sum((2 * s - total) * full[s] for s in held if 2 * s - total > v)
+        assert [dist.moment_gt_scaled(v) for dist in routes] == [want] * len(routes), v
 
     if 0 in weights:
         return  # a halfspace drops its zero weights: no window divides one out
@@ -1123,6 +1138,144 @@ def test_smoothed_influence_from_shared_halves_matches_brute():
         for j in {0, n // 2, n - 1}:
             want = oracles.brute_smoothed_influence(list(h.weights), h.threshold, j, delta)
             assert h.smoothed_influence(h.order[j], delta) == want
+
+
+# -- first-moment tails ------------------------------------------------------------
+#
+# The sum of a.x over the outcomes above a value on each form, against
+# Python-int suffix sums over the points; the smoothed influence by four of
+# them against the former window route; and the split's boundary counts by
+# one tail count per suffix against the former two-window route.
+
+def _moments_above(tally: dict, keys) -> list[int]:
+    """The sum of value * count over the values above each key, in Python
+    ints: suffix sums over the values ascending, read by ``bisect``."""
+    values = sorted(tally)
+    suffix = list(itertools.accumulate(v * tally[v] for v in reversed(values)))[::-1] + [0]
+    return [suffix[bisect.bisect_right(values, k)] for k in keys]
+
+
+def _moment_members():
+    """(name, weights, sampled values) with ties, past 62 summands, at n = 48
+    and 60, where one int64 sum of the DP's suffix counts would wrap, and a
+    split of 24-bit weights; the n = 48 member is read at 60 values."""
+    rng = np.random.default_rng(53)
+    return [("ties", [6, 4, 4, 2, 2, 8, 1], None), ("one", [5], None),
+            ("past-62", [int(x) for x in rng.integers(1, 4, size=70)], None),
+            ("wrap-60", [int(x) for x in rng.integers(1, 10, size=60)], None),
+            ("wrap-48", [int(x) for x in rng.integers(4000, 6000, size=48)], 60),
+            ("split-24", [int(x) for x in rng.integers(1 << 23, 1 << 24, size=11)], None)]
+
+
+@pytest.mark.parametrize("name, weights, sample", _moment_members())
+def test_moment_tails_match_python_int_sums(name, weights, sample):
+    """moment_gt_scaled on every form of the member (the DP's cells or the
+    split, the forced split up to 16 coordinates, the whole support and a
+    half of the split) equals the Python-int sum over the points above each
+    key, or past 24 coordinates over the support's values and counts: at
+    every support value and one either side (or a sample of them), at -+(T
+    + 1), at +-10^25 and at the int64 extremes.  The whole support, whose
+    each call sums its moments afresh, reads the keys within 2^62 as one
+    int64 array and the others one at a time."""
+    w = np.array(weights, dtype=np.int64)
+    total = int(w.sum())
+    dist = distribution_from_scaled(w, 1)
+    split = name in ("one", "split-24")  # [5]: 2 points, no more than T + 1 = 6 cells
+    assert type(dist) is (MeetInMiddleDistribution if split else TailDistribution)
+    if name.startswith("wrap"):  # the suffix counts sum past 2^63, in int64
+        assert int(dist._suffix.sum(dtype=object)) >= 1 << 63 and dist._suffix.dtype == np.int64
+    sup = dist.support()
+    forms = [dist] + ([distribution_from_scaled(w, 1, "mitm")] if len(w) <= 16 else [])
+    values = sup.values.tolist()
+    if sample:
+        values = np.random.default_rng(sample).choice(values, size=sample).tolist()
+    keys = sorted({v + d for v in values for d in (-1, 0, 1)}
+                  | {-(10**25), 10**25, -(1 << 63), (1 << 63) - 1, -total - 1, total + 1})
+    if len(w) <= 24:
+        tally = Counter(kernels.dot_values(w).tolist())
+    else:
+        tally = dict(zip(sup.values.tolist(), sup.counts.tolist()))
+        assert sum(tally.values()) == 1 << len(w)
+    want = _moments_above(tally, keys)
+    for form in forms:
+        got = [form.moment_gt_scaled(k) for k in keys]
+        assert all(type(g) is int for g in got) and got == want, type(form).__name__
+    inside = [(k, m) for k, m in zip(keys, want) if abs(k) < 1 << 62]
+    got = sup.moment_gt_scaled(np.array([k for k, _ in inside], dtype=np.int64))
+    assert got.tolist() == [m for _, m in inside]
+    outside = [(k, m) for k, m in zip(keys, want) if abs(k) >= 1 << 62]
+    assert [sup.moment_gt_scaled(k) for k, _ in outside] == [m for _, m in outside]
+    if name == "split-24":
+        tally = Counter(kernels.dot_values(w[0::2]).tolist())
+        assert [dist.left.moment_gt_scaled(k) for k in keys] == _moments_above(tally, keys)
+
+
+@pytest.mark.parametrize("corpus", ["standard", "tail"])
+def test_smoothed_influence_matches_the_window_route(corpus):
+    """Four first-moment tails equal the former window route on every
+    (member, coordinate) pair of the corpus with a nonempty tail, each at
+    its member's delta, as LEM52 reads it, at the threshold and one scaled
+    unit above it: a.x keeps one parity, so one of the two puts the tails'
+    keys on support values."""
+    entries = (harness.standard_corpus() if corpus == "standard"
+               else harness.load_corpus(corpus)).entries
+    pairs = 0
+    for entry in entries:
+        h = MemberContext(corpus, entry).halfspace
+        if h is None or h.mean() == 0 or h.decay_thresholds().delta <= 0:
+            continue
+        delta = h.decay_thresholds().delta
+        for t in (h.threshold, h.threshold + F(1, h.scale)):
+            for i in h.order:
+                want = oracles.window_smoothed_influence(h, i, delta, t)
+                assert h.smoothed_influence(i, delta, t) == want
+                pairs += 1
+    assert pairs >= 1200
+
+
+def test_smoothed_influence_on_a_ci_split_reads_no_window():
+    """The 26-coordinate member of the CI meet-in-the-middle corpus, at
+    LEM52's three coordinates: the four tails equal the window route, which
+    assembles up to 5 * 10^6 pairs in object arrays, hundreds of MB, and
+    each peaks under 2 MiB under tracemalloc, its reduced sum built first."""
+    corpus = harness.corpus_gen(
+        "random-halfspace", {"count": 3, "n_lo": 26, "n_hi": 30, "weight_bits": 24}, seed=5)
+    h = parse_halfspace(corpus.entries[1])
+    assert h.n == 26 and isinstance(h.distribution(), MeetInMiddleDistribution)
+    delta = h.decay_thresholds().delta
+    for j in (0, h.n // 2, h.n - 1):
+        h.reduced_distribution(j)
+        assert _traced_peak(lambda: h.smoothed_influence(h.order[j], delta)) < 2 << 20
+        got = h.smoothed_influence(h.order[j], delta)
+        assert got == oracles.window_smoothed_influence(h, h.order[j], delta) > 0
+
+
+def _boundary_members():
+    """Fixed members with ties and one weight, and 20 random ones of 1-9
+    weights in 1..6, descending."""
+    rng = np.random.default_rng(71)
+    fixed = [[1], [5], [3, 3, 3], [4, 4, 2, 2, 1], [7, 5, 3, 1], [2] * 8, [9, 1, 1, 1, 1, 1]]
+    return fixed + [sorted(rng.integers(1, 7, size=int(rng.integers(1, 10))).tolist(), reverse=True)
+                    for _ in range(20)]
+
+
+@pytest.mark.parametrize("weights", _boundary_members())
+def test_paired_suffix_counts_match_the_two_window_route_and_the_table(weights):
+    """The split's boundary counts by one tail count per suffix equal the
+    former two-window route at every cut from -T - 3 to T + 3, past the
+    range of a.x at both ends, and the truth table's boundary measures at
+    every integer threshold and one between, through a forced split."""
+    w = np.array(weights, dtype=np.int64)
+    total = int(w.sum())
+    points = kernels.dot_values(w)
+    for cut in range(-total - 3, total + 4):
+        above = int(np.count_nonzero(points > cut))
+        assert hs._paired_suffix_counts(w, cut, above) == oracles.two_window_suffix_counts(w, cut)
+    for t in [F(c) for c in range(-total - 1, total + 2)] + [F(1, 2)]:
+        h = make_halfspace(weights, t)
+        h.distribution(backend="mitm")
+        bounds = influence.boundary_measures(h.truth_table())
+        assert (h.vertex_boundary(0), h.vertex_boundary(1)) == (bounds.vb0, bounds.vb1), t
 
 
 def test_backend_switch_recounts_every_statistic(monkeypatch):
@@ -1233,7 +1386,7 @@ def _limits(dist, den, rng, tails=40):
     """Limits of a search at den: below 0, at 0, at tail counts times den and
     one either side (tail counts of random support values), at total * den
     and above, and past 2^63."""
-    values, _ = dist.support_window(dist.min_scaled, dist.max_scaled)
+    values = dist.support().values
     picks = rng.choice(values, size=min(tails, len(values)), replace=False)
     ties = {c * den + d for c in dist.counts_gt_scaled(picks).tolist() for d in (-1, 0, 1)}
     return sorted({-1, 0, dist.total * den, dist.total * den + 1, 1 << 63, 1 << 70} | ties)

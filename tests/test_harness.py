@@ -15,7 +15,7 @@ from cubelab import checks, correlate, halfspace, harness, kernels, levelk
 from cubelab.bfcore import FunctionSpec
 from cubelab.checks import REGISTRY, MemberContext
 from cubelab.halfspace import (Halfspace, MeetInMiddleDistribution, SupportDistribution,
-                               TailDistribution, _TailBase, make_halfspace, parse_halfspace)
+                               TailDistribution, make_halfspace, parse_halfspace)
 
 import oracles
 
@@ -67,21 +67,24 @@ def test_random_halfspace_on_wide_weights():
 
 def test_tail_lemmas_record_skips_on_meet_in_the_middle_members():
     """On the CI meet-in-the-middle corpus, LEM42 decides its l of tens of
-    millions from tail counts, and LEM52 records a skip where a reduced
-    sum's support window is too dense to assemble."""
+    millions from tail counts, LEM52 reads four first-moment tails per
+    coordinate, 29 coordinates as 26, and LEM32 records a skip where the
+    whole support is too dense to assemble."""
     corpus = harness.corpus_gen(
         "random-halfspace", {"count": 3, "n_lo": 26, "n_hi": 30, "weight_bits": 24}, seed=5)
     assert corpus.digest == "536fc76fff89625f"
     got = []
     for idx in (0, 1):
         ctx = MemberContext(f"mitm#{idx}", corpus.entries[idx])
-        for cid in ("LEM42", "LEM52"):
+        for cid in ("LEM42", "LEM52", "LEM32"):
             [rec] = REGISTRY[cid].fn(ctx, harness.PinnedConstants())
             got.append((cid, idx, rec.status, rec.notes.split(" at ")[0]))
     assert got == [("LEM42", 0, "pass", "grid of 4x4 (t, delta) points"),
-                   ("LEM52", 0, "hypothesis-not-met", "support too wide"),
+                   ("LEM52", 0, "pass", "3 coordinates checked"),
+                   ("LEM32", 0, "hypothesis-not-met", "support too wide"),
                    ("LEM42", 1, "pass", "grid of 4x4 (t, delta) points"),
-                   ("LEM52", 1, "pass", "3 coordinates checked")]
+                   ("LEM52", 1, "pass", "3 coordinates checked"),
+                   ("LEM32", 1, "hypothesis-not-met", "support too wide")]
 
 
 TAIL_SWEEP_IDS = checks.SUITES["tail-lemmas"] + ("GAUSS-EATON",)
@@ -112,14 +115,17 @@ def test_tail_lemmas_read_the_same_support_on_both_backends():
 def test_a_refused_support_is_one_skip_per_check(monkeypatch):
     """With the pair guard at zero every support assembly of a forced
     meet-in-the-middle member refuses: the whole-support sweeps each record
-    one skip noted with the refusal, and GAUSS-EATON falls back to the tail
-    ratio at max(0, t), its ratio that lhs over EATON_BOUND as in the sweep."""
+    one skip noted with the refusal, LEM52, which reads tails alone, records
+    its verdict, and GAUSS-EATON falls back to the tail ratio at max(0, t),
+    its ratio that lhs over EATON_BOUND as in the sweep."""
     ctx = MemberContext("mitm", "ltf:23,14,10,6,5,3,2,5/3,1,2/3;23")
     ctx.halfspace.distribution(backend="mitm")
     monkeypatch.setattr(halfspace, "_WINDOW_GUARD", 0)
-    sweeps = ("LEM32", "COR36", "LEM62", "PROP5", "LEM52")
+    sweeps = ("LEM32", "COR36", "LEM62", "PROP5")
     got = [(r.check_id, r.instance, r.status, r.notes) for r in _member_records(ctx, sweeps)]
     assert got == [(cid, "mitm", "hypothesis-not-met", "support too wide") for cid in sweeps]
+    [rec] = _member_records(ctx, ("LEM52",))
+    assert (rec.status, rec.notes) == ("pass", "3 coordinates checked at delta=146/3")
     h = ctx.halfspace
     fallback = checks.gaussian_tail_ratio(h, max(F(0), h.threshold), instance="mitm")
     fallback.ratio = fallback.lhs / checks.EATON_BOUND
@@ -204,7 +210,7 @@ def test_lem32_compares_masses_past_int64_exactly():
     same pairs in Python ints finds."""
     entry = "ltf:100," + ",".join(["1"] * 61) + ";120"
     dist = parse_halfspace(entry).distribution()
-    values, _ = dist.support_window(dist.min_scaled, dist.max_scaled)
+    values = dist.support().values
     mass = [dist.count_gt_scaled(v - 100) - dist.count_gt_scaled(v + 100)
             for v in values.tolist() if v >= 0]
     assert max(mass) >= 1 << 60
@@ -599,8 +605,9 @@ def test_tail_lemmas_pass_their_supports_to_the_helpers(monkeypatch):
     corpus = harness.corpus_gen("random-halfspace", {"n_lo": 16, "n_hi": 16, "count": 1}, seed=1)
     assert isinstance(parse_halfspace(corpus.entries[0]).distribution(), TailDistribution)
     built = []
-    support = _TailBase.support
-    monkeypatch.setattr(_TailBase, "support", lambda self: built.append(1) or support(self))
+    for form in (TailDistribution, MeetInMiddleDistribution):
+        monkeypatch.setattr(form, "support",
+                            lambda self, support=form.support: built.append(1) or support(self))
     report, _ = harness.run_suite("tail-lemmas", corpus)
     assert len(built) == 2
     assert [r.status for r in report.records] == ["pass"] * 8
@@ -613,8 +620,9 @@ def test_run_suite_builds_each_support_once_per_distribution(monkeypatch):
     its halfspace's memo: the tail lemmas, GAUSS-EATON and WK-PIPELINE
     read them, and no distribution builds its support twice."""
     built = []
-    support = _TailBase.support
-    monkeypatch.setattr(_TailBase, "support", lambda self: built.append(self) or support(self))
+    for form in (TailDistribution, MeetInMiddleDistribution):
+        monkeypatch.setattr(form, "support",
+                            lambda self, support=form.support: built.append(self) or support(self))
     harness.run_suite("all", harness.Corpus("standard", harness.standard_corpus().entries[:3]))
     assert built and all(isinstance(d, TailDistribution) for d in built)
     assert len({id(d) for d in built}) == len(built)  # built holds each, so no id is reused
