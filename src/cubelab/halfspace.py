@@ -392,7 +392,10 @@ class MeetInMiddleDistribution(_TailBase):
     def _pair_sums(self, first: np.ndarray, stop: np.ndarray):
         """The distinct values u + r and their counts over the pairs of left
         row i and right index first[i]..stop[i] - 1: the spans repeated into
-        one array of pairs, then summed per distinct value."""
+        one array of pairs, sorted by value, and each run of one value's
+        count products summed by one ``np.add.reduceat``, exact in int64:
+        the sums count at most the 2^n points of the split's n <=
+        INT64_SUMMANDS weights."""
         lv, lc = self._rows
         spans = stop - first
         held = np.flatnonzero(spans > 0)
@@ -400,10 +403,12 @@ class MeetInMiddleDistribution(_TailBase):
         rows = np.repeat(held, spans)
         # right index of each pair: its row's first index plus its place in the row
         cols = np.arange(len(rows)) + np.repeat(first[held] - (np.cumsum(spans) - spans), spans)
-        values, inverse = np.unique(lv[rows] + self.right.values[cols], return_inverse=True)
-        counts = np.zeros(len(values), dtype=np.int64)
-        np.add.at(counts, inverse, lc[rows] * self.right.counts[cols])
-        return values, counts
+        sums = lv[rows] + self.right.values[cols]
+        counts = lc[rows] * self.right.counts[cols]
+        order = np.argsort(sums)
+        sums = sums[order]
+        starts = np.flatnonzero(np.diff(sums, prepend=sums[:1] - 1))  # the first pair of each value
+        return sums[starts], np.add.reduceat(counts[order], starts)
 
     def first_value_tail_le(self, limit_num: int, limit_den: int) -> int:
         """A weighted selection among the pairs (u, r) of the two halves.
@@ -935,11 +940,15 @@ def _paired_suffix_counts(weights: np.ndarray, cut: int, above: int) -> tuple[in
 
 def _sorted_suffix_sums(weights: np.ndarray) -> list[np.ndarray]:
     """For j = 0..len(weights), the 2^j point sums of the last j weights,
-    ascending, from one ``dot_values`` of the weights reversed: its first
-    2^j entries hold the last j weights with every other weight at -1."""
-    sums = kernels.dot_values(weights[::-1])
-    return [np.sort(sums[: 1 << j]) + int(weights[: len(weights) - j].sum())
-            for j in range(len(weights) + 1)]
+    ascending.  Those of j + 1 weights are the sums S of j less and plus
+    the weight w before them, two ascending runs S - w and S + w, which one
+    stable sort merges."""
+    out = [np.zeros(1, dtype=np.int64)]
+    for w in weights[::-1].tolist():
+        sums = np.concatenate([out[-1] - w, out[-1] + w])
+        sums.sort(kind="stable")
+        out.append(sums)
+    return out
 
 
 def _pairs_above(a: np.ndarray, b: np.ndarray, key: int) -> int:
@@ -980,15 +989,34 @@ def make_halfspace(weights, threshold) -> Halfspace:
 
 
 def ltf_truth_table(weights, threshold) -> BooleanFunction:
-    """Truth table of 1{w.x > t} for arbitrary-sign rational weights."""
+    """Truth table of 1{w.x > t} for arbitrary-sign rational weights, one
+    block of ``kernels._BLOCK`` points at a time.
+
+    With c the block's coordinates (at least a word's 6), point m has a.x
+    = low[m mod 2^c] + high[m >> c], low and high the ``dot_values`` of the
+    first c scaled weights and of the rest.  Block h of the table is where
+    low > cut - high[h], compared and packed into its own words; a table of
+    at most c coordinates is one compare-and-pack.  The scaled cut is
+    clamped into -T - 1..T first, T the sum of the scaled magnitudes, as
+    ``_clamped`` clamps: the points above it are the same, and cut - high
+    fits int64 where a threshold past +-T would not.  No array of 2^n
+    entries is made beside the words.
+    """
     ws = [as_fraction(w) for w in weights]
-    threshold = as_fraction(threshold)
     n = len(ws)
     _check_arity(n)
     scaled, scale = scaled_int64(ws)
-    vals = kernels.dot_values(scaled)
-    cut = _floor_scaled(threshold, scale)
-    return from_truth_table(vals > cut, n)
+    total = int(np.abs(scaled).sum())
+    cut = _clamped(_floor_scaled(as_fraction(threshold), scale), -total, total)
+    c = min(n, max(kernels._BLOCK.bit_length() - 1, 6))
+    low = kernels.dot_values(scaled[:c])
+    if c == n:
+        return from_truth_table(low > cut, n)
+    words = np.empty(kernels.word_count(n), dtype=kernels.WORD)
+    blocks = words.view(np.uint8).reshape(1 << (n - c), -1)
+    for block, h in zip(blocks, kernels.dot_values(scaled[c:]).tolist()):
+        block[:] = np.packbits(low > cut - h, bitorder="little")
+    return BooleanFunction(n, words)
 
 
 def parse_halfspace(text: str) -> Halfspace:

@@ -11,8 +11,18 @@ index), so a subcube that fixes x_i = +1 for some coordinates is one
 in-word mask ORed into a strided slice.  The table scans (influence,
 boundary, monotonicity), the subcube write, the popcount builder and the
 Walsh transform of a table work on the words; no kernel unpacks a table
-to one byte per point.  Each kernel is one vectorized numpy algorithm; its
-independent slow route is in the tests (``tests/oracles.py``).
+to one byte per point.
+
+The scans and the popcount walk the words one block of ``_BLOCK`` words
+(512 KiB) at a time.  A coordinate whose word pairs lie inside a block
+pairs them there; one whose pairs cross blocks pairs the block with its
+partner block, read in place.  So a scan holds one or two blocks of
+scratch however large its table: a table of up to 22 coordinates is one
+block, one of 25 is eight.  The same constant sizes the Walsh transform's
+blocks of entries and the halfspace table build's blocks of points
+(``halfspace.ltf_truth_table``).  Each kernel is one vectorized numpy
+algorithm; its independent slow route is in the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import functools
 import numpy as np
 
 
-_WALSH_BLOCK = 1 << 16  # entries per block and per piece of the Walsh stages
+_BLOCK = 1 << 16  # entries of a Walsh block or piece, words of a scan block, points of a table block
 INT64_SUMMANDS = 62  # subset counts of up to 62 weights (at most 2^62) fit int64
 
 
@@ -97,16 +107,16 @@ def _walsh(n: int, peak: int, fill, first: int) -> np.ndarray:
     from how far apart the 2^c rows of that product lie (``_stage_width``).
 
     The work happens in one buffer of 2**n entries.  The low coordinates
-    are transformed one block of _WALSH_BLOCK entries at a time in a
+    are transformed one block of _BLOCK entries at a time in a
     block-sized scratch pair, and the last of those stages writes the block
     to the buffer; every later stage runs in place, one piece of at most
-    _WALSH_BLOCK entries at a time through the scratch.  The buffer is then cast in place
+    _BLOCK entries at a time through the scratch.  The buffer is then cast in place
     to the integer type of its width and returned.
     """
     real, whole = (np.float32, np.int32) if peak <= 1 << 24 else (np.float64, np.int64)
     size = 1 << n
     out = np.empty(size, dtype=real)
-    block = min(size, max(_WALSH_BLOCK, 1 << first))
+    block = min(size, max(_BLOCK, 1 << first))
     low = block.bit_length() - 1  # coordinates transformed inside a block
     x, y = np.empty(block, dtype=real), np.empty(block, dtype=real)
     for start in range(0, size, block):
@@ -365,75 +375,115 @@ def _tiled(words: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return np.array([word], dtype=WORD), pad
 
 
-def _edges(words: np.ndarray, n: int, monotone: bool = False):
-    """For each coordinate i in turn, the words of its cut edges.
+def _edges(words: np.ndarray, n: int, monotone: bool = False, both: bool = False):
+    """For each block of the words in turn, the block and its cut edges.
 
-    A cut edge pairs a point at x_i = -1 with its neighbour at x_i = +1 where
-    f differs; with monotone, only where f is 1 below and 0 above.  For
-    i >= 6 whole words pair up, and the edges fill half the scratch words;
-    for i < 6 the pairs sit inside a word, and an edge is the x_i = -1 bit
-    (a bit of M_i).  The yielded words are one scratch array, which the
-    caller may change and the next coordinate overwrites.
+    The words are walked in blocks of _BLOCK words (one block when there
+    are fewer), and each block comes with a generator of (i, cut) over the
+    coordinates.  A cut edge pairs a point at x_i = -1 with its neighbour
+    at x_i = +1 where f differs; with monotone, only where f is 1 below
+    and 0 above.  For i < 6 the pairs sit inside a word, and an edge is the
+    x_i = -1 bit (a bit of M_i); for i >= 6 whole words pair up, 2^(i - 6)
+    words apart.  Inside a block the edges of a coordinate fill half the
+    scratch words, viewed as (pairs, 2^(i - 6)); a coordinate whose pairs
+    cross blocks pairs the block with its partner block, read in place,
+    and its edges fill the whole scratch.  Such a pair is yielded once,
+    from the block on the x_i = -1 side, or with both from each of its two
+    blocks.  The cuts are one block-sized scratch array, which the caller
+    may change and the next coordinate overwrites.
     """
-    scratch = np.empty_like(words)
-    for i in range(n):
-        if i < 6:
-            np.right_shift(words, np.uint64(1 << i), out=scratch)  # bit j holds point j + 2^i
-            lo, hi, out = words, scratch, scratch
-        else:
-            view = words.reshape(-1, 2, 1 << (i - 6))
-            lo, hi = view[:, 0, :], view[:, 1, :]
-            out = scratch[: words.shape[0] // 2].reshape(lo.shape)
-        if monotone:
-            np.invert(hi, out=out)
-            out &= lo
-        else:
-            np.bitwise_xor(lo, hi, out=out)
-        if i < 6:
-            out &= _IN_WORD_MASKS[i]
-        yield out
+    size = min(words.shape[0], _BLOCK)
+    scratch = np.empty(size, dtype=WORD)
+
+    def cuts(start: int):
+        block = words[start : start + size]
+        for i in range(n):
+            stride = 1 << max(0, i - 6)
+            if i < 6:
+                np.right_shift(block, np.uint64(1 << i), out=scratch)  # bit j holds point j + 2^i
+                lo, hi, out = block, scratch, scratch
+            elif stride < size:
+                view = block.reshape(-1, 2, stride)
+                lo, hi = view[:, 0, :], view[:, 1, :]
+                out = scratch[: size // 2].reshape(lo.shape)
+            else:
+                partner = words[start ^ stride : (start ^ stride) + size]
+                if not start & stride:
+                    lo, hi = block, partner
+                elif both:
+                    lo, hi = partner, block
+                else:
+                    continue
+                out = scratch
+            if monotone:
+                np.invert(hi, out=out)
+                out &= lo
+            else:
+                np.bitwise_xor(lo, hi, out=out)
+            if i < 6:
+                out &= _IN_WORD_MASKS[i]
+            yield i, out
+
+    for start in range(0, words.shape[0], size):
+        yield words[start : start + size], cuts(start)
 
 
 def count_ones(words: np.ndarray) -> int:
-    """Set bits of the words: the points of a packed table where f is 1."""
-    return int(np.bitwise_count(words).sum(dtype=np.int64))
+    """Set bits of the words, one block of _BLOCK words at a time: the
+    points of a packed table where f is 1."""
+    flat = words.reshape(-1)
+    return sum(int(np.bitwise_count(flat[s : s + _BLOCK]).sum(dtype=np.int64))
+               for s in range(0, flat.shape[0], _BLOCK))
 
 
 def influence_counts(words: np.ndarray, n: int) -> np.ndarray:
     """Per-coordinate count of points m with f(m) != f(m ^ e_i), from the packed table."""
     words, pad = _tiled(words, n)
-    return np.array([2 * count_ones(cut) >> pad for cut in _edges(words, n)], dtype=np.int64)
+    counts = np.zeros(n, dtype=np.int64)
+    for _, cuts in _edges(words, n):
+        for i, cut in cuts:
+            counts[i] += count_ones(cut)
+    return 2 * counts >> pad
 
 
 def boundary_counts(words: np.ndarray, n: int) -> tuple[int, int]:
     """Counts of 0-side and 1-side vertex-boundary points of the packed table.
 
     A point is on the boundary when some coordinate's cut (its pair differs)
-    reaches it from either side, so each cut is ORed, in place, into the
-    "on boundary" words at both the x_i = -1 and the x_i = +1 bits.  Those
-    words and the cut scratch are the only arrays of the table's size.
+    reaches it from either side.  Each block keeps its own "on boundary"
+    words: a cut inside the block is ORed, in place, into them at both the
+    x_i = -1 and the x_i = +1 bits, and a cut across blocks into the
+    block's words alone, the partner block ORing the same cut on its own
+    turn.  Those words and the cut scratch, one block each, are the only
+    arrays of the walk.
     """
     words, pad = _tiled(words, n)
-    on = np.zeros_like(words)
-    for i, cut in enumerate(_edges(words, n)):
-        if i < 6:
-            on |= cut
-            cut <<= np.uint64(1 << i)
-            on |= cut
-        else:
-            view = on.reshape(-1, 2, 1 << (i - 6))
-            view[:, 0, :] |= cut
-            view[:, 1, :] |= cut
-    total = count_ones(on)
-    on &= words
-    c1 = count_ones(on)
+    on = np.empty(min(words.shape[0], _BLOCK), dtype=WORD)
+    total = c1 = 0
+    for block, cuts in _edges(words, n, both=True):
+        on[:] = 0
+        for i, cut in cuts:
+            if i < 6:
+                on |= cut
+                cut <<= np.uint64(1 << i)
+                on |= cut
+            elif cut.ndim == 1:
+                on |= cut  # a pair across blocks
+            else:
+                view = on.reshape(-1, 2, cut.shape[1])
+                view[:, 0, :] |= cut
+                view[:, 1, :] |= cut
+        total += count_ones(on)
+        on &= block
+        c1 += count_ones(on)
     return (total - c1) >> pad, c1 >> pad
 
 
 def monotone_violations(words: np.ndarray, n: int) -> int:
     """Number of directed edges with f = 1 below and f = 0 above, from the packed table."""
     words, pad = _tiled(words, n)
-    return sum(count_ones(cut) for cut in _edges(words, n, monotone=True)) >> pad
+    return sum(count_ones(cut) for _, cuts in _edges(words, n, monotone=True)
+               for _, cut in cuts) >> pad
 
 
 def set_subcube(words: np.ndarray, n: int, coords) -> None:

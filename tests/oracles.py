@@ -25,7 +25,12 @@ former window query of both forms), on which ``window_smoothed_influence``
 (each support value's overlap summed in object arrays) is the slow route
 of the smoothed influence by four first-moment tails, and
 ``two_window_suffix_counts`` (two searches per suffix and side) of a
-split's boundary counts by one tail count per suffix,
+split's boundary counts by one tail count per suffix, on
+``sorted_suffix_sums`` (one sort per suffix) of the suffix sums merged
+from the previous suffix's, ``unique_pair_sums`` (``np.unique`` and
+``np.add.at``) of a split's pair sums by one ``argsort`` and
+``np.add.reduceat``, ``whole_array_ltf_truth_table`` (an int64 dot value
+for each of the 2^n points) of the table build one block at a time,
 ``mitm_count_ge`` (the halves' values and counts summed in Python ints,
 one value at a time) of its
 blocked tail counts,
@@ -72,8 +77,9 @@ from cubelab import kernels
 from cubelab.bfcore import from_truth_table
 from cubelab.chernoff import CheckRecord
 from cubelab.correlate import BiasedCorrelation, CorrelationResult, first_level_form
-from cubelab.halfspace import TailDistribution, _sorted_suffix_sums
+from cubelab.halfspace import TailDistribution
 from cubelab.levelk import SymmetricStats, irwin_hall_cdf, poly_derivative, poly_eval
+from cubelab.rational import as_fraction, scaled_int64
 from cubelab.spectral import fwht_spectrum
 
 
@@ -510,6 +516,15 @@ def per_point_biased_correlator(f) -> BiasedCorrelation:
                              small_ok, expect_ok, notes)
 
 
+def whole_array_ltf_truth_table(weights, threshold):
+    """``halfspace.ltf_truth_table`` by its former route: one int64 dot
+    value for each of the 2^n points, compared with the scaled cut, unclamped
+    (a Python int past int64 compares correctly), and packed."""
+    scaled, scale = scaled_int64(weights)
+    return from_truth_table(kernels.dot_values(scaled) > floor(as_fraction(threshold) * scale),
+                            len(scaled))
+
+
 def table_level_weight(h, k: int) -> Fraction:
     """W^k of 1{a.x > t} tabulated over the halfspace's nonzero weights in
     descending order, not over its original coordinates."""
@@ -537,6 +552,21 @@ def pairwise_support_window(left, right, lo_scaled: int, hi_scaled: int):
     return values, counts
 
 
+def unique_pair_sums(dist, first, stop):
+    """A split's ``_pair_sums`` by its former route: the distinct values u + r
+    by ``np.unique``, and their count products added by ``np.add.at``."""
+    lv, lc = dist.left.values[::-1], dist.left.counts[::-1]
+    spans = stop - first
+    held = np.flatnonzero(spans > 0)
+    spans = spans[held]
+    rows = np.repeat(held, spans)
+    cols = np.arange(len(rows)) + np.repeat(first[held] - (np.cumsum(spans) - spans), spans)
+    values, inverse = np.unique(lv[rows] + dist.right.values[cols], return_inverse=True)
+    counts = np.zeros(len(values), dtype=np.int64)
+    np.add.at(counts, inverse, lc[rows] * dist.right.counts[cols])
+    return values, counts
+
+
 def support_window(dist, lo_scaled: int, hi_scaled: int):
     """The support values of a whole distribution (the DP's cells or a split)
     in a closed window, and their counts: the DP's nonzero cells there, the
@@ -554,7 +584,7 @@ def support_window(dist, lo_scaled: int, hi_scaled: int):
     lv = dist.left.values[::-1]
     first = np.searchsorted(dist.right.values, lo - lv, side="left")
     stop = np.searchsorted(dist.right.values, hi - lv, side="right")
-    return dist._pair_sums(first, stop)  # a span that is empty has no pairs
+    return unique_pair_sums(dist, first, stop)  # a span that is empty has no pairs
 
 
 def window_smoothed_influence(h, i: int, delta, t=None) -> Fraction:
@@ -576,13 +606,22 @@ def window_smoothed_influence(h, i: int, delta, t=None) -> Fraction:
     return Fraction(acc, h.scale * q) / (delta * (1 << (h.n - 1)))
 
 
+def sorted_suffix_sums(weights) -> list[np.ndarray]:
+    """``halfspace._sorted_suffix_sums`` by its former route: one
+    ``dot_values`` of the weights reversed, whose first 2^j entries hold the
+    last j weights with every other weight at -1, and one sort per suffix."""
+    sums = kernels.dot_values(weights[::-1])
+    return [np.sort(sums[: 1 << j]) + int(weights[: len(weights) - j].sum())
+            for j in range(len(weights) + 1)]
+
+
 def two_window_suffix_counts(weights, cut: int) -> tuple[int, int]:
     """The split's boundary counts by their former route: for each k, with P
     the sum of weights[:k] and w = weights[k], the 1-side counts the points
     of the weights after k with a sum in (cut + P - w, cut + P + w] and the
     0-side those in (cut - P - w, cut - P + w], each window two searches
     per point of the shorter of the two halves (``_pairs_within``)."""
-    halves = [_sorted_suffix_sums(weights[2::2]), _sorted_suffix_sums(weights[1::2])]
+    halves = [sorted_suffix_sums(weights[2::2]), sorted_suffix_sums(weights[1::2])]
     sizes = [0, 0]  # the weights of each half after k
     prefix = int(weights.sum())
     c0 = c1 = 0

@@ -98,6 +98,65 @@ def test_majority_table():
     assert h.truth_table() == bfcore.majority(3)
 
 
+# signed, zero and tied weights, integer and rational; prefixes of n = 1..9
+TABLE_MEMBERS = ([3, -1, 0, 2, -2, 3, 1, -3, 0],
+                 [F(1, 2), F(-3, 4), 0, F(1, 2), F(5, 6), F(-1, 3), F(1, 2), 1, F(-5, 6)])
+
+
+def every_threshold(weights) -> list:
+    """Each support value of a.x, half a scaled step either side of it, one
+    step past +-T and thresholds past int64 once scaled."""
+    scaled, scale = hs.scaled_int64(weights)
+    total = int(np.abs(scaled).sum())
+    values = sorted(set(kernels.dot_values(scaled).tolist()))
+    cuts = [F(v + d, 2) for v in values for d in (-1, 0, 1)]  # in halves of a step
+    return [c / scale for c in cuts] + [F(total + 1, scale), F(-total - 1, scale), 10**30, -10**30]
+
+
+@pytest.mark.parametrize("block", [None, 1 << 6, 1 << 7])
+def test_table_blocks_match_whole_array(block, monkeypatch):
+    """The table written one block of points at a time equals the former
+    single compare of every dot value, at every threshold of each member:
+    n < 6 is one word, and blocks of 64 or 128 points (one or two words)
+    make n = 8 and 9 two to eight blocks."""
+    if block:
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+    for weights in TABLE_MEMBERS:
+        for n in (1, 2, 3, 4, 5, 8, 9):
+            for t in every_threshold(weights[:n]):
+                got = ltf_truth_table(weights[:n], t)
+                assert got == oracles.whole_array_ltf_truth_table(weights[:n], t), (n, t)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_table_blocks_match_whole_array_at_the_block(n):
+    """One block of 2^16 points and past it: 15 and 16 coordinates are one
+    compare-and-pack, 17 two blocks of the high coordinate."""
+    rng = np.random.default_rng(n)
+    weights = rng.integers(-40, 41, size=n).tolist()
+    weights[:3] = [0, weights[3], -weights[3]]  # a zero and a tie of both signs
+    total = sum(abs(w) for w in weights)
+    for t in (0, F(1, 2), -7, total // 3, total - 1, total, total + 1, -total - 1, 10**30, -10**30):
+        assert ltf_truth_table(weights, t) == oracles.whole_array_ltf_truth_table(weights, t), t
+
+
+def test_table_build_holds_no_dot_value_per_point():
+    """The 24-coordinate table of 2 MiB of words is built with one block's
+    2^16 low sums and their compare beside it; one int64 dot value per
+    point would be 128 MiB."""
+    spec = bfcore.FunctionSpec.parse("ltf:25,22,49,26,51,37,9,33,27,37,38,37,37,56,22,6,45,48,"
+                                     "30,53,19,46,43,27;205")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        f = spec.build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.n == 24 and 0 < f.ones < 1 << 24
+    assert peak < 8 << 20, peak
+
+
 def test_text_roundtrip():
     h = make_halfspace([F(5), F(4), F(4)], F(1, 2))
     again = parse_halfspace(h.to_text())
@@ -922,6 +981,29 @@ def test_mitm_support_matches_pairwise_and_dense():
                     assert np.array_equal(x, y) and np.array_equal(x, z)
 
 
+def test_pair_sums_match_unique_route():
+    """A split's pair sums by one argsort and reduceat equal the former
+    np.unique and np.add.at route, values and counts, over random spans
+    (some empty, and once all empty) and the whole support."""
+    rng = np.random.default_rng(33)
+    for n in (1, 2, 5, 8, 12):
+        weights = np.sort(rng.integers(1, 7, size=n))[::-1].astype(np.int64)
+        mitm = distribution_from_scaled(weights, 1, backend="mitm")
+        rows, cols = len(mitm.left.values), len(mitm.right.values)
+        spans = [(np.zeros(rows, dtype=np.int64), np.full(rows, cols)),
+                 (np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64))]
+        for _ in range(6):
+            ends = np.sort(rng.integers(0, cols + 1, size=(rows, 2)), axis=1)
+            spans.append((ends[:, 0], ends[:, 1]))
+        for first, stop in spans:
+            got, want = mitm._pair_sums(first, stop), oracles.unique_pair_sums(mitm, first, stop)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        whole = mitm.support()
+        want = oracles.unique_pair_sums(mitm, np.zeros(rows, dtype=np.int64), np.full(rows, cols))
+        assert np.array_equal(whole.values, want[0]) and np.array_equal(whole.counts, want[1])
+
+
 def test_mitm_support_guard_boundary(monkeypatch):
     """Powers of two make every pair sum distinct: the sums are the odd
     numbers -15..15, and the whole support assembles one pair per value, 16
@@ -1259,13 +1341,25 @@ def _boundary_members():
                     for _ in range(20)]
 
 
+def assert_suffix_sums_match_per_suffix_sort(w):
+    """Each suffix's sums merged from the previous suffix's equal one sort
+    of that suffix's slice of the dot values."""
+    got, want = hs._sorted_suffix_sums(w), oracles.sorted_suffix_sums(w)
+    assert len(got) == len(want) == len(w) + 1
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
 @pytest.mark.parametrize("weights", _boundary_members())
 def test_paired_suffix_counts_match_the_two_window_route_and_the_table(weights):
     """The split's boundary counts by one tail count per suffix equal the
     former two-window route at every cut from -T - 3 to T + 3, past the
     range of a.x at both ends, and the truth table's boundary measures at
-    every integer threshold and one between, through a forced split."""
+    every integer threshold and one between, through a forced split.  Each
+    half's suffix sums, merged suffix by suffix, equal a sort per suffix."""
     w = np.array(weights, dtype=np.int64)
+    for half in (w[2::2], w[1::2]):
+        assert_suffix_sums_match_per_suffix_sort(half)
     total = int(w.sum())
     points = kernels.dot_values(w)
     for cut in range(-total - 3, total + 4):
@@ -1276,6 +1370,13 @@ def test_paired_suffix_counts_match_the_two_window_route_and_the_table(weights):
         h.distribution(backend="mitm")
         bounds = influence.boundary_measures(h.truth_table())
         assert (h.vertex_boundary(0), h.vertex_boundary(1)) == (bounds.vb0, bounds.vb1), t
+
+
+def test_sorted_suffix_sums_merged_match_at_24_bits():
+    """The 15 weights of one half of a 32-coordinate member of 24-bit
+    weights, whose 2^15 sums are mostly distinct."""
+    w = np.sort(np.random.default_rng(32).integers(1, 1 << 24, size=15))[::-1]
+    assert_suffix_sums_match_per_suffix_sort(w.astype(np.int64))
 
 
 def test_backend_switch_recounts_every_statistic(monkeypatch):

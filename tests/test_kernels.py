@@ -102,7 +102,7 @@ def test_fwht_pieces_match_butterfly(block, monkeypatch):
     low stages, the in-place pieces of every later stage and the in-place
     cast, in float32 (0/1 tables, signed values, the 2^24 edge) and in
     float64 (one step past that edge, and the 2^53 - 2^n edge)."""
-    monkeypatch.setattr(kernels, "_WALSH_BLOCK", block)
+    monkeypatch.setattr(kernels, "_BLOCK", block)
     for n in range(13):
         rng = np.random.default_rng(block + n)
         signs = rng.choice([-1, 1], size=1 << n)
@@ -208,7 +208,7 @@ def test_walsh_stages_multiply_at_most_8_far_rows(monkeypatch):
     for n in (16, 20):
         kernels.fwht(rng.integers(-(1 << 30), 1 << 30, size=1 << n))
     for block in (1 << 2, 1 << 4, 1 << 6):
-        monkeypatch.setattr(kernels, "_WALSH_BLOCK", block)
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         for n in range(1, 13):
             table = random_table(rng, n)
             kernels.fwht(table)
@@ -473,15 +473,35 @@ def test_packed_scans_match_uint8_oracle(n):
         assert np.array_equal(BooleanFunction(n, words).table, table)
 
 
-@pytest.mark.parametrize("n", [6, 23])
+@pytest.mark.parametrize("block", [1, 2, 1 << 3])
+def test_packed_scans_walk_blocks(block, monkeypatch):
+    """With blocks of 1, 2 or 8 words, tables of n = 8..14 span up to 256
+    blocks, so every word coordinate from 6 + log2(block) up pairs a block
+    with its partner: the scans against the one-byte-per-point scans, with
+    each coordinate's dictator cutting that coordinate alone, and the
+    popcount of the words one block at a time."""
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    for n in range(8, 15):
+        for table in scan_tables(n):
+            words = kernels.pack_bits(table)
+            assert kernels.influence_counts(words, n).tolist() == oracles.halves_influence_counts(table, n)
+            assert kernels.boundary_counts(words, n) == oracles.halves_boundary_counts(table, n)
+            assert kernels.monotone_violations(words, n) == oracles.halves_monotone_violations(table, n)
+            assert kernels.count_ones(words) == int(np.count_nonzero(table))
+
+
+@pytest.mark.parametrize("n", [6, 23, 25])
 def test_packed_scans_keep_two_scratch_arrays(n):
-    """Each scan holds at most two word arrays of the table's size beside the
-    words it reads (the boundary's "on" words and the cut scratch), with no
-    full- or half-size temporary per coordinate.  The slack is the popcount's
-    byte per word and 256 KiB for numpy's buffers of strided operands."""
+    """Each scan holds at most two arrays of one block beside the words it
+    reads (the boundary's "on" words and the cut scratch), however large
+    the table: 23 and 25 coordinates are 2 and 8 blocks of 2^16 words, and
+    a cut across blocks reads its partner block in place.  The slack is the
+    popcount's byte per word of one block and 256 KiB for numpy's buffers
+    of strided operands."""
     words = kernels.pack_bits(random_table(np.random.default_rng(n), n))
+    block = min(words.shape[0], kernels._BLOCK) * words.itemsize
     for scan in (kernels.influence_counts, kernels.boundary_counts, kernels.monotone_violations):
-        assert traced_peak(scan, words, n) < 2.125 * words.nbytes + (1 << 18), scan.__name__
+        assert traced_peak(scan, words, n) < 2.125 * block + (1 << 18), scan.__name__
 
 
 @pytest.mark.parametrize("n", range(11))
